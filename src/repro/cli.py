@@ -19,7 +19,6 @@ Subcommands (one per reproducible artifact; see ``docs/user-guide.md``)::
     python -m repro study FILE [--manifest PATH] [--quick]
                           [--seed S] [--channels N] [--engine E]
                           [--cache-dir D] [--no-cache] [--jobs J]
-    python -m repro all [--quick] [--jobs J]
     python -m repro run [figure ...] [--jobs J] [--quick]
                         [--engine E] [--cache-dir D] [--no-cache]
     python -m repro fuzz [--seed N] [--count K] [--oracles O1,O2,...]
@@ -244,39 +243,6 @@ def _cmd_fig7_4(args: argparse.Namespace) -> None:
 
 def _cmd_fig7_6(args: argparse.Namespace) -> None:
     print(run_fig7_6(channels=args.channels, jobs=args.jobs).to_table())
-
-
-def _cmd_all(args: argparse.Namespace) -> None:
-    quick = args.quick
-    jobs = args.jobs
-    _cmd_tables(args)
-    print(run_fig3_1(channels=500 if quick else 2000, jobs=jobs).to_table())
-    print()
-    print(
-        run_fig6_1(
-            monte_carlo_channels=0 if quick else 2000, jobs=jobs
-        ).to_table()
-    )
-    print()
-    mixes = ALL_MIXES[:4] if quick else ALL_MIXES
-    instructions = 20_000 if quick else 40_000
-    print(
-        run_fig7_1(
-            mixes=mixes, instructions_per_core=instructions, jobs=jobs
-        ).to_table()
-    )
-    print()
-    print(
-        run_fig7_2_7_3(
-            mixes=mixes[:3], instructions_per_core=instructions, jobs=jobs
-        ).to_table()
-    )
-    print()
-    print(
-        run_fig7_4_7_5(channels=500 if quick else 2000, jobs=jobs).to_table()
-    )
-    print()
-    print(run_fig7_6(channels=500 if quick else 2000, jobs=jobs).to_table())
 
 
 def _list_fleet_scenarios() -> None:
@@ -772,11 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flag(p)
     _add_jobs_flag(p)
     p.set_defaults(func=_cmd_study)
-
-    p = sub.add_parser("all", help="everything, figure by figure")
-    p.add_argument("--quick", action="store_true")
-    _add_jobs_flag(p)
-    p.set_defaults(func=_cmd_all)
 
     p = sub.add_parser(
         "run",

@@ -20,10 +20,11 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.ecc.base import DecodeResult, DecodeStatus
 from repro.ecc.lotecc import LotEcc9, LotEcc18, LotEccLine
 from repro.faults.lifetime import LifetimeSimulator
-from repro.faults.models import upgraded_page_fraction
 from repro.util.units import HOURS_PER_YEAR
 
 #: Worst-case cost of an upgraded access relative to a relaxed one
@@ -225,26 +226,18 @@ def lotecc_lifetime_overhead(
     Entry ``y`` is the overhead averaged from deployment to the end of
     year ``y+1``: each fault upgrades its Table 7.4 page fraction, and an
     upgraded access costs ``upgrade_factor``x a relaxed one, so the
-    instantaneous overhead is ``(factor - 1) * fraction_upgraded(t)``.
+    instantaneous overhead is ``(factor - 1) * fraction_upgraded(t)``,
+    sampled at 12 mid-step times per year.
     """
-    sim = LifetimeSimulator(rate_multiplier=rate_multiplier, seed=seed)
-    histories = sim.simulate_population(channels, float(years))
+    from repro.fleet.engine import faulty_fractions_at
+
+    batch = LifetimeSimulator(
+        rate_multiplier=rate_multiplier, seed=seed
+    ).sample_batch(channels, float(years))
     steps_per_year = 12
-    series = []
-    for year in range(1, years + 1):
-        total = 0.0
-        samples = year * steps_per_year
-        for events in histories:
-            acc = 0.0
-            for step in range(samples):
-                t_hours = (step + 0.5) / steps_per_year * HOURS_PER_YEAR
-                survival = 1.0
-                for event in events:
-                    if event.time_hours <= t_hours:
-                        survival *= 1.0 - upgraded_page_fraction(
-                            event.fault_type
-                        )
-                acc += (upgrade_factor - 1.0) * (1.0 - survival)
-            total += acc / samples
-        series.append(total / channels)
-    return series
+    steps = np.arange(years * steps_per_year)
+    hours = (steps + 0.5) / steps_per_year * HOURS_PER_YEAR
+    per_step = faulty_fractions_at(batch, hours).mean(axis=1)
+    running_mean = np.cumsum(per_step) / (steps + 1)
+    year_ends = running_mean[steps_per_year - 1 :: steps_per_year]
+    return [float(v) for v in (upgrade_factor - 1.0) * year_ends]

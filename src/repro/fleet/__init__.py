@@ -28,6 +28,7 @@ turns the same machinery into a decision tool.
 from repro.fleet.engine import (
     FLEET_BLOCK_CHANNELS,
     channel_arrival_rates,
+    faulty_fractions_at,
     faulty_fractions_by_year,
     fleet_blocks,
     overhead_series_by_year,
@@ -124,6 +125,7 @@ __all__ = [
     "dump_scenario_json",
     "empty_batch",
     "expand_study",
+    "faulty_fractions_at",
     "faulty_fractions_by_year",
     "fleet_blocks",
     "load_raw_mapping",

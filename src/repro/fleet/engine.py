@@ -259,6 +259,35 @@ def _page_fractions(config: MemoryConfig) -> np.ndarray:
     )
 
 
+def faulty_fractions_at(
+    batch: FaultEventBatch,
+    hours: Sequence[float],
+    config: MemoryConfig = ARCC_MEMORY_CONFIG,
+) -> np.ndarray:
+    """Per-channel faulty-page fraction at each of the sample ``hours``.
+
+    Returns a ``(len(hours), channels)`` matrix. Faults compose as
+    ``1 - prod(1 - f_i)`` over the arrivals at or before each time (the
+    ``_fraction_after_events`` rule), evaluated here as a per-channel
+    segment sum of ``log1p(-f)`` — exact up to floating point, including
+    the ``f = 1`` lane case (``log 0 = -inf`` -> fraction 1).
+    """
+    channels = batch.num_channels
+    out = np.zeros((len(hours), channels))
+    if batch.num_events == 0:
+        return out
+    with np.errstate(divide="ignore"):
+        log_survival = np.log1p(-_page_fractions(config))[batch.type_code]
+    ids = batch.channel_ids()
+    for i, t_hours in enumerate(hours):
+        mask = batch.time_hours <= t_hours
+        log_sum = np.bincount(
+            ids[mask], weights=log_survival[mask], minlength=channels
+        )
+        out[i] = -np.expm1(log_sum)
+    return out
+
+
 def faulty_fractions_by_year(
     batch: FaultEventBatch,
     years: int,
@@ -266,26 +295,12 @@ def faulty_fractions_by_year(
 ) -> np.ndarray:
     """Per-channel faulty-page fraction at the end of each year.
 
-    Returns a ``(years, channels)`` matrix. Faults compose as
-    ``1 - prod(1 - f_i)`` over the arrivals seen so far (the legacy
-    ``_fraction_after_events`` rule), evaluated here as a per-channel
-    segment sum of ``log1p(-f)`` — exact up to floating point, including
-    the ``f = 1`` lane case (``log 0 = -inf`` -> fraction 1).
+    Returns a ``(years, channels)`` matrix: :func:`faulty_fractions_at`
+    sampled at the year horizons.
     """
-    channels = batch.num_channels
-    out = np.zeros((years, channels))
-    if batch.num_events == 0:
-        return out
-    with np.errstate(divide="ignore"):
-        log_survival = np.log1p(-_page_fractions(config))[batch.type_code]
-    ids = batch.channel_ids()
-    for year in range(1, years + 1):
-        mask = batch.time_hours <= year * HOURS_PER_YEAR
-        log_sum = np.bincount(
-            ids[mask], weights=log_survival[mask], minlength=channels
-        )
-        out[year - 1] = -np.expm1(log_sum)
-    return out
+    return faulty_fractions_at(
+        batch, [year * HOURS_PER_YEAR for year in range(1, years + 1)], config
+    )
 
 
 def overhead_series_by_year(

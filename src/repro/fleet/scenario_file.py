@@ -167,19 +167,42 @@ def _get_str(mapping: Mapping[str, Any], key: str, path: str) -> str:
     return value
 
 
+def _check_int(value: Any, path: str, minimum: Optional[int] = None) -> int:
+    # bool is an int subclass; a scenario never wants `channels = true`.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _fail(path, f"expected int, got {_type_name(value)}")
+    if minimum is not None and value < minimum:
+        raise _fail(path, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _check_float(
+    value: Any,
+    path: str,
+    minimum: Optional[float] = None,
+    exclusive: bool = False,
+    maximum: Optional[float] = None,
+) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _fail(path, f"expected number, got {_type_name(value)}")
+    value = float(value)
+    if minimum is not None:
+        if exclusive and value <= minimum:
+            raise _fail(path, f"must be > {minimum:g}, got {value:g}")
+        if not exclusive and value < minimum:
+            raise _fail(path, f"must be >= {minimum:g}, got {value:g}")
+    if maximum is not None and value > maximum:
+        raise _fail(path, f"must be <= {maximum:g}, got {value:g}")
+    return value
+
+
 def _get_int(
     mapping: Mapping[str, Any],
     key: str,
     path: str,
     minimum: Optional[int] = None,
 ) -> int:
-    value = mapping[key]
-    # bool is an int subclass; a scenario never wants `channels = true`.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(f"{path}.{key}", f"expected int, got {_type_name(value)}")
-    if minimum is not None and value < minimum:
-        raise _fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-    return value
+    return _check_int(mapping[key], f"{path}.{key}", minimum)
 
 
 def _get_float(
@@ -189,20 +212,25 @@ def _get_float(
     minimum: Optional[float] = None,
     exclusive: bool = False,
 ) -> float:
+    return _check_float(mapping[key], f"{path}.{key}", minimum, exclusive)
+
+
+def _get_bool(mapping: Mapping[str, Any], key: str, path: str) -> bool:
     value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(
-            f"{path}.{key}", f"expected number, got {_type_name(value)}"
-        )
-    value = float(value)
-    if minimum is not None:
-        if exclusive and value <= minimum:
-            raise _fail(f"{path}.{key}", f"must be > {minimum:g}, got {value:g}")
-        if not exclusive and value < minimum:
-            raise _fail(
-                f"{path}.{key}", f"must be >= {minimum:g}, got {value:g}"
-            )
+    if not isinstance(value, bool):
+        raise _fail(f"{path}.{key}", f"expected bool, got {_type_name(value)}")
     return value
+
+
+def _get_array(mapping: Mapping[str, Any], key: str, path: str) -> List[Any]:
+    value = mapping[key]
+    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+        raise _fail(
+            f"{path}.{key}", f"expected an array, got {_type_name(value)}"
+        )
+    if not value:
+        raise _fail(f"{path}.{key}", "must not be empty")
+    return list(value)
 
 
 def _parse_rates(raw: Any, path: str) -> FaultRates:

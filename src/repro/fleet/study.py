@@ -62,8 +62,12 @@ from repro.fleet.scenario_file import (
     CONFIG_NAMES,
     STUDY_SECTION_KEYS,
     ScenarioFileError,
+    _check_float,
+    _check_int,
     _check_keys,
     _fail,
+    _get_array,
+    _get_bool,
     _get_int,
     _type_name,
     load_raw_mapping,
@@ -670,24 +674,6 @@ def run_study(
 # -- the file loader -----------------------------------------------------------
 
 
-def _get_bool(mapping: Mapping[str, Any], key: str, path: str) -> bool:
-    value = mapping[key]
-    if not isinstance(value, bool):
-        raise _fail(f"{path}.{key}", f"expected bool, got {_type_name(value)}")
-    return value
-
-
-def _get_array(mapping: Mapping[str, Any], key: str, path: str) -> List[Any]:
-    value = mapping[key]
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-        raise _fail(
-            f"{path}.{key}", f"expected an array, got {_type_name(value)}"
-        )
-    if not value:
-        raise _fail(f"{path}.{key}", "must not be empty")
-    return list(value)
-
-
 def _no_duplicates(values: Sequence[Any], path: str) -> None:
     seen = set()
     for i, value in enumerate(values):
@@ -700,19 +686,12 @@ def _no_duplicates(values: Sequence[Any], path: str) -> None:
 def _int_axis(
     section: Mapping[str, Any], key: str, path: str, minimum: int
 ) -> Tuple[int, ...]:
-    values = []
-    for i, value in enumerate(_get_array(section, key, path)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise _fail(
-                f"{path}.{key}[{i}]",
-                f"expected int, got {_type_name(value)}",
-            )
-        if value < minimum:
-            raise _fail(
-                f"{path}.{key}[{i}]", f"must be >= {minimum}, got {value}"
-            )
-        values.append(value)
-    _no_duplicates(values, f"{path}.{key}")
+    axis = f"{path}.{key}"
+    values = [
+        _check_int(value, f"{axis}[{i}]", minimum)
+        for i, value in enumerate(_get_array(section, key, path))
+    ]
+    _no_duplicates(values, axis)
     return tuple(values)
 
 
@@ -724,29 +703,12 @@ def _float_axis(
     exclusive: bool,
     maximum: Optional[float] = None,
 ) -> Tuple[float, ...]:
-    values = []
-    for i, value in enumerate(_get_array(section, key, path)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _fail(
-                f"{path}.{key}[{i}]",
-                f"expected number, got {_type_name(value)}",
-            )
-        value = float(value)
-        if exclusive and value <= minimum:
-            raise _fail(
-                f"{path}.{key}[{i}]", f"must be > {minimum:g}, got {value:g}"
-            )
-        if not exclusive and value < minimum:
-            raise _fail(
-                f"{path}.{key}[{i}]", f"must be >= {minimum:g}, got {value:g}"
-            )
-        if maximum is not None and value > maximum:
-            raise _fail(
-                f"{path}.{key}[{i}]",
-                f"must be <= {maximum:g}, got {value:g}",
-            )
-        values.append(value)
-    _no_duplicates(values, f"{path}.{key}")
+    axis = f"{path}.{key}"
+    values = [
+        _check_float(value, f"{axis}[{i}]", minimum, exclusive, maximum)
+        for i, value in enumerate(_get_array(section, key, path))
+    ]
+    _no_duplicates(values, axis)
     return tuple(values)
 
 

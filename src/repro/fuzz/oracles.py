@@ -188,12 +188,14 @@ def _execute_fleet(case: Dict[str, Any]) -> Optional[str]:
 
     Three sub-checks on one sampled batch: the batch<->history
     converters are exact inverses; the faulty-fraction reduction matches
-    the legacy union rule; the capped-overhead reduction matches the
-    legacy accumulation loop — both to 1e-9 relative.
+    the legacy union rule, at the year horizons and at Figure 7.6's
+    mid-step times; the capped-overhead reduction matches the legacy
+    accumulation loop — both to 1e-9 relative.
     """
     from repro.experiments.fig7_4_7_5 import _overhead_series
     from repro.faults.lifetime import _fraction_after_events
     from repro.fleet.engine import (
+        faulty_fractions_at,
         faulty_fractions_by_year,
         overhead_series_by_year,
         sample_fleet,
@@ -216,9 +218,19 @@ def _execute_fleet(case: Dict[str, Any]) -> Optional[str]:
     if FaultEventBatch.from_histories(histories) != batch:
         return "batch -> histories -> batch round trip is not exact"
 
-    fast_frac = faulty_fractions_by_year(batch, years, config).mean(axis=1)
-    for year in range(1, years + 1):
-        horizon = year * HOURS_PER_YEAR
+    # The year ends, then one of Figure 7.6's 12-per-year mid-step times
+    # in each year.
+    mid_steps = (np.arange(6, years * 12, 12) + 0.5) / 12 * HOURS_PER_YEAR
+    horizons = [
+        (f"year {year}", year * HOURS_PER_YEAR) for year in range(1, years + 1)
+    ] + [(f"mid-year {year}", t) for year, t in enumerate(mid_steps, 1)]
+    fast_frac = np.concatenate(
+        (
+            faulty_fractions_by_year(batch, years, config).mean(axis=1),
+            faulty_fractions_at(batch, mid_steps, config).mean(axis=1),
+        )
+    )
+    for fast, (label, horizon) in zip(fast_frac, horizons):
         legacy = float(
             np.mean(
                 [
@@ -229,10 +241,10 @@ def _execute_fleet(case: Dict[str, Any]) -> Optional[str]:
                 ]
             )
         )
-        if not np.isclose(fast_frac[year - 1], legacy, rtol=1e-9, atol=1e-12):
+        if not np.isclose(fast, legacy, rtol=1e-9, atol=1e-12):
             return (
-                f"faulty fraction, year {year}: vectorized "
-                f"{fast_frac[year - 1]!r} != legacy {legacy!r}"
+                f"faulty fraction, {label}: vectorized "
+                f"{fast!r} != legacy {legacy!r}"
             )
 
     per_fault = _per_fault_weights(case["per_fault"])

@@ -583,17 +583,19 @@ typedef struct bitgen {
 extern double random_standard_exponential(bitgen_t *bitgen_state);
 
 /* ``next_uint64 >> 11`` scaled by 2**-53: NumPy's canonical
- * uint64-to-double conversion (mirrors _INV_2_53 in trace.py). */
+ * uint64-to-double conversion (``random_standard_uniform``). */
 #define INV_2_53 (1.0 / 9007199254740992.0)
 
-/* One core's access stream: the raw-PCG64 branch of trace.py's
- * _materialize_core, draw for draw — a uniform for the locality test,
+/* One core's access stream: CoreTrace.__next__ (workloads/trace.py),
+ * draw for draw — a uniform for the locality test,
  * Lemire bounded rejection on 32-bit half-words for random lines, the
  * ziggurat exponential for the instruction gap, a uniform for the
  * write flag.  Returns the access count (<= instructions_per_core,
  * since every gap is >= 1 — the caller sizes buffers to exactly that
  * bound), or -1 if the buffers would overflow (cannot happen with
- * correctly sized buffers; the stream is consumed, so no retry). */
+ * correctly sized buffers; the stream is consumed, so no retry).
+ * perf/trace.py uses it only after a per-process probe finds it equal
+ * to CoreTrace, array for array. */
 i64 materialize_kernel(
     bitgen_t *bitgen,
     double locality,

@@ -842,7 +842,8 @@ def engine_provenance() -> Dict[str, str]:
     ``replay_engine`` is what ``auto`` resolves to right now,
     ``replay_kernel`` the loader's detail string (compiler found, mask,
     build failure...), and ``trace_rng`` whether materialization runs
-    on the raw PCG64 bit stream or the Generator-method fallback.
+    in the probed C materializer (``compiled-pcg64``) or steps
+    ``CoreTrace`` itself (``generator-fallback``).
     Surfaced in CLI summaries and reports so a fallback is always
     visible, never silent.
     """

@@ -11,13 +11,21 @@ gaps, plus a per-core offset index — the perf analogue of
 :mod:`repro.perf.engine` replays any number of ``upgraded_fraction`` /
 organization points against it.
 
-Materialization steps the real ``CoreTrace`` iterators, so the arrays
-hold bit-for-bit the accesses ``TraceSimulator.run`` would have consumed:
+The arrays hold bit-for-bit the accesses the real ``CoreTrace``
+iterators yield, which ``TraceSimulator.run`` would have consumed:
 each core's stream is drawn from its own ``split_rng`` child, which makes
 the per-core access sequence independent of how the cores interleave.
 A core consumes accesses until its retired-instruction total reaches
 ``instructions_per_core`` — the exact stopping rule of the legacy loop —
 so equal parameters always yield equal array contents.
+
+Two draw paths produce the arrays. ``CoreTrace`` itself is the
+definition. The C materializer of :mod:`repro.perf._kernel` draws the
+same streams against NumPy's bit generator many times faster, but it is
+trusted only after a per-process probe: one shipped mix materialized
+through both paths must agree array for array. Without a kernel, or
+after a failed probe, materialization steps ``CoreTrace``;
+:func:`trace_rng_provenance` reports which path ran.
 """
 
 from __future__ import annotations
@@ -28,8 +36,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.util.rng import make_rng
-from repro.workloads.spec import BenchmarkProfile, WorkloadMix
+from repro.workloads.spec import ALL_MIXES, BenchmarkProfile, WorkloadMix
 from repro.workloads.trace import TraceGenerator
 
 
@@ -103,107 +110,36 @@ class TraceBatch:
         return out
 
 
-#: ``next_uint64 >> 11`` scaled by 2**-53 is NumPy's canonical
-#: uint64-to-double conversion (``random_standard_uniform``).
-_INV_2_53 = 1.0 / 9007199254740992.0
-_U32_MASK = 0xFFFFFFFF
+#: The probe that gates the C materializer: a shipped mix at a scale
+#: that draws about 1,600 accesses, both random-jump and sequential.
+_PROBE_MIX = ALL_MIXES[0]
+_PROBE_SEED = 0xBEEF
+_PROBE_INSTRUCTIONS = 40_000
 
 
-@lru_cache(maxsize=1)
-def _raw_stream_supported() -> bool:
-    """Whether raw bit-generator draws reproduce the Generator methods.
+def _draw_core(trace, instructions_per_core):
+    """One core's exact access stream, stepped through ``CoreTrace``.
 
-    The fast materialization path re-implements the three scalar draws
-    ``CoreTrace`` makes — ``random()`` (one ``next_uint64`` to a
-    double), ``integers(n)`` (Lemire's bounded rejection on buffered
-    32-bit half-words) and ``exponential(scale)`` (``scale *
-    standard_exponential()``) — directly against the PCG64 bit stream
-    through the ctypes interface. Those identities follow NumPy's
-    published implementation, but they are *verified here at runtime*
-    on a probe stream; any NumPy that draws differently flunks the
-    probe and silently falls back to the plain scalar calls.
+    The definition the C materializer must reproduce: the legacy loop's
+    stopping rule (consume accesses until the retired-instruction total
+    reaches ``instructions_per_core``) over the iterator itself.
     """
-    try:
-        reference = make_rng(0xBEEF)
-        mirror = make_rng(0xBEEF)
-        ctypes_view = mirror.bit_generator.ctypes
-        next_u64 = ctypes_view.next_uint64
-        next_u32 = ctypes_view.next_uint32
-        state = ctypes_view.state_address
-        std_exp = mirror.standard_exponential
-        for step in range(400):
-            kind = step % 4
-            if kind in (0, 2):
-                if reference.random() != (next_u64(state) >> 11) * _INV_2_53:
-                    return False
-            elif kind == 1:
-                n = (32768, 1000, 7, 1 << 22)[(step // 4) % 4]
-                m = next_u32(state) * n
-                leftover = m & _U32_MASK
-                if leftover < n:
-                    threshold = (4294967296 - n) % n
-                    while leftover < threshold:
-                        m = next_u32(state) * n
-                        leftover = m & _U32_MASK
-                if int(reference.integers(n)) != m >> 32:
-                    return False
-            else:
-                if reference.exponential(66.75) != std_exp() * 66.75:
-                    return False
-        return True
-    except Exception:
-        return False
-
-
-def trace_rng_provenance() -> str:
-    """Which draw path materialization uses, as a report-ready string.
-
-    ``"compiled-pcg64"`` when the C materialization kernel serves the
-    probed raw bit-stream draws (NumPy's own ``libnpyrandom`` linked
-    in), ``"raw-pcg64"`` when the runtime probe verified the direct
-    ctypes bit-stream draws, ``"generator-fallback"`` when it did not
-    (an unprobed NumPy build) — the same truths the materializer gates
-    on, exposed so results and CLI summaries record which path produced
-    them instead of falling back silently. All paths generate
-    bit-identical traces whenever the probe passes; the label exists so
-    a probe *failure* is visible in provenance rather than inferred
-    from timing.
-    """
-    if not _raw_stream_supported():
-        return "generator-fallback"
+    addresses, writes, gaps = [], [], []
+    total = 0
+    while total < instructions_per_core:
+        access = next(trace)
+        addresses.append(access.line_address)
+        writes.append(access.is_write)
+        gaps.append(access.instructions_since_last)
+        total += access.instructions_since_last
     return (
-        "compiled-pcg64"
-        if _kernel_materializer() is not None
-        else "raw-pcg64"
+        np.asarray(addresses, dtype=np.int64),
+        np.asarray(writes, dtype=bool),
+        np.asarray(gaps, dtype=np.int64),
     )
 
 
-def _kernel_materializer():
-    """The compiled materialization entry point, or ``None``.
-
-    Requires both the compiled kernel (built against NumPy's static
-    ``libnpyrandom.a``, so its exponential draws *are* NumPy's) and a
-    passed raw-stream probe — the uniform and Lemire bounded draws in C
-    are the same transcriptions the probe verifies. Either absence
-    falls back to the Python paths below, visibly via
-    :func:`trace_rng_provenance`.
-    """
-    if not _raw_stream_supported():
-        return None
-    try:
-        from repro.perf._kernel.loader import (
-            load_kernel,
-            materializer_available,
-        )
-
-        if not materializer_available():
-            return None
-        return load_kernel()
-    except Exception:  # pragma: no cover - defensive: loader errors
-        return None
-
-
-def _materialize_core_compiled(lib, trace, instructions_per_core):
+def _draw_core_compiled(lib, trace, instructions_per_core):
     """One core's exact access stream, drawn by the C kernel.
 
     Buffers are sized to ``instructions_per_core`` — every access
@@ -237,80 +173,103 @@ def _materialize_core_compiled(lib, trace, instructions_per_core):
     )
 
 
-def _materialize_core(trace, instructions_per_core, out):
-    """Append one core's exact access stream to ``out``; returns count.
+def _build_batch(
+    mix_name: str,
+    profiles: Tuple[BenchmarkProfile, ...],
+    seed: int,
+    instructions_per_core: int,
+    lib,
+) -> TraceBatch:
+    """Materialize a mix through the C kernel ``lib``, or ``CoreTrace``
+    when ``lib`` is ``None``."""
+    traces = TraceGenerator(profiles, seed=seed).core_traces()
+    if lib is None:
+        per_core = [_draw_core(t, instructions_per_core) for t in traces]
+    else:
+        per_core = [
+            _draw_core_compiled(lib, t, instructions_per_core)
+            for t in traces
+        ]
+    return TraceBatch(
+        mix_name=mix_name,
+        profiles=tuple(profiles),
+        seed=seed,
+        instructions_per_core=instructions_per_core,
+        line_addresses=np.concatenate([core[0] for core in per_core]),
+        write_flags=np.concatenate([core[1] for core in per_core]),
+        instruction_gaps=np.concatenate([core[2] for core in per_core]),
+        core_offsets=np.cumsum(
+            [0] + [core[0].size for core in per_core], dtype=np.int64
+        ),
+    )
 
-    ``CoreTrace.__next__`` inlined — same RNG draws against the same
-    generator state in the same order, minus the iterator dispatch and
-    per-access dataclass. When the runtime probe above holds (it does
-    on every NumPy this repo supports), the draws go straight to the
-    PCG64 bit stream, which roughly halves materialization cost; the
-    access-for-access agreement with ``CoreTrace`` is pinned by
-    ``tests/test_perf_engine.py``.
+
+@lru_cache(maxsize=1)
+def _probe(lib) -> bool:
+    """Whether ``lib``'s C materializer reproduces ``CoreTrace`` exactly.
+
+    Materializes the probe mix through both paths and requires
+    array-for-array equality. Run once per loaded kernel, so a
+    reloaded (or replaced) kernel is probed afresh.
     """
-    addresses, writes, gaps = out
-    append_address = addresses.append
-    append_write = writes.append
-    append_gap = gaps.append
-    profile = trace.profile
-    locality = profile.spatial_locality
-    read_fraction = profile.read_fraction
-    base = trace.region_base
-    footprint = trace.footprint_lines
-    end = base + footprint
-    mean_gap = trace._gap_instructions
-    current = trace._current
-    rng = trace.rng
-    total = 0
-    count = 0
-    if _raw_stream_supported() and 0 < footprint <= _U32_MASK:
-        ctypes_view = rng.bit_generator.ctypes
-        next_u64 = ctypes_view.next_uint64
-        next_u32 = ctypes_view.next_uint32
-        state = ctypes_view.state_address
-        std_exp = rng.standard_exponential
-        inv = _INV_2_53
-        u32_mask = _U32_MASK
-        while total < instructions_per_core:
-            if (next_u64(state) >> 11) * inv < locality:
-                line = current + 1
-                if line >= end:
-                    line = base
-            else:
-                m = next_u32(state) * footprint
-                leftover = m & u32_mask
-                if leftover < footprint:
-                    threshold = (4294967296 - footprint) % footprint
-                    while leftover < threshold:
-                        m = next_u32(state) * footprint
-                        leftover = m & u32_mask
-                line = base + (m >> 32)
-            current = line
-            gap = 1 + int(std_exp() * mean_gap)
-            append_address(line)
-            append_write((next_u64(state) >> 11) * inv >= read_fraction)
-            append_gap(gap)
-            total += gap
-            count += 1
-    else:  # pragma: no cover - exercised only on unprobed NumPy builds
-        random = rng.random
-        integers = rng.integers
-        exponential = rng.exponential
-        while total < instructions_per_core:
-            if random() < locality:
-                line = current + 1
-                if line >= end:
-                    line = base
-            else:
-                line = base + int(integers(footprint))
-            current = line
-            gap = 1 + int(exponential(mean_gap))
-            append_address(line)
-            append_write(random() >= read_fraction)
-            append_gap(gap)
-            total += gap
-            count += 1
-    return count
+    args = (
+        _PROBE_MIX.name,
+        tuple(_PROBE_MIX.profiles),
+        _PROBE_SEED,
+        _PROBE_INSTRUCTIONS,
+    )
+    try:
+        compiled = _build_batch(*args, lib)
+    except Exception:
+        return False
+    reference = _build_batch(*args, None)
+    return all(
+        np.array_equal(getattr(compiled, name), getattr(reference, name))
+        for name in (
+            "line_addresses",
+            "write_flags",
+            "instruction_gaps",
+            "core_offsets",
+        )
+    )
+
+
+def _kernel_materializer():
+    """The compiled materialization entry point, or ``None``.
+
+    Requires the compiled kernel built against NumPy's static
+    ``libnpyrandom.a`` (so its exponential draws *are* NumPy's) and a
+    passed :func:`_probe`. Either absence falls back to ``CoreTrace``,
+    visibly via :func:`trace_rng_provenance`.
+    """
+    try:
+        from repro.perf._kernel.loader import (
+            load_kernel,
+            materializer_available,
+        )
+
+        if not materializer_available():
+            return None
+        lib = load_kernel()
+    except Exception:  # pragma: no cover - defensive: loader errors
+        return None
+    return lib if _probe(lib) else None
+
+
+def trace_rng_provenance() -> str:
+    """Which draw path materialization uses, as a report-ready string.
+
+    ``"compiled-pcg64"`` when the C materialization kernel (NumPy's own
+    ``libnpyrandom`` linked in) is loaded and passed the per-process
+    probe against ``CoreTrace``; ``"generator-fallback"`` when the
+    arrays are drawn by stepping ``CoreTrace`` itself (no kernel, a
+    kernel without ``libnpyrandom``, or a failed probe). Both paths
+    generate bit-identical traces; the label exists so a fallback is
+    visible in provenance rather than inferred from timing.
+    """
+    if _kernel_materializer() is None:
+        return "generator-fallback"
+    return "compiled-pcg64"
 
 
 @lru_cache(maxsize=64)
@@ -321,62 +280,8 @@ def _materialize(
     instructions_per_core: int,
 ) -> TraceBatch:
     """Memoized worker behind :func:`materialize_mix`."""
-    traces = TraceGenerator(profiles, seed=seed).core_traces()
-    lib = _kernel_materializer()
-    if lib is not None:
-        per_core = []
-        for trace in traces:
-            if 0 < trace.footprint_lines <= _U32_MASK:
-                per_core.append(
-                    _materialize_core_compiled(
-                        lib, trace, instructions_per_core
-                    )
-                )
-            else:  # pragma: no cover - no shipped profile hits this
-                out = ([], [], [])
-                _materialize_core(trace, instructions_per_core, out)
-                per_core.append(
-                    (
-                        np.asarray(out[0], dtype=np.int64),
-                        np.asarray(out[1], dtype=bool),
-                        np.asarray(out[2], dtype=np.int64),
-                    )
-                )
-        offsets = [0]
-        for core_addresses, _, _ in per_core:
-            offsets.append(offsets[-1] + core_addresses.size)
-        return TraceBatch(
-            mix_name=mix_name,
-            profiles=tuple(profiles),
-            seed=seed,
-            instructions_per_core=instructions_per_core,
-            line_addresses=np.concatenate(
-                [core[0] for core in per_core]
-            ),
-            write_flags=np.concatenate([core[1] for core in per_core]),
-            instruction_gaps=np.concatenate(
-                [core[2] for core in per_core]
-            ),
-            core_offsets=np.asarray(offsets, dtype=np.int64),
-        )
-    addresses = []
-    writes = []
-    gaps = []
-    offsets = [0]
-    for trace in traces:
-        count = _materialize_core(
-            trace, instructions_per_core, (addresses, writes, gaps)
-        )
-        offsets.append(offsets[-1] + count)
-    return TraceBatch(
-        mix_name=mix_name,
-        profiles=tuple(profiles),
-        seed=seed,
-        instructions_per_core=instructions_per_core,
-        line_addresses=np.asarray(addresses, dtype=np.int64),
-        write_flags=np.asarray(writes, dtype=bool),
-        instruction_gaps=np.asarray(gaps, dtype=np.int64),
-        core_offsets=np.asarray(offsets, dtype=np.int64),
+    return _build_batch(
+        mix_name, profiles, seed, instructions_per_core, _kernel_materializer()
     )
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.config import ARCC_MEMORY_CONFIG
 from repro.core.lotecc_arcc import (
     WORST_CASE_UPGRADE_FACTOR,
     ArccLotEcc,
@@ -12,6 +13,9 @@ from repro.core.lotecc_arcc import (
 )
 from repro.core.vecc_arcc import ArccVecc, VeccPageMode, _RelaxedVecc9
 from repro.ecc.base import DecodeStatus
+from repro.experiments.fig7_6 import run_fig7_6
+from repro.faults.lifetime import LifetimeSimulator, _fraction_after_events
+from repro.util.units import HOURS_PER_YEAR
 
 
 def random_line(seed):
@@ -124,6 +128,61 @@ class TestLotEccLifetimeOverhead:
         series = lotecc_lifetime_overhead(years=7, channels=500,
                                           rate_multiplier=4.0)
         assert series[-1] < 0.15
+
+
+    @pytest.mark.parametrize("rate_multiplier", [1.0, 4.0])
+    def test_matches_per_event_reference(self, rate_multiplier):
+        """The fleet-engine reduction against the scalar union rule,
+        evaluated per channel, per mid-step time, per event."""
+        years, channels, seed = 7, 200, 0x107ECC
+        histories = LifetimeSimulator(
+            rate_multiplier=rate_multiplier, seed=seed
+        ).simulate_population(channels, float(years))
+        reference = []
+        for year in range(1, years + 1):
+            samples = year * 12
+            total = 0.0
+            for events in histories:
+                for step in range(samples):
+                    t_hours = (step + 0.5) / 12 * HOURS_PER_YEAR
+                    total += _fraction_after_events(
+                        [e for e in events if e.time_hours <= t_hours],
+                        ARCC_MEMORY_CONFIG,
+                    )
+            reference.append(
+                (WORST_CASE_UPGRADE_FACTOR - 1.0) * total
+                / (samples * channels)
+            )
+        series = lotecc_lifetime_overhead(
+            years=years,
+            channels=channels,
+            rate_multiplier=rate_multiplier,
+            seed=seed,
+        )
+        assert series == pytest.approx(reference, rel=1e-12, abs=0)
+
+    def test_figure_table_pinned(self):
+        """Figure 7.6 at default parameters and 500 channels, as
+        rendered (cells end in padding spaces)."""
+        expected = "\n".join(
+            [
+                "Figure 7.6: ARCC+LOT-ECC worst-case overhead "
+                "(power increase == performance decrease)",
+                "Rate | Year 1 | Year 2 | Year 3 | Year 4 | Year 5 | Year 6 "
+                "| Year 7",
+                "-----+--------+--------+--------+--------+--------+--------"
+                "+-------",
+                "1x   | 0.35%  | 0.69%  | 1.02%  | 1.24%  | 1.41%  | 1.73%  "
+                "| 2.10% ",
+                "2x   | 0.46%  | 0.79%  | 1.46%  | 2.50%  | 3.46%  | 4.56%  "
+                "| 5.60% ",
+                "4x   | 1.55%  | 3.31%  | 4.53%  | 6.41%  | 8.57%  | 10.70% "
+                "| 12.38%",
+                "DUE-rate reduction from double chip sparing: 180x "
+                "(paper cites 17x)",
+            ]
+        )
+        assert run_fig7_6(channels=500).to_table() == expected
 
 
 class TestArccVecc:

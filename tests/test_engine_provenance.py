@@ -1,8 +1,8 @@
 """Regression net for the silent-fallback hazard class.
 
 Two fast paths in the trace pipeline degrade gracefully when the host
-lacks a capability — the raw-PCG64 stream probe in ``perf/trace.py``
-and the compiled replay kernel. Graceful degradation must never be
+lacks a capability — the probed C trace materializer in
+``perf/trace.py`` and the compiled replay kernel. Graceful degradation must never be
 *silent*: the resolved tier is exposed through
 ``engine_provenance()``, recorded in every planner's job configs, and
 therefore baked into result-cache keys — a compiled result can never
@@ -12,6 +12,7 @@ compiled`` fails loudly rather than quietly downgrading.
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG
@@ -28,7 +29,13 @@ from repro.perf.engine import (
     resolve_engine,
     simulate_point_job,
 )
-from repro.perf.trace import trace_rng_provenance
+from repro.perf import trace
+from repro.perf._kernel.loader import materializer_available
+from repro.perf.trace import (
+    clear_trace_memo,
+    materialize_mix,
+    trace_rng_provenance,
+)
 from repro.runner import Job, ResultCache
 from repro.workloads.spec import mix_by_name
 
@@ -91,7 +98,6 @@ class TestEngineProvenance:
         assert provenance["trace_rng"] == trace_rng_provenance()
         assert provenance["trace_rng"] in (
             "compiled-pcg64",
-            "raw-pcg64",
             "generator-fallback",
         )
 
@@ -103,6 +109,7 @@ class TestEngineProvenance:
         assert DISABLE_ENV in kernel_provenance()
         assert resolve_engine("auto") == "python"
         assert engine_provenance()["replay_engine"] == "python"
+        assert engine_provenance()["trace_rng"] == "generator-fallback"
 
     def test_compiled_request_fails_loudly_when_masked(self, masked_kernel):
         """``--engine compiled`` is a demand, not a hint."""
@@ -132,7 +139,100 @@ class TestEngineProvenance:
         try:
             reset_kernel_loader()
             assert not kernel_available()
+            assert trace_rng_provenance() == "generator-fallback"
         finally:
             os.environ.pop(DISABLE_ENV, None)
         reset_kernel_loader()
         assert kernel_available() == ("compiled" in kernel_provenance())
+        assert trace_rng_provenance() == (
+            "compiled-pcg64" if materializer_available()
+            else "generator-fallback"
+        )
+
+
+_ARRAYS = ("line_addresses", "write_flags", "instruction_gaps", "core_offsets")
+
+needs_materializer = pytest.mark.skipif(
+    not materializer_available(),
+    reason="C trace materializer unavailable: " + kernel_provenance(),
+)
+
+
+def _assert_same_arrays(batch, expected):
+    assert batch is not expected, "compared a memoized batch with itself"
+    for name in _ARRAYS:
+        actual, wanted = getattr(batch, name), getattr(expected, name)
+        assert actual.dtype == wanted.dtype, name
+        assert np.array_equal(actual, wanted), name
+
+
+@pytest.fixture
+def fresh_materializer():
+    """Forget memoized traces and the probe verdict, before and after."""
+    clear_trace_memo()
+    trace._probe.cache_clear()
+    yield
+    clear_trace_memo()
+    trace._probe.cache_clear()
+
+
+@needs_materializer
+class TestMaterializerPaths:
+    """The two draw paths of ``perf/trace.py``: the C materializer,
+    trusted only after its per-process probe, and ``CoreTrace``."""
+
+    MIXES = ("Mix1", "Mix7")
+
+    def _compiled_reference(self):
+        assert trace_rng_provenance() == "compiled-pcg64"
+        return {
+            name: materialize_mix(mix_by_name(name), 11, 30_000)
+            for name in self.MIXES
+        }
+
+    def test_fallback_equals_compiled_array_for_array(
+        self, fresh_materializer, monkeypatch
+    ):
+        expected = self._compiled_reference()
+        monkeypatch.setenv(DISABLE_ENV, "1")
+        reset_kernel_loader()
+        try:
+            clear_trace_memo()
+            assert engine_provenance()["trace_rng"] == "generator-fallback"
+            for name in self.MIXES:
+                batch = materialize_mix(mix_by_name(name), 11, 30_000)
+                _assert_same_arrays(batch, expected[name])
+        finally:
+            monkeypatch.delenv(DISABLE_ENV)
+            reset_kernel_loader()
+
+    def test_perturbed_materializer_fails_probe(
+        self, fresh_materializer, monkeypatch
+    ):
+        """A C materializer that gets one access wrong is refused, and
+        materialization falls back to ``CoreTrace`` with correct
+        arrays."""
+        expected = self._compiled_reference()
+        clear_trace_memo()
+        trace._probe.cache_clear()
+        original = trace._draw_core_compiled
+        calls = []
+
+        def perturbed(lib, core_trace, instructions_per_core):
+            addresses, writes, gaps = original(
+                lib, core_trace, instructions_per_core
+            )
+            if not calls:
+                addresses = addresses.copy()
+                addresses[len(addresses) // 2] += 1
+            calls.append(core_trace.core_id)
+            return addresses, writes, gaps
+
+        monkeypatch.setattr(trace, "_draw_core_compiled", perturbed)
+        assert trace_rng_provenance() == "generator-fallback"
+        assert calls, "the probe never ran the C materializer"
+        calls_after_probe = len(calls)
+        for name in self.MIXES:
+            batch = materialize_mix(mix_by_name(name), 11, 30_000)
+            _assert_same_arrays(batch, expected[name])
+        assert len(calls) == calls_after_probe

@@ -30,6 +30,7 @@ from repro.fleet import (
     RatePhase,
     SubPopulation,
     empty_batch,
+    faulty_fractions_at,
     faulty_fractions_by_year,
     fleet_blocks,
     overhead_series_by_year,
@@ -225,11 +226,19 @@ class TestVectorizedReductions:
         batch = sim.sample_batch(250, 7.0)
         return batch, batch.to_histories()
 
-    def test_fraction_matches_legacy_rule(self):
+    @pytest.mark.parametrize("times", ["year-ends", "mid-steps"])
+    def test_fraction_matches_legacy_rule(self, times):
+        """Year horizons (Figure 3.1) and the 12-per-year mid-step
+        times Figure 7.6 samples."""
         batch, histories = self._batch_and_histories()
-        matrix = faulty_fractions_by_year(batch, 7, ARCC_MEMORY_CONFIG)
-        for year in (1, 4, 7):
-            horizon = year * HOURS_PER_YEAR
+        if times == "year-ends":
+            matrix = faulty_fractions_by_year(batch, 7, ARCC_MEMORY_CONFIG)
+            samples = [(year - 1, year * HOURS_PER_YEAR) for year in (1, 4, 7)]
+        else:
+            hours = (np.arange(7 * 12) + 0.5) / 12 * HOURS_PER_YEAR
+            matrix = faulty_fractions_at(batch, hours, ARCC_MEMORY_CONFIG)
+            samples = [(i, hours[i]) for i in (0, 5, 11, 40, 83)]
+        for row, horizon in samples:
             legacy = [
                 _fraction_after_events(
                     [e for e in events if e.time_hours <= horizon],
@@ -237,7 +246,7 @@ class TestVectorizedReductions:
                 )
                 for events in histories
             ]
-            assert np.allclose(matrix[year - 1], legacy, rtol=1e-9, atol=1e-12)
+            assert np.allclose(matrix[row], legacy, rtol=1e-9, atol=1e-12)
 
     def test_fraction_handles_lane_saturation(self):
         """A lane fault (footprint 1.0) must drive the fraction to 1."""

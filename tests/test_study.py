@@ -100,6 +100,69 @@ class TestValidation:
         with pytest.raises(ScenarioFileError, match="must be > 0"):
             study_from_mapping(base_mapping(rate_multipliers=[0.0]))
 
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            (
+                {"measured": True, "instruction_scales": [1000, "2000"]},
+                "study.instruction_scales[1]: expected int, got str",
+            ),
+            (
+                {"measured": True, "instruction_scales": [1000, True]},
+                "study.instruction_scales[1]: expected int, got bool",
+            ),
+            (
+                {"measured": True, "instruction_scales": [1000, 0]},
+                "study.instruction_scales[1]: must be >= 1, got 0",
+            ),
+            (
+                {"rate_multipliers": [1.0, 0]},
+                "study.rate_multipliers[1]: must be > 0, got 0",
+            ),
+            (
+                {"rate_multipliers": [1.0, "x"]},
+                "study.rate_multipliers[1]: expected number, got str",
+            ),
+            (
+                {"rate_multipliers": [1.0, True]},
+                "study.rate_multipliers[1]: expected number, got bool",
+            ),
+            (
+                {"upgraded_fractions": [0.0, 1.5]},
+                "study.upgraded_fractions[1]: must be <= 1, got 1.5",
+            ),
+            (
+                {"upgraded_fractions": [0.0, -0.5]},
+                "study.upgraded_fractions[1]: must be >= 0, got -0.5",
+            ),
+            (
+                {"measured": True, "mixes": True},
+                "study.mixes: expected int, got bool",
+            ),
+            (
+                {"measured": True, "mixes": 0},
+                "study.mixes: must be >= 1, got 0",
+            ),
+            (
+                {"measured": "yes"},
+                "study.measured: expected bool, got str",
+            ),
+            (
+                {"rate_multipliers": "1.0"},
+                "study.rate_multipliers: expected an array, got str",
+            ),
+            (
+                {"rate_multipliers": []},
+                "study.rate_multipliers: must not be empty",
+            ),
+        ],
+    )
+    def test_value_errors_name_the_element(self, section, message):
+        """Exact error text and dotted path, down to the axis element."""
+        with pytest.raises(ScenarioFileError) as excinfo:
+            study_from_mapping(base_mapping(**section))
+        assert str(excinfo.value) == message
+
     def test_fractions_need_zero_point(self):
         with pytest.raises(ScenarioFileError, match="0.0"):
             study_from_mapping(base_mapping(upgraded_fractions=[0.5, 1.0]))
