@@ -5,22 +5,20 @@ Subcommands (one per reproducible artifact; see ``docs/user-guide.md``)::
     python -m repro tables                  # Tables 7.1-7.4
     python -m repro fig3.1 [--channels N] [--years Y] [--jobs J]
     python -m repro fig6.1 [--mc-channels N] [--jobs J]
-    python -m repro fig7.1 [--instructions N] [--mixes K]
-                          [--engine E] [--jobs J]
-    python -m repro fig7.2 [--instructions N] [--mixes K]
-                          [--engine E] [--jobs J]
+    python -m repro fig7.1 [--instructions N] [--mixes K] [--jobs J]
+    python -m repro fig7.2 [--instructions N] [--mixes K] [--jobs J]
     python -m repro sensitivity [--instructions N] [--mixes K]
-                          [--fractions F1,F2,...] [--engine E] [--jobs J]
+                          [--fractions F1,F2,...] [--jobs J]
     python -m repro fig7.4 [--channels N] [--measured] [--jobs J]
     python -m repro fig7.6 [--channels N] [--jobs J]
     python -m repro fleet [scenario ...] [--scenario-file PATH]
                           [--policies P1,P2,...] [--measured]
                           [--channels N] [--seed S] [--jobs J] [--list]
     python -m repro study FILE [--manifest PATH] [--quick]
-                          [--seed S] [--channels N] [--engine E]
+                          [--seed S] [--channels N]
                           [--cache-dir D] [--no-cache] [--jobs J]
     python -m repro run [figure ...] [--jobs J] [--quick]
-                        [--engine E] [--cache-dir D] [--no-cache]
+                        [--cache-dir D] [--no-cache]
     python -m repro fuzz [--seed N] [--count K] [--oracles O1,O2,...]
                          [--quick] [--jobs J] [--report-dir D]
                          [--no-shrink] [--replay FILE] [--list]
@@ -40,15 +38,13 @@ The trace-simulation artifacts (``fig7.1``, ``fig7.2``,
 ``sensitivity``) run on the batched engine of :mod:`repro.perf.engine`:
 each mix's trace is materialized once per worker and every
 (organization, upgraded-fraction) point replays it, bit-identical to
-the legacy per-access simulator at a fraction of the cost. ``--engine``
-picks the replay tier: ``auto`` (default) uses the compiled C kernel
-of :mod:`repro.perf._kernel` when a C compiler is available and the
-vectorized Python replay otherwise; ``compiled`` demands the kernel
-(and fails loudly rather than silently falling back); ``python``
-forces the pure-Python replay. All tiers are bit-identical — the
-choice is recorded in every summary line (engine provenance) and in
-the result-cache key, so compiled and fallback runs never share cache
-entries.
+the legacy per-access simulator at a fraction of the cost. The replay
+tier is picked automatically: the compiled C kernel of
+:mod:`repro.perf._kernel` when a C compiler is available, the
+vectorized Python replay otherwise (``REPRO_KERNEL_DISABLE=1`` forces
+it). Both tiers are bit-identical — the tier is recorded in every
+summary line (engine provenance) and in the result-cache key, so
+compiled and fallback runs never share cache entries.
 ``sensitivity`` sweeps the *measured* upgraded-fraction response
 (``--fractions``) next to the worst-case estimates; ``fig7.4
 --measured`` feeds Figures 7.4/7.5 with freshly measured Figure 7.2/7.3
@@ -109,7 +105,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.experiments import (
     render_table_7_1,
@@ -124,24 +120,17 @@ from repro.experiments import (
     run_fig7_6,
     run_sweep_upgraded_fraction_measured,
 )
-from repro.perf.engine import ENGINE_TIERS, engine_provenance, resolve_engine
+from repro.perf.engine import engine_provenance
 from repro.runner import DEFAULT_CACHE_DIR, ResultCache, execute_plans
 from repro.workloads.spec import ALL_MIXES
 
 
-def _resolve_cli_engine(engine: str, prog: str) -> str:
-    """Resolve ``--engine`` up front so failures are loud and early."""
-    try:
-        return resolve_engine(engine)
-    except (RuntimeError, ValueError) as exc:
-        raise SystemExit(f"{prog}: {exc}") from exc
-
-
-def _engine_summary(resolved: str) -> str:
+def _engine_summary() -> str:
     """One provenance line: the tier a run used and why."""
     provenance = engine_provenance()
     return (
-        f"engine: {resolved} (kernel: {provenance['replay_kernel']}; "
+        f"engine: {provenance['replay_engine']} "
+        f"(kernel: {provenance['replay_kernel']}; "
         f"trace rng: {provenance['trace_rng']})"
     )
 
@@ -174,33 +163,28 @@ def _cmd_fig6_1(args: argparse.Namespace) -> None:
 
 
 def _cmd_fig7_1(args: argparse.Namespace) -> None:
-    engine = _resolve_cli_engine(args.engine, "repro fig7.1")
     print(
         run_fig7_1(
             mixes=ALL_MIXES[: args.mixes],
             instructions_per_core=args.instructions,
             jobs=args.jobs,
-            engine=engine,
         ).to_table()
     )
-    print(f"[repro fig7.1] {_engine_summary(engine)}")
+    print(f"[repro fig7.1] {_engine_summary()}")
 
 
 def _cmd_fig7_2(args: argparse.Namespace) -> None:
-    engine = _resolve_cli_engine(args.engine, "repro fig7.2")
     print(
         run_fig7_2_7_3(
             mixes=ALL_MIXES[: args.mixes],
             instructions_per_core=args.instructions,
             jobs=args.jobs,
-            engine=engine,
         ).to_table()
     )
-    print(f"[repro fig7.2] {_engine_summary(engine)}")
+    print(f"[repro fig7.2] {_engine_summary()}")
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> None:
-    engine = _resolve_cli_engine(args.engine, "repro sensitivity")
     kwargs = {}
     if args.fractions:
         try:
@@ -217,13 +201,12 @@ def _cmd_sensitivity(args: argparse.Namespace) -> None:
             mixes=ALL_MIXES[: args.mixes],
             instructions_per_core=args.instructions,
             jobs=args.jobs,
-            engine=engine,
             **kwargs,
         )
     except ValueError as exc:
         raise SystemExit(f"repro sensitivity: {exc}") from exc
     print(sweep.to_table())
-    print(f"[repro sensitivity] {_engine_summary(engine)}")
+    print(f"[repro sensitivity] {_engine_summary()}")
 
 
 def _cmd_fig7_4(args: argparse.Namespace) -> None:
@@ -408,7 +391,6 @@ def _cmd_study(args: argparse.Namespace) -> None:
     from repro.fleet import ScenarioFileError, run_study
     from repro.fleet.study import load_study_file, resolve_study_path
 
-    engine = _resolve_cli_engine(args.engine, "repro study")
     try:
         study = load_study_file(resolve_study_path(args.study_file))
     except OSError as exc:
@@ -417,7 +399,7 @@ def _cmd_study(args: argparse.Namespace) -> None:
         raise SystemExit(f"repro study: {exc}") from exc
     # Explicit flags win over file-level defaults (the `repro fleet`
     # precedence rule).
-    overrides = {"engine": engine}
+    overrides: Dict[str, int] = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.channels is not None:
@@ -448,25 +430,17 @@ def _cmd_study(args: argparse.Namespace) -> None:
         f"(cache: {'off' if cache is None else cache.root}; "
         f"manifest: {args.manifest})"
     )
-    print(f"[repro study] {_engine_summary(engine)}")
+    print(f"[repro study] {_engine_summary()}")
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
     # Deferred import: the registry pulls in every experiment module.
     from repro.runner.registry import FIGURES, build_plans
 
-    engine = (
-        _resolve_cli_engine(args.engine, "repro run")
-        if args.engine != "auto"
-        else None
-    )
     try:
-        plans = build_plans(args.figures or None, quick=args.quick,
-                            engine=engine)
+        plans = build_plans(args.figures or None, quick=args.quick)
     except KeyError as exc:
         raise SystemExit(f"repro run: {exc.args[0]}") from exc
-    except RuntimeError as exc:
-        raise SystemExit(f"repro run: {exc}") from exc
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     started = time.perf_counter()
     results = execute_plans(plans, max_workers=args.jobs, cache=cache)
@@ -480,9 +454,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         f"--jobs {args.jobs}, {elapsed:.1f}s "
         f"(cache: {'off' if cache is None else cache.root})"
     )
-    print(
-        f"[repro run] {_engine_summary(engine or resolve_engine('auto'))}"
-    )
+    print(f"[repro run] {_engine_summary()}")
     # Nudge discoverability of the full figure list.
     if not args.figures:
         print(f"[repro run] figures: {', '.join(FIGURES)}")
@@ -551,20 +523,6 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=ENGINE_TIERS,
-        default="auto",
-        help=(
-            "trace replay tier: auto = compiled C kernel when a compiler "
-            "is available, else vectorized Python; compiled = require the "
-            "kernel (fail loudly, never fall back); python = force the "
-            "pure-Python replay (all tiers are bit-identical)"
-        ),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -591,14 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig7.1", help="fault-free power/performance")
     p.add_argument("--instructions", type=int, default=40_000)
     p.add_argument("--mixes", type=int, default=12)
-    _add_engine_flag(p)
     _add_jobs_flag(p)
     p.set_defaults(func=_cmd_fig7_1)
 
     p = sub.add_parser("fig7.2", help="power/performance with faults")
     p.add_argument("--instructions", type=int, default=40_000)
     p.add_argument("--mixes", type=int, default=3)
-    _add_engine_flag(p)
     _add_jobs_flag(p)
     p.set_defaults(func=_cmd_fig7_2)
 
@@ -613,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="F1,F2,...",
         help="upgraded fractions to sweep (must include 0.0)",
     )
-    _add_engine_flag(p)
     _add_jobs_flag(p)
     p.set_defaults(func=_cmd_sensitivity)
 
@@ -735,7 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="recompute every job even if cached (campaigns cannot resume)",
     )
-    _add_engine_flag(p)
     _add_jobs_flag(p)
     p.set_defaults(func=_cmd_study)
 
@@ -759,7 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="recompute every job even if cached",
     )
-    _add_engine_flag(p)
     _add_jobs_flag(p)
     p.set_defaults(func=_cmd_run)
 

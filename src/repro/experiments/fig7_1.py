@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
-from repro.perf.engine import resolve_engine, simulate_point_job
-from repro.runner import ExperimentPlan, Job, ResultCache, execute_plan
+from repro.perf.engine import point_job
+from repro.runner import ExperimentPlan, ResultCache, execute_plan
 from repro.util.tables import format_table
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
 
@@ -87,7 +87,6 @@ def plan_fig7_1(
     mixes: Optional[Sequence[WorkloadMix]] = None,
     instructions_per_core: int = 40_000,
     seed: int = 0x7ACE,
-    engine: str = "auto",
 ) -> ExperimentPlan:
     """Figure 7.1 as runner jobs: one per (mix, organization) point.
 
@@ -96,24 +95,17 @@ def plan_fig7_1(
     Figure 7.2/7.3 fault-free baseline and the sensitivity sweep's zero
     point (the runner dedups identical jobs within a batch and the
     result cache shares them across figures).
-
-    The engine tier is resolved *here*, at plan time, so every job's
-    configuration records the tier that will actually run — compiled
-    and Python-fallback results live under different cache keys.
     """
     mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
-    resolved_engine = resolve_engine(engine)
     configs = (BASELINE_MEMORY_CONFIG, ARCC_MEMORY_CONFIG)
     jobs = [
-        Job.create(
+        point_job(
             f"fig7.1[{mix.name}][{config.name}]",
-            simulate_point_job,
             mix=mix,
             config=config,
             upgraded_fraction=0.0,
             instructions_per_core=instructions_per_core,
             seed=seed,
-            engine=resolved_engine,
         )
         for mix in mixes
         for config in configs
@@ -143,7 +135,6 @@ def run_fig7_1(
     seed: int = 0x7ACE,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    engine: str = "auto",
 ) -> Fig71Result:
     """Regenerate Figure 7.1 (``jobs`` fans mixes out in parallel)."""
     return execute_plan(
@@ -151,7 +142,6 @@ def run_fig7_1(
             mixes=mixes,
             instructions_per_core=instructions_per_core,
             seed=seed,
-            engine=engine,
         ),
         max_workers=jobs,
         cache=cache,

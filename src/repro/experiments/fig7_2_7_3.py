@@ -19,12 +19,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.config import ARCC_MEMORY_CONFIG
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.faults.types import FaultType
-from repro.perf.engine import resolve_engine, simulate_point_job
+from repro.perf.engine import point_job
 from repro.perf.simulator import (
     worst_case_performance_ratio,
     worst_case_power_ratio,
 )
-from repro.runner import ExperimentPlan, Job, ResultCache, execute_plan
+from repro.runner import ExperimentPlan, ResultCache, execute_plan
 from repro.util.tables import format_table
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
 
@@ -106,7 +106,6 @@ def plan_fig7_2_7_3(
     fault_types: Sequence[FaultType] = TABLE_7_4_TYPES,
     instructions_per_core: int = 40_000,
     seed: int = 0x7ACE,
-    engine: str = "auto",
 ) -> ExperimentPlan:
     """Figures 7.2/7.3 as runner jobs: one per (mix, sweep point).
 
@@ -115,37 +114,31 @@ def plan_fig7_2_7_3(
     trace. The baseline used to be recomputed inside every mix job —
     hoisted out, the result cache stores it once per mix (and shares it
     with Figure 7.1's ARCC point and the sensitivity sweep), and the
-    normalization happens at assembly. The engine tier resolves at plan
-    time so the cache distinguishes compiled from fallback results.
+    normalization happens at assembly.
     """
     mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
     fault_types = tuple(fault_types)
-    resolved_engine = resolve_engine(engine)
     jobs = []
     for mix in mixes:
         jobs.append(
-            Job.create(
+            point_job(
                 f"fig7.2[{mix.name}][fault-free]",
-                simulate_point_job,
                 mix=mix,
                 config=ARCC_MEMORY_CONFIG,
                 upgraded_fraction=0.0,
                 instructions_per_core=instructions_per_core,
                 seed=seed,
-                engine=resolved_engine,
             )
         )
         for fault_type in fault_types:
             jobs.append(
-                Job.create(
+                point_job(
                     f"fig7.2[{mix.name}][{fault_type.value}]",
-                    simulate_point_job,
                     mix=mix,
                     config=ARCC_MEMORY_CONFIG,
                     upgraded_fraction=upgraded_page_fraction(fault_type),
                     instructions_per_core=instructions_per_core,
                     seed=seed,
-                    engine=resolved_engine,
                 )
             )
 
@@ -179,7 +172,6 @@ def run_fig7_2_7_3(
     seed: int = 0x7ACE,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    engine: str = "auto",
 ) -> FaultOverheadResult:
     """Regenerate Figures 7.2 and 7.3."""
     return execute_plan(
@@ -188,7 +180,6 @@ def run_fig7_2_7_3(
             fault_types=fault_types,
             instructions_per_core=instructions_per_core,
             seed=seed,
-            engine=engine,
         ),
         max_workers=jobs,
         cache=cache,

@@ -15,9 +15,9 @@ from repro.config import ARCC_MEMORY_CONFIG, MemoryConfig, ScrubConfig
 from repro.core.scrubber import scrub_bandwidth_overhead
 from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import FaultType
-from repro.perf.engine import resolve_engine, simulate_point_job
+from repro.perf.engine import point_job
 from repro.reliability.analytical import ReliabilityParams, sdc_rate_arcc_ded
-from repro.runner import ExperimentPlan, Job, ResultCache, execute_plan
+from repro.runner import ExperimentPlan, ResultCache, execute_plan
 from repro.util.tables import format_table
 from repro.util.units import GB, KB
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
@@ -284,17 +284,15 @@ def plan_sweep_upgraded_fraction_measured(
     fractions: Sequence[float] = DEFAULT_MEASURED_FRACTIONS,
     instructions_per_core: int = 40_000,
     seed: int = 0x7ACE,
-    engine: str = "auto",
     config: MemoryConfig = ARCC_MEMORY_CONFIG,
 ) -> ExperimentPlan:
     """The measured fraction sweep as runner jobs: one per (mix, point).
 
     All of a mix's points replay the same memoized trace, and the
     fractions shared with Table 7.4 (and the fault-free zero point) are
-    the *same cached jobs* as Figures 7.1/7.2/7.3's. The engine tier
-    resolves at plan time so the cache distinguishes compiled from
-    fallback results. ``config`` selects the memory organization under
-    test (study files sweep custom organizations through here).
+    the *same cached jobs* as Figures 7.1/7.2/7.3's. ``config`` selects
+    the memory organization under test (study files sweep custom
+    organizations through here).
     """
     mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
     fractions = tuple(fractions)
@@ -305,17 +303,14 @@ def plan_sweep_upgraded_fraction_measured(
         raise ValueError(
             f"upgraded fractions must be in [0, 1], got {out_of_range}"
         )
-    resolved_engine = resolve_engine(engine)
     jobs = [
-        Job.create(
+        point_job(
             f"sensitivity[{config.name}][{mix.name}][{fraction:g}]",
-            simulate_point_job,
             mix=mix,
             config=config,
             upgraded_fraction=fraction,
             instructions_per_core=instructions_per_core,
             seed=seed,
-            engine=resolved_engine,
         )
         for mix in mixes
         for fraction in fractions
@@ -345,7 +340,6 @@ def run_sweep_upgraded_fraction_measured(
     seed: int = 0x7ACE,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    engine: str = "auto",
     config: MemoryConfig = ARCC_MEMORY_CONFIG,
 ) -> MeasuredFractionSweep:
     """Run the measured upgraded-fraction sweep."""
@@ -355,7 +349,6 @@ def run_sweep_upgraded_fraction_measured(
             fractions=fractions,
             instructions_per_core=instructions_per_core,
             seed=seed,
-            engine=engine,
             config=config,
         ),
         max_workers=jobs,

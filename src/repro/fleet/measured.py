@@ -33,11 +33,8 @@ measured points):
   real traffic instead of scaling ARCC's excess by the closed-form
   factor ``F = 2 (2r + 2w) / (r + 2w)`` (retained as
   :func:`_lotecc_factor`, the documented approximation this mode
-  replaces). Checksum replay exists in the Python engine tier only,
-  so LOT-ECC measurement jobs are planned with ``engine="python"`` —
-  the recorded tier is the provenance of the special mode. Weights
-  stay clamped to the Figure 7.6 worst case ``(F_wc - 1) f`` /
-  ``(1 - 1/F_wc) f`` per class, with
+  replaces). Weights stay clamped to the Figure 7.6 worst case
+  ``(F_wc - 1) f`` / ``(1 - 1/F_wc) f`` per class, with
   :data:`~repro.core.lotecc_arcc.WORST_CASE_UPGRADE_FACTOR` the
   all-reads ceiling.
 
@@ -60,11 +57,7 @@ from repro.config import ARCC_MEMORY_CONFIG, MEASUREMENT_CONFIG, MemoryConfig
 from repro.core.lotecc_arcc import WORST_CASE_UPGRADE_FACTOR
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.faults.types import FaultType
-from repro.perf.engine import (
-    arcc_capable,
-    resolve_engine,
-    simulate_point_job,
-)
+from repro.perf.engine import arcc_capable, point_job
 from repro.perf.simulator import (
     worst_case_performance_ratio,
     worst_case_power_ratio,
@@ -259,7 +252,6 @@ def plan_measured_profiles(
     mixes: Optional[Sequence[WorkloadMix]] = None,
     instructions_per_core: int = MEASUREMENT_CONFIG.instructions_per_core,
     seed: int = MEASUREMENT_CONFIG.seed,
-    engine: str = "auto",
 ) -> ExperimentPlan:
     """Measured overheads as runner jobs: one per (policy, mix, class).
 
@@ -267,17 +259,14 @@ def plan_measured_profiles(
     job and one job per (policy, fault class) at the class's Table 7.4
     fraction *for that organization*. LOT-ECC points (class points and
     their own relaxed baseline) run in the engine's checksum-replay
-    mode — pinned to the Python tier and recorded as such in the job
-    configuration, so cache keys carry the special mode's provenance.
-    Jobs whose computation coincides — any point shared with Figures
-    7.1-7.3 — dedup in-batch and in the result cache. Assembles a dict
-    keyed by (policy, organization name). The engine tier resolves at
-    plan time so the cache distinguishes compiled from fallback results.
+    mode, and only their job configurations carry
+    ``lotecc_checksum=True``. Jobs whose computation coincides — any
+    point shared with Figures 7.1-7.3 — dedup in-batch and in the
+    result cache. Assembles a dict keyed by (policy, organization name).
     """
     policies = _check_policies(policies)
     organizations = _check_organizations(organizations)
     mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
-    resolved_engine = resolve_engine(engine)
 
     jobs: List[Job] = []
     # descriptor: ("base"|"lotbase", org index, mix index) or
@@ -286,15 +275,13 @@ def plan_measured_profiles(
     for o, config in enumerate(organizations):
         for m, mix in enumerate(mixes):
             jobs.append(
-                Job.create(
+                point_job(
                     f"measured[{config.name}/{mix.name}][fault-free]",
-                    simulate_point_job,
                     mix=mix,
                     config=config,
                     upgraded_fraction=0.0,
                     instructions_per_core=instructions_per_core,
                     seed=seed,
-                    engine=resolved_engine,
                 )
             )
             descriptors.append(("base", o, m))
@@ -303,31 +290,27 @@ def plan_measured_profiles(
                 # write, so the LOT-ECC ratio's denominator replays in
                 # the same checksum mode as its numerator.
                 jobs.append(
-                    Job.create(
+                    point_job(
                         f"measured[{config.name}/{mix.name}]"
                         "[lotecc-relaxed]",
-                        simulate_point_job,
                         mix=mix,
                         config=config,
                         upgraded_fraction=0.0,
                         instructions_per_core=instructions_per_core,
                         seed=seed,
-                        engine="python",
                         lotecc_checksum=True,
                     )
                 )
                 descriptors.append(("lotbase", o, m))
             for policy in policies:
                 for fault_type in POLICY_FAULT_CLASSES[policy]:
-                    checksum = policy == "lotecc"
                     kwargs: Dict[str, Any] = {}
-                    if checksum:
+                    if policy == "lotecc":
                         kwargs["lotecc_checksum"] = True
                     jobs.append(
-                        Job.create(
+                        point_job(
                             f"measured[{config.name}/{policy}/{mix.name}]"
                             f"[{fault_type.value}]",
-                            simulate_point_job,
                             mix=mix,
                             config=config,
                             upgraded_fraction=upgraded_page_fraction(
@@ -335,7 +318,6 @@ def plan_measured_profiles(
                             ),
                             instructions_per_core=instructions_per_core,
                             seed=seed,
-                            engine="python" if checksum else resolved_engine,
                             **kwargs,
                         )
                     )

@@ -961,7 +961,6 @@ def plan_fleet_compare_measured(
     seed: int = DEFAULT_FLEET_SEED,
     instructions_per_core: int = MEASUREMENT_CONFIG.instructions_per_core,
     measurement_seed: int = MEASUREMENT_CONFIG.seed,
-    engine: str = "auto",
 ) -> ExperimentPlan:
     """The measured comparison as one registry plan.
 
@@ -984,7 +983,6 @@ def plan_fleet_compare_measured(
         organizations=scenario.organizations(),
         instructions_per_core=instructions_per_core,
         seed=measurement_seed,
-        engine=engine,
     )
 
     def assemble(values: List[Any]) -> PolicyComparisonReport:

@@ -75,12 +75,7 @@ from repro.fleet.scenario_file import (
     scenario_from_mapping,
 )
 from repro.fleet.scenarios import FleetScenario
-from repro.perf.engine import (
-    ENGINE_TIERS,
-    arcc_capable,
-    engine_provenance,
-    resolve_engine,
-)
+from repro.perf.engine import arcc_capable, engine_provenance, resolve_engine
 from repro.runner import (
     ExperimentPlan,
     Job,
@@ -98,7 +93,6 @@ from repro.workloads.spec import ALL_MIXES
 _STUDY_KEYS = (
     "description",
     "measured",
-    "engine",
     "mixes",
     "instruction_scales",
     "rate_multipliers",
@@ -145,7 +139,6 @@ class Study:
     scenario: FleetScenario
     description: str = ""
     measured: bool = False
-    engine: str = "auto"
     mixes: Optional[int] = None
     instruction_scales: Tuple[int, ...] = ()
     rate_multipliers: Tuple[float, ...] = (1.0,)
@@ -157,8 +150,6 @@ class Study:
     measurement_seed: int = MEASUREMENT_CONFIG.seed
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINE_TIERS:
-            raise ValueError(f"unknown engine tier {self.engine!r}")
         if not self.rate_multipliers:
             raise ValueError("need at least one rate multiplier")
         if any(m <= 0 for m in self.rate_multipliers):
@@ -355,7 +346,6 @@ def _fleet_point_plan(study: Study, point: StudyPoint) -> ExperimentPlan:
         mixes=study.mix_list(),
         instructions_per_core=point.instructions_per_core,
         seed=study.measurement_seed,
-        engine=study.engine,
     )
 
     def assemble(values: List[Any]) -> PolicyComparisonReport:
@@ -390,7 +380,6 @@ def _sweep_point_plan(study: Study, point: StudyPoint) -> ExperimentPlan:
         fractions=study.upgraded_fractions,
         instructions_per_core=point.instructions_per_core,
         seed=study.measurement_seed,
-        engine=study.engine,
         config=point.organization,
     )
 
@@ -555,7 +544,6 @@ class StudyResult:
                 "name": self.study.name,
                 "description": self.study.description,
                 "measured": self.study.measured,
-                "engine": self.study.engine,
                 "seed": self.study.seed,
                 "measurement_seed": self.study.measurement_seed,
                 "mixes": [mix.name for mix in self.study.mix_list()],
@@ -576,8 +564,7 @@ class StudyResult:
             },
             "code_version": code_version(),
             "engine_provenance": {
-                "requested": self.study.engine,
-                "resolved": resolve_engine(self.study.engine),
+                "resolved": resolve_engine("auto"),
                 **engine_provenance(),
             },
             "total_jobs": self.total_jobs,
@@ -882,23 +869,6 @@ def study_from_mapping(
         if "measured" in section:
             measured = _get_bool(section, "measured", section_key)
 
-        engine = "auto"
-        if "engine" in section:
-            value = section["engine"]
-            if not isinstance(value, str):
-                raise _fail(
-                    f"{section_key}.engine",
-                    f"expected str, got {_type_name(value)}",
-                )
-            if value not in ENGINE_TIERS:
-                raise _fail(
-                    f"{section_key}.engine",
-                    f"unknown engine tier {value!r}"
-                    f"{did_you_mean(value, ENGINE_TIERS)}; "
-                    f"known: {', '.join(ENGINE_TIERS)}",
-                )
-            engine = value
-
         mixes = None
         if "mixes" in section:
             mixes = _get_int(section, "mixes", section_key, minimum=1)
@@ -983,7 +953,6 @@ def study_from_mapping(
             scenario=spec.scenario,
             description=description,
             measured=measured,
-            engine=engine,
             mixes=mixes,
             instruction_scales=instruction_scales,
             rate_multipliers=rate_multipliers,
@@ -1033,11 +1002,9 @@ def resolve_study_path(path: "str | Path") -> Path:
 def plan_study(
     path: "str | Path" = EXAMPLE_STUDY_PATH,
     quick: bool = False,
-    engine: str = "auto",
 ) -> ExperimentPlan:
     """Registry builder: load a study file and expand its grid."""
     study = load_study_file(resolve_study_path(path))
-    study = replace(study, engine=engine)
     if quick:
         study = study.quick()
     plan = expand_study(study)

@@ -345,7 +345,9 @@ def _shrink_trace(case: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 def _execute_trace_kernel(case: Dict[str, Any]) -> Optional[str]:
     """Compiled kernel replay vs the Python batched replay on one
-    (mix, organization, fraction) — bit-identical field for field.
+    (mix, organization, fraction) — bit-identical field for field, with
+    LOT-ECC checksum accounting off and then on (the mode is swept
+    here, not drawn, so case lists are unchanged).
 
     On hosts without a C compiler (or with ``REPRO_KERNEL_DISABLE``
     set) the pair has nothing to differentiate; it reports agreement
@@ -369,13 +371,19 @@ def _execute_trace_kernel(case: Dict[str, Any]) -> Optional[str]:
         seed=case["seed"],
     )
     n = case["instructions_per_core"]
-    compiled = BatchedTraceSimulator(engine="compiled", **kwargs).run(
-        mix, instructions_per_core=n
-    )
-    python = BatchedTraceSimulator(engine="python", **kwargs).run(
-        mix, instructions_per_core=n
-    )
-    return _mix_result_divergence(compiled, python, "compiled", "python")
+    for checksum in (False, True):
+        compiled = BatchedTraceSimulator(
+            engine="compiled", lotecc_checksum=checksum, **kwargs
+        ).run(mix, instructions_per_core=n)
+        python = BatchedTraceSimulator(
+            engine="python", lotecc_checksum=checksum, **kwargs
+        ).run(mix, instructions_per_core=n)
+        divergence = _mix_result_divergence(
+            compiled, python, "compiled", "python"
+        )
+        if divergence is not None:
+            return f"lotecc_checksum={checksum}: {divergence}"
+    return None
 
 
 # -- pair-screen: rank-level screen vs exact codeword footprints --------------

@@ -24,7 +24,6 @@ from repro.perf.engine import (
     BatchedTraceSimulator,
     SweepPoint,
     arcc_capable,
-    mix_write_fraction_job,
     replay,
     simulate_point_job,
     sweep,
@@ -47,7 +46,6 @@ __all__ = [
     "TraceSimulator",
     "arcc_capable",
     "materialize_mix",
-    "mix_write_fraction_job",
     "page_is_upgraded",
     "replay",
     "simulate_point_job",

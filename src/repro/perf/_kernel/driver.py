@@ -186,6 +186,7 @@ def _replay_compiled(
         ),
         policy=_POLICY_CODES[policy],
         paired_single_channel=int(paired_single_channel),
+        lotecc_checksum=int(point.lotecc_checksum),
         trc_ns=timings.trc_ns,
         tras_ns=timings.tras_ns,
         burst_ns=timings.burst_ns,

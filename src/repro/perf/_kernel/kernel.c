@@ -11,6 +11,13 @@
  * exact oracle (tests/test_kernel_equivalence.py holds the three-way
  * line against TraceSimulator.run as well).
  *
+ * That includes LOT-ECC checksum accounting (ReplayParams.lotecc_checksum,
+ * SweepPoint.lotecc_checksum on the Python side): each upgraded fill
+ * issues one extra read per sub-line after the sibling fill, and every
+ * writeback is serviced twice — the same channel_service calls, in the
+ * same order, as the Python loop.  Checksum points are two-way
+ * (compiled vs Python); the per-access oracle has no checksum mode.
+ *
  * State layout differs from the Python engine in one invisible way: the
  * Python loop keeps global resident/dirty/upgraded sets next to the
  * per-set way lists, while this kernel stores dirty/upgraded as per-way
@@ -39,7 +46,7 @@
 typedef long long i64;
 typedef unsigned char u8;
 
-/* Keep in sync with the ctypes.Structure in loader.py: ten 8-byte
+/* Keep in sync with the ctypes.Structure in loader.py: eleven 8-byte
  * integers followed by six doubles, so the layout has no padding. */
 typedef struct {
     i64 n_accesses;
@@ -52,6 +59,7 @@ typedef struct {
     i64 lines_per_row;
     i64 policy; /* 0 = BASE, 1 = HIPERF, 2 = CLOSE_PAGE */
     i64 paired_single_channel;
+    i64 lotecc_checksum; /* SweepPoint.lotecc_checksum */
     double trc_ns;
     double tras_ns;
     double burst_ns;
@@ -465,6 +473,20 @@ int replay_kernel(
                     if (sc > completion) {
                         completion = sc;
                     }
+                    if (P->lotecc_checksum) {
+                        /* LOT-ECC checksum reads: one per sub-line, on
+                         * the fill's critical path. */
+                        sc = channel_service(
+                            &C, P, now, chan_a[p], ri_a[p], fb_a[p], 0);
+                        if (sc > completion) {
+                            completion = sc;
+                        }
+                        sc = channel_service(
+                            &C, P, now, schan_a[p], sri_a[p], sfb_a[p], 0);
+                        if (sc > completion) {
+                            completion = sc;
+                        }
+                    }
                 }
                 latency = completion - now;
                 if (latency < 0.0) {
@@ -472,13 +494,21 @@ int replay_kernel(
                 }
                 total_latency += latency;
                 cyc += latency / ns_per_cycle / core_mlp;
+                /* LOT-ECC pays one checksum write per data write,
+                 * co-located with the data it protects. */
                 for (w = 0; w < n_wb; w++) {
                     int wc, wri, wfb;
                     decode_route(wbs[w].addr, P, &wc, &wri, &wfb);
                     channel_service(&C, P, now, wc, wri, wfb, 1);
+                    if (P->lotecc_checksum) {
+                        channel_service(&C, P, now, wc, wri, wfb, 1);
+                    }
                     if (wbs[w].upgraded) {
                         decode_route(wbs[w].addr ^ 1, P, &wc, &wri, &wfb);
                         channel_service(&C, P, now, wc, wri, wfb, 1);
+                        if (P->lotecc_checksum) {
+                            channel_service(&C, P, now, wc, wri, wfb, 1);
+                        }
                     }
                 }
             }

@@ -11,8 +11,8 @@ No compiler — or ``REPRO_KERNEL_DISABLE=1`` in the environment, which
 CI's masked leg uses to prove the fallback stays green — leaves the
 compiled tier *unavailable*, never silently different: callers observe
 the state through :func:`kernel_available` / :func:`kernel_provenance`,
-``--engine compiled`` refuses to run, and ``--engine auto`` records
-which tier actually served each result (the provenance travels in
+``resolve_engine("compiled")`` refuses to run, and every planned trace
+job records which tier actually served it (the provenance travels in
 reports and in runner cache keys; see ``repro.perf.engine``).
 
 Float determinism: the build passes ``-ffp-contract=off`` so the
@@ -76,7 +76,8 @@ _state: Optional[Tuple[bool, str, Optional[ctypes.CDLL]]] = None
 
 
 class ReplayParams(ctypes.Structure):
-    """Mirror of ``ReplayParams`` in ``kernel.c`` (same field order)."""
+    """Mirror of ``ReplayParams`` in ``kernel.c`` (same field order):
+    eleven 8-byte integers, then six doubles, so there is no padding."""
 
     _fields_ = [
         ("n_accesses", ctypes.c_longlong),
@@ -89,6 +90,7 @@ class ReplayParams(ctypes.Structure):
         ("lines_per_row", ctypes.c_longlong),
         ("policy", ctypes.c_longlong),
         ("paired_single_channel", ctypes.c_longlong),
+        ("lotecc_checksum", ctypes.c_longlong),
         ("trc_ns", ctypes.c_double),
         ("tras_ns", ctypes.c_double),
         ("burst_ns", ctypes.c_double),

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from repro.perf.simulator import (
     page_is_upgraded,
 )
 from repro.perf.trace import TraceBatch, materialize_mix
+from repro.runner.job import Job
 from repro.workloads.spec import WorkloadMix
 from repro.workloads.trace import CoreTrace
 
@@ -152,9 +153,7 @@ class SweepPoint:
     LOT-ECC already pays this), and every *upgraded* fill additionally
     issues one checksum read per sub-line on the fill's critical path —
     the ``2r + 2w`` of the Figure 7.6 arithmetic, measured directly
-    instead of scaled by the closed-form factor. Implemented in the
-    Python tier only; :func:`replay_resolved` refuses to dispatch a
-    checksum point to the compiled kernel.
+    instead of scaled by the closed-form factor.
     """
 
     config: MemoryConfig = ARCC_MEMORY_CONFIG
@@ -864,19 +863,8 @@ def replay_resolved(
     policy: MappingPolicy,
     resolved: str,
 ) -> MixResult:
-    """Dispatch one replay to an already-resolved engine tier.
-
-    LOT-ECC checksum points are Python-tier only: the compiled kernel
-    does not model the extra checksum operations, so dispatching one
-    there raises instead of silently dropping the traffic.
-    """
+    """Dispatch one replay to an already-resolved engine tier."""
     if resolved == "compiled":
-        if point.lotecc_checksum:
-            raise RuntimeError(
-                "LOT-ECC checksum replay is implemented in the python "
-                "engine tier only; resolve the point with "
-                "engine='python'"
-            )
         from repro.perf._kernel import replay_compiled
 
         return replay_compiled(batch, point, processor, policy)
@@ -990,17 +978,13 @@ def simulate_point_job(
     the fault-free ARCC run of Figure 7.1, the Figure 7.2/7.3 baseline
     and the sensitivity sweep's zero point are one cached simulation.
 
-    Planners pass the *resolved* engine tier (``"compiled"`` or
-    ``"python"``, via :func:`resolve_engine`) rather than ``"auto"``:
-    the tier is part of the job's configuration, so cache keys
-    distinguish compiled results from fallback results and a machine
-    that loses its compiler never silently reuses (or produces)
+    Planners build these jobs with :func:`point_job`, which records the
+    *resolved* engine tier (``"compiled"`` or ``"python"``) rather than
+    ``"auto"``: the tier is part of the job's configuration, so cache
+    keys distinguish compiled results from fallback results and a
+    machine that loses its compiler never silently reuses (or produces)
     entries under the wrong label. The tiers are bit-identical by
     contract, but the cache must not *depend* on that contract.
-
-    ``lotecc_checksum`` points (the direct LOT-ECC traffic measurement)
-    must be planned with ``engine="python"`` — the job's recorded
-    engine tier is the provenance marking the Python-only replay mode.
     """
     result = BatchedTraceSimulator(
         config=config,
@@ -1019,26 +1003,17 @@ def simulate_point_job(
     }
 
 
-def mix_write_fraction_job(
-    mix: WorkloadMix,
-    instructions_per_core: int,
-    seed: int,
-) -> Dict[str, float]:
-    """Picklable runner job: one mix's demand read/write balance.
+def point_job(name: str, **config: Any) -> Job:
+    """A :func:`simulate_point_job` runner job on this process's tier.
 
-    The measured-overhead bridge (:mod:`repro.fleet.measured`) scales
-    LOT-ECC's extra-checksum-operation arithmetic by each mix's *actual*
-    read/write split instead of the 100%-read worst case; the split is a
-    property of the materialized trace alone, so this job is organization
-    independent (and nearly free — materialization is memoized).
+    The one place planners pick a replay tier: the job records
+    ``engine=resolve_engine("auto")``, so a compiled result never
+    satisfies a fallback run's cache lookup. ``REPRO_KERNEL_DISABLE=1``
+    is how a run forces the Python tier.
     """
-    batch = materialize_mix(mix, seed, instructions_per_core)
-    accesses = len(batch.write_flags)
-    writes = float(batch.write_flags.sum())
-    return {
-        "accesses": float(accesses),
-        "write_fraction": (writes / accesses if accesses else 0.0),
-    }
+    return Job.create(
+        name, simulate_point_job, engine=resolve_engine("auto"), **config
+    )
 
 
 __all__ = [
@@ -1049,8 +1024,8 @@ __all__ = [
     "clear_engine_memos",
     "decode_lines",
     "engine_provenance",
-    "mix_write_fraction_job",
     "page_is_upgraded",
+    "point_job",
     "replay",
     "replay_resolved",
     "resolve_engine",

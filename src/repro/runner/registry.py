@@ -55,19 +55,13 @@ def plan_tables() -> ExperimentPlan:
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """One reproducible artifact: its plan builder and its two scales.
-
-    ``engine_aware`` marks builders that accept an ``engine=`` keyword
-    (the trace-simulation sweeps); :func:`build_plans` forwards the
-    CLI's ``--engine`` choice to those and only those.
-    """
+    """One reproducible artifact: its plan builder and its two scales."""
 
     key: str
     title: str
     builder: Callable[..., ExperimentPlan]
     defaults: Dict[str, Any] = field(default_factory=dict)
     quick: Dict[str, Any] = field(default_factory=dict)
-    engine_aware: bool = False
 
     def plan(self, quick: bool = False, **overrides: Any) -> ExperimentPlan:
         """Build the plan at the requested scale."""
@@ -100,8 +94,8 @@ FIGURES: Dict[str, FigureSpec] = {
         # The three trace-simulation sweeps below run at 2M
         # instructions per core x all 12 mixes — 10x the PR 4 scale,
         # afforded by the compiled replay kernel (repro.perf._kernel;
-        # `--engine auto` falls back to the vectorized Python engine on
-        # compiler-less hosts, where full scale is ~40s single-core).
+        # compiler-less hosts fall back to the vectorized Python engine,
+        # where full scale is ~40s single-core).
         # Each (mix, point) is its own job, so `repro run --jobs N`
         # shards a mix's sweep points across workers; identical points
         # dedup across figures: the fault-free ARCC point is one
@@ -115,7 +109,6 @@ FIGURES: Dict[str, FigureSpec] = {
                 "mixes": ALL_MIXES[:4],
                 "instructions_per_core": 20_000,
             },
-            engine_aware=True,
         ),
         FigureSpec(
             "fig7.2",
@@ -126,7 +119,6 @@ FIGURES: Dict[str, FigureSpec] = {
                 "mixes": ALL_MIXES[:3],
                 "instructions_per_core": 20_000,
             },
-            engine_aware=True,
         ),
         FigureSpec(
             "sensitivity",
@@ -138,7 +130,6 @@ FIGURES: Dict[str, FigureSpec] = {
                 "fractions": (0.0, 0.0625, 0.5, 1.0),
                 "instructions_per_core": 20_000,
             },
-            engine_aware=True,
         ),
         FigureSpec(
             "fig7.4",
@@ -185,7 +176,6 @@ FIGURES: Dict[str, FigureSpec] = {
                 "channels": 2_000,
                 "instructions_per_core": 10_000,
             },
-            engine_aware=True,
         ),
         # The example study campaign (docs/scenario-files.md): a
         # declarative grid over the fleet machinery, deduplicated into
@@ -200,7 +190,6 @@ FIGURES: Dict[str, FigureSpec] = {
                 "path": "examples/scenarios/scale_study.toml",
                 "quick": True,
             },
-            engine_aware=True,
         ),
         # The standing differential-fuzz campaign (docs/fuzzing.md):
         # every registered fast engine against its exact oracle on
@@ -220,15 +209,11 @@ FIGURES: Dict[str, FigureSpec] = {
 def build_plans(
     keys: Optional[Sequence[str]] = None,
     quick: bool = False,
-    engine: Optional[str] = None,
 ) -> List[ExperimentPlan]:
     """Plans for the requested figures (all of them by default).
 
-    ``engine`` (an :data:`repro.perf.engine.ENGINE_TIERS` name) is
-    forwarded to every engine-aware spec — the trace-simulation sweeps
-    — and ignored by the rest; ``None`` leaves each builder's own
-    default (``auto``). Unknown keys raise ``KeyError`` with the same
-    did-you-mean suggestions the fleet scenario loader produces.
+    Unknown keys raise ``KeyError`` with the same did-you-mean
+    suggestions the fleet scenario loader produces.
     """
     if not keys:
         keys = list(FIGURES)
@@ -239,13 +224,4 @@ def build_plans(
                 "figure", unknown[0], FIGURES, known_label="known figures"
             )
         )
-    plans = []
-    for key in keys:
-        spec = FIGURES[key]
-        overrides = (
-            {"engine": engine}
-            if engine is not None and spec.engine_aware
-            else {}
-        )
-        plans.append(spec.plan(quick=quick, **overrides))
-    return plans
+    return [FIGURES[key].plan(quick=quick) for key in keys]

@@ -186,6 +186,36 @@ class TestCliDocumentation:
         for flag in ("--scenario-file", "--policies", "--no-cache", "--quick"):
             assert flag in cli.__doc__, flag
 
+    def test_module_docstring_usage_matches_help(self):
+        """Each usage line lists exactly the flags its subcommand's
+        ``--help`` offers — no stale flag survives a removal."""
+        import repro.cli as cli
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        subparsers = next(
+            action.choices
+            for action in parser._actions
+            if hasattr(action, "choices") and action.choices
+        )
+        usage = cli.__doc__.split("::", 1)[1].split("\n\n")[1]
+        documented = {}
+        for line in usage.splitlines():
+            match = re.match(r"\s*python -m repro (\S+)", line)
+            if match:
+                command = match.group(1)
+                documented[command] = set()
+            documented[command].update(re.findall(r"--[a-z][a-z-]*", line))
+        assert set(documented) == set(subparsers)
+        for command, flags in documented.items():
+            offered = {
+                option
+                for action in subparsers[command]._actions
+                for option in action.option_strings
+                if option.startswith("--") and option != "--help"
+            }
+            assert flags == offered, command
+
     def test_run_registry_keys_documented(self):
         """Registry keys beyond the figure subcommands (fleet-compare)."""
         import repro.cli as cli

@@ -6,8 +6,8 @@ lacks a capability — the probed C trace materializer in
 *silent*: the resolved tier is exposed through
 ``engine_provenance()``, recorded in every planner's job configs, and
 therefore baked into result-cache keys — a compiled result can never
-satisfy a fallback run's lookup (or vice versa), and ``--engine
-compiled`` fails loudly rather than quietly downgrading.
+satisfy a fallback run's lookup (or vice versa), and an explicit
+``engine="compiled"`` fails loudly rather than quietly downgrading.
 """
 
 import os
@@ -112,13 +112,35 @@ class TestEngineProvenance:
         assert engine_provenance()["trace_rng"] == "generator-fallback"
 
     def test_compiled_request_fails_loudly_when_masked(self, masked_kernel):
-        """``--engine compiled`` is a demand, not a hint."""
+        """``engine="compiled"`` is a demand, not a hint."""
         with pytest.raises(RuntimeError, match="compiled"):
             resolve_engine("compiled")
         with pytest.raises(RuntimeError, match="compiled"):
             BatchedTraceSimulator(engine="compiled").run(
                 mix_by_name("Mix1"), instructions_per_core=500
             )
+
+    def test_masked_run_records_python_on_every_trace_point(
+        self, masked_kernel
+    ):
+        """``REPRO_KERNEL_DISABLE=1`` is the one way to force the
+        fallback: every planned trace point — LOT-ECC checksum points
+        included — records and runs on the Python tier."""
+        from repro.fleet.measured import plan_measured_profiles
+        from repro.runner import execute_plan
+
+        plan = plan_measured_profiles(
+            policies=("arcc", "lotecc"),
+            mixes=[mix_by_name("Mix1")],
+            instructions_per_core=1_000,
+        )
+        assert any(
+            dict(job.config).get("lotecc_checksum") for job in plan.jobs
+        )
+        assert {dict(job.config)["engine"] for job in plan.jobs} == {
+            "python"
+        }
+        assert execute_plan(plan)
 
     def test_python_tier_unaffected_by_mask(self, masked_kernel):
         result = BatchedTraceSimulator(engine="python").run(

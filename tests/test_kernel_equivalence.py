@@ -5,7 +5,9 @@ Python batched ``replay()`` — and transitively to the per-access
 ``TraceSimulator.run`` oracle — field for field, across every axis the
 sweep registry exercises: all 12 mixes x 5 upgraded fractions, the
 custom organizations of ``test_custom_organizations.py``, non-default
-seeds, and deep eviction-heavy runs. When no C compiler is present the
+seeds, and deep eviction-heavy runs. LOT-ECC checksum points
+(``SweepPoint.lotecc_checksum``) are two-way — compiled vs Python — since
+the per-access oracle has no checksum mode. When no C compiler is present the
 module *skips with the loader's reason string* — a visible skip, never
 a silent pass (the CI fallback leg exercises exactly that path).
 """
@@ -19,7 +21,7 @@ from test_custom_organizations import (
 )
 
 from repro.config import ARCC_MEMORY_CONFIG, PROCESSOR_CONFIG
-from repro.faults.models import upgraded_page_fraction
+from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.faults.types import FaultType
 from repro.perf._kernel import (
     kernel_available,
@@ -137,3 +139,85 @@ class TestDeepEvictionHeavyRuns:
             ).run(mix, instructions_per_core=DEEP_INSTRUCTIONS)
         )
         assert compiled == oracle
+
+
+#: Fault-free, every Table 7.4 class fraction, and fully upgraded.
+CHECKSUM_FRACTIONS = (0.0,) + tuple(
+    upgraded_page_fraction(ft) for ft in TABLE_7_4_TYPES
+) + (1.0,)
+
+
+def checksum_pair(batch, point, processor=PROCESSOR_CONFIG):
+    """Assert compiled == Python on one checksum point; return it."""
+    compiled = result_fingerprint(replay_compiled(batch, point, processor))
+    python = result_fingerprint(replay(batch, point, processor))
+    assert compiled == python, point
+    return compiled
+
+
+class TestChecksumPoints:
+    """LOT-ECC checksum accounting: the kernel's extra reads on upgraded
+    fills and doubled writebacks match the Python tier bit for bit."""
+
+    @pytest.mark.parametrize("mix", ALL_MIXES, ids=lambda m: m.name)
+    def test_all_mixes_class_fractions(self, mix):
+        batch = materialize_mix(mix, 0x7ACE, INSTRUCTIONS)
+        for fraction in CHECKSUM_FRACTIONS:
+            checksum_pair(
+                batch,
+                SweepPoint(
+                    config=ARCC_MEMORY_CONFIG,
+                    upgraded_fraction=fraction,
+                    lotecc_checksum=True,
+                ),
+            )
+
+    @pytest.mark.parametrize(
+        "config", CUSTOM_ORGANIZATIONS, ids=lambda c: c.name
+    )
+    def test_custom_organizations(self, config):
+        batch = materialize_mix(mix_by_name("Mix3"), 0x7ACE, INSTRUCTIONS)
+        for fault_type in (None,) + TABLE_7_4_TYPES:
+            fraction = (
+                0.0
+                if fault_type is None
+                else upgraded_page_fraction(fault_type, config)
+            )
+            checksum_pair(
+                batch,
+                SweepPoint(
+                    config=config,
+                    upgraded_fraction=fraction,
+                    lotecc_checksum=True,
+                ),
+            )
+
+    @pytest.mark.parametrize("mix_name", ["Mix1", "Mix12"])
+    @pytest.mark.parametrize("fraction", [0.0, 0.37, 1.0])
+    def test_eviction_heavy_runs(self, mix_name, fraction):
+        """Deep runs on the 4-way LLC, where dirty evictions — and so
+        checksum writebacks, paired ones included — really occur."""
+        batch = materialize_mix(
+            mix_by_name(mix_name), 0x7ACE, DEEP_INSTRUCTIONS
+        )
+        checked = checksum_pair(
+            batch,
+            SweepPoint(
+                config=ARCC_MEMORY_CONFIG,
+                upgraded_fraction=fraction,
+                lotecc_checksum=True,
+            ),
+            EVICTION_HEAVY_PROCESSOR,
+        )
+        plain = result_fingerprint(
+            replay_compiled(
+                batch,
+                SweepPoint(
+                    config=ARCC_MEMORY_CONFIG, upgraded_fraction=fraction
+                ),
+                EVICTION_HEAVY_PROCESSOR,
+            )
+        )
+        # At fraction 0 the checksum writes are the only difference, so
+        # this also proves writebacks happened.
+        assert checked != plain

@@ -14,6 +14,9 @@ one:
 * stop-index termination is exact — each core consumes precisely its
   slice of the batch, at arbitrary instruction budgets.
 
+LOT-ECC checksum accounting is drawn too: its extra bursts change
+timing, never the cache, so every invariant holds in both modes.
+
 Skips with the loader's reason when no C compiler is present.
 """
 
@@ -52,16 +55,21 @@ CASES = st.tuples(
     st.integers(min_value=200, max_value=3_000),  # instruction budget
     st.sampled_from([0.0, 0.0625, 0.25, 0.37, 0.5, 1.0]),
     GEOMETRIES,
+    st.booleans(),  # lotecc_checksum
 )
 
 
 def run_case(case):
-    mix, seed, instructions, fraction, (ways, line_bytes) = case
+    mix, seed, instructions, fraction, (ways, line_bytes), checksum = case
     processor = dataclasses.replace(
         PROCESSOR_CONFIG, l2_assoc=ways, cacheline_bytes=line_bytes
     )
     batch = materialize_mix(mix, seed, instructions)
-    point = SweepPoint(config=ARCC_MEMORY_CONFIG, upgraded_fraction=fraction)
+    point = SweepPoint(
+        config=ARCC_MEMORY_CONFIG,
+        upgraded_fraction=fraction,
+        lotecc_checksum=checksum,
+    )
     result, stats = replay_compiled_stats(batch, point, processor)
     return batch, processor, point, result, stats
 

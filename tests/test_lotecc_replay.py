@@ -6,26 +6,28 @@ factor: every DRAM write issues an extra checksum write burst, and
 every upgraded fill additionally pays one checksum read per sub-line
 on its critical path. These tests pin the mode's contract:
 
-* it is implemented in the Python tier only — the compiled kernel
-  refuses checksum points instead of silently dropping the traffic;
+* the compiled kernel and the Python tier agree on it bit for bit;
 * turning it on strictly increases measured traffic — checksum bursts
   occupy the buses, so memory latency and core cycles rise even with
   zero upgrades, and upgraded fills pay checksum reads on top;
 * the measured-overhead planner records the provenance: every LOT-ECC
-  job is pinned to ``engine="python"`` with ``lotecc_checksum=True``
-  in its cache key, and no other job carries the flag (their cache
-  keys — shared with the Figure 7.1-7.3 sweeps — are unchanged).
+  job carries the resolved engine tier, like every other job, and
+  ``lotecc_checksum=True`` in its cache key; no other job carries the
+  flag (their cache keys — shared with the Figure 7.1-7.3 sweeps — are
+  unchanged).
 """
 
 import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG
+from repro.perf._kernel import kernel_available, kernel_provenance
 from repro.perf.engine import (
     BatchedTraceSimulator,
     MappingPolicy,
     SweepPoint,
     materialize_mix,
     replay_resolved,
+    resolve_engine,
 )
 from repro.perf.simulator import PROCESSOR_CONFIG
 from repro.workloads.spec import ALL_MIXES
@@ -40,22 +42,30 @@ def _run(fraction: float, checksum: bool):
     return BatchedTraceSimulator(
         config=ARCC_MEMORY_CONFIG,
         upgraded_fraction=fraction,
-        engine="python",
         lotecc_checksum=checksum,
     ).run(MIX, instructions_per_core=N)
 
 
-class TestChecksumTierGuard:
-    def test_compiled_tier_refuses_checksum_points(self):
+class TestChecksumTiers:
+    @pytest.mark.skipif(
+        not kernel_available(),
+        reason=f"compiled replay kernel unavailable: {kernel_provenance()}",
+    )
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    def test_compiled_equals_python_on_checksum_points(self, fraction):
         batch = materialize_mix(MIX, 0x7ACE, N)
         point = SweepPoint(
-            config=ARCC_MEMORY_CONFIG, lotecc_checksum=True
+            config=ARCC_MEMORY_CONFIG,
+            upgraded_fraction=fraction,
+            lotecc_checksum=True,
         )
-        with pytest.raises(RuntimeError, match="python"):
+        results = [
             replay_resolved(
-                batch, point, PROCESSOR_CONFIG, MappingPolicy.HIPERF,
-                "compiled",
+                batch, point, PROCESSOR_CONFIG, MappingPolicy.HIPERF, tier
             )
+            for tier in ("compiled", "python")
+        ]
+        assert results[0] == results[1]
 
     def test_python_tier_accepts_checksum_points(self):
         result = _run(0.0, checksum=True)
@@ -102,7 +112,7 @@ class TestChecksumTraffic:
 
 
 class TestMeasuredProvenance:
-    def test_lotecc_jobs_are_pinned_to_python_with_checksum_flag(self):
+    def test_lotecc_jobs_record_resolved_tier_with_checksum_flag(self):
         from repro.fleet.measured import plan_measured_profiles
 
         plan = plan_measured_profiles(
@@ -116,7 +126,7 @@ class TestMeasuredProvenance:
         assert lotecc_jobs, "no LOT-ECC checksum jobs planned"
         for job in lotecc_jobs:
             config = dict(job.config)
-            assert config["engine"] == "python"
+            assert config["engine"] == resolve_engine("auto")
             assert "lotecc" in job.name
         # Every other job's cache key is untouched by the new mode —
         # the flag is absent, not merely false.

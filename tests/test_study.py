@@ -179,9 +179,11 @@ class TestValidation:
         with pytest.raises(ScenarioFileError, match="12"):
             study_from_mapping(base_mapping(mixes=13))
 
-    def test_unknown_engine_suggests(self):
-        with pytest.raises(ScenarioFileError, match="compiled"):
-            study_from_mapping(base_mapping(engine="compile"))
+    def test_engine_key_rejected(self):
+        """The replay tier is picked by the code, not by study files."""
+        with pytest.raises(ScenarioFileError, match="unknown key") as excinfo:
+            study_from_mapping(base_mapping(engine="auto"))
+        assert "study.engine" in str(excinfo.value)
 
     def test_axis_only_organization_table_allowed(self):
         mapping = base_mapping(organizations=["custom"])
