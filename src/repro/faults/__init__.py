@@ -12,7 +12,6 @@ from repro.faults.lifetime import (
     FaultEvent,
     LifetimeSimulator,
     faulty_page_fraction_timeseries,
-    faulty_page_fraction_timeseries_legacy,
 )
 from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import (
@@ -29,6 +28,5 @@ __all__ = [
     "FaultType",
     "LifetimeSimulator",
     "faulty_page_fraction_timeseries",
-    "faulty_page_fraction_timeseries_legacy",
     "upgraded_page_fraction",
 ]

@@ -9,17 +9,13 @@ exposed to that type. Each simulated channel yields a time-ordered list of
 * per-year power/performance overheads (Figures 7.4-7.6) by attaching the
   per-fault-type overheads measured by the trace simulator.
 
-Since the :mod:`repro.fleet` rewrite the bulk sampling is vectorized:
-:meth:`LifetimeSimulator.sample_batch` draws whole blocks of channels in
-batched NumPy calls and returns a struct-of-arrays
-:class:`~repro.fleet.events.FaultEventBatch`;
+The sampling is vectorized: :meth:`LifetimeSimulator.sample_batch` draws
+whole blocks of channels in batched NumPy calls and returns a
+struct-of-arrays :class:`~repro.fleet.events.FaultEventBatch`;
 :meth:`LifetimeSimulator.simulate_population` delegates to it and
-converts back to the legacy per-channel lists. The original per-channel
-Python loop is kept as :meth:`simulate_population_legacy` — the
-reference the vectorized engine is checked against statistically, and
-the baseline of ``benchmarks/test_fleet_speedup.py`` (mirroring the
-``run``/``run_legacy`` split of
-:class:`repro.reliability.montecarlo.MonteCarloReliability`).
+converts back to per-channel event lists, event for event.
+:func:`_fraction_after_events` is the per-channel scalar reduction the
+vectorized year-by-year series is checked against exactly.
 """
 
 from __future__ import annotations
@@ -27,13 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.config import ARCC_MEMORY_CONFIG, MemoryConfig
 from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import DEFAULT_FIT_RATES, FaultRates, FaultType
-from repro.util.rng import split_rng
-from repro.util.units import FIT_TO_PER_HOUR, HOURS_PER_YEAR
+from repro.util.units import HOURS_PER_YEAR
 
 
 @dataclass(frozen=True)
@@ -76,52 +69,6 @@ class LifetimeSimulator:
         self.rates = rates.scaled(rate_multiplier)
         self.seed = seed
 
-    def _arrival_rate_per_hour(self, fault_type: FaultType) -> float:
-        """Channel-level arrival rate of one fault type (per hour).
-
-        Lane faults are channel-level events (one faulty lane silences the
-        same bit of every rank); we expose one lane-fault source per
-        device-position, matching the per-device FIT normalization of the
-        field study.
-        """
-        devices = (
-            self.config.channels
-            * self.config.ranks_per_channel
-            * self.config.devices_per_rank
-        )
-        return self.rates.fit_of(fault_type) * FIT_TO_PER_HOUR * devices
-
-    def simulate_channel(
-        self, rng: np.random.Generator, years: float
-    ) -> List[FaultEvent]:
-        """Sample one channel's fault history over ``years`` (legacy loop)."""
-        horizon_hours = years * HOURS_PER_YEAR
-        events: List[FaultEvent] = []
-        for fault_type in FaultType:
-            rate = self._arrival_rate_per_hour(fault_type)
-            if rate <= 0:
-                continue
-            count = rng.poisson(rate * horizon_hours)
-            if count == 0:
-                continue
-            times = rng.uniform(0.0, horizon_hours, size=count)
-            for t in np.sort(times):
-                events.append(
-                    FaultEvent(
-                        time_hours=float(t),
-                        fault_type=fault_type,
-                        channel=int(rng.integers(self.config.channels)),
-                        rank=int(
-                            rng.integers(self.config.ranks_per_channel)
-                        ),
-                        device=int(
-                            rng.integers(self.config.devices_per_rank)
-                        ),
-                    )
-                )
-        events.sort(key=lambda e: e.time_hours)
-        return events
-
     def sample_batch(self, channels: int, years: float):
         """Vectorized population sample as a ``FaultEventBatch``.
 
@@ -144,25 +91,11 @@ class LifetimeSimulator:
     ) -> List[List[FaultEvent]]:
         """Independent fault histories for ``channels`` channels.
 
-        Delegates to the vectorized fleet engine and converts to the
-        legacy per-channel lists; prefer :meth:`sample_batch` for large
+        Delegates to the vectorized fleet engine and converts to
+        per-channel event lists; prefer :meth:`sample_batch` for large
         populations.
         """
         return self.sample_batch(channels, years).to_histories()
-
-    def simulate_population_legacy(
-        self, channels: int, years: float
-    ) -> List[List[FaultEvent]]:
-        """The original per-channel Python-loop sampler.
-
-        Kept as the performance baseline and as an independent
-        statistical cross-check of the vectorized engine. Uses
-        ``split_rng`` per channel, so its streams differ from the block
-        streams of :meth:`sample_batch`; both are deterministic in
-        ``seed``.
-        """
-        rngs = split_rng(self.seed, channels)
-        return [self.simulate_channel(rng, years) for rng in rngs]
 
 
 def _fraction_after_events(
@@ -211,35 +144,3 @@ def faulty_page_fraction_timeseries(
     )
     fractions = faulty_fractions_by_year(batch, years, config)
     return [float(row.mean()) for row in fractions]
-
-
-def faulty_page_fraction_timeseries_legacy(
-    years: int = 7,
-    channels: int = 2000,
-    rate_multiplier: float = 1.0,
-    config: MemoryConfig = ARCC_MEMORY_CONFIG,
-    rates: FaultRates = DEFAULT_FIT_RATES,
-    seed: int = 0xFA117,
-) -> List[float]:
-    """The original per-channel-loop Figure 3.1 pipeline.
-
-    Event-object sampling plus a Python reduction loop; the baseline of
-    ``benchmarks/test_fleet_speedup.py`` and an independent statistical
-    cross-check of the vectorized series.
-    """
-    sim = LifetimeSimulator(
-        config=config,
-        rates=rates,
-        rate_multiplier=rate_multiplier,
-        seed=seed,
-    )
-    histories = sim.simulate_population_legacy(channels, float(years))
-    series = []
-    for year in range(1, years + 1):
-        horizon = year * HOURS_PER_YEAR
-        total = 0.0
-        for events in histories:
-            past = [e for e in events if e.time_hours <= horizon]
-            total += _fraction_after_events(past, config)
-        series.append(total / channels)
-    return series

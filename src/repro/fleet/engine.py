@@ -1,13 +1,14 @@
 """Vectorized fleet-lifetime sampling and whole-population reductions.
 
-The legacy :class:`repro.faults.lifetime.LifetimeSimulator` loops over
-channels in Python, drawing each channel's Poisson counts and arrival
-times separately and materializing one ``FaultEvent`` object per fault.
 This engine samples *entire blocks of channels at once*: one batched
 Poisson draw for every (channel, fault-type) pair, one uniform draw for
 every arrival time, one bounded-integer draw for every coordinate —
 then a single lexsort groups the arrivals by channel and time into a
-:class:`~repro.fleet.events.FaultEventBatch`.
+:class:`~repro.fleet.events.FaultEventBatch`. It is the only fleet
+sampler; :meth:`repro.faults.lifetime.LifetimeSimulator.simulate_population`
+delegates here, and the year-by-year reductions are checked exactly
+against the per-channel scalar reduction
+:func:`repro.faults.lifetime._fraction_after_events`.
 
 Determinism follows the Monte-Carlo block pattern of PR 1: populations
 are partitioned into fixed-size blocks whose seeds derive only from the
@@ -95,9 +96,11 @@ def channel_arrival_rates(
 ) -> np.ndarray:
     """Channel-level arrival rate per hour of every fault type.
 
-    One entry per :data:`FAULT_TYPE_ORDER` element. Matches the legacy
-    ``LifetimeSimulator._arrival_rate_per_hour`` normalization: per-device
-    FIT rates scaled by the total device count of the memory system.
+    One entry per :data:`FAULT_TYPE_ORDER` element: per-device FIT rates
+    scaled by the total device count of the memory system. Lane faults
+    are channel-level events (one faulty lane silences the same bit of
+    every rank), exposed as one lane-fault source per device position,
+    matching the per-device FIT normalization of the field study.
     """
     devices = config.channels * config.ranks_per_channel * config.devices_per_rank
     fits = np.array([rates.fit_of(ft) for ft in FAULT_TYPE_ORDER])
@@ -315,7 +318,7 @@ def overhead_series_by_year(
     Returns a ``(years, channels)`` matrix whose row ``y-1`` is each
     channel's overhead averaged over the first ``y`` years, sampled at
     ``steps_per_year`` mid-step points per year — the vectorized form of
-    the legacy ``_overhead_series`` accumulation (Section 7.1 step 3 is
+    the scalar ``_overhead_series`` accumulation (Section 7.1 step 3 is
     additive per arrived fault, capped at fully-upgraded behaviour).
     """
     channels = batch.num_channels

@@ -1,20 +1,21 @@
 """Struct-of-arrays bulk representation of fault-arrival histories.
 
-The legacy lifetime pipeline materializes ``List[List[FaultEvent]]`` —
-one Python object per fault, one list per channel — which caps
-populations well below the 10^5-10^6 channels paper-grade confidence
-needs. :class:`FaultEventBatch` stores the same information as parallel
-NumPy arrays plus a per-channel offset index, so whole-population
-reductions (faulty-page fractions, overhead accumulation) run as array
-ops instead of Python loops.
+A ``List[List[FaultEvent]]`` history — one Python object per fault, one
+list per channel — caps populations well below the 10^5-10^6 channels
+paper-grade confidence needs. :class:`FaultEventBatch` stores the same
+information as parallel NumPy arrays plus a per-channel offset index, so
+whole-population reductions (faulty-page fractions, overhead
+accumulation) run as array ops instead of Python loops.
 
-Converters to and from the legacy dataclass keep both worlds
+Converters to and from the per-channel dataclass lists keep both forms
 interchangeable: ``from_histories(sim.simulate_population(...))`` and
-``batch.to_histories()`` are exact inverses, event for event.
+``batch.to_histories()`` are exact inverses, event for event. The
+per-channel form is what the exact scalar oracles (the fuzz
+``fleet-lifetime`` reductions) consume.
 
 Batches carry full spatial coordinates: ``channel``/``rank``/``device``
-locate the faulty circuitry at rank level (the fields the legacy
-pipeline always had), and ``bank``/``row``/``column`` refine the
+locate the faulty circuitry at rank level (the fields the per-channel
+event form always had), and ``bank``/``row``/``column`` refine the
 footprint below the device so reductions that need exact
 footprint-intersection geometry (the uncorrectable-pair screen) can
 compute it instead of bounding it. Histories predating the coordinate
@@ -61,7 +62,7 @@ class FaultEventBatch:
     member: ``offsets[i]:offsets[i+1]`` slices member ``i``'s events.
     ``channel``/``rank``/``device``/``bank``/``row``/``column`` are the
     *geometric* coordinates of the faulty circuitry inside one memory
-    system (the same fields the legacy
+    system (the same fields
     :class:`~repro.faults.lifetime.FaultEvent` carries), not the
     population index — that is implicit in the offsets.
 
@@ -168,7 +169,7 @@ class FaultEventBatch:
             raise ValueError("type_code out of range")
 
     def events_of(self, member: int) -> List["FaultEvent"]:
-        """Materialize one population member's events as legacy objects."""
+        """Materialize one population member's events as ``FaultEvent`` objects."""
         from repro.faults.lifetime import FaultEvent
 
         start, stop = int(self.offsets[member]), int(self.offsets[member + 1])
@@ -187,14 +188,14 @@ class FaultEventBatch:
         ]
 
     def to_histories(self) -> List[List["FaultEvent"]]:
-        """The legacy ``List[List[FaultEvent]]`` view of the batch."""
+        """The per-channel ``List[List[FaultEvent]]`` view of the batch."""
         return [self.events_of(member) for member in range(self.num_channels)]
 
     @classmethod
     def from_histories(
         cls, histories: Sequence[Sequence["FaultEvent"]]
     ) -> "FaultEventBatch":
-        """Pack legacy per-channel event lists into one batch."""
+        """Pack per-channel event lists into one batch."""
         counts = np.fromiter(
             (len(events) for events in histories), dtype=np.int64, count=len(histories)
         )

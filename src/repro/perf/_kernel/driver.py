@@ -90,27 +90,13 @@ def _kernel_route_arrays(
     batch: TraceBatch, config: MemoryConfig, policy: MappingPolicy
 ):
     """Contiguous per-organization route buffers (int32) for one batch."""
-    from repro.perf.engine import decode_lines
+    from repro.perf.engine import _route_indices
 
-    addresses = batch.line_addresses
-    n_ranks = config.ranks_per_channel
-    banks = config.banks_per_device
-    chan_a, rank_a, bank_a = decode_lines(addresses, config, policy)
-    sib_chan_a, sib_rank_a, sib_bank_a = decode_lines(
-        addresses ^ 1, config, policy
-    )
-    ri_a = chan_a * n_ranks + rank_a
-    sri_a = sib_chan_a * n_ranks + sib_rank_a
-    return tuple(
-        np.ascontiguousarray(a, dtype=np.int32)
-        for a in (
-            chan_a,
-            ri_a,
-            ri_a * banks + bank_a,
-            sib_chan_a,
-            sri_a,
-            sri_a * banks + sib_bank_a,
-        )
+    return _route_indices(
+        batch,
+        config,
+        policy,
+        lambda a: np.ascontiguousarray(a, dtype=np.int32),
     )
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -218,11 +218,23 @@ def _trace_arrays(batch: TraceBatch) -> _TraceArrays:
     )
 
 
-@lru_cache(maxsize=64)
-def _route_arrays(
-    batch: TraceBatch, config: MemoryConfig, policy: MappingPolicy
-) -> _RouteArrays:
-    """Vectorized decode of every access for one organization."""
+def _route_indices(
+    batch: TraceBatch,
+    config: MemoryConfig,
+    policy: MappingPolicy,
+    convert: Callable[[np.ndarray], Any],
+) -> Tuple[Any, ...]:
+    """Decode every access and its ``^ 1`` sibling for one organization.
+
+    Returns ``convert`` of ``(chan, rank_index, bank_index, sib_chan,
+    sib_rank_index, sib_bank_index)`` in the :class:`_RouteArrays`
+    layout. Unmemoized: each replay tier memoizes the result in its own
+    format (Python lists here, contiguous int32 buffers in the compiled
+    driver). The conversion must run while the int64 intermediates are
+    still alive: converting after they are freed lets the long-lived
+    memo buffers fragment the glibc heap, about 40 MB more peak RSS on a
+    full-scale ``repro run``.
+    """
     addresses = batch.line_addresses
     n_ranks = config.ranks_per_channel
     banks = config.banks_per_device
@@ -232,13 +244,26 @@ def _route_arrays(
     )
     ri_a = chan_a * n_ranks + rank_a
     sri_a = sib_chan_a * n_ranks + sib_rank_a
+    return tuple(
+        convert(a)
+        for a in (
+            chan_a,
+            ri_a,
+            ri_a * banks + bank_a,
+            sib_chan_a,
+            sri_a,
+            sri_a * banks + sib_bank_a,
+        )
+    )
+
+
+@lru_cache(maxsize=64)
+def _route_arrays(
+    batch: TraceBatch, config: MemoryConfig, policy: MappingPolicy
+) -> _RouteArrays:
+    """Vectorized decode of every access for one organization."""
     return _RouteArrays(
-        chan=chan_a.tolist(),
-        rank_index=ri_a.tolist(),
-        bank_index=(ri_a * banks + bank_a).tolist(),
-        sib_chan=sib_chan_a.tolist(),
-        sib_rank_index=sri_a.tolist(),
-        sib_bank_index=(sri_a * banks + sib_bank_a).tolist(),
+        *_route_indices(batch, config, policy, np.ndarray.tolist)
     )
 
 
@@ -926,15 +951,12 @@ class BatchedTraceSimulator:
         self.processor = processor
         self.upgraded_fraction = upgraded_fraction
         if arcc_enabled is None:
-            arcc_enabled = config.channels >= 2
+            arcc_enabled = arcc_capable(config)
         self.arcc_enabled = arcc_enabled
         self.seed = seed
         self.engine = engine
+        self.resolved_engine = resolve_engine(engine)
         self.lotecc_checksum = lotecc_checksum
-        if engine not in ENGINE_TIERS:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINE_TIERS}"
-            )
         if upgraded_fraction and not arcc_enabled:
             raise ValueError(
                 "upgraded pages require an ARCC-capable configuration"
@@ -957,7 +979,7 @@ class BatchedTraceSimulator:
             ),
             self.processor,
             MappingPolicy.HIPERF,
-            resolve_engine(self.engine),
+            self.resolved_engine,
         )
 
 

@@ -8,17 +8,14 @@ boundaries. The ARCC policy counts an SDC when a new fault intersects an
 undetected one; the SCCDCD policy needs a triple (an undetected pair plus
 one more) and counts a DUE — machine retirement — for a detected pair.
 
-Two engines produce those decisions:
-
-* the **vectorized** engine (default) samples arrival times, types and
-  coordinates for whole blocks of channels in NumPy batches, resolves
-  the dominant two-fault channels with array-based footprint
-  intersection, and falls back to the exact per-pair event loop only for
-  channels where a candidate collision exists;
-* the **legacy** engine is the original per-fault Python loop, kept as
-  the reference the vectorized policies must match decision-for-decision
-  (``exact_pairs=True`` routes every channel through it on identical
-  sampled faults) and as the baseline for the speedup benchmarks.
+The engine samples arrival times, types and coordinates for whole
+blocks of channels in NumPy batches, resolves the dominant two-fault
+channels with array-based footprint intersection, and falls back to the
+exact per-fault event loops only for channels where a candidate
+collision exists. Those event loops are the engine's exact oracle:
+``run(exact_pairs=True)`` sends the two-fault channels through them as
+well, on identical sampled faults, and the counts must match bit for
+bit.
 
 The paper performs the same cross-check against the analytical models of
 [12]; ``benchmarks/test_fig6_1_sdc.py`` reports both side by side.
@@ -35,7 +32,7 @@ from repro.config import RUNNER_CONFIG
 from repro.faults.types import DEVICE_LEVEL_TYPES, FaultType
 from repro.reliability.analytical import ReliabilityParams
 from repro.runner import Job, run_jobs
-from repro.util.rng import derive_seeds, split_rng
+from repro.util.rng import derive_seeds
 from repro.util.units import HOURS_PER_YEAR
 
 #: Channels simulated per vectorized batch (and per runner job). Fixed —
@@ -309,34 +306,6 @@ class MonteCarloReliability:
         self.params = params or ReliabilityParams()
         self.seed = seed
 
-    # -- sampling (legacy engine) ---------------------------------------------
-
-    def _sample_faults(
-        self, rng: np.random.Generator, years: float
-    ) -> List[_PlacedFault]:
-        p = self.params
-        horizon = years * HOURS_PER_YEAR
-        faults: List[_PlacedFault] = []
-        for fault_type in DEVICE_LEVEL_TYPES:
-            lam = p.device_rate_per_hour(fault_type) * p.total_devices
-            if lam <= 0:
-                continue
-            count = rng.poisson(lam * horizon)
-            for _ in range(count):
-                faults.append(
-                    _PlacedFault(
-                        time_hours=float(rng.uniform(0.0, horizon)),
-                        fault_type=fault_type,
-                        rank=int(rng.integers(p.ranks)),
-                        device=int(rng.integers(p.devices_per_rank)),
-                        bank=int(rng.integers(p.banks)),
-                        row=int(rng.integers(p.rows)),
-                        column=int(rng.integers(p.columns)),
-                    )
-                )
-        faults.sort(key=lambda f: f.time_hours)
-        return faults
-
     def _next_scrub(self, time_hours: float) -> float:
         s = self.params.scrub_interval_hours
         return (int(time_hours / s) + 1) * s
@@ -508,23 +477,6 @@ class MonteCarloReliability:
         return merge_outcomes(
             channels, years, [result.value for result in results]
         )
-
-    def run_legacy(self, channels: int, years: float) -> ReliabilityOutcome:
-        """The original per-fault Python-loop engine.
-
-        Kept as the performance baseline (see
-        ``benchmarks/test_microbenchmarks.py``) and as an independent
-        statistical cross-check of the vectorized engine. Uses
-        ``split_rng`` per channel, so its streams differ from ``run``'s
-        block streams; both are deterministic in ``seed``.
-        """
-        outcome = ReliabilityOutcome(channels=channels, years=years)
-        for rng in split_rng(self.seed, channels):
-            faults = self._sample_faults(rng, years)
-            if len(faults) < 2:
-                continue
-            self._decide_channel(faults, outcome)
-        return outcome
 
     def block_jobs(
         self, channels: int, years: float, exact_pairs: bool = False

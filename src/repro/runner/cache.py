@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Optional, Tuple
 
 from repro.config import RUNNER_CONFIG
-from repro.runner.job import Job
+from repro.runner.job import Job, job_identity
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = RUNNER_CONFIG.cache_dir
@@ -84,14 +84,11 @@ class ResultCache:
         identical simulation points are shared across figures (e.g.
         Figure 7.1's fault-free ARCC run, the Figure 7.2/7.3 baseline
         and the sensitivity sweep's zero point are one cache entry).
+        The payload is the sorted-key JSON object ``{"code": version,
+        "job": identity}``, spelled out around :func:`job_identity` so
+        the job encoding lives in one place.
         """
-        description = job.describe()
-        description.pop("name", None)
-        payload = json.dumps(
-            {"code": self.version, "job": description},
-            sort_keys=True,
-            default=repr,
-        )
+        payload = f'{{"code": {json.dumps(self.version)}, "job": {job_identity(job)}}}'
         return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
     def _path(self, job: Job) -> Path:

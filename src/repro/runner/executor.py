@@ -14,28 +14,13 @@ simulating the same point twice.
 from __future__ import annotations
 
 import inspect
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.cache import ResultCache
-from repro.runner.job import ExperimentPlan, Job, JobResult
+from repro.runner.job import ExperimentPlan, Job, JobResult, job_identity
 from repro.util.rng import derive_seeds
-
-
-def job_identity(job: Job) -> str:
-    """Canonical identity of a job's *computation* (name excluded).
-
-    Two jobs with the same callable, configuration and seed compute the
-    same value no matter what their display names are, so the executor
-    runs one and shares the result — e.g. when ``repro run`` flattens
-    Figure 7.1, Figures 7.2/7.3 and the sensitivity sweep into one
-    batch, each (mix, organization, fraction) simulation runs once.
-    """
-    description = job.describe()
-    description.pop("name", None)
-    return json.dumps(description, sort_keys=True, default=repr)
 
 
 def _call_job(job: Job) -> Tuple[Any, float]:

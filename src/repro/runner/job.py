@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -20,10 +21,12 @@ def describe_value(value: Any) -> Any:
     """Canonical, hashable-by-JSON description of a config value.
 
     Used to build cache keys, so it must be stable across processes and
-    interpreter runs: enums collapse to their names, dataclasses to a
-    sorted field mapping, callables to ``module:qualname``. Anything else
-    falls back to ``repr`` — adequate for the numeric scalars that make
-    up experiment configs.
+    interpreter runs and must never let two different values collide:
+    enums collapse to their names, dataclasses to a sorted field mapping,
+    callables to ``module:qualname``, and JSON scalars, lists, tuples and
+    mappings describe themselves. Any other type raises ``TypeError``
+    rather than falling back to ``repr``, which for an ndarray elides
+    elements with ``...``.
     """
     if isinstance(value, enum.Enum):
         return f"{type(value).__name__}.{value.name}"
@@ -41,7 +44,11 @@ def describe_value(value: Any) -> Any:
         return value
     if callable(value):
         return f"{getattr(value, '__module__', '?')}:{getattr(value, '__qualname__', repr(value))}"
-    return repr(value)
+    raise TypeError(
+        f"cannot describe a {type(value).__module__}.{type(value).__qualname__} "
+        "exactly for a job identity; pass a JSON scalar, list, tuple, "
+        "mapping, enum, dataclass or callable"
+    )
 
 
 @dataclass(frozen=True)
@@ -108,6 +115,21 @@ class Job:
             "seed": self.seed,
             "config": {k: describe_value(v) for k, v in self.config},
         }
+
+
+def job_identity(job: Job) -> str:
+    """Canonical identity of a job's *computation* (name excluded).
+
+    Two jobs with the same callable, configuration and seed compute the
+    same value no matter what their display names are, so the executor
+    runs one and shares the result — e.g. when ``repro run`` flattens
+    Figure 7.1, Figures 7.2/7.3 and the sensitivity sweep into one
+    batch, each (mix, organization, fraction) simulation runs once. The
+    result cache keys on the same encoding.
+    """
+    description = job.describe()
+    description.pop("name", None)
+    return json.dumps(description, sort_keys=True)
 
 
 @dataclass

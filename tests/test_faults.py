@@ -131,10 +131,12 @@ class TestLifetimeSimulator:
 
     def test_events_sorted_and_in_horizon(self):
         sim = LifetimeSimulator(rate_multiplier=50.0, seed=3)
-        events = sim.simulate_channel(make_rng(3), 7.0)
-        times = [e.time_hours for e in events]
-        assert times == sorted(times)
-        assert all(0 <= t <= 7 * 8760 for t in times)
+        histories = sim.simulate_population(20, 7.0)
+        assert any(histories)
+        for events in histories:
+            times = [e.time_hours for e in events]
+            assert times == sorted(times)
+            assert all(0 <= t <= 7 * 8760 for t in times)
 
     def test_rate_multiplier_increases_events(self):
         low = LifetimeSimulator(rate_multiplier=1.0, seed=5)
@@ -145,7 +147,9 @@ class TestLifetimeSimulator:
 
     def test_event_fields_in_range(self):
         sim = LifetimeSimulator(rate_multiplier=50.0, seed=7)
-        for event in sim.simulate_channel(make_rng(7), 7.0):
+        events = [e for ch in sim.simulate_population(20, 7.0) for e in ch]
+        assert events
+        for event in events:
             assert 0 <= event.channel < ARCC_MEMORY_CONFIG.channels
             assert 0 <= event.rank < ARCC_MEMORY_CONFIG.ranks_per_channel
             assert 0 <= event.device < ARCC_MEMORY_CONFIG.devices_per_rank

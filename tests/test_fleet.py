@@ -1,12 +1,13 @@
 """Tests for the vectorized fleet-lifetime engine (:mod:`repro.fleet`).
 
-The load-bearing guarantees: the struct-of-arrays batch and the legacy
-event lists are exact converters of each other; the vectorized engine is
-what :meth:`LifetimeSimulator.simulate_population` now produces, event
-for event; the vectorized reductions match the legacy Python rules on
-identical histories; block partitioning makes results independent of
-worker count and prefix-stable in population size; and scenario reports
-attach confidence intervals to every mean.
+The load-bearing guarantees: the struct-of-arrays batch and the
+per-channel event lists are exact converters of each other; the
+vectorized engine is what :meth:`LifetimeSimulator.simulate_population`
+produces, event for event; per-type arrival counts sit within Poisson
+noise of the analytic expectation; the vectorized reductions match the
+scalar Python rules on identical histories; block partitioning makes
+results independent of worker count and prefix-stable in population
+size; and scenario reports attach confidence intervals to every mean.
 """
 
 import numpy as np
@@ -19,9 +20,8 @@ from repro.faults.lifetime import (
     LifetimeSimulator,
     _fraction_after_events,
     faulty_page_fraction_timeseries,
-    faulty_page_fraction_timeseries_legacy,
 )
-from repro.faults.types import FaultType
+from repro.faults.types import DEFAULT_FIT_RATES, FaultType
 from repro.fleet import (
     DEFAULT_SCENARIOS,
     FLEET_BLOCK_CHANNELS,
@@ -39,7 +39,7 @@ from repro.fleet import (
     sample_block,
     sample_fleet,
 )
-from repro.util.units import HOURS_PER_YEAR
+from repro.util.units import FIT_TO_PER_HOUR, HOURS_PER_YEAR
 
 
 class TestFaultEventBatch:
@@ -105,53 +105,48 @@ class TestEngineSampling:
         )
 
     def test_matches_simulate_population_event_for_event(self):
-        """Same seed: the batch and the delegating legacy API agree.
+        """Same seed: the batch and the delegating per-channel API agree.
 
         ``simulate_population`` delegates to ``sample_batch``, so this
         pins the delegation + converter contract (round-tripping through
         ``FaultEvent`` objects loses nothing), not the sampling physics —
-        ``test_per_type_rates_match_legacy_physics`` covers that against
-        the independent legacy sampler.
+        ``test_per_type_rates_within_poisson_band`` covers that against
+        the analytic expectation.
         """
         sim = LifetimeSimulator(rate_multiplier=4.0, seed=7)
         batch = sim.sample_batch(200, 7.0)
         histories = sim.simulate_population(200, 7.0)
         assert FaultEventBatch.from_histories(histories) == batch
 
-    def test_per_type_rates_match_legacy_physics(self):
+    def test_per_type_rates_within_poisson_band(self):
         """Per-fault-type arrival counts match the analytic expectation.
 
-        Both engines draw from the same superposed Poisson processes, so
-        each fault type's population-wide count must sit within Poisson
-        noise of ``channels * rate_t * horizon`` — a dropped fault type,
-        a wrong FIT normalization, or a mis-scaled multiplier in either
-        engine lands far outside the 6-sigma band.
+        The engine draws superposed Poisson processes, so each fault
+        type's population-wide count must sit within Poisson noise of
+        ``channels * rate_t * horizon``, with ``rate_t`` the per-device
+        FIT rate times the memory system's device count — a dropped
+        fault type, a wrong FIT normalization, or a mis-scaled
+        multiplier lands far outside the 6-sigma band.
         """
         channels, years, multiplier = 6000, 7.0, 10.0
         sim = LifetimeSimulator(rate_multiplier=multiplier, seed=29)
         batch = sim.sample_batch(channels, years)
-        legacy = sim.simulate_population_legacy(channels, years)
-
-        vec_counts = {ft: 0 for ft in FaultType}
+        config = sim.config
+        devices = (
+            config.channels * config.ranks_per_channel * config.devices_per_rank
+        )
         for code, fault_type in enumerate(FaultType):
-            vec_counts[fault_type] = int(np.sum(batch.type_code == code))
-        legacy_counts = {ft: 0 for ft in FaultType}
-        for events in legacy:
-            for event in events:
-                legacy_counts[event.fault_type] += 1
-
-        for fault_type in FaultType:
+            count = int(np.sum(batch.type_code == code))
             expected = (
-                sim._arrival_rate_per_hour(fault_type)
+                DEFAULT_FIT_RATES.fit_of(fault_type)
+                * multiplier
+                * FIT_TO_PER_HOUR
+                * devices
                 * years
                 * HOURS_PER_YEAR
                 * channels
             )
-            band = 6.0 * expected**0.5
-            assert abs(vec_counts[fault_type] - expected) <= band, fault_type
-            assert (
-                abs(legacy_counts[fault_type] - expected) <= band
-            ), fault_type
+            assert abs(count - expected) <= 6.0 * expected**0.5, fault_type
 
     def test_block_partition_prefix_stable(self):
         small = fleet_blocks(11, FLEET_BLOCK_CHANNELS)
@@ -274,12 +269,35 @@ class TestVectorizedReductions:
             legacy = _overhead_series(histories, 7, per_fault, cap=cap)
             assert np.allclose(vec.mean(axis=1), legacy, rtol=1e-9)
 
-    def test_timeseries_agrees_with_legacy_sampler(self):
-        """Different streams, same physics: means within joint noise."""
-        kwargs = dict(years=7, channels=4000, rate_multiplier=4.0, seed=13)
-        vectorized = faulty_page_fraction_timeseries(**kwargs)
-        legacy = faulty_page_fraction_timeseries_legacy(**kwargs)
-        assert vectorized[-1] == pytest.approx(legacy[-1], rel=0.15)
+    def test_timeseries_matches_scalar_reduction(self):
+        """The public series equals the per-channel scalar oracle exactly.
+
+        ``faulty_page_fraction_timeseries`` reduces the sampled fleet in
+        array form; ``_fraction_after_events`` over the same fleet's
+        per-channel histories, counting events up to each year end, must
+        give the same per-year means to rounding.
+        """
+        years, channels, multiplier, seed = 7, 4000, 4.0, 13
+        series = faulty_page_fraction_timeseries(
+            years=years, channels=channels, rate_multiplier=multiplier, seed=seed
+        )
+        histories = sample_fleet(
+            channels, float(years), rate_multiplier=multiplier, seed=seed
+        ).to_histories()
+        assert len(series) == years
+        for year, value in enumerate(series, start=1):
+            horizon = year * HOURS_PER_YEAR
+            expected = np.mean(
+                [
+                    _fraction_after_events(
+                        [e for e in events if e.time_hours <= horizon],
+                        ARCC_MEMORY_CONFIG,
+                    )
+                    for events in histories
+                ]
+            )
+            assert value > 0.0
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0), year
 
 
 class TestScenarios:

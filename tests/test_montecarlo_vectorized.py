@@ -3,8 +3,8 @@
 The array-based pairwise fast path must make *bit-identical policy
 decisions* to the exact per-pair event loops on identical sampled
 faults (``exact_pairs=True`` routes every channel through the event
-loops). The legacy per-fault engine, which samples differently but
-implements the same physics, must agree statistically.
+loops). The batched sampler's per-type fault counts must sit within
+Poisson noise of the analytic expectation.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from repro.reliability.montecarlo import (
     _sample_batch,
     merge_outcomes,
 )
+from repro.util.units import HOURS_PER_YEAR
 
 
 def _outcome_tuple(outcome):
@@ -109,29 +110,27 @@ class TestMergeOutcomes:
         assert merged.channels == 300
 
 
-@pytest.mark.mc
-class TestLegacyAgreement:
-    """The legacy engine samples differently but must agree statistically."""
+class TestSamplerRates:
+    def test_per_type_counts_within_poisson_band(self):
+        """Each device-level type's count matches its Poisson mean.
 
-    def test_due_rates_agree_within_sampling_noise(self):
+        Every channel draws ``Poisson(rate * devices * horizon)`` faults
+        of each type, so the block total must sit within 6 sigma of
+        ``channels`` times that mean — a dropped type, a wrong device
+        count or a mis-scaled rate lands far outside the band.
+        """
         params = ReliabilityParams(rate_multiplier=200.0)
         channels, years = 2000, 7.0
-        fast = MonteCarloReliability(params, seed=21).run(channels, years)
-        legacy = MonteCarloReliability(params, seed=22).run_legacy(
-            channels, years
-        )
-        a = fast.due_machines_sccdcd
-        b = legacy.due_machines_sccdcd
-        assert a > 0 and b > 0
-        # Binomial populations of ~2000: agree within 5 sigma.
-        sigma = np.sqrt(max(a, b))
-        assert abs(a - b) < 5 * sigma + 5
-
-    def test_orderings_hold_in_both_engines(self):
-        params = ReliabilityParams(rate_multiplier=400.0)
-        for outcome in (
-            MonteCarloReliability(params, seed=31).run(400, 7.0),
-            MonteCarloReliability(params, seed=31).run_legacy(400, 7.0),
-        ):
-            assert outcome.due_machines_sccdcd >= outcome.due_machines_sparing
-            assert outcome.sdc_machines_arcc >= outcome.sdc_machines_sccdcd
+        rng = np.random.Generator(np.random.PCG64(21))
+        batch = _sample_batch(params, rng, channels, years)
+        horizon = years * HOURS_PER_YEAR
+        for code, fault_type in enumerate(DEVICE_LEVEL_TYPES):
+            expected = (
+                params.device_rate_per_hour(fault_type)
+                * params.total_devices
+                * horizon
+                * channels
+            )
+            count = int(np.count_nonzero(batch.type_code == code))
+            assert expected > 0.0, fault_type
+            assert abs(count - expected) <= 6.0 * expected**0.5, fault_type

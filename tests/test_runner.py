@@ -1,5 +1,10 @@
 """Tests for the parallel experiment runner (jobs, cache, executor)."""
 
+import dataclasses
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG
@@ -11,6 +16,7 @@ from repro.runner import (
     describe_value,
     execute_plan,
     execute_plans,
+    job_identity,
     run_jobs,
 )
 
@@ -75,6 +81,21 @@ class TestDescribeValue:
 
     def test_callable(self):
         assert "test_runner" in describe_value(_square)
+
+    @pytest.mark.parametrize(
+        "value", [np.arange(2000), {1, 2}, b"bytes"], ids=["ndarray", "set", "bytes"]
+    )
+    def test_inexact_type_raises(self, value):
+        """No ``repr`` fallback: an elided ndarray repr could collide."""
+        with pytest.raises(TypeError, match=type(value).__qualname__):
+            describe_value(value)
+
+    def test_ndarray_config_cannot_be_keyed(self, tmp_path):
+        job = Job.create("j", _square, x=np.arange(2000))
+        with pytest.raises(TypeError, match="ndarray"):
+            job_identity(job)
+        with pytest.raises(TypeError, match="ndarray"):
+            ResultCache(tmp_path / "cache", version="v1").key(job)
 
 
 class TestRunJobs:
@@ -143,6 +164,30 @@ class TestResultCache:
         (result,) = run_jobs([Job.create("j", _square, x=3)], cache=cache)
         assert not result.cached
         assert result.value == 9
+
+    def test_key_matches_full_description_hash(self, tmp_path):
+        """The key is the hash of ``{"code", "job"}`` JSON, byte for byte.
+
+        Recomputes the original formula — the sorted-key JSON of the code
+        version and the name-less job description — so reusing
+        ``job_identity`` inside the key cannot silently re-key caches.
+        """
+        cache = ResultCache(tmp_path / "cache", version="v1")
+        job = Job.create(
+            "named",
+            _square,
+            seed=11,
+            x=2.5,
+            config=ARCC_MEMORY_CONFIG,
+            fault=FaultType.LANE,
+            grid={"b": (1, 2), "a": None},
+        )
+        description = job.describe()
+        description.pop("name")
+        payload = json.dumps({"code": "v1", "job": description}, sort_keys=True)
+        expected = hashlib.sha256(payload.encode()).hexdigest()[:32]
+        assert cache.key(job) == expected
+        assert cache.key(job) == cache.key(dataclasses.replace(job, name="other"))
 
     def test_code_version_invalidates(self, tmp_path):
         old = ResultCache(tmp_path / "cache", version="v1")
