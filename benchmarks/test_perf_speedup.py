@@ -265,12 +265,35 @@ def test_bench_materialize_traces(benchmark):
 
 
 def test_bench_history_is_wellformed():
-    """The committed trajectory parses and covers the enforced bars."""
+    """The committed trajectory parses and covers the enforced bars.
+
+    Ratio entries keep their measured speedup at or over the bar.
+    Absolute entries record an end-to-end metric measured in
+    alternating parent/change pairs: each side's quartiles must be
+    ordered, the pairs won must fit the pairs run, and the change's
+    median must beat the parent's in the metric's direction.
+    """
     path = Path(__file__).with_name("BENCH_history.json")
     history = json.loads(path.read_text())
-    names = {entry["benchmark"] for entry in history["entries"]}
+    entries = history["entries"]
+    names = {entry["benchmark"] for entry in entries}
     assert "trace_suite_speedup" in names
     assert "fig7_2_7_3_sweep_speedup" in names
     assert "kernel_trace_suite_speedup" in names
-    for entry in history["entries"]:
-        assert entry["measured_x"] >= entry["bar_x"], entry
+    kinds = {entry["kind"] for entry in entries}
+    assert kinds == {"ratio", "absolute"}, kinds
+    for entry in entries:
+        assert set(entry) == set(history["schema"][entry["kind"]]), entry
+        if entry["kind"] == "ratio":
+            assert entry["measured_x"] >= entry["bar_x"], entry
+            continue
+        for side in ("parent", "change"):
+            quartiles = entry[side]
+            assert quartiles["q1"] <= quartiles["median"] <= quartiles["q3"]
+        assert 0 <= entry["pairs_won"] <= entry["pairs"], entry
+        parent, change = entry["parent"]["median"], entry["change"]["median"]
+        assert entry["better"] in ("lower", "higher"), entry
+        if entry["better"] == "lower":
+            assert change < parent, entry
+        else:
+            assert change > parent, entry

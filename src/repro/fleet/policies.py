@@ -403,22 +403,32 @@ def uncorrectable_candidate_channels(
     directions). Batches without sub-device coordinates default them to
     zero, which reproduces the historical rank-level (upper-bound)
     behaviour.
+
+    The screen is one segmented pass: the device-level events of every
+    member with at least two of them form one segment each, and
+    :func:`repro.reliability.montecarlo.any_pair_per_segment` tests all
+    their pairs in a single predicate call before ``any`` is scattered
+    back to the members.
     """
-    from repro.reliability.montecarlo import footprint_pairs_intersect
+    from repro.reliability.montecarlo import (
+        any_pair_per_segment,
+        footprint_pairs_intersect,
+    )
 
     out = np.zeros(batch.num_channels, dtype=bool)
     if batch.num_events < 2:
         return out
-    eligible = batch.type_code != _BIT_CODE
+    # Device-level events in member order: each member's are contiguous.
+    eligible = np.flatnonzero(batch.type_code != _BIT_CODE)
     counts = np.bincount(
         batch.channel_ids()[eligible], minlength=batch.num_channels
     )
+    starts = np.cumsum(counts) - counts
+    members = np.flatnonzero(counts >= 2)
     mc_code = _DEVICE_LEVEL_CODE[batch.type_code]
-    for member in np.flatnonzero(counts >= 2):
-        start, stop = int(batch.offsets[member]), int(batch.offsets[member + 1])
-        idx = np.arange(start, stop)[eligible[start:stop]]
-        left, right = np.triu_indices(len(idx), k=1)
-        a, b = idx[left], idx[right]
+
+    def uncorrectable(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        a, b = eligible[left], eligible[right]
         # Events are time-sorted within a member, so b is the later fault.
         in_window = batch.time_hours[b] - batch.time_hours[a] <= window_hours
         same_channel = batch.channel[a] == batch.channel[b]
@@ -432,7 +442,11 @@ def uncorrectable_candidate_channels(
             a,
             b,
         )
-        out[member] = bool(np.any(same_channel & intersects & in_window))
+        return same_channel & intersects & in_window
+
+    out[members] = any_pair_per_segment(
+        starts[members], counts[members], uncorrectable
+    )
     return out
 
 

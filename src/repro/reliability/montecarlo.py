@@ -24,7 +24,7 @@ The paper performs the same cross-check against the analytical models of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -238,8 +238,9 @@ def footprint_pairs_intersect(
     so both layers agree on footprint geometry by construction.
 
     ``type_code`` indexes :data:`repro.faults.types.DEVICE_LEVEL_TYPES`;
-    ``left``/``right`` index fault pairs into the coordinate arrays.
-    Returns a boolean per pair. Must agree with the scalar method on
+    ``left``/``right`` index fault pairs into the coordinate arrays —
+    both screens pass every pair of a block at once, as built by
+    :func:`segment_pairs`. Returns a boolean per pair. Must agree with the scalar method on
     every input — the ``exact_pairs`` test mode and the ``pair-screen``
     fuzz oracle enforce exactly that.
     """
@@ -280,16 +281,76 @@ def _next_scrub_array(time_hours: np.ndarray, interval: float) -> np.ndarray:
     return (np.floor(time_hours / interval) + 1.0) * interval
 
 
-def _channel_has_candidate_pair(batch: _FaultBatch, channel: int) -> bool:
-    """Vectorized screen: does any fault pair of the channel intersect?
+#: Pair budget of one segmented all-pairs pass. A member set whose
+#: pairs exceed it is screened in consecutive chunks, so memory stays
+#: bounded however many faults a block draws. A full-scale ``repro run``
+#: screens about 53k pairs in 148 passes, the largest about 10k pairs.
+_MAX_SEGMENT_PAIRS = 1 << 16
 
-    No policy can fail a channel whose faults are pairwise disjoint, so a
-    ``False`` here skips the exact event loop entirely.
+
+def _ramp(counts: np.ndarray) -> np.ndarray:
+    """``arange(n)`` for every ``n`` in ``counts``, concatenated."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) - np.repeat(starts, counts)
+
+
+def segment_pairs(
+    starts: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ``i < j`` index pair inside every segment, in one pass.
+
+    Segment ``s`` covers indices ``starts[s] .. starts[s] + lengths[s] - 1``.
+    Returns ``(left, right, segment)``: the pairs of each segment in
+    row-major upper-triangle order — ``(0, 1), (0, 2), ..., (1, 2), ...``
+    offset by the segment's start — segments in input order, with the
+    segment index of each pair. Segments of length 0 or 1 contribute
+    nothing.
+
+    >>> left, right, segment = segment_pairs(np.array([10, 20]), np.array([3, 2]))
+    >>> left.tolist(), right.tolist(), segment.tolist()
+    ([10, 10, 11, 20], [11, 12, 12, 21], [0, 0, 0, 1])
     """
-    start, stop = int(batch.offsets[channel]), int(batch.offsets[channel + 1])
-    idx = np.arange(start, stop)
-    left, right = np.triu_indices(len(idx), k=1)
-    return bool(np.any(_pairs_intersect(batch, idx[left], idx[right])))
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    # Row i of an n-segment pairs i with the n - 1 - i indices after it.
+    rows_per_segment = np.maximum(lengths - 1, 0)
+    row_segment = np.repeat(np.arange(len(lengths)), rows_per_segment)
+    row = _ramp(rows_per_segment)
+    row_width = lengths[row_segment] - 1 - row
+    pair_row = np.repeat(np.arange(len(row)), row_width)
+    segment = row_segment[pair_row]
+    left = starts[segment] + row[pair_row]
+    right = left + 1 + _ramp(row_width)
+    return left, right, segment
+
+
+def any_pair_per_segment(
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    pair_test: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Whether ``pair_test`` holds for any ``i < j`` pair of each segment.
+
+    ``pair_test(left, right)`` returns a boolean per index pair. One
+    :func:`segment_pairs` pass evaluates every segment at once; only a
+    member set over ``_MAX_SEGMENT_PAIRS`` pairs is split into
+    consecutive chunks (never splitting a segment).
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    out = np.zeros(len(lengths), dtype=bool)
+    cumulative = np.cumsum(lengths * (lengths - 1) // 2)
+    lo = 0
+    while lo < len(lengths):
+        done = int(cumulative[lo - 1]) if lo else 0
+        hi = max(
+            lo + 1,
+            int(np.searchsorted(cumulative, done + _MAX_SEGMENT_PAIRS, "right")),
+        )
+        left, right, segment = segment_pairs(starts[lo:hi], lengths[lo:hi])
+        hit = pair_test(left, right)
+        out[lo:hi] = np.bincount(segment[hit], minlength=hi - lo) > 0
+        lo = hi
+    return out
 
 
 # -- per-channel reference policies (exact event loops) -----------------------
@@ -405,9 +466,9 @@ class MonteCarloReliability:
         channels at field rates) are decided entirely in array form; the
         policies reduce to two questions about the pair — does it
         intersect, and did the second fault beat the first one's scrub?
-        Channels with three or more faults are screened with an
-        array-based all-pairs intersection test and only candidate
-        collisions pay for the exact per-pair event loop.
+        Channels with three or more faults are screened together, in
+        one segmented all-pairs intersection pass over the block, and
+        only candidate collisions pay for the exact per-pair event loop.
         ``exact_pairs=True`` sends two-fault channels down the event loop
         as well; the result must be bit-identical (this is the
         equivalence check the tests run).
@@ -439,9 +500,15 @@ class MonteCarloReliability:
                     batch.channel_faults(int(channel)), outcome
                 )
 
-        for channel in np.flatnonzero(per_channel >= 3):
-            if not _channel_has_candidate_pair(batch, int(channel)):
-                continue
+        # No policy can fail a channel whose faults are pairwise disjoint,
+        # so only channels with an intersecting pair reach the event loops.
+        multi = np.flatnonzero(per_channel >= 3)
+        has_pair = any_pair_per_segment(
+            batch.offsets[multi],
+            per_channel[multi],
+            lambda left, right: _pairs_intersect(batch, left, right),
+        )
+        for channel in multi[has_pair]:
             self._decide_channel(batch.channel_faults(int(channel)), outcome)
         return outcome
 

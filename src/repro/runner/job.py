@@ -14,6 +14,7 @@ import dataclasses
 import enum
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 
@@ -116,6 +117,13 @@ class Job:
             "config": {k: describe_value(v) for k, v in self.config},
         }
 
+    @cached_property
+    def identity(self) -> str:
+        """:func:`job_identity`, memoized on this job."""
+        description = self.describe()
+        description.pop("name", None)
+        return json.dumps(description, sort_keys=True)
+
 
 def job_identity(job: Job) -> str:
     """Canonical identity of a job's *computation* (name excluded).
@@ -126,10 +134,13 @@ def job_identity(job: Job) -> str:
     Figure 7.1, Figures 7.2/7.3 and the sensitivity sweep into one
     batch, each (mix, organization, fraction) simulation runs once. The
     result cache keys on the same encoding.
+
+    Computed once per :class:`Job` object (a cold cache miss needs it
+    for the lookup, the dedup and the store) and kept on the job, never
+    shared between jobs by value: ``1``, ``1.0`` and ``True`` compare
+    equal but describe differently.
     """
-    description = job.describe()
-    description.pop("name", None)
-    return json.dumps(description, sort_keys=True)
+    return job.identity
 
 
 @dataclass

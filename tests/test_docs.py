@@ -37,6 +37,7 @@ DOCTEST_MODULES = (
     "repro.fleet.scenario_file",
     "repro.perf.trace",
     "repro.perf.engine",
+    "repro.reliability.montecarlo",
     "repro.runner.job",
     "repro.fuzz.sampler",
     "repro.fuzz.oracles",

@@ -3,20 +3,28 @@
 The array-based pairwise fast path must make *bit-identical policy
 decisions* to the exact per-pair event loops on identical sampled
 faults (``exact_pairs=True`` routes every channel through the event
-loops). The batched sampler's per-type fault counts must sit within
-Poisson noise of the analytic expectation.
+loops). The segmented all-pairs pass must list exactly the per-segment
+upper-triangle pairs, and the >=3-fault screen must send exactly the
+channels a scalar footprint walk picks to the event loops. The batched
+sampler's per-type fault counts must sit within Poisson noise of the
+analytic expectation.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.types import DEVICE_LEVEL_TYPES
+from repro.reliability import montecarlo
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.montecarlo import (
     MonteCarloReliability,
     _pairs_intersect,
     _sample_batch,
+    any_pair_per_segment,
     merge_outcomes,
+    segment_pairs,
 )
 from repro.util.units import HOURS_PER_YEAR
 
@@ -95,6 +103,103 @@ class TestVectorizedIntersection:
             stop = int(batch.offsets[channel + 1])
             times = batch.time_hours[start:stop]
             assert np.all(np.diff(times) >= 0)
+
+
+_SEGMENTS = st.lists(
+    st.tuples(st.integers(0, 10_000), st.integers(0, 9)), max_size=12
+)
+
+
+def _per_segment_pairs(segments):
+    """The reference: one upper-triangle index call per segment."""
+    left, right, segment = [], [], []
+    for s, (start, length) in enumerate(segments):
+        i, j = np.triu_indices(length, k=1)
+        left.extend((start + i).tolist())
+        right.extend((start + j).tolist())
+        segment.extend([s] * len(i))
+    return left, right, segment
+
+
+class TestSegmentPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(_SEGMENTS)
+    def test_matches_per_segment_upper_triangle(self, segments):
+        starts = np.array([start for start, _ in segments], dtype=np.int64)
+        lengths = np.array([length for _, length in segments], dtype=np.int64)
+        left, right, segment = segment_pairs(starts, lengths)
+        assert (left.tolist(), right.tolist(), segment.tolist()) == (
+            _per_segment_pairs(segments)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SEGMENTS, st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_chunked_pass_matches_one_pass(self, segments, budget, seed):
+        """A pair budget smaller than one segment's pairs still gives
+        every segment's answer: chunking never splits a segment."""
+        starts = np.array([start for start, _ in segments], dtype=np.int64)
+        lengths = np.array([length for _, length in segments], dtype=np.int64)
+        flags = np.random.default_rng(seed).random(10_010) < 0.05
+
+        def test(left, right):
+            return flags[left] & flags[right]
+
+        expected = [
+            any(flags[a] and flags[b] for a, b in zip(*_per_segment_pairs([seg])[:2]))
+            for seg in segments
+        ]
+        assert any_pair_per_segment(starts, lengths, test).tolist() == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_MAX_SEGMENT_PAIRS", budget)
+            chunked = any_pair_per_segment(starts, lengths, test)
+        assert chunked.tolist() == expected
+
+
+class TestCandidateScreen:
+    """The >=3-fault screen sends exactly the right channels to the exact
+    event loops.
+
+    ``run(exact_pairs=True)`` and the ``montecarlo`` fuzz oracle both go
+    through the screen, so neither can catch a wrong candidate mask; this
+    compares it with a scalar ``footprint_intersects`` walk.
+    """
+
+    @pytest.mark.parametrize(
+        "multiplier,seed,channels",
+        [(10.0, 21, 2000), (20.0, 22, 1500), (40.0, 23, 800), (80.0, 24, 600)],
+    )
+    def test_candidates_match_scalar_walk(
+        self, monkeypatch, multiplier, seed, channels
+    ):
+        batches, decided = [], []
+        sample = montecarlo._sample_batch
+
+        def capture(*args):
+            batches.append(sample(*args))
+            return batches[-1]
+
+        def record(self, faults, outcome):
+            decided.append(tuple(f.time_hours for f in faults))
+
+        monkeypatch.setattr(montecarlo, "_sample_batch", capture)
+        monkeypatch.setattr(MonteCarloReliability, "_decide_channel", record)
+        mc = MonteCarloReliability(ReliabilityParams(rate_multiplier=multiplier))
+        mc._simulate_block(seed, channels, 7.0)
+
+        (batch,) = batches
+        expected, screened_out = [], 0
+        for channel in np.flatnonzero(batch.per_channel >= 3):
+            faults = batch.channel_faults(int(channel))
+            if any(
+                a.footprint_intersects(b)
+                for i, a in enumerate(faults)
+                for b in faults[i + 1 :]
+            ):
+                expected.append(tuple(f.time_hours for f in faults))
+            else:
+                screened_out += 1
+        assert expected and screened_out, "scenario exercises both sides"
+        assert decided == expected
 
 
 class TestMergeOutcomes:

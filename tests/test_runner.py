@@ -189,6 +189,46 @@ class TestResultCache:
         assert cache.key(job) == expected
         assert cache.key(job) == cache.key(dataclasses.replace(job, name="other"))
 
+    def test_cold_run_describes_each_job_once(self, tmp_path, monkeypatch):
+        """A cold miss needs the identity for the lookup, the dedup and
+        the store; the job describes itself once for all three."""
+        described = []
+        describe = Job.describe
+
+        def counting(job):
+            described.append(job.name)
+            return describe(job)
+
+        monkeypatch.setattr(Job, "describe", counting)
+        jobs = [Job.create(f"sq[{x}]", _square, x=x) for x in range(3)]
+        jobs.append(Job.create("same-as-sq[1]", _square, x=1))
+        cache = ResultCache(tmp_path / "cache", version="v1")
+        results = run_jobs(jobs, cache=cache)
+        assert [r.value for r in results] == [0, 1, 4, 1]
+        assert sorted(described) == sorted(job.name for job in jobs)
+
+    def test_identity_is_not_shared_between_equal_values(self):
+        """``1``, ``1.0`` and ``True`` compare equal but key apart."""
+        jobs = [Job.create("j", _square, x=x) for x in (1, 1.0, True)]
+        assert len({job_identity(job) for job in jobs}) == 3
+
+    def test_registry_keys_match_description_hash(self):
+        """Every registry job, full scale and ``--quick``, keys exactly as
+        a fresh, unmemoized description hashes."""
+        from repro.runner.registry import build_plans
+
+        cache = ResultCache("unused", version="fixed")
+        for quick in (False, True):
+            for plan in build_plans(quick=quick):
+                for job in plan.jobs:
+                    description = job.describe()
+                    description.pop("name")
+                    payload = json.dumps(
+                        {"code": "fixed", "job": description}, sort_keys=True
+                    )
+                    expected = hashlib.sha256(payload.encode()).hexdigest()[:32]
+                    assert cache.key(job) == expected, job.name
+
     def test_code_version_invalidates(self, tmp_path):
         old = ResultCache(tmp_path / "cache", version="v1")
         new = ResultCache(tmp_path / "cache", version="v2")
