@@ -1,31 +1,16 @@
-"""Batched trace engine vs the legacy per-access simulator.
+"""Wall-time benchmarks of the trace pipeline, and the speed trajectory.
 
-Two speedup measurements, same physics, equal ``instructions_per_core``
-(the registry's full-scale setting), bit-identical results:
+* **Figures 7.2/7.3 sweep** — the 12-mix x (fault-free + four Table 7.4
+  fault types) sweep at full scale, cold, on the process's resolved
+  replay tier.
+* **Trace materialization** — all 12 mixes materialized at full scale.
+* **Speed trajectory** — ``BENCH_history.json`` holds every measured
+  speed claim across the project's history; its shape is checked here.
 
-* **Trace-simulation suite** — every (mix, organization, fraction)
-  point that full-scale ``repro run`` simulates for Figure 7.1,
-  Figures 7.2/7.3 and the measured sensitivity sweep, across all 12
-  mixes. The legacy pipeline runs one ``TraceSimulator.run`` per point
-  — regenerating the mix's traces every time and recomputing the
-  fault-free baseline once per figure — while the batched engine
-  materializes each trace once and replays every unique point against
-  it (duplicate points dedup, exactly as ``repro run --jobs 1``
-  executes the flattened batch). This is the subsystem's designed
-  behaviour and the enforced acceptance bar: **>= 10x single-core**.
-* **Figures 7.2/7.3 sweep alone** — the 12-mix x (fault-free + four
-  Table 7.4 fault types) sweep in isolation, where the batched side
-  amortizes one materialization over only five points. Reported for
-  the record and asserted against a conservative floor.
-* **Compiled kernel vs the Python batched engine** — the same suite at
-  the raised full-scale registry setting (2M instructions/core, 10x
-  the PR 4 scale), both tiers cold (materialization + flatten + decode
-  + replay), ``repro.perf._kernel`` against the vectorized Python
-  replay it is bit-identical to. Enforced bar: **>= 10x single-core**;
-  skipped with the loader's reason when no C compiler is present.
-
-Timings land in the CI benchmark job's ``BENCH_pr.json`` artifact; the
-measured trajectory across PRs is kept in ``BENCH_history.json``.
+The compiled kernel's end-to-end speed is gated by the repository
+benchmark (``perfbench/``), where trace replay is the largest layer of
+a full ``repro run``. Timings land in the CI benchmark job's
+``BENCH_pr.json`` artifact.
 """
 
 import json
@@ -34,207 +19,38 @@ from pathlib import Path
 
 import pytest
 
-from conftest import emit
-
-from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
-from repro.experiments.sensitivity import DEFAULT_MEASURED_FRACTIONS
+from repro.config import ARCC_MEMORY_CONFIG
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
-from repro.perf._kernel import kernel_available, kernel_provenance
 from repro.perf.engine import BatchedTraceSimulator, clear_engine_memos
-from repro.perf.simulator import TraceSimulator
 from repro.workloads.spec import ALL_MIXES
 
 pytestmark = pytest.mark.mc
 
-#: The PR 4 full-scale trace length: the legacy-vs-batched comparison
-#: stays at the scale its bars were calibrated on.
+#: Full-scale trace length of these benchmarks.
 INSTRUCTIONS = 200_000
-
-#: The raised full-scale registry setting (fig7.1/fig7.2/sensitivity
-#: defaults) the compiled kernel is measured at — 10x the PR 4 scale.
-KERNEL_INSTRUCTIONS = 2_000_000
 
 #: The Figure 7.2/7.3 sweep: fault-free baseline + Table 7.4 fractions.
 FIG72_FRACTIONS = (0.0,) + tuple(
     upgraded_page_fraction(ft) for ft in TABLE_7_4_TYPES
 )
 
-#: Acceptance bars (see module docstring).
-SUITE_BAR = 10.0
-SWEEP_FLOOR = 6.0
-KERNEL_SUITE_BAR = 10.0
 
-
-def _suite_points():
-    """Every unique full-scale (organization, fraction) point per mix."""
-    return [(BASELINE_MEMORY_CONFIG, 0.0)] + [
-        (ARCC_MEMORY_CONFIG, fraction)
-        for fraction in sorted(
-            set(FIG72_FRACTIONS) | set(DEFAULT_MEASURED_FRACTIONS)
-        )
-    ]
-
-
-def _legacy_seconds(config, fraction, mix):
-    started = time.perf_counter()
-    TraceSimulator(config, upgraded_fraction=fraction).run(
-        mix, instructions_per_core=INSTRUCTIONS
-    )
-    return time.perf_counter() - started
-
-
-def _batched_seconds(points, mixes, engine="python", instructions=None):
-    """Cold batched run of ``points`` per mix (mat + replays + dedup).
-
-    The engine tier is pinned (default: the PR 4 Python engine the
-    legacy bars were calibrated against) so ``auto`` resolution can
-    never silently change what a bar measures.
-    """
-    instructions = INSTRUCTIONS if instructions is None else instructions
+def _batched_seconds(points, mixes):
+    """Cold batched run of ``points`` per mix (mat + replays)."""
     clear_engine_memos()
     started = time.perf_counter()
     for mix in mixes:
         for config, fraction in points:
-            BatchedTraceSimulator(
-                config, upgraded_fraction=fraction, engine=engine
-            ).run(mix, instructions_per_core=instructions)
+            BatchedTraceSimulator(config, upgraded_fraction=fraction).run(
+                mix, instructions_per_core=INSTRUCTIONS
+            )
     return time.perf_counter() - started
 
 
 def _warm_dispatch():
-    mix = ALL_MIXES[0]
-    TraceSimulator(ARCC_MEMORY_CONFIG).run(mix, instructions_per_core=2_000)
     BatchedTraceSimulator(ARCC_MEMORY_CONFIG).run(
-        mix, instructions_per_core=2_000
+        ALL_MIXES[0], instructions_per_core=2_000
     )
-
-
-def test_trace_engine_speedups(once):
-    """Both acceptance criteria, measured in one pass.
-
-    Every *unique* legacy point is timed once per mix; pipeline
-    duplicates (the legacy figures each recompute the fault-free ARCC
-    run: Figure 7.1's ARCC column, the Figure 7.2/7.3 baseline and the
-    sensitivity zero point are three separate legacy simulations) are
-    accounted at that measured cost — the simulation is deterministic,
-    so re-running it costs the same seconds.
-    """
-    _warm_dispatch()
-
-    suite_points = _suite_points()
-
-    def multiplicity(point):
-        """Legacy sims of this point per mix across the three figures.
-
-        fig7.1 runs (baseline, 0.0) and (ARCC, 0.0); fig7.2/7.3 runs
-        every ``FIG72_FRACTIONS`` ARCC point; the sensitivity sweep
-        runs every ``DEFAULT_MEASURED_FRACTIONS`` ARCC point — each as
-        its own ``TraceSimulator.run``.
-        """
-        config, fraction = point
-        if config is BASELINE_MEMORY_CONFIG:
-            return 1
-        return (
-            (fraction == 0.0)  # fig7.1's ARCC column
-            + (fraction in FIG72_FRACTIONS)
-            + (fraction in DEFAULT_MEASURED_FRACTIONS)
-        )
-
-    legacy_multiplicity = {
-        point: multiplicity(point) for point in suite_points
-    }
-
-    def measure():
-        legacy_point_seconds = {}
-        for mix in ALL_MIXES:
-            for point in suite_points:
-                seconds = _legacy_seconds(point[0], point[1], mix)
-                legacy_point_seconds[point] = (
-                    legacy_point_seconds.get(point, 0.0) + seconds
-                )
-        legacy_suite = sum(
-            legacy_point_seconds[point] * legacy_multiplicity[point]
-            for point in suite_points
-        )
-        legacy_fig72 = sum(
-            legacy_point_seconds[(ARCC_MEMORY_CONFIG, fraction)]
-            for fraction in FIG72_FRACTIONS
-        )
-        batched_suite = _batched_seconds(suite_points, ALL_MIXES)
-        batched_fig72 = _batched_seconds(
-            [(ARCC_MEMORY_CONFIG, f) for f in FIG72_FRACTIONS], ALL_MIXES
-        )
-        return legacy_suite, legacy_fig72, batched_suite, batched_fig72
-
-    legacy_suite, legacy_fig72, batched_suite, batched_fig72 = once(measure)
-    suite_speedup = legacy_suite / batched_suite
-    fig72_speedup = legacy_fig72 / batched_fig72
-    emit(
-        "Batched trace engine vs TraceSimulator.run "
-        f"(12 mixes, {INSTRUCTIONS} instructions/core, single core)",
-        "trace-simulation suite (fig7.1 + fig7.2/7.3 + sensitivity):\n"
-        f"  legacy      {legacy_suite:8.1f} s  "
-        f"({sum(legacy_multiplicity.values())} sims/mix)\n"
-        f"  batched     {batched_suite:8.1f} s  "
-        f"({len(suite_points)} unique points/mix, one trace)\n"
-        f"  speedup     {suite_speedup:8.1f}x  (acceptance bar: "
-        f"{SUITE_BAR:g}x)\n"
-        "Figure 7.2/7.3 sweep alone (5 points/mix):\n"
-        f"  legacy      {legacy_fig72:8.1f} s\n"
-        f"  batched     {batched_fig72:8.1f} s\n"
-        f"  speedup     {fig72_speedup:8.1f}x  (floor: {SWEEP_FLOOR:g}x)",
-    )
-    assert suite_speedup >= SUITE_BAR
-    assert fig72_speedup >= SWEEP_FLOOR
-
-
-@pytest.mark.skipif(
-    not kernel_available(),
-    reason=f"compiled replay kernel unavailable: {kernel_provenance()}",
-)
-def test_compiled_kernel_suite_speedup(once):
-    """The compiled tier vs the Python batched tier, both cold, at the
-    raised 2M-instructions/core registry scale.
-
-    Cold means each side pays materialization, flattening/decode and
-    every replay from scratch (``clear_engine_memos`` drops the trace,
-    array and route memos) — the honest ratio a fresh full-scale
-    ``repro run`` would see, not a replay-only microbenchmark. The
-    kernel itself is compiled (once, cached) during warmup so build
-    time stays out of the measurement.
-    """
-    _warm_dispatch()
-    mix = ALL_MIXES[0]
-    BatchedTraceSimulator(ARCC_MEMORY_CONFIG, engine="compiled").run(
-        mix, instructions_per_core=2_000
-    )
-
-    points = _suite_points()
-
-    def measure():
-        compiled = _batched_seconds(
-            points, ALL_MIXES, engine="compiled",
-            instructions=KERNEL_INSTRUCTIONS,
-        )
-        python = _batched_seconds(
-            points, ALL_MIXES, engine="python",
-            instructions=KERNEL_INSTRUCTIONS,
-        )
-        return compiled, python
-
-    compiled, python = once(measure)
-    speedup = python / compiled
-    emit(
-        "Compiled replay kernel vs Python batched engine "
-        f"(12 mixes, {KERNEL_INSTRUCTIONS} instructions/core, cold, "
-        "single core)",
-        f"  python      {python:8.1f} s  "
-        f"({len(points)} unique points/mix, one trace)\n"
-        f"  compiled    {compiled:8.1f} s  (same points, same buffers)\n"
-        f"  speedup     {speedup:8.1f}x  (acceptance bar: "
-        f"{KERNEL_SUITE_BAR:g}x)",
-    )
-    assert speedup >= KERNEL_SUITE_BAR
 
 
 def test_bench_fig7_2_7_3_batched(benchmark):

@@ -35,16 +35,16 @@ per-fault weights). ``--jobs 1`` and ``--jobs N`` print identical
 tables — every job owns an explicit RNG seed.
 
 The trace-simulation artifacts (``fig7.1``, ``fig7.2``,
-``sensitivity``) run on the batched engine of :mod:`repro.perf.engine`:
-each mix's trace is materialized once per worker and every
-(organization, upgraded-fraction) point replays it, bit-identical to
-the legacy per-access simulator at a fraction of the cost. The replay
-tier is picked automatically: the compiled C kernel of
-:mod:`repro.perf._kernel` when a C compiler is available, the
-vectorized Python replay otherwise (``REPRO_KERNEL_DISABLE=1`` forces
-it). Both tiers are bit-identical — the tier is recorded in every
-summary line (engine provenance) and in the result-cache key, so
-compiled and fallback runs never share cache entries.
+``sensitivity``) run through :mod:`repro.perf.engine`. The replay
+tier is picked automatically: when a C compiler is available, the
+compiled kernel of :mod:`repro.perf._kernel` materializes each mix's
+trace once per worker and replays every (organization,
+upgraded-fraction) point against it; otherwise the ``reference`` tier
+runs the per-access ``TraceSimulator`` itself
+(``REPRO_KERNEL_DISABLE=1`` forces it). Both tiers are bit-identical —
+the tier is recorded in every summary line (engine provenance) and in
+the result-cache key, so compiled and fallback runs never share cache
+entries.
 ``sensitivity`` sweeps the *measured* upgraded-fraction response
 (``--fractions``) next to the worst-case estimates; ``fig7.4
 --measured`` feeds Figures 7.4/7.5 with freshly measured Figure 7.2/7.3

@@ -51,11 +51,17 @@ class MemoryController:
     state plus the pairing synchronization below.
     """
 
-    def __init__(self, mapping: AddressMapping, channels: List[Channel]):
+    def __init__(
+        self,
+        mapping: AddressMapping,
+        channels: List[Channel],
+        lotecc_checksum: bool = False,
+    ):
         if len(channels) != mapping.config.channels:
             raise ValueError("channel count does not match configuration")
         self.mapping = mapping
         self.channels = channels
+        self.lotecc_checksum = lotecc_checksum
         self.stats = ControllerStats()
 
     def access(
@@ -64,14 +70,17 @@ class MemoryController:
         """Service a request; returns its completion time (ns).
 
         For an upgraded access both the line and its channel-sibling
-        sub-line are issued, and completion is the later of the two (the
+        sub-line are issued, and completion is the latest burst (the
         EDAC controller needs all 36 symbols before it can decode).
+
+        With ``lotecc_checksum`` the controller also issues LOT-ECC's
+        checksum bursts, co-located with the data they protect: every
+        sub-line write is followed by its checksum write, and an
+        upgraded read issues one checksum read per sub-line after both
+        data reads, on the fill's critical path.
         """
         decoded = self.mapping.decode(request.line_address)
-        chan = self.channels[decoded.channel]
-        _, completion = chan.service(
-            request.arrival_ns, decoded.rank, decoded.bank, request.is_write
-        )
+        targets = [decoded]
         if upgraded:
             sibling = self.mapping.sibling_line(request.line_address)
             sib_decoded = self.mapping.decode(sibling)
@@ -80,14 +89,18 @@ class MemoryController:
                     "sub-lines of an upgraded line mapped to one channel; "
                     "address mapping must interleave channels at line level"
                 )
-            sib_chan = self.channels[sib_decoded.channel]
-            _, sib_completion = sib_chan.service(
-                request.arrival_ns,
-                sib_decoded.rank,
-                sib_decoded.bank,
-                request.is_write,
-            )
-            completion = max(completion, sib_completion)
+            targets.append(sib_decoded)
+        if self.lotecc_checksum:
+            if request.is_write:
+                targets = [t for t in targets for _ in (0, 1)]
+            elif upgraded:
+                targets = targets + targets
+        completion = max(
+            self.channels[t.channel].service(
+                request.arrival_ns, t.rank, t.bank, request.is_write
+            )[1]
+            for t in targets
+        )
         request.completion_ns = completion
         self.stats.record(completion - request.arrival_ns, upgraded)
         return completion

@@ -45,12 +45,12 @@ def power_report_from_counters(
 ) -> PowerReport:
     """Roll finalized per-rank counters up into a :class:`PowerReport`.
 
-    Shared by :meth:`MemorySystem.power_report` and the batched engine
-    (:mod:`repro.perf.engine`), which reconstructs the same counters from
-    flat accumulators — one arithmetic path, so both report identical
-    floats for identical counters. ``rank_counters`` must already be
-    finalized (trailing power-down accounted, ``elapsed_ns`` set) and
-    ordered channel-major, rank-minor.
+    Shared by :meth:`MemorySystem.power_report` and the compiled replay
+    driver (:mod:`repro.perf._kernel.driver`), which reconstructs the
+    same counters from flat accumulators — one arithmetic path, so both
+    report identical floats for identical counters. ``rank_counters``
+    must already be finalized (trailing power-down accounted,
+    ``elapsed_ns`` set) and ordered channel-major, rank-minor.
     """
     if end_ns <= 0:
         raise ValueError("measurement window must be positive")
@@ -83,6 +83,7 @@ class MemorySystem:
         self,
         config: MemoryConfig,
         policy: MappingPolicy = MappingPolicy.HIPERF,
+        lotecc_checksum: bool = False,
     ):
         self.config = config
         self.timings = timings_for_width(config.io_width)
@@ -92,7 +93,9 @@ class MemorySystem:
             Channel(self.timings, config.ranks_per_channel)
             for _ in range(config.channels)
         ]
-        self.controller = MemoryController(self.mapping, self.channels)
+        self.controller = MemoryController(
+            self.mapping, self.channels, lotecc_checksum
+        )
         self.rank_power_model = RankPowerModel(
             config.devices_per_rank, self.power_params, self.timings
         )

@@ -21,10 +21,11 @@ Registered pairs and their guarantees (the docs oracle map in
                           round trip) — equal to 1e-9 relative
 ``trace-replay``          ``BatchedTraceSimulator`` vs
                           ``TraceSimulator.run`` — bit-identical
-``trace-kernel``          compiled C replay kernel vs the Python
-                          batched replay on the same buffers —
-                          bit-identical (agreement-by-default on
-                          compiler-less hosts)
+``trace-kernel``          compiled C replay kernel vs
+                          ``TraceSimulator.run``, LOT-ECC checksum
+                          accounting off and on — bit-identical
+                          (agreement-by-default on compiler-less
+                          hosts)
 ``pair-screen``           coordinate-aware uncorrectable-pair screen vs
                           exact MC codeword footprints — exact, channel
                           for channel on every population
@@ -340,12 +341,12 @@ def _shrink_trace(case: Dict[str, Any]) -> List[Dict[str, Any]]:
     return out
 
 
-# -- trace-kernel: compiled C replay vs the Python batched replay -------------
+# -- trace-kernel: compiled C replay vs the scalar oracle, checksum on/off ----
 
 
 def _execute_trace_kernel(case: Dict[str, Any]) -> Optional[str]:
-    """Compiled kernel replay vs the Python batched replay on one
-    (mix, organization, fraction) — bit-identical field for field, with
+    """Compiled kernel replay vs ``TraceSimulator.run`` on one (mix,
+    organization, fraction) — bit-identical field for field, with
     LOT-ECC checksum accounting off and then on (the mode is swept
     here, not drawn, so case lists are unchanged).
 
@@ -372,14 +373,14 @@ def _execute_trace_kernel(case: Dict[str, Any]) -> Optional[str]:
     )
     n = case["instructions_per_core"]
     for checksum in (False, True):
-        compiled = BatchedTraceSimulator(
-            engine="compiled", lotecc_checksum=checksum, **kwargs
-        ).run(mix, instructions_per_core=n)
-        python = BatchedTraceSimulator(
-            engine="python", lotecc_checksum=checksum, **kwargs
-        ).run(mix, instructions_per_core=n)
+        compiled, reference = (
+            BatchedTraceSimulator(
+                engine=engine, lotecc_checksum=checksum, **kwargs
+            ).run(mix, instructions_per_core=n)
+            for engine in ("compiled", "reference")
+        )
         divergence = _mix_result_divergence(
-            compiled, python, "compiled", "python"
+            compiled, reference, "compiled", "reference"
         )
         if divergence is not None:
             return f"lotecc_checksum={checksum}: {divergence}"
@@ -576,7 +577,7 @@ ORACLE_PAIRS: Dict[str, OraclePair] = {
         ),
         OraclePair(
             key="trace-kernel",
-            title="compiled replay kernel vs Python batched replay",
+            title="compiled kernel vs TraceSimulator.run, checksum off and on",
             guarantee="bit-identical",
             hook="tests/test_kernel_equivalence.py",
             sample=sampler.sample_trace_case,

@@ -1,18 +1,18 @@
 """Trace-driven power/performance simulation (the Chapter 7 methodology).
 
-Two engines share one physics:
+Two implementations share one physics:
 
-* :class:`repro.perf.simulator.TraceSimulator` — the original per-access
-  interval model, kept as the *exact reference* (the oracle the batched
-  engine is golden-tested against);
-* :mod:`repro.perf.engine` — the batched subsystem behind every figure:
+* :class:`repro.perf.simulator.TraceSimulator` — the per-access
+  interval model, kept as the *exact reference* (the oracle the
+  compiled kernel is golden-tested against, and the fallback tier on
+  hosts without a C compiler);
+* :mod:`repro.perf.engine` — tier selection behind every figure:
   :func:`~repro.perf.trace.materialize_mix` turns a Table 7.3 mix into a
   struct-of-arrays :class:`~repro.perf.trace.TraceBatch` once, and
-  :func:`~repro.perf.engine.replay` /
-  :func:`~repro.perf.engine.sweep` replay any number of
-  ``upgraded_fraction`` / organization points against it with vectorized
-  classification, decode and rollups — bit-identical results at a
-  fraction of the wall time.
+  :func:`~repro.perf.engine.sweep` replays any number of
+  ``upgraded_fraction`` / organization points against it on the
+  compiled kernel of :mod:`repro.perf._kernel` — bit-identical results
+  at a fraction of the wall time.
 
 Both produce the two numbers every Chapter 7 figure is built from:
 average DRAM power and summed IPC. The upgraded-page fraction is an
@@ -24,7 +24,6 @@ from repro.perf.engine import (
     BatchedTraceSimulator,
     SweepPoint,
     arcc_capable,
-    replay,
     simulate_point_job,
     sweep,
     upgraded_page_flags,
@@ -47,7 +46,6 @@ __all__ = [
     "arcc_capable",
     "materialize_mix",
     "page_is_upgraded",
-    "replay",
     "simulate_point_job",
     "sweep",
     "upgraded_page_flags",

@@ -1,14 +1,14 @@
 """Compiled trace-replay kernel: C core, loader, and NumPy driver.
 
-The third engine tier behind :class:`repro.perf.engine.
-BatchedTraceSimulator` — ``compiled`` → vectorized-Python ``replay()``
-→ ``TraceSimulator.run`` oracle — built at first use from ``kernel.c``
-by :mod:`~repro.perf._kernel.loader` and driven over a batch's NumPy
-buffers by :mod:`~repro.perf._kernel.driver`. Bit-identical to the
-Python engine by contract (``tests/test_kernel_equivalence.py``,
-``repro fuzz --oracles trace-kernel``); unavailable — never silently
-different — when no C compiler is present or ``REPRO_KERNEL_DISABLE``
-is set.
+The fast tier behind :class:`repro.perf.engine.BatchedTraceSimulator`,
+built at first use from ``kernel.c`` by :mod:`~repro.perf._kernel.
+loader` and driven over a batch's NumPy buffers by
+:mod:`~repro.perf._kernel.driver`. Bit-identical to the scalar
+``TraceSimulator.run`` oracle by contract
+(``tests/test_kernel_equivalence.py``, ``repro fuzz --oracles
+trace-kernel``); unavailable — never silently different — when no C
+compiler is present or ``REPRO_KERNEL_DISABLE`` is set, in which case
+the ``reference`` tier runs ``TraceSimulator.run`` itself.
 """
 
 from repro.perf._kernel.driver import (

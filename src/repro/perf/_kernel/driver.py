@@ -1,21 +1,22 @@
 """NumPy-to-ctypes driver for the compiled replay kernel.
 
-The kernel consumes exactly the flat per-access streams the Python
-engine precomputes — organization-independent trace arrays plus the
-per-organization route decode — as contiguous NumPy buffers, and hands
-back the same per-core cycle counts and per-rank channel counters the
-Python loop would hold after the last access. Everything around the
-sequential core is shared with :func:`repro.perf.engine.replay`: the
-same validation, the same vectorized upgraded-page classification, and
-the same finalization (power rollup into a
-:class:`~repro.perf.simulator.MixResult`), so a divergence can only
-come from the transcribed loop itself — which is what the three-way
-matrix in ``tests/test_kernel_equivalence.py`` and the ``trace-kernel``
-fuzz oracle pin.
+The kernel consumes flat per-access streams as contiguous NumPy
+buffers — organization-independent trace arrays plus the
+per-organization route decode (:func:`_route_indices`) — and hands back
+the per-core cycle counts and per-rank channel counters that
+``TraceSimulator.run`` holds after the last access. The driver
+validates the point, classifies upgraded pages with the vectorized
+hash, and rolls the counters up into a
+:class:`~repro.perf.simulator.MixResult` (:func:`_finalize_result`)
+through the same power arithmetic as ``MemorySystem.power_report``, so
+a divergence from the scalar oracle can only come from the sequential
+core itself — which is what the golden matrix in
+``tests/test_kernel_equivalence.py`` and the ``trace-kernel`` fuzz
+oracle pin.
 
-Array memos mirror the engine's: keyed on batch identity (batches are
-memoized by :func:`repro.perf.trace.materialize_mix`), so a sweep
-flattens each trace once per process and decodes once per organization.
+Array memos are keyed on batch identity (batches are memoized by
+:func:`repro.perf.trace.materialize_mix`), so a sweep flattens each
+trace once per process and decodes once per organization.
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ from __future__ import annotations
 import ctypes
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.config import PROCESSOR_CONFIG, MemoryConfig, ProcessorConfig
-from repro.dram.addressing import MappingPolicy
 from repro.dram.channel import POWERDOWN_HYSTERESIS_NS
-from repro.dram.timing import timings_for_width
+from repro.dram.power import PowerCounters, RankPowerModel
+from repro.dram.system import power_report_from_counters
+from repro.dram.timing import power_params_for_width, timings_for_width
 from repro.perf._kernel.loader import (
     REPLAY_NOMEM,
     REPLAY_SINGLE_CHANNEL_PAIR,
@@ -42,16 +44,9 @@ from repro.perf._kernel.loader import (
     ReplayParams,
     load_kernel,
 )
-from repro.perf.simulator import MixResult
+from repro.perf.simulator import CoreResult, MixResult
 from repro.perf.trace import TraceBatch
 from repro.workloads.trace import CoreTrace
-
-#: MappingPolicy -> the integer code kernel.c switches on.
-_POLICY_CODES = {
-    MappingPolicy.BASE: 0,
-    MappingPolicy.HIPERF: 1,
-    MappingPolicy.CLOSE_PAGE: 2,
-}
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,7 @@ class KernelStats:
 
 
 @lru_cache(maxsize=64)
-def _kernel_trace_arrays(batch: TraceBatch):
+def _trace_buffers(batch: TraceBatch):
     """Contiguous organization-independent buffers for one batch."""
     return (
         np.ascontiguousarray(batch.line_addresses, dtype=np.int64),
@@ -86,17 +81,38 @@ def _kernel_trace_arrays(batch: TraceBatch):
 
 
 @lru_cache(maxsize=64)
-def _kernel_route_arrays(
-    batch: TraceBatch, config: MemoryConfig, policy: MappingPolicy
-):
-    """Contiguous per-organization route buffers (int32) for one batch."""
-    from repro.perf.engine import _route_indices
+def _route_indices(
+    batch: TraceBatch, config: MemoryConfig
+) -> Tuple[np.ndarray, ...]:
+    """Decode every access and its ``^ 1`` sibling for one organization.
 
-    return _route_indices(
-        batch,
-        config,
-        policy,
-        lambda a: np.ascontiguousarray(a, dtype=np.int32),
+    Returns contiguous int32 ``(chan, rank_index, bank_index, sib_chan,
+    sib_rank_index, sib_bank_index)``: rank indices are channel-major
+    (``chan * ranks + rank``) and bank indices flat (``rank_index *
+    banks + bank``), so the kernel never multiplies. The conversion
+    must run while the int64 intermediates are still alive: converting
+    after they are freed lets the long-lived memo buffers fragment the
+    glibc heap, about 40 MB more peak RSS on a full-scale ``repro run``.
+    """
+    from repro.perf.engine import decode_lines
+
+    addresses = batch.line_addresses
+    n_ranks = config.ranks_per_channel
+    banks = config.banks_per_device
+    chan_a, rank_a, bank_a = decode_lines(addresses, config)
+    sib_chan_a, sib_rank_a, sib_bank_a = decode_lines(addresses ^ 1, config)
+    ri_a = chan_a * n_ranks + rank_a
+    sri_a = sib_chan_a * n_ranks + sib_rank_a
+    return tuple(
+        np.ascontiguousarray(a, dtype=np.int32)
+        for a in (
+            chan_a,
+            ri_a,
+            ri_a * banks + bank_a,
+            sib_chan_a,
+            sri_a,
+            sri_a * banks + sib_bank_a,
+        )
     )
 
 
@@ -115,8 +131,8 @@ def _upgraded_flag_arrays(
 
 def clear_kernel_memos() -> None:
     """Drop the kernel's array memos (cold-run benchmarking)."""
-    _kernel_trace_arrays.cache_clear()
-    _kernel_route_arrays.cache_clear()
+    _trace_buffers.cache_clear()
+    _route_indices.cache_clear()
     _upgraded_flag_arrays.cache_clear()
 
 
@@ -124,15 +140,82 @@ def _ptr(array: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
 
 
+def _finalize_result(
+    batch: TraceBatch,
+    config: MemoryConfig,
+    cycles: List[float],
+    last_activity: List[float],
+    powerdown_ns: List[float],
+    read_bursts: List[int],
+    write_bursts: List[int],
+    active_ns: List[float],
+    total_latency: float,
+    hits: int,
+    misses: int,
+    ns_per_cycle: float,
+) -> MixResult:
+    """Rollup of one replay's end state into a :class:`MixResult`.
+
+    ``MemorySystem.power_report`` over reconstructed counters: the same
+    trailing power-down accounting as ``Channel.finalize`` and the same
+    :func:`~repro.dram.system.power_report_from_counters` arithmetic.
+    """
+    timings = timings_for_width(config.io_width)
+    hysteresis = POWERDOWN_HYSTERESIS_NS
+    instructions = [
+        int(batch.instruction_gaps[batch.core_slice(i)].sum())
+        for i in range(batch.cores)
+    ]
+    end_ns = max(cycles) * ns_per_cycle
+    counters = []
+    for ri in range(config.channels * config.ranks_per_channel):
+        trailing = end_ns - last_activity[ri]
+        pd = powerdown_ns[ri]
+        if trailing > hysteresis:
+            pd += trailing - hysteresis
+        counters.append(
+            PowerCounters(
+                # Every Channel.service is one ACT-PRE pair: activates
+                # is exactly the burst count (reads + writes).
+                activates=read_bursts[ri] + write_bursts[ri],
+                read_bursts=read_bursts[ri],
+                write_bursts=write_bursts[ri],
+                elapsed_ns=end_ns,
+                active_ns=active_ns[ri],
+                powerdown_ns=pd,
+            )
+        )
+    model = RankPowerModel(
+        config.devices_per_rank,
+        power_params_for_width(config.io_width),
+        timings,
+    )
+    power = power_report_from_counters(model, counters, end_ns)
+    accesses = hits + misses
+    return MixResult(
+        mix_name=batch.mix_name,
+        cores=[
+            CoreResult(
+                benchmark=profile.name,
+                instructions=instructions[i],
+                cycles=cycles[i],
+            )
+            for i, profile in enumerate(batch.profiles)
+        ],
+        power=power,
+        llc_miss_rate=(misses / accesses if accesses else 0.0),
+        average_memory_latency_ns=(
+            total_latency / misses if misses else 0.0
+        ),
+    )
+
+
 def _replay_compiled(
     batch: TraceBatch,
     point,
     processor: ProcessorConfig,
-    policy: MappingPolicy,
 ) -> Tuple[MixResult, KernelStats]:
     """One compiled replay: validate, marshal, run, finalize."""
-    from repro.perf.engine import _finalize_result
-
     config = point.config
     arcc_enabled = point.resolved_arcc()
     fraction = point.upgraded_fraction
@@ -145,10 +228,8 @@ def _replay_compiled(
     )
 
     lib = load_kernel()
-    addr, write, gap_cyc, core_offsets, mlp = _kernel_trace_arrays(batch)
-    chan, ri, fb, schan, sri, sfb = _kernel_route_arrays(
-        batch, config, policy
-    )
+    addr, write, gap_cyc, core_offsets, mlp = _trace_buffers(batch)
+    chan, ri, fb, schan, sri, sfb = _route_indices(batch, config)
     if arcc_enabled and fraction > 0.0:
         upgraded = _upgraded_flag_arrays(batch, fraction)
     else:
@@ -165,12 +246,6 @@ def _replay_compiled(
         n_channels=config.channels,
         n_ranks=config.ranks_per_channel,
         banks_per_device=config.banks_per_device,
-        lines_per_row=(
-            config.page_bytes
-            * config.pages_per_row
-            // config.cacheline_bytes
-        ),
-        policy=_POLICY_CODES[policy],
         paired_single_channel=int(paired_single_channel),
         lotecc_checksum=int(point.lotecc_checksum),
         trc_ns=timings.trc_ns,
@@ -214,8 +289,8 @@ def _replay_compiled(
         _ptr(stat_out),
     )
     if status == REPLAY_SINGLE_CHANNEL_PAIR:
-        # The exact message the Python engine (and the scalar
-        # controller behind it) raises on this condition.
+        # The exact message the scalar controller raises on this
+        # condition.
         raise RuntimeError(
             "sub-lines of an upgraded line mapped to one channel; "
             "address mapping must interleave channels at line level"
@@ -255,20 +330,19 @@ def replay_compiled(
     batch: TraceBatch,
     point,
     processor: ProcessorConfig = PROCESSOR_CONFIG,
-    policy: MappingPolicy = MappingPolicy.HIPERF,
 ) -> MixResult:
-    """Compiled-tier :func:`repro.perf.engine.replay` — bit-identical."""
-    return _replay_compiled(batch, point, processor, policy)[0]
+    """Replay one ``SweepPoint`` over ``batch`` on the kernel —
+    bit-identical to ``TraceSimulator.run``."""
+    return _replay_compiled(batch, point, processor)[0]
 
 
 def replay_compiled_stats(
     batch: TraceBatch,
     point,
     processor: ProcessorConfig = PROCESSOR_CONFIG,
-    policy: MappingPolicy = MappingPolicy.HIPERF,
 ) -> Tuple[MixResult, KernelStats]:
     """Compiled replay plus the kernel's invariant audit."""
-    return _replay_compiled(batch, point, processor, policy)
+    return _replay_compiled(batch, point, processor)
 
 
 __all__ = [

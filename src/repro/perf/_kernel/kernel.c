@@ -1,30 +1,37 @@
 /* The compiled trace-replay core.
  *
- * A statement-for-statement transcription of the sequential core of
- * repro.perf.engine.replay() — the allocation-free Python loop that
- * walks one SweepPoint over a materialized TraceBatch.  Every floating-
- * point operation runs in the same order on the same IEEE-754 doubles
- * (the build disables FP contraction, so no fused multiply-adds can
- * reassociate anything), every LRU tie-break scans the same way order,
- * and the interleave rule is the same cached arg-min — so the outputs
- * are bit-identical to the Python engine, which stays as this kernel's
- * exact oracle (tests/test_kernel_equivalence.py holds the three-way
- * line against TraceSimulator.run as well).
+ * Replays one SweepPoint over a materialized TraceBatch: the quad-core
+ * interval model of repro.perf.simulator.TraceSimulator.run (LLC with
+ * paired LRU, MemoryController, Channel.service), flattened into plain
+ * arrays.  Every floating-point operation runs in the same order on the
+ * same IEEE-754 doubles (the build disables FP contraction, so no fused
+ * multiply-adds can reassociate anything), every LRU tie-break picks
+ * the same victim, and the interleave rule is the scalar loop's (run
+ * the not-done core with the fewest cycles, lowest index on ties) — so
+ * the outputs are bit-identical to TraceSimulator.run, which stays as
+ * this kernel's exact oracle (tests/test_kernel_equivalence.py).
  *
  * That includes LOT-ECC checksum accounting (ReplayParams.lotecc_checksum,
- * SweepPoint.lotecc_checksum on the Python side): each upgraded fill
- * issues one extra read per sub-line after the sibling fill, and every
- * writeback is serviced twice — the same channel_service calls, in the
- * same order, as the Python loop.  Checksum points are two-way
- * (compiled vs Python); the per-access oracle has no checksum mode.
+ * SweepPoint.lotecc_checksum / TraceSimulator(lotecc_checksum=True) on
+ * the Python side): each upgraded fill issues one extra read per
+ * sub-line after the sibling fill, and every writeback is serviced
+ * twice — the same channel_service calls, in the same order, as the
+ * scalar MemoryController.
  *
- * State layout differs from the Python engine in one invisible way: the
- * Python loop keeps global resident/dirty/upgraded sets next to the
- * per-set way lists, while this kernel stores dirty/upgraded as per-way
- * flags.  Equivalent, because the Python sets are only ever queried for
- * resident addresses, insertion always re-establishes both flags, and a
- * page's mode never changes within a replay (see the LLC commentary in
- * engine.py).
+ * State layout departs from the scalar cache in three invisible ways:
+ *
+ * - A resident line is one way slot (address, recency tick, dirty and
+ *   upgraded flags) in its set.  Where the scalar PairedLruPolicy
+ *   recomputes a paired line's effective recency — max(own, sibling) —
+ *   at every eviction, this kernel mirrors it incrementally: touching
+ *   either sub-line of a pair stamps the new tick on *both* slots
+ *   (sub-lines of a pair fill together and evict together, so the
+ *   mirror never goes stale).
+ * - Victim selection is then a scan for the first minimal tick.  Ticks
+ *   are unique per touch and pair-mates never share a set, so the
+ *   minimum is unique within a set and picks the scalar cache's victim.
+ * - A page's mode never changes within a replay, so the per-way
+ *   upgraded flag is set on insertion and never needs clearing.
  *
  * The kernel also self-audits three data-structure invariants on the
  * way through (reported via stat_out, asserted by the hypothesis suite
@@ -33,10 +40,9 @@
  * every core terminates exactly at its stop index.
  *
  * The rollup (PowerCounters reconstruction, RankPowerModel, MixResult)
- * stays in Python: the kernel returns the same per-core cycles and
- * per-rank counters the Python loop would hold at the end of the
- * access stream, and the driver feeds both engines' numbers through
- * the identical finalization path.
+ * stays in Python: the kernel returns the per-core cycles and per-rank
+ * counters the scalar model holds at the end of the access stream, and
+ * the driver feeds them through MemorySystem.power_report's arithmetic.
  */
 
 #include <math.h>
@@ -46,7 +52,7 @@
 typedef long long i64;
 typedef unsigned char u8;
 
-/* Keep in sync with the ctypes.Structure in loader.py: eleven 8-byte
+/* Keep in sync with the ctypes.Structure in loader.py: nine 8-byte
  * integers followed by six doubles, so the layout has no padding. */
 typedef struct {
     i64 n_accesses;
@@ -56,8 +62,6 @@ typedef struct {
     i64 n_channels;
     i64 n_ranks; /* per channel */
     i64 banks_per_device;
-    i64 lines_per_row;
-    i64 policy; /* 0 = BASE, 1 = HIPERF, 2 = CLOSE_PAGE */
     i64 paired_single_channel;
     i64 lotecc_checksum; /* SweepPoint.lotecc_checksum */
     double trc_ns;
@@ -147,8 +151,8 @@ typedef struct {
 } WriteBack;
 
 /* Evict first-minimal-recency ways from set s until a way is free —
- * the Python engine's `while len(addrs_here) >= n_ways` loop, paired
- * eviction included.  Appends the resulting writebacks in order. */
+ * LastLevelCache._evict_from, paired eviction included.  Appends the
+ * resulting writebacks in order. */
 static void evict_until_free(Llc *L, i64 s, WriteBack *wbs, int *n_wb)
 {
     while (L->set_len[s] >= L->n_ways) {
@@ -206,9 +210,8 @@ typedef struct {
     i64 *write_bursts;     /* [rank_index], output */
 } Channels;
 
-/* Channel.service flattened — the identical float sequence to both the
- * demand-fill inline and the write_back() closure of the Python engine
- * (which themselves mirror repro.dram.channel.Channel.service). */
+/* repro.dram.channel.Channel.service flattened — the identical float
+ * sequence, for demand fills and writebacks alike. */
 static double channel_service(Channels *C, const ReplayParams *P,
                               double now, int chan, int ri, int fb,
                               int is_write)
@@ -248,33 +251,18 @@ static double channel_service(Channels *C, const ReplayParams *P,
     return completion;
 }
 
-/* Victim-address decode for writeback routing — the same mixed-radix
- * integer arithmetic as the Python write_back() closure.  Victim
- * addresses are data-dependent, so (like the Python engine) they are
- * decoded on demand rather than positionally precomputed; the Python
- * side memoizes the decode, this side just redoes a handful of integer
- * divisions. */
+/* Victim-address decode for writeback routing — AddressMapping.decode
+ * for the HIPERF mapping, the same mixed-radix integer arithmetic.
+ * Victim addresses are data-dependent, so they are decoded on demand
+ * rather than positionally precomputed like the demand stream. */
 static void decode_route(i64 a, const ReplayParams *P,
                          int *chan, int *ri, int *fb)
 {
     i64 ch = a % P->n_channels;
     i64 rest = a / P->n_channels;
-    i64 bank, rank, r;
-    if (P->policy == 1) { /* HIPERF */
-        bank = rest % P->banks_per_device;
-        rest /= P->banks_per_device;
-        rank = rest % P->n_ranks;
-    } else if (P->policy == 0) { /* BASE */
-        rest /= P->lines_per_row;
-        bank = rest % P->banks_per_device;
-        rest /= P->banks_per_device;
-        rank = rest % P->n_ranks;
-    } else { /* CLOSE_PAGE */
-        rank = rest % P->n_ranks;
-        rest /= P->n_ranks;
-        bank = rest % P->banks_per_device;
-    }
-    r = ch * P->n_ranks + rank;
+    i64 bank = rest % P->banks_per_device;
+    i64 rank = (rest / P->banks_per_device) % P->n_ranks;
+    i64 r = ch * P->n_ranks + rank;
     *chan = (int)ch;
     *ri = (int)r;
     *fb = (int)(r * P->banks_per_device + bank);
@@ -417,7 +405,7 @@ int replay_kernel(
 
             /* LLC miss: insert the line (evicting as needed), then the
              * upgraded sibling, then issue the fill and any writebacks
-             * — the exact event order of the Python engine. */
+             * — the exact event order of the scalar simulator. */
             misses += 1;
             {
                 double now = cyc * ns_per_cycle;

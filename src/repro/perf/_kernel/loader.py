@@ -77,7 +77,7 @@ _state: Optional[Tuple[bool, str, Optional[ctypes.CDLL]]] = None
 
 class ReplayParams(ctypes.Structure):
     """Mirror of ``ReplayParams`` in ``kernel.c`` (same field order):
-    eleven 8-byte integers, then six doubles, so there is no padding."""
+    nine 8-byte integers, then six doubles, so there is no padding."""
 
     _fields_ = [
         ("n_accesses", ctypes.c_longlong),
@@ -87,8 +87,6 @@ class ReplayParams(ctypes.Structure):
         ("n_channels", ctypes.c_longlong),
         ("n_ranks", ctypes.c_longlong),
         ("banks_per_device", ctypes.c_longlong),
-        ("lines_per_row", ctypes.c_longlong),
-        ("policy", ctypes.c_longlong),
         ("paired_single_channel", ctypes.c_longlong),
         ("lotecc_checksum", ctypes.c_longlong),
         ("trc_ns", ctypes.c_double),
@@ -160,10 +158,10 @@ def _compile(
 
 def _resolve() -> Tuple[bool, str, Optional[ctypes.CDLL]]:
     if os.environ.get(DISABLE_ENV):
-        return False, f"python (compiled tier masked by ${DISABLE_ENV})", None
+        return False, f"reference (compiled tier masked by ${DISABLE_ENV})", None
     cc = _find_compiler()
     if cc is None:
-        return False, "python (no C compiler on PATH)", None
+        return False, "reference (no C compiler on PATH)", None
     source = _SOURCE.read_bytes()
     npy = _npyrandom_flags()
     attempts = [
@@ -228,7 +226,7 @@ def _resolve() -> Tuple[bool, str, Optional[ctypes.CDLL]]:
                 ctypes.c_void_p,  # gaps out (int64)
             ]
         return True, "compiled", lib
-    return False, f"python (kernel build failed with {cc})", None
+    return False, f"reference (kernel build failed with {cc})", None
 
 
 def _ensure_resolved() -> Tuple[bool, str, Optional[ctypes.CDLL]]:
@@ -247,7 +245,7 @@ def kernel_provenance() -> str:
     """Which tier backs compiled-engine requests, and why.
 
     ``"compiled"`` when the shared object is loaded; otherwise a
-    ``"python (reason)"`` string naming why the compiled tier is out
+    ``"reference (reason)"`` string naming why the compiled tier is out
     (no compiler, masked by environment, build failure). Surfaces in
     CLI summaries and engine provenance reports — never swallowed.
     """

@@ -87,7 +87,13 @@ class MixResult:
 
 
 class TraceSimulator:
-    """Runs workload mixes against one memory organization."""
+    """Runs workload mixes against one memory organization.
+
+    ``lotecc_checksum`` turns on LOT-ECC operation accounting in the
+    memory controller (see :meth:`~repro.dram.controller.
+    MemoryController.access`), mirroring ``SweepPoint.lotecc_checksum``
+    so checksum points keep this exact oracle too.
+    """
 
     def __init__(
         self,
@@ -96,6 +102,7 @@ class TraceSimulator:
         upgraded_fraction: float = 0.0,
         arcc_enabled: Optional[bool] = None,
         seed: int = 0x7ACE,
+        lotecc_checksum: bool = False,
     ):
         self.config = config
         self.processor = processor
@@ -105,6 +112,7 @@ class TraceSimulator:
             arcc_enabled = config.channels >= 2
         self.arcc_enabled = arcc_enabled
         self.seed = seed
+        self.lotecc_checksum = lotecc_checksum
         if upgraded_fraction and not arcc_enabled:
             raise ValueError(
                 "upgraded pages require an ARCC-capable configuration"
@@ -126,7 +134,9 @@ class TraceSimulator:
         instructions_per_core: int = 200_000,
     ) -> MixResult:
         """Simulate one mix until every core retires its instructions."""
-        memory = MemorySystem(self.config)
+        memory = MemorySystem(
+            self.config, lotecc_checksum=self.lotecc_checksum
+        )
         llc = LastLevelCache(
             sets=self.processor.l2_sets, ways=self.processor.l2_assoc
         )

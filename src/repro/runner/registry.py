@@ -92,10 +92,10 @@ FIGURES: Dict[str, FigureSpec] = {
             quick={"monte_carlo_channels": 0},
         ),
         # The three trace-simulation sweeps below run at 2M
-        # instructions per core x all 12 mixes — 10x the PR 4 scale,
-        # afforded by the compiled replay kernel (repro.perf._kernel;
-        # compiler-less hosts fall back to the vectorized Python engine,
-        # where full scale is ~40s single-core).
+        # instructions per core x all 12 mixes, afforded by the
+        # compiled replay kernel (repro.perf._kernel; compiler-less
+        # hosts fall back to the reference TraceSimulator, where full
+        # scale is ~9 min single-core).
         # Each (mix, point) is its own job, so `repro run --jobs N`
         # shards a mix's sweep points across workers; identical points
         # dedup across figures: the fault-free ARCC point is one

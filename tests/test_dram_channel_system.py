@@ -144,6 +144,51 @@ class TestController:
             _ = req.latency_ns
 
 
+def _bursts(system: MemorySystem):
+    """(read, write) bursts summed over every rank of ``system``."""
+    counters = [
+        c for channel in system.channels for c in channel.finalize(1e6)
+    ]
+    return (
+        sum(c.read_bursts for c in counters),
+        sum(c.write_bursts for c in counters),
+    )
+
+
+class TestLotEccChecksumMode:
+    """``lotecc_checksum``: LOT-ECC's checksum bursts, issued in the
+    order of the compiled kernel (line, its checksum, sibling, its
+    checksum for writes; both sub-lines, then one checksum read each,
+    for upgraded fills)."""
+
+    def test_checksum_write_issues_two_write_bursts(self):
+        system = MemorySystem(ARCC_MEMORY_CONFIG, lotecc_checksum=True)
+        system.access(10, is_write=True, now_ns=0.0)
+        assert _bursts(system) == (0, 2)
+
+    def test_upgraded_checksum_write_pairs_each_sub_line(self):
+        system = MemorySystem(ARCC_MEMORY_CONFIG, lotecc_checksum=True)
+        system.access(10, is_write=True, now_ns=0.0, upgraded=True)
+        assert _bursts(system) == (0, 4)
+        assert [channel.accesses for channel in system.channels] == [2, 2]
+
+    def test_upgraded_checksum_fill_issues_four_read_bursts(self):
+        plain = MemorySystem(ARCC_MEMORY_CONFIG)
+        checked = MemorySystem(ARCC_MEMORY_CONFIG, lotecc_checksum=True)
+        plain_done = plain.access(10, False, 0.0, upgraded=True)
+        checked_done = checked.access(10, False, 0.0, upgraded=True)
+        assert _bursts(plain) == (2, 0)
+        assert _bursts(checked) == (4, 0)
+        assert checked_done >= plain_done
+
+    def test_relaxed_fill_pays_no_checksum_read(self):
+        """Only upgraded fills read checksums on the critical path."""
+        plain = MemorySystem(ARCC_MEMORY_CONFIG)
+        checked = MemorySystem(ARCC_MEMORY_CONFIG, lotecc_checksum=True)
+        assert plain.access(10, False, 0.0) == checked.access(10, False, 0.0)
+        assert _bursts(checked) == (1, 0)
+
+
 class TestMemorySystem:
     def test_power_report_structure(self):
         ms = MemorySystem(ARCC_MEMORY_CONFIG)

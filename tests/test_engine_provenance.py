@@ -64,14 +64,14 @@ def masked_kernel(monkeypatch):
 
 
 class TestCacheKeysDistinguishEngines:
-    def test_compiled_and_python_jobs_never_share_entries(self, tmp_path):
+    def test_compiled_and_reference_jobs_never_share_entries(self, tmp_path):
         """The regression this module exists for: a fallback run must
         miss on a compiled run's cache entry (and vice versa), because
         the resolved tier is part of the job config."""
         cache = ResultCache(str(tmp_path), version="pinned")
         compiled_key = cache.key(_point_job("compiled"))
-        python_key = cache.key(_point_job("python"))
-        assert compiled_key != python_key
+        reference_key = cache.key(_point_job("reference"))
+        assert compiled_key != reference_key
 
     def test_planners_record_resolved_tier_not_auto(self):
         """Plan-time resolution: the jobs a planner emits carry the
@@ -92,7 +92,7 @@ class TestCacheKeysDistinguishEngines:
 class TestEngineProvenance:
     def test_provenance_reports_all_capability_probes(self):
         provenance = engine_provenance()
-        assert provenance["replay_engine"] in ("compiled", "python")
+        assert provenance["replay_engine"] in ("compiled", "reference")
         assert provenance["replay_engine"] == resolve_engine("auto")
         assert provenance["replay_kernel"] == kernel_provenance()
         assert provenance["trace_rng"] == trace_rng_provenance()
@@ -107,8 +107,8 @@ class TestEngineProvenance:
         resolution, and the provenance report."""
         assert not kernel_available()
         assert DISABLE_ENV in kernel_provenance()
-        assert resolve_engine("auto") == "python"
-        assert engine_provenance()["replay_engine"] == "python"
+        assert resolve_engine("auto") == "reference"
+        assert engine_provenance()["replay_engine"] == "reference"
         assert engine_provenance()["trace_rng"] == "generator-fallback"
 
     def test_compiled_request_fails_loudly_when_masked(self, masked_kernel):
@@ -120,12 +120,12 @@ class TestEngineProvenance:
                 mix_by_name("Mix1"), instructions_per_core=500
             )
 
-    def test_masked_run_records_python_on_every_trace_point(
+    def test_masked_run_records_reference_on_every_trace_point(
         self, masked_kernel
     ):
         """``REPRO_KERNEL_DISABLE=1`` is the one way to force the
         fallback: every planned trace point — LOT-ECC checksum points
-        included — records and runs on the Python tier."""
+        included — records and runs on the reference tier."""
         from repro.fleet.measured import plan_measured_profiles
         from repro.runner import execute_plan
 
@@ -138,20 +138,27 @@ class TestEngineProvenance:
             dict(job.config).get("lotecc_checksum") for job in plan.jobs
         )
         assert {dict(job.config)["engine"] for job in plan.jobs} == {
-            "python"
+            "reference"
         }
         assert execute_plan(plan)
 
-    def test_python_tier_unaffected_by_mask(self, masked_kernel):
-        result = BatchedTraceSimulator(engine="python").run(
+    def test_reference_tier_unaffected_by_mask(self, masked_kernel):
+        result = BatchedTraceSimulator(engine="reference").run(
             mix_by_name("Mix1"), instructions_per_core=500
         )
         assert result.cores
 
     def test_tier_vocabulary_is_closed(self):
-        assert ENGINE_TIERS == ("auto", "compiled", "python")
+        assert ENGINE_TIERS == ("auto", "compiled", "reference")
         with pytest.raises(ValueError, match="unknown engine"):
             BatchedTraceSimulator(engine="turbo")
+
+    def test_resolved_tier_resolves_to_itself(self):
+        """Job configs carry the resolved tier, and the trace-point
+        tracer re-resolves it: resolution must be idempotent."""
+        resolved = resolve_engine("auto")
+        assert resolve_engine(resolved) == resolved
+        assert resolve_engine("reference") == "reference"
 
     def test_loader_recovers_after_unmasking(self):
         """The fixture's teardown path, asserted explicitly: resetting

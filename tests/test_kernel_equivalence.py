@@ -1,15 +1,15 @@
-"""Three-way golden matrix for the compiled replay kernel.
+"""Golden matrix for the compiled replay kernel.
 
 The compiled tier (``repro.perf._kernel``) must be bit-identical to the
-Python batched ``replay()`` — and transitively to the per-access
-``TraceSimulator.run`` oracle — field for field, across every axis the
-sweep registry exercises: all 12 mixes x 5 upgraded fractions, the
-custom organizations of ``test_custom_organizations.py``, non-default
-seeds, and deep eviction-heavy runs. LOT-ECC checksum points
-(``SweepPoint.lotecc_checksum``) are two-way — compiled vs Python — since
-the per-access oracle has no checksum mode. When no C compiler is present the
-module *skips with the loader's reason string* — a visible skip, never
-a silent pass (the CI fallback leg exercises exactly that path).
+per-access ``TraceSimulator.run`` oracle, field for field, across every
+axis the sweep registry exercises: all 12 mixes x 5 upgraded fractions,
+the custom organizations of ``test_custom_organizations.py``,
+non-default seeds, deep eviction-heavy runs, and LOT-ECC checksum
+points (``SweepPoint.lotecc_checksum`` against
+``TraceSimulator(lotecc_checksum=True)``). When no C compiler is
+present the module *skips with the loader's reason string* — a visible
+skip, never a silent pass (the CI fallback leg exercises exactly that
+path).
 """
 
 import dataclasses
@@ -29,7 +29,7 @@ from repro.perf._kernel import (
     replay_compiled,
     replay_compiled_stats,
 )
-from repro.perf.engine import SweepPoint, replay
+from repro.perf.engine import SweepPoint
 from repro.perf.simulator import TraceSimulator
 from repro.perf.trace import materialize_mix
 from repro.workloads.spec import ALL_MIXES, mix_by_name
@@ -55,27 +55,47 @@ EVICTION_HEAVY_PROCESSOR = dataclasses.replace(
 )
 
 
-def three_way(mix, config, fraction, seed=0x7ACE, instructions=INSTRUCTIONS):
-    """Assert compiled == Python replay == legacy oracle on one cell."""
-    batch = materialize_mix(mix, seed, instructions)
-    point = SweepPoint(config=config, upgraded_fraction=fraction)
-    compiled = result_fingerprint(replay_compiled(batch, point))
-    python = result_fingerprint(replay(batch, point))
-    oracle = result_fingerprint(
-        TraceSimulator(config, upgraded_fraction=fraction, seed=seed).run(
-            mix, instructions_per_core=instructions
-        )
+def reference(batch, point, processor=PROCESSOR_CONFIG):
+    """``TraceSimulator.run`` on the mix, seed and budget of ``batch``."""
+    return TraceSimulator(
+        point.config,
+        processor,
+        upgraded_fraction=point.upgraded_fraction,
+        seed=batch.seed,
+        lotecc_checksum=point.lotecc_checksum,
+    ).run(
+        mix_by_name(batch.mix_name),
+        instructions_per_core=batch.instructions_per_core,
     )
-    assert compiled == python, (mix.name, config.name, fraction, seed)
-    assert python == oracle, (mix.name, config.name, fraction, seed)
+
+
+def two_way(batch, point, processor=PROCESSOR_CONFIG):
+    """Assert compiled == reference on one cell; return the fingerprint."""
+    compiled = result_fingerprint(replay_compiled(batch, point, processor))
+    oracle = result_fingerprint(reference(batch, point, processor))
+    assert compiled == oracle, (
+        batch.mix_name,
+        point.config.name,
+        point.upgraded_fraction,
+        point.lotecc_checksum,
+        batch.seed,
+    )
+    return compiled
+
+
+def golden_cell(mix, config, fraction, seed=0x7ACE):
+    two_way(
+        materialize_mix(mix, seed, INSTRUCTIONS),
+        SweepPoint(config=config, upgraded_fraction=fraction),
+    )
 
 
 class TestGoldenMatrix:
     @pytest.mark.parametrize("mix", ALL_MIXES, ids=lambda m: m.name)
     def test_all_mixes_all_fractions(self, mix):
-        """12 mixes x 5 fractions, three ways each (60 cells)."""
+        """12 mixes x 5 fractions (60 cells)."""
         for fraction in FRACTIONS:
-            three_way(mix, ARCC_MEMORY_CONFIG, fraction)
+            golden_cell(mix, ARCC_MEMORY_CONFIG, fraction)
 
     @pytest.mark.parametrize(
         "config", CUSTOM_ORGANIZATIONS, ids=lambda c: c.name
@@ -85,36 +105,36 @@ class TestGoldenMatrix:
         device fraction (odd channel/rank/bank counts bend the route
         decode and the per-organization fraction alike)."""
         for fraction in (0.0, upgraded_page_fraction(FaultType.DEVICE, config)):
-            three_way(mix_by_name("Mix3"), config, fraction)
+            golden_cell(mix_by_name("Mix3"), config, fraction)
 
     @pytest.mark.parametrize("seed", [1, 0xBEEF, 987654321])
     def test_non_default_seeds(self, seed):
         """Different seeds change every address/gap stream; identity
         must not depend on the default 0x7ACE materialization."""
-        three_way(mix_by_name("Mix5"), ARCC_MEMORY_CONFIG, 0.37, seed=seed)
+        golden_cell(mix_by_name("Mix5"), ARCC_MEMORY_CONFIG, 0.37, seed=seed)
 
 
 class TestDeepEvictionHeavyRuns:
     """300k-instruction runs on a 4-way LLC: sustained eviction load.
 
-    The oracle leg is included — at this scale it is the most expensive
-    cell of the matrix, so only two mixes run deep, chosen for opposite
-    locality (Mix1 dense, Mix12 sparse).
+    Two mixes run deep, chosen for opposite locality (Mix1 dense, Mix12
+    sparse).
     """
 
     @pytest.mark.parametrize("mix_name", ["Mix1", "Mix12"])
     @pytest.mark.parametrize("fraction", [0.0, 0.37])
     def test_deep_runs(self, mix_name, fraction):
-        mix = mix_by_name(mix_name)
-        batch = materialize_mix(mix, 0x7ACE, DEEP_INSTRUCTIONS)
+        batch = materialize_mix(
+            mix_by_name(mix_name), 0x7ACE, DEEP_INSTRUCTIONS
+        )
         point = SweepPoint(
             config=ARCC_MEMORY_CONFIG, upgraded_fraction=fraction
         )
         compiled, stats = replay_compiled_stats(
             batch, point, EVICTION_HEAVY_PROCESSOR
         )
-        python = replay(batch, point, EVICTION_HEAVY_PROCESSOR)
-        assert result_fingerprint(compiled) == result_fingerprint(python)
+        oracle = reference(batch, point, EVICTION_HEAVY_PROCESSOR)
+        assert result_fingerprint(compiled) == result_fingerprint(oracle)
         # The deep runs really are eviction-heavy: the kernel's
         # high-water mark sits at (or, with pair evictions dropping two
         # lines at once, a whisker under) capacity, never above it.
@@ -127,18 +147,11 @@ class TestDeepEvictionHeavyRuns:
         assert stats.mirror_violations == 0
 
     def test_deep_run_against_oracle(self):
-        """One full three-way cell at depth (the slow-but-decisive
-        transitivity anchor for the 300k runs above)."""
-        mix = mix_by_name("Mix1")
-        batch = materialize_mix(mix, 0x7ACE, DEEP_INSTRUCTIONS)
-        point = SweepPoint(config=ARCC_MEMORY_CONFIG, upgraded_fraction=0.37)
-        compiled = result_fingerprint(replay_compiled(batch, point))
-        oracle = result_fingerprint(
-            TraceSimulator(
-                ARCC_MEMORY_CONFIG, upgraded_fraction=0.37
-            ).run(mix, instructions_per_core=DEEP_INSTRUCTIONS)
+        """One deep cell on the default LLC geometry."""
+        two_way(
+            materialize_mix(mix_by_name("Mix1"), 0x7ACE, DEEP_INSTRUCTIONS),
+            SweepPoint(config=ARCC_MEMORY_CONFIG, upgraded_fraction=0.37),
         )
-        assert compiled == oracle
 
 
 #: Fault-free, every Table 7.4 class fraction, and fully upgraded.
@@ -147,23 +160,15 @@ CHECKSUM_FRACTIONS = (0.0,) + tuple(
 ) + (1.0,)
 
 
-def checksum_pair(batch, point, processor=PROCESSOR_CONFIG):
-    """Assert compiled == Python on one checksum point; return it."""
-    compiled = result_fingerprint(replay_compiled(batch, point, processor))
-    python = result_fingerprint(replay(batch, point, processor))
-    assert compiled == python, point
-    return compiled
-
-
 class TestChecksumPoints:
     """LOT-ECC checksum accounting: the kernel's extra reads on upgraded
-    fills and doubled writebacks match the Python tier bit for bit."""
+    fills and doubled writebacks match the reference bit for bit."""
 
     @pytest.mark.parametrize("mix", ALL_MIXES, ids=lambda m: m.name)
     def test_all_mixes_class_fractions(self, mix):
         batch = materialize_mix(mix, 0x7ACE, INSTRUCTIONS)
         for fraction in CHECKSUM_FRACTIONS:
-            checksum_pair(
+            two_way(
                 batch,
                 SweepPoint(
                     config=ARCC_MEMORY_CONFIG,
@@ -183,7 +188,7 @@ class TestChecksumPoints:
                 if fault_type is None
                 else upgraded_page_fraction(fault_type, config)
             )
-            checksum_pair(
+            two_way(
                 batch,
                 SweepPoint(
                     config=config,
@@ -200,7 +205,7 @@ class TestChecksumPoints:
         batch = materialize_mix(
             mix_by_name(mix_name), 0x7ACE, DEEP_INSTRUCTIONS
         )
-        checked = checksum_pair(
+        checked = two_way(
             batch,
             SweepPoint(
                 config=ARCC_MEMORY_CONFIG,

@@ -32,7 +32,8 @@ from repro.perf._kernel import (
     kernel_provenance,
     replay_compiled_stats,
 )
-from repro.perf.engine import SweepPoint, replay
+from repro.perf.engine import SweepPoint
+from repro.perf.simulator import TraceSimulator
 from repro.perf.trace import materialize_mix
 from repro.workloads.spec import ALL_MIXES
 
@@ -106,8 +107,16 @@ class TestKernelInvariants:
 
     @settings(max_examples=15, deadline=None)
     @given(CASES)
-    def test_matches_python_replay(self, case):
-        """The audited runs are also bit-identical to the Python tier
-        (drawn geometries included — not just the default LLC)."""
-        batch, processor, point, result, _ = run_case(case)
-        assert result == replay(batch, point, processor)
+    def test_matches_reference(self, case):
+        """The audited runs are also bit-identical to
+        ``TraceSimulator.run`` on the drawn LLC geometry, with the drawn
+        checksum mode — not just the default LLC."""
+        _, processor, point, result, _ = run_case(case)
+        mix, seed, instructions, fraction, _, checksum = case
+        assert result == TraceSimulator(
+            point.config,
+            processor=processor,
+            upgraded_fraction=fraction,
+            seed=seed,
+            lotecc_checksum=checksum,
+        ).run(mix, instructions_per_core=instructions)

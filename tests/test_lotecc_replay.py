@@ -6,7 +6,8 @@ factor: every DRAM write issues an extra checksum write burst, and
 every upgraded fill additionally pays one checksum read per sub-line
 on its critical path. These tests pin the mode's contract:
 
-* the compiled kernel and the Python tier agree on it bit for bit;
+* the compiled kernel and the reference tier (``TraceSimulator``)
+  agree on it bit for bit;
 * turning it on strictly increases measured traffic — checksum bursts
   occupy the buses, so memory latency and core cycles rise even with
   zero upgrades, and upgraded fills pay checksum reads on top;
@@ -23,13 +24,12 @@ from repro.config import ARCC_MEMORY_CONFIG
 from repro.perf._kernel import kernel_available, kernel_provenance
 from repro.perf.engine import (
     BatchedTraceSimulator,
-    MappingPolicy,
     SweepPoint,
-    materialize_mix,
     replay_resolved,
     resolve_engine,
 )
 from repro.perf.simulator import PROCESSOR_CONFIG
+from repro.perf.trace import materialize_mix
 from repro.workloads.spec import ALL_MIXES
 
 #: A mix whose 200k-instruction working set overflows the LLC, so
@@ -52,7 +52,7 @@ class TestChecksumTiers:
         reason=f"compiled replay kernel unavailable: {kernel_provenance()}",
     )
     @pytest.mark.parametrize("fraction", [0.0, 0.5])
-    def test_compiled_equals_python_on_checksum_points(self, fraction):
+    def test_compiled_equals_reference_on_checksum_points(self, fraction):
         batch = materialize_mix(MIX, 0x7ACE, N)
         point = SweepPoint(
             config=ARCC_MEMORY_CONFIG,
@@ -60,15 +60,17 @@ class TestChecksumTiers:
             lotecc_checksum=True,
         )
         results = [
-            replay_resolved(
-                batch, point, PROCESSOR_CONFIG, MappingPolicy.HIPERF, tier
-            )
-            for tier in ("compiled", "python")
+            replay_resolved(batch, point, PROCESSOR_CONFIG, tier)
+            for tier in ("compiled", "reference")
         ]
         assert results[0] == results[1]
 
-    def test_python_tier_accepts_checksum_points(self):
-        result = _run(0.0, checksum=True)
+    def test_reference_tier_accepts_checksum_points(self):
+        result = BatchedTraceSimulator(
+            config=ARCC_MEMORY_CONFIG,
+            lotecc_checksum=True,
+            engine="reference",
+        ).run(MIX, instructions_per_core=N)
         assert result.power.total_w > 0
 
 

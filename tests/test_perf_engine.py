@@ -1,7 +1,7 @@
 """Golden-equivalence and property tests for the batched trace engine.
 
 The batched engine (:mod:`repro.perf.engine`) must be *bit-identical*
-to the legacy oracle ``TraceSimulator.run`` — same per-core instruction
+to the oracle ``TraceSimulator.run`` — same per-core instruction
 and cycle counts, same miss counts, same power totals — not merely
 close: every figure now runs on it, so any drift is a silent change to
 the reproduction. The tests here hold that line for all 12 Table 7.3
@@ -13,14 +13,18 @@ saturate and the eviction/writeback machinery is exercised.
 import numpy as np
 import pytest
 
-from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
+from repro.config import (
+    ARCC_MEMORY_CONFIG,
+    BASELINE_MEMORY_CONFIG,
+    PROCESSOR_CONFIG,
+)
 from repro.dram.addressing import AddressMapping, MappingPolicy
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.perf.engine import (
     BatchedTraceSimulator,
     SweepPoint,
     decode_lines,
-    replay,
+    replay_resolved,
     simulate_point_job,
     sweep,
     upgraded_page_flags,
@@ -108,15 +112,20 @@ class TestGoldenEquivalence:
         assert result_fingerprint(legacy) == result_fingerprint(batched)
 
     def test_sweep_matches_individual_replays(self):
+        """A sweep over one batch equals the reference tier point by
+        point, which rebuilds the mix from the batch and draws its own
+        traces."""
         mix = mix_by_name("Mix2")
         batch = materialize_mix(mix, 0x7ACE, QUICK_INSTRUCTIONS)
         points = [
-            SweepPoint(upgraded_fraction=f) for f in (0.0, 0.5, 1.0)
+            SweepPoint(upgraded_fraction=f, lotecc_checksum=checksum)
+            for f in (0.0, 0.5, 1.0)
+            for checksum in (False, True)
         ] + [SweepPoint(config=BASELINE_MEMORY_CONFIG)]
         swept = sweep(batch, points)
         for point, result in zip(points, swept):
             assert result_fingerprint(result) == result_fingerprint(
-                replay(batch, point)
+                replay_resolved(batch, point, PROCESSOR_CONFIG, "reference")
             )
 
     def test_upgrades_require_arcc(self):
@@ -125,8 +134,10 @@ class TestGoldenEquivalence:
                 ARCC_MEMORY_CONFIG, upgraded_fraction=0.5, arcc_enabled=False
             )
         batch = materialize_mix(mix_by_name("Mix1"), 0x7ACE, 1_000)
-        with pytest.raises(ValueError):
-            replay(batch, SweepPoint(upgraded_fraction=0.5, arcc_enabled=False))
+        point = SweepPoint(upgraded_fraction=0.5, arcc_enabled=False)
+        for engine in ("auto", "reference"):
+            with pytest.raises(ValueError):
+                sweep(batch, [point], engine=engine)
 
     def test_odd_channel_counts_simulate_like_the_oracle(self):
         """Sub-lines share a channel iff channels == 1, not 'odd'.

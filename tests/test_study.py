@@ -362,7 +362,7 @@ class TestManifest:
         assert manifest["unique_jobs"] == result.unique_jobs
         assert manifest["engine_provenance"]["resolved"] in (
             "compiled",
-            "python",
+            "reference",
         )
         point = manifest["points"][0]
         assert point["id"] == result.points[0].point.point_id
