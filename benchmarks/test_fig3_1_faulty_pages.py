@@ -4,7 +4,8 @@ import pytest
 
 from conftest import emit
 
-from repro.experiments.fig3_1 import run_fig3_1
+from repro.experiments.fig3_1 import plan_fig3_1
+from repro.runner import execute_plan
 
 pytestmark = [pytest.mark.slow, pytest.mark.mc]
 
@@ -12,7 +13,9 @@ CHANNELS = 800
 
 
 def test_fig3_1_faulty_memory_vs_time(once):
-    result = once(run_fig3_1, years=7, channels=CHANNELS)
+    result = once(
+        lambda: execute_plan(plan_fig3_1(years=7, channels=CHANNELS))
+    )
     emit("Figure 3.1: Faulty Memory vs Time", result.to_table())
 
     for mult, series in result.series.items():

@@ -9,20 +9,24 @@ import pytest
 
 from conftest import emit
 
-from repro.experiments.fig6_1 import run_fig6_1
+from repro.experiments.fig6_1 import plan_fig6_1
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.due import due_reduction_factor
+from repro.runner import execute_plan
 
 pytestmark = pytest.mark.mc
 
 
 def test_fig6_1_sdc_rates(once):
     result = once(
-        run_fig6_1,
-        lifespans=(3, 5, 7),
-        multipliers=(1.0, 2.0, 4.0),
-        monte_carlo_channels=2000,
-        monte_carlo_years=7.0,
+        lambda: execute_plan(
+            plan_fig6_1(
+                lifespans=(3, 5, 7),
+                multipliers=(1.0, 2.0, 4.0),
+                monte_carlo_channels=2000,
+                monte_carlo_years=7.0,
+            )
+        )
     )
     emit("Figure 6.1: Reliability Comparison", result.to_table())
 

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import emit
 
-from repro.experiments.fig7_1 import run_fig7_1
+from repro.experiments.fig7_1 import plan_fig7_1
+from repro.runner import execute_plan
 
 pytestmark = pytest.mark.slow
 
@@ -17,7 +18,9 @@ INSTRUCTIONS = 40_000
 
 
 def test_fig7_1_power_and_performance(once):
-    result = once(run_fig7_1, instructions_per_core=INSTRUCTIONS)
+    result = once(
+        lambda: execute_plan(plan_fig7_1(instructions_per_core=INSTRUCTIONS))
+    )
     emit("Figure 7.1: Power and Performance Improvements", result.to_table())
 
     # Headline averages (paper: 36.7% power, +5.9% performance).

@@ -11,10 +11,11 @@ import pytest
 
 from conftest import emit
 
-from repro.experiments.fig7_2_7_3 import run_fig7_2_7_3
+from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
 from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import FaultType
 from repro.perf.simulator import worst_case_power_ratio
+from repro.runner import execute_plan
 from repro.workloads.spec import ALL_MIXES
 
 pytestmark = pytest.mark.slow
@@ -25,7 +26,9 @@ MIXES = ALL_MIXES[:6]  # half the mixes keeps the bench under a minute
 
 def test_fig7_2_and_7_3_fault_overheads(once):
     result = once(
-        run_fig7_2_7_3, mixes=MIXES, instructions_per_core=INSTRUCTIONS
+        lambda: execute_plan(
+            plan_fig7_2_7_3(mixes=MIXES, instructions_per_core=INSTRUCTIONS)
+        )
     )
     emit(
         "Figures 7.2 / 7.3: Power and Performance with Faults",

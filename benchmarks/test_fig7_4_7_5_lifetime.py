@@ -9,7 +9,9 @@ import pytest
 
 from conftest import emit
 
-from repro.experiments.fig7_4_7_5 import measured_overheads, run_fig7_4_7_5
+from repro.experiments.fig7_4_7_5 import plan_fig7_4_7_5
+from repro.fleet import measured_fault_ratios
+from repro.runner import execute_plan
 from repro.workloads.spec import ALL_MIXES
 
 pytestmark = [pytest.mark.slow, pytest.mark.mc]
@@ -19,11 +21,11 @@ CHANNELS = 800
 
 def test_fig7_4_and_7_5_lifetime_overheads(once):
     def full_run():
-        overheads = measured_overheads(
+        overheads = measured_fault_ratios(
             instructions_per_core=15_000, mixes=ALL_MIXES[:3]
         )
-        return run_fig7_4_7_5(
-            years=7, channels=CHANNELS, overheads=overheads
+        return execute_plan(
+            plan_fig7_4_7_5(years=7, channels=CHANNELS, overheads=overheads)
         )
 
     result = once(full_run)

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import emit
 
-from repro.experiments.fig7_6 import run_fig7_6
+from repro.experiments.fig7_6 import plan_fig7_6
+from repro.runner import execute_plan
 
 pytestmark = [pytest.mark.slow, pytest.mark.mc]
 
@@ -12,7 +13,9 @@ CHANNELS = 800
 
 
 def test_fig7_6_arcc_lotecc_overhead(once):
-    result = once(run_fig7_6, years=7, channels=CHANNELS)
+    result = once(
+        lambda: execute_plan(plan_fig7_6(years=7, channels=CHANNELS))
+    )
     emit("Figure 7.6: ARCC + LOT-ECC", result.to_table())
 
     # Paper: ~1.6% average at 1x over the 7-year period.

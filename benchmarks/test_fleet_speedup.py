@@ -10,7 +10,8 @@ end-to-end absolute time is tracked by ``perfbench/``.
 import pytest
 
 from repro.faults.lifetime import faulty_page_fraction_timeseries
-from repro.fleet import run_fleet
+from repro.fleet import plan_fleet
+from repro.runner import execute_plan
 
 pytestmark = pytest.mark.mc
 
@@ -32,8 +33,9 @@ def test_bench_fleet_vectorized(benchmark):
 def test_bench_fleet_scenario_100k(benchmark):
     """A heterogeneous 10^5-channel scenario sweep, single core."""
     report = benchmark.pedantic(
-        run_fleet,
-        kwargs=dict(scenario="mixed-generations", channels=CHANNELS),
+        lambda: execute_plan(
+            plan_fleet(scenario="mixed-generations", channels=CHANNELS)
+        ),
         rounds=1,
         iterations=1,
     )

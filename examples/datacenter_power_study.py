@@ -12,8 +12,9 @@ Run:  python examples/datacenter_power_study.py          (quick subset)
 
 import sys
 
-from repro.experiments.fig7_1 import run_fig7_1
-from repro.experiments.fig7_2_7_3 import run_fig7_2_7_3
+from repro.experiments.fig7_1 import plan_fig7_1
+from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
+from repro.runner import execute_plan
 from repro.workloads.spec import ALL_MIXES
 
 
@@ -23,7 +24,9 @@ def main() -> None:
     instructions = 40_000 if full else 25_000
 
     print("== Fault-free comparison (Figure 7.1) ==")
-    fig71 = run_fig7_1(mixes=mixes, instructions_per_core=instructions)
+    fig71 = execute_plan(
+        plan_fig7_1(mixes=mixes, instructions_per_core=instructions)
+    )
     print(fig71.to_table())
     print()
     print(
@@ -34,8 +37,8 @@ def main() -> None:
     print()
 
     print("== With a single device-level fault (Figures 7.2/7.3) ==")
-    overheads = run_fig7_2_7_3(
-        mixes=mixes[:3], instructions_per_core=instructions
+    overheads = execute_plan(
+        plan_fig7_2_7_3(mixes=mixes[:3], instructions_per_core=instructions)
     )
     print(overheads.to_table())
     print()

@@ -24,16 +24,18 @@ Run:  python examples/fleet_reliability_study.py [--jobs N]
 import argparse
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
-from repro.experiments.fig6_1 import run_fig6_1
+from repro.experiments.fig6_1 import plan_fig6_1
 from repro.fleet import (
     FleetScenario,
     RatePhase,
     SubPopulation,
-    run_fleet,
-    run_fleet_compare,
+    measure_scenario_profiles,
+    plan_fleet,
+    plan_fleet_compare,
 )
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.due import due_rate_sccdcd, due_rate_sparing
+from repro.runner import execute_plan
 
 #: A fleet no single homogeneous simulation covers: three ARCC cohorts
 #: (fresh with burn-in, mid-life, hot-aisle) plus a legacy x4 remnant.
@@ -80,7 +82,7 @@ def main() -> None:
     args = parser.parse_args()
 
     print("== How much of the fleet ever sees a fault? ==")
-    report = run_fleet(DATACENTER_FLEET, jobs=args.jobs)
+    report = execute_plan(plan_fleet(DATACENTER_FLEET), max_workers=args.jobs)
     print(report.to_table())
     print()
     worst_slice = max(
@@ -94,10 +96,12 @@ def main() -> None:
     print()
 
     print("== Which protection policy should this fleet run? ==")
-    comparison = run_fleet_compare(
-        DATACENTER_FLEET,
-        policies=("arcc", "sccdcd", "lotecc"),
-        jobs=args.jobs,
+    comparison = execute_plan(
+        plan_fleet_compare(
+            DATACENTER_FLEET,
+            policies=("arcc", "sccdcd", "lotecc"),
+        ),
+        max_workers=args.jobs,
     )
     print(comparison.to_table())
     arcc = comparison.fleet_summary("arcc")
@@ -115,11 +119,18 @@ def main() -> None:
     # points against both organizations of this fleet, so LOT-ECC is
     # priced at its locality-aware cost instead of the flat 4x worst
     # case. The measurement shares its cache with fig7.2/7.3.
-    measured = run_fleet_compare(
+    profiles = measure_scenario_profiles(
         DATACENTER_FLEET,
         policies=("arcc", "sccdcd", "lotecc"),
-        measured=True,
         jobs=args.jobs,
+    )
+    measured = execute_plan(
+        plan_fleet_compare(
+            DATACENTER_FLEET,
+            policies=("arcc", "sccdcd", "lotecc"),
+            profiles=profiles,
+        ),
+        max_workers=args.jobs,
     )
     print(measured.to_table())
     lot_worst = comparison.fleet_summary("lotecc")
@@ -134,12 +145,14 @@ def main() -> None:
     print()
 
     print("== What does relaxed detection cost? (Figure 6.1) ==")
-    fig61 = run_fig6_1(
-        lifespans=(3, 5, 7),
-        multipliers=(1.0, 2.0, 4.0),
-        monte_carlo_channels=20_000,
-        monte_carlo_years=7.0,
-        jobs=args.jobs,
+    fig61 = execute_plan(
+        plan_fig6_1(
+            lifespans=(3, 5, 7),
+            multipliers=(1.0, 2.0, 4.0),
+            monte_carlo_channels=20_000,
+            monte_carlo_years=7.0,
+        ),
+        max_workers=args.jobs,
     )
     print(fig61.to_table())
     print()

@@ -15,7 +15,8 @@ Run:  python examples/lotecc_vecc_extensions.py
 
 from repro.core.lotecc_arcc import ArccLotEcc
 from repro.core.vecc_arcc import ArccVecc
-from repro.experiments.fig7_6 import run_fig7_6
+from repro.experiments.fig7_6 import plan_fig7_6
+from repro.runner import execute_plan
 
 
 def demo_lotecc() -> None:
@@ -78,7 +79,7 @@ def demo_vecc() -> None:
 
 def demo_lifetime() -> None:
     print("== Figure 7.6: worst-case lifetime overhead ==")
-    result = run_fig7_6(years=7, channels=800)
+    result = execute_plan(plan_fig7_6(years=7, channels=800))
     print(result.to_table())
 
 

@@ -1,38 +1,37 @@
 """Command-line interface: regenerate any paper artifact from the shell.
 
-Subcommands (one per reproducible artifact; see ``docs/user-guide.md``)::
+Subcommands (see ``docs/user-guide.md``)::
 
-    python -m repro tables                  # Tables 7.1-7.4
-    python -m repro fig3.1 [--channels N] [--years Y] [--jobs J]
-    python -m repro fig6.1 [--mc-channels N] [--jobs J]
-    python -m repro fig7.1 [--instructions N] [--mixes K] [--jobs J]
-    python -m repro fig7.2 [--instructions N] [--mixes K] [--jobs J]
-    python -m repro sensitivity [--instructions N] [--mixes K]
-                          [--fractions F1,F2,...] [--jobs J]
-    python -m repro fig7.4 [--channels N] [--measured] [--jobs J]
-    python -m repro fig7.6 [--channels N] [--jobs J]
+    python -m repro run [figure ...] [--jobs J] [--quick]
+                        [--cache-dir D] [--no-cache]
     python -m repro fleet [scenario ...] [--scenario-file PATH]
                           [--policies P1,P2,...] [--measured]
                           [--channels N] [--seed S] [--jobs J] [--list]
     python -m repro study FILE [--manifest PATH] [--quick]
                           [--seed S] [--channels N]
                           [--cache-dir D] [--no-cache] [--jobs J]
-    python -m repro run [figure ...] [--jobs J] [--quick]
-                        [--cache-dir D] [--no-cache]
     python -m repro fuzz [--seed N] [--count K] [--oracles O1,O2,...]
                          [--quick] [--jobs J] [--report-dir D]
                          [--no-shrink] [--replay FILE] [--list]
 
-``run`` is the parallel front door: it flattens every selected figure's
-jobs into one batch, fans them out across ``--jobs`` worker processes,
-and caches completed jobs under ``--cache-dir`` (``--no-cache``
-recomputes) so interrupted or repeated runs only pay for what changed.
-``--quick`` switches every figure to its reduced smoke scale. Figure
-keys include every table/figure above plus ``fleet`` (exposure sweep),
-``fleet-compare`` (the policy comparison at default scale) and
+``run`` is the one front door to the paper's artifacts: it flattens
+every selected figure's jobs into one batch, fans them out across
+``--jobs`` worker processes, and caches completed jobs under
+``--cache-dir`` (``--no-cache`` recomputes) so interrupted or repeated
+runs only pay for what changed. Each figure runs at its registry scale
+(:mod:`repro.runner.registry`); ``--quick`` switches every figure to
+its reduced smoke scale. The figure keys are ``tables`` (Tables
+7.1-7.4), ``fig3.1``, ``fig6.1``, ``fig7.1``, ``fig7.2`` (Figures
+7.2/7.3), ``sensitivity`` (the measured upgraded-fraction sweep),
+``fig7.4`` (Figures 7.4/7.5), ``fig7.6``, ``fleet`` (exposure sweep),
+``fleet-compare`` (the policy comparison at default scale),
 ``fleet-compare-measured`` (the same comparison priced with measured
-per-fault weights). ``--jobs 1`` and ``--jobs N`` print identical
-tables — every job owns an explicit RNG seed.
+per-fault weights), ``study`` (the example campaign) and ``fuzz`` (the
+standing differential campaign). Other scales — a custom channel count,
+upgraded fractions, measured Figures 7.4/7.5 — are library calls on
+the ``plan_*`` builders (``docs/user-guide.md``). ``--jobs 1`` and
+``--jobs N`` print identical tables — every job owns an explicit RNG
+seed.
 
 The trace-simulation artifacts (``fig7.1``, ``fig7.2``,
 ``sensitivity``) run through :mod:`repro.perf.engine`. The replay
@@ -44,13 +43,9 @@ runs the per-access ``TraceSimulator`` itself
 (``REPRO_KERNEL_DISABLE=1`` forces it). Both tiers are bit-identical —
 the tier is recorded in every summary line (engine provenance) and in
 the result-cache key, so compiled and fallback runs never share cache
-entries.
-``sensitivity`` sweeps the *measured* upgraded-fraction response
-(``--fractions``) next to the worst-case estimates; ``fig7.4
---measured`` feeds Figures 7.4/7.5 with freshly measured Figure 7.2/7.3
-overheads instead of the recorded constants. Identical points are
-simulated once and shared across figures — both inside one ``repro
-run`` batch and through the result cache.
+entries. Identical points are simulated once and shared across
+figures — both inside one ``repro run`` batch and through the result
+cache.
 
 ``fleet`` sweeps datacenter-fleet lifetime scenarios (heterogeneous
 DIMM generations, harsh environments, burn-in schedules) through the
@@ -66,8 +61,8 @@ arcc,sccdcd,lotecc`` turns the sweep into a protection-policy
 comparison with a TCO-style decision table; ``--measured`` replaces the
 worst-case per-fault constants with weights measured by the batched
 trace engine against each slice's own organization (the perf -> fleet
-bridge of :mod:`repro.fleet.measured`, cache-shared with ``fig7.4
---measured``); ``--channels`` rescales whole fleets, so 10^5-10^6
+bridge of :mod:`repro.fleet.measured`, cache-shared with the trace
+figures); ``--channels`` rescales whole fleets, so 10^5-10^6
 channel populations are practical; ``--seed`` repoints every derived
 RNG stream.
 
@@ -107,22 +102,8 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from repro.experiments import (
-    render_table_7_1,
-    render_table_7_2,
-    render_table_7_3,
-    render_table_7_4,
-    run_fig3_1,
-    run_fig6_1,
-    run_fig7_1,
-    run_fig7_2_7_3,
-    run_fig7_4_7_5,
-    run_fig7_6,
-    run_sweep_upgraded_fraction_measured,
-)
 from repro.perf.engine import engine_provenance
 from repro.runner import DEFAULT_CACHE_DIR, ResultCache, execute_plans
-from repro.workloads.spec import ALL_MIXES
 
 
 def _engine_summary() -> str:
@@ -133,99 +114,6 @@ def _engine_summary() -> str:
         f"(kernel: {provenance['replay_kernel']}; "
         f"trace rng: {provenance['trace_rng']})"
     )
-
-
-def _cmd_tables(_: argparse.Namespace) -> None:
-    for render in (
-        render_table_7_1,
-        render_table_7_2,
-        render_table_7_3,
-        render_table_7_4,
-    ):
-        print(render())
-        print()
-
-
-def _cmd_fig3_1(args: argparse.Namespace) -> None:
-    print(
-        run_fig3_1(
-            years=args.years, channels=args.channels, jobs=args.jobs
-        ).to_table()
-    )
-
-
-def _cmd_fig6_1(args: argparse.Namespace) -> None:
-    print(
-        run_fig6_1(
-            monte_carlo_channels=args.mc_channels, jobs=args.jobs
-        ).to_table()
-    )
-
-
-def _cmd_fig7_1(args: argparse.Namespace) -> None:
-    print(
-        run_fig7_1(
-            mixes=ALL_MIXES[: args.mixes],
-            instructions_per_core=args.instructions,
-            jobs=args.jobs,
-        ).to_table()
-    )
-    print(f"[repro fig7.1] {_engine_summary()}")
-
-
-def _cmd_fig7_2(args: argparse.Namespace) -> None:
-    print(
-        run_fig7_2_7_3(
-            mixes=ALL_MIXES[: args.mixes],
-            instructions_per_core=args.instructions,
-            jobs=args.jobs,
-        ).to_table()
-    )
-    print(f"[repro fig7.2] {_engine_summary()}")
-
-
-def _cmd_sensitivity(args: argparse.Namespace) -> None:
-    kwargs = {}
-    if args.fractions:
-        try:
-            kwargs["fractions"] = tuple(
-                float(f) for f in args.fractions.split(",") if f.strip()
-            )
-        except ValueError as exc:
-            raise SystemExit(
-                f"repro sensitivity: --fractions must be a comma-separated "
-                f"list of numbers ({exc})"
-            ) from exc
-    try:
-        sweep = run_sweep_upgraded_fraction_measured(
-            mixes=ALL_MIXES[: args.mixes],
-            instructions_per_core=args.instructions,
-            jobs=args.jobs,
-            **kwargs,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"repro sensitivity: {exc}") from exc
-    print(sweep.to_table())
-    print(f"[repro sensitivity] {_engine_summary()}")
-
-
-def _cmd_fig7_4(args: argparse.Namespace) -> None:
-    # --measured runs the fig7.2/7.3 trace sweep first; route it through
-    # the default runner cache so `repro fleet --measured` (and reruns)
-    # reuse the same per-(mix, point) entries.
-    cache = ResultCache() if args.measured else None
-    print(
-        run_fig7_4_7_5(
-            channels=args.channels,
-            jobs=args.jobs,
-            measured=args.measured,
-            cache=cache,
-        ).to_table()
-    )
-
-
-def _cmd_fig7_6(args: argparse.Namespace) -> None:
-    print(run_fig7_6(channels=args.channels, jobs=args.jobs).to_table())
 
 
 def _list_fleet_scenarios() -> None:
@@ -256,7 +144,7 @@ def _list_fleet_scenarios() -> None:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> None:
-    # Deferred import: keep `repro tables` import-light.
+    # Deferred import: keep `repro --help` import-light.
     from repro.fleet import (
         DEFAULT_FLEET_SEED,
         DEFAULT_SCENARIOS,
@@ -334,8 +222,8 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
         profiles_by_spec = [None] * len(specs)
         if args.measured:
             # The measurement points share the default runner cache with
-            # fig7.1/fig7.2/sensitivity and `fig7.4 --measured`, so one
-            # measurement serves every figure across invocations.
+            # `repro run` (fig7.1/fig7.2/sensitivity), so one measurement
+            # serves every figure across invocations.
             from repro.fleet import measure_scenario_profiles
 
             cache = ResultCache()
@@ -385,7 +273,7 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
 
 
 def _cmd_study(args: argparse.Namespace) -> None:
-    # Deferred import: keep `repro tables` import-light.
+    # Deferred import: keep `repro --help` import-light.
     from dataclasses import replace
 
     from repro.fleet import ScenarioFileError, run_study
@@ -514,10 +402,23 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type for counts: an int of at least 1 (else exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return value
+
+
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes (1 = run inline; results are identical)",
     )
@@ -530,62 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate ARCC (HPCA 2013) tables and figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("tables", help="Tables 7.1-7.4").set_defaults(
-        func=_cmd_tables
-    )
-
-    p = sub.add_parser("fig3.1", help="faulty memory vs time")
-    p.add_argument("--channels", type=int, default=2000)
-    p.add_argument("--years", type=int, default=7)
-    _add_jobs_flag(p)
-    p.set_defaults(func=_cmd_fig3_1)
-
-    p = sub.add_parser("fig6.1", help="SDC rates")
-    p.add_argument("--mc-channels", type=int, default=0)
-    _add_jobs_flag(p)
-    p.set_defaults(func=_cmd_fig6_1)
-
-    p = sub.add_parser("fig7.1", help="fault-free power/performance")
-    p.add_argument("--instructions", type=int, default=40_000)
-    p.add_argument("--mixes", type=int, default=12)
-    _add_jobs_flag(p)
-    p.set_defaults(func=_cmd_fig7_1)
-
-    p = sub.add_parser("fig7.2", help="power/performance with faults")
-    p.add_argument("--instructions", type=int, default=40_000)
-    p.add_argument("--mixes", type=int, default=3)
-    _add_jobs_flag(p)
-    p.set_defaults(func=_cmd_fig7_2)
-
-    p = sub.add_parser(
-        "sensitivity", help="measured upgraded-fraction sweep"
-    )
-    p.add_argument("--instructions", type=int, default=40_000)
-    p.add_argument("--mixes", type=int, default=12)
-    p.add_argument(
-        "--fractions",
-        default=None,
-        metavar="F1,F2,...",
-        help="upgraded fractions to sweep (must include 0.0)",
-    )
-    _add_jobs_flag(p)
-    p.set_defaults(func=_cmd_sensitivity)
-
-    p = sub.add_parser("fig7.4", help="lifetime overheads")
-    p.add_argument("--channels", type=int, default=2000)
-    p.add_argument(
-        "--measured",
-        action="store_true",
-        help="measure per-fault overheads via fig7.2/7.3 first",
-    )
-    _add_jobs_flag(p)
-    p.set_defaults(func=_cmd_fig7_4)
-
-    p = sub.add_parser("fig7.6", help="ARCC+LOT-ECC")
-    p.add_argument("--channels", type=int, default=2000)
-    _add_jobs_flag(p)
-    p.set_defaults(func=_cmd_fig7_6)
 
     p = sub.add_parser(
         "fleet", help="fleet-lifetime scenario sweep (vectorized engine)"
@@ -621,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--channels",
-        type=int,
+        type=_positive_int,
         default=None,
         help="rescale each fleet to this many total channels",
     )
@@ -673,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--channels",
-        type=int,
+        type=_positive_int,
         default=None,
         help="rescale the fleet to this many total channels",
     )
@@ -725,7 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
         "its own seed from it; default 0)"
     )
     p.add_argument(
-        "--count", type=int, default=100, help="number of cases to sample"
+        "--count",
+        type=_positive_int,
+        default=100,
+        help="number of cases to sample",
     )
     p.add_argument(
         "--oracles",

@@ -25,7 +25,7 @@ import numpy as np
 from repro.config import ARCC_MEMORY_CONFIG, MemoryConfig
 from repro.faults.types import DEFAULT_FIT_RATES, FaultRates
 from repro.fleet.engine import faulty_fractions_by_year, fleet_blocks, sample_block
-from repro.runner import ExperimentPlan, Job, ResultCache, execute_plan
+from repro.runner import ExperimentPlan, Job
 from repro.util.stats import confidence_interval
 from repro.util.tables import format_table
 
@@ -132,21 +132,3 @@ def plan_fig3_1(
         )
 
     return ExperimentPlan(name="fig3.1", jobs=jobs, assemble=assemble)
-
-
-def run_fig3_1(
-    years: int = 7,
-    channels: int = 2000,
-    multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
-    seed: int = 0xFA117,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> Fig31Result:
-    """Regenerate Figure 3.1 (``jobs`` fans blocks out in parallel)."""
-    return execute_plan(
-        plan_fig3_1(
-            years=years, channels=channels, multipliers=multipliers, seed=seed
-        ),
-        max_workers=jobs,
-        cache=cache,
-    )

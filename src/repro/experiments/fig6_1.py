@@ -17,7 +17,7 @@ from repro.reliability.analytical import (
     sdc_events_per_1000_machine_years,
 )
 from repro.reliability.montecarlo import MonteCarloReliability, merge_outcomes
-from repro.runner import ExperimentPlan, ResultCache, execute_plan
+from repro.runner import ExperimentPlan
 from repro.util.stats import binomial_confidence_interval
 from repro.util.tables import format_table
 
@@ -144,31 +144,3 @@ def plan_fig6_1(
         )
 
     return ExperimentPlan(name="fig6.1", jobs=jobs, assemble=assemble)
-
-
-def run_fig6_1(
-    lifespans: Sequence[int] = DEFAULT_LIFESPANS,
-    multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
-    monte_carlo_channels: int = 0,
-    monte_carlo_years: float = 7.0,
-    seed: int = 0x5DC,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> Fig61Result:
-    """Regenerate Figure 6.1 (set ``monte_carlo_channels`` to validate).
-
-    The Monte-Carlo check is run at elevated rates (the largest
-    multiplier) because genuine 1x SDC events need millions of channel-
-    lifetimes to observe — the same trick the underlying tech report uses.
-    """
-    return execute_plan(
-        plan_fig6_1(
-            lifespans=lifespans,
-            multipliers=multipliers,
-            monte_carlo_channels=monte_carlo_channels,
-            monte_carlo_years=monte_carlo_years,
-            seed=seed,
-        ),
-        max_workers=jobs,
-        cache=cache,
-    )

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
 from repro.perf.engine import point_job
-from repro.runner import ExperimentPlan, ResultCache, execute_plan
+from repro.runner import ExperimentPlan
 from repro.util.tables import format_table
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
 
@@ -127,22 +127,3 @@ def plan_fig7_1(
         return Fig71Result(rows=rows)
 
     return ExperimentPlan(name="fig7.1", jobs=jobs, assemble=assemble)
-
-
-def run_fig7_1(
-    mixes: Optional[Sequence[WorkloadMix]] = None,
-    instructions_per_core: int = 40_000,
-    seed: int = 0x7ACE,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> Fig71Result:
-    """Regenerate Figure 7.1 (``jobs`` fans mixes out in parallel)."""
-    return execute_plan(
-        plan_fig7_1(
-            mixes=mixes,
-            instructions_per_core=instructions_per_core,
-            seed=seed,
-        ),
-        max_workers=jobs,
-        cache=cache,
-    )

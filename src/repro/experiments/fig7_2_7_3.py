@@ -24,7 +24,7 @@ from repro.perf.simulator import (
     worst_case_performance_ratio,
     worst_case_power_ratio,
 )
-from repro.runner import ExperimentPlan, ResultCache, execute_plan
+from repro.runner import ExperimentPlan
 from repro.util.tables import format_table
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
 
@@ -163,24 +163,3 @@ def plan_fig7_2_7_3(
         )
 
     return ExperimentPlan(name="fig7.2", jobs=jobs, assemble=assemble)
-
-
-def run_fig7_2_7_3(
-    mixes: Optional[Sequence[WorkloadMix]] = None,
-    fault_types: Sequence[FaultType] = TABLE_7_4_TYPES,
-    instructions_per_core: int = 40_000,
-    seed: int = 0x7ACE,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> FaultOverheadResult:
-    """Regenerate Figures 7.2 and 7.3."""
-    return execute_plan(
-        plan_fig7_2_7_3(
-            mixes=mixes,
-            fault_types=fault_types,
-            instructions_per_core=instructions_per_core,
-            seed=seed,
-        ),
-        max_workers=jobs,
-        cache=cache,
-    )

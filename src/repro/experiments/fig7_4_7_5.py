@@ -12,6 +12,15 @@ pre-reduced per-year moments, so measured series carry Monte-Carlo
 confidence intervals at 10^5-channel populations. The legacy per-channel
 reduction is kept as :func:`_overhead_series` — the reference the
 vectorized accumulation is tested against on identical histories.
+
+By default the per-fault overheads are the recorded
+:data:`FALLBACK_OVERHEADS`; for the fully measured methodology pass
+freshly measured Figure 7.2/7.3 ratios in::
+
+    execute_plan(plan_fig7_4_7_5(overheads=measured_fault_ratios()))
+
+with :func:`repro.fleet.measured.measured_fault_ratios`, which memoizes
+per process and shares its cache entries with the trace figures.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from repro.perf.simulator import (
     worst_case_performance_ratio,
     worst_case_power_ratio,
 )
-from repro.runner import ExperimentPlan, Job, ResultCache, execute_plan
+from repro.runner import ExperimentPlan, Job
 from repro.util.stats import confidence_interval_from_moments
 from repro.util.tables import format_table
 from repro.util.units import HOURS_PER_YEAR
@@ -38,39 +47,15 @@ DEFAULT_MULTIPLIERS = (1.0, 2.0, 4.0)
 
 #: Measured per-fault-type overheads (power ratio, performance ratio)
 #: averaged over the 12 mixes at the default simulation scale. Regenerate
-#: with ``measured_overheads()`` when the simulator or profiles change —
-#: `benchmarks/test_fig7_4_7_5` does exactly that.
+#: with :func:`repro.fleet.measured.measured_fault_ratios` when the
+#: simulator or profiles change — `benchmarks/test_fig7_4_7_5` does
+#: exactly that.
 FALLBACK_OVERHEADS: Dict[FaultType, Tuple[float, float]] = {
     FaultType.LANE: (1.38, 1.02),
     FaultType.DEVICE: (1.16, 1.00),
     FaultType.BANK: (1.02, 1.00),
     FaultType.COLUMN: (1.01, 1.00),
 }
-
-
-def measured_overheads(
-    instructions_per_core: int = 40_000,
-    mixes=None,
-    jobs: int = 1,
-    cache: Optional["ResultCache"] = None,
-) -> Dict[FaultType, Tuple[float, float]]:
-    """Measure (power, performance) ratios per fault type via Fig 7.2/7.3.
-
-    Delegates to the shared perf -> fleet bridge
-    (:func:`repro.fleet.measured.measured_fault_ratios`), which memoizes
-    per process and shares the per-(mix, point) cache entries with
-    Figures 7.1-7.3, the sensitivity sweep and the measured policy
-    comparison — ``repro fig7.4 --measured`` and ``repro fleet
-    --measured`` pay for one measurement between them.
-    """
-    from repro.fleet.measured import measured_fault_ratios
-
-    return measured_fault_ratios(
-        mixes=mixes,
-        instructions_per_core=instructions_per_core,
-        jobs=jobs,
-        cache=cache,
-    )
 
 
 @dataclass
@@ -229,7 +214,11 @@ def plan_fig7_4_7_5(
     overheads: Optional[Dict[FaultType, Tuple[float, float]]] = None,
     seed: int = 0xFA117,
 ) -> ExperimentPlan:
-    """Figures 7.4/7.5 as runner jobs: one per (rate multiplier, block)."""
+    """Figures 7.4/7.5 as runner jobs: one per (rate multiplier, block).
+
+    ``overheads`` maps fault type -> (power ratio, perf ratio); ``None``
+    uses :data:`FALLBACK_OVERHEADS`.
+    """
     multipliers = tuple(multipliers)
     overheads = overheads or FALLBACK_OVERHEADS
     blocks = fleet_blocks(seed, channels)
@@ -279,42 +268,3 @@ def plan_fig7_4_7_5(
         )
 
     return ExperimentPlan(name="fig7.4", jobs=jobs, assemble=assemble)
-
-
-def run_fig7_4_7_5(
-    years: int = 7,
-    channels: int = 2000,
-    multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
-    overheads: Optional[Dict[FaultType, Tuple[float, float]]] = None,
-    seed: int = 0xFA117,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    measured: bool = False,
-    measured_instructions_per_core: int = 40_000,
-) -> LifetimeOverheadResult:
-    """Regenerate Figures 7.4 and 7.5.
-
-    ``overheads`` maps fault type -> (power ratio, perf ratio); pass the
-    output of :func:`measured_overheads` for a fully-measured run, or let
-    the fallback constants (recorded from the default-scale run) be used.
-    ``measured=True`` runs the full Figure 7.2/7.3 sweep first (batched
-    engine, same ``jobs``/``cache``) and feeds those freshly measured
-    overheads in — the fully end-to-end Section 7.1 methodology.
-    """
-    if measured and overheads is None:
-        overheads = measured_overheads(
-            instructions_per_core=measured_instructions_per_core,
-            jobs=jobs,
-            cache=cache,
-        )
-    return execute_plan(
-        plan_fig7_4_7_5(
-            years=years,
-            channels=channels,
-            multipliers=multipliers,
-            overheads=overheads,
-            seed=seed,
-        ),
-        max_workers=jobs,
-        cache=cache,
-    )

@@ -10,12 +10,12 @@ from gaining double chip sparing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.lotecc_arcc import lotecc_lifetime_overhead
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.due import due_reduction_factor
-from repro.runner import ExperimentPlan, Job, ResultCache, execute_plan
+from repro.runner import ExperimentPlan, Job
 from repro.util.tables import format_table
 
 DEFAULT_MULTIPLIERS = (1.0, 2.0, 4.0)
@@ -86,21 +86,3 @@ def plan_fig7_6(
         )
 
     return ExperimentPlan(name="fig7.6", jobs=jobs, assemble=assemble)
-
-
-def run_fig7_6(
-    years: int = 7,
-    channels: int = 2000,
-    multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
-    seed: int = 0x107ECC,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> Fig76Result:
-    """Regenerate Figure 7.6."""
-    return execute_plan(
-        plan_fig7_6(
-            years=years, channels=channels, multipliers=multipliers, seed=seed
-        ),
-        max_workers=jobs,
-        cache=cache,
-    )

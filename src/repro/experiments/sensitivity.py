@@ -17,7 +17,7 @@ from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import FaultType
 from repro.perf.engine import point_job
 from repro.reliability.analytical import ReliabilityParams, sdc_rate_arcc_ded
-from repro.runner import ExperimentPlan, ResultCache, execute_plan
+from repro.runner import ExperimentPlan
 from repro.util.tables import format_table
 from repro.util.units import GB, KB
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
@@ -331,26 +331,3 @@ def plan_sweep_upgraded_fraction_measured(
         return MeasuredFractionSweep(fractions=fractions, ratios=ratios)
 
     return ExperimentPlan(name="sensitivity", jobs=jobs, assemble=assemble)
-
-
-def run_sweep_upgraded_fraction_measured(
-    mixes: Optional[Sequence[WorkloadMix]] = None,
-    fractions: Sequence[float] = DEFAULT_MEASURED_FRACTIONS,
-    instructions_per_core: int = 40_000,
-    seed: int = 0x7ACE,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    config: MemoryConfig = ARCC_MEMORY_CONFIG,
-) -> MeasuredFractionSweep:
-    """Run the measured upgraded-fraction sweep."""
-    return execute_plan(
-        plan_sweep_upgraded_fraction_measured(
-            mixes=mixes,
-            fractions=fractions,
-            instructions_per_core=instructions_per_core,
-            seed=seed,
-            config=config,
-        ),
-        max_workers=jobs,
-        cache=cache,
-    )

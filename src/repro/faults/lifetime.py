@@ -129,8 +129,9 @@ def faulty_page_fraction_timeseries(
     This regenerates one series of Figure 3.1; sweep ``rate_multiplier``
     over 1/2/4 for the full figure. Vectorized: samples the population
     through :mod:`repro.fleet.engine` with the same block partition the
-    ``fig3.1`` runner jobs use, so this function and ``run_fig3_1``
-    produce bit-identical series for equal parameters.
+    ``fig3.1`` runner jobs use, so this function and
+    :func:`~repro.experiments.fig3_1.plan_fig3_1` produce bit-identical
+    series for equal parameters.
     """
     from repro.fleet.engine import faulty_fractions_by_year, sample_fleet
 

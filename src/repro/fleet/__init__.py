@@ -55,14 +55,12 @@ from repro.fleet.policies import (
     plan_fleet_compare,
     plan_fleet_compare_measured,
     resolve_policies,
-    run_fleet_compare,
 )
 from repro.fleet.report import (
     DEFAULT_FLEET_SEED,
     FleetReport,
     SubPopulationReport,
     plan_fleet,
-    run_fleet,
 )
 from repro.fleet.scenario_file import (
     ScenarioFile,
@@ -143,8 +141,6 @@ __all__ = [
     "resolve_policies",
     "run_measured_profiles",
     "resolve_scenario",
-    "run_fleet",
-    "run_fleet_compare",
     "run_study",
     "sample_block",
     "sample_fleet",

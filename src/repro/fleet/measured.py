@@ -43,9 +43,10 @@ Every simulation point funnels through
 seeds, so points shared with those figures are one cache entry (and one
 in-batch computation); the arcc/lotecc job pairs for a class are
 likewise identical computations the executor runs once. A per-process
-memo on top of the runner cache means ``repro fig7.4 --measured`` and
-``repro fleet --measured`` in one process measure once, and across
-processes share the same disk-cache entries.
+memo on top of the runner cache means measured Figures 7.4/7.5
+(``plan_fig7_4_7_5(overheads=measured_fault_ratios())``) and ``repro
+fleet --measured`` in one process measure once, and across processes
+share the same disk-cache entries.
 """
 
 from __future__ import annotations
@@ -422,9 +423,9 @@ def run_measured_profiles(
     """Measure overhead profiles (memoized per process, cache-shared).
 
     The memo keys on the measurement inputs only — never the worker
-    count or cache — so one process asking twice (``fig7.4 --measured``
-    then ``fleet --measured``) measures once, and the answer is
-    identical at any ``jobs``.
+    count or cache — so one process asking twice (two ``repro fleet
+    --measured`` scenarios on the same organizations) measures once, and
+    the answer is identical at any ``jobs``.
     """
     policies = _check_policies(policies)
     organizations = _check_organizations(organizations)
@@ -460,12 +461,12 @@ def measured_fault_ratios(
 ) -> Dict[FaultType, Tuple[float, float]]:
     """Measured (power, performance) ratios per fault type (Fig 7.2/7.3).
 
-    The computation behind ``repro fig7.4 --measured``, hoisted onto the
-    bridge so it is memoized per process and shares the per-(mix, point)
-    cache entries with :func:`run_measured_profiles` — one measurement
-    feeds Figures 7.4/7.5 *and* the policy comparison.
+    The ``overheads=`` input of measured Figures 7.4/7.5, memoized per
+    process; it shares the per-(mix, point) cache entries with
+    :func:`run_measured_profiles` — one measurement feeds Figures
+    7.4/7.5 *and* the policy comparison.
     """
-    from repro.experiments.fig7_2_7_3 import run_fig7_2_7_3
+    from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
 
     mix_list = list(mixes) if mixes is not None else list(ALL_MIXES)
     key = (
@@ -474,11 +475,13 @@ def measured_fault_ratios(
         seed,
     )
     if key not in _ratio_memo:
-        result = run_fig7_2_7_3(
-            mixes=mix_list,
-            instructions_per_core=instructions_per_core,
-            seed=seed,
-            jobs=jobs,
+        result = execute_plan(
+            plan_fig7_2_7_3(
+                mixes=mix_list,
+                instructions_per_core=instructions_per_core,
+                seed=seed,
+            ),
+            max_workers=jobs,
             cache=cache,
         )
         _ratio_memo[key] = {

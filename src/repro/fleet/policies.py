@@ -908,66 +908,6 @@ def measure_scenario_profiles(
     )
 
 
-def run_fleet_compare(
-    scenario: "FleetScenario | str" = "mixed-generations",
-    policies: Sequence[str] = DEFAULT_POLICY_KEYS,
-    channels: Optional[int] = None,
-    seed: int = DEFAULT_FLEET_SEED,
-    overheads: Optional[Dict[FaultType, Tuple[float, float]]] = None,
-    profiles: Optional[ProfileMap] = None,
-    measured: bool = False,
-    measured_instructions_per_core: int = (
-        MEASUREMENT_CONFIG.instructions_per_core
-    ),
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> PolicyComparisonReport:
-    """Compare protection policies over one fleet scenario.
-
-    Parameters
-    ----------
-    scenario : FleetScenario or str
-        A scenario object, a built-in name, or one loaded from a file
-        via :func:`~repro.fleet.scenario_file.load_scenario_file`.
-    policies : sequence of str
-        Keys from :data:`POLICY_KEYS` (``arcc``, ``sccdcd``, ``lotecc``).
-    channels : int, optional
-        Rescale the whole fleet proportionally to this many channels.
-    seed : int
-        Experiment seed; block streams derive from it deterministically.
-    profiles : ProfileMap, optional
-        Pre-measured overhead profiles (keyed (policy, organization
-        name)) to price the policies with.
-    measured : bool
-        Measure profiles first (per scenario organization, through the
-        same ``jobs``/``cache``) and price the policies with them — the
-        end-to-end perf -> fleet pipeline. Ignored when ``profiles`` is
-        given.
-    jobs : int
-        Worker processes (1 = inline; results are identical).
-    """
-    if profiles is None and measured:
-        profiles = measure_scenario_profiles(
-            scenario,
-            policies=policies,
-            instructions_per_core=measured_instructions_per_core,
-            jobs=jobs,
-            cache=cache,
-        )
-    return execute_plan(
-        plan_fleet_compare(
-            scenario=scenario,
-            policies=policies,
-            channels=channels,
-            seed=seed,
-            overheads=overheads,
-            profiles=profiles,
-        ),
-        max_workers=jobs,
-        cache=cache,
-    )
-
-
 def plan_fleet_compare_measured(
     scenario: "FleetScenario | str" = "mixed-generations",
     policies: Sequence[str] = DEFAULT_POLICY_KEYS,

@@ -23,7 +23,7 @@ from repro.fleet.engine import (
     sample_block,
 )
 from repro.fleet.scenarios import FleetScenario, SubPopulation, resolve_scenario
-from repro.runner import ExperimentPlan, Job, ResultCache, execute_plan
+from repro.runner import ExperimentPlan, Job
 from repro.util.rng import derive_seeds
 from repro.util.stats import confidence_interval_from_moments
 from repro.util.tables import format_table
@@ -257,6 +257,12 @@ def plan_fleet(
     'fleet'
     >>> len(plan.jobs)      # three slices, one sampling block each
     3
+    >>> from repro.runner import execute_plan
+    >>> report = execute_plan(plan_fleet("steady", channels=64, seed=1))
+    >>> report.scenario
+    'steady'
+    >>> len(report.fleet_by_year)       # one row per service year
+    7
     """
     scenario = resolve_scenario(scenario)
     if channels is not None:
@@ -301,46 +307,3 @@ def plan_fleet(
     # Named "fleet" to match the registry key; the scenario name is
     # embedded in every job name (and in the report itself).
     return ExperimentPlan(name="fleet", jobs=jobs, assemble=assemble)
-
-
-def run_fleet(
-    scenario: "FleetScenario | str" = "mixed-generations",
-    channels: Optional[int] = None,
-    seed: int = DEFAULT_FLEET_SEED,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> FleetReport:
-    """Simulate one fleet scenario and aggregate its report.
-
-    Parameters
-    ----------
-    scenario : FleetScenario or str
-        A scenario object or a built-in name.
-    channels : int, optional
-        Rescale the fleet to this many total channels.
-    seed : int
-        Experiment seed (same seed, same report — at any ``jobs``).
-    jobs : int
-        Worker processes (1 = run inline; results are identical).
-    cache : ResultCache, optional
-        Disk cache for completed block jobs.
-
-    Returns
-    -------
-    FleetReport
-        Per-slice and fleet-aggregate statistics; every mean carries a
-        95% confidence half-width.
-
-    Examples
-    --------
-    >>> report = run_fleet("steady", channels=64, seed=1)
-    >>> report.scenario
-    'steady'
-    >>> len(report.fleet_by_year)       # one row per service year
-    7
-    """
-    return execute_plan(
-        plan_fleet(scenario=scenario, channels=channels, seed=seed),
-        max_workers=jobs,
-        cache=cache,
-    )

@@ -13,9 +13,19 @@ from typing import Iterable
 
 
 def did_you_mean(key: str, known: Iterable[str]) -> str:
-    """``" (did you mean 'closest'?)"`` or ``""`` when nothing is close."""
-    hint = difflib.get_close_matches(key, list(known), n=1)
-    return f" (did you mean {hint[0]!r}?)" if hint else ""
+    """``" (did you mean 'closest'?)"`` or ``""`` when nothing is close.
+
+    Closeness is :func:`difflib.get_close_matches`' ratio with its 0.6
+    cutoff; ties go to the name listed first in ``known`` (``fig7.l``
+    suggests ``fig7.1``, not whichever tied name sorts last).
+    """
+    scores = {
+        name: difflib.SequenceMatcher(None, name, key).ratio()
+        for name in known
+    }
+    best = max(scores, key=scores.__getitem__, default=None)
+    close = best is not None and scores[best] >= 0.6
+    return f" (did you mean {best!r}?)" if close else ""
 
 
 def unknown_key_message(

@@ -13,8 +13,9 @@ from repro.core.lotecc_arcc import (
 )
 from repro.core.vecc_arcc import ArccVecc, VeccPageMode, _RelaxedVecc9
 from repro.ecc.base import DecodeStatus
-from repro.experiments.fig7_6 import run_fig7_6
+from repro.experiments.fig7_6 import plan_fig7_6
 from repro.faults.lifetime import LifetimeSimulator, _fraction_after_events
+from repro.runner import execute_plan
 from repro.util.units import HOURS_PER_YEAR
 
 
@@ -182,7 +183,7 @@ class TestLotEccLifetimeOverhead:
                 "(paper cites 17x)",
             ]
         )
-        assert run_fig7_6(channels=500).to_table() == expected
+        assert execute_plan(plan_fig7_6(channels=500)).to_table() == expected
 
 
 class TestArccVecc:

@@ -8,8 +8,8 @@ Three rot vectors, all cheap to pin:
   running — they are the copy-pasteable entry points the user guide
   links to;
 * ``repro --help`` and the :mod:`repro.cli` module docstring must
-  mention every registered subcommand, so new commands cannot ship
-  undocumented.
+  mention every registered subcommand, and the docstring every
+  ``repro run`` figure key, so new commands cannot ship undocumented.
 
 The CI docs job runs exactly this module.
 """
@@ -117,7 +117,7 @@ class TestDoctests:
         finder = doctest.DocTestFinder()
         for module, names in (
             (scenarios, ("SubPopulation", "FleetScenario")),
-            (report, ("plan_fleet", "run_fleet")),
+            (report, ("plan_fleet",)),
             (job, ("Job", "ExperimentPlan")),
             (perf_trace, ("TraceBatch", "materialize_mix")),
             (perf_engine, ("upgraded_page_flags",)),
@@ -218,9 +218,10 @@ class TestCliDocumentation:
             assert flags == offered, command
 
     def test_run_registry_keys_documented(self):
-        """Registry keys beyond the figure subcommands (fleet-compare)."""
+        """``repro run KEY`` is the only way to run a figure, so the
+        module docstring names every registry key."""
         import repro.cli as cli
         from repro.runner.registry import FIGURES
 
-        assert "fleet-compare" in FIGURES
-        assert "fleet-compare" in cli.__doc__
+        for key in FIGURES:
+            assert f"``{key}``" in cli.__doc__, key

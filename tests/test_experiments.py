@@ -3,19 +3,20 @@
 import pytest
 
 from repro.experiments import (
+    plan_fig3_1,
+    plan_fig6_1,
+    plan_fig7_1,
+    plan_fig7_2_7_3,
+    plan_fig7_4_7_5,
+    plan_fig7_6,
     render_table_7_1,
     render_table_7_2,
     render_table_7_3,
     render_table_7_4,
-    run_fig3_1,
-    run_fig6_1,
-    run_fig7_1,
-    run_fig7_2_7_3,
-    run_fig7_4_7_5,
-    run_fig7_6,
 )
 from repro.experiments.fig7_4_7_5 import FALLBACK_OVERHEADS
 from repro.faults.types import FaultType
+from repro.runner import execute_plan
 from repro.workloads.spec import ALL_MIXES
 
 
@@ -44,7 +45,7 @@ class TestTables:
 
 class TestFig31:
     def test_structure_and_shape(self):
-        result = run_fig3_1(years=5, channels=150)
+        result = execute_plan(plan_fig3_1(years=5, channels=150))
         assert set(result.series) == {1.0, 2.0, 4.0}
         for series in result.series.values():
             assert len(series) == 5
@@ -52,13 +53,15 @@ class TestFig31:
         assert result.final_fraction(4.0) >= result.final_fraction(1.0)
 
     def test_table_renders(self):
-        result = run_fig3_1(years=3, channels=50)
+        result = execute_plan(plan_fig3_1(years=3, channels=50))
         assert "Year 3" in result.to_table()
 
 
 class TestFig61:
     def test_analytical_cells(self):
-        result = run_fig6_1(lifespans=(5, 7), multipliers=(1.0, 4.0))
+        result = execute_plan(
+            plan_fig6_1(lifespans=(5, 7), multipliers=(1.0, 4.0))
+        )
         assert len(result.cells) == 4
         for (years, mult), (sccdcd, arcc) in result.cells.items():
             assert arcc >= sccdcd >= 0
@@ -66,16 +69,18 @@ class TestFig61:
 
     def test_insignificant_increase(self):
         """The Figure 6.1 claim."""
-        result = run_fig6_1()
+        result = execute_plan(plan_fig6_1())
         for (_, _), (sccdcd, arcc) in result.cells.items():
             assert arcc < 0.01  # events per 1000 machine-years
 
     def test_monte_carlo_attached(self):
-        result = run_fig6_1(
-            lifespans=(7,),
-            multipliers=(1.0, 4.0),
-            monte_carlo_channels=20,
-            monte_carlo_years=3.0,
+        result = execute_plan(
+            plan_fig6_1(
+                lifespans=(7,),
+                multipliers=(1.0, 4.0),
+                monte_carlo_channels=20,
+                monte_carlo_years=3.0,
+            )
         )
         assert result.monte_carlo is not None
         assert 4.0 in result.monte_carlo
@@ -85,8 +90,8 @@ class TestFig61:
 class TestFig71:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig7_1(
-            mixes=ALL_MIXES[:3], instructions_per_core=8_000
+        return execute_plan(
+            plan_fig7_1(mixes=ALL_MIXES[:3], instructions_per_core=8_000)
         )
 
     def test_rows_match_mixes(self, result):
@@ -113,8 +118,8 @@ class TestFig71:
 class TestFig7273:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig7_2_7_3(
-            mixes=ALL_MIXES[:2], instructions_per_core=8_000
+        return execute_plan(
+            plan_fig7_2_7_3(mixes=ALL_MIXES[:2], instructions_per_core=8_000)
         )
 
     def test_power_ordering(self, result):
@@ -141,7 +146,7 @@ class TestFig7273:
 
 class TestFig7475:
     def test_structure(self):
-        result = run_fig7_4_7_5(years=5, channels=150)
+        result = execute_plan(plan_fig7_4_7_5(years=5, channels=150))
         for mapping in (
             result.power_overhead,
             result.performance_overhead,
@@ -153,7 +158,7 @@ class TestFig7475:
                 assert len(series) == 5
 
     def test_measured_below_worst_case(self):
-        result = run_fig7_4_7_5(years=5, channels=150)
+        result = execute_plan(plan_fig7_4_7_5(years=5, channels=150))
         for mult in (1.0, 4.0):
             for measured, worst in zip(
                 result.power_overhead[mult], result.worst_case_power[mult]
@@ -163,36 +168,38 @@ class TestFig7475:
     def test_power_benefit_retained(self):
         """Paper: even at 4x after 7 years the overhead stays small
         enough that ARCC keeps >= 30% of its ~37% saving."""
-        result = run_fig7_4_7_5(years=7, channels=300)
+        result = execute_plan(plan_fig7_4_7_5(years=7, channels=300))
         assert result.power_overhead[4.0][-1] < 0.07
 
     def test_custom_overheads_accepted(self):
         bigger = {
             ft: (p + 0.1, s) for ft, (p, s) in FALLBACK_OVERHEADS.items()
         }
-        small = run_fig7_4_7_5(years=3, channels=100)
-        large = run_fig7_4_7_5(years=3, channels=100, overheads=bigger)
+        small = execute_plan(plan_fig7_4_7_5(years=3, channels=100))
+        large = execute_plan(
+            plan_fig7_4_7_5(years=3, channels=100, overheads=bigger)
+        )
         assert large.power_overhead[4.0][-1] > (
             small.power_overhead[4.0][-1]
         )
 
     def test_table_renders(self):
-        result = run_fig7_4_7_5(years=3, channels=50)
+        result = execute_plan(plan_fig7_4_7_5(years=3, channels=50))
         table = result.to_table()
         assert "Figure 7.4" in table and "Figure 7.5" in table
 
 
 class TestFig76:
     def test_shape_and_bands(self):
-        result = run_fig7_6(years=7, channels=400)
+        result = execute_plan(plan_fig7_6(years=7, channels=400))
         assert result.average_overhead(1.0) < 0.05  # paper: ~1.6%
         assert result.average_overhead(4.0) < 0.15  # paper: <= 6.3%
         assert result.average_overhead(4.0) > result.average_overhead(1.0)
 
     def test_due_reduction_at_least_17x(self):
-        result = run_fig7_6(years=3, channels=50)
+        result = execute_plan(plan_fig7_6(years=3, channels=50))
         assert result.due_reduction >= 17.0
 
     def test_table_renders(self):
-        result = run_fig7_6(years=3, channels=50)
+        result = execute_plan(plan_fig7_6(years=3, channels=50))
         assert "17x" in result.to_table()

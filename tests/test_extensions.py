@@ -2,10 +2,11 @@
 comparison, and the CLI."""
 
 import random
+import re
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _engine_summary, build_parser, main
 from repro.core.multi_upgrade import (
     SplitUpgrade,
     StripedUpgrade,
@@ -21,6 +22,8 @@ from repro.reliability.due import (
     due_rate_sccdcd,
     due_rate_secded,
 )
+from repro.runner import execute_plans
+from repro.runner.registry import build_plans
 from repro.util.units import GB
 
 
@@ -167,30 +170,62 @@ class TestSecdedComparison:
 
 
 class TestCli:
+    """``repro run KEY`` is the one front door to every figure."""
+
     def test_parser_subcommands(self):
         parser = build_parser()
-        args = parser.parse_args(["fig3.1", "--channels", "10"])
-        assert args.channels == 10
+        subparsers = next(
+            action.choices
+            for action in parser._actions
+            if hasattr(action, "choices") and action.choices
+        )
+        assert set(subparsers) == {"fleet", "study", "run", "fuzz"}
 
-    def test_tables_command_runs(self, capsys):
-        assert main(["tables"]) == 0
+    def test_run_prints_the_rendered_plans(self, capsys):
+        keys = ["tables", "fig3.1", "fig7.6"]
+        assert main(["run", *keys, "--quick", "--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "Table 7.1" in out and "Table 7.4" in out
+        expected = "".join(
+            f"{result.to_table() if hasattr(result, 'to_table') else result}"
+            "\n\n"
+            for result in execute_plans(build_plans(keys, quick=True))
+        )
+        assert out.startswith(expected)
+        summary, engine = out[len(expected):].splitlines()
+        assert re.fullmatch(
+            r"\[repro run\] 3 figure\(s\), \d+ job\(s\), --jobs 1, "
+            r"[\d.]+s \(cache: off\)",
+            summary,
+        )
+        assert engine == f"[repro run] {_engine_summary()}"
 
-    def test_fig3_1_command_runs(self, capsys):
-        assert main(["fig3.1", "--channels", "20", "--years", "2"]) == 0
-        assert "Figure 3.1" in capsys.readouterr().out
+    def test_run_unknown_key_suggests_closest(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig7.l"])
+        assert "(did you mean 'fig7.1'?)" in str(excinfo.value.code)
 
-    def test_fig6_1_command_runs(self, capsys):
-        assert main(["fig6.1"]) == 0
-        assert "Figure 6.1" in capsys.readouterr().out
-
-    def test_fig7_1_command_runs(self, capsys):
-        assert main(
-            ["fig7.1", "--instructions", "2000", "--mixes", "1"]
-        ) == 0
-        assert "Figure 7.1" in capsys.readouterr().out
-
-    def test_fig7_6_command_runs(self, capsys):
-        assert main(["fig7.6", "--channels", "30"]) == 0
-        assert "Figure 7.6" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fleet", "steady", "--channels", "0"], "--channels"),
+            (
+                [
+                    "study",
+                    "examples/scenarios/scale_study.toml",
+                    "--channels",
+                    "0",
+                ],
+                "--channels",
+            ),
+            (["fuzz", "--count", "-1"], "--count"),
+            (["fleet", "steady", "--jobs", "-2"], "--jobs"),
+            (["run", "tables", "--jobs", "0"], "--jobs"),
+        ],
+    )
+    def test_bad_counts_exit_2_naming_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer" in err
+        assert "Traceback" not in err

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
-from repro.experiments.fig3_1 import run_fig3_1
-from repro.experiments.fig7_4_7_5 import _overhead_series, run_fig7_4_7_5
+from repro.experiments.fig3_1 import plan_fig3_1
+from repro.experiments.fig7_4_7_5 import _overhead_series, plan_fig7_4_7_5
 from repro.faults.lifetime import (
     LifetimeSimulator,
     _fraction_after_events,
@@ -34,11 +34,12 @@ from repro.fleet import (
     faulty_fractions_by_year,
     fleet_blocks,
     overhead_series_by_year,
+    plan_fleet,
     resolve_scenario,
-    run_fleet,
     sample_block,
     sample_fleet,
 )
+from repro.runner import execute_plan
 from repro.util.units import FIT_TO_PER_HOUR, HOURS_PER_YEAR
 
 
@@ -368,7 +369,9 @@ class TestScenarios:
 class TestFleetReport:
     @pytest.fixture(scope="class")
     def report(self):
-        return run_fleet("mixed-generations", channels=1500, seed=0xBEEF)
+        return execute_plan(
+            plan_fleet("mixed-generations", channels=1500, seed=0xBEEF)
+        )
 
     def test_slices_and_aggregate(self, report):
         assert [s.name for s in report.subpopulations] == [
@@ -405,8 +408,14 @@ class TestFleetReport:
         assert "fleet (in service)" in table
 
     def test_jobs_1_vs_4_identical(self):
-        a = run_fleet("harsh-environment", channels=600, seed=1, jobs=1)
-        b = run_fleet("harsh-environment", channels=600, seed=1, jobs=4)
+        a = execute_plan(
+            plan_fleet("harsh-environment", channels=600, seed=1),
+            max_workers=1,
+        )
+        b = execute_plan(
+            plan_fleet("harsh-environment", channels=600, seed=1),
+            max_workers=4,
+        )
         assert a.fleet_by_year == b.fleet_by_year
         assert [vars(s) for s in a.subpopulations] == [
             vars(s) for s in b.subpopulations
@@ -427,7 +436,7 @@ class TestFleetReport:
                 ),
             ),
         )
-        report = run_fleet(scenario)
+        report = execute_plan(plan_fleet(scenario))
         assert report.years == 1
         assert report.subpopulations[0].years == 1
         assert len(report.fleet_by_year) == 1
@@ -449,7 +458,7 @@ class TestFleetReport:
                 ),
             ),
         )
-        report = run_fleet(scenario)
+        report = execute_plan(plan_fleet(scenario))
         assert report.scenario == "tiny-mixed"
         assert len(report.subpopulations) == 2
 
@@ -457,7 +466,9 @@ class TestFleetReport:
 class TestFigureIntegration:
     def test_fig3_1_series_equal_direct_timeseries(self):
         """Runner path and direct function path share streams exactly."""
-        result = run_fig3_1(years=3, channels=120, multipliers=(1.0, 4.0))
+        result = execute_plan(
+            plan_fig3_1(years=3, channels=120, multipliers=(1.0, 4.0))
+        )
         for mult in (1.0, 4.0):
             direct = faulty_page_fraction_timeseries(
                 years=3, channels=120, rate_multiplier=mult
@@ -465,7 +476,7 @@ class TestFigureIntegration:
             assert result.series[mult] == direct
 
     def test_fig3_1_carries_confidence_intervals(self):
-        result = run_fig3_1(years=3, channels=150)
+        result = execute_plan(plan_fig3_1(years=3, channels=150))
         assert result.ci is not None
         for mult, halves in result.ci.items():
             assert len(halves) == 3
@@ -473,7 +484,7 @@ class TestFigureIntegration:
         assert "±" in result.to_table()
 
     def test_fig7_4_7_5_carries_confidence_intervals(self):
-        result = run_fig7_4_7_5(years=3, channels=150)
+        result = execute_plan(plan_fig7_4_7_5(years=3, channels=150))
         assert result.power_ci is not None
         assert result.performance_ci is not None
         for mult in (1.0, 2.0, 4.0):

@@ -28,12 +28,13 @@ from repro.fleet import (
     SPATIAL_KINDS,
     FaultEventBatch,
     SpatialFaultModel,
-    run_fleet,
-    run_fleet_compare,
+    plan_fleet,
+    plan_fleet_compare,
     sample_block,
     scenario_from_mapping,
     scenario_to_mapping,
 )
+from repro.runner import execute_plan
 
 # -- golden bit-identity ------------------------------------------------------
 
@@ -81,7 +82,9 @@ class TestRankLevelGoldens:
     def test_fleet_report_table_is_bit_identical(self):
         import hashlib
 
-        report = run_fleet("mixed-generations", channels=1500, seed=0xBEEF)
+        report = execute_plan(
+            plan_fleet("mixed-generations", channels=1500, seed=0xBEEF)
+        )
         digest = hashlib.sha256(report.to_table().encode()).hexdigest()
         assert digest == RANK_LEVEL_GOLDENS["fleet_table"]
 
@@ -91,8 +94,12 @@ class TestRankLevelGoldens:
         though the uncorrectable screen itself became exact."""
         import hashlib
 
-        compare = run_fleet_compare(
-            "mixed-generations", channels=1200, seed=0xC0FFEE
+        compare = execute_plan(
+            plan_fleet_compare(
+                "mixed-generations",
+                channels=1200,
+                seed=0xC0FFEE,
+            )
         )
         digest = hashlib.sha256(
             repr(
@@ -258,7 +265,9 @@ class TestSpatialModels:
         assert rebuilt.scenario == scenario
 
     def test_wear_out_scenario_reports_end_to_end(self):
-        report = run_fleet("wear-out", channels=300, seed=0xFADE)
+        report = execute_plan(
+            plan_fleet("wear-out", channels=300, seed=0xFADE)
+        )
         assert {p.name for p in report.subpopulations} == {
             "steady",
             "row-clusters",

@@ -2,7 +2,7 @@
 
 The load-bearing guarantees: measured weights are bounded by the
 worst-case arithmetic (the Figure 7.6 oracle) per fault class; the
-same measurement serves ``fig7.4 --measured`` and ``fleet --measured``
+same measurement serves measured Figures 7.4/7.5 and ``fleet --measured``
 through one process memo and shared cache keys; profiles parameterize
 the policy comparison per (policy, organization) with the reliability
 models untouched; and the whole pipeline — including the CLI over a
@@ -21,11 +21,11 @@ from repro.fleet import (
     SubPopulation,
     clear_measured_memo,
     measure_scenario_profiles,
+    measured_fault_ratios,
     measured_policy,
     plan_fleet_compare,
     plan_measured_profiles,
     resolve_policies,
-    run_fleet_compare,
     run_measured_profiles,
 )
 from repro.fleet.measured import _lotecc_factor
@@ -162,7 +162,7 @@ class TestDeterminismAndCaching:
         assert run_measured_profiles(**kwargs) is first
 
     def test_measurement_jobs_share_cache_keys_with_fig7_2(self):
-        """`fig7.4 --measured` and `fleet --measured` run through one
+        """Measured Figures 7.4/7.5 and `fleet --measured` run through one
         cached computation: every fig7.2/7.3 point's cache key appears
         among the bridge's measurement jobs (names differ, keys agree)."""
         from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
@@ -181,13 +181,11 @@ class TestDeterminismAndCaching:
         fig_keys = {cache.key(job) for job in fig.jobs}
         assert fig_keys <= bridge_keys
 
-    def test_measured_overheads_delegates_to_bridge_memo(self):
-        from repro.experiments.fig7_4_7_5 import measured_overheads
-
-        first = measured_overheads(
+    def test_measured_fault_ratios_memoized_per_process(self):
+        first = measured_fault_ratios(
             mixes=MIXES[:1], instructions_per_core=2_000
         )
-        assert measured_overheads(
+        assert measured_fault_ratios(
             mixes=MIXES[:1], instructions_per_core=2_000
         ) is first
         assert set(first) == {
@@ -241,8 +239,13 @@ class TestMeasuredComparison:
             mixes=MIXES,
             instructions_per_core=INSTRUCTIONS,
         )
-        return run_fleet_compare(
-            "steady", channels=400, seed=3, profiles=profiles
+        return execute_plan(
+            plan_fleet_compare(
+                "steady",
+                channels=400,
+                seed=3,
+                profiles=profiles,
+            )
         )
 
     def test_report_carries_profiles(self, report):
@@ -270,7 +273,9 @@ class TestMeasuredComparison:
 
     def test_measured_run_matches_worst_case_reliability(self, report):
         """Measurement changes costs, never SDC/DUE physics."""
-        worst = run_fleet_compare("steady", channels=400, seed=3)
+        worst = execute_plan(
+            plan_fleet_compare("steady", channels=400, seed=3)
+        )
         for policy in ("arcc", "sccdcd", "lotecc"):
             a = report.fleet_summary(policy)
             b = worst.fleet_summary(policy)
@@ -283,7 +288,9 @@ class TestMeasuredComparison:
         fleet overhead can never exceed the worst-case scoring. (No such
         structural bound exists for arcc/sccdcd — their fallback weights
         are themselves measurements recorded at another trace scale.)"""
-        worst = run_fleet_compare("steady", channels=400, seed=3)
+        worst = execute_plan(
+            plan_fleet_compare("steady", channels=400, seed=3)
+        )
         assert (
             report.fleet_summary("lotecc").power_overhead[0]
             <= worst.fleet_summary("lotecc").power_overhead[0] + 1e-12
@@ -293,18 +300,30 @@ class TestMeasuredComparison:
             <= worst.fleet_summary("lotecc").performance_overhead[0] + 1e-12
         )
 
-    def test_end_to_end_measured_flag_jobs_1_vs_4(self):
-        kwargs = dict(
-            scenario="steady",
-            channels=300,
-            seed=5,
-            policies=("arcc", "lotecc"),
-            measured=True,
-            measured_instructions_per_core=2_000,
-        )
-        a = run_fleet_compare(jobs=1, **kwargs)
+    def test_end_to_end_measured_jobs_1_vs_4(self):
+        policies = ("arcc", "lotecc")
+
+        def measured_compare(jobs):
+            profiles = measure_scenario_profiles(
+                "steady",
+                policies=policies,
+                instructions_per_core=2_000,
+                jobs=jobs,
+            )
+            return execute_plan(
+                plan_fleet_compare(
+                    "steady",
+                    policies=policies,
+                    channels=300,
+                    seed=5,
+                    profiles=profiles,
+                ),
+                max_workers=jobs,
+            )
+
+        a = measured_compare(1)
         clear_measured_memo()
-        b = run_fleet_compare(jobs=4, **kwargs)
+        b = measured_compare(4)
         assert [vars(s) for s in a.slices] == [vars(s) for s in b.slices]
         assert [vars(s) for s in a.fleet] == [vars(s) for s in b.fleet]
         assert a.profiles == b.profiles
@@ -458,9 +477,11 @@ class TestProfilesOverCustomOrganizations:
 def test_exposure_report_names_organizations():
     """The fleet exposure summary now says which organization each
     slice runs (custom organizations are first-class everywhere)."""
-    from repro.fleet import run_fleet
+    from repro.fleet import plan_fleet
 
-    report = run_fleet("mixed-generations", channels=300, seed=1)
+    report = execute_plan(
+        plan_fleet("mixed-generations", channels=300, seed=1)
+    )
     assert {r.organization for r in report.subpopulations} == {
         "ARCC",
         "Baseline-SCCDCD",

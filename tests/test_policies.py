@@ -18,7 +18,6 @@ from repro.fleet import (
     SubPopulation,
     plan_fleet_compare,
     resolve_policies,
-    run_fleet_compare,
 )
 from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch
 from repro.fleet.policies import (
@@ -27,6 +26,7 @@ from repro.fleet.policies import (
     slice_reliability_params,
     uncorrectable_candidate_channels,
 )
+from repro.runner import execute_plan
 
 
 def _batch(rows):
@@ -234,8 +234,12 @@ class TestUncorrectablePairScreen:
 class TestComparisonReport:
     @pytest.fixture(scope="class")
     def report(self):
-        return run_fleet_compare(
-            "mixed-generations", channels=1200, seed=0xC0FFEE
+        return execute_plan(
+            plan_fleet_compare(
+                "mixed-generations",
+                channels=1200,
+                seed=0xC0FFEE,
+            )
         )
 
     def test_structure(self, report):
@@ -307,14 +311,18 @@ class TestComparisonReport:
             channels=600,
             seed=3,
         )
-        a = run_fleet_compare(jobs=1, **kwargs)
-        b = run_fleet_compare(jobs=4, **kwargs)
+        a = execute_plan(plan_fleet_compare(**kwargs), max_workers=1)
+        b = execute_plan(plan_fleet_compare(**kwargs), max_workers=4)
         assert [vars(s) for s in a.slices] == [vars(s) for s in b.slices]
         assert [vars(s) for s in a.fleet] == [vars(s) for s in b.fleet]
 
     def test_policy_subset_and_order_respected(self):
-        report = run_fleet_compare(
-            "steady", policies=("lotecc", "arcc"), channels=200
+        report = execute_plan(
+            plan_fleet_compare(
+                "steady",
+                policies=("lotecc", "arcc"),
+                channels=200,
+            )
         )
         assert report.policies == ["lotecc", "arcc"]
         assert [s.policy for s in report.fleet] == ["lotecc", "arcc"]
@@ -345,7 +353,9 @@ class TestPairedSampling:
             description="doc",
             populations=(SubPopulation(name="only", channels=100),),
         )
-        report = run_fleet_compare(scenario, policies=("arcc",))
+        report = execute_plan(
+            plan_fleet_compare(scenario, policies=("arcc",))
+        )
         assert report.scenario == "tiny-compare"
         assert len(report.slices) == 1
 

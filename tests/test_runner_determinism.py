@@ -10,17 +10,17 @@ exact values — no tolerances.
 import pytest
 
 from repro.experiments import (
-    run_fig3_1,
-    run_fig6_1,
-    run_fig7_1,
-    run_fig7_2_7_3,
-    run_fig7_4_7_5,
-    run_fig7_6,
-    run_sweep_upgraded_fraction_measured,
+    plan_fig3_1,
+    plan_fig6_1,
+    plan_fig7_1,
+    plan_fig7_2_7_3,
+    plan_fig7_4_7_5,
+    plan_fig7_6,
+    plan_sweep_upgraded_fraction_measured,
 )
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.montecarlo import BLOCK_CHANNELS, MonteCarloReliability
-from repro.runner import ResultCache
+from repro.runner import ResultCache, execute_plan
 from repro.workloads.spec import ALL_MIXES
 
 
@@ -58,8 +58,8 @@ class TestMonteCarloParallelism:
 
 class TestFigureParallelism:
     def test_fig3_1_series_identical(self):
-        a = run_fig3_1(years=3, channels=80, jobs=1)
-        b = run_fig3_1(years=3, channels=80, jobs=4)
+        a = execute_plan(plan_fig3_1(years=3, channels=80), max_workers=1)
+        b = execute_plan(plan_fig3_1(years=3, channels=80), max_workers=4)
         assert a.series == b.series
 
     def test_fig6_1_cells_and_monte_carlo_identical(self):
@@ -69,36 +69,38 @@ class TestFigureParallelism:
             monte_carlo_channels=2 * BLOCK_CHANNELS,
             monte_carlo_years=3.0,
         )
-        a = run_fig6_1(jobs=1, **kwargs)
-        b = run_fig6_1(jobs=4, **kwargs)
+        a = execute_plan(plan_fig6_1(**kwargs), max_workers=1)
+        b = execute_plan(plan_fig6_1(**kwargs), max_workers=4)
         assert a.cells == b.cells
         assert a.monte_carlo == b.monte_carlo
 
     def test_fig7_1_rows_identical(self):
-        a = run_fig7_1(
-            mixes=ALL_MIXES[:4], instructions_per_core=4_000, jobs=1
+        a = execute_plan(
+            plan_fig7_1(mixes=ALL_MIXES[:4], instructions_per_core=4_000),
+            max_workers=1,
         )
-        b = run_fig7_1(
-            mixes=ALL_MIXES[:4], instructions_per_core=4_000, jobs=4
+        b = execute_plan(
+            plan_fig7_1(mixes=ALL_MIXES[:4], instructions_per_core=4_000),
+            max_workers=4,
         )
         assert [vars(r) for r in a.rows] == [vars(r) for r in b.rows]
 
     def test_fig7_6_overheads_identical(self):
-        a = run_fig7_6(years=3, channels=60, jobs=1)
-        b = run_fig7_6(years=3, channels=60, jobs=4)
+        a = execute_plan(plan_fig7_6(years=3, channels=60), max_workers=1)
+        b = execute_plan(plan_fig7_6(years=3, channels=60), max_workers=4)
         assert a.overhead == b.overhead
 
     def test_fig7_2_7_3_ratios_identical(self):
         """Batched-engine per-(mix, point) jobs: jobs=1 == jobs=4."""
         kwargs = dict(mixes=ALL_MIXES[:3], instructions_per_core=4_000)
-        a = run_fig7_2_7_3(jobs=1, **kwargs)
-        b = run_fig7_2_7_3(jobs=4, **kwargs)
+        a = execute_plan(plan_fig7_2_7_3(**kwargs), max_workers=1)
+        b = execute_plan(plan_fig7_2_7_3(**kwargs), max_workers=4)
         assert a.power_ratio == b.power_ratio
         assert a.performance_ratio == b.performance_ratio
 
     def test_fig7_4_7_5_series_identical(self):
-        a = run_fig7_4_7_5(years=3, channels=120, jobs=1)
-        b = run_fig7_4_7_5(years=3, channels=120, jobs=4)
+        a = execute_plan(plan_fig7_4_7_5(years=3, channels=120), max_workers=1)
+        b = execute_plan(plan_fig7_4_7_5(years=3, channels=120), max_workers=4)
         assert a.power_overhead == b.power_overhead
         assert a.performance_overhead == b.performance_overhead
         assert a.power_ci == b.power_ci
@@ -109,8 +111,14 @@ class TestFigureParallelism:
             fractions=(0.0, 0.25, 1.0),
             instructions_per_core=4_000,
         )
-        a = run_sweep_upgraded_fraction_measured(jobs=1, **kwargs)
-        b = run_sweep_upgraded_fraction_measured(jobs=4, **kwargs)
+        a = execute_plan(
+            plan_sweep_upgraded_fraction_measured(**kwargs),
+            max_workers=1,
+        )
+        b = execute_plan(
+            plan_sweep_upgraded_fraction_measured(**kwargs),
+            max_workers=4,
+        )
         assert a.ratios == b.ratios
 
 
@@ -120,8 +128,16 @@ class TestCacheReproducibility:
     def test_fig7_2_cache_hits_reproduce_cold_run(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         kwargs = dict(mixes=ALL_MIXES[:2], instructions_per_core=4_000)
-        cold = run_fig7_2_7_3(jobs=1, cache=cache, **kwargs)
-        warm = run_fig7_2_7_3(jobs=4, cache=cache, **kwargs)
+        cold = execute_plan(
+            plan_fig7_2_7_3(**kwargs),
+            max_workers=1,
+            cache=cache,
+        )
+        warm = execute_plan(
+            plan_fig7_2_7_3(**kwargs),
+            max_workers=4,
+            cache=cache,
+        )
         assert cold.power_ratio == warm.power_ratio
         assert cold.performance_ratio == warm.performance_ratio
 
@@ -154,6 +170,6 @@ class TestFigureParallelismHeavy:
     """Closer-to-paper-scale determinism sweep (kept out of quick loops)."""
 
     def test_fig3_1_default_multipliers_identical(self):
-        a = run_fig3_1(years=7, channels=300, jobs=1)
-        b = run_fig3_1(years=7, channels=300, jobs=4)
+        a = execute_plan(plan_fig3_1(years=7, channels=300), max_workers=1)
+        b = execute_plan(plan_fig3_1(years=7, channels=300), max_workers=4)
         assert a.series == b.series

@@ -133,14 +133,17 @@ class TestMeasuredFractionSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
         from repro.experiments.sensitivity import (
-            run_sweep_upgraded_fraction_measured,
+            plan_sweep_upgraded_fraction_measured,
         )
+        from repro.runner import execute_plan
         from repro.workloads.spec import ALL_MIXES
 
-        return run_sweep_upgraded_fraction_measured(
-            mixes=ALL_MIXES[:3],
-            fractions=(0.0, 0.25, 1.0),
-            instructions_per_core=8_000,
+        return execute_plan(
+            plan_sweep_upgraded_fraction_measured(
+                mixes=ALL_MIXES[:3],
+                fractions=(0.0, 0.25, 1.0),
+                instructions_per_core=8_000,
+            )
         )
 
     def test_zero_point_is_unity(self, sweep):
