@@ -29,9 +29,9 @@ from repro.fleet import (
     FleetScenario,
     RatePhase,
     SubPopulation,
-    measure_scenario_profiles,
     plan_fleet,
     plan_fleet_compare,
+    plan_fleet_compare_measured,
 )
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.due import due_rate_sccdcd, due_rate_sparing
@@ -118,17 +118,12 @@ def main() -> None:
     # The perf -> fleet bridge replays per-(policy, fault-class) trace
     # points against both organizations of this fleet, so LOT-ECC is
     # priced at its locality-aware cost instead of the flat 4x worst
-    # case. The measurement shares its cache with fig7.2/7.3.
-    profiles = measure_scenario_profiles(
-        DATACENTER_FLEET,
-        policies=("arcc", "sccdcd", "lotecc"),
-        jobs=args.jobs,
-    )
+    # case. The measurement shares its cache with fig7.2/7.3; the plan's
+    # assembly runs the comparison on the measured weights.
     measured = execute_plan(
-        plan_fleet_compare(
+        plan_fleet_compare_measured(
             DATACENTER_FLEET,
             policies=("arcc", "sccdcd", "lotecc"),
-            profiles=profiles,
         ),
         max_workers=args.jobs,
     )

@@ -152,7 +152,7 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
         load_scenario_file,
         plan_fleet,
         plan_fleet_compare,
-        resolve_policies,
+        plan_fleet_compare_measured,
     )
     from repro.util.suggest import unknown_key_message
 
@@ -214,49 +214,32 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
 
     started = time.perf_counter()
     if policy_keys:
+        build = (
+            plan_fleet_compare_measured if args.measured else plan_fleet_compare
+        )
         try:
-            resolve_policies(policy_keys)
+            plans = [
+                build(
+                    scenario=scenario,
+                    policies=policy_keys,
+                    channels=channels,
+                    seed=seed,
+                )
+                for scenario, channels, seed in specs
+            ]
         except (KeyError, ValueError) as exc:
             message = exc.args[0] if exc.args else str(exc)
             raise SystemExit(f"repro fleet: {message}") from exc
-        profiles_by_spec = [None] * len(specs)
-        if args.measured:
-            # The measurement points share the default runner cache with
-            # `repro run` (fig7.1/fig7.2/sensitivity), so one measurement
-            # serves every figure across invocations.
-            from repro.fleet import measure_scenario_profiles
-
-            cache = ResultCache()
-            try:
-                profiles_by_spec = [
-                    measure_scenario_profiles(
-                        scenario,
-                        policies=policy_keys,
-                        jobs=args.jobs,
-                        cache=cache,
-                    )
-                    for scenario, _, _ in specs
-                ]
-            except ValueError as exc:
-                raise SystemExit(f"repro fleet: {exc}") from exc
-        plans = [
-            plan_fleet_compare(
-                scenario=scenario,
-                policies=policy_keys,
-                channels=channels,
-                seed=seed,
-                profiles=profiles,
-            )
-            for (scenario, channels, seed), profiles in zip(
-                specs, profiles_by_spec
-            )
-        ]
     else:
         plans = [
             plan_fleet(scenario=scenario, channels=channels, seed=seed)
             for scenario, channels, seed in specs
         ]
-    reports = execute_plans(plans, max_workers=args.jobs)
+    # Measurement points share the default runner cache with `repro run`
+    # (fig7.1/fig7.2/sensitivity), so one measurement serves every figure
+    # across invocations; scenarios on one organization share it in-batch.
+    cache = ResultCache() if args.measured else None
+    reports = execute_plans(plans, max_workers=args.jobs, cache=cache)
     elapsed = time.perf_counter() - started
     for report in reports:
         print(report.to_table())
@@ -402,17 +385,30 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type for counts: an int of at least 1 (else exit 2)."""
+def _int_at_least(text: str, minimum: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
+        value = minimum - 1
+    if value < minimum:
         raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}"
+            f"must be a {kind} integer, got {text!r}"
         )
     return value
+
+
+def _positive_int(text: str) -> int:
+    """Argparse type for counts: an int of at least 1 (else exit 2)."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _seed(text: str) -> int:
+    """Argparse type for seeds: an int of at least 0 (else exit 2).
+
+    NumPy's seeding rejects negative seeds, so they fail here, naming
+    the flag, instead of as a traceback deep inside a run.
+    """
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
@@ -472,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         default=None,
         help="experiment seed (default: the scenario file's, else 0xF1EE7)",
     )
@@ -512,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         default=None,
         help="override the fleet seed (default: the study file's)",
     )
@@ -566,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded differential fuzzing of every engine vs its oracle",
     )
     p.add_argument(
-        "--seed", type=int, default=0, help="campaign seed (case i derives "
+        "--seed", type=_seed, default=0, help="campaign seed (case i derives "
         "its own seed from it; default 0)"
     )
     p.add_argument(

@@ -41,7 +41,6 @@ from repro.fleet.measured import (
     clear_measured_memo,
     measured_fault_ratios,
     plan_measured_profiles,
-    run_measured_profiles,
 )
 from repro.fleet.policies import (
     DEFAULT_POLICY_KEYS,
@@ -50,7 +49,6 @@ from repro.fleet.policies import (
     PolicyFleetSummary,
     PolicySliceReport,
     ProtectionPolicy,
-    measure_scenario_profiles,
     measured_policy,
     plan_fleet_compare,
     plan_fleet_compare_measured,
@@ -129,7 +127,6 @@ __all__ = [
     "load_raw_mapping",
     "load_scenario_file",
     "load_study_file",
-    "measure_scenario_profiles",
     "measured_fault_ratios",
     "measured_policy",
     "overhead_series_by_year",
@@ -139,7 +136,6 @@ __all__ = [
     "plan_measured_profiles",
     "plan_study",
     "resolve_policies",
-    "run_measured_profiles",
     "resolve_scenario",
     "run_study",
     "sample_block",

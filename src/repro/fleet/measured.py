@@ -41,12 +41,13 @@ measured points):
 Every simulation point funnels through
 :func:`~repro.perf.engine.simulate_point_job` with the Figure 7.1-7.3
 seeds, so points shared with those figures are one cache entry (and one
-in-batch computation); the arcc/lotecc job pairs for a class are
-likewise identical computations the executor runs once. A per-process
-memo on top of the runner cache means measured Figures 7.4/7.5
-(``plan_fig7_4_7_5(overheads=measured_fault_ratios())``) and ``repro
-fleet --measured`` in one process measure once, and across processes
-share the same disk-cache entries.
+in-batch computation); the sccdcd lane point is likewise the arcc lane
+point, computed once. Measurement is a plan, never an eager call:
+:func:`~repro.fleet.policies.plan_fleet_compare_measured` composes it
+with the comparison, and several such plans in one ``execute_plans``
+batch (``repro fleet --measured`` over several scenarios, a study's
+measured points) share their common points through in-batch dedup.
+Across processes they share the same disk-cache entries.
 """
 
 from __future__ import annotations
@@ -401,55 +402,12 @@ def plan_measured_profiles(
     return ExperimentPlan(name="measured", jobs=jobs, assemble=assemble)
 
 
-_profile_memo: Dict[Tuple[Any, ...], ProfileMap] = {}
 _ratio_memo: Dict[Tuple[Any, ...], Dict[FaultType, Tuple[float, float]]] = {}
 
 
 def clear_measured_memo() -> None:
-    """Drop the per-process measurement memos (cold-run benchmarking)."""
-    _profile_memo.clear()
+    """Drop the per-process measurement memo (cold-run benchmarking)."""
     _ratio_memo.clear()
-
-
-def run_measured_profiles(
-    policies: Sequence[str] = tuple(POLICY_FAULT_CLASSES),
-    organizations: Sequence[MemoryConfig] = (ARCC_MEMORY_CONFIG,),
-    mixes: Optional[Sequence[WorkloadMix]] = None,
-    instructions_per_core: int = MEASUREMENT_CONFIG.instructions_per_core,
-    seed: int = MEASUREMENT_CONFIG.seed,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> ProfileMap:
-    """Measure overhead profiles (memoized per process, cache-shared).
-
-    The memo keys on the measurement inputs only — never the worker
-    count or cache — so one process asking twice (two ``repro fleet
-    --measured`` scenarios on the same organizations) measures once, and
-    the answer is identical at any ``jobs``.
-    """
-    policies = _check_policies(policies)
-    organizations = _check_organizations(organizations)
-    mix_list = list(mixes) if mixes is not None else list(ALL_MIXES)
-    key = (
-        policies,
-        organizations,
-        tuple(mix.name for mix in mix_list),
-        instructions_per_core,
-        seed,
-    )
-    if key not in _profile_memo:
-        _profile_memo[key] = execute_plan(
-            plan_measured_profiles(
-                policies=policies,
-                organizations=organizations,
-                mixes=mix_list,
-                instructions_per_core=instructions_per_core,
-                seed=seed,
-            ),
-            max_workers=jobs,
-            cache=cache,
-        )
-    return _profile_memo[key]
 
 
 def measured_fault_ratios(
@@ -463,7 +421,7 @@ def measured_fault_ratios(
 
     The ``overheads=`` input of measured Figures 7.4/7.5, memoized per
     process; it shares the per-(mix, point) cache entries with
-    :func:`run_measured_profiles` — one measurement feeds Figures
+    :func:`plan_measured_profiles` — one measurement feeds Figures
     7.4/7.5 *and* the policy comparison.
     """
     from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
@@ -552,5 +510,4 @@ __all__ = [
     "measured_fault_ratios",
     "plan_measured_profiles",
     "profiles_to_table",
-    "run_measured_profiles",
 ]

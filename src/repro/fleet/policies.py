@@ -29,10 +29,12 @@ SDC/DUE columns come from the closed-form Chapter 6 models evaluated
 per slice.
 
 By default the per-fault weights are the worst-case constants above
-(kept as the documented fallback and oracle bound); pass measured
-profiles (:mod:`repro.fleet.measured`, ``repro fleet --measured``) to
-price every policy with locality-aware weights measured by the batched
-trace engine against each slice's own memory organization.
+(kept as the documented fallback and oracle bound).
+:func:`plan_fleet_compare_measured` (``repro fleet --measured``) is
+the one path that prices every policy with locality-aware weights
+instead: its jobs measure them on the trace engine against each
+slice's own memory organization (:mod:`repro.fleet.measured`), and its
+assembly runs this module's comparison on the resulting profiles.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch
 from repro.fleet.measured import (
     MeasuredOverheadProfile,
     ProfileMap,
+    plan_measured_profiles,
     profiles_to_table,
-    run_measured_profiles,
 )
 from repro.fleet.report import DEFAULT_FLEET_SEED, MeanCI, _Moments
 from repro.fleet.scenarios import (
@@ -80,12 +82,13 @@ from repro.reliability.due import (
     due_rate_sccdcd,
     due_rate_sparing,
 )
-from repro.runner import ExperimentPlan, Job, ResultCache, execute_plan
+from repro.runner import ExperimentPlan, Job, execute_plan
 from repro.util.rng import derive_seeds
 from repro.util.stats import binomial_confidence_interval
 from repro.util.suggest import unknown_key_message
 from repro.util.tables import format_table
 from repro.util.units import HOURS_PER_YEAR
+from repro.workloads.spec import WorkloadMix
 
 _BIT_CODE = FAULT_TYPE_ORDER.index(FaultType.BIT)
 
@@ -146,17 +149,16 @@ class ProtectionPolicy:
 _FIG74_CAPS = dict(_SERIES_SPECS)
 
 
-def _arcc_policy(
-    overheads: Dict[FaultType, Tuple[float, float]],
-) -> ProtectionPolicy:
-    """SCCDCD+ARCC with the measured Figure 7.2/7.3 per-fault costs.
+def _arcc_policy() -> ProtectionPolicy:
+    """SCCDCD+ARCC with the recorded Figure 7.2/7.3 per-fault costs.
 
     Weights and caps come from the same
     :func:`~repro.experiments.fig7_4_7_5._per_fault_weights` machinery
-    Figures 7.4/7.5 use, so the policy can never drift from the figure
-    it mirrors.
+    Figures 7.4/7.5 use, on their
+    :data:`~repro.experiments.fig7_4_7_5.FALLBACK_OVERHEADS`, so the
+    policy can never drift from the figure it mirrors.
     """
-    power, perf, _, _ = _per_fault_weights(overheads)
+    power, perf, _, _ = _per_fault_weights(FALLBACK_OVERHEADS)
     return ProtectionPolicy(
         key="arcc",
         title="SCCDCD+ARCC (relaxed, upgrade per fault)",
@@ -170,17 +172,15 @@ def _arcc_policy(
     )
 
 
-def _sccdcd_policy(
-    overheads: Dict[FaultType, Tuple[float, float]],
-) -> ProtectionPolicy:
+def _sccdcd_policy() -> ProtectionPolicy:
     """Always-strong commercial chipkill (the Table 7.1 baseline).
 
-    Its constant premium is ARCC's fully-upgraded state — the measured
+    Its constant premium is ARCC's fully-upgraded state — the recorded
     lane-fault overhead (a lane fault upgrades every page), which keeps
     the two policies on one scale: as faults accumulate, ARCC's cost
     approaches exactly SCCDCD's floor.
     """
-    power, perf, _, _ = _per_fault_weights(overheads)
+    power, perf, _, _ = _per_fault_weights(FALLBACK_OVERHEADS)
     return ProtectionPolicy(
         key="sccdcd",
         title="SCCDCD (always strong)",
@@ -192,9 +192,7 @@ def _sccdcd_policy(
     )
 
 
-def _lotecc_policy(
-    overheads: Dict[FaultType, Tuple[float, float]],
-) -> ProtectionPolicy:
+def _lotecc_policy() -> ProtectionPolicy:
     """ARCC+LOT-ECC: 4x worst-case upgraded accesses, sparing-class DUE.
 
     Per-fault weights follow the Figure 7.6 worst-case arithmetic: a
@@ -236,25 +234,18 @@ POLICY_KEYS: Tuple[str, ...] = tuple(_POLICY_BUILDERS)
 DEFAULT_POLICY_KEYS: Tuple[str, ...] = POLICY_KEYS
 
 
-def resolve_policies(
-    keys: Sequence[str],
-    overheads: Optional[Dict[FaultType, Tuple[float, float]]] = None,
-) -> Tuple[ProtectionPolicy, ...]:
-    """Build policies from their keys.
+def resolve_policies(keys: Sequence[str]) -> Tuple[ProtectionPolicy, ...]:
+    """Build policies, with their worst-case weights, from their keys.
 
-    ``overheads`` maps fault type -> (power ratio, perf ratio) as
-    measured by Figures 7.2/7.3 (defaults to the recorded
-    :data:`~repro.experiments.fig7_4_7_5.FALLBACK_OVERHEADS`).
     Unknown keys raise ``KeyError`` naming the closest known policy.
     """
     if not keys:
         raise ValueError("need at least one policy")
-    overheads = overheads or FALLBACK_OVERHEADS
     policies = []
     for key in keys:
         if key not in _POLICY_BUILDERS:
             raise KeyError(unknown_key_message("policy", key, POLICY_KEYS))
-        policies.append(_POLICY_BUILDERS[key](overheads))
+        policies.append(_POLICY_BUILDERS[key]())
     if len({p.key for p in policies}) != len(policies):
         raise ValueError("duplicate policy keys")
     return tuple(policies)
@@ -711,7 +702,6 @@ def plan_fleet_compare(
     policies: Sequence[str] = DEFAULT_POLICY_KEYS,
     channels: Optional[int] = None,
     seed: int = DEFAULT_FLEET_SEED,
-    overheads: Optional[Dict[FaultType, Tuple[float, float]]] = None,
     profiles: Optional[ProfileMap] = None,
 ) -> ExperimentPlan:
     """A policy comparison as runner jobs: one per (policy, slice, block).
@@ -722,7 +712,7 @@ def plan_fleet_compare(
     fault histories and results are independent of worker count.
 
     ``profiles`` (keyed ``(policy key, organization name)``, from
-    :func:`~repro.fleet.measured.run_measured_profiles`) swaps the
+    :func:`~repro.fleet.measured.plan_measured_profiles`) swaps the
     worst-case per-fault constants for measured weights: each slice's
     jobs carry the policy variant measured against *its own* memory
     organization. Every (policy, slice's organization) pair must be
@@ -731,7 +721,7 @@ def plan_fleet_compare(
     scenario = resolve_scenario(scenario)
     if channels is not None:
         scenario = scenario.scaled_to(channels)
-    built = resolve_policies(policies, overheads=overheads)
+    built = resolve_policies(policies)
     pop_seeds = derive_seeds(seed, len(scenario.populations))
     scrub_hours = ReliabilityParams().scrub_interval_hours
 
@@ -746,7 +736,7 @@ def plan_fleet_compare(
                         f"no measured profile for policy {policy.key!r} on "
                         f"organization {pop.config.name!r}; measure the "
                         "scenario's organizations first "
-                        "(run_measured_profiles)"
+                        "(plan_measured_profiles)"
                     )
                 variant = measured_policy(policy, profiles[profile_key])
             effective[(policy.key, pop.name)] = variant
@@ -880,61 +870,37 @@ def plan_fleet_compare(
     return ExperimentPlan(name="fleet-compare", jobs=jobs, assemble=assemble)
 
 
-def measure_scenario_profiles(
-    scenario: "FleetScenario | str",
-    policies: Sequence[str] = DEFAULT_POLICY_KEYS,
-    mixes: Optional[Sequence[Any]] = None,
-    instructions_per_core: int = MEASUREMENT_CONFIG.instructions_per_core,
-    measurement_seed: int = MEASUREMENT_CONFIG.seed,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> ProfileMap:
-    """Measure overhead profiles for every organization of a scenario.
-
-    Thin wrapper over
-    :func:`~repro.fleet.measured.run_measured_profiles` that collects
-    the scenario's distinct organizations; raises ``ValueError`` when
-    one of them cannot host upgraded pages (single channel).
-    """
-    scenario = resolve_scenario(scenario)
-    return run_measured_profiles(
-        policies=tuple(policies),
-        organizations=scenario.organizations(),
-        mixes=mixes,
-        instructions_per_core=instructions_per_core,
-        seed=measurement_seed,
-        jobs=jobs,
-        cache=cache,
-    )
-
-
 def plan_fleet_compare_measured(
     scenario: "FleetScenario | str" = "mixed-generations",
     policies: Sequence[str] = DEFAULT_POLICY_KEYS,
     channels: Optional[int] = None,
     seed: int = DEFAULT_FLEET_SEED,
+    mixes: Optional[Sequence[WorkloadMix]] = None,
     instructions_per_core: int = MEASUREMENT_CONFIG.instructions_per_core,
     measurement_seed: int = MEASUREMENT_CONFIG.seed,
 ) -> ExperimentPlan:
-    """The measured comparison as one registry plan.
+    """The measured comparison as one plan (the only measured path).
 
-    The plan's jobs are the measurement points (the expensive,
-    cache-shared part); assembly reduces them into profiles and then
-    runs the (vectorized, cheap) comparison blocks inline — so the
-    registry's plan/assemble contract holds even though the block jobs'
-    weights depend on measured values. Results are bit-identical at any
-    worker count: measurement points own explicit seeds and the inline
-    comparison is deterministic.
+    The plan's jobs are the measurement points of every organization
+    the scenario deploys (the expensive, cache-shared part); assembly
+    reduces them into profiles and then runs the (vectorized, cheap)
+    comparison blocks inline — so the plan/assemble contract holds even
+    though the block jobs' weights depend on measured values. Several
+    such plans in one ``execute_plans`` batch (scenarios or study points
+    on the same organizations) share their measurement points through
+    in-batch dedup. Results are bit-identical at any worker count:
+    measurement points own explicit seeds and the inline comparison is
+    deterministic. ``mixes`` defaults to every workload mix; a
+    single-channel organization raises ``ValueError`` at build time.
     """
     scenario = resolve_scenario(scenario)
     if channels is not None:
         scenario = scenario.scaled_to(channels)
     resolve_policies(policies)  # fail fast on unknown keys
-    from repro.fleet.measured import plan_measured_profiles
-
     measured_plan = plan_measured_profiles(
         policies=tuple(policies),
         organizations=scenario.organizations(),
+        mixes=mixes,
         instructions_per_core=instructions_per_core,
         seed=measurement_seed,
     )

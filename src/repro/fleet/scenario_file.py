@@ -28,6 +28,7 @@ from repro.config import (
     MemoryConfig,
 )
 from repro.faults.types import DEFAULT_FIT_RATES, FaultRates
+from repro.fleet.policies import POLICY_KEYS
 from repro.fleet.scenarios import (
     SPATIAL_KINDS,
     FleetScenario,
@@ -231,6 +232,31 @@ def _get_array(mapping: Mapping[str, Any], key: str, path: str) -> List[Any]:
     if not value:
         raise _fail(f"{path}.{key}", "must not be empty")
     return list(value)
+
+
+def _check_policy_set(group: Sequence[Any], path: str) -> Tuple[str, ...]:
+    """Validate one policy comparison: distinct, known policy keys.
+
+    Shared by the top-level ``policies`` array and every policy set of a
+    study's ``policies`` axis, so both reject the same mistakes at their
+    own ``path[i]``.
+    """
+    if not group:
+        raise _fail(path, "policy set must not be empty")
+    keys: List[str] = []
+    for i, key in enumerate(group):
+        if not isinstance(key, str):
+            raise _fail(f"{path}[{i}]", f"expected str, got {_type_name(key)}")
+        if key not in POLICY_KEYS:
+            raise _fail(
+                f"{path}[{i}]",
+                f"unknown policy {key!r}{did_you_mean(key, POLICY_KEYS)}; "
+                f"known: {', '.join(POLICY_KEYS)}",
+            )
+        if key in keys:
+            raise _fail(f"{path}[{i}]", f"duplicate policy {key!r}")
+        keys.append(key)
+    return tuple(keys)
 
 
 def _parse_rates(raw: Any, path: str) -> FaultRates:
@@ -498,13 +524,7 @@ def scenario_from_mapping(
                     "policies",
                     f"expected an array of strings, got {_type_name(value)}",
                 )
-            for i, item in enumerate(value):
-                if not isinstance(item, str):
-                    raise _fail(
-                        f"policies[{i}]",
-                        f"expected str, got {_type_name(item)}",
-                    )
-            policies = tuple(value)
+            policies = _check_policy_set(value, "policies")
 
         organizations: Dict[str, MemoryConfig] = {}
         if "organizations" in raw:

@@ -5,8 +5,8 @@ A *study file* is a scenario file plus one ``[study]`` (alias
 scales, fleet fault-rate multipliers, memory organizations, policy sets
 and upgraded fractions. :func:`expand_study` compiles the resulting grid
 into **one** deduplicated :class:`~repro.runner.ExperimentPlan` over the
-existing machinery (:func:`~repro.fleet.measured.plan_measured_profiles`,
-:func:`~repro.fleet.policies.plan_fleet_compare`,
+existing machinery (:func:`~repro.fleet.policies.plan_fleet_compare`,
+:func:`~repro.fleet.policies.plan_fleet_compare_measured`,
 :func:`~repro.experiments.sensitivity.plan_sweep_upgraded_fraction_measured`),
 so axis points that share simulations — e.g. every rate multiplier at
 one instruction scale reuses that scale's measurement jobs — run once.
@@ -50,12 +50,12 @@ from repro.experiments.sensitivity import (
     MeasuredFractionSweep,
     plan_sweep_upgraded_fraction_measured,
 )
-from repro.fleet.measured import plan_measured_profiles
 from repro.fleet.policies import (
     DEFAULT_POLICY_KEYS,
     POLICY_KEYS,
     PolicyComparisonReport,
     plan_fleet_compare,
+    plan_fleet_compare_measured,
 )
 from repro.fleet.report import DEFAULT_FLEET_SEED
 from repro.fleet.scenario_file import (
@@ -65,6 +65,7 @@ from repro.fleet.scenario_file import (
     _check_float,
     _check_int,
     _check_keys,
+    _check_policy_set,
     _fail,
     _get_array,
     _get_bool,
@@ -329,42 +330,24 @@ def _fleet_point_plan(study: Study, point: StudyPoint) -> ExperimentPlan:
     """One policy-comparison point as a plan.
 
     Unmeasured points are the comparison blocks directly. Measured
-    points follow the ``fleet-compare-measured`` pattern: the plan's
-    jobs are only the (expensive, cache-shared) measurement points, and
-    assembly reduces them to profiles before running the (vectorized,
-    cheap) comparison inline — which is what lets every rate multiplier
-    at one instruction scale share that scale's measurements.
+    points are :func:`~repro.fleet.policies.plan_fleet_compare_measured`:
+    the plan's jobs are only the (expensive, cache-shared) measurement
+    points, and assembly runs the (vectorized, cheap) comparison inline
+    — which is what lets every rate multiplier at one instruction scale
+    share that scale's measurements.
     """
     scenario = _point_scenario(study, point)
     if not study.measured:
         return plan_fleet_compare(
             scenario=scenario, policies=point.policies, seed=study.seed
         )
-    measured_plan = plan_measured_profiles(
+    return plan_fleet_compare_measured(
+        scenario=scenario,
         policies=point.policies,
-        organizations=scenario.organizations(),
+        seed=study.seed,
         mixes=study.mix_list(),
         instructions_per_core=point.instructions_per_core,
-        seed=study.measurement_seed,
-    )
-
-    def assemble(values: List[Any]) -> PolicyComparisonReport:
-        profiles = measured_plan.assemble(values)
-        from repro.runner import execute_plan
-
-        return execute_plan(
-            plan_fleet_compare(
-                scenario=scenario,
-                policies=point.policies,
-                seed=study.seed,
-                profiles=profiles,
-            )
-        )
-
-    return ExperimentPlan(
-        name=f"study[{point.point_id}]",
-        jobs=measured_plan.jobs,
-        assemble=assemble,
+        measurement_seed=study.measurement_seed,
     )
 
 
@@ -719,28 +702,12 @@ def _policy_sets(
             "arrays (not a mixture)",
         )
     groups = [raw_sets] if flat else raw_sets
-    sets: List[Tuple[str, ...]] = []
-    for g, group in enumerate(groups):
-        prefix = f"{path}.policies" if flat else f"{path}.policies[{g}]"
-        if not group:
-            raise _fail(prefix, "policy set must not be empty")
-        keys: List[str] = []
-        for i, key in enumerate(group):
-            if not isinstance(key, str):
-                raise _fail(
-                    f"{prefix}[{i}]", f"expected str, got {_type_name(key)}"
-                )
-            if key not in POLICY_KEYS:
-                raise _fail(
-                    f"{prefix}[{i}]",
-                    f"unknown policy {key!r}"
-                    f"{did_you_mean(key, POLICY_KEYS)}; "
-                    f"known: {', '.join(POLICY_KEYS)}",
-                )
-            if key in keys:
-                raise _fail(f"{prefix}[{i}]", f"duplicate policy {key!r}")
-            keys.append(key)
-        sets.append(tuple(keys))
+    sets = [
+        _check_policy_set(
+            group, f"{path}.policies" if flat else f"{path}.policies[{g}]"
+        )
+        for g, group in enumerate(groups)
+    ]
     _no_duplicates([list(s) for s in sets], f"{path}.policies")
     return tuple(sets)
 
@@ -912,19 +879,9 @@ def study_from_mapping(
                     "normalized to it)",
                 )
 
-        default_set = (
-            tuple(spec.policies) if spec.policies else DEFAULT_POLICY_KEYS
+        policy_sets = _policy_sets(
+            section, section_key, spec.policies or DEFAULT_POLICY_KEYS
         )
-        policy_sets = _policy_sets(section, section_key, default_set)
-        for keys in policy_sets:
-            unknown = [key for key in keys if key not in POLICY_KEYS]
-            if unknown:  # default_set came from the top-level `policies`
-                raise _fail(
-                    f"policies[{list(keys).index(unknown[0])}]",
-                    f"unknown policy {unknown[0]!r}"
-                    f"{did_you_mean(unknown[0], POLICY_KEYS)}; "
-                    f"known: {', '.join(POLICY_KEYS)}",
-                )
 
         known_configs: Dict[str, MemoryConfig] = dict(CONFIG_NAMES)
         for config in spec.organizations:

@@ -484,16 +484,19 @@ def _shrink_screen(case: Dict[str, Any]) -> List[Dict[str, Any]]:
 def _execute_measured(case: Dict[str, Any]) -> Optional[str]:
     """Measured per-fault weights must stay within their worst-case
     oracle bounds (``MeasuredOverheadProfile.validate_bounds``)."""
-    from repro.fleet.measured import run_measured_profiles
+    from repro.fleet.measured import plan_measured_profiles
+    from repro.runner import execute_plan
     from repro.workloads.spec import mix_by_name
 
     config = organization_config(case["organization"])
-    profiles = run_measured_profiles(
-        policies=tuple(case["policies"]),
-        organizations=(config,),
-        mixes=[mix_by_name(name) for name in case["mixes"]],
-        instructions_per_core=case["instructions_per_core"],
-        seed=case["seed"],
+    profiles = execute_plan(
+        plan_measured_profiles(
+            policies=tuple(case["policies"]),
+            organizations=(config,),
+            mixes=[mix_by_name(name) for name in case["mixes"]],
+            instructions_per_core=case["instructions_per_core"],
+            seed=case["seed"],
+        )
     )
     for profile in profiles.values():
         try:

@@ -220,6 +220,18 @@ class TestCli:
             (["fuzz", "--count", "-1"], "--count"),
             (["fleet", "steady", "--jobs", "-2"], "--jobs"),
             (["run", "tables", "--jobs", "0"], "--jobs"),
+            (["fleet", "steady", "--seed", "-1"], "--seed"),
+            (
+                [
+                    "study",
+                    "examples/scenarios/scale_study.toml",
+                    "--seed",
+                    "-1",
+                ],
+                "--seed",
+            ),
+            (["fuzz", "--seed", "-1"], "--seed"),
+            (["fuzz", "--seed", "x"], "--seed"),
         ],
     )
     def test_bad_counts_exit_2_naming_the_flag(self, argv, flag, capsys):
@@ -227,5 +239,6 @@ class TestCli:
             main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: must be a positive integer" in err
+        kind = "non-negative" if flag == "--seed" else "positive"
+        assert f"argument {flag}: must be a {kind} integer" in err
         assert "Traceback" not in err

@@ -3,11 +3,13 @@
 The load-bearing guarantees: measured weights are bounded by the
 worst-case arithmetic (the Figure 7.6 oracle) per fault class; the
 same measurement serves measured Figures 7.4/7.5 and ``fleet --measured``
-through one process memo and shared cache keys; profiles parameterize
-the policy comparison per (policy, organization) with the reliability
-models untouched; and the whole pipeline — including the CLI over a
-custom-organizations scenario file — is bit-identical at any worker
-count and across a warm cache.
+through shared cache keys; profiles parameterize the policy comparison
+per (policy, organization) with the reliability models untouched;
+``plan_fleet_compare_measured`` is the one path from measurement to
+comparison, and ``repro fleet --measured`` over several scenarios is
+exactly its standalone plans run in one deduplicated batch; and the
+whole pipeline — including the CLI over a custom-organizations scenario
+file — is bit-identical at any worker count and across a warm cache.
 """
 
 import pytest
@@ -20,16 +22,15 @@ from repro.fleet import (
     MeasuredOverheadProfile,
     SubPopulation,
     clear_measured_memo,
-    measure_scenario_profiles,
     measured_fault_ratios,
     measured_policy,
     plan_fleet_compare,
+    plan_fleet_compare_measured,
     plan_measured_profiles,
     resolve_policies,
-    run_measured_profiles,
 )
 from repro.fleet.measured import _lotecc_factor
-from repro.runner import ResultCache, execute_plan
+from repro.runner import ResultCache, execute_plan, job_identity
 from repro.workloads.spec import ALL_MIXES
 
 MIXES = ALL_MIXES[:3]
@@ -38,7 +39,7 @@ INSTRUCTIONS = 4_000
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
-    """Each test starts without per-process measurement memos."""
+    """Each test starts without the per-process measurement memo."""
     clear_measured_memo()
     yield
     clear_measured_memo()
@@ -46,12 +47,13 @@ def _fresh_memo():
 
 @pytest.fixture(scope="module")
 def profiles():
-    clear_measured_memo()
-    return run_measured_profiles(
-        policies=("arcc", "sccdcd", "lotecc"),
-        organizations=(ARCC_MEMORY_CONFIG,),
-        mixes=MIXES,
-        instructions_per_core=INSTRUCTIONS,
+    return execute_plan(
+        plan_measured_profiles(
+            policies=("arcc", "sccdcd", "lotecc"),
+            organizations=(ARCC_MEMORY_CONFIG,),
+            mixes=MIXES,
+            instructions_per_core=INSTRUCTIONS,
+        )
     )
 
 
@@ -130,14 +132,13 @@ class TestDeterminismAndCaching:
             mixes=MIXES,
             instructions_per_core=INSTRUCTIONS,
         )
-        a = run_measured_profiles(jobs=1, **kwargs)
-        clear_measured_memo()
-        b = run_measured_profiles(jobs=4, **kwargs)
+        a = execute_plan(plan_measured_profiles(**kwargs), max_workers=1)
+        b = execute_plan(plan_measured_profiles(**kwargs), max_workers=4)
         assert a == b
 
     def test_warm_cache_equals_cold_run(self, tmp_path):
-        """The memoization satellite's regression: a second process-or-
-        cache-mediated measurement reproduces the first exactly."""
+        """A second, cache-mediated measurement reproduces the first
+        exactly."""
         cache = ResultCache(tmp_path / "cache")
         kwargs = dict(
             policies=("arcc", "sccdcd", "lotecc"),
@@ -145,21 +146,10 @@ class TestDeterminismAndCaching:
             mixes=MIXES,
             instructions_per_core=INSTRUCTIONS,
         )
-        cold = run_measured_profiles(cache=cache, **kwargs)
+        cold = execute_plan(plan_measured_profiles(**kwargs), cache=cache)
         assert list((tmp_path / "cache").glob("*.pkl"))
-        clear_measured_memo()
-        warm = run_measured_profiles(cache=cache, **kwargs)
+        warm = execute_plan(plan_measured_profiles(**kwargs), cache=cache)
         assert cold == warm
-
-    def test_process_memo_returns_same_object(self):
-        kwargs = dict(
-            policies=("arcc",),
-            organizations=(ARCC_MEMORY_CONFIG,),
-            mixes=MIXES[:1],
-            instructions_per_core=2_000,
-        )
-        first = run_measured_profiles(**kwargs)
-        assert run_measured_profiles(**kwargs) is first
 
     def test_measurement_jobs_share_cache_keys_with_fig7_2(self):
         """Measured Figures 7.4/7.5 and `fleet --measured` run through one
@@ -232,19 +222,14 @@ class TestMeasuredPolicies:
 class TestMeasuredComparison:
     @pytest.fixture(scope="class")
     def report(self):
-        clear_measured_memo()
-        profiles = measure_scenario_profiles(
-            "steady",
-            policies=("arcc", "sccdcd", "lotecc"),
-            mixes=MIXES,
-            instructions_per_core=INSTRUCTIONS,
-        )
         return execute_plan(
-            plan_fleet_compare(
+            plan_fleet_compare_measured(
                 "steady",
+                policies=("arcc", "sccdcd", "lotecc"),
                 channels=400,
                 seed=3,
-                profiles=profiles,
+                mixes=MIXES,
+                instructions_per_core=INSTRUCTIONS,
             )
         )
 
@@ -304,25 +289,18 @@ class TestMeasuredComparison:
         policies = ("arcc", "lotecc")
 
         def measured_compare(jobs):
-            profiles = measure_scenario_profiles(
-                "steady",
-                policies=policies,
-                instructions_per_core=2_000,
-                jobs=jobs,
-            )
             return execute_plan(
-                plan_fleet_compare(
+                plan_fleet_compare_measured(
                     "steady",
                     policies=policies,
                     channels=300,
                     seed=5,
-                    profiles=profiles,
+                    instructions_per_core=2_000,
                 ),
                 max_workers=jobs,
             )
 
         a = measured_compare(1)
-        clear_measured_memo()
         b = measured_compare(4)
         assert [vars(s) for s in a.slices] == [vars(s) for s in b.slices]
         assert [vars(s) for s in a.fleet] == [vars(s) for s in b.fleet]
@@ -339,8 +317,6 @@ class TestRegistryAndCli:
         assert plan.jobs  # the measurement points
 
     def test_registry_plan_executes_to_measured_report(self):
-        from repro.fleet import plan_fleet_compare_measured
-
         plan = plan_fleet_compare_measured(
             "steady",
             policies=("arcc", "lotecc"),
@@ -375,7 +351,6 @@ class TestRegistryAndCli:
         monkeypatch.chdir(tmp_path)  # keep .repro-cache out of the repo
         outputs = []
         for jobs in ("1", "4"):
-            clear_measured_memo()
             code = main(
                 [
                     "fleet",
@@ -404,6 +379,45 @@ class TestRegistryAndCli:
         assert "Measured per-fault weights" in strip[0]
         assert "quad-x8" in strip[0]
         assert "(measured weights)" in outputs[0]
+
+    def test_cli_measured_scenarios_are_the_standalone_plans_in_one_batch(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """`repro fleet A B --measured` prints exactly each scenario's
+        standalone measured plan, and the two scenarios (one
+        organization) share every measurement job in-batch."""
+        from repro.cli import main
+
+        policies = ("arcc", "lotecc")
+        plans = [
+            plan_fleet_compare_measured(name, policies=policies, channels=300)
+            for name in ("steady", "burn-in")
+        ]
+        expected = "".join(
+            execute_plan(plan).to_table() + "\n\n" for plan in plans
+        )
+        monkeypatch.chdir(tmp_path)  # keep .repro-cache out of the repo
+        code = main(
+            [
+                "fleet",
+                "steady",
+                "burn-in",
+                "--policies",
+                ",".join(policies),
+                "--measured",
+                "--channels",
+                "300",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(expected)
+        assert out[len(expected):].startswith("[repro fleet] 2 scenario(s)")
+
+        jobs = [job for plan in plans for job in plan.jobs]
+        unique = {job_identity(job) for job in jobs}
+        assert len(unique) == len({job_identity(j) for j in plans[0].jobs})
+        assert len(jobs) == 2 * len(unique)
 
     def test_cli_measured_rejects_single_channel_org(
         self, tmp_path, monkeypatch
@@ -449,11 +463,13 @@ class TestProfilesOverCustomOrganizations:
         tri = dataclasses.replace(
             BASELINE_MEMORY_CONFIG, name="tri-rank-x4", ranks_per_channel=3
         )
-        profiles = run_measured_profiles(
-            policies=("arcc",),
-            organizations=(tri,),
-            mixes=MIXES[:1],
-            instructions_per_core=2_000,
+        profiles = execute_plan(
+            plan_measured_profiles(
+                policies=("arcc",),
+                organizations=(tri,),
+                mixes=MIXES[:1],
+                instructions_per_core=2_000,
+            )
         )
         profile = profiles[("arcc", "tri-rank-x4")]
         assert profile.worst_case_power[FaultType.DEVICE] == pytest.approx(

@@ -8,6 +8,7 @@ on a tiny two-slice file.
 """
 
 import json
+import re
 
 import pytest
 
@@ -309,6 +310,27 @@ class TestValidation:
         ):
             scenario_from_mapping(raw)
 
+    @pytest.mark.parametrize(
+        "policies, message",
+        [
+            ([], r"^policies: policy set must not be empty"),
+            (
+                ["arcc", "arc"],
+                r"^policies\[1\]: unknown policy 'arc' \(did you mean "
+                r"'arcc'\?\)",
+            ),
+            (["arcc", "arcc"], r"^policies\[1\]: duplicate policy 'arcc'"),
+        ],
+        ids=["empty", "unknown", "duplicate"],
+    )
+    def test_policies_validated_at_load(self, policies, message):
+        """A present `policies` key makes the run a comparison, so it is
+        checked where it is read, not when the comparison is built."""
+        raw = _mapping()
+        raw["policies"] = policies
+        with pytest.raises(ScenarioFileError, match=message):
+            scenario_from_mapping(raw)
+
 
 class TestCLI:
     def test_scenario_file_end_to_end(self, tiny_toml, capsys):
@@ -388,6 +410,28 @@ class TestCLI:
         path.write_text('name = "x"\n')
         with pytest.raises(SystemExit, match="missing required key"):
             main(["fleet", "--scenario-file", str(path)])
+
+    @pytest.mark.parametrize(
+        "policies, message",
+        [
+            ("[]", r"policies: policy set must not be empty"),
+            ('["arc"]', r"policies\[0\]: unknown policy 'arc'"),
+            ('["arcc", "arcc"]', r"policies\[1\]: duplicate policy"),
+        ],
+        ids=["empty", "unknown", "duplicate"],
+    )
+    def test_bad_file_policies_exit_naming_file_and_path(
+        self, tmp_path, policies, message
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "pols.toml"
+        path.write_text(f"policies = {policies}\n{TINY_TOML}")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--scenario-file", str(path)])
+        text = str(excinfo.value.code)
+        assert text.startswith(f"repro fleet: {path}: policies")
+        assert re.search(message, text)
 
 
 ORGS_TOML = """
