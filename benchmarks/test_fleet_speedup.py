@@ -9,7 +9,7 @@ end-to-end absolute time is tracked by ``perfbench/``.
 
 import pytest
 
-from repro.faults.lifetime import faulty_page_fraction_timeseries
+from repro.experiments.fig3_1 import plan_fig3_1
 from repro.fleet import plan_fleet
 from repro.runner import execute_plan
 
@@ -21,13 +21,12 @@ YEARS = 7
 
 
 def test_bench_fleet_vectorized(benchmark):
-    series = benchmark(
-        faulty_page_fraction_timeseries,
-        years=YEARS,
-        channels=CHANNELS,
-        rate_multiplier=4.0,
+    result = benchmark(
+        lambda: execute_plan(
+            plan_fig3_1(years=YEARS, channels=CHANNELS, multipliers=(4.0,))
+        )
     )
-    assert len(series) == YEARS
+    assert len(result.series[4.0]) == YEARS
 
 
 def test_bench_fleet_scenario_100k(benchmark):

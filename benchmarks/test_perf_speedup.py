@@ -21,7 +21,7 @@ import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
-from repro.perf.engine import BatchedTraceSimulator, clear_engine_memos
+from repro.perf.engine import SweepPoint, clear_engine_memos, replay
 from repro.workloads.spec import ALL_MIXES
 
 pytestmark = pytest.mark.mc
@@ -40,17 +40,13 @@ def _batched_seconds(points, mixes):
     clear_engine_memos()
     started = time.perf_counter()
     for mix in mixes:
-        for config, fraction in points:
-            BatchedTraceSimulator(config, upgraded_fraction=fraction).run(
-                mix, instructions_per_core=INSTRUCTIONS
-            )
+        for point in points:
+            replay(mix, point, INSTRUCTIONS, 0x7ACE)
     return time.perf_counter() - started
 
 
 def _warm_dispatch():
-    BatchedTraceSimulator(ARCC_MEMORY_CONFIG).run(
-        ALL_MIXES[0], instructions_per_core=2_000
-    )
+    replay(ALL_MIXES[0], SweepPoint(), 2_000, 0x7ACE)
 
 
 def test_bench_fig7_2_7_3_batched(benchmark):
@@ -59,7 +55,11 @@ def test_bench_fig7_2_7_3_batched(benchmark):
 
     def run():
         return _batched_seconds(
-            [(ARCC_MEMORY_CONFIG, f) for f in FIG72_FRACTIONS], ALL_MIXES
+            [
+                SweepPoint(config=ARCC_MEMORY_CONFIG, upgraded_fraction=f)
+                for f in FIG72_FRACTIONS
+            ],
+            ALL_MIXES,
         )
 
     benchmark.pedantic(run, rounds=1, iterations=1)

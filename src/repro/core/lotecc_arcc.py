@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.ecc.base import DecodeResult, DecodeStatus
 from repro.ecc.lotecc import LotEcc9, LotEcc18, LotEccLine
-from repro.faults.lifetime import LifetimeSimulator
+from repro.faults.types import DEFAULT_FIT_RATES
 from repro.util.units import HOURS_PER_YEAR
 
 #: Worst-case cost of an upgraded access relative to a relaxed one
@@ -229,11 +229,14 @@ def lotecc_lifetime_overhead(
     instantaneous overhead is ``(factor - 1) * fraction_upgraded(t)``,
     sampled at 12 mid-step times per year.
     """
-    from repro.fleet.engine import faulty_fractions_at
+    from repro.fleet.engine import faulty_fractions_at, sample_fleet
 
-    batch = LifetimeSimulator(
-        rate_multiplier=rate_multiplier, seed=seed
-    ).sample_batch(channels, float(years))
+    batch = sample_fleet(
+        channels,
+        float(years),
+        rates=DEFAULT_FIT_RATES.scaled(rate_multiplier),
+        seed=seed,
+    )
     steps_per_year = 12
     steps = np.arange(years * steps_per_year)
     hours = (steps + 0.5) / steps_per_year * HOURS_PER_YEAR

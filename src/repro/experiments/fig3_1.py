@@ -10,9 +10,8 @@ job per (rate multiplier, channel block), each returning the per-channel
 fraction matrix of its block, so 10^5-channel populations fan out across
 a pool and every reported mean carries a Monte-Carlo confidence
 interval. The block partition owns the RNG streams — ``jobs=1`` and
-``jobs=N`` produce bit-identical series, and the assembled series equal
-:func:`repro.faults.lifetime.faulty_page_fraction_timeseries` for the
-same parameters.
+``jobs=N`` produce bit-identical series. :func:`plan_fig3_1` is the one
+Figure 3.1 path; ``execute_plan(plan_fig3_1(...))`` runs it inline.
 """
 
 from __future__ import annotations

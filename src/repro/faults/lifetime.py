@@ -1,31 +1,26 @@
-"""Monte-Carlo lifetime fault simulation (Section 7.1, steps 2-4; Fig 3.1).
+"""Per-channel fault histories and their exact scalar reduction.
 
 Fault arrivals per channel are a superposition of Poisson processes, one
 per fault type, with per-device FIT rates scaled by the number of devices
-exposed to that type. Each simulated channel yields a time-ordered list of
-:class:`FaultEvent`; downstream consumers turn those into
+exposed to that type. :func:`repro.fleet.engine.sample_fleet` draws whole
+populations of them as a struct-of-arrays
+:class:`~repro.fleet.events.FaultEventBatch`; its ``to_histories()``
+gives each channel's time-ordered list of :class:`FaultEvent`, the
+per-channel form the exact oracles consume.
 
-* the fraction of faulty 4 KB pages over time (Figure 3.1), and
-* per-year power/performance overheads (Figures 7.4-7.6) by attaching the
-  per-fault-type overheads measured by the trace simulator.
-
-The sampling is vectorized: :meth:`LifetimeSimulator.sample_batch` draws
-whole blocks of channels in batched NumPy calls and returns a
-struct-of-arrays :class:`~repro.fleet.events.FaultEventBatch`;
-:meth:`LifetimeSimulator.simulate_population` delegates to it and
-converts back to per-channel event lists, event for event.
-:func:`_fraction_after_events` is the per-channel scalar reduction the
-vectorized year-by-year series is checked against exactly.
+:func:`_fraction_after_events` is that oracle for the fraction of faulty
+4 KB pages (Figure 3.1 and Figure 7.6's upgraded-page series): the
+vectorized reductions are checked against it exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
-from repro.config import ARCC_MEMORY_CONFIG, MemoryConfig
+from repro.config import MemoryConfig
 from repro.faults.models import upgraded_page_fraction
-from repro.faults.types import DEFAULT_FIT_RATES, FaultRates, FaultType
+from repro.faults.types import FaultType
 from repro.util.units import HOURS_PER_YEAR
 
 
@@ -55,49 +50,6 @@ class FaultEvent:
         return self.time_hours / HOURS_PER_YEAR
 
 
-class LifetimeSimulator:
-    """Samples fault-arrival histories for a population of channels."""
-
-    def __init__(
-        self,
-        config: MemoryConfig = ARCC_MEMORY_CONFIG,
-        rates: FaultRates = DEFAULT_FIT_RATES,
-        rate_multiplier: float = 1.0,
-        seed: int = 0xFA117,
-    ):
-        self.config = config
-        self.rates = rates.scaled(rate_multiplier)
-        self.seed = seed
-
-    def sample_batch(self, channels: int, years: float):
-        """Vectorized population sample as a ``FaultEventBatch``.
-
-        The bulk representation downstream reductions should consume;
-        block streams derive from ``seed`` (prefix-stable, worker-count
-        independent).
-        """
-        from repro.fleet.engine import sample_fleet
-
-        return sample_fleet(
-            channels,
-            years,
-            config=self.config,
-            rates=self.rates,
-            seed=self.seed,
-        )
-
-    def simulate_population(
-        self, channels: int, years: float
-    ) -> List[List[FaultEvent]]:
-        """Independent fault histories for ``channels`` channels.
-
-        Delegates to the vectorized fleet engine and converts to
-        per-channel event lists; prefer :meth:`sample_batch` for large
-        populations.
-        """
-        return self.sample_batch(channels, years).to_histories()
-
-
 def _fraction_after_events(
     events: Sequence[FaultEvent],
     config: MemoryConfig,
@@ -114,34 +66,3 @@ def _fraction_after_events(
     for event in events:
         survival *= 1.0 - upgraded_page_fraction(event.fault_type, config)
     return 1.0 - survival
-
-
-def faulty_page_fraction_timeseries(
-    years: int = 7,
-    channels: int = 2000,
-    rate_multiplier: float = 1.0,
-    config: MemoryConfig = ARCC_MEMORY_CONFIG,
-    rates: FaultRates = DEFAULT_FIT_RATES,
-    seed: int = 0xFA117,
-) -> List[float]:
-    """Average fraction of faulty 4 KB pages at the end of each year.
-
-    This regenerates one series of Figure 3.1; sweep ``rate_multiplier``
-    over 1/2/4 for the full figure. Vectorized: samples the population
-    through :mod:`repro.fleet.engine` with the same block partition the
-    ``fig3.1`` runner jobs use, so this function and
-    :func:`~repro.experiments.fig3_1.plan_fig3_1` produce bit-identical
-    series for equal parameters.
-    """
-    from repro.fleet.engine import faulty_fractions_by_year, sample_fleet
-
-    batch = sample_fleet(
-        channels,
-        float(years),
-        rate_multiplier=rate_multiplier,
-        config=config,
-        rates=rates,
-        seed=seed,
-    )
-    fractions = faulty_fractions_by_year(batch, years, config)
-    return [float(row.mean()) for row in fractions]

@@ -5,10 +5,10 @@ Poisson draw for every (channel, fault-type) pair, one uniform draw for
 every arrival time, one bounded-integer draw for every coordinate —
 then a single lexsort groups the arrivals by channel and time into a
 :class:`~repro.fleet.events.FaultEventBatch`. It is the only fleet
-sampler; :meth:`repro.faults.lifetime.LifetimeSimulator.simulate_population`
-delegates here, and the year-by-year reductions are checked exactly
-against the per-channel scalar reduction
-:func:`repro.faults.lifetime._fraction_after_events`.
+sampler — Figures 3.1, 7.4-7.6 and every fleet report call
+:func:`sample_fleet` or :func:`sample_block` directly — and the
+year-by-year reductions are checked exactly against the per-channel
+scalar reduction :func:`repro.faults.lifetime._fraction_after_events`.
 
 Determinism follows the Monte-Carlo block pattern of PR 1: populations
 are partitioned into fixed-size blocks whose seeds derive only from the

@@ -8,7 +8,7 @@ whole-population reductions (faulty-page fractions, overhead
 accumulation) run as array ops instead of Python loops.
 
 Converters to and from the per-channel dataclass lists keep both forms
-interchangeable: ``from_histories(sim.simulate_population(...))`` and
+interchangeable: ``FaultEventBatch.from_histories`` and
 ``batch.to_histories()`` are exact inverses, event for event. The
 per-channel form is what the exact scalar oracles (the fuzz
 ``fleet-lifetime`` reductions) consume.

@@ -422,13 +422,15 @@ def measured_fault_ratios(
     The ``overheads=`` input of measured Figures 7.4/7.5, memoized per
     process; it shares the per-(mix, point) cache entries with
     :func:`plan_measured_profiles` — one measurement feeds Figures
-    7.4/7.5 *and* the policy comparison.
+    7.4/7.5 *and* the policy comparison. The memo is keyed on each mix's
+    benchmarks as well as its name, so a custom mix that reuses a
+    built-in name never gets the built-in's ratios.
     """
     from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
 
     mix_list = list(mixes) if mixes is not None else list(ALL_MIXES)
     key = (
-        tuple(mix.name for mix in mix_list),
+        tuple((mix.name, mix.benchmark_names) for mix in mix_list),
         instructions_per_core,
         seed,
     )

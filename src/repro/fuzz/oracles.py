@@ -19,8 +19,8 @@ Registered pairs and their guarantees (the docs oracle map in
                           legacy per-event Python rules on identical
                           histories (plus an exact batch<->history
                           round trip) — equal to 1e-9 relative
-``trace-replay``          ``BatchedTraceSimulator`` vs
-                          ``TraceSimulator.run`` — bit-identical
+``trace-replay``          ``perf.engine.replay`` on the resolved tier
+                          vs ``TraceSimulator.run`` — bit-identical
 ``trace-kernel``          compiled C replay kernel vs
                           ``TraceSimulator.run``, LOT-ECC checksum
                           accounting off and on — bit-identical
@@ -276,7 +276,7 @@ def _shrink_fleet(case: Dict[str, Any]) -> List[Dict[str, Any]]:
     return out
 
 
-# -- trace-replay: batched engine vs the legacy per-access simulator ----------
+# -- trace-replay: perf.engine.replay vs the per-access oracle ----------------
 
 
 def _mix_result_divergence(
@@ -310,24 +310,40 @@ def _mix_result_divergence(
     return None
 
 
-def _execute_trace(case: Dict[str, Any]) -> Optional[str]:
-    """``BatchedTraceSimulator.run`` vs ``TraceSimulator.run``,
-    field-for-field bit-identical on one (mix, organization, fraction)."""
-    from repro.perf.engine import BatchedTraceSimulator
-    from repro.perf.simulator import TraceSimulator
+def _trace_args(
+    case: Dict[str, Any], lotecc_checksum: bool = False
+) -> Tuple[Any, ...]:
+    """``replay``'s positional arguments for one trace case."""
+    from repro.perf.engine import SweepPoint
     from repro.workloads.spec import mix_by_name
 
-    config = organization_config(case["organization"])
-    mix = mix_by_name(case["mix"])
-    kwargs = dict(
-        config=config,
+    point = SweepPoint(
+        config=organization_config(case["organization"]),
         upgraded_fraction=case["upgraded_fraction"],
-        seed=case["seed"],
+        lotecc_checksum=lotecc_checksum,
     )
-    n = case["instructions_per_core"]
-    fast = BatchedTraceSimulator(**kwargs).run(mix, instructions_per_core=n)
-    oracle = TraceSimulator(**kwargs).run(mix, instructions_per_core=n)
-    return _mix_result_divergence(fast, oracle, "batched", "legacy")
+    return (
+        mix_by_name(case["mix"]),
+        point,
+        case["instructions_per_core"],
+        case["seed"],
+    )
+
+
+def _execute_trace(case: Dict[str, Any]) -> Optional[str]:
+    """``replay`` on the resolved tier vs ``TraceSimulator.run``,
+    field-for-field bit-identical on one (mix, organization, fraction)."""
+    from repro.perf.engine import replay
+    from repro.perf.simulator import TraceSimulator
+
+    mix, point, n, seed = args = _trace_args(case)
+    fast = replay(*args)
+    oracle = TraceSimulator(
+        config=point.config,
+        upgraded_fraction=point.upgraded_fraction,
+        seed=seed,
+    ).run(mix, instructions_per_core=n)
+    return _mix_result_divergence(fast, oracle, "replay", "oracle")
 
 
 def _shrink_trace(case: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -358,25 +374,15 @@ def _execute_trace_kernel(case: Dict[str, Any]) -> Optional[str]:
     reason string in the same situation.
     """
     from repro.perf._kernel import kernel_available
-    from repro.perf.engine import BatchedTraceSimulator
-    from repro.workloads.spec import mix_by_name
+    from repro.perf.engine import replay
 
     if not kernel_available():
         return None
 
-    config = organization_config(case["organization"])
-    mix = mix_by_name(case["mix"])
-    kwargs = dict(
-        config=config,
-        upgraded_fraction=case["upgraded_fraction"],
-        seed=case["seed"],
-    )
-    n = case["instructions_per_core"]
     for checksum in (False, True):
+        args = _trace_args(case, lotecc_checksum=checksum)
         compiled, reference = (
-            BatchedTraceSimulator(
-                engine=engine, lotecc_checksum=checksum, **kwargs
-            ).run(mix, instructions_per_core=n)
+            replay(*args, engine=engine)
             for engine in ("compiled", "reference")
         )
         divergence = _mix_result_divergence(
@@ -571,7 +577,7 @@ ORACLE_PAIRS: Dict[str, OraclePair] = {
         ),
         OraclePair(
             key="trace-replay",
-            title="BatchedTraceSimulator vs TraceSimulator.run",
+            title="perf.engine.replay vs TraceSimulator.run",
             guarantee="bit-identical",
             hook="tests/test_perf_engine.py",
             sample=sampler.sample_trace_case,

@@ -193,7 +193,7 @@ def sample_fleet_case(
 def sample_trace_case(
     rng: np.random.Generator, quick: bool = False
 ) -> Dict[str, Any]:
-    """A case for the batched-vs-legacy trace-replay pair."""
+    """A case for the replay-vs-oracle trace-replay pair."""
     return {
         "seed": int(rng.integers(0, 2**31)),
         "mix": sample_mix_names(rng, 1, 1)[0],

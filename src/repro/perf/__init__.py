@@ -6,13 +6,13 @@ Two implementations share one physics:
   interval model, kept as the *exact reference* (the oracle the
   compiled kernel is golden-tested against, and the fallback tier on
   hosts without a C compiler);
-* :mod:`repro.perf.engine` — tier selection behind every figure:
-  :func:`~repro.perf.trace.materialize_mix` turns a Table 7.3 mix into a
-  struct-of-arrays :class:`~repro.perf.trace.TraceBatch` once, and
-  :func:`~repro.perf.engine.sweep` replays any number of
-  ``upgraded_fraction`` / organization points against it on the
-  compiled kernel of :mod:`repro.perf._kernel` — bit-identical results
-  at a fraction of the wall time.
+* :func:`repro.perf.engine.replay` — the one entry point behind every
+  figure. It runs the oracle itself on the ``reference`` tier; on the
+  ``compiled`` tier :func:`~repro.perf.trace.materialize_mix` turns a Table 7.3 mix into a
+  struct-of-arrays :class:`~repro.perf.trace.TraceBatch` once per
+  process, and the kernel of :mod:`repro.perf._kernel` replays any
+  number of ``upgraded_fraction`` / organization points against it —
+  bit-identical results at a fraction of the wall time.
 
 Both produce the two numbers every Chapter 7 figure is built from:
 average DRAM power and summed IPC. The upgraded-page fraction is an
@@ -21,11 +21,10 @@ Figure 7.4/7.5 lifetime averages are composed.
 """
 
 from repro.perf.engine import (
-    BatchedTraceSimulator,
     SweepPoint,
     arcc_capable,
+    replay,
     simulate_point_job,
-    sweep,
     upgraded_page_flags,
 )
 from repro.perf.simulator import (
@@ -38,7 +37,6 @@ from repro.perf.simulator import (
 from repro.perf.trace import TraceBatch, materialize_mix
 
 __all__ = [
-    "BatchedTraceSimulator",
     "MixResult",
     "SweepPoint",
     "TraceBatch",
@@ -46,8 +44,8 @@ __all__ = [
     "arcc_capable",
     "materialize_mix",
     "page_is_upgraded",
+    "replay",
     "simulate_point_job",
-    "sweep",
     "upgraded_page_flags",
     "worst_case_performance_ratio",
     "worst_case_power_ratio",

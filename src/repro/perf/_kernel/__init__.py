@@ -1,10 +1,10 @@
 """Compiled trace-replay kernel: C core, loader, and NumPy driver.
 
-The fast tier behind :class:`repro.perf.engine.BatchedTraceSimulator`,
-built at first use from ``kernel.c`` by :mod:`~repro.perf._kernel.
-loader` and driven over a batch's NumPy buffers by
-:mod:`~repro.perf._kernel.driver`. Bit-identical to the scalar
-``TraceSimulator.run`` oracle by contract
+The ``compiled`` tier of :func:`repro.perf.engine.replay`, built at
+first use from ``kernel.c`` by :mod:`~repro.perf._kernel.loader` and
+driven over a batch's NumPy buffers by
+:func:`~repro.perf._kernel.driver.replay_compiled`. Bit-identical to
+the scalar ``TraceSimulator.run`` oracle by contract
 (``tests/test_kernel_equivalence.py``, ``repro fuzz --oracles
 trace-kernel``); unavailable — never silently different — when no C
 compiler is present or ``REPRO_KERNEL_DISABLE`` is set, in which case
@@ -15,7 +15,6 @@ from repro.perf._kernel.driver import (
     KernelStats,
     clear_kernel_memos,
     replay_compiled,
-    replay_compiled_stats,
 )
 from repro.perf._kernel.loader import (
     CACHE_DIR_ENV,
@@ -35,6 +34,5 @@ __all__ = [
     "kernel_provenance",
     "load_kernel",
     "replay_compiled",
-    "replay_compiled_stats",
     "reset_kernel_loader",
 ]

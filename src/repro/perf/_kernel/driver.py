@@ -5,18 +5,18 @@ buffers — organization-independent trace arrays plus the
 per-organization route decode (:func:`_route_indices`) — and hands back
 the per-core cycle counts and per-rank channel counters that
 ``TraceSimulator.run`` holds after the last access. The driver
-validates the point, classifies upgraded pages with the vectorized
-hash, and rolls the counters up into a
-:class:`~repro.perf.simulator.MixResult` (:func:`_finalize_result`)
-through the same power arithmetic as ``MemorySystem.power_report``, so
+classifies upgraded pages with the vectorized hash and rolls the
+counters up into a :class:`~repro.perf.simulator.MixResult`
+(:func:`_finalize_result`) through the same power arithmetic as ``MemorySystem.power_report``, so
 a divergence from the scalar oracle can only come from the sequential
 core itself — which is what the golden matrix in
 ``tests/test_kernel_equivalence.py`` and the ``trace-kernel`` fuzz
 oracle pin.
 
 Array memos are keyed on batch identity (batches are memoized by
-:func:`repro.perf.trace.materialize_mix`), so a sweep flattens each
-trace once per process and decodes once per organization.
+:func:`repro.perf.trace.materialize_mix`), so the points replayed
+against one trace flatten it once per process and decode it once per
+organization. :func:`repro.perf.engine.replay` is the public way in.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.config import PROCESSOR_CONFIG, MemoryConfig, ProcessorConfig
+from repro.config import MemoryConfig, ProcessorConfig
 from repro.dram.channel import POWERDOWN_HYSTERESIS_NS
 from repro.dram.power import PowerCounters, RankPowerModel
 from repro.dram.system import power_report_from_counters
@@ -210,19 +210,20 @@ def _finalize_result(
     )
 
 
-def _replay_compiled(
+def replay_compiled(
     batch: TraceBatch,
     point,
     processor: ProcessorConfig,
 ) -> Tuple[MixResult, KernelStats]:
-    """One compiled replay: validate, marshal, run, finalize."""
+    """Replay one ``SweepPoint`` over ``batch`` on the kernel.
+
+    The :class:`~repro.perf.simulator.MixResult` is bit-identical to
+    ``TraceSimulator.run``; the :class:`KernelStats` are the kernel's
+    invariant audit of the same replay.
+    """
     config = point.config
     arcc_enabled = point.resolved_arcc()
     fraction = point.upgraded_fraction
-    if fraction and not arcc_enabled:
-        raise ValueError(
-            "upgraded pages require an ARCC-capable configuration"
-        )
     paired_single_channel = (
         bool(fraction) and arcc_enabled and config.channels == 1
     )
@@ -326,28 +327,8 @@ def _replay_compiled(
     return result, stats
 
 
-def replay_compiled(
-    batch: TraceBatch,
-    point,
-    processor: ProcessorConfig = PROCESSOR_CONFIG,
-) -> MixResult:
-    """Replay one ``SweepPoint`` over ``batch`` on the kernel —
-    bit-identical to ``TraceSimulator.run``."""
-    return _replay_compiled(batch, point, processor)[0]
-
-
-def replay_compiled_stats(
-    batch: TraceBatch,
-    point,
-    processor: ProcessorConfig = PROCESSOR_CONFIG,
-) -> Tuple[MixResult, KernelStats]:
-    """Compiled replay plus the kernel's invariant audit."""
-    return _replay_compiled(batch, point, processor)
-
-
 __all__ = [
     "KernelStats",
     "clear_kernel_memos",
     "replay_compiled",
-    "replay_compiled_stats",
 ]

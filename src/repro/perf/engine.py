@@ -1,7 +1,8 @@
-"""Trace replay of the interval model: tier selection and sweeps.
+"""Trace replay of the interval model: tier selection and replay.
 
-This is the hot path of ``repro run``. Every trace point replays on one
-of two tiers, chosen per process by :func:`resolve_engine`:
+This is the hot path of ``repro run``. Every trace point replays through
+:func:`replay` on one of two tiers, chosen per process by
+:func:`resolve_engine`:
 
 * ``compiled`` — the C kernel of :mod:`repro.perf._kernel`, driven over
   the flat arrays of a materialized :class:`~repro.perf.trace.
@@ -9,7 +10,8 @@ of two tiers, chosen per process by :func:`resolve_engine`:
   golden-ratio hash over the address stream
   (:func:`upgraded_page_flags`) and channel/rank/bank coordinates are
   decoded for every access and sibling in a handful of array ops
-  (:func:`decode_lines`), shared by every point of a sweep;
+  (:func:`decode_lines`), both memoized per trace and shared by every
+  point replayed against it;
 * ``reference`` — :class:`~repro.perf.simulator.TraceSimulator`, the
   scalar per-access model: the kernel's exact oracle, and the fallback
   on hosts where the kernel does not build.
@@ -17,15 +19,14 @@ of two tiers, chosen per process by :func:`resolve_engine`:
 The two are bit-identical, field for field of the
 :class:`~repro.perf.simulator.MixResult`
 (``tests/test_kernel_equivalence.py``), LOT-ECC checksum points
-(:attr:`SweepPoint.lotecc_checksum`) included. Everything
-figure-facing goes through :func:`sweep` / :class:`BatchedTraceSimulator`
-and the :func:`point_job` runner jobs.
+(:attr:`SweepPoint.lotecc_checksum`) included. Figures reach
+:func:`replay` through the :func:`point_job` runner jobs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from repro.config import (
     MemoryConfig,
     ProcessorConfig,
 )
-from repro.dram.addressing import MappingPolicy
 from repro.perf.simulator import (
     _HASH,
     _HASH_MOD,
@@ -43,7 +43,7 @@ from repro.perf.simulator import (
     TraceSimulator,
     page_is_upgraded,
 )
-from repro.perf.trace import TraceBatch, materialize_mix
+from repro.perf.trace import materialize_mix
 from repro.runner.job import Job
 from repro.workloads.spec import WorkloadMix
 
@@ -78,41 +78,22 @@ def upgraded_page_flags(pages: np.ndarray, fraction: float) -> np.ndarray:
 
 
 def decode_lines(
-    line_addresses: np.ndarray,
-    config: MemoryConfig,
-    policy: MappingPolicy = MappingPolicy.HIPERF,
+    line_addresses: np.ndarray, config: MemoryConfig
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized ``AddressMapping.decode`` to (channel, rank, bank).
+    """Vectorized HIPERF ``AddressMapping.decode`` to (channel, rank, bank).
 
     Row and column are irrelevant to the closed-page timing model, so
     only the three scheduling coordinates are produced. Matches the
-    scalar decoder exactly for every mapping policy (integer mixed-radix
-    arithmetic either way).
+    scalar decoder exactly (integer mixed-radix arithmetic either way);
+    HIPERF is the one mapping the memory system replays under.
     """
     a = np.asarray(line_addresses, dtype=np.int64)
-    lines_per_row = (
-        config.page_bytes * config.pages_per_row // config.cacheline_bytes
-    )
     channel, rest = a % config.channels, a // config.channels
-    if policy is MappingPolicy.BASE:
-        rest = rest // lines_per_row
-        bank, rest = (
-            rest % config.banks_per_device,
-            rest // config.banks_per_device,
-        )
-        rank = rest % config.ranks_per_channel
-    elif policy is MappingPolicy.HIPERF:
-        bank, rest = (
-            rest % config.banks_per_device,
-            rest // config.banks_per_device,
-        )
-        rank = rest % config.ranks_per_channel
-    else:  # CLOSE_PAGE
-        rank, rest = (
-            rest % config.ranks_per_channel,
-            rest // config.ranks_per_channel,
-        )
-        bank = rest % config.banks_per_device
+    bank, rest = (
+        rest % config.banks_per_device,
+        rest // config.banks_per_device,
+    )
+    rank = rest % config.ranks_per_channel
     return channel, rank, bank
 
 
@@ -143,12 +124,21 @@ class SweepPoint:
     issues one checksum read per sub-line on the fill's critical path —
     the ``2r + 2w`` of the Figure 7.6 arithmetic, measured directly
     instead of scaled by the closed-form factor.
+
+    Upgraded pages need ARCC pairing: a point with a non-zero
+    ``upgraded_fraction`` and pairing off is rejected when it is built.
     """
 
     config: MemoryConfig = ARCC_MEMORY_CONFIG
     upgraded_fraction: float = 0.0
     arcc_enabled: Optional[bool] = None
     lotecc_checksum: bool = False
+
+    def __post_init__(self) -> None:
+        if self.upgraded_fraction and not self.resolved_arcc():
+            raise ValueError(
+                "upgraded pages require an ARCC-capable configuration"
+            )
 
     def resolved_arcc(self) -> bool:
         """ARCC pairing on/off (defaults to multi-channel configs)."""
@@ -213,62 +203,6 @@ def engine_provenance() -> Dict[str, str]:
     }
 
 
-def _reference_simulator(
-    point: SweepPoint, processor: ProcessorConfig, seed: int
-) -> TraceSimulator:
-    return TraceSimulator(
-        config=point.config,
-        processor=processor,
-        upgraded_fraction=point.upgraded_fraction,
-        arcc_enabled=point.arcc_enabled,
-        seed=seed,
-        lotecc_checksum=point.lotecc_checksum,
-    )
-
-
-def replay_resolved(
-    batch: TraceBatch,
-    point: SweepPoint,
-    processor: ProcessorConfig,
-    resolved: str,
-) -> MixResult:
-    """Replay one point on an already-resolved engine tier.
-
-    The reference tier draws its own traces, so it runs the mix the
-    batch was materialized from, rebuilt from ``batch.mix_name`` and
-    ``batch.profiles``.
-    """
-    if resolved == "compiled":
-        from repro.perf._kernel import replay_compiled
-
-        return replay_compiled(batch, point, processor)
-    mix = WorkloadMix(
-        batch.mix_name, tuple(profile.name for profile in batch.profiles)
-    )
-    return _reference_simulator(point, processor, batch.seed).run(
-        mix, batch.instructions_per_core
-    )
-
-
-def sweep(
-    batch: TraceBatch,
-    points: Sequence[SweepPoint],
-    processor: ProcessorConfig = PROCESSOR_CONFIG,
-    engine: str = "auto",
-) -> List[MixResult]:
-    """Replay many sweep points against one materialized trace.
-
-    On the compiled tier the trace buffers are shared across all points
-    and the route decode across every point with the same organization
-    (both memoized), so per-point cost is the sequential replay alone.
-    """
-    resolved = resolve_engine(engine)
-    return [
-        replay_resolved(batch, point, processor, resolved)
-        for point in points
-    ]
-
-
 def clear_engine_memos() -> None:
     """Drop memoized traces and replay arrays (cold-run benchmarking)."""
     from repro.perf._kernel import clear_kernel_memos
@@ -278,56 +212,47 @@ def clear_engine_memos() -> None:
     clear_trace_memo()
 
 
-class BatchedTraceSimulator:
-    """Drop-in :class:`~repro.perf.simulator.TraceSimulator` on the
-    resolved engine tier.
+def replay(
+    mix: WorkloadMix,
+    point: SweepPoint,
+    instructions_per_core: int,
+    seed: int,
+    engine: str = "auto",
+    processor: ProcessorConfig = PROCESSOR_CONFIG,
+) -> MixResult:
+    """Replay one mix at one point on the resolved engine tier.
 
-    Same constructor, same ``run`` contract, bit-identical results. On
-    the compiled tier traces are materialized through the per-process
-    memo, so repeated runs of one mix (any fraction, any organization)
-    generate them once; on the reference tier ``run`` *is*
-    ``TraceSimulator.run``.
+    The compiled tier replays the memoized trace of ``(mix, seed,
+    instructions_per_core)``, so points of one mix — any fraction, any
+    organization — generate it once per process; the reference tier
+    *is* ``TraceSimulator.run``, which draws its own traces.
+
+    Examples
+    --------
+    >>> from repro.workloads.spec import mix_by_name
+    >>> mix = mix_by_name("Mix1")
+    >>> clean, quarter, lane = (
+    ...     replay(mix, SweepPoint(upgraded_fraction=f), 2_000, seed=7)
+    ...     for f in (0.0, 0.25, 1.0)
+    ... )
+    >>> clean.power.total_w < lane.power.total_w
+    True
+    >>> quarter.mix_name
+    'Mix1'
     """
+    if resolve_engine(engine) == "reference":
+        return TraceSimulator(
+            config=point.config,
+            processor=processor,
+            upgraded_fraction=point.upgraded_fraction,
+            arcc_enabled=point.arcc_enabled,
+            seed=seed,
+            lotecc_checksum=point.lotecc_checksum,
+        ).run(mix, instructions_per_core)
+    from repro.perf._kernel import replay_compiled
 
-    def __init__(
-        self,
-        config: MemoryConfig = ARCC_MEMORY_CONFIG,
-        processor: ProcessorConfig = PROCESSOR_CONFIG,
-        upgraded_fraction: float = 0.0,
-        arcc_enabled: Optional[bool] = None,
-        seed: int = 0x7ACE,
-        engine: str = "auto",
-        lotecc_checksum: bool = False,
-    ):
-        self.processor = processor
-        self.seed = seed
-        self.engine = engine
-        self.resolved_engine = resolve_engine(engine)
-        self.point = SweepPoint(
-            config=config,
-            upgraded_fraction=upgraded_fraction,
-            arcc_enabled=arcc_enabled,
-            lotecc_checksum=lotecc_checksum,
-        )
-        if upgraded_fraction and not self.point.resolved_arcc():
-            raise ValueError(
-                "upgraded pages require an ARCC-capable configuration"
-            )
-
-    def run(
-        self,
-        mix: WorkloadMix,
-        instructions_per_core: int = 200_000,
-    ) -> MixResult:
-        """Simulate one mix (identical contract to the scalar oracle)."""
-        if self.resolved_engine == "reference":
-            return _reference_simulator(
-                self.point, self.processor, self.seed
-            ).run(mix, instructions_per_core)
-        from repro.perf._kernel import replay_compiled
-
-        batch = materialize_mix(mix, self.seed, instructions_per_core)
-        return replay_compiled(batch, self.point, self.processor)
+    batch = materialize_mix(mix, seed, instructions_per_core)
+    return replay_compiled(batch, point, processor)[0]
 
 
 def simulate_point_job(
@@ -355,13 +280,12 @@ def simulate_point_job(
     entries under the wrong label. The tiers are bit-identical by
     contract, but the cache must not *depend* on that contract.
     """
-    result = BatchedTraceSimulator(
+    point = SweepPoint(
         config=config,
         upgraded_fraction=upgraded_fraction,
-        seed=seed,
-        engine=engine,
         lotecc_checksum=lotecc_checksum,
-    ).run(mix, instructions_per_core=instructions_per_core)
+    )
+    result = replay(mix, point, instructions_per_core, seed, engine=engine)
     return {
         "power_w": result.power.total_w,
         "background_w": result.power.background_w,
@@ -386,7 +310,6 @@ def point_job(name: str, **config: Any) -> Job:
 
 
 __all__ = [
-    "BatchedTraceSimulator",
     "ENGINE_TIERS",
     "SweepPoint",
     "arcc_capable",
@@ -395,9 +318,8 @@ __all__ = [
     "engine_provenance",
     "page_is_upgraded",
     "point_job",
-    "replay_resolved",
+    "replay",
     "resolve_engine",
     "simulate_point_job",
-    "sweep",
     "upgraded_page_flags",
 ]

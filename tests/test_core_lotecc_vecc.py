@@ -14,7 +14,9 @@ from repro.core.lotecc_arcc import (
 from repro.core.vecc_arcc import ArccVecc, VeccPageMode, _RelaxedVecc9
 from repro.ecc.base import DecodeStatus
 from repro.experiments.fig7_6 import plan_fig7_6
-from repro.faults.lifetime import LifetimeSimulator, _fraction_after_events
+from repro.faults.lifetime import _fraction_after_events
+from repro.faults.types import DEFAULT_FIT_RATES
+from repro.fleet.engine import sample_fleet
 from repro.runner import execute_plan
 from repro.util.units import HOURS_PER_YEAR
 
@@ -130,15 +132,26 @@ class TestLotEccLifetimeOverhead:
                                           rate_multiplier=4.0)
         assert series[-1] < 0.15
 
+    def test_seed_pins_the_fleet(self):
+        """One seed, one sampled fleet, one series; another seed draws
+        another fleet."""
+        kwargs = dict(years=3, channels=300, rate_multiplier=4.0)
+        first = lotecc_lifetime_overhead(seed=5, **kwargs)
+        assert lotecc_lifetime_overhead(seed=5, **kwargs) == first
+        assert lotecc_lifetime_overhead(seed=6, **kwargs) != first
+
 
     @pytest.mark.parametrize("rate_multiplier", [1.0, 4.0])
     def test_matches_per_event_reference(self, rate_multiplier):
         """The fleet-engine reduction against the scalar union rule,
         evaluated per channel, per mid-step time, per event."""
         years, channels, seed = 7, 200, 0x107ECC
-        histories = LifetimeSimulator(
-            rate_multiplier=rate_multiplier, seed=seed
-        ).simulate_population(channels, float(years))
+        histories = sample_fleet(
+            channels,
+            float(years),
+            rates=DEFAULT_FIT_RATES.scaled(rate_multiplier),
+            seed=seed,
+        ).to_histories()
         reference = []
         for year in range(1, years + 1):
             samples = year * 12

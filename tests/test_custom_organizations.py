@@ -2,12 +2,13 @@
 
 Scenario files can now define arbitrary ``[organizations.<name>]``
 tables, and the measured-overhead bridge replays trace points against
-them — so the batched engine's bit-identity with the
+them — so ``replay``'s bit-identity with the
 ``TraceSimulator.run`` oracle must hold beyond the two organizations
 the paper evaluates. Three custom builds cover the axes the schema
 opens: odd channel counts, odd rank counts, odd bank counts, and x4
 next to x8 devices. ``decode_lines`` is checked against the scalar
-``AddressMapping`` for every mapping policy on the same tables.
+HIPERF ``AddressMapping`` (the mapping the memory system replays
+under) on the same tables.
 """
 
 import dataclasses
@@ -20,9 +21,10 @@ from repro.dram.addressing import AddressMapping, MappingPolicy
 from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import FaultType
 from repro.perf.engine import (
-    BatchedTraceSimulator,
+    SweepPoint,
     arcc_capable,
     decode_lines,
+    replay,
 )
 from repro.perf.simulator import TraceSimulator
 from repro.workloads.spec import mix_by_name
@@ -77,13 +79,16 @@ class TestGoldenEquivalenceCustomOrganizations:
             else upgraded_page_fraction(fraction_of, config)
         )
         mix = mix_by_name("Mix3")
-        legacy = TraceSimulator(config, upgraded_fraction=fraction).run(
-            mix, instructions_per_core=INSTRUCTIONS
-        )
-        batched = BatchedTraceSimulator(
-            config, upgraded_fraction=fraction
+        legacy = TraceSimulator(
+            config, upgraded_fraction=fraction, seed=0x7ACE
         ).run(mix, instructions_per_core=INSTRUCTIONS)
-        assert result_fingerprint(legacy) == result_fingerprint(batched)
+        replayed = replay(
+            mix,
+            SweepPoint(config=config, upgraded_fraction=fraction),
+            INSTRUCTIONS,
+            0x7ACE,
+        )
+        assert result_fingerprint(legacy) == result_fingerprint(replayed)
 
     def test_custom_fractions_differ_from_table_7_1(self):
         """Sanity: the sweep really exercises organization-dependent
@@ -105,20 +110,19 @@ class TestGoldenEquivalenceCustomOrganizations:
 
 
 class TestDecodeCustomOrganizations:
-    @pytest.mark.parametrize("policy", list(MappingPolicy))
     @pytest.mark.parametrize(
         "config", CUSTOM_ORGANIZATIONS, ids=lambda c: c.name
     )
-    def test_decode_lines_matches_scalar_mapping(self, policy, config):
-        mapping = AddressMapping(config, policy)
+    def test_decode_lines_matches_scalar_mapping(self, config):
+        mapping = AddressMapping(config, MappingPolicy.HIPERF)
         rng = np.random.default_rng(23)
         addresses = rng.integers(0, 1 << 24, size=2_000)
-        channel, rank, bank = decode_lines(addresses, config, policy)
+        channel, rank, bank = decode_lines(addresses, config)
         for i, address in enumerate(addresses.tolist()):
             decoded = mapping.decode(address)
-            assert channel[i] == decoded.channel, (policy, address)
-            assert rank[i] == decoded.rank, (policy, address)
-            assert bank[i] == decoded.bank, (policy, address)
+            assert channel[i] == decoded.channel, address
+            assert rank[i] == decoded.rank, address
+            assert bank[i] == decoded.bank, address
 
     @pytest.mark.parametrize(
         "config", CUSTOM_ORGANIZATIONS, ids=lambda c: c.name

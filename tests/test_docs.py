@@ -120,7 +120,7 @@ class TestDoctests:
             (report, ("plan_fleet",)),
             (job, ("Job", "ExperimentPlan")),
             (perf_trace, ("TraceBatch", "materialize_mix")),
-            (perf_engine, ("upgraded_page_flags",)),
+            (perf_engine, ("upgraded_page_flags", "replay")),
         ):
             found = {
                 test.name.split(".")[-1]

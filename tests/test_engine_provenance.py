@@ -24,8 +24,9 @@ from repro.perf._kernel import (
 )
 from repro.perf.engine import (
     ENGINE_TIERS,
-    BatchedTraceSimulator,
+    SweepPoint,
     engine_provenance,
+    replay,
     resolve_engine,
     simulate_point_job,
 )
@@ -116,8 +117,9 @@ class TestEngineProvenance:
         with pytest.raises(RuntimeError, match="compiled"):
             resolve_engine("compiled")
         with pytest.raises(RuntimeError, match="compiled"):
-            BatchedTraceSimulator(engine="compiled").run(
-                mix_by_name("Mix1"), instructions_per_core=500
+            replay(
+                mix_by_name("Mix1"), SweepPoint(), 500, 0x7ACE,
+                engine="compiled",
             )
 
     def test_masked_run_records_reference_on_every_trace_point(
@@ -143,15 +145,19 @@ class TestEngineProvenance:
         assert execute_plan(plan)
 
     def test_reference_tier_unaffected_by_mask(self, masked_kernel):
-        result = BatchedTraceSimulator(engine="reference").run(
-            mix_by_name("Mix1"), instructions_per_core=500
+        result = replay(
+            mix_by_name("Mix1"), SweepPoint(), 500, 0x7ACE,
+            engine="reference",
         )
         assert result.cores
 
     def test_tier_vocabulary_is_closed(self):
         assert ENGINE_TIERS == ("auto", "compiled", "reference")
         with pytest.raises(ValueError, match="unknown engine"):
-            BatchedTraceSimulator(engine="turbo")
+            replay(
+                mix_by_name("Mix1"), SweepPoint(), 500, 0x7ACE,
+                engine="turbo",
+            )
 
     def test_resolved_tier_resolves_to_itself(self):
         """Job configs carry the resolved tier, and the trace-point

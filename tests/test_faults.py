@@ -4,17 +4,16 @@ import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG
 from repro.dram.device import DRAMDevice
+from repro.experiments.fig3_1 import plan_fig3_1
 from repro.faults.injector import FaultInjector
-from repro.faults.lifetime import (
-    LifetimeSimulator,
-    faulty_page_fraction_timeseries,
-)
 from repro.faults.models import (
     TABLE_7_4_TYPES,
     pages_per_rank,
     upgraded_page_fraction,
 )
 from repro.faults.types import DEFAULT_FIT_RATES, FaultType
+from repro.fleet.engine import sample_fleet
+from repro.runner import execute_plan
 from repro.util.rng import make_rng
 
 
@@ -120,18 +119,35 @@ class TestInjector:
         assert len(faulty_banks) == 1
 
 
-class TestLifetimeSimulator:
+def _histories(channels, rate_multiplier=1.0, seed=0xFA117):
+    """Seven-year per-channel fault histories of a sampled population."""
+    return sample_fleet(
+        channels, 7.0, rate_multiplier=rate_multiplier, seed=seed
+    ).to_histories()
+
+
+def _fig3_1_series(years, multiplier, channels=400, seed=13):
+    result = execute_plan(
+        plan_fig3_1(
+            years=years,
+            channels=channels,
+            multipliers=(multiplier,),
+            seed=seed,
+        )
+    )
+    return result.series[multiplier]
+
+
+class TestLifetimeHistories:
     def test_deterministic(self):
-        sim = LifetimeSimulator(seed=11)
-        a = sim.simulate_population(5, 7.0)
-        b = LifetimeSimulator(seed=11).simulate_population(5, 7.0)
+        a = _histories(5, seed=11)
+        b = _histories(5, seed=11)
         assert [
             [(e.time_hours, e.fault_type) for e in ch] for ch in a
         ] == [[(e.time_hours, e.fault_type) for e in ch] for ch in b]
 
     def test_events_sorted_and_in_horizon(self):
-        sim = LifetimeSimulator(rate_multiplier=50.0, seed=3)
-        histories = sim.simulate_population(20, 7.0)
+        histories = _histories(20, rate_multiplier=50.0, seed=3)
         assert any(histories)
         for events in histories:
             times = [e.time_hours for e in events]
@@ -139,15 +155,13 @@ class TestLifetimeSimulator:
             assert all(0 <= t <= 7 * 8760 for t in times)
 
     def test_rate_multiplier_increases_events(self):
-        low = LifetimeSimulator(rate_multiplier=1.0, seed=5)
-        high = LifetimeSimulator(rate_multiplier=20.0, seed=5)
-        n_low = sum(len(ch) for ch in low.simulate_population(200, 7.0))
-        n_high = sum(len(ch) for ch in high.simulate_population(200, 7.0))
+        n_low = sum(len(ch) for ch in _histories(200, 1.0, seed=5))
+        n_high = sum(len(ch) for ch in _histories(200, 20.0, seed=5))
         assert n_high > n_low
 
     def test_event_fields_in_range(self):
-        sim = LifetimeSimulator(rate_multiplier=50.0, seed=7)
-        events = [e for ch in sim.simulate_population(20, 7.0) for e in ch]
+        histories = _histories(20, rate_multiplier=50.0, seed=7)
+        events = [e for ch in histories for e in ch]
         assert events
         for event in events:
             assert 0 <= event.channel < ARCC_MEMORY_CONFIG.channels
@@ -162,26 +176,19 @@ class TestFig31Shape:
     """The Chapter 3 motivation numbers."""
 
     def test_fraction_monotone_in_time(self):
-        series = faulty_page_fraction_timeseries(
-            years=7, channels=400, rate_multiplier=4.0, seed=13
-        )
+        series = _fig3_1_series(years=7, multiplier=4.0)
         assert all(b >= a for a, b in zip(series, series[1:]))
 
     def test_fraction_monotone_in_rate(self):
-        kwargs = dict(years=5, channels=400, seed=13)
-        low = faulty_page_fraction_timeseries(rate_multiplier=1.0, **kwargs)
-        high = faulty_page_fraction_timeseries(rate_multiplier=4.0, **kwargs)
+        low = _fig3_1_series(years=5, multiplier=1.0)
+        high = _fig3_1_series(years=5, multiplier=4.0)
         assert high[-1] > low[-1]
 
     def test_only_a_few_percent_at_4x(self):
         """The paper's headline: a few percent even at 4x after 7 years."""
-        series = faulty_page_fraction_timeseries(
-            years=7, channels=400, rate_multiplier=4.0, seed=13
-        )
+        series = _fig3_1_series(years=7, multiplier=4.0)
         assert 0.005 < series[-1] < 0.20
 
     def test_tiny_at_1x(self):
-        series = faulty_page_fraction_timeseries(
-            years=7, channels=400, rate_multiplier=1.0, seed=13
-        )
+        series = _fig3_1_series(years=7, multiplier=1.0)
         assert series[-1] < 0.06

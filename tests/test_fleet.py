@@ -1,11 +1,10 @@
 """Tests for the vectorized fleet-lifetime engine (:mod:`repro.fleet`).
 
 The load-bearing guarantees: the struct-of-arrays batch and the
-per-channel event lists are exact converters of each other; the
-vectorized engine is what :meth:`LifetimeSimulator.simulate_population`
-produces, event for event; per-type arrival counts sit within Poisson
-noise of the analytic expectation; the vectorized reductions match the
-scalar Python rules on identical histories; block partitioning makes
+per-channel event lists are exact converters of each other; per-type
+arrival counts sit within Poisson noise of the analytic expectation;
+the vectorized reductions match the scalar Python rules on identical
+histories; block partitioning makes
 results independent of worker count and prefix-stable in population
 size; and scenario reports attach confidence intervals to every mean.
 """
@@ -16,11 +15,7 @@ import pytest
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
 from repro.experiments.fig3_1 import plan_fig3_1
 from repro.experiments.fig7_4_7_5 import _overhead_series, plan_fig7_4_7_5
-from repro.faults.lifetime import (
-    LifetimeSimulator,
-    _fraction_after_events,
-    faulty_page_fraction_timeseries,
-)
+from repro.faults.lifetime import _fraction_after_events
 from repro.faults.types import DEFAULT_FIT_RATES, FaultType
 from repro.fleet import (
     DEFAULT_SCENARIOS,
@@ -105,19 +100,20 @@ class TestEngineSampling:
             500, 7.0, **kwargs
         )
 
-    def test_matches_simulate_population_event_for_event(self):
-        """Same seed: the batch and the delegating per-channel API agree.
+    @pytest.mark.parametrize("multiplier", [1.0, 2.0, 4.0])
+    def test_scaled_rates_sample_the_rate_multiplier_fleet(self, multiplier):
+        """The two spellings of a rate multiplier draw the same fleet.
 
-        ``simulate_population`` delegates to ``sample_batch``, so this
-        pins the delegation + converter contract (round-tripping through
-        ``FaultEvent`` objects loses nothing), not the sampling physics —
-        ``test_per_type_rates_within_poisson_band`` covers that against
-        the analytic expectation.
+        Figure 3.1 passes ``rate_multiplier=``; the LOT-ECC lifetime
+        overhead of Figure 7.6 passes ``rates=DEFAULT_FIT_RATES.scaled(m)``.
+        At the Figure 3.1 multipliers both give one population, event
+        for event, so the two figures see common random numbers.
         """
-        sim = LifetimeSimulator(rate_multiplier=4.0, seed=7)
-        batch = sim.sample_batch(200, 7.0)
-        histories = sim.simulate_population(200, 7.0)
-        assert FaultEventBatch.from_histories(histories) == batch
+        assert sample_fleet(
+            300, 7.0, rate_multiplier=multiplier, seed=11
+        ) == sample_fleet(
+            300, 7.0, rates=DEFAULT_FIT_RATES.scaled(multiplier), seed=11
+        )
 
     def test_per_type_rates_within_poisson_band(self):
         """Per-fault-type arrival counts match the analytic expectation.
@@ -130,9 +126,10 @@ class TestEngineSampling:
         multiplier lands far outside the 6-sigma band.
         """
         channels, years, multiplier = 6000, 7.0, 10.0
-        sim = LifetimeSimulator(rate_multiplier=multiplier, seed=29)
-        batch = sim.sample_batch(channels, years)
-        config = sim.config
+        batch = sample_fleet(
+            channels, years, rate_multiplier=multiplier, seed=29
+        )
+        config = ARCC_MEMORY_CONFIG
         devices = (
             config.channels * config.ranks_per_channel * config.devices_per_rank
         )
@@ -218,8 +215,7 @@ class TestEngineSampling:
 
 class TestVectorizedReductions:
     def _batch_and_histories(self):
-        sim = LifetimeSimulator(rate_multiplier=8.0, seed=17)
-        batch = sim.sample_batch(250, 7.0)
+        batch = sample_fleet(250, 7.0, rate_multiplier=8.0, seed=17)
         return batch, batch.to_histories()
 
     @pytest.mark.parametrize("times", ["year-ends", "mid-steps"])
@@ -246,8 +242,7 @@ class TestVectorizedReductions:
 
     def test_fraction_handles_lane_saturation(self):
         """A lane fault (footprint 1.0) must drive the fraction to 1."""
-        sim = LifetimeSimulator(rate_multiplier=300.0, seed=23)
-        batch = sim.sample_batch(50, 7.0)
+        batch = sample_fleet(50, 7.0, rate_multiplier=300.0, seed=23)
         lane_code = list(FaultType).index(FaultType.LANE)
         has_lane = np.zeros(50, dtype=bool)
         ids = batch.channel_ids()
@@ -271,17 +266,22 @@ class TestVectorizedReductions:
             assert np.allclose(vec.mean(axis=1), legacy, rtol=1e-9)
 
     def test_timeseries_matches_scalar_reduction(self):
-        """The public series equals the per-channel scalar oracle exactly.
+        """The Figure 3.1 series equals the per-channel scalar oracle.
 
-        ``faulty_page_fraction_timeseries`` reduces the sampled fleet in
+        ``plan_fig3_1`` reduces the sampled fleet block by block in
         array form; ``_fraction_after_events`` over the same fleet's
         per-channel histories, counting events up to each year end, must
         give the same per-year means to rounding.
         """
         years, channels, multiplier, seed = 7, 4000, 4.0, 13
-        series = faulty_page_fraction_timeseries(
-            years=years, channels=channels, rate_multiplier=multiplier, seed=seed
-        )
+        series = execute_plan(
+            plan_fig3_1(
+                years=years,
+                channels=channels,
+                multipliers=(multiplier,),
+                seed=seed,
+            )
+        ).series[multiplier]
         histories = sample_fleet(
             channels, float(years), rate_multiplier=multiplier, seed=seed
         ).to_histories()
@@ -464,17 +464,6 @@ class TestFleetReport:
 
 
 class TestFigureIntegration:
-    def test_fig3_1_series_equal_direct_timeseries(self):
-        """Runner path and direct function path share streams exactly."""
-        result = execute_plan(
-            plan_fig3_1(years=3, channels=120, multipliers=(1.0, 4.0))
-        )
-        for mult in (1.0, 4.0):
-            direct = faulty_page_fraction_timeseries(
-                years=3, channels=120, rate_multiplier=mult
-            )
-            assert result.series[mult] == direct
-
     def test_fig3_1_carries_confidence_intervals(self):
         result = execute_plan(plan_fig3_1(years=3, channels=150))
         assert result.ci is not None
@@ -482,6 +471,22 @@ class TestFigureIntegration:
             assert len(halves) == 3
             assert all(h >= 0 for h in halves)
         assert "±" in result.to_table()
+
+    @pytest.mark.parametrize("multiplier", [1.0, 4.0])
+    def test_fig3_1_series_independent_of_companion_multipliers(
+        self, multiplier
+    ):
+        """A multiplier's series is the same alone or in a sweep: every
+        multiplier samples the same block streams, so adding 1x/2x/4x
+        neighbours to a plan changes none of its series."""
+        swept = execute_plan(
+            plan_fig3_1(years=3, channels=120, multipliers=(1.0, 2.0, 4.0))
+        )
+        alone = execute_plan(
+            plan_fig3_1(years=3, channels=120, multipliers=(multiplier,))
+        )
+        assert swept.series[multiplier] == alone.series[multiplier]
+        assert swept.ci[multiplier] == alone.ci[multiplier]
 
     def test_fig7_4_7_5_carries_confidence_intervals(self):
         result = execute_plan(plan_fig7_4_7_5(years=3, channels=150))

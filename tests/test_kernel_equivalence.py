@@ -3,8 +3,9 @@
 The compiled tier (``repro.perf._kernel``) must be bit-identical to the
 per-access ``TraceSimulator.run`` oracle, field for field, across every
 axis the sweep registry exercises: all 12 mixes x 5 upgraded fractions,
-the custom organizations of ``test_custom_organizations.py``,
-non-default seeds, deep eviction-heavy runs, and LOT-ECC checksum
+the custom organizations of ``test_custom_organizations.py`` and the
+Table 7.1 baseline, non-default seeds, deep eviction-heavy runs (on the
+default LLC too), and LOT-ECC checksum
 points (``SweepPoint.lotecc_checksum`` against
 ``TraceSimulator(lotecc_checksum=True)``). When no C compiler is
 present the module *skips with the loader's reason string* — a visible
@@ -20,14 +21,17 @@ from test_custom_organizations import (
     result_fingerprint,
 )
 
-from repro.config import ARCC_MEMORY_CONFIG, PROCESSOR_CONFIG
+from repro.config import (
+    ARCC_MEMORY_CONFIG,
+    BASELINE_MEMORY_CONFIG,
+    PROCESSOR_CONFIG,
+)
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.faults.types import FaultType
 from repro.perf._kernel import (
     kernel_available,
     kernel_provenance,
     replay_compiled,
-    replay_compiled_stats,
 )
 from repro.perf.engine import SweepPoint
 from repro.perf.simulator import TraceSimulator
@@ -71,7 +75,9 @@ def reference(batch, point, processor=PROCESSOR_CONFIG):
 
 def two_way(batch, point, processor=PROCESSOR_CONFIG):
     """Assert compiled == reference on one cell; return the fingerprint."""
-    compiled = result_fingerprint(replay_compiled(batch, point, processor))
+    compiled = result_fingerprint(
+        replay_compiled(batch, point, processor)[0]
+    )
     oracle = result_fingerprint(reference(batch, point, processor))
     assert compiled == oracle, (
         batch.mix_name,
@@ -98,12 +104,15 @@ class TestGoldenMatrix:
             golden_cell(mix, ARCC_MEMORY_CONFIG, fraction)
 
     @pytest.mark.parametrize(
-        "config", CUSTOM_ORGANIZATIONS, ids=lambda c: c.name
+        "config",
+        CUSTOM_ORGANIZATIONS + (BASELINE_MEMORY_CONFIG,),
+        ids=lambda c: c.name,
     )
     def test_custom_organizations(self, config):
-        """The scenario-file organizations, at their own Table 7.4
-        device fraction (odd channel/rank/bank counts bend the route
-        decode and the per-organization fraction alike)."""
+        """The scenario-file organizations and the x4 Table 7.1
+        baseline, at their own Table 7.4 device fraction (odd
+        channel/rank/bank counts bend the route decode and the
+        per-organization fraction alike)."""
         for fraction in (0.0, upgraded_page_fraction(FaultType.DEVICE, config)):
             golden_cell(mix_by_name("Mix3"), config, fraction)
 
@@ -130,7 +139,7 @@ class TestDeepEvictionHeavyRuns:
         point = SweepPoint(
             config=ARCC_MEMORY_CONFIG, upgraded_fraction=fraction
         )
-        compiled, stats = replay_compiled_stats(
+        compiled, stats = replay_compiled(
             batch, point, EVICTION_HEAVY_PROCESSOR
         )
         oracle = reference(batch, point, EVICTION_HEAVY_PROCESSOR)
@@ -146,11 +155,21 @@ class TestDeepEvictionHeavyRuns:
         assert stats.misses > cap
         assert stats.mirror_violations == 0
 
-    def test_deep_run_against_oracle(self):
-        """One deep cell on the default LLC geometry."""
+    @pytest.mark.parametrize(
+        "mix_name, fraction", [("Mix1", 0.37), ("Mix10", 1.0)]
+    )
+    def test_deep_run_against_oracle(self, mix_name, fraction):
+        """Deep cells on the default LLC geometry. Mix10 is the most
+        memory-intensive mix: fully upgraded, its working set overfills
+        many sets, so victim selection, paired evictions and writebacks
+        all run."""
         two_way(
-            materialize_mix(mix_by_name("Mix1"), 0x7ACE, DEEP_INSTRUCTIONS),
-            SweepPoint(config=ARCC_MEMORY_CONFIG, upgraded_fraction=0.37),
+            materialize_mix(
+                mix_by_name(mix_name), 0x7ACE, DEEP_INSTRUCTIONS
+            ),
+            SweepPoint(
+                config=ARCC_MEMORY_CONFIG, upgraded_fraction=fraction
+            ),
         )
 
 
@@ -221,7 +240,7 @@ class TestChecksumPoints:
                     config=ARCC_MEMORY_CONFIG, upgraded_fraction=fraction
                 ),
                 EVICTION_HEAVY_PROCESSOR,
-            )
+            )[0]
         )
         # At fraction 0 the checksum writes are the only difference, so
         # this also proves writebacks happened.

@@ -30,7 +30,7 @@ from repro.config import ARCC_MEMORY_CONFIG, PROCESSOR_CONFIG
 from repro.perf._kernel import (
     kernel_available,
     kernel_provenance,
-    replay_compiled_stats,
+    replay_compiled,
 )
 from repro.perf.engine import SweepPoint
 from repro.perf.simulator import TraceSimulator
@@ -71,7 +71,7 @@ def run_case(case):
         upgraded_fraction=fraction,
         lotecc_checksum=checksum,
     )
-    result, stats = replay_compiled_stats(batch, point, processor)
+    result, stats = replay_compiled(batch, point, processor)
     return batch, processor, point, result, stats
 
 

@@ -1,4 +1,4 @@
-"""LOT-ECC checksum-replay mode of the batched trace engine.
+"""LOT-ECC checksum-replay mode of the trace replay.
 
 The engine measures LOT-ECC's extra traffic directly instead of
 scaling a fault-free run by the closed-form ``2(2r+2w)/(r+2w)``
@@ -22,14 +22,7 @@ import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG
 from repro.perf._kernel import kernel_available, kernel_provenance
-from repro.perf.engine import (
-    BatchedTraceSimulator,
-    SweepPoint,
-    replay_resolved,
-    resolve_engine,
-)
-from repro.perf.simulator import PROCESSOR_CONFIG
-from repro.perf.trace import materialize_mix
+from repro.perf.engine import SweepPoint, replay, resolve_engine
 from repro.workloads.spec import ALL_MIXES
 
 #: A mix whose 200k-instruction working set overflows the LLC, so
@@ -38,12 +31,16 @@ MIX = ALL_MIXES[6]
 N = 200_000
 
 
-def _run(fraction: float, checksum: bool):
-    return BatchedTraceSimulator(
+def _point(fraction: float, checksum: bool) -> SweepPoint:
+    return SweepPoint(
         config=ARCC_MEMORY_CONFIG,
         upgraded_fraction=fraction,
         lotecc_checksum=checksum,
-    ).run(MIX, instructions_per_core=N)
+    )
+
+
+def _run(fraction: float, checksum: bool):
+    return replay(MIX, _point(fraction, checksum), N, 0x7ACE)
 
 
 class TestChecksumTiers:
@@ -53,24 +50,16 @@ class TestChecksumTiers:
     )
     @pytest.mark.parametrize("fraction", [0.0, 0.5])
     def test_compiled_equals_reference_on_checksum_points(self, fraction):
-        batch = materialize_mix(MIX, 0x7ACE, N)
-        point = SweepPoint(
-            config=ARCC_MEMORY_CONFIG,
-            upgraded_fraction=fraction,
-            lotecc_checksum=True,
-        )
         results = [
-            replay_resolved(batch, point, PROCESSOR_CONFIG, tier)
+            replay(MIX, _point(fraction, True), N, 0x7ACE, engine=tier)
             for tier in ("compiled", "reference")
         ]
         assert results[0] == results[1]
 
     def test_reference_tier_accepts_checksum_points(self):
-        result = BatchedTraceSimulator(
-            config=ARCC_MEMORY_CONFIG,
-            lotecc_checksum=True,
-            engine="reference",
-        ).run(MIX, instructions_per_core=N)
+        result = replay(
+            MIX, _point(0.0, True), N, 0x7ACE, engine="reference"
+        )
         assert result.power.total_w > 0
 
 

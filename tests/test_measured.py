@@ -31,7 +31,7 @@ from repro.fleet import (
 )
 from repro.fleet.measured import _lotecc_factor
 from repro.runner import ResultCache, execute_plan, job_identity
-from repro.workloads.spec import ALL_MIXES
+from repro.workloads.spec import ALL_MIXES, WorkloadMix
 
 MIXES = ALL_MIXES[:3]
 INSTRUCTIONS = 4_000
@@ -184,6 +184,35 @@ class TestDeterminismAndCaching:
             FaultType.BANK,
             FaultType.COLUMN,
         }
+
+    def test_memo_tells_same_named_mixes_apart(self):
+        """A custom mix reusing a built-in name is measured on its own
+        benchmarks, not served the built-in's memoized ratios."""
+        builtin = ALL_MIXES[0]
+        impostor = WorkloadMix(builtin.name, ALL_MIXES[9].benchmark_names)
+        assert impostor.benchmark_names != builtin.benchmark_names
+        first = measured_fault_ratios(
+            mixes=[builtin], instructions_per_core=300
+        )
+        second = measured_fault_ratios(
+            mixes=[impostor], instructions_per_core=300
+        )
+        assert second is not first
+        assert second != first
+
+    def test_memo_shares_identically_defined_mixes(self):
+        """The memo keys on what a mix is, not on the object: a fresh
+        ``WorkloadMix`` with a built-in's name and benchmarks is served
+        the built-in's memoized ratios."""
+        builtin = ALL_MIXES[0]
+        twin = WorkloadMix(builtin.name, builtin.benchmark_names)
+        assert twin is not builtin
+        first = measured_fault_ratios(
+            mixes=[builtin], instructions_per_core=300
+        )
+        assert measured_fault_ratios(
+            mixes=[twin], instructions_per_core=300
+        ) is first
 
 
 class TestMeasuredPolicies:

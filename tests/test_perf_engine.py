@@ -1,17 +1,23 @@
-"""Golden-equivalence and property tests for the batched trace engine.
+"""Behavioural and property tests for the trace-replay engine.
 
-The batched engine (:mod:`repro.perf.engine`) must be *bit-identical*
-to the oracle ``TraceSimulator.run`` — same per-core instruction
-and cycle counts, same miss counts, same power totals — not merely
-close: every figure now runs on it, so any drift is a silent change to
-the reproduction. The tests here hold that line for all 12 Table 7.3
-mixes at quick scale, for both Table 7.1 organizations, across the
-Table 7.4 fault fractions, and at a deeper scale where LLC sets
-saturate and the eviction/writeback machinery is exercised.
+:func:`repro.perf.engine.replay` must be *bit-identical* to the oracle
+``TraceSimulator.run`` — same per-core instruction and cycle counts,
+same miss counts, same power totals — not merely close: every figure
+runs on it, so any drift is a silent change to the reproduction. The
+golden matrix of ``tests/test_kernel_equivalence.py`` holds that line
+for the compiled tier across every mix, fraction and organization; the
+tests here pin ``replay``'s own contract on both tiers (the compiled
+one skips where the kernel cannot be built) — odd channel counts, the
+single-channel error, the LLC geometry it is handed, the
+upgrades-require-ARCC check and the runner-job payload — plus the trace
+materialization, the page classifier and the route decode it runs on.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from test_custom_organizations import CUSTOM_ORGANIZATIONS
 
 from repro.config import (
     ARCC_MEMORY_CONFIG,
@@ -19,28 +25,50 @@ from repro.config import (
     PROCESSOR_CONFIG,
 )
 from repro.dram.addressing import AddressMapping, MappingPolicy
-from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
+from repro.perf import trace as trace_module
+from repro.perf._kernel import (
+    kernel_available,
+    kernel_provenance,
+    replay_compiled,
+)
 from repro.perf.engine import (
-    BatchedTraceSimulator,
     SweepPoint,
+    arcc_capable,
     decode_lines,
-    replay_resolved,
+    replay,
     simulate_point_job,
-    sweep,
     upgraded_page_flags,
 )
 from repro.perf.simulator import TraceSimulator, page_is_upgraded
 from repro.perf.trace import materialize_mix
-from repro.workloads.spec import ALL_MIXES, mix_by_name
+from repro.workloads.spec import mix_by_name
 from repro.workloads.trace import CoreTrace, TraceGenerator
 
-#: Quick scale of the golden sweep (the registry's --quick setting).
+#: Quick scale of the trace checks (the registry's --quick setting).
 QUICK_INSTRUCTIONS = 20_000
 
-#: The Figure 7.2/7.3 sweep points: fault-free plus every Table 7.4 type.
-SWEEP_FRACTIONS = [0.0] + [
-    upgraded_page_fraction(ft) for ft in TABLE_7_4_TYPES
+#: The two concrete tiers ``replay`` dispatches to; the compiled one
+#: skips, naming the loader's reason, where the kernel cannot be built.
+TIERS = [
+    pytest.param(
+        "compiled",
+        marks=pytest.mark.skipif(
+            not kernel_available(),
+            reason=f"compiled replay kernel unavailable: {kernel_provenance()}",
+        ),
+    ),
+    "reference",
 ]
+
+ONE_CHANNEL = dataclasses.replace(
+    ARCC_MEMORY_CONFIG, name="ARCC-1ch", channels=1
+)
+
+#: A 4-way LLC with 1 KB lines: 256 sets instead of the default 1024,
+#: so a quick run of a memory-heavy mix already evicts.
+SMALL_LLC_PROCESSOR = dataclasses.replace(
+    PROCESSOR_CONFIG, l2_assoc=4, cacheline_bytes=1024
+)
 
 
 def result_fingerprint(result):
@@ -56,133 +84,156 @@ def result_fingerprint(result):
     )
 
 
-class TestGoldenEquivalence:
-    @pytest.mark.parametrize("mix", ALL_MIXES, ids=lambda m: m.name)
-    def test_all_mixes_all_fractions_bit_identical(self, mix):
-        """The acceptance criterion: every (mix, fraction) at quick scale."""
-        for fraction in SWEEP_FRACTIONS:
-            legacy = TraceSimulator(
-                ARCC_MEMORY_CONFIG, upgraded_fraction=fraction
-            ).run(mix, instructions_per_core=QUICK_INSTRUCTIONS)
-            batched = BatchedTraceSimulator(
-                ARCC_MEMORY_CONFIG, upgraded_fraction=fraction
-            ).run(mix, instructions_per_core=QUICK_INSTRUCTIONS)
-            assert result_fingerprint(legacy) == result_fingerprint(
-                batched
-            ), (mix.name, fraction)
-
-    @pytest.mark.parametrize("mix", ALL_MIXES[:4], ids=lambda m: m.name)
-    def test_baseline_organization_bit_identical(self, mix):
-        legacy = TraceSimulator(BASELINE_MEMORY_CONFIG).run(
-            mix, instructions_per_core=QUICK_INSTRUCTIONS
-        )
-        batched = BatchedTraceSimulator(BASELINE_MEMORY_CONFIG).run(
-            mix, instructions_per_core=QUICK_INSTRUCTIONS
-        )
-        assert result_fingerprint(legacy) == result_fingerprint(batched)
-
-    def test_eviction_heavy_scale_bit_identical(self):
-        """Deep run: LLC sets saturate, evictions and writebacks flow.
-
-        Mix10 is the most memory-intensive mix; at 300k instructions its
-        working set overfills many LLC sets, so this exercises victim
-        selection, paired evictions and writeback traffic — the paths a
-        quick-scale run barely touches.
-        """
-        mix = mix_by_name("Mix10")
-        for fraction in (0.0, 1.0):
-            legacy = TraceSimulator(
-                ARCC_MEMORY_CONFIG, upgraded_fraction=fraction
-            ).run(mix, instructions_per_core=300_000)
-            batched = BatchedTraceSimulator(
-                ARCC_MEMORY_CONFIG, upgraded_fraction=fraction
-            ).run(mix, instructions_per_core=300_000)
-            assert result_fingerprint(legacy) == result_fingerprint(
-                batched
-            ), fraction
-
-    def test_nondefault_seed_bit_identical(self):
-        mix = mix_by_name("Mix3")
-        legacy = TraceSimulator(
-            ARCC_MEMORY_CONFIG, upgraded_fraction=0.5, seed=1234
-        ).run(mix, instructions_per_core=QUICK_INSTRUCTIONS)
-        batched = BatchedTraceSimulator(
-            ARCC_MEMORY_CONFIG, upgraded_fraction=0.5, seed=1234
-        ).run(mix, instructions_per_core=QUICK_INSTRUCTIONS)
-        assert result_fingerprint(legacy) == result_fingerprint(batched)
-
-    def test_sweep_matches_individual_replays(self):
-        """A sweep over one batch equals the reference tier point by
-        point, which rebuilds the mix from the batch and draws its own
-        traces."""
-        mix = mix_by_name("Mix2")
-        batch = materialize_mix(mix, 0x7ACE, QUICK_INSTRUCTIONS)
-        points = [
-            SweepPoint(upgraded_fraction=f, lotecc_checksum=checksum)
-            for f in (0.0, 0.5, 1.0)
-            for checksum in (False, True)
-        ] + [SweepPoint(config=BASELINE_MEMORY_CONFIG)]
-        swept = sweep(batch, points)
-        for point, result in zip(points, swept):
-            assert result_fingerprint(result) == result_fingerprint(
-                replay_resolved(batch, point, PROCESSOR_CONFIG, "reference")
-            )
-
+class TestReplay:
     def test_upgrades_require_arcc(self):
-        with pytest.raises(ValueError):
-            BatchedTraceSimulator(
-                ARCC_MEMORY_CONFIG, upgraded_fraction=0.5, arcc_enabled=False
-            )
-        batch = materialize_mix(mix_by_name("Mix1"), 0x7ACE, 1_000)
-        point = SweepPoint(upgraded_fraction=0.5, arcc_enabled=False)
-        for engine in ("auto", "reference"):
-            with pytest.raises(ValueError):
-                sweep(batch, [point], engine=engine)
+        """Rejected when the point is built, on every tier; the oracle
+        keeps its own copy of the check."""
+        with pytest.raises(ValueError, match="ARCC-capable"):
+            SweepPoint(upgraded_fraction=0.5, arcc_enabled=False)
+        single = dataclasses.replace(
+            ARCC_MEMORY_CONFIG, name="ARCC-1ch", channels=1
+        )
+        with pytest.raises(ValueError, match="ARCC-capable"):
+            SweepPoint(config=single, upgraded_fraction=0.25)
+        with pytest.raises(ValueError, match="ARCC-capable"):
+            TraceSimulator(upgraded_fraction=0.5, arcc_enabled=False)
+        # Pairing off is fine while nothing is upgraded.
+        assert not SweepPoint(arcc_enabled=False).resolved_arcc()
 
-    def test_odd_channel_counts_simulate_like_the_oracle(self):
+    @pytest.mark.parametrize(
+        "config, fraction, arcc_enabled, accepted, paired",
+        [
+            (ARCC_MEMORY_CONFIG, 0.5, None, True, True),
+            (ARCC_MEMORY_CONFIG, 0.5, False, False, None),
+            (ARCC_MEMORY_CONFIG, 0.0, False, True, False),
+            (BASELINE_MEMORY_CONFIG, 0.5, None, True, True),
+            (ONE_CHANNEL, 0.25, None, False, None),
+            (ONE_CHANNEL, 0.0, None, True, False),
+            # Explicit pairing on one channel is built; the replay
+            # raises later (test_single_channel_paired_access_...).
+            (ONE_CHANNEL, 1.0, True, True, True),
+        ],
+        ids=[
+            "arcc-upgraded",
+            "arcc-unpaired-upgraded",
+            "arcc-unpaired-clean",
+            "baseline-upgraded",
+            "one-channel-upgraded",
+            "one-channel-clean",
+            "one-channel-forced-pairing",
+        ],
+    )
+    def test_point_validation(
+        self, config, fraction, arcc_enabled, accepted, paired
+    ):
+        """Which points can be built, and the pairing they resolve to."""
+        kwargs = dict(
+            config=config,
+            upgraded_fraction=fraction,
+            arcc_enabled=arcc_enabled,
+        )
+        if not accepted:
+            with pytest.raises(ValueError, match="ARCC-capable"):
+                SweepPoint(**kwargs)
+            return
+        assert SweepPoint(**kwargs).resolved_arcc() is paired
+
+    @pytest.mark.parametrize("engine", TIERS)
+    def test_odd_channel_counts_simulate_like_the_oracle(self, engine):
         """Sub-lines share a channel iff channels == 1, not 'odd'.
 
         A three-channel organization interleaves siblings onto
         different channels (addr and addr^1 differ by one), so it must
         simulate — identically to the oracle — rather than be rejected.
         """
-        import dataclasses
-
         config3 = dataclasses.replace(
             ARCC_MEMORY_CONFIG, name="ARCC-3ch", channels=3
         )
         mix = mix_by_name("Mix1")
-        legacy = TraceSimulator(config3, upgraded_fraction=0.25).run(
-            mix, instructions_per_core=5_000
+        legacy = TraceSimulator(
+            config3, upgraded_fraction=0.25, seed=0x7ACE
+        ).run(mix, instructions_per_core=5_000)
+        replayed = replay(
+            mix, SweepPoint(config=config3, upgraded_fraction=0.25),
+            5_000, 0x7ACE, engine=engine,
         )
-        batched = BatchedTraceSimulator(config3, upgraded_fraction=0.25).run(
-            mix, instructions_per_core=5_000
-        )
-        assert result_fingerprint(legacy) == result_fingerprint(batched)
+        assert result_fingerprint(legacy) == result_fingerprint(replayed)
 
-    def test_single_channel_paired_access_raises_like_the_oracle(self):
+    @pytest.mark.parametrize("engine", TIERS)
+    def test_single_channel_paired_access_raises_like_the_oracle(
+        self, engine
+    ):
         """One channel cannot serve both sub-lines: RuntimeError, lazily."""
-        import dataclasses
-
-        config1 = dataclasses.replace(
-            ARCC_MEMORY_CONFIG, name="ARCC-1ch", channels=1
-        )
         mix = mix_by_name("Mix1")
         legacy = TraceSimulator(
-            config1, upgraded_fraction=1.0, arcc_enabled=True
+            ONE_CHANNEL, upgraded_fraction=1.0, arcc_enabled=True
         )
-        batched = BatchedTraceSimulator(
-            config1, upgraded_fraction=1.0, arcc_enabled=True
+        point = SweepPoint(
+            config=ONE_CHANNEL, upgraded_fraction=1.0, arcc_enabled=True
         )
         with pytest.raises(RuntimeError):
             legacy.run(mix, instructions_per_core=2_000)
         with pytest.raises(RuntimeError):
-            batched.run(mix, instructions_per_core=2_000)
+            replay(mix, point, 2_000, 0x7ACE, engine=engine)
+
+    @pytest.mark.parametrize("engine", TIERS)
+    def test_processor_reaches_the_tier(self, engine):
+        """``processor`` is the LLC geometry the tier replays with."""
+        mix = mix_by_name("Mix10")
+        point = SweepPoint(upgraded_fraction=0.25)
+        small = replay(
+            mix, point, QUICK_INSTRUCTIONS, 0x7ACE, engine=engine,
+            processor=SMALL_LLC_PROCESSOR,
+        )
+        oracle = TraceSimulator(
+            ARCC_MEMORY_CONFIG,
+            SMALL_LLC_PROCESSOR,
+            upgraded_fraction=0.25,
+            seed=0x7ACE,
+        ).run(mix, instructions_per_core=QUICK_INSTRUCTIONS)
+        assert result_fingerprint(small) == result_fingerprint(oracle)
+        default = replay(
+            mix, point, QUICK_INSTRUCTIONS, 0x7ACE, engine=engine
+        )
+        assert small.llc_miss_rate > default.llc_miss_rate
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            replay(mix_by_name("Mix1"), SweepPoint(), 1_000, 0, engine="python")
+
+    @pytest.mark.skipif(
+        not kernel_available(),
+        reason=f"compiled replay kernel unavailable: {kernel_provenance()}",
+    )
+    def test_compiled_tier_replays_the_memoized_trace(self):
+        """Points of one (mix, seed, budget) materialize its trace once,
+        and the compiled tier is the driver over that memoized batch."""
+        mix = mix_by_name("Mix4")
+        seed, instructions = 0x5EED1, 3_000
+        before = trace_module._materialize.cache_info()
+        results = [
+            replay(
+                mix, SweepPoint(upgraded_fraction=f), instructions, seed,
+                engine="compiled",
+            )
+            for f in (0.0, 0.5, 1.0)
+        ]
+        after = trace_module._materialize.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 2
+        batch = materialize_mix(mix, seed, instructions)
+        for f, result in zip((0.0, 0.5, 1.0), results):
+            direct, _ = replay_compiled(
+                batch, SweepPoint(upgraded_fraction=f), PROCESSOR_CONFIG
+            )
+            assert result_fingerprint(result) == result_fingerprint(direct)
 
     def test_point_job_returns_plain_floats(self):
-        """The runner-job payload must be small and picklable."""
+        """The runner-job payload must be small and picklable, and it is
+        ``replay``'s result at the job's point."""
+        mix = mix_by_name("Mix1")
         payload = simulate_point_job(
-            mix=mix_by_name("Mix1"),
+            mix=mix,
             config=ARCC_MEMORY_CONFIG,
             upgraded_fraction=0.0625,
             instructions_per_core=5_000,
@@ -197,6 +248,42 @@ class TestGoldenEquivalence:
             "average_memory_latency_ns",
         }
         assert all(isinstance(v, float) for v in payload.values())
+        result = replay(
+            mix, SweepPoint(upgraded_fraction=0.0625), 5_000, 0x7ACE
+        )
+        assert payload["power_w"] == result.power.total_w
+        assert payload["performance"] == result.performance
+
+    @pytest.mark.parametrize("checksum", [False, True], ids=["plain", "lotecc"])
+    @pytest.mark.parametrize("engine", TIERS)
+    def test_point_job_is_replay_at_its_point(self, engine, checksum):
+        """Every payload field is ``replay``'s, with the job's tier and
+        LOT-ECC checksum flag passed through."""
+        mix = mix_by_name("Mix2")
+        payload = simulate_point_job(
+            mix=mix,
+            config=ARCC_MEMORY_CONFIG,
+            upgraded_fraction=0.25,
+            instructions_per_core=3_000,
+            seed=0x7ACE,
+            engine=engine,
+            lotecc_checksum=checksum,
+        )
+        result = replay(
+            mix,
+            SweepPoint(upgraded_fraction=0.25, lotecc_checksum=checksum),
+            3_000,
+            0x7ACE,
+            engine=engine,
+        )
+        assert payload == {
+            "power_w": result.power.total_w,
+            "background_w": result.power.background_w,
+            "dynamic_w": result.power.dynamic_w,
+            "performance": result.performance,
+            "llc_miss_rate": result.llc_miss_rate,
+            "average_memory_latency_ns": result.average_memory_latency_ns,
+        }
 
 
 class TestTraceMaterialization:
@@ -288,16 +375,15 @@ class TestPageUpgradeProperties:
 
 
 class TestDecodeLines:
-    @pytest.mark.parametrize("policy", list(MappingPolicy))
     @pytest.mark.parametrize(
         "config", (ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG),
         ids=lambda c: c.name,
     )
-    def test_matches_scalar_decoder(self, policy, config):
-        mapping = AddressMapping(config, policy)
+    def test_matches_scalar_decoder(self, config):
+        mapping = AddressMapping(config, MappingPolicy.HIPERF)
         rng = np.random.default_rng(11)
         addresses = rng.integers(0, 1 << 24, size=2_000)
-        channel, rank, bank = decode_lines(addresses, config, policy)
+        channel, rank, bank = decode_lines(addresses, config)
         for i, address in enumerate(addresses.tolist()):
             decoded = mapping.decode(address)
             assert channel[i] == decoded.channel
@@ -313,15 +399,32 @@ class TestDecodeLines:
         )
         assert (channel != sibling_channel).all()
 
+    @pytest.mark.parametrize(
+        "config",
+        (BASELINE_MEMORY_CONFIG,) + CUSTOM_ORGANIZATIONS + (ONE_CHANNEL,),
+        ids=lambda c: c.name,
+    )
+    def test_sibling_channel_split_iff_multichannel(self, config):
+        """Sub-lines ``addr`` and ``addr ^ 1`` sit on different channels
+        exactly when the organization has more than one — the rule
+        ``arcc_capable`` screens organizations with."""
+        addresses = np.arange(4_096)
+        channel, _, _ = decode_lines(addresses, config)
+        sibling_channel, _, _ = decode_lines(addresses ^ 1, config)
+        split = channel != sibling_channel
+        assert split.all() if arcc_capable(config) else not split.any()
+
 
 class TestUpgradedPagesSeeTraffic:
     def test_upgraded_fraction_changes_power(self):
-        """Sanity: the sweep points actually differ (not vacuous tests)."""
+        """Sanity: the replayed points actually differ (not vacuous tests)."""
         mix = mix_by_name("Mix1")
-        batch = materialize_mix(mix, 0x7ACE, QUICK_INSTRUCTIONS)
-        clean, faulty = sweep(
-            batch,
-            [SweepPoint(upgraded_fraction=0.0), SweepPoint(upgraded_fraction=1.0)],
+        clean, faulty = (
+            replay(
+                mix, SweepPoint(upgraded_fraction=f), QUICK_INSTRUCTIONS,
+                0x7ACE,
+            )
+            for f in (0.0, 1.0)
         )
         assert faulty.power.total_w > clean.power.total_w
 
