@@ -199,9 +199,13 @@ def _fig74_block_job(
         block_seed, channels, float(years), rate_multiplier=rate_multiplier
     )
     weight_sets = _per_fault_weights(overheads)
+    matrices = overhead_series_by_year(
+        batch,
+        years,
+        [(per_fault, cap) for (_, cap), per_fault in zip(_SERIES_SPECS, weight_sets)],
+    )
     result: Dict[str, Any] = {"channels": channels}
-    for (key, cap), per_fault in zip(_SERIES_SPECS, weight_sets):
-        matrix = overhead_series_by_year(batch, years, per_fault, cap=cap)
+    for (key, _), matrix in zip(_SERIES_SPECS, matrices):
         result[f"{key}_sum"] = matrix.sum(axis=1)
         result[f"{key}_sumsq"] = np.square(matrix).sum(axis=1)
     return result

@@ -309,31 +309,36 @@ def faulty_fractions_by_year(
 def overhead_series_by_year(
     batch: FaultEventBatch,
     years: int,
-    per_fault: Dict[FaultType, float],
-    cap: float,
+    rows: Sequence[Tuple[Dict[FaultType, float], float]],
     steps_per_year: int = 12,
 ) -> np.ndarray:
     """Per-channel cumulative-average overhead at the end of each year.
 
-    Returns a ``(years, channels)`` matrix whose row ``y-1`` is each
-    channel's overhead averaged over the first ``y`` years, sampled at
-    ``steps_per_year`` mid-step points per year — the vectorized form of
-    the scalar ``_overhead_series`` accumulation (Section 7.1 step 3 is
-    additive per arrived fault, capped at fully-upgraded behaviour).
+    ``rows`` is a sequence of ``(per_fault, cap)`` weight sets scored on
+    the same batch. Returns a ``(len(rows), years, channels)`` array
+    whose ``[r, y-1]`` entry is each channel's row-``r`` overhead
+    averaged over the first ``y`` years, sampled at ``steps_per_year``
+    mid-step points per year — the vectorized form of the scalar
+    ``_overhead_series`` accumulation (Section 7.1 step 3 is additive per
+    arrived fault, capped at fully-upgraded behaviour).
+
+    The time sort, the step searches and the cursor walk are shared by
+    every row; arrivals are added per row in time order, so each row is
+    bit-identical to scoring it alone.
     """
     channels = batch.num_channels
-    out = np.zeros((years, channels))
-    weights = np.array(
-        [per_fault.get(ft, 0.0) for ft in FAULT_TYPE_ORDER]
-    )[batch.type_code]
-    ids = batch.channel_ids()
+    out = np.zeros((len(rows), years, channels))
+    per_type = np.zeros((len(rows), len(FAULT_TYPE_ORDER)))
+    for row, (per_fault, _) in zip(per_type, rows):
+        row[:] = [per_fault.get(ft, 0.0) for ft in FAULT_TYPE_ORDER]
+    caps = np.array([cap for _, cap in rows], dtype=float).reshape(-1, 1)
     order = np.argsort(batch.time_hours, kind="stable")
     sorted_times = batch.time_hours[order]
-    sorted_ids = ids[order]
-    sorted_weights = weights[order]
+    sorted_ids = batch.channel_ids()[order]
+    sorted_weights = per_type[:, batch.type_code[order]]
 
-    current = np.zeros(channels)
-    accumulated = np.zeros(channels)
+    current = np.zeros((len(rows), channels))
+    accumulated = np.zeros((len(rows), channels))
     cursor = 0
     step = 0
     for year in range(1, years + 1):
@@ -341,13 +346,14 @@ def overhead_series_by_year(
             t_hours = (step + 0.5) / steps_per_year * HOURS_PER_YEAR
             arrived = np.searchsorted(sorted_times, t_hours, side="right")
             if arrived > cursor:
-                np.add.at(
-                    current,
-                    sorted_ids[cursor:arrived],
-                    sorted_weights[cursor:arrived],
-                )
+                for row, row_weights in zip(current, sorted_weights):
+                    np.add.at(
+                        row,
+                        sorted_ids[cursor:arrived],
+                        row_weights[cursor:arrived],
+                    )
                 cursor = arrived
-            accumulated += np.minimum(current, cap)
+            accumulated += np.minimum(current, caps)
             step += 1
-        out[year - 1] = accumulated / step
+        out[:, year - 1] = accumulated / step
     return out

@@ -20,13 +20,13 @@ the same sampled :class:`~repro.fleet.events.FaultEventBatch` per slice:
   exposure window from the repair interval to one scrub pass (the 17x
   of [4]).
 
-Every (policy, slice, block) is one :class:`~repro.runner.Job`; blocks
-reuse the exact seeds of :func:`~repro.fleet.report.plan_fleet`, so all
-policies judge the *same* fault arrivals — a paired comparison, and
-bit-identical at any worker count. Monte-Carlo means (overheads,
-uncorrectable-channel fraction) carry 95% confidence intervals;
-SDC/DUE columns come from the closed-form Chapter 6 models evaluated
-per slice.
+Every (slice, block) is one :class:`~repro.runner.Job` that samples the
+block once and scores every policy on it; blocks reuse the exact seeds
+of :func:`~repro.fleet.report.plan_fleet`, so all policies judge the
+*same* fault arrivals — a paired comparison, and bit-identical at any
+worker count. Monte-Carlo means (overheads, uncorrectable-channel
+fraction) carry 95% confidence intervals; SDC/DUE columns come from the
+closed-form Chapter 6 models evaluated per slice.
 
 By default the per-fault weights are the worst-case constants above
 (kept as the documented fallback and oracle bound).
@@ -444,8 +444,8 @@ def uncorrectable_candidate_channels(
 # -- runner jobs --------------------------------------------------------------
 
 
-def _policy_block_job(
-    policy: ProtectionPolicy,
+def _policies_block_job(
+    policies: Tuple[ProtectionPolicy, ...],
     block_seed: int,
     channels: int,
     sample_years: float,
@@ -456,12 +456,14 @@ def _policy_block_job(
     phases: Tuple[Tuple[float, float, float], ...],
     scrub_interval_hours: float,
     spatial: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Picklable worker: one (policy, slice, block) cost evaluation.
+) -> List[Dict[str, Any]]:
+    """Picklable worker: every policy's costs on one (slice, block).
 
-    Samples the block with the *same* seed every policy uses for this
-    (slice, block), so the comparison is paired — differences between
-    policies are pure policy, never sampling noise.
+    Samples the block once, so the comparison is paired — differences
+    between policies are pure policy, never sampling noise. All power
+    and performance series share one accumulation pass, and the
+    uncorrectable-pair screen runs once per distinct correction window.
+    Returns one moments dict per policy, in ``policies`` order.
     """
     batch = sample_block(
         block_seed,
@@ -473,25 +475,28 @@ def _policy_block_job(
         phases=phases,
         spatial=spatial,
     )
-    power = overhead_series_by_year(
-        batch, report_years, policy.per_fault_power, cap=policy.power_cap
-    )[-1]
-    perf = overhead_series_by_year(
-        batch,
-        report_years,
-        policy.per_fault_performance,
-        cap=policy.performance_cap,
-    )[-1]
-    window = policy.window_hours("correction_window", scrub_interval_hours)
-    uncorrectable = uncorrectable_candidate_channels(batch, window)
-    return {
-        "channels": channels,
-        "power_sum": float(power.sum()),
-        "power_sumsq": float(np.square(power).sum()),
-        "perf_sum": float(perf.sum()),
-        "perf_sumsq": float(np.square(perf).sum()),
-        "uncorrectable_sum": float(uncorrectable.sum()),
-    }
+    rows = []
+    for policy in policies:
+        rows.append((policy.per_fault_power, policy.power_cap))
+        rows.append((policy.per_fault_performance, policy.performance_cap))
+    final_year = overhead_series_by_year(batch, report_years, rows)[:, -1]
+    screens: Dict[float, np.ndarray] = {}
+    out = []
+    for policy, power, perf in zip(policies, final_year[0::2], final_year[1::2]):
+        window = policy.window_hours("correction_window", scrub_interval_hours)
+        if window not in screens:
+            screens[window] = uncorrectable_candidate_channels(batch, window)
+        out.append(
+            {
+                "channels": channels,
+                "power_sum": float(power.sum()),
+                "power_sumsq": float(np.square(power).sum()),
+                "perf_sum": float(perf.sum()),
+                "perf_sumsq": float(np.square(perf).sum()),
+                "uncorrectable_sum": float(screens[window].sum()),
+            }
+        )
+    return out
 
 
 # -- reports ------------------------------------------------------------------
@@ -704,17 +709,20 @@ def plan_fleet_compare(
     seed: int = DEFAULT_FLEET_SEED,
     profiles: Optional[ProfileMap] = None,
 ) -> ExperimentPlan:
-    """A policy comparison as runner jobs: one per (policy, slice, block).
+    """A policy comparison as runner jobs: one per (slice, block).
 
-    Block seeds derive exactly as in
-    :func:`~repro.fleet.report.plan_fleet` — from ``seed`` and the slice
-    position, never from the policy — so every policy scores identical
-    fault histories and results are independent of worker count.
+    Each job carries the slice's version of every policy, in
+    ``policies`` order, and returns one moments dict per policy: the
+    block is sampled once and every policy scores it. Block seeds derive
+    exactly as in :func:`~repro.fleet.report.plan_fleet` — from ``seed``
+    and the slice position, never from the policy — so every policy
+    scores identical fault histories and results are independent of
+    worker count and of which other policies share the job.
 
     ``profiles`` (keyed ``(policy key, organization name)``, from
     :func:`~repro.fleet.measured.plan_measured_profiles`) swaps the
     worst-case per-fault constants for measured weights: each slice's
-    jobs carry the policy variant measured against *its own* memory
+    jobs carry the policy variants measured against *its own* memory
     organization. Every (policy, slice's organization) pair must be
     present.
     """
@@ -742,39 +750,39 @@ def plan_fleet_compare(
             effective[(policy.key, pop.name)] = variant
 
     jobs: List[Job] = []
-    spans: Dict[Tuple[str, str], Tuple[int, int]] = {}
-    for policy in built:
-        for pop, pop_seed in zip(scenario.populations, pop_seeds):
-            start = len(jobs)
-            for index, (block_seed, size) in enumerate(
-                fleet_blocks(pop_seed, pop.channels)
-            ):
-                jobs.append(
-                    Job.create(
-                        f"fleet-compare[{scenario.name}/{pop.name}/"
-                        f"{policy.key}][{index}]",
-                        _policy_block_job,
-                        policy=effective[(policy.key, pop.name)],
-                        block_seed=block_seed,
-                        channels=size,
-                        sample_years=pop.lifespan_years,
-                        report_years=pop.report_years,
-                        rate_multiplier=pop.rate_multiplier,
-                        config=pop.config,
-                        rates=pop.rates,
-                        phases=tuple(pop.phases()),
-                        scrub_interval_hours=scrub_hours,
-                        spatial=(
-                            pop.spatial.to_config() if pop.spatial else None
-                        ),
-                    )
+    spans: Dict[str, Tuple[int, int]] = {}
+    for pop, pop_seed in zip(scenario.populations, pop_seeds):
+        start = len(jobs)
+        for index, (block_seed, size) in enumerate(
+            fleet_blocks(pop_seed, pop.channels)
+        ):
+            jobs.append(
+                Job.create(
+                    f"fleet-compare[{scenario.name}/{pop.name}][{index}]",
+                    _policies_block_job,
+                    policies=tuple(
+                        effective[(policy.key, pop.name)] for policy in built
+                    ),
+                    block_seed=block_seed,
+                    channels=size,
+                    sample_years=pop.lifespan_years,
+                    report_years=pop.report_years,
+                    rate_multiplier=pop.rate_multiplier,
+                    config=pop.config,
+                    rates=pop.rates,
+                    phases=tuple(pop.phases()),
+                    scrub_interval_hours=scrub_hours,
+                    spatial=(
+                        pop.spatial.to_config() if pop.spatial else None
+                    ),
                 )
-            spans[(policy.key, pop.name)] = (start, len(jobs))
+            )
+        spans[pop.name] = (start, len(jobs))
 
-    def assemble(values: List[Dict[str, Any]]) -> PolicyComparisonReport:
+    def assemble(values: List[List[Dict[str, Any]]]) -> PolicyComparisonReport:
         slice_reports: List[PolicySliceReport] = []
         summaries: List[PolicyFleetSummary] = []
-        for policy in built:
+        for policy_index, policy in enumerate(built):
             fleet_power = _Moments()
             fleet_perf = _Moments()
             fleet_unc_sum = 0.0
@@ -787,11 +795,12 @@ def plan_fleet_compare(
                 variant = effective[(policy.key, pop.name)]
                 static_power[pop.name] = variant.static_power_overhead
                 static_perf[pop.name] = variant.static_performance_overhead
-                start, stop = spans[(policy.key, pop.name)]
+                start, stop = spans[pop.name]
                 power = _Moments()
                 perf = _Moments()
                 unc_sum = 0.0
-                for block in values[start:stop]:
+                for job_values in values[start:stop]:
+                    block = job_values[policy_index]
                     n = block["channels"]
                     power.add(n, block["power_sum"], block["power_sumsq"])
                     perf.add(n, block["perf_sum"], block["perf_sumsq"])

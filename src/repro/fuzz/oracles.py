@@ -250,7 +250,7 @@ def _execute_fleet(case: Dict[str, Any]) -> Optional[str]:
 
     per_fault = _per_fault_weights(case["per_fault"])
     cap = case["cap"]
-    fast_over = overhead_series_by_year(batch, years, per_fault, cap=cap)
+    (fast_over,) = overhead_series_by_year(batch, years, [(per_fault, cap)])
     legacy_over = _overhead_series(histories, years, per_fault, cap=cap)
     for year in range(1, years + 1):
         fast_mean = float(fast_over[year - 1].mean())

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 from repro.faults.types import (
     DEFAULT_FIT_RATES,
@@ -61,6 +61,12 @@ class ReliabilityParams:
     def device_rate_per_hour(self, fault_type: FaultType) -> float:
         """Per-device arrival rate of one fault type (per hour)."""
         return self.scaled_rates.fit_of(fault_type) * FIT_TO_PER_HOUR
+
+
+def device_rates_per_hour(params: ReliabilityParams) -> Dict[FaultType, float]:
+    """:meth:`ReliabilityParams.device_rate_per_hour` of every
+    device-level type, computed once for a whole pair or triple sum."""
+    return {ft: params.device_rate_per_hour(ft) for ft in DEVICE_LEVEL_TYPES}
 
 
 def overlap_probability(
@@ -109,13 +115,14 @@ def sdc_rate_arcc_ded(params: ReliabilityParams) -> float:
     first fault lands uniformly within its scrub period).
     """
     window = params.scrub_interval_hours / 2.0
+    lam = device_rates_per_hour(params)
     rate = 0.0
     for a in DEVICE_LEVEL_TYPES:
-        lam_a = params.device_rate_per_hour(a) * params.total_devices
+        lam_a = lam[a] * params.total_devices
         if lam_a == 0.0:
             continue
         for b in DEVICE_LEVEL_TYPES:
-            lam_b = params.device_rate_per_hour(b)
+            lam_b = lam[b]
             if lam_b == 0.0:
                 continue
             rate += (
@@ -155,18 +162,19 @@ def expected_sdc_sccdcd(
     """
     hours = lifespan_years * HOURS_PER_YEAR
     window = params.scrub_interval_hours / 2.0
+    lam = device_rates_per_hour(params)
     expected = 0.0
     for a in DEVICE_LEVEL_TYPES:
-        lam_a = params.device_rate_per_hour(a) * params.total_devices
+        lam_a = lam[a] * params.total_devices
         if lam_a == 0.0:
             continue
         peers = _peers(a, params)
         for b in DEVICE_LEVEL_TYPES:
-            lam_b = params.device_rate_per_hour(b)
+            lam_b = lam[b]
             if lam_b == 0.0:
                 continue
             for c in DEVICE_LEVEL_TYPES:
-                lam_c = params.device_rate_per_hour(c)
+                lam_c = lam[c]
                 if lam_c == 0.0:
                     continue
                 expected += (

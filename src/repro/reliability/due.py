@@ -21,6 +21,7 @@ from repro.faults.types import DEVICE_LEVEL_TYPES
 from repro.reliability.analytical import (
     ReliabilityParams,
     _peers,
+    device_rates_per_hour,
     overlap_probability,
 )
 
@@ -33,13 +34,14 @@ DEFAULT_REPAIR_HOURS = 720.0
 def _pair_race_rate(params: ReliabilityParams, window_hours: float) -> float:
     """Rate (per channel-hour) of a second fault overlapping a first
     within ``window_hours`` of it."""
+    lam = device_rates_per_hour(params)
     rate = 0.0
     for a in DEVICE_LEVEL_TYPES:
-        lam_a = params.device_rate_per_hour(a) * params.total_devices
+        lam_a = lam[a] * params.total_devices
         if lam_a == 0.0:
             continue
         for b in DEVICE_LEVEL_TYPES:
-            lam_b = params.device_rate_per_hour(b)
+            lam_b = lam[b]
             if lam_b == 0.0:
                 continue
             rate += (

@@ -6,9 +6,9 @@ explicit seed (``base_seed`` fills in missing ones deterministically via
 :func:`repro.util.rng.derive_seeds`), a :class:`ResultCache` short-
 circuits work that has already been done by a previous run, and jobs
 whose computation is identical (same callable, config and seed — names
-aside) run once per batch and share the value — together these make
-``--jobs 1`` and ``--jobs N`` produce identical outputs while never
-simulating the same point twice.
+aside) are looked up and run once per batch and share the value —
+together these make ``--jobs 1`` and ``--jobs N`` produce identical
+outputs while never simulating the same point twice.
 """
 
 from __future__ import annotations
@@ -80,17 +80,18 @@ def run_jobs(
     duplicates: Dict[int, int] = {}  # duplicate index -> representative
     first_by_identity: Dict[str, int] = {}
     for index, job in enumerate(jobs):
+        representative = first_by_identity.setdefault(job_identity(job), index)
+        if representative != index:
+            duplicates[index] = representative
+            continue
+        # One cache lookup per unique computation: duplicates share the
+        # representative's value, hit or computed.
         if cache is not None:
             hit, value = cache.get(job)
             if hit:
                 results[index] = JobResult(job.name, value, cached=True)
                 continue
-        identity = job_identity(job)
-        representative = first_by_identity.setdefault(identity, index)
-        if representative != index:
-            duplicates[index] = representative
-        else:
-            pending.append(index)
+        pending.append(index)
 
     def complete(index: int, value: Any, seconds: float) -> None:
         # Persist each result the moment it exists, not after the whole

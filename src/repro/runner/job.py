@@ -13,9 +13,20 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from functools import cache, cached_property
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+
+#: Types whose exact instances describe themselves.
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@cache
+def _sorted_field_names(cls: type) -> Tuple[str, ...]:
+    """Field names of a dataclass type, sorted (computed once per type)."""
+    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
 
 
 def describe_value(value: Any) -> Any:
@@ -23,19 +34,25 @@ def describe_value(value: Any) -> Any:
 
     Used to build cache keys, so it must be stable across processes and
     interpreter runs and must never let two different values collide:
-    enums collapse to their names, dataclasses to a sorted field mapping,
-    callables to ``module:qualname``, and JSON scalars, lists, tuples and
-    mappings describe themselves. Any other type raises ``TypeError``
-    rather than falling back to ``repr``, which for an ndarray elides
-    elements with ``...``.
+    enums collapse to their names, every dataclass — nested ones too —
+    to its type name plus a sorted field mapping (read field by field,
+    one walk, no copy), callables to ``module:qualname``, and JSON
+    scalars, lists, tuples and mappings describe themselves. Any other
+    type raises ``TypeError`` rather than falling back to ``repr``, which
+    for an ndarray elides elements with ``...``.
     """
+    if type(value) in _JSON_SCALARS:  # exact types: an IntEnum is no int here
+        return value
     if isinstance(value, enum.Enum):
         return f"{type(value).__name__}.{value.name}"
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = dataclasses.asdict(value)
+        cls = type(value)
         return {
-            "__dataclass__": type(value).__name__,
-            **{k: describe_value(v) for k, v in sorted(fields.items())},
+            "__dataclass__": cls.__name__,
+            **{
+                name: describe_value(getattr(value, name))
+                for name in _sorted_field_names(cls)
+            },
         }
     if isinstance(value, Mapping):
         return {str(describe_value(k)): describe_value(v) for k, v in value.items()}

@@ -253,6 +253,9 @@ class TestVectorizedReductions:
         assert np.all(matrix[-1][has_lane] == pytest.approx(1.0))
 
     def test_overhead_matches_legacy_rule(self):
+        """Rows sharing one accumulation pass never touch each other:
+        each equals the scalar rule bit for bit when its channels are
+        summed in the scalar rule's order."""
         batch, histories = self._batch_and_histories()
         per_fault = {
             FaultType.LANE: 0.38,
@@ -260,10 +263,13 @@ class TestVectorizedReductions:
             FaultType.BANK: 0.02,
             FaultType.COLUMN: 0.01,
         }
-        for cap in (1.0, 0.5, 0.05):
-            vec = overhead_series_by_year(batch, 7, per_fault, cap=cap)
-            legacy = _overhead_series(histories, 7, per_fault, cap=cap)
-            assert np.allclose(vec.mean(axis=1), legacy, rtol=1e-9)
+        rows = [(per_fault, cap) for cap in (1.0, 0.5, 0.05)]
+        rows += [({FaultType.ROW: 0.3, FaultType.BANK: 0.02}, 0.05), ({}, 0.5)]
+        matrix = overhead_series_by_year(batch, 7, rows)
+        assert matrix.shape == (len(rows), 7, batch.num_channels)
+        for row, (weights, cap) in zip(matrix, rows):
+            legacy = _overhead_series(histories, 7, weights, cap=cap)
+            assert [sum(year.tolist()) / batch.num_channels for year in row] == legacy
 
     def test_timeseries_matches_scalar_reduction(self):
         """The Figure 3.1 series equals the per-channel scalar oracle.

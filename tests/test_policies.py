@@ -15,7 +15,9 @@ from repro.fleet import (
     DEFAULT_POLICY_KEYS,
     POLICY_KEYS,
     FleetScenario,
+    SpatialFaultModel,
     SubPopulation,
+    plan_fleet,
     plan_fleet_compare,
     resolve_policies,
 )
@@ -330,22 +332,53 @@ class TestComparisonReport:
 
 class TestPairedSampling:
     def test_policies_share_block_seeds(self):
-        """Every policy's jobs for a slice carry identical block seeds."""
-        plan = plan_fleet_compare(
-            "mixed-generations", policies=POLICY_KEYS, channels=1500
-        )
-        seeds = {}
+        """One job per (slice, block) carries every policy, in order, on
+        exactly the blocks :func:`plan_fleet` samples for that slice."""
+        kwargs = dict(scenario="mixed-generations", channels=1500, seed=11)
+        plan = plan_fleet_compare(policies=POLICY_KEYS, **kwargs)
+        blocks = [
+            (job.name.split("[", 1)[1], job.kwargs["block_seed"], job.kwargs["channels"])
+            for job in plan.jobs
+        ]
+        fleet_blocks = [
+            (job.name.split("[", 1)[1], job.kwargs["block_seed"], job.kwargs["channels"])
+            for job in plan_fleet(**kwargs).jobs
+        ]
+        assert blocks == fleet_blocks
         for job in plan.jobs:
-            config = dict(job.config)
-            slice_block = (
-                job.name.split("/")[1],
-                config["block_seed"],
-                config["channels"],
-            )
-            seeds.setdefault(slice_block[0], set()).add(slice_block[1:])
-        counts = {name: len(blocks) for name, blocks in seeds.items()}
-        # One distinct (seed, size) set per slice, shared by all policies.
-        assert len(plan.jobs) == len(POLICY_KEYS) * sum(counts.values())
+            assert [p.key for p in job.kwargs["policies"]] == list(POLICY_KEYS)
+
+    def test_sharing_a_job_never_changes_a_policy_row(self):
+        """Each policy scored alone gets exactly its cells of the
+        three-policy report: neither the shared block, the shared
+        accumulation pass nor the shared screen per window leaks."""
+        scenario = FleetScenario(
+            name="two-windows",
+            description="hot enough that the repair and scrub screens differ",
+            populations=(
+                SubPopulation(
+                    name="hot",
+                    channels=1500,
+                    rate_multiplier=400.0,
+                    spatial=SpatialFaultModel(kind="retention-cluster", fraction=0.9),
+                ),
+                SubPopulation(name="calm", channels=600),
+            ),
+        )
+        kwargs = dict(scenario=scenario, seed=5)
+        together = execute_plan(plan_fleet_compare(policies=POLICY_KEYS, **kwargs))
+        unc = {
+            row.policy: row.uncorrectable_fraction[0]
+            for row in together.slices
+            if row.slice_name == "hot"
+        }
+        assert unc["arcc"] > unc["lotecc"] > 0  # both windows flag channels
+        for key in POLICY_KEYS:
+            alone = execute_plan(plan_fleet_compare(policies=(key,), **kwargs))
+            assert [vars(row) for row in alone.slices] == [
+                vars(row) for row in together.slices if row.policy == key
+            ]
+            assert vars(alone.fleet_summary(key)) == vars(together.fleet_summary(key))
 
     def test_custom_scenario_object(self):
         scenario = FleetScenario(

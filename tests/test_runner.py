@@ -42,6 +42,31 @@ def _seed_from_kwargs(**kwargs):
     return kwargs.get("seed")
 
 
+@dataclasses.dataclass(frozen=True)
+class _Volts:
+    level: float
+
+
+@dataclasses.dataclass(frozen=True)
+class _Amps:
+    level: float
+
+
+@dataclasses.dataclass(frozen=True)
+class _Reading:
+    sensor: object
+
+
+class _CountingCache(ResultCache):
+    """A :class:`ResultCache` that counts its lookups."""
+
+    gets = 0
+
+    def get(self, job):
+        self.gets += 1
+        return super().get(job)
+
+
 class TestJob:
     def test_create_sorts_config(self):
         a = Job.create("j", _square, x=1)
@@ -82,12 +107,26 @@ class TestDescribeValue:
     def test_callable(self):
         assert "test_runner" in describe_value(_square)
 
+    def test_nested_dataclass_type_is_part_of_the_description(self):
+        """Same fields, different nested types: the keys must differ."""
+        volts = describe_value(_Reading(_Volts(1.5)))
+        amps = describe_value(_Reading(_Amps(1.5)))
+        assert volts != amps
+        assert volts["sensor"] == {"__dataclass__": "_Volts", "level": 1.5}
+
     @pytest.mark.parametrize(
-        "value", [np.arange(2000), {1, 2}, b"bytes"], ids=["ndarray", "set", "bytes"]
+        "value, name",
+        [
+            (np.arange(2000), "ndarray"),
+            ({1, 2}, "set"),
+            (b"bytes", "bytes"),
+            (_Reading(np.arange(2000)), "ndarray"),
+        ],
+        ids=["ndarray", "set", "bytes", "ndarray-in-dataclass"],
     )
-    def test_inexact_type_raises(self, value):
+    def test_inexact_type_raises(self, value, name):
         """No ``repr`` fallback: an elided ndarray repr could collide."""
-        with pytest.raises(TypeError, match=type(value).__qualname__):
+        with pytest.raises(TypeError, match=name):
             describe_value(value)
 
     def test_ndarray_config_cannot_be_keyed(self, tmp_path):
@@ -462,6 +501,22 @@ class TestJobDeduplication:
         run_jobs(jobs)
         with open(marker) as handle:
             assert len(handle.readlines()) == 2
+
+    def test_cache_is_read_once_per_unique_identity(self, tmp_path):
+        """Duplicates share their representative's lookup, cold or warm."""
+        jobs = [
+            Job.create("a", _square, x=3),
+            Job.create("b", _square, x=3),
+            Job.create("c", _square, x=4),
+            Job.create("d", _square, x=3),
+        ]
+        unique = len({job_identity(job) for job in jobs})
+        for cached in ([False, True, False, True], [True] * 4):
+            cache = _CountingCache(tmp_path / "cache", version="v1")
+            results = run_jobs(jobs, cache=cache)
+            assert cache.gets == unique == 2
+            assert [r.value for r in results] == [9, 9, 16, 9]
+            assert [r.cached for r in results] == cached
 
     def test_pool_dedup_matches_inline(self):
         jobs = [
