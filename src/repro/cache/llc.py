@@ -75,6 +75,20 @@ class _Line:
     recency: int
 
 
+def validate_llc_geometry(sets: int, ways: int) -> None:
+    """Reject LLC shapes that cannot hold sub-line pairs.
+
+    Sibling sub-lines ``a`` and ``a ^ 1`` must sit in the adjacent sets
+    ``s`` and ``s ^ 1``, which takes an even set count of at least 2.
+    Every replay tier calls this, so they refuse the same geometries
+    with the same message.
+    """
+    if sets < 2 or sets % 2:
+        raise ValueError("need an even number of sets >= 2 for pairing")
+    if ways < 1:
+        raise ValueError("ways must be positive")
+
+
 class LastLevelCache:
     """Set-associative LLC holding relaxed and upgraded lines together."""
 
@@ -84,10 +98,7 @@ class LastLevelCache:
         ways: int,
         policy: Optional[ReplacementPolicy] = None,
     ):
-        if sets < 2 or sets % 2:
-            raise ValueError("need an even number of sets >= 2 for pairing")
-        if ways < 1:
-            raise ValueError("ways must be positive")
+        validate_llc_geometry(sets, ways)
         self.sets = sets
         self.ways = ways
         self.policy = policy or PairedLruPolicy()

@@ -25,7 +25,6 @@ from repro.perf.engine import (
     arcc_capable,
     replay,
     simulate_point_job,
-    upgraded_page_flags,
 )
 from repro.perf.simulator import (
     MixResult,
@@ -46,7 +45,6 @@ __all__ = [
     "page_is_upgraded",
     "replay",
     "simulate_point_job",
-    "upgraded_page_flags",
     "worst_case_performance_ratio",
     "worst_case_power_ratio",
 ]

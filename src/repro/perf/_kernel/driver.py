@@ -1,22 +1,28 @@
 """NumPy-to-ctypes driver for the compiled replay kernel.
 
-The kernel consumes flat per-access streams as contiguous NumPy
-buffers — organization-independent trace arrays plus the
-per-organization route decode (:func:`_route_indices`) — and hands back
-the per-core cycle counts and per-rank channel counters that
-``TraceSimulator.run`` holds after the last access. The driver
-classifies upgraded pages with the vectorized hash and rolls the
-counters up into a :class:`~repro.perf.simulator.MixResult`
-(:func:`_finalize_result`) through the same power arithmetic as ``MemorySystem.power_report``, so
-a divergence from the scalar oracle can only come from the sequential
-core itself — which is what the golden matrix in
-``tests/test_kernel_equivalence.py`` and the ``trace-kernel`` fuzz
-oracle pin.
+The kernel reads only a batch's organization-independent buffers —
+addresses, write flags, gap cycles, core offsets and MLP, flattened
+once per batch by :func:`_trace_buffers` — plus two per-point inputs
+the driver builds in microseconds: the route table of
+``M = channels x banks x ranks`` entries (:func:`_route_table`,
+HIPERF's coordinates depend only on ``addr mod M``) and the
+page-upgrade threshold of :func:`~repro.perf.simulator.
+page_is_upgraded`, which the kernel tests inline on each miss. So no
+per-access array exists per organization or per upgraded fraction.
+The kernel hands back the per-core cycle counts and per-rank channel
+counters that ``TraceSimulator.run`` holds after the last access, and
+:func:`_finalize_result` rolls them up into a
+:class:`~repro.perf.simulator.MixResult` through the same power
+arithmetic as ``MemorySystem.power_report``, so a divergence from the
+scalar oracle can only come from the sequential core itself — which is
+what the golden matrix in ``tests/test_kernel_equivalence.py`` and the
+``trace-kernel`` fuzz oracle pin.
 
-Array memos are keyed on batch identity (batches are memoized by
+:func:`_trace_buffers` is the driver's only array memo, keyed on batch
+identity (batches are memoized by
 :func:`repro.perf.trace.materialize_mix`), so the points replayed
-against one trace flatten it once per process and decode it once per
-organization. :func:`repro.perf.engine.replay` is the public way in.
+against one trace flatten it once per process.
+:func:`repro.perf.engine.replay` is the public way in.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.cache.llc import validate_llc_geometry
 from repro.config import MemoryConfig, ProcessorConfig
 from repro.dram.channel import POWERDOWN_HYSTERESIS_NS
 from repro.dram.power import PowerCounters, RankPowerModel
@@ -44,9 +51,12 @@ from repro.perf._kernel.loader import (
     ReplayParams,
     load_kernel,
 )
-from repro.perf.simulator import CoreResult, MixResult
+from repro.perf.simulator import _HASH, _HASH_MOD, CoreResult, MixResult
 from repro.perf.trace import TraceBatch
 from repro.workloads.trace import CoreTrace
+
+# The kernel takes a page's hash as the low 32 bits of the product.
+assert _HASH_MOD == 1 << 32, "the replay kernel hashes pages mod 2**32"
 
 
 @dataclass(frozen=True)
@@ -68,81 +78,71 @@ class KernelStats:
     final_positions: Tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class _TraceBuffers:
+    """One batch's contiguous kernel inputs and their addresses.
+
+    ``pointers`` are the five buffers' data addresses in the kernel's
+    argument order (the arrays stay alive in ``arrays``), and
+    ``instructions`` the per-core instruction counts of the rollup.
+    """
+
+    arrays: Tuple[np.ndarray, ...]
+    pointers: Tuple[int, ...]
+    instructions: Tuple[int, ...]
+
+
 @lru_cache(maxsize=64)
-def _trace_buffers(batch: TraceBatch):
+def _trace_buffers(batch: TraceBatch) -> _TraceBuffers:
     """Contiguous organization-independent buffers for one batch."""
-    return (
+    arrays = (
         np.ascontiguousarray(batch.line_addresses, dtype=np.int64),
         np.ascontiguousarray(batch.write_flags).view(np.uint8),
         np.ascontiguousarray(batch.gap_cycles(), dtype=np.float64),
         np.ascontiguousarray(batch.core_offsets, dtype=np.int64),
         np.array([p.mlp for p in batch.profiles], dtype=np.float64),
     )
-
-
-@lru_cache(maxsize=64)
-def _route_indices(
-    batch: TraceBatch, config: MemoryConfig
-) -> Tuple[np.ndarray, ...]:
-    """Decode every access and its ``^ 1`` sibling for one organization.
-
-    Returns contiguous int32 ``(chan, rank_index, bank_index, sib_chan,
-    sib_rank_index, sib_bank_index)``: rank indices are channel-major
-    (``chan * ranks + rank``) and bank indices flat (``rank_index *
-    banks + bank``), so the kernel never multiplies. The conversion
-    must run while the int64 intermediates are still alive: converting
-    after they are freed lets the long-lived memo buffers fragment the
-    glibc heap, about 40 MB more peak RSS on a full-scale ``repro run``.
-    """
-    from repro.perf.engine import decode_lines
-
-    addresses = batch.line_addresses
-    n_ranks = config.ranks_per_channel
-    banks = config.banks_per_device
-    chan_a, rank_a, bank_a = decode_lines(addresses, config)
-    sib_chan_a, sib_rank_a, sib_bank_a = decode_lines(addresses ^ 1, config)
-    ri_a = chan_a * n_ranks + rank_a
-    sri_a = sib_chan_a * n_ranks + sib_rank_a
-    return tuple(
-        np.ascontiguousarray(a, dtype=np.int32)
-        for a in (
-            chan_a,
-            ri_a,
-            ri_a * banks + bank_a,
-            sib_chan_a,
-            sri_a,
-            sri_a * banks + sib_bank_a,
-        )
+    return _TraceBuffers(
+        arrays=arrays,
+        pointers=tuple(a.ctypes.data for a in arrays),
+        instructions=tuple(
+            int(batch.instruction_gaps[batch.core_slice(i)].sum())
+            for i in range(batch.cores)
+        ),
     )
 
 
-@lru_cache(maxsize=16)
-def _upgraded_flag_arrays(
-    batch: TraceBatch, fraction: float
-) -> np.ndarray:
-    """Per-access upgraded flags as a contiguous uint8 buffer."""
-    from repro.perf.engine import upgraded_page_flags
+def _route_table(config: MemoryConfig) -> Tuple[np.ndarray, ...]:
+    """Contiguous int32 ``(chan, rank_index, bank_index)`` of every
+    residue ``0..M-1``, ``M = channels x banks x ranks``.
 
-    pages = batch.line_addresses // CoreTrace.LINES_PER_PAGE
-    return np.ascontiguousarray(
-        upgraded_page_flags(pages, fraction)
-    ).view(np.uint8)
+    Rank indices are channel-major (``chan * ranks + rank``) and bank
+    indices flat (``rank_index * banks + bank``), so the kernel never
+    multiplies.
+    """
+    from repro.perf.engine import decode_lines
+
+    n_ranks = config.ranks_per_channel
+    banks = config.banks_per_device
+    chan, rank, bank = decode_lines(
+        np.arange(config.channels * banks * n_ranks), config
+    )
+    ri = chan * n_ranks + rank
+    return tuple(
+        np.ascontiguousarray(a, dtype=np.int32)
+        for a in (chan, ri, ri * banks + bank)
+    )
 
 
 def clear_kernel_memos() -> None:
-    """Drop the kernel's array memos (cold-run benchmarking)."""
+    """Drop the kernel's array memo (cold-run benchmarking)."""
     _trace_buffers.cache_clear()
-    _route_indices.cache_clear()
-    _upgraded_flag_arrays.cache_clear()
-
-
-def _ptr(array: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.c_void_p(array.ctypes.data)
 
 
 def _finalize_result(
     batch: TraceBatch,
     config: MemoryConfig,
+    instructions: Tuple[int, ...],
     cycles: List[float],
     last_activity: List[float],
     powerdown_ns: List[float],
@@ -162,10 +162,6 @@ def _finalize_result(
     """
     timings = timings_for_width(config.io_width)
     hysteresis = POWERDOWN_HYSTERESIS_NS
-    instructions = [
-        int(batch.instruction_gaps[batch.core_slice(i)].sum())
-        for i in range(batch.cores)
-    ]
     end_ns = max(cycles) * ns_per_cycle
     counters = []
     for ri in range(config.channels * config.ranks_per_channel):
@@ -221,20 +217,15 @@ def replay_compiled(
     ``TraceSimulator.run``; the :class:`KernelStats` are the kernel's
     invariant audit of the same replay.
     """
+    validate_llc_geometry(processor.l2_sets, processor.l2_assoc)
     config = point.config
     arcc_enabled = point.resolved_arcc()
     fraction = point.upgraded_fraction
-    paired_single_channel = (
-        bool(fraction) and arcc_enabled and config.channels == 1
-    )
+    upgrading = arcc_enabled and fraction > 0.0
 
     lib = load_kernel()
-    addr, write, gap_cyc, core_offsets, mlp = _trace_buffers(batch)
-    chan, ri, fb, schan, sri, sfb = _route_indices(batch, config)
-    if arcc_enabled and fraction > 0.0:
-        upgraded = _upgraded_flag_arrays(batch, fraction)
-    else:
-        upgraded = np.zeros(batch.accesses, dtype=np.uint8)
+    buffers = _trace_buffers(batch)
+    routes = _route_table(config)
 
     timings = timings_for_width(config.io_width)
     n_cores = batch.cores
@@ -247,14 +238,19 @@ def replay_compiled(
         n_channels=config.channels,
         n_ranks=config.ranks_per_channel,
         banks_per_device=config.banks_per_device,
-        paired_single_channel=int(paired_single_channel),
+        paired_single_channel=int(upgrading and config.channels == 1),
         lotecc_checksum=int(point.lotecc_checksum),
+        route_mod=len(routes[0]),
+        lines_per_page=CoreTrace.LINES_PER_PAGE,
+        page_hash_mult=_HASH,
         trc_ns=timings.trc_ns,
         tras_ns=timings.tras_ns,
         burst_ns=timings.burst_ns,
         data_offset_ns=timings.trcd_ns + timings.cas_ns,
         hysteresis_ns=POWERDOWN_HYSTERESIS_NS,
         ns_per_cycle=1.0 / processor.clock_ghz,
+        # page_is_upgraded's threshold, the same double.
+        upgrade_below=fraction * _HASH_MOD if upgrading else 0.0,
     )
 
     cycles = np.zeros(n_cores, dtype=np.float64)
@@ -266,28 +262,20 @@ def replay_compiled(
     float_out = np.zeros(1, dtype=np.float64)
     stat_out = np.zeros(STAT_POSITIONS + n_cores, dtype=np.int64)
 
+    outputs = (
+        cycles,
+        read_bursts,
+        write_bursts,
+        active_ns,
+        powerdown_ns,
+        last_activity,
+        float_out,
+        stat_out,
+    )
     status = lib.replay_kernel(
         ctypes.byref(params),
-        _ptr(addr),
-        _ptr(write),
-        _ptr(gap_cyc),
-        _ptr(chan),
-        _ptr(ri),
-        _ptr(fb),
-        _ptr(schan),
-        _ptr(sri),
-        _ptr(sfb),
-        _ptr(upgraded),
-        _ptr(core_offsets),
-        _ptr(mlp),
-        _ptr(cycles),
-        _ptr(read_bursts),
-        _ptr(write_bursts),
-        _ptr(active_ns),
-        _ptr(powerdown_ns),
-        _ptr(last_activity),
-        _ptr(float_out),
-        _ptr(stat_out),
+        *buffers.pointers,
+        *(a.ctypes.data for a in routes + outputs),
     )
     if status == REPLAY_SINGLE_CHANNEL_PAIR:
         # The exact message the scalar controller raises on this
@@ -304,6 +292,7 @@ def replay_compiled(
     result = _finalize_result(
         batch=batch,
         config=config,
+        instructions=buffers.instructions,
         cycles=cycles.tolist(),
         last_activity=last_activity.tolist(),
         powerdown_ns=powerdown_ns.tolist(),

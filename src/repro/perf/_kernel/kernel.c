@@ -18,6 +18,21 @@
  * twice — the same channel_service calls, in the same order, as the
  * scalar MemoryController.
  *
+ * The kernel reads only the organization-independent trace (addresses,
+ * write flags, gap cycles, core offsets, MLP) plus two small per-point
+ * inputs, so nothing per-access is precomputed per organization or per
+ * upgraded fraction:
+ *
+ * - a route table of M = channels x banks x ranks entries.  HIPERF's
+ *   (channel, rank, bank) depends only on addr mod M, so the driver
+ *   decodes 0..M-1 once per point (engine.decode_lines) and the kernel
+ *   reads entry a % M for the demand fill, (a ^ 1) % M for the sibling
+ *   and the victim's entry for every writeback;
+ * - the page-upgrade threshold.  An access is upgraded iff its page's
+ *   golden-ratio hash, (page * mult) mod 2**32, lies below
+ *   fraction * 2**32 — page_is_upgraded's test, evaluated inline on
+ *   each miss (both sides are exact doubles).
+ *
  * State layout departs from the scalar cache in three invisible ways:
  *
  * - A resident line is one way slot (address, recency tick, dirty and
@@ -27,9 +42,12 @@
  *   either sub-line of a pair stamps the new tick on *both* slots
  *   (sub-lines of a pair fill together and evict together, so the
  *   mirror never goes stale).
- * - Victim selection is then a scan for the first minimal tick.  Ticks
- *   are unique per touch and pair-mates never share a set, so the
- *   minimum is unique within a set and picks the scalar cache's victim.
+ * - Victim selection is then a scan for the minimal tick.  Ticks are
+ *   unique per touch and pair-mates never share a set (the set count is
+ *   even and at least 2, which the driver validates, so a ^ 1 lands in
+ *   set s ^ 1), so the minimum is unique within a set and picks the
+ *   scalar cache's victim whatever the slot order — which lets a pop
+ *   move the set's last slot into the hole instead of shifting.
  * - A page's mode never changes within a replay, so the per-way
  *   upgraded flag is set on insertion and never needs clearing.
  *
@@ -46,14 +64,15 @@
  */
 
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
 typedef long long i64;
 typedef unsigned char u8;
 
-/* Keep in sync with the ctypes.Structure in loader.py: nine 8-byte
- * integers followed by six doubles, so the layout has no padding. */
+/* Keep in sync with the ctypes.Structure in loader.py: twelve 8-byte
+ * integers followed by seven doubles, so the layout has no padding. */
 typedef struct {
     i64 n_accesses;
     i64 n_cores;
@@ -64,12 +83,16 @@ typedef struct {
     i64 banks_per_device;
     i64 paired_single_channel;
     i64 lotecc_checksum; /* SweepPoint.lotecc_checksum */
+    i64 route_mod;       /* M: route-table length */
+    i64 lines_per_page;  /* CoreTrace.LINES_PER_PAGE */
+    i64 page_hash_mult;  /* simulator._HASH */
     double trc_ns;
     double tras_ns;
     double burst_ns;
     double data_offset_ns;
     double hysteresis_ns;
     double ns_per_cycle;
+    double upgrade_below; /* fraction * 2**32, or 0.0 when nothing is */
 } ReplayParams;
 
 /* Return codes. */
@@ -111,22 +134,18 @@ static int set_find(const Llc *L, i64 s, i64 addr)
     return -1;
 }
 
+/* Remove way idx from set s by moving the set's last slot into the
+ * hole: slot order is invisible (see the header). */
 static void set_pop(Llc *L, i64 s, int idx)
 {
     i64 base = s * L->n_ways;
-    int len = L->set_len[s];
-    int tail = len - idx - 1;
-    if (tail > 0) {
-        memmove(L->slot_addr + base + idx, L->slot_addr + base + idx + 1,
-                (size_t)tail * sizeof(i64));
-        memmove(L->slot_rec + base + idx, L->slot_rec + base + idx + 1,
-                (size_t)tail * sizeof(i64));
-        memmove(L->slot_dirty + base + idx, L->slot_dirty + base + idx + 1,
-                (size_t)tail * sizeof(u8));
-        memmove(L->slot_upg + base + idx, L->slot_upg + base + idx + 1,
-                (size_t)tail * sizeof(u8));
-    }
-    L->set_len[s] = len - 1;
+    i64 last = base + L->set_len[s] - 1;
+    i64 hole = base + idx;
+    L->slot_addr[hole] = L->slot_addr[last];
+    L->slot_rec[hole] = L->slot_rec[last];
+    L->slot_dirty[hole] = L->slot_dirty[last];
+    L->slot_upg[hole] = L->slot_upg[last];
+    L->set_len[s] -= 1;
     L->occupancy -= 1;
 }
 
@@ -150,7 +169,7 @@ typedef struct {
     int upgraded;
 } WriteBack;
 
-/* Evict first-minimal-recency ways from set s until a way is free —
+/* Evict minimal-recency ways from set s until a way is free —
  * LastLevelCache._evict_from, paired eviction included.  Appends the
  * resulting writebacks in order. */
 static void evict_until_free(Llc *L, i64 s, WriteBack *wbs, int *n_wb)
@@ -251,21 +270,23 @@ static double channel_service(Channels *C, const ReplayParams *P,
     return completion;
 }
 
-/* Victim-address decode for writeback routing — AddressMapping.decode
- * for the HIPERF mapping, the same mixed-radix integer arithmetic.
- * Victim addresses are data-dependent, so they are decoded on demand
- * rather than positionally precomputed like the demand stream. */
-static void decode_route(i64 a, const ReplayParams *P,
-                         int *chan, int *ri, int *fb)
+/* Route table: channel, rank index (chan * ranks + rank) and flat bank
+ * index (rank_index * banks + bank) of each residue mod M, so the
+ * kernel never multiplies or divides to route an access. */
+typedef struct {
+    const int *chan;
+    const int *ri;
+    const int *fb;
+    i64 mod;
+} Routes;
+
+static double service_line(Channels *C, const ReplayParams *P,
+                           const Routes *R, double now, i64 a,
+                           int is_write)
 {
-    i64 ch = a % P->n_channels;
-    i64 rest = a / P->n_channels;
-    i64 bank = rest % P->banks_per_device;
-    i64 rank = (rest / P->banks_per_device) % P->n_ranks;
-    i64 r = ch * P->n_ranks + rank;
-    *chan = (int)ch;
-    *ri = (int)r;
-    *fb = (int)(r * P->banks_per_device + bank);
+    i64 m = a % R->mod;
+    return channel_service(C, P, now, R->chan[m], R->ri[m], R->fb[m],
+                           is_write);
 }
 
 /* -- the sequential core ------------------------------------------------ */
@@ -273,10 +294,8 @@ static void decode_route(i64 a, const ReplayParams *P,
 int replay_kernel(
     const ReplayParams *P,
     const i64 *addr_a, const u8 *write_a, const double *gap_cyc,
-    const int *chan_a, const int *ri_a, const int *fb_a,
-    const int *schan_a, const int *sri_a, const int *sfb_a,
-    const u8 *upgraded_a,
     const i64 *core_offsets, const double *mlp,
+    const int *route_chan, const int *route_ri, const int *route_fb,
     double *cycles,
     i64 *read_bursts, i64 *write_bursts,
     double *active_ns, double *powerdown_ns, double *last_activity,
@@ -286,6 +305,10 @@ int replay_kernel(
     const i64 *END = core_offsets + 1;
     const double ns_per_cycle = P->ns_per_cycle;
     const i64 n_rank_states = P->n_channels * P->n_ranks;
+    const i64 lines_per_page = P->lines_per_page;
+    const uint64_t page_hash_mult = (uint64_t)P->page_hash_mult;
+    const double upgrade_below = P->upgrade_below;
+    Routes R;
     i64 clock = 0, hits = 0, misses = 0, mirror_violations = 0;
     double total_latency = 0.0;
     int status = REPLAY_OK;
@@ -302,6 +325,10 @@ int replay_kernel(
 
     memset(&L, 0, sizeof(L));
     memset(&C, 0, sizeof(C));
+    R.chan = route_chan;
+    R.ri = route_ri;
+    R.fb = route_fb;
+    R.mod = P->route_mod;
     L.n_sets = P->n_sets;
     L.n_ways = P->n_ways;
     L.slot_addr = malloc((size_t)(L.n_sets * L.n_ways) * sizeof(i64));
@@ -409,7 +436,11 @@ int replay_kernel(
             misses += 1;
             {
                 double now = cyc * ns_per_cycle;
-                int is_upg = upgraded_a[p];
+                /* page_is_upgraded: (page * mult) mod 2**32 is the
+                 * low word of the 64-bit product. */
+                int is_upg =
+                    (double)(uint32_t)((uint64_t)(a / lines_per_page) *
+                                       page_hash_mult) < upgrade_below;
                 int is_write = write_a[p];
                 WriteBack wbs[8];
                 int n_wb = 0;
@@ -453,24 +484,20 @@ int replay_kernel(
 
                 /* Demand fill (and, for a pair, the sibling's channel
                  * in lockstep). */
-                completion = channel_service(
-                    &C, P, now, chan_a[p], ri_a[p], fb_a[p], 0);
+                completion = service_line(&C, P, &R, now, a, 0);
                 if (is_upg) {
-                    double sc = channel_service(
-                        &C, P, now, schan_a[p], sri_a[p], sfb_a[p], 0);
+                    double sc = service_line(&C, P, &R, now, a ^ 1, 0);
                     if (sc > completion) {
                         completion = sc;
                     }
                     if (P->lotecc_checksum) {
                         /* LOT-ECC checksum reads: one per sub-line, on
                          * the fill's critical path. */
-                        sc = channel_service(
-                            &C, P, now, chan_a[p], ri_a[p], fb_a[p], 0);
+                        sc = service_line(&C, P, &R, now, a, 0);
                         if (sc > completion) {
                             completion = sc;
                         }
-                        sc = channel_service(
-                            &C, P, now, schan_a[p], sri_a[p], sfb_a[p], 0);
+                        sc = service_line(&C, P, &R, now, a ^ 1, 0);
                         if (sc > completion) {
                             completion = sc;
                         }
@@ -485,17 +512,15 @@ int replay_kernel(
                 /* LOT-ECC pays one checksum write per data write,
                  * co-located with the data it protects. */
                 for (w = 0; w < n_wb; w++) {
-                    int wc, wri, wfb;
-                    decode_route(wbs[w].addr, P, &wc, &wri, &wfb);
-                    channel_service(&C, P, now, wc, wri, wfb, 1);
+                    i64 wa = wbs[w].addr;
+                    service_line(&C, P, &R, now, wa, 1);
                     if (P->lotecc_checksum) {
-                        channel_service(&C, P, now, wc, wri, wfb, 1);
+                        service_line(&C, P, &R, now, wa, 1);
                     }
                     if (wbs[w].upgraded) {
-                        decode_route(wbs[w].addr ^ 1, P, &wc, &wri, &wfb);
-                        channel_service(&C, P, now, wc, wri, wfb, 1);
+                        service_line(&C, P, &R, now, wa ^ 1, 1);
                         if (P->lotecc_checksum) {
-                            channel_service(&C, P, now, wc, wri, wfb, 1);
+                            service_line(&C, P, &R, now, wa ^ 1, 1);
                         }
                     }
                 }

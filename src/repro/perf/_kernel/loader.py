@@ -77,7 +77,7 @@ _state: Optional[Tuple[bool, str, Optional[ctypes.CDLL]]] = None
 
 class ReplayParams(ctypes.Structure):
     """Mirror of ``ReplayParams`` in ``kernel.c`` (same field order):
-    nine 8-byte integers, then six doubles, so there is no padding."""
+    twelve 8-byte integers, then seven doubles, so there is no padding."""
 
     _fields_ = [
         ("n_accesses", ctypes.c_longlong),
@@ -89,12 +89,16 @@ class ReplayParams(ctypes.Structure):
         ("banks_per_device", ctypes.c_longlong),
         ("paired_single_channel", ctypes.c_longlong),
         ("lotecc_checksum", ctypes.c_longlong),
+        ("route_mod", ctypes.c_longlong),
+        ("lines_per_page", ctypes.c_longlong),
+        ("page_hash_mult", ctypes.c_longlong),
         ("trc_ns", ctypes.c_double),
         ("tras_ns", ctypes.c_double),
         ("burst_ns", ctypes.c_double),
         ("data_offset_ns", ctypes.c_double),
         ("hysteresis_ns", ctypes.c_double),
         ("ns_per_cycle", ctypes.c_double),
+        ("upgrade_below", ctypes.c_double),
     ]
 
 
@@ -191,15 +195,11 @@ def _resolve() -> Tuple[bool, str, Optional[ctypes.CDLL]]:
             ctypes.c_void_p,  # addr (int64)
             ctypes.c_void_p,  # write flags (uint8)
             ctypes.c_void_p,  # gap cycles (float64)
-            ctypes.c_void_p,  # chan (int32)
-            ctypes.c_void_p,  # rank_index (int32)
-            ctypes.c_void_p,  # bank_index (int32)
-            ctypes.c_void_p,  # sib_chan (int32)
-            ctypes.c_void_p,  # sib_rank_index (int32)
-            ctypes.c_void_p,  # sib_bank_index (int32)
-            ctypes.c_void_p,  # upgraded flags (uint8)
             ctypes.c_void_p,  # core_offsets (int64)
             ctypes.c_void_p,  # mlp (float64)
+            ctypes.c_void_p,  # route table: chan (int32, M entries)
+            ctypes.c_void_p,  # route table: rank_index (int32)
+            ctypes.c_void_p,  # route table: bank_index (int32)
             ctypes.c_void_p,  # cycles out (float64)
             ctypes.c_void_p,  # read_bursts out (int64)
             ctypes.c_void_p,  # write_bursts out (int64)

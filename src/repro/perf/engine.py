@@ -6,12 +6,12 @@ This is the hot path of ``repro run``. Every trace point replays through
 
 * ``compiled`` — the C kernel of :mod:`repro.perf._kernel`, driven over
   the flat arrays of a materialized :class:`~repro.perf.trace.
-  TraceBatch`: page-upgrade classification is one vectorized
-  golden-ratio hash over the address stream
-  (:func:`upgraded_page_flags`) and channel/rank/bank coordinates are
-  decoded for every access and sibling in a handful of array ops
-  (:func:`decode_lines`), both memoized per trace and shared by every
-  point replayed against it;
+  TraceBatch`, which every point replayed against the trace shares. The
+  per-point inputs are tiny: channel/rank/bank coordinates come from a
+  route table that :func:`decode_lines` builds over ``addr mod M``
+  (``M = channels x banks x ranks``), and the kernel applies
+  :func:`page_is_upgraded`'s golden-ratio hash test inline on each
+  miss;
 * ``reference`` — :class:`~repro.perf.simulator.TraceSimulator`, the
   scalar per-access model: the kernel's exact oracle, and the fallback
   on hosts where the kernel does not build.
@@ -37,8 +37,6 @@ from repro.config import (
     ProcessorConfig,
 )
 from repro.perf.simulator import (
-    _HASH,
-    _HASH_MOD,
     MixResult,
     TraceSimulator,
     page_is_upgraded,
@@ -46,35 +44,6 @@ from repro.perf.simulator import (
 from repro.perf.trace import materialize_mix
 from repro.runner.job import Job
 from repro.workloads.spec import WorkloadMix
-
-
-def upgraded_page_flags(pages: np.ndarray, fraction: float) -> np.ndarray:
-    """Vectorized :func:`~repro.perf.simulator.page_is_upgraded`.
-
-    Returns a boolean array, element-for-element equal to the scalar
-    classifier: the hash product stays below 2**53, so the float64
-    comparison against ``fraction * 2**32`` is exact.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> pages = np.arange(6, dtype=np.int64)
-    >>> bool(upgraded_page_flags(pages, 0.0).any())
-    False
-    >>> bool(upgraded_page_flags(pages, 1.0).all())
-    True
-    >>> from repro.perf.simulator import page_is_upgraded
-    >>> flags = upgraded_page_flags(pages, 0.4)
-    >>> [page_is_upgraded(int(p), 0.4) for p in pages] == flags.tolist()
-    True
-    """
-    pages = np.asarray(pages, dtype=np.uint64)
-    if fraction <= 0.0:
-        return np.zeros(pages.shape, dtype=bool)
-    if fraction >= 1.0:
-        return np.ones(pages.shape, dtype=bool)
-    hashed = (pages * np.uint64(_HASH)) % np.uint64(_HASH_MOD)
-    return hashed < np.float64(fraction * _HASH_MOD)
 
 
 def decode_lines(
@@ -204,7 +173,8 @@ def engine_provenance() -> Dict[str, str]:
 
 
 def clear_engine_memos() -> None:
-    """Drop memoized traces and replay arrays (cold-run benchmarking)."""
+    """Drop memoized traces and their kernel buffers (cold-run
+    benchmarking)."""
     from repro.perf._kernel import clear_kernel_memos
     from repro.perf.trace import clear_trace_memo
 
@@ -321,5 +291,4 @@ __all__ = [
     "replay",
     "resolve_engine",
     "simulate_point_job",
-    "upgraded_page_flags",
 ]

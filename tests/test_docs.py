@@ -120,7 +120,7 @@ class TestDoctests:
             (report, ("plan_fleet",)),
             (job, ("Job", "ExperimentPlan")),
             (perf_trace, ("TraceBatch", "materialize_mix")),
-            (perf_engine, ("upgraded_page_flags", "replay")),
+            (perf_engine, ("arcc_capable", "replay")),
         ):
             found = {
                 test.name.split(".")[-1]

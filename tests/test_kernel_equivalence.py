@@ -173,6 +173,40 @@ class TestDeepEvictionHeavyRuns:
         )
 
 
+#: Every odd axis at once: 3 channels x 3 ranks x 5 banks, so the
+#: kernel's route table has M = 45 entries — not a power of two, and
+#: coprime to neither the set count nor the page size.
+ODD_EVERYTHING_X8 = dataclasses.replace(
+    ARCC_MEMORY_CONFIG,
+    name="odd-everything-x8",
+    channels=3,
+    ranks_per_channel=3,
+    banks_per_device=5,
+)
+
+
+class TestRouteTable:
+    """Fills, siblings and both kinds of writeback route through the
+    ``addr mod M`` table; an odd ``M`` on the eviction-heavy LLC
+    exercises all four."""
+
+    @pytest.mark.parametrize("lotecc_checksum", [False, True])
+    @pytest.mark.parametrize("fraction", [0.25, 1.0])
+    def test_odd_organization_eviction_heavy(self, fraction, lotecc_checksum):
+        batch = materialize_mix(mix_by_name("Mix10"), 0x7ACE, 60_000)
+        point = SweepPoint(
+            config=ODD_EVERYTHING_X8,
+            upgraded_fraction=fraction,
+            lotecc_checksum=lotecc_checksum,
+        )
+        two_way(batch, point, EVICTION_HEAVY_PROCESSOR)
+        stats = replay_compiled(batch, point, EVICTION_HEAVY_PROCESSOR)[1]
+        assert stats.misses > (
+            EVICTION_HEAVY_PROCESSOR.l2_sets
+            * EVICTION_HEAVY_PROCESSOR.l2_assoc
+        )
+
+
 #: Fault-free, every Table 7.4 class fraction, and fully upgraded.
 CHECKSUM_FRACTIONS = (0.0,) + tuple(
     upgraded_page_fraction(ft) for ft in TABLE_7_4_TYPES

@@ -17,25 +17,35 @@ one:
 LOT-ECC checksum accounting is drawn too: its extra bursts change
 timing, never the cache, so every invariant holds in both modes.
 
+A tracemalloc check pins the driver's memory: once a trace's buffers
+exist, replaying more points over it allocates only a few small
+per-point arrays, whatever the trace length.
+
 Skips with the loader's reason when no C compiler is present.
 """
 
 import dataclasses
+import gc
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ARCC_MEMORY_CONFIG, PROCESSOR_CONFIG
+from repro.config import (
+    ARCC_MEMORY_CONFIG,
+    BASELINE_MEMORY_CONFIG,
+    PROCESSOR_CONFIG,
+)
 from repro.perf._kernel import (
     kernel_available,
     kernel_provenance,
     replay_compiled,
 )
-from repro.perf.engine import SweepPoint
+from repro.perf.engine import SweepPoint, replay
 from repro.perf.simulator import TraceSimulator
 from repro.perf.trace import materialize_mix
-from repro.workloads.spec import ALL_MIXES
+from repro.workloads.spec import ALL_MIXES, mix_by_name
 
 pytestmark = pytest.mark.skipif(
     not kernel_available(),
@@ -120,3 +130,30 @@ class TestKernelInvariants:
             seed=seed,
             lotecc_checksum=checksum,
         ).run(mix, instructions_per_core=instructions)
+
+
+class TestBoundedMemory:
+    """Replay keeps no per-point array: after the first point over a
+    trace, further points — other upgraded fractions, another
+    organization — retain under 16 KB and peak under 64 KB, whatever
+    the trace length."""
+
+    @pytest.mark.parametrize("instructions", [3_000, 30_000])
+    def test_more_points_over_one_trace_allocate_little(self, instructions):
+        mix = mix_by_name("Mix3")
+        replay(mix, SweepPoint(), instructions, 11, engine="compiled")
+        points = [
+            SweepPoint(upgraded_fraction=f)
+            for f in (0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0)
+        ] + [SweepPoint(config=BASELINE_MEMORY_CONFIG)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for point in points:
+                replay(mix, point, instructions, 11, engine="compiled")
+            gc.collect()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 16 * 1024, retained
+        assert peak < 64 * 1024, peak

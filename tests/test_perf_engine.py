@@ -37,9 +37,13 @@ from repro.perf.engine import (
     decode_lines,
     replay,
     simulate_point_job,
-    upgraded_page_flags,
 )
-from repro.perf.simulator import TraceSimulator, page_is_upgraded
+from repro.perf.simulator import (
+    _HASH,
+    _HASH_MOD,
+    TraceSimulator,
+    page_is_upgraded,
+)
 from repro.perf.trace import materialize_mix
 from repro.workloads.spec import mix_by_name
 from repro.workloads.trace import CoreTrace, TraceGenerator
@@ -197,6 +201,28 @@ class TestReplay:
         )
         assert small.llc_miss_rate > default.llc_miss_rate
 
+    @pytest.mark.parametrize("engine", TIERS)
+    @pytest.mark.parametrize(
+        "processor",
+        [
+            # 5461 sets: odd, so sub-line pairs cannot sit in s, s ^ 1.
+            dataclasses.replace(PROCESSOR_CONFIG, l2_assoc=3),
+            # One set.
+            dataclasses.replace(PROCESSOR_CONFIG, cacheline_bytes=65536),
+        ],
+        ids=["odd-sets", "one-set"],
+    )
+    def test_unpairable_llc_rejected_on_every_tier(self, engine, processor):
+        """Both tiers refuse an LLC that cannot hold sub-line pairs,
+        with the same error."""
+        with pytest.raises(
+            ValueError, match="need an even number of sets >= 2"
+        ):
+            replay(
+                mix_by_name("Mix1"), SweepPoint(), 3_000, 3,
+                engine=engine, processor=processor,
+            )
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             replay(mix_by_name("Mix1"), SweepPoint(), 1_000, 0, engine="python")
@@ -334,44 +360,48 @@ class TestPageUpgradeProperties:
     def test_fraction_zero_upgrades_nothing(self):
         for page in range(0, 100_000, 97):
             assert not page_is_upgraded(page, 0.0)
-        assert not upgraded_page_flags(np.arange(10_000), 0.0).any()
 
     def test_fraction_one_upgrades_everything(self):
         for page in range(0, 100_000, 97):
             assert page_is_upgraded(page, 1.0)
-        assert upgraded_page_flags(np.arange(10_000), 1.0).all()
 
     def test_upgraded_set_monotone_in_fraction(self):
         """A page upgraded at fraction f stays upgraded at every f' > f."""
-        pages = np.arange(200_000)
+        pages = range(50_000)
         fractions = (0.01, 0.03125, 0.0625, 0.125, 0.25, 0.5, 0.9)
-        previous = upgraded_page_flags(pages, 0.0)
+        previous = {p for p in pages if page_is_upgraded(p, 0.0)}
         for fraction in fractions:
-            current = upgraded_page_flags(pages, fraction)
-            assert not (previous & ~current).any(), fraction
-            assert current.sum() >= previous.sum()
+            current = {p for p in pages if page_is_upgraded(p, fraction)}
+            assert previous <= current, fraction
             previous = current
 
     def test_empirical_density_matches_fraction(self):
         """The hash spreads the fraction uniformly over a big page range."""
-        pages = np.arange(400_000)
+        pages = range(200_000)
         for fraction in (0.03125, 0.0625, 0.25, 0.5, 0.75):
-            density = upgraded_page_flags(pages, fraction).mean()
-            assert abs(density - fraction) < 0.01, fraction
+            upgraded = sum(page_is_upgraded(p, fraction) for p in pages)
+            assert abs(upgraded / len(pages) - fraction) < 0.01, fraction
 
-    def test_vectorized_matches_scalar(self):
+    def test_kernel_threshold_matches_scalar(self):
+        """The compiled kernel's form of the rule: the low 32 bits of a
+        wrapping 64-bit product, as a double, below ``fraction * 2**32``
+        (``0.0`` when nothing is upgraded) — with no special case for
+        fraction 0 or 1."""
         rng = np.random.default_rng(3)
-        pages = rng.integers(0, 1 << 24, size=4_000)
+        pages = rng.integers(0, 1 << 40, size=4_000, dtype=np.uint64)
+        low_words = (
+            (pages * np.uint64(_HASH)) & np.uint64(0xFFFFFFFF)
+        ).astype(np.float64)
         for fraction in (0.0, 1e-9, 0.03125, 0.5, 0.999999, 1.0):
-            flags = upgraded_page_flags(pages, fraction)
+            below = fraction * _HASH_MOD if fraction > 0.0 else 0.0
             scalar = [page_is_upgraded(int(p), fraction) for p in pages]
-            assert flags.tolist() == scalar, fraction
+            assert (low_words < below).tolist() == scalar, fraction
 
     def test_deterministic_across_calls(self):
-        pages = np.arange(5_000)
-        a = upgraded_page_flags(pages, 0.3)
-        b = upgraded_page_flags(pages, 0.3)
-        assert (a == b).all()
+        pages = range(5_000)
+        a = [page_is_upgraded(p, 0.3) for p in pages]
+        b = [page_is_upgraded(p, 0.3) for p in pages]
+        assert a == b
 
 
 class TestDecodeLines:
@@ -389,6 +419,26 @@ class TestDecodeLines:
             assert channel[i] == decoded.channel
             assert rank[i] == decoded.rank
             assert bank[i] == decoded.bank
+
+    @pytest.mark.parametrize(
+        "config",
+        (ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG) + CUSTOM_ORGANIZATIONS,
+        ids=lambda c: c.name,
+    )
+    def test_coordinates_depend_only_on_residue(self, config):
+        """The compiled tier routes through a table of ``M = channels x
+        banks x ranks`` entries indexed by ``addr mod M``."""
+        m = (
+            config.channels
+            * config.banks_per_device
+            * config.ranks_per_channel
+        )
+        rng = np.random.default_rng(5)
+        addresses = rng.integers(0, 1 << 40, size=2_000)
+        full = decode_lines(addresses, config)
+        table = decode_lines(np.arange(m), config)
+        for coordinate, row in zip(full, table):
+            assert (coordinate == row[addresses % m]).all()
 
     def test_sibling_lands_on_other_channel(self):
         """The property the paired fetch depends on (Figure 4.1)."""
