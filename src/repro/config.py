@@ -211,7 +211,6 @@ class RunnerConfig:
     that a 10k-channel population still spreads across a pool.
     """
 
-    default_jobs: int = 1
     cache_dir: str = ".repro-cache"
     mc_block_channels: int = 1024
     #: Channels per fleet-lifetime sampling block (:mod:`repro.fleet`).
@@ -240,25 +239,3 @@ class MeasurementConfig:
 
 
 MEASUREMENT_CONFIG = MeasurementConfig()
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Shared Monte-Carlo / trace-simulation defaults (Section 7.1)."""
-
-    lifetime_years: int = 7
-    monte_carlo_channels: int = 10_000
-    simulated_cycles: int = 2_000_000  # scaled from the paper's 2B
-    seed: int = 0xA12CC
-
-    def scaled(self, channels: int) -> "SimulationConfig":
-        """Copy with a different Monte-Carlo channel count (for fast tests)."""
-        return SimulationConfig(
-            lifetime_years=self.lifetime_years,
-            monte_carlo_channels=channels,
-            simulated_cycles=self.simulated_cycles,
-            seed=self.seed,
-        )
-
-
-SIMULATION_CONFIG = SimulationConfig()

@@ -16,7 +16,7 @@ from repro.reliability.analytical import (
     ReliabilityParams,
     sdc_events_per_1000_machine_years,
 )
-from repro.reliability.montecarlo import MonteCarloReliability, merge_outcomes
+from repro.reliability.montecarlo import plan_montecarlo
 from repro.runner import ExperimentPlan
 from repro.util.stats import binomial_confidence_interval
 from repro.util.tables import format_table
@@ -84,20 +84,24 @@ def plan_fig6_1(
 ) -> ExperimentPlan:
     """Figure 6.1 as runner jobs.
 
-    The analytical cells are closed-form and assemble inline; the
-    Monte-Carlo cross-check (when requested) contributes one job per
-    channel block, so a pool interleaves the blocks with other figures'
-    work.
+    The analytical cells are closed-form and assemble inline. The
+    Monte-Carlo cross-check (off at ``monte_carlo_channels=0``) is a
+    :func:`~repro.reliability.montecarlo.plan_montecarlo` plan whose
+    block jobs become this plan's jobs, so a pool interleaves them with
+    other figures' work; a negative channel count or a non-positive
+    ``monte_carlo_years`` raises ``ValueError`` here.
     """
     lifespans = tuple(lifespans)
     multipliers = tuple(multipliers)
     mc_mult = max(multipliers)
-    jobs = []
+    mc_plan = None
     if monte_carlo_channels:
-        mc = MonteCarloReliability(
-            ReliabilityParams(rate_multiplier=mc_mult), seed=seed
+        mc_plan = plan_montecarlo(
+            ReliabilityParams(rate_multiplier=mc_mult),
+            monte_carlo_channels,
+            monte_carlo_years,
+            seed=seed,
         )
-        jobs = mc.block_jobs(monte_carlo_channels, monte_carlo_years)
 
     def assemble(values: List[Any]) -> Fig61Result:
         cells = {}
@@ -107,40 +111,35 @@ def plan_fig6_1(
                 cells[(years, mult)] = sdc_events_per_1000_machine_years(
                     years, params
                 )
-        monte_carlo = None
-        monte_carlo_ci = None
-        if values:
-            outcome = merge_outcomes(
-                monte_carlo_channels, monte_carlo_years, values
-            )
-            monte_carlo = {
+        if mc_plan is None:
+            return Fig61Result(cells=cells)
+        outcome = mc_plan.assemble(values)
+        # Each channel either fails or not: the rate CI is the
+        # binomial proportion CI scaled to the per-1000-machine-year
+        # unit (x 1000 / years).
+        scale = 1000.0 / monte_carlo_years
+        return Fig61Result(
+            cells=cells,
+            monte_carlo={
                 mc_mult: (
-                    outcome.per_1000_machine_years(
-                        outcome.sdc_machines_sccdcd
-                    ),
+                    outcome.per_1000_machine_years(outcome.sdc_machines_sccdcd),
                     outcome.per_1000_machine_years(outcome.sdc_machines_arcc),
                 )
-            }
-            # Each channel either fails or not: the rate CI is the
-            # binomial proportion CI scaled to the per-1000-machine-year
-            # unit (x 1000 / years).
-            scale = 1000.0 / monte_carlo_years
-            monte_carlo_ci = {
+            },
+            monte_carlo_ci={
                 mc_mult: tuple(
-                    binomial_confidence_interval(
-                        count, monte_carlo_channels
-                    )[1]
+                    binomial_confidence_interval(count, monte_carlo_channels)[1]
                     * scale
                     for count in (
                         outcome.sdc_machines_sccdcd,
                         outcome.sdc_machines_arcc,
                     )
                 )
-            }
-        return Fig61Result(
-            cells=cells,
-            monte_carlo=monte_carlo,
-            monte_carlo_ci=monte_carlo_ci,
+            },
         )
 
-    return ExperimentPlan(name="fig6.1", jobs=jobs, assemble=assemble)
+    return ExperimentPlan(
+        name="fig6.1",
+        jobs=mc_plan.jobs if mc_plan else [],
+        assemble=assemble,
+    )

@@ -53,7 +53,7 @@ from repro.experiments.fig7_4_7_5 import (
     _per_fault_weights,
 )
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
-from repro.faults.types import DEVICE_LEVEL_TYPES, FaultRates, FaultType
+from repro.faults.types import FaultRates, FaultType
 from repro.fleet.engine import (
     fleet_blocks,
     overhead_series_by_year,
@@ -361,17 +361,6 @@ def policy_due_per_1k(
 # -- Monte-Carlo uncorrectable-pair screen ------------------------------------
 
 
-#: Fleet fault-type codes mapped onto the DEVICE_LEVEL_TYPES coding the
-#: exact footprint predicate expects (-1 marks BIT, which never enters).
-_DEVICE_LEVEL_CODE = np.array(
-    [
-        DEVICE_LEVEL_TYPES.index(ft) if ft in DEVICE_LEVEL_TYPES else -1
-        for ft in FAULT_TYPE_ORDER
-    ],
-    dtype=np.int64,
-)
-
-
 def uncorrectable_candidate_channels(
     batch: FaultEventBatch, window_hours: float
 ) -> np.ndarray:
@@ -384,10 +373,10 @@ def uncorrectable_candidate_channels(
     overlapping ``(bank, row, column)`` regions — with the second
     arriving within ``window_hours`` of the first.
 
-    Footprint geometry is the shared vectorized predicate
+    Footprint geometry is the shared vectorized rule
     :func:`repro.reliability.montecarlo.footprint_pairs_intersect` (the
-    array form of ``_PlacedFault.footprint_intersects``), evaluated on
-    the batch's own coordinates, so this screen is an *exact* count —
+    array form of ``footprint_intersects``), evaluated on the batch's
+    own coordinates, so this screen is an *exact* count —
     bit-identical to the Monte-Carlo footprint model on identical
     coordinates (the ``pair-screen`` fuzz oracle and
     ``tests/test_policy_mc_crosscheck.py`` enforce equality in both
@@ -416,24 +405,12 @@ def uncorrectable_candidate_channels(
     )
     starts = np.cumsum(counts) - counts
     members = np.flatnonzero(counts >= 2)
-    mc_code = _DEVICE_LEVEL_CODE[batch.type_code]
 
     def uncorrectable(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         a, b = eligible[left], eligible[right]
         # Events are time-sorted within a member, so b is the later fault.
         in_window = batch.time_hours[b] - batch.time_hours[a] <= window_hours
-        same_channel = batch.channel[a] == batch.channel[b]
-        intersects = footprint_pairs_intersect(
-            mc_code,
-            batch.rank,
-            batch.device,
-            batch.bank,
-            batch.row,
-            batch.column,
-            a,
-            b,
-        )
-        return same_channel & intersects & in_window
+        return footprint_pairs_intersect(batch, a, b) & in_window
 
     out[members] = any_pair_per_segment(
         starts[members], counts[members], uncorrectable

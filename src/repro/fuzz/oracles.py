@@ -133,13 +133,24 @@ def _reliability_params(case: Dict[str, Any]):
 
 
 def _execute_montecarlo(case: Dict[str, Any]) -> Optional[str]:
-    """``run()`` vs ``run(exact_pairs=True)``: same sampled faults, the
-    vectorized pair decisions against the per-channel event loops."""
-    from repro.reliability.montecarlo import MonteCarloReliability
+    """The population plan with and without ``exact_pairs``: same sampled
+    faults, the vectorized pair decisions against the per-channel event
+    loops."""
+    from repro.reliability.montecarlo import plan_montecarlo
+    from repro.runner import execute_plan
 
-    mc = MonteCarloReliability(_reliability_params(case), seed=case["seed"])
-    fast = mc.run(case["channels"], case["years"])
-    exact = mc.run(case["channels"], case["years"], exact_pairs=True)
+    fast, exact = (
+        execute_plan(
+            plan_montecarlo(
+                _reliability_params(case),
+                case["channels"],
+                case["years"],
+                seed=case["seed"],
+                exact_pairs=exact_pairs,
+            )
+        )
+        for exact_pairs in (False, True)
+    )
     for field in (
         "sdc_machines_arcc",
         "sdc_machines_sccdcd",
@@ -396,50 +407,21 @@ def _execute_trace_kernel(case: Dict[str, Any]) -> Optional[str]:
 # -- pair-screen: rank-level screen vs exact codeword footprints --------------
 
 
-def _screen_batches(case: Dict[str, Any]):
-    """One MC sample and its coordinate-carrying fleet view."""
-    from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch
-    from repro.reliability.montecarlo import (
-        DEVICE_LEVEL_TYPES,
-        _sample_batch,
-    )
-
-    params = _reliability_params(
-        _with(case, scrub_interval_hours=4.0)
-    )
-    mc = _sample_batch(
-        params, make_rng(case["seed"]), case["channels"], case["years"]
-    )
-    code_map = np.array(
-        [FAULT_TYPE_ORDER.index(ft) for ft in DEVICE_LEVEL_TYPES]
-    )
-    fleet = FaultEventBatch(
-        offsets=np.asarray(mc.offsets, dtype=np.int64),
-        time_hours=np.asarray(mc.time_hours, dtype=np.float64),
-        type_code=code_map[np.asarray(mc.type_code, dtype=np.int64)],
-        channel=np.zeros(len(mc.time_hours), dtype=np.int64),
-        rank=np.asarray(mc.rank, dtype=np.int64),
-        device=np.asarray(mc.device, dtype=np.int64),
-        bank=np.asarray(mc.bank, dtype=np.int64),
-        row=np.asarray(mc.row, dtype=np.int64),
-        column=np.asarray(mc.column, dtype=np.int64),
-    )
-    return mc, fleet
-
-
-def _exact_uncorrectable(mc, window_hours: float) -> np.ndarray:
+def _exact_uncorrectable(batch, window_hours: float) -> np.ndarray:
     """Ground truth: a pair with intersecting exact footprints whose
     second member arrives within the window of the first."""
-    out = np.zeros(len(mc.offsets) - 1, dtype=bool)
-    for member in np.flatnonzero(mc.per_channel >= 2):
-        faults = mc.channel_faults(int(member))
+    from repro.reliability.montecarlo import footprint_intersects
+
+    out = np.zeros(batch.num_channels, dtype=bool)
+    for member in np.flatnonzero(batch.per_channel >= 2):
+        faults = batch.events_of(int(member))
         for i, earlier in enumerate(faults):
             if out[member]:
                 break
             for later in faults[i + 1 :]:
                 if (
                     later.time_hours - earlier.time_hours <= window_hours
-                    and earlier.footprint_intersects(later)
+                    and footprint_intersects(earlier, later)
                 ):
                     out[member] = True
                     break
@@ -452,11 +434,15 @@ def _execute_screen(case: Dict[str, Any]) -> Optional[str]:
     on every sampled population (``device_lane_only`` only shapes the
     rate mix, not the strength of the check)."""
     from repro.fleet.policies import uncorrectable_candidate_channels
+    from repro.reliability.montecarlo import _sample_batch
 
-    mc, fleet = _screen_batches(case)
+    params = _reliability_params(_with(case, scrub_interval_hours=4.0))
+    batch = _sample_batch(
+        params, make_rng(case["seed"]), case["channels"], case["years"]
+    )
     window = case["window_hours"]
-    screen = uncorrectable_candidate_channels(fleet, window)
-    exact = _exact_uncorrectable(mc, window)
+    screen = uncorrectable_candidate_channels(batch, window)
+    exact = _exact_uncorrectable(batch, window)
     missed = np.flatnonzero(exact & ~screen)
     if missed.size:
         return (

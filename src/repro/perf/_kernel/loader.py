@@ -15,13 +15,15 @@ the state through :func:`kernel_available` / :func:`kernel_provenance`,
 job records which tier actually served it (the provenance travels in
 reports and in runner cache keys; see ``repro.perf.engine``).
 
-Float determinism: the build passes ``-ffp-contract=off`` so the
+Float determinism: every build passes ``-ffp-contract=off`` so the
 compiler cannot contract the replay's multiply/adds into FMAs — with
 contraction off, x86-64's SSE2 doubles execute the transcription's
 IEEE-754 operations exactly as CPython does, which is what the
-bit-identity contract rests on. A compiler that rejects the flag
-(it is GCC/Clang spelling) gets one retry without it; the equivalence
-suite still holds the line behind that retry.
+bit-identity contract rests on. There is no build without the flag: a
+compiler that rejects it (it is GCC/Clang spelling) leaves the compiled
+tier unavailable, with provenance ``reference (kernel build failed
+with ...)``, rather than serving a kernel that may fuse FMAs under the
+``compiled`` label.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ _SOURCE = Path(__file__).with_name("kernel.c")
 
 _BASE_FLAGS = ["-O3", "-fPIC", "-shared", "-std=c99"]
 
-#: Determinism flag — see module docstring; dropped on retry if the
-#: compiler rejects it.
+#: Determinism flag — see module docstring; never dropped.
 _FP_FLAGS = ["-ffp-contract=off"]
 
 
@@ -168,15 +169,9 @@ def _resolve() -> Tuple[bool, str, Optional[ctypes.CDLL]]:
         return False, "reference (no C compiler on PATH)", None
     source = _SOURCE.read_bytes()
     npy = _npyrandom_flags()
-    attempts = [
-        (_BASE_FLAGS + _FP_FLAGS, npy),
-        (_BASE_FLAGS, npy),
-        (_BASE_FLAGS + _FP_FLAGS, []),
-        (_BASE_FLAGS, []),
-    ]
-    if not npy:
-        attempts = attempts[2:]
-    for flags, link_flags in attempts:
+    # With NumPy's static distributions library first, then without it.
+    flags = _BASE_FLAGS + _FP_FLAGS
+    for link_flags in [npy, []] if npy else [[]]:
         tag = hashlib.sha256(
             source
             + cc.encode()

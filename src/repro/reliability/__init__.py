@@ -8,8 +8,10 @@ before the first fault is detected?*:
   with a codeword-overlap geometry table, following the structure of the
   authors' technical report [12].
 * :mod:`repro.reliability.montecarlo` — event-driven simulation with
-  exact footprint intersection, used to validate the closed forms (the
-  paper does the same cross-check).
+  exact footprint intersection on the fleet's fault-event format, used
+  to validate the closed forms (the paper does the same cross-check);
+  :func:`~repro.reliability.montecarlo.plan_montecarlo` runs a
+  population as one runner plan.
 * :mod:`repro.reliability.due` — DUE-rate comparisons, including the
   double-chip-sparing exposure-window argument behind the 17x claim of
   Section 5.2.
@@ -27,16 +29,17 @@ from repro.reliability.due import (
     due_rate_sparing,
     due_reduction_factor,
 )
-from repro.reliability.montecarlo import MonteCarloReliability
+from repro.reliability.montecarlo import ReliabilityOutcome, plan_montecarlo
 
 __all__ = [
-    "MonteCarloReliability",
+    "ReliabilityOutcome",
     "ReliabilityParams",
     "due_rate_sccdcd",
     "due_rate_sparing",
     "due_reduction_factor",
     "expected_sdc_arcc",
     "expected_sdc_sccdcd",
+    "plan_montecarlo",
     "sdc_events_per_1000_machine_years",
     "sdc_rate_arcc_ded",
 ]

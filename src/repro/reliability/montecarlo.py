@@ -5,17 +5,25 @@ arrive as Poisson processes; each fault gets concrete coordinates (rank,
 device, bank, row, column) so codeword overlap is *exact* footprint
 intersection, not a probability table. Detection happens at scrub
 boundaries. The ARCC policy counts an SDC when a new fault intersects an
-undetected one; the SCCDCD policy needs a triple (an undetected pair plus
-one more) and counts a DUE — machine retirement — for a detected pair.
+undetected one (double chip sparing takes a DUE on the same race); the
+SCCDCD policy needs a triple (an undetected pair plus one more) and
+counts a DUE — machine retirement — for a detected pair.
 
-The engine samples arrival times, types and coordinates for whole
-blocks of channels in NumPy batches, resolves the dominant two-fault
-channels with array-based footprint intersection, and falls back to the
-exact per-fault event loops only for channels where a candidate
-collision exists. Those event loops are the engine's exact oracle:
-``run(exact_pairs=True)`` sends the two-fault channels through them as
-well, on identical sampled faults, and the counts must match bit for
-bit.
+Faults use the fleet engine's format: :func:`_sample_batch` draws a
+block of channels into a :class:`~repro.fleet.events.FaultEventBatch`,
+and the event loops read :class:`~repro.faults.lifetime.FaultEvent`
+objects through ``events_of``. :func:`footprint_intersects` and
+:func:`footprint_pairs_intersect` are the scalar and vector forms of the
+one footprint rule, which the fleet's uncorrectable-pair screen shares.
+
+:func:`plan_montecarlo` runs a population as one plan: a
+:func:`simulate_block` job per block of channels, summed at assembly.
+A block resolves the dominant two-fault channels in array form and
+falls back to the exact per-fault event loops only for channels where a
+candidate collision exists. Those event loops are the engine's exact
+oracle: ``exact_pairs=True`` sends the two-fault channels through them
+as well, on identical sampled faults, and the counts must match bit
+for bit.
 
 The paper performs the same cross-check against the analytical models of
 [12]; ``benchmarks/test_fig6_1_sdc.py`` reports both side by side.
@@ -24,60 +32,60 @@ The paper performs the same cross-check against the analytical models of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import RUNNER_CONFIG
 from repro.faults.types import DEVICE_LEVEL_TYPES, FaultType
 from repro.reliability.analytical import ReliabilityParams
-from repro.runner import Job, run_jobs
-from repro.util.rng import derive_seeds
+from repro.runner import ExperimentPlan, Job
 from repro.util.units import HOURS_PER_YEAR
+
+if TYPE_CHECKING:  # pragma: no cover - fleet imports this module lazily
+    from repro.faults.lifetime import FaultEvent
+    from repro.fleet.events import FaultEventBatch
 
 #: Channels simulated per vectorized batch (and per runner job). Fixed —
 #: the block partition, not the worker count, owns the RNG streams, so
 #: results are independent of how many processes execute the blocks.
 BLOCK_CHANNELS = RUNNER_CONFIG.mc_block_channels
 
-#: Integer codes for the device-level types, in DEVICE_LEVEL_TYPES order.
-_ROW, _COLUMN, _BANK, _DEVICE, _LANE = range(5)
+#: The per-policy machine counts of a :class:`ReliabilityOutcome`.
+_COUNTS = (
+    "sdc_machines_arcc",
+    "sdc_machines_sccdcd",
+    "due_machines_sccdcd",
+    "due_machines_sparing",
+)
 
 
-@dataclass
-class _PlacedFault:
-    """A fault with concrete circuitry coordinates."""
-
-    time_hours: float
-    fault_type: FaultType
-    rank: int
-    device: int
-    bank: int
-    row: int
-    column: int
-    detected: bool = False
-
-    def footprint_intersects(self, other: "_PlacedFault") -> bool:
-        """Exact codeword-footprint intersection.
-
-        Two faults share a codeword when they sit in the same rank (or one
-        is a lane fault, which spans ranks), on different devices, and
-        their (bank, row, column) regions intersect.
-        """
-        lane_involved = FaultType.LANE in (self.fault_type, other.fault_type)
-        if not lane_involved and self.rank != other.rank:
-            return False
-        if self.device == other.device and self.rank == other.rank:
-            # Same device: still one bad symbol per codeword.
-            return False
-        return _regions_intersect(self, other)
+# -- the footprint rule -------------------------------------------------------
 
 
-def _covers_all(fault: _PlacedFault) -> bool:
+def footprint_intersects(a: "FaultEvent", b: "FaultEvent") -> bool:
+    """Exact codeword-footprint intersection of two faults.
+
+    Two faults share a codeword when they sit in the same memory channel
+    and the same rank (or one is a lane fault, which spans ranks), on
+    different devices, and their (bank, row, column) regions intersect.
+    """
+    if a.channel != b.channel:
+        return False
+    lane_involved = FaultType.LANE in (a.fault_type, b.fault_type)
+    if not lane_involved and a.rank != b.rank:
+        return False
+    if a.device == b.device and a.rank == b.rank:
+        # Same device: still one bad symbol per codeword.
+        return False
+    return _regions_intersect(a, b)
+
+
+def _covers_all(fault: "FaultEvent") -> bool:
     return fault.fault_type in (FaultType.DEVICE, FaultType.LANE)
 
 
-def _regions_intersect(a: _PlacedFault, b: _PlacedFault) -> bool:
+def _regions_intersect(a: "FaultEvent", b: "FaultEvent") -> bool:
     if _covers_all(a) or _covers_all(b):
         return True
     if a.bank != b.bank:
@@ -91,6 +99,43 @@ def _regions_intersect(a: _PlacedFault, b: _PlacedFault) -> bool:
         return a.column == b.column
     # One row fault and one column fault in the same bank always cross.
     return True
+
+
+def footprint_pairs_intersect(
+    batch: "FaultEventBatch", left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Vectorized :func:`footprint_intersects` over index pairs of a batch.
+
+    ``left``/``right`` index fault pairs into ``batch`` — both screens
+    pass every pair of a block at once, as built by
+    :func:`segment_pairs`. Returns a boolean per pair. Shared between
+    this module's block engine and the fleet uncorrectable-pair screen
+    (:func:`repro.fleet.policies.uncorrectable_candidate_channels`), so
+    both layers agree on footprint geometry by construction. Must agree
+    with the scalar rule on every input — the ``exact_pairs`` test mode
+    and the ``pair-screen`` fuzz oracle enforce exactly that.
+    """
+    from repro.fleet.events import FAULT_TYPE_ORDER
+
+    row, column, device, lane = (
+        FAULT_TYPE_ORDER.index(ft)
+        for ft in (FaultType.ROW, FaultType.COLUMN, FaultType.DEVICE, FaultType.LANE)
+    )
+    ta, tb = batch.type_code[left], batch.type_code[right]
+    same_channel = batch.channel[left] == batch.channel[right]
+    lane_involved = (ta == lane) | (tb == lane)
+    same_rank = batch.rank[left] == batch.rank[right]
+    rank_ok = lane_involved | same_rank
+    distinct = ~((batch.device[left] == batch.device[right]) & same_rank)
+
+    covers_all = lane_involved | (ta == device) | (tb == device)
+    same_bank = batch.bank[left] == batch.bank[right]
+    both_row = (ta == row) & (tb == row)
+    both_col = (ta == column) & (tb == column)
+    row_match = ~both_row | (batch.row[left] == batch.row[right])
+    col_match = ~both_col | (batch.column[left] == batch.column[right])
+    region = covers_all | (same_bank & row_match & col_match)
+    return same_channel & rank_ok & distinct & region
 
 
 @dataclass
@@ -111,70 +156,21 @@ class ReliabilityOutcome:
             raise ValueError("empty simulation")
         return count * 1000.0 / machine_years
 
-    def merged_with(self, other: "ReliabilityOutcome") -> "ReliabilityOutcome":
-        """Combine two disjoint sub-populations (same ``years``)."""
-        return ReliabilityOutcome(
-            channels=self.channels + other.channels,
-            years=self.years,
-            sdc_machines_arcc=self.sdc_machines_arcc + other.sdc_machines_arcc,
-            sdc_machines_sccdcd=(
-                self.sdc_machines_sccdcd + other.sdc_machines_sccdcd
-            ),
-            due_machines_sccdcd=(
-                self.due_machines_sccdcd + other.due_machines_sccdcd
-            ),
-            due_machines_sparing=(
-                self.due_machines_sparing + other.due_machines_sparing
-            ),
-        )
-
 
 # -- vectorized sampling ------------------------------------------------------
 
 
-@dataclass
-class _FaultBatch:
-    """All faults of one channel block as parallel arrays.
-
-    Sorted by (channel, time); ``offsets[c]:offsets[c+1]`` slices channel
-    ``c``'s faults. ``type_code`` indexes DEVICE_LEVEL_TYPES.
-    """
-
-    offsets: np.ndarray  # (channels + 1,) int
-    time_hours: np.ndarray
-    type_code: np.ndarray
-    rank: np.ndarray
-    device: np.ndarray
-    bank: np.ndarray
-    row: np.ndarray
-    column: np.ndarray
-
-    @property
-    def per_channel(self) -> np.ndarray:
-        """Fault count of each channel."""
-        return np.diff(self.offsets)
-
-    def channel_faults(self, channel: int) -> List[_PlacedFault]:
-        """Materialize one channel's faults as objects (time-ordered)."""
-        start, stop = self.offsets[channel], self.offsets[channel + 1]
-        return [
-            _PlacedFault(
-                time_hours=float(self.time_hours[i]),
-                fault_type=DEVICE_LEVEL_TYPES[int(self.type_code[i])],
-                rank=int(self.rank[i]),
-                device=int(self.device[i]),
-                bank=int(self.bank[i]),
-                row=int(self.row[i]),
-                column=int(self.column[i]),
-            )
-            for i in range(start, stop)
-        ]
-
-
 def _sample_batch(
     params: ReliabilityParams, rng: np.random.Generator, channels: int, years: float
-) -> _FaultBatch:
-    """Sample every fault of ``channels`` channels in NumPy batches."""
+) -> "FaultEventBatch":
+    """Sample every fault of ``channels`` channels in NumPy batches.
+
+    One Poisson count per (channel, device-level type), then arrival
+    times and coordinates for all faults at once. Every fault sits in
+    memory channel 0: the engine simulates one channel per member.
+    """
+    from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch
+
     horizon = years * HOURS_PER_YEAR
     lam = np.array(
         [
@@ -186,17 +182,10 @@ def _sample_batch(
     per_channel = counts.sum(axis=1)
     total = int(per_channel.sum())
     offsets = np.concatenate(([0], np.cumsum(per_channel)))
-    if total == 0:
-        empty_f = np.empty(0)
-        empty_i = np.empty(0, dtype=np.int64)
-        return _FaultBatch(
-            offsets, empty_f, empty_i, empty_i, empty_i, empty_i, empty_i, empty_i
-        )
 
     channel_ids = np.repeat(np.arange(channels), per_channel)
-    type_code = np.repeat(
-        np.tile(np.arange(len(lam)), channels), counts.ravel()
-    )
+    codes = np.array([FAULT_TYPE_ORDER.index(ft) for ft in DEVICE_LEVEL_TYPES])
+    type_code = np.repeat(np.tile(codes, channels), counts.ravel())
     time_hours = rng.uniform(0.0, horizon, size=total)
     rank = rng.integers(0, params.ranks, size=total)
     device = rng.integers(0, params.devices_per_rank, size=total)
@@ -205,10 +194,11 @@ def _sample_batch(
     column = rng.integers(0, params.columns, size=total)
 
     order = np.lexsort((time_hours, channel_ids))
-    return _FaultBatch(
+    return FaultEventBatch(
         offsets=offsets,
         time_hours=time_hours[order],
         type_code=type_code[order],
+        channel=np.zeros(total, dtype=np.int64),
         rank=rank[order],
         device=device[order],
         bank=bank[order],
@@ -217,63 +207,7 @@ def _sample_batch(
     )
 
 
-# -- vectorized policy decisions ----------------------------------------------
-
-
-def footprint_pairs_intersect(
-    type_code: np.ndarray,
-    rank: np.ndarray,
-    device: np.ndarray,
-    bank: np.ndarray,
-    row: np.ndarray,
-    column: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-) -> np.ndarray:
-    """Vectorized exact codeword-footprint intersection.
-
-    The array form of :meth:`_PlacedFault.footprint_intersects`, shared
-    between this module's block engine and the fleet uncorrectable-pair
-    screen (:func:`repro.fleet.policies.uncorrectable_candidate_channels`),
-    so both layers agree on footprint geometry by construction.
-
-    ``type_code`` indexes :data:`repro.faults.types.DEVICE_LEVEL_TYPES`;
-    ``left``/``right`` index fault pairs into the coordinate arrays —
-    both screens pass every pair of a block at once, as built by
-    :func:`segment_pairs`. Returns a boolean per pair. Must agree with the scalar method on
-    every input — the ``exact_pairs`` test mode and the ``pair-screen``
-    fuzz oracle enforce exactly that.
-    """
-    ta, tb = type_code[left], type_code[right]
-    lane = (ta == _LANE) | (tb == _LANE)
-    same_rank = rank[left] == rank[right]
-    rank_ok = lane | same_rank
-    distinct = ~((device[left] == device[right]) & same_rank)
-
-    covers_all = lane | (ta == _DEVICE) | (tb == _DEVICE)
-    same_bank = bank[left] == bank[right]
-    both_row = (ta == _ROW) & (tb == _ROW)
-    both_col = (ta == _COLUMN) & (tb == _COLUMN)
-    row_match = ~both_row | (row[left] == row[right])
-    col_match = ~both_col | (column[left] == column[right])
-    region = covers_all | (same_bank & row_match & col_match)
-    return rank_ok & distinct & region
-
-
-def _pairs_intersect(
-    batch: _FaultBatch, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """:func:`footprint_pairs_intersect` over a block batch's arrays."""
-    return footprint_pairs_intersect(
-        batch.type_code,
-        batch.rank,
-        batch.device,
-        batch.bank,
-        batch.row,
-        batch.column,
-        left,
-        right,
-    )
+# -- segmented all-pairs screening --------------------------------------------
 
 
 def _next_scrub_array(time_hours: np.ndarray, interval: float) -> np.ndarray:
@@ -356,250 +290,179 @@ def any_pair_per_segment(
 # -- per-channel reference policies (exact event loops) -----------------------
 
 
-class MonteCarloReliability:
-    """Population-level reliability simulation."""
-
-    def __init__(
-        self,
-        params: Optional[ReliabilityParams] = None,
-        seed: int = 0x5DC,
-    ):
-        self.params = params or ReliabilityParams()
-        self.seed = seed
-
-    def _next_scrub(self, time_hours: float) -> float:
-        s = self.params.scrub_interval_hours
-        return (int(time_hours / s) + 1) * s
-
-    # -- per-channel policies -------------------------------------------------
-
-    def _run_channel_arcc(self, faults: List[_PlacedFault]) -> bool:
-        """True if the channel suffers an ARCC SDC.
-
-        A new fault intersecting a *not-yet-detected* fault defeats the
-        relaxed code's single-symbol detection: SDC. Intersections with
-        detected faults hit upgraded pages, where double detection holds.
-        """
-        present: List[_PlacedFault] = []
-        for fault in faults:
-            for old in present:
-                if old.time_hours < fault.time_hours:
-                    old.detected = (
-                        old.detected
-                        or self._next_scrub(old.time_hours)
-                        <= fault.time_hours
-                    )
-            for old in present:
-                if not old.detected and fault.footprint_intersects(old):
-                    return True
-            present.append(fault)
-        return False
-
-    def _run_channel_sccdcd(
-        self, faults: List[_PlacedFault]
-    ) -> Tuple[bool, bool]:
-        """(had_due, had_sdc) for plain SCCDCD.
-
-        A pair of intersecting faults is a DUE once detected (machine
-        retired). An SDC requires a third fault to intersect an
-        *undetected* pair.
-        """
-        present: List[_PlacedFault] = []
-        undetected_pairs: List[Tuple[_PlacedFault, _PlacedFault, float]] = []
-        for fault in faults:
-            # Retire pairs whose detection scrub has passed: DUE.
-            for a, b, formed in undetected_pairs:
-                if self._next_scrub(formed) <= fault.time_hours:
-                    return True, False  # DUE, machine replaced
-            for a, b, formed in undetected_pairs:
-                if fault.footprint_intersects(a) or fault.footprint_intersects(
-                    b
-                ):
-                    return False, True  # triple before detection: SDC
-            for old in present:
-                if fault.footprint_intersects(old):
-                    undetected_pairs.append(
-                        (old, fault, fault.time_hours)
-                    )
-            present.append(fault)
-        return bool(undetected_pairs), False
-
-    def _run_channel_sparing(self, faults: List[_PlacedFault]) -> bool:
-        """True if double chip sparing takes a DUE (pair within a scrub)."""
-        present: List[_PlacedFault] = []
-        for fault in faults:
-            for old in present:
-                detected = (
-                    self._next_scrub(old.time_hours) <= fault.time_hours
-                )
-                if not detected and fault.footprint_intersects(old):
-                    return True
-            present.append(fault)
-        return False
-
-    def _decide_channel(
-        self, faults: List[_PlacedFault], outcome: ReliabilityOutcome
-    ) -> None:
-        """Run every policy's exact event loop over one channel."""
-        if self._run_channel_arcc([_copy(f) for f in faults]):
-            outcome.sdc_machines_arcc += 1
-        due, sdc = self._run_channel_sccdcd([_copy(f) for f in faults])
-        if due:
-            outcome.due_machines_sccdcd += 1
-        if sdc:
-            outcome.sdc_machines_sccdcd += 1
-        if self._run_channel_sparing([_copy(f) for f in faults]):
-            outcome.due_machines_sparing += 1
-
-    # -- vectorized block engine ----------------------------------------------
-
-    def _simulate_block(
-        self,
-        block_seed: int,
-        channels: int,
-        years: float,
-        exact_pairs: bool = False,
-    ) -> ReliabilityOutcome:
-        """Simulate one block of channels with batched sampling.
-
-        Two-fault channels (the overwhelming majority of multi-fault
-        channels at field rates) are decided entirely in array form; the
-        policies reduce to two questions about the pair — does it
-        intersect, and did the second fault beat the first one's scrub?
-        Channels with three or more faults are screened together, in
-        one segmented all-pairs intersection pass over the block, and
-        only candidate collisions pay for the exact per-pair event loop.
-        ``exact_pairs=True`` sends two-fault channels down the event loop
-        as well; the result must be bit-identical (this is the
-        equivalence check the tests run).
-        """
-        rng = np.random.Generator(np.random.PCG64(block_seed))
-        batch = _sample_batch(self.params, rng, channels, years)
-        outcome = ReliabilityOutcome(channels=channels, years=years)
-        per_channel = batch.per_channel
-
-        pair_channels = np.flatnonzero(per_channel == 2)
-        if len(pair_channels) and not exact_pairs:
-            first = batch.offsets[pair_channels]
-            second = first + 1
-            intersects = _pairs_intersect(batch, first, second)
-            scrub = self.params.scrub_interval_hours
-            detected = (
-                _next_scrub_array(batch.time_hours[first], scrub)
-                <= batch.time_hours[second]
-            )
-            race = intersects & ~detected
-            outcome.sdc_machines_arcc += int(np.count_nonzero(race))
-            outcome.due_machines_sparing += int(np.count_nonzero(race))
-            # A lone intersecting pair is always detected eventually:
-            # SCCDCD retires the machine (DUE); an SDC needs a triple.
-            outcome.due_machines_sccdcd += int(np.count_nonzero(intersects))
-        elif len(pair_channels):
-            for channel in pair_channels:
-                self._decide_channel(
-                    batch.channel_faults(int(channel)), outcome
-                )
-
-        # No policy can fail a channel whose faults are pairwise disjoint,
-        # so only channels with an intersecting pair reach the event loops.
-        multi = np.flatnonzero(per_channel >= 3)
-        has_pair = any_pair_per_segment(
-            batch.offsets[multi],
-            per_channel[multi],
-            lambda left, right: _pairs_intersect(batch, left, right),
-        )
-        for channel in multi[has_pair]:
-            self._decide_channel(batch.channel_faults(int(channel)), outcome)
-        return outcome
-
-    def _blocks(self, channels: int) -> List[Tuple[int, int]]:
-        """(block_seed, block_channels) partition of a population."""
-        if channels <= 0:
-            return []
-        count = (channels + BLOCK_CHANNELS - 1) // BLOCK_CHANNELS
-        seeds = derive_seeds(self.seed, count)
-        return [
-            (seed, min(BLOCK_CHANNELS, channels - i * BLOCK_CHANNELS))
-            for i, seed in enumerate(seeds)
-        ]
-
-    # -- population -----------------------------------------------------------
-
-    def run(
-        self,
-        channels: int,
-        years: float,
-        jobs: int = 1,
-        exact_pairs: bool = False,
-    ) -> ReliabilityOutcome:
-        """Simulate a population and count failing machines per policy.
-
-        The population is split into fixed-size blocks whose RNG streams
-        derive only from ``seed`` and the block index, so the outcome is
-        identical whether blocks run inline (``jobs=1``) or fan out over
-        ``jobs`` worker processes through :mod:`repro.runner`.
-        """
-        block_jobs = self.block_jobs(channels, years, exact_pairs)
-        results = run_jobs(block_jobs, max_workers=jobs)
-        return merge_outcomes(
-            channels, years, [result.value for result in results]
-        )
-
-    def block_jobs(
-        self, channels: int, years: float, exact_pairs: bool = False
-    ) -> List[Job]:
-        """The population as declarative runner jobs, one per block.
-
-        ``run`` executes exactly these jobs; callers who want
-        figure-level scheduling (the CLI's ``repro run``) submit them
-        alongside other figures' jobs and merge with
-        :func:`merge_outcomes`, guaranteeing both paths share cache keys
-        and results.
-        """
-        return [
-            Job.create(
-                f"mc-block[{index}]",
-                _block_job,
-                params=self.params,
-                block_seed=seed,
-                channels=size,
-                years=years,
-                exact_pairs=exact_pairs,
-            )
-            for index, (seed, size) in enumerate(self._blocks(channels))
-        ]
+def _next_scrub(time_hours: float, interval: float) -> float:
+    return (int(time_hours / interval) + 1) * interval
 
 
-def _block_job(
+def _undetected_pair(faults: Sequence["FaultEvent"], interval: float) -> bool:
+    """True if a fault intersects an earlier one before its detection scrub.
+
+    For ARCC that is an SDC: the relaxed code's single-symbol detection
+    is defeated, while intersections with detected faults hit upgraded
+    pages, where double detection holds. For double chip sparing it is a
+    DUE: the pair arrived within one scrub. A fault is never detected at
+    its own arrival time, so the test needs no per-fault state.
+    """
+    for i, fault in enumerate(faults):
+        for old in faults[:i]:
+            if _next_scrub(
+                old.time_hours, interval
+            ) > fault.time_hours and footprint_intersects(fault, old):
+                return True
+    return False
+
+
+def _sccdcd_outcome(
+    faults: Sequence["FaultEvent"], interval: float
+) -> Tuple[bool, bool]:
+    """(had_due, had_sdc) for plain SCCDCD.
+
+    A pair of intersecting faults is a DUE once detected (machine
+    retired). An SDC requires a third fault to intersect an
+    *undetected* pair.
+    """
+    present: List["FaultEvent"] = []
+    undetected_pairs: List[Tuple["FaultEvent", "FaultEvent", float]] = []
+    for fault in faults:
+        # Retire pairs whose detection scrub has passed: DUE.
+        for a, b, formed in undetected_pairs:
+            if _next_scrub(formed, interval) <= fault.time_hours:
+                return True, False  # DUE, machine replaced
+        for a, b, formed in undetected_pairs:
+            if footprint_intersects(fault, a) or footprint_intersects(fault, b):
+                return False, True  # triple before detection: SDC
+        for old in present:
+            if footprint_intersects(fault, old):
+                undetected_pairs.append((old, fault, fault.time_hours))
+        present.append(fault)
+    return bool(undetected_pairs), False
+
+
+def _decide_channel(
+    faults: Sequence["FaultEvent"], interval: float, outcome: ReliabilityOutcome
+) -> None:
+    """Run every policy's exact event loop over one channel."""
+    if _undetected_pair(faults, interval):
+        outcome.sdc_machines_arcc += 1
+        outcome.due_machines_sparing += 1
+    due, sdc = _sccdcd_outcome(faults, interval)
+    outcome.due_machines_sccdcd += due
+    outcome.sdc_machines_sccdcd += sdc
+
+
+# -- the block job and the population plan ------------------------------------
+
+
+def simulate_block(
     params: ReliabilityParams,
     block_seed: int,
     channels: int,
     years: float,
     exact_pairs: bool = False,
 ) -> ReliabilityOutcome:
-    """Picklable worker: simulate one block in a fresh process."""
-    mc = MonteCarloReliability(params)
-    return mc._simulate_block(block_seed, channels, years, exact_pairs)
+    """Simulate one block of channels with batched sampling.
 
+    Two-fault channels (the overwhelming majority of multi-fault
+    channels at field rates) are decided entirely in array form; the
+    policies reduce to two questions about the pair — does it
+    intersect, and did the second fault beat the first one's scrub?
+    Channels with three or more faults are screened together, in
+    one segmented all-pairs intersection pass over the block, and
+    only candidate collisions pay for the exact per-channel event loops.
+    ``exact_pairs=True`` sends two-fault channels down the event loops
+    as well; the result must be bit-identical (this is the
+    equivalence check the tests run).
+    """
+    rng = np.random.Generator(np.random.PCG64(block_seed))
+    batch = _sample_batch(params, rng, channels, years)
+    scrub = params.scrub_interval_hours
+    outcome = ReliabilityOutcome(channels=channels, years=years)
+    per_channel = batch.per_channel
 
-def merge_outcomes(
-    channels: int, years: float, outcomes: Sequence[ReliabilityOutcome]
-) -> ReliabilityOutcome:
-    """Combine block outcomes back into one population outcome."""
-    total = ReliabilityOutcome(channels=0, years=years)
-    for outcome in outcomes:
-        total = total.merged_with(outcome)
-    total.channels = channels
-    return total
+    pairs = np.flatnonzero(per_channel == 2)
+    if not exact_pairs:
+        first = batch.offsets[pairs]
+        second = first + 1
+        intersects = footprint_pairs_intersect(batch, first, second)
+        detected = (
+            _next_scrub_array(batch.time_hours[first], scrub)
+            <= batch.time_hours[second]
+        )
+        race = int(np.count_nonzero(intersects & ~detected))
+        outcome.sdc_machines_arcc += race
+        outcome.due_machines_sparing += race
+        # A lone intersecting pair is always detected eventually:
+        # SCCDCD retires the machine (DUE); an SDC needs a triple.
+        outcome.due_machines_sccdcd += int(np.count_nonzero(intersects))
 
-
-def _copy(fault: _PlacedFault) -> _PlacedFault:
-    return _PlacedFault(
-        time_hours=fault.time_hours,
-        fault_type=fault.fault_type,
-        rank=fault.rank,
-        device=fault.device,
-        bank=fault.bank,
-        row=fault.row,
-        column=fault.column,
+    # No policy can fail a channel whose faults are pairwise disjoint,
+    # so only channels with an intersecting pair reach the event loops.
+    multi = np.flatnonzero(per_channel >= 3)
+    has_pair = any_pair_per_segment(
+        batch.offsets[multi],
+        per_channel[multi],
+        lambda left, right: footprint_pairs_intersect(batch, left, right),
     )
+    exact = multi[has_pair]
+    if exact_pairs:
+        exact = np.concatenate((pairs, exact))
+    for channel in exact:
+        _decide_channel(batch.events_of(int(channel)), scrub, outcome)
+    return outcome
+
+
+def plan_montecarlo(
+    params: ReliabilityParams,
+    channels: int,
+    years: float,
+    seed: int = 0x5DC,
+    exact_pairs: bool = False,
+) -> ExperimentPlan:
+    """A channel population as runner jobs: one :func:`simulate_block` each.
+
+    The population is split by
+    :func:`~repro.fleet.engine.fleet_blocks` into blocks of
+    :data:`BLOCK_CHANNELS`, whose RNG streams derive only from ``seed``
+    and the block index, so the outcome is identical at any worker count.
+    Assembly sums the block outcomes. A negative ``channels`` or a
+    non-positive ``years`` raises ``ValueError`` here, before any job
+    runs; ``channels=0`` is an empty plan.
+
+    >>> from repro.runner import execute_plan
+    >>> params = ReliabilityParams(rate_multiplier=100.0, scrub_interval_hours=48.0)
+    >>> plan = plan_montecarlo(params, channels=1500, years=7.0)
+    >>> len(plan.jobs)  # blocks of BLOCK_CHANNELS = 1024
+    2
+    >>> outcome = execute_plan(plan)
+    >>> outcome.channels, outcome.sdc_machines_arcc, outcome.sdc_machines_sccdcd
+    (1500, 21, 2)
+    """
+    from repro.fleet.engine import fleet_blocks
+
+    if channels < 0:
+        raise ValueError(f"channels must be non-negative, got {channels!r}")
+    if not years > 0:
+        raise ValueError(f"years must be positive, got {years!r}")
+    jobs = [
+        Job.create(
+            f"mc-block[{index}]",
+            simulate_block,
+            params=params,
+            block_seed=block_seed,
+            channels=size,
+            years=years,
+            exact_pairs=exact_pairs,
+        )
+        for index, (block_seed, size) in enumerate(
+            fleet_blocks(seed, channels, BLOCK_CHANNELS)
+        )
+    ]
+
+    def assemble(values: List[ReliabilityOutcome]) -> ReliabilityOutcome:
+        return ReliabilityOutcome(
+            channels=channels,
+            years=years,
+            **{name: sum(getattr(v, name) for v in values) for name in _COUNTS},
+        )
+
+    return ExperimentPlan(name="montecarlo", jobs=jobs, assemble=assemble)

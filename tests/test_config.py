@@ -9,7 +9,6 @@ from repro.config import (
     PROCESSOR_CONFIG,
     RELAXED_GEOMETRY,
     SCRUB_CONFIG,
-    SIMULATION_CONFIG,
     UPGRADED_GEOMETRY,
     MemoryConfig,
 )
@@ -124,8 +123,3 @@ class TestScrubAndSim:
     def test_scrub_defaults(self):
         assert SCRUB_CONFIG.interval_hours == 4.0
         assert SCRUB_CONFIG.arcc_pass_multiplier == 6
-
-    def test_simulation_scaled(self):
-        scaled = SIMULATION_CONFIG.scaled(channels=10)
-        assert scaled.monte_carlo_channels == 10
-        assert scaled.lifetime_years == SIMULATION_CONFIG.lifetime_years

@@ -11,6 +11,7 @@ satisfy a fallback run's lookup (or vice versa), and an explicit
 """
 
 import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -183,6 +184,35 @@ class TestEngineProvenance:
             "compiled-pcg64" if materializer_available()
             else "generator-fallback"
         )
+
+    def test_compiler_rejecting_fp_contract_leaves_tier_unavailable(
+        self, monkeypatch, tmp_path
+    ):
+        """No kernel is built without ``-ffp-contract=off``: a compiler
+        that rejects the flag gets the reference tier, never an FMA-prone
+        build served under the ``compiled`` label."""
+        from repro.perf._kernel import loader
+
+        attempts = []
+
+        def rejecting_compile(cc, flags, link_flags, out_path):
+            attempts.append(list(flags))
+            if "-ffp-contract=off" in flags:
+                raise subprocess.CalledProcessError(1, [cc, *flags])
+            raise AssertionError(f"kernel build without the flag: {flags}")
+
+        monkeypatch.delenv(DISABLE_ENV, raising=False)
+        monkeypatch.setenv(loader.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(loader, "_find_compiler", lambda: "cc")
+        monkeypatch.setattr(loader, "_compile", rejecting_compile)
+        reset_kernel_loader()
+        try:
+            assert not kernel_available()
+            assert kernel_provenance() == "reference (kernel build failed with cc)"
+        finally:
+            monkeypatch.undo()
+            reset_kernel_loader()
+        assert attempts and all("-ffp-contract=off" in a for a in attempts)
 
 
 _ARRAYS = ("line_addresses", "write_flags", "instruction_gaps", "core_offsets")

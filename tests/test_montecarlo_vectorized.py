@@ -7,7 +7,8 @@ loops). The segmented all-pairs pass must list exactly the per-segment
 upper-triangle pairs, and the >=3-fault screen must send exactly the
 channels a scalar footprint walk picks to the event loops. The batched
 sampler's per-type fault counts must sit within Poisson noise of the
-analytic expectation.
+analytic expectation, and its output is a valid fleet
+``FaultEventBatch``. Golden counts pin the population plan's outcome.
 """
 
 import numpy as np
@@ -16,16 +17,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.types import DEVICE_LEVEL_TYPES
+from repro.fleet.engine import fleet_blocks
+from repro.fleet.events import FAULT_TYPE_ORDER
 from repro.reliability import montecarlo
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.montecarlo import (
-    MonteCarloReliability,
-    _pairs_intersect,
+    BLOCK_CHANNELS,
     _sample_batch,
     any_pair_per_segment,
-    merge_outcomes,
+    footprint_intersects,
+    footprint_pairs_intersect,
+    plan_montecarlo,
     segment_pairs,
+    simulate_block,
 )
+from repro.runner import execute_plan
 from repro.util.units import HOURS_PER_YEAR
 
 
@@ -49,36 +55,30 @@ class TestPairwiseFastPathEquivalence:
         ],
     )
     def test_bit_identical_to_event_loop(self, multiplier, seed, channels):
-        mc = MonteCarloReliability(
-            ReliabilityParams(rate_multiplier=multiplier), seed=seed
+        params = ReliabilityParams(rate_multiplier=multiplier)
+        fast, exact = (
+            execute_plan(
+                plan_montecarlo(
+                    params, channels, 7.0, seed=seed, exact_pairs=exact_pairs
+                )
+            )
+            for exact_pairs in (False, True)
         )
-        fast = mc.run(channels, 7.0)
-        exact = mc.run(channels, 7.0, exact_pairs=True)
         assert _outcome_tuple(fast) == _outcome_tuple(exact)
 
 
 class TestVectorizedIntersection:
-    def test_matches_scalar_method_on_random_faults(self):
-        """Array intersection == object intersection, fault by fault."""
+    def test_matches_scalar_rule_on_random_faults(self):
+        """Vector rule == scalar rule, fault pair by fault pair."""
         params = ReliabilityParams(rate_multiplier=3000.0)
-        mc = MonteCarloReliability(params, seed=99)
         rng = np.random.Generator(np.random.PCG64(99))
         batch = _sample_batch(params, rng, channels=4, years=7.0)
-        for channel in range(4):
-            start = int(batch.offsets[channel])
-            stop = int(batch.offsets[channel + 1])
-            faults = batch.channel_faults(channel)
-            for i in range(stop - start):
-                for j in range(i + 1, stop - start):
-                    expected = faults[i].footprint_intersects(faults[j])
-                    got = bool(
-                        _pairs_intersect(
-                            batch,
-                            np.array([start + i]),
-                            np.array([start + j]),
-                        )[0]
-                    )
-                    assert got == expected, (channel, i, j)
+        faults = [f for events in batch.to_histories() for f in events]
+        left, right, _ = segment_pairs(batch.offsets[:-1], batch.per_channel)
+        got = footprint_pairs_intersect(batch, left, right)
+        expected = [footprint_intersects(faults[i], faults[j]) for i, j in zip(left, right)]
+        assert len(expected) > 1000
+        assert got.tolist() == expected
 
     def test_sampled_coordinates_in_range(self):
         params = ReliabilityParams(rate_multiplier=500.0)
@@ -90,9 +90,21 @@ class TestVectorizedIntersection:
         assert batch.bank.max() < params.banks
         assert batch.row.max() < params.rows
         assert batch.column.max() < params.columns
-        assert set(np.unique(batch.type_code)) <= set(
-            range(len(DEVICE_LEVEL_TYPES))
+        assert set(np.unique(batch.channel)) == {0}
+
+    def test_batch_is_a_valid_fleet_batch_of_device_level_faults(self):
+        """The sampler speaks the fleet format: the batch validates and
+        its type codes, in FAULT_TYPE_ORDER coding, are all device-level."""
+        params = ReliabilityParams(rate_multiplier=500.0)
+        rng = np.random.Generator(np.random.PCG64(9))
+        batch = _sample_batch(params, rng, channels=64, years=7.0)
+        batch.validate()
+        assert set(batch.fault_types()) == set(DEVICE_LEVEL_TYPES)
+        empty = _sample_batch(
+            ReliabilityParams(rate_multiplier=1e-6), rng, channels=3, years=1.0
         )
+        empty.validate()
+        assert (empty.num_channels, empty.num_events) == (3, 0)
 
     def test_times_sorted_within_channels(self):
         params = ReliabilityParams(rate_multiplier=500.0)
@@ -178,20 +190,21 @@ class TestCandidateScreen:
             batches.append(sample(*args))
             return batches[-1]
 
-        def record(self, faults, outcome):
+        def record(faults, interval, outcome):
             decided.append(tuple(f.time_hours for f in faults))
 
         monkeypatch.setattr(montecarlo, "_sample_batch", capture)
-        monkeypatch.setattr(MonteCarloReliability, "_decide_channel", record)
-        mc = MonteCarloReliability(ReliabilityParams(rate_multiplier=multiplier))
-        mc._simulate_block(seed, channels, 7.0)
+        monkeypatch.setattr(montecarlo, "_decide_channel", record)
+        simulate_block(
+            ReliabilityParams(rate_multiplier=multiplier), seed, channels, 7.0
+        )
 
         (batch,) = batches
         expected, screened_out = [], 0
         for channel in np.flatnonzero(batch.per_channel >= 3):
-            faults = batch.channel_faults(int(channel))
+            faults = batch.events_of(int(channel))
             if any(
-                a.footprint_intersects(b)
+                footprint_intersects(a, b)
                 for i, a in enumerate(faults)
                 for b in faults[i + 1 :]
             ):
@@ -202,17 +215,61 @@ class TestCandidateScreen:
         assert decided == expected
 
 
-class TestMergeOutcomes:
-    def test_merge_sums_counts(self):
-        mc = MonteCarloReliability(
-            ReliabilityParams(rate_multiplier=100.0), seed=5
+#: Golden outcome of a small, dense population: every multi-fault path
+#: (vectorized pairs, the >=3-fault screen, all three event loops) fires.
+GOLDEN_PARAMS = ReliabilityParams(
+    rate_multiplier=300.0, scrub_interval_hours=48.0, rows=256, columns=256
+)
+GOLDEN = (585, 36, 4964, 585)
+
+
+class TestPlanMonteCarlo:
+    @pytest.mark.parametrize("exact_pairs", [False, True])
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_golden_counts(self, exact_pairs, max_workers):
+        plan = plan_montecarlo(
+            GOLDEN_PARAMS, 5000, 7.0, seed=0x5DC, exact_pairs=exact_pairs
         )
-        jobs = mc.block_jobs(channels=300, years=7.0)
-        partials = [job.execute() for job in jobs]
-        merged = merge_outcomes(300, 7.0, partials)
-        direct = mc.run(300, 7.0)
-        assert _outcome_tuple(merged) == _outcome_tuple(direct)
-        assert merged.channels == 300
+        outcome = execute_plan(plan, max_workers=max_workers)
+        assert _outcome_tuple(outcome) == GOLDEN
+        assert (outcome.channels, outcome.years) == (5000, 7.0)
+
+    def test_figure_6_1_registry_point(self):
+        """4x rates, 20k channels, 7 years: the ``repro run fig6.1`` point."""
+        plan = plan_montecarlo(ReliabilityParams(rate_multiplier=4.0), 20_000, 7.0)
+        assert _outcome_tuple(execute_plan(plan)) == (1, 0, 481, 1)
+
+    def test_one_job_per_fleet_block_summed_at_assembly(self):
+        params = ReliabilityParams(rate_multiplier=100.0)
+        plan = plan_montecarlo(params, 2 * BLOCK_CHANNELS + 17, 7.0, seed=5)
+        blocks = fleet_blocks(5, 2 * BLOCK_CHANNELS + 17, BLOCK_CHANNELS)
+        assert [
+            (job.kwargs["block_seed"], job.kwargs["channels"]) for job in plan.jobs
+        ] == blocks
+        partials = [job.execute() for job in plan.jobs]
+        outcome = plan.assemble(partials)
+        assert outcome.channels == 2 * BLOCK_CHANNELS + 17
+        assert _outcome_tuple(outcome) == tuple(
+            sum(counts) for counts in zip(*map(_outcome_tuple, partials))
+        )
+
+    def test_zero_channels_is_an_empty_plan(self):
+        plan = plan_montecarlo(GOLDEN_PARAMS, 0, 7.0)
+        assert plan.jobs == []
+        assert _outcome_tuple(plan.assemble([])) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "channels,years,argument",
+        [
+            (-1, 7.0, "channels"),
+            (10, 0.0, "years"),
+            (10, -1.0, "years"),
+            (10, float("nan"), "years"),
+        ],
+    )
+    def test_bad_inputs_fail_at_build(self, channels, years, argument):
+        with pytest.raises(ValueError, match=argument):
+            plan_montecarlo(GOLDEN_PARAMS, channels, years)
 
 
 class TestSamplerRates:
@@ -229,7 +286,8 @@ class TestSamplerRates:
         rng = np.random.Generator(np.random.PCG64(21))
         batch = _sample_batch(params, rng, channels, years)
         horizon = years * HOURS_PER_YEAR
-        for code, fault_type in enumerate(DEVICE_LEVEL_TYPES):
+        for fault_type in DEVICE_LEVEL_TYPES:
+            code = FAULT_TYPE_ORDER.index(fault_type)
             expected = (
                 params.device_rate_per_hour(fault_type)
                 * params.total_devices

@@ -2,11 +2,13 @@
 
 Fleet batches carry exact spatial coordinates (bank/row/column), so
 :func:`repro.fleet.policies.uncorrectable_candidate_channels` decides
-"shares a codeword" with the same footprint-intersection predicate the
+"shares a codeword" with the same footprint-intersection rule the
 MC engine uses (:func:`repro.reliability.montecarlo
-.footprint_pairs_intersect`). These tests pin the exactness claim
-against :mod:`repro.reliability.montecarlo` on identical fault
-populations:
+.footprint_pairs_intersect`). The MC sampler draws straight into a
+fleet :class:`~repro.fleet.events.FaultEventBatch`, so these tests pin
+the exactness claim against the scalar rule
+(:func:`repro.reliability.montecarlo.footprint_intersects`) on the very
+batch the screen reads:
 
 * **exact on every mix** — field-study type mixes, row/column-heavy
   mixes and device/lane-only mixes all agree channel for channel with
@@ -18,21 +20,18 @@ populations:
   precisely what removes the over-count.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.faults.types import FaultRates
-from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch
 from repro.fleet.policies import uncorrectable_candidate_channels
 from repro.reliability.analytical import ReliabilityParams
-from repro.reliability.montecarlo import DEVICE_LEVEL_TYPES, _sample_batch
+from repro.reliability.montecarlo import _sample_batch, footprint_intersects
 from repro.util.units import HOURS_PER_YEAR
 
 YEARS = 7.0
-
-_CODE_MAP = np.array(
-    [FAULT_TYPE_ORDER.index(ft) for ft in DEVICE_LEVEL_TYPES]
-)
 
 #: Fault-rate mixes the exactness claim is swept over: the SC'12 field
 #: mix, a small-footprint-heavy mix and a rank-covering-only mix.
@@ -59,46 +58,23 @@ def _sample(params, seed, channels):
     return _sample_batch(params, rng, channels, YEARS)
 
 
-def _as_fleet_batch(mc, with_coordinates: bool = True) -> FaultEventBatch:
-    """The fleet view of an MC sample: same faults, same coordinates.
-
-    The MC engine simulates one memory channel at a time, so every
-    event's (geometric) channel coordinate is 0. With
-    ``with_coordinates=False`` the bank/row/column arrays are dropped
-    and default to zero — the pre-coordinate wire format the screen
-    must still treat conservatively.
-    """
-    coords = {}
-    if with_coordinates:
-        coords = dict(
-            bank=np.asarray(mc.bank, dtype=np.int64),
-            row=np.asarray(mc.row, dtype=np.int64),
-            column=np.asarray(mc.column, dtype=np.int64),
-        )
-    batch = FaultEventBatch(
-        offsets=np.asarray(mc.offsets, dtype=np.int64),
-        time_hours=np.asarray(mc.time_hours, dtype=np.float64),
-        type_code=_CODE_MAP[np.asarray(mc.type_code, dtype=np.int64)],
-        channel=np.zeros(len(mc.time_hours), dtype=np.int64),
-        rank=np.asarray(mc.rank, dtype=np.int64),
-        device=np.asarray(mc.device, dtype=np.int64),
-        **coords,
-    )
-    batch.validate()
-    return batch
+def _without_coordinates(batch):
+    """The pre-coordinate wire format: bank/row/column default to zero,
+    which the screen must still treat conservatively."""
+    return replace(batch, bank=None, row=None, column=None)
 
 
-def _exact_uncorrectable(mc, window_hours: float) -> np.ndarray:
+def _exact_uncorrectable(batch, window_hours: float) -> np.ndarray:
     """Ground truth: any pair with intersecting exact footprints whose
     second member arrives within the window of the first."""
-    out = np.zeros(len(mc.offsets) - 1, dtype=bool)
-    for member in np.flatnonzero(mc.per_channel >= 2):
-        faults = mc.channel_faults(int(member))
+    out = np.zeros(batch.num_channels, dtype=bool)
+    for member in np.flatnonzero(batch.per_channel >= 2):
+        faults = batch.events_of(int(member))
         for i, earlier in enumerate(faults):
             for later in faults[i + 1 :]:
                 if (
                     later.time_hours - earlier.time_hours <= window_hours
-                    and earlier.footprint_intersects(later)
+                    and footprint_intersects(earlier, later)
                 ):
                     out[member] = True
                     break
@@ -117,11 +93,9 @@ class TestScreenIsExactEverywhere:
     def test_screen_agrees_channel_for_channel(
         self, mix, seed, multiplier, window_hours
     ):
-        mc = _sample(_params(multiplier, mix), seed, channels=2048)
-        screen = uncorrectable_candidate_channels(
-            _as_fleet_batch(mc), window_hours
-        )
-        exact = _exact_uncorrectable(mc, window_hours)
+        batch = _sample(_params(multiplier, mix), seed, channels=2048)
+        screen = uncorrectable_candidate_channels(batch, window_hours)
+        exact = _exact_uncorrectable(batch, window_hours)
         diverged = np.flatnonzero(screen != exact)
         assert diverged.size == 0, (
             f"{mix}: screen and exact footprints disagree on channels "
@@ -130,9 +104,9 @@ class TestScreenIsExactEverywhere:
 
     def test_exact_channels_are_nontrivial(self):
         """The sweep exercises real mass, not vacuous agreement."""
-        mc = _sample(_params(20.0, "field"), 0xC05C, channels=4096)
+        batch = _sample(_params(20.0, "field"), 0xC05C, channels=4096)
         window_hours = HOURS_PER_YEAR * YEARS
-        assert int(_exact_uncorrectable(mc, window_hours).sum()) >= 50
+        assert int(_exact_uncorrectable(batch, window_hours).sum()) >= 50
 
 
 class TestCoordinateLessBatchesStayConservative:
@@ -141,19 +115,17 @@ class TestCoordinateLessBatchesStayConservative:
         the historic rank-level screen: every exactly-uncorrectable
         channel is still flagged, and the over-count the coordinates
         remove is visible in the comparison."""
-        mc = _sample(_params(20.0, "field"), 0xC05C, channels=2048)
+        batch = _sample(_params(20.0, "field"), 0xC05C, channels=2048)
         window_hours = HOURS_PER_YEAR * YEARS
         blind = uncorrectable_candidate_channels(
-            _as_fleet_batch(mc, with_coordinates=False), window_hours
+            _without_coordinates(batch), window_hours
         )
-        exact = _exact_uncorrectable(mc, window_hours)
+        exact = _exact_uncorrectable(batch, window_hours)
         missed = np.flatnonzero(exact & ~blind)
         assert missed.size == 0, (
             f"coordinate-less screen missed channels {missed[:5]}"
         )
         # The blind view over-counts; the coordinate-aware view does not.
-        aware = uncorrectable_candidate_channels(
-            _as_fleet_batch(mc), window_hours
-        )
+        aware = uncorrectable_candidate_channels(batch, window_hours)
         assert int(blind.sum()) > int(exact.sum())
         assert np.array_equal(aware, exact)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.experiments import plan_fig6_1
+from repro.faults.lifetime import FaultEvent
 from repro.faults.types import FaultType
 from repro.reliability.analytical import (
     ReliabilityParams,
@@ -16,10 +18,8 @@ from repro.reliability.due import (
     due_rate_sparing,
     due_reduction_factor,
 )
-from repro.reliability.montecarlo import (
-    MonteCarloReliability,
-    _PlacedFault,
-)
+from repro.reliability.montecarlo import footprint_intersects, plan_montecarlo
+from repro.runner import execute_plan
 
 
 class TestOverlapProbability:
@@ -135,10 +135,13 @@ class TestDueRates:
 
 
 class TestFootprintIntersection:
-    def _fault(self, fault_type, rank=0, device=0, bank=0, row=0, column=0):
-        return _PlacedFault(
+    def _fault(
+        self, fault_type, channel=0, rank=0, device=0, bank=0, row=0, column=0
+    ):
+        return FaultEvent(
             time_hours=0.0,
             fault_type=fault_type,
+            channel=channel,
             rank=rank,
             device=device,
             bank=bank,
@@ -146,72 +149,95 @@ class TestFootprintIntersection:
             column=column,
         )
 
+    def test_different_channel_never_intersects(self):
+        a = self._fault(FaultType.LANE, channel=0)
+        b = self._fault(FaultType.DEVICE, channel=1, device=5)
+        assert not footprint_intersects(a, b)
+        assert footprint_intersects(a, self._fault(FaultType.DEVICE, device=5))
+
     def test_same_device_never_intersects(self):
         a = self._fault(FaultType.DEVICE, device=3)
         b = self._fault(FaultType.ROW, device=3)
-        assert not a.footprint_intersects(b)
+        assert not footprint_intersects(a, b)
 
     def test_different_rank_no_intersection(self):
         a = self._fault(FaultType.DEVICE, rank=0)
         b = self._fault(FaultType.DEVICE, rank=1, device=1)
-        assert not a.footprint_intersects(b)
+        assert not footprint_intersects(a, b)
 
     def test_lane_crosses_ranks(self):
         a = self._fault(FaultType.LANE, rank=0)
         b = self._fault(FaultType.DEVICE, rank=1, device=5)
-        assert a.footprint_intersects(b)
+        assert footprint_intersects(a, b)
 
     def test_rows_need_same_bank_and_row(self):
         a = self._fault(FaultType.ROW, device=0, bank=2, row=7)
         same = self._fault(FaultType.ROW, device=1, bank=2, row=7)
         other_row = self._fault(FaultType.ROW, device=1, bank=2, row=8)
         other_bank = self._fault(FaultType.ROW, device=1, bank=3, row=7)
-        assert a.footprint_intersects(same)
-        assert not a.footprint_intersects(other_row)
-        assert not a.footprint_intersects(other_bank)
+        assert footprint_intersects(a, same)
+        assert not footprint_intersects(a, other_row)
+        assert not footprint_intersects(a, other_bank)
 
     def test_row_column_cross(self):
         a = self._fault(FaultType.ROW, device=0, bank=1, row=5)
         b = self._fault(FaultType.COLUMN, device=1, bank=1, column=99)
-        assert a.footprint_intersects(b)
+        assert footprint_intersects(a, b)
+
+
+def _run(params, channels, years, seed):
+    return execute_plan(plan_montecarlo(params, channels, years, seed=seed))
 
 
 class TestMonteCarlo:
     def test_no_failures_at_tiny_rates(self):
-        mc = MonteCarloReliability(
-            ReliabilityParams(rate_multiplier=0.01), seed=1
-        )
-        outcome = mc.run(channels=50, years=1.0)
+        outcome = _run(ReliabilityParams(rate_multiplier=0.01), 50, 1.0, seed=1)
         assert outcome.sdc_machines_arcc == 0
         assert outcome.sdc_machines_sccdcd == 0
 
     def test_elevated_rates_produce_due_and_order(self):
         """At strongly elevated rates the ordering must hold: sparing DUEs
         <= SCCDCD DUEs, and ARCC SDCs >= SCCDCD SDCs."""
-        mc = MonteCarloReliability(
-            ReliabilityParams(rate_multiplier=400.0), seed=2
-        )
-        outcome = mc.run(channels=150, years=7.0)
+        outcome = _run(ReliabilityParams(rate_multiplier=400.0), 150, 7.0, seed=2)
         assert outcome.due_machines_sccdcd >= outcome.due_machines_sparing
         assert outcome.sdc_machines_arcc >= outcome.sdc_machines_sccdcd
         assert outcome.due_machines_sccdcd > 0  # rates high enough to see
 
     def test_per_1000_machine_years_scaling(self):
-        mc = MonteCarloReliability(seed=3)
-        outcome = mc.run(channels=10, years=5.0)
+        outcome = _run(ReliabilityParams(), 10, 5.0, seed=3)
         assert outcome.per_1000_machine_years(5) == pytest.approx(
             5 * 1000.0 / 50.0
         )
 
     def test_empty_population_rejected(self):
-        mc = MonteCarloReliability(seed=4)
-        outcome = mc.run(channels=0, years=1.0)
+        outcome = _run(ReliabilityParams(), 0, 1.0, seed=4)
         with pytest.raises(ValueError):
             outcome.per_1000_machine_years(0)
 
     def test_deterministic(self):
         params = ReliabilityParams(rate_multiplier=200.0)
-        a = MonteCarloReliability(params, seed=5).run(50, 3.0)
-        b = MonteCarloReliability(params, seed=5).run(50, 3.0)
+        a = _run(params, 50, 3.0, seed=5)
+        b = _run(params, 50, 3.0, seed=5)
         assert a.sdc_machines_arcc == b.sdc_machines_arcc
         assert a.due_machines_sccdcd == b.due_machines_sccdcd
+
+
+class TestFig61MonteCarloInputs:
+    """Bad cross-check inputs fail when the plan is built, before any job."""
+
+    def test_zero_years_rejected(self):
+        with pytest.raises(ValueError, match="years"):
+            plan_fig6_1(monte_carlo_channels=100, monte_carlo_years=0.0)
+
+    def test_negative_years_rejected(self):
+        with pytest.raises(ValueError, match="years"):
+            plan_fig6_1(monte_carlo_channels=100, monte_carlo_years=-1.0)
+
+    def test_negative_channels_rejected(self):
+        with pytest.raises(ValueError, match="channels"):
+            plan_fig6_1(monte_carlo_channels=-100)
+
+    def test_zero_channels_turns_the_cross_check_off(self):
+        plan = plan_fig6_1(lifespans=(7,), monte_carlo_channels=0)
+        assert plan.jobs == []
+        assert execute_plan(plan).monte_carlo is None

@@ -179,9 +179,10 @@ class TestRunJobs:
         """Jobs whose fn takes no ``seed`` kwarg must not be crashed by
         base_seed injection (e.g. Monte-Carlo block jobs carry their
         seed as ordinary config)."""
-        from repro.reliability.montecarlo import MonteCarloReliability
+        from repro.reliability.analytical import ReliabilityParams
+        from repro.reliability.montecarlo import plan_montecarlo
 
-        jobs = MonteCarloReliability(seed=1).block_jobs(10, 1.0)
+        jobs = plan_montecarlo(ReliabilityParams(), 10, 1.0, seed=1).jobs
         results = run_jobs(jobs, base_seed=5)
         assert results[0].value.channels == 10
 

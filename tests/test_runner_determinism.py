@@ -19,7 +19,7 @@ from repro.experiments import (
     plan_sweep_upgraded_fraction_measured,
 )
 from repro.reliability.analytical import ReliabilityParams
-from repro.reliability.montecarlo import BLOCK_CHANNELS, MonteCarloReliability
+from repro.reliability.montecarlo import BLOCK_CHANNELS, plan_montecarlo
 from repro.runner import ResultCache, execute_plan
 from repro.workloads.spec import ALL_MIXES
 
@@ -34,26 +34,23 @@ def _outcome_tuple(outcome):
 
 
 class TestMonteCarloParallelism:
+    PARAMS = ReliabilityParams(rate_multiplier=50.0)
+
     def test_jobs_1_vs_4_identical_counts(self):
         """Same seed, multiple blocks: SDC/DUE counts must match exactly."""
         channels = 2 * BLOCK_CHANNELS + 17  # three blocks, one partial
-        mc = MonteCarloReliability(
-            ReliabilityParams(rate_multiplier=50.0), seed=0xD37
-        )
-        sequential = mc.run(channels, 7.0, jobs=1)
-        parallel = mc.run(channels, 7.0, jobs=4)
+        plan = plan_montecarlo(self.PARAMS, channels, 7.0, seed=0xD37)
+        sequential = execute_plan(plan, max_workers=1)
+        parallel = execute_plan(plan, max_workers=4)
         assert _outcome_tuple(sequential) == _outcome_tuple(parallel)
         assert sequential.channels == parallel.channels == channels
         assert sequential.due_machines_sccdcd > 0  # non-trivial population
 
     def test_block_partition_is_prefix_stable(self):
         """Growing the population extends, never reshuffles, the blocks."""
-        mc = MonteCarloReliability(
-            ReliabilityParams(rate_multiplier=50.0), seed=0xD37
-        )
-        small = mc._blocks(BLOCK_CHANNELS)
-        large = mc._blocks(3 * BLOCK_CHANNELS)
-        assert large[0] == small[0]
+        small = plan_montecarlo(self.PARAMS, BLOCK_CHANNELS, 7.0, seed=0xD37)
+        large = plan_montecarlo(self.PARAMS, 3 * BLOCK_CHANNELS, 7.0, seed=0xD37)
+        assert large.jobs[0].config == small.jobs[0].config
 
 
 class TestFigureParallelism:
