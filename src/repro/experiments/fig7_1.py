@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
 from repro.perf.engine import point_job
+from repro.perf.trace import check_instructions_per_core
 from repro.runner import ExperimentPlan
 from repro.util.tables import format_table
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
@@ -96,6 +97,7 @@ def plan_fig7_1(
     point (the runner dedups identical jobs within a batch and the
     result cache shares them across figures).
     """
+    check_instructions_per_core(instructions_per_core)
     mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
     configs = (BASELINE_MEMORY_CONFIG, ARCC_MEMORY_CONFIG)
     jobs = [

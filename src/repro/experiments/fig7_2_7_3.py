@@ -24,6 +24,7 @@ from repro.perf.simulator import (
     worst_case_performance_ratio,
     worst_case_power_ratio,
 )
+from repro.perf.trace import check_instructions_per_core
 from repro.runner import ExperimentPlan
 from repro.util.tables import format_table
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
@@ -116,6 +117,7 @@ def plan_fig7_2_7_3(
     with Figure 7.1's ARCC point and the sensitivity sweep), and the
     normalization happens at assembly.
     """
+    check_instructions_per_core(instructions_per_core)
     mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
     fault_types = tuple(fault_types)
     jobs = []

@@ -16,6 +16,7 @@ from repro.core.scrubber import scrub_bandwidth_overhead
 from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import FaultType
 from repro.perf.engine import point_job
+from repro.perf.trace import check_instructions_per_core
 from repro.reliability.analytical import ReliabilityParams, sdc_rate_arcc_ded
 from repro.runner import ExperimentPlan
 from repro.util.tables import format_table
@@ -294,6 +295,7 @@ def plan_sweep_upgraded_fraction_measured(
     the memory organization under test (study files sweep custom
     organizations through here).
     """
+    check_instructions_per_core(instructions_per_core)
     mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
     fractions = tuple(fractions)
     if 0.0 not in fractions:

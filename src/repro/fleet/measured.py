@@ -64,6 +64,7 @@ from repro.perf.simulator import (
     worst_case_performance_ratio,
     worst_case_power_ratio,
 )
+from repro.perf.trace import check_instructions_per_core
 from repro.fleet.report import MeanCI
 from repro.runner import ExperimentPlan, Job, ResultCache, execute_plan
 from repro.util.stats import confidence_interval
@@ -266,6 +267,7 @@ def plan_measured_profiles(
     point shared with Figures 7.1-7.3 — dedup in-batch and in the
     result cache. Assembles a dict keyed by (policy, organization name).
     """
+    check_instructions_per_core(instructions_per_core)
     policies = _check_policies(policies)
     organizations = _check_organizations(organizations)
     mixes = list(mixes) if mixes is not None else list(ALL_MIXES)

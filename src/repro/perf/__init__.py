@@ -9,8 +9,8 @@ Two implementations share one physics:
 * :func:`repro.perf.engine.replay` — the one entry point behind every
   figure. It runs the oracle itself on the ``reference`` tier; on the
   ``compiled`` tier :func:`~repro.perf.trace.materialize_mix` turns a Table 7.3 mix into a
-  struct-of-arrays :class:`~repro.perf.trace.TraceBatch` once per
-  process, and the kernel of :mod:`repro.perf._kernel` replays any
+  struct-of-arrays :class:`~repro.perf.trace.TraceBatch`, memoized one
+  trace at a time, and the kernel of :mod:`repro.perf._kernel` replays any
   number of ``upgraded_fraction`` / organization points against it —
   bit-identical results at a fraction of the wall time.
 

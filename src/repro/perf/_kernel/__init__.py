@@ -13,7 +13,6 @@ the ``reference`` tier runs ``TraceSimulator.run`` itself.
 
 from repro.perf._kernel.driver import (
     KernelStats,
-    clear_kernel_memos,
     replay_compiled,
 )
 from repro.perf._kernel.loader import (
@@ -29,7 +28,6 @@ __all__ = [
     "CACHE_DIR_ENV",
     "DISABLE_ENV",
     "KernelStats",
-    "clear_kernel_memos",
     "kernel_available",
     "kernel_provenance",
     "load_kernel",

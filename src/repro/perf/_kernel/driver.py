@@ -2,8 +2,9 @@
 
 The kernel reads only a batch's organization-independent buffers —
 addresses, write flags, gap cycles, core offsets and MLP, flattened
-once per batch by :func:`_trace_buffers` — plus two per-point inputs
-the driver builds in microseconds: the route table of
+once per batch into its cached
+:attr:`~repro.perf.trace.TraceBatch.kernel_buffers` — plus two
+per-point inputs the driver builds in microseconds: the route table of
 ``M = channels x banks x ranks`` entries (:func:`_route_table`,
 HIPERF's coordinates depend only on ``addr mod M``) and the
 page-upgrade threshold of :func:`~repro.perf.simulator.
@@ -18,10 +19,10 @@ scalar oracle can only come from the sequential core itself — which is
 what the golden matrix in ``tests/test_kernel_equivalence.py`` and the
 ``trace-kernel`` fuzz oracle pin.
 
-:func:`_trace_buffers` is the driver's only array memo, keyed on batch
-identity (batches are memoized by
-:func:`repro.perf.trace.materialize_mix`), so the points replayed
-against one trace flatten it once per process.
+The driver keeps no memo of its own: the flattened buffers live on the
+batch and are freed with it, so the points replayed against one trace
+flatten it once, and memory holds no more traces than the
+:func:`repro.perf.trace.materialize_mix` memo does.
 :func:`repro.perf.engine.replay` is the public way in.
 """
 
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -78,40 +78,6 @@ class KernelStats:
     final_positions: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _TraceBuffers:
-    """One batch's contiguous kernel inputs and their addresses.
-
-    ``pointers`` are the five buffers' data addresses in the kernel's
-    argument order (the arrays stay alive in ``arrays``), and
-    ``instructions`` the per-core instruction counts of the rollup.
-    """
-
-    arrays: Tuple[np.ndarray, ...]
-    pointers: Tuple[int, ...]
-    instructions: Tuple[int, ...]
-
-
-@lru_cache(maxsize=64)
-def _trace_buffers(batch: TraceBatch) -> _TraceBuffers:
-    """Contiguous organization-independent buffers for one batch."""
-    arrays = (
-        np.ascontiguousarray(batch.line_addresses, dtype=np.int64),
-        np.ascontiguousarray(batch.write_flags).view(np.uint8),
-        np.ascontiguousarray(batch.gap_cycles(), dtype=np.float64),
-        np.ascontiguousarray(batch.core_offsets, dtype=np.int64),
-        np.array([p.mlp for p in batch.profiles], dtype=np.float64),
-    )
-    return _TraceBuffers(
-        arrays=arrays,
-        pointers=tuple(a.ctypes.data for a in arrays),
-        instructions=tuple(
-            int(batch.instruction_gaps[batch.core_slice(i)].sum())
-            for i in range(batch.cores)
-        ),
-    )
-
-
 def _route_table(config: MemoryConfig) -> Tuple[np.ndarray, ...]:
     """Contiguous int32 ``(chan, rank_index, bank_index)`` of every
     residue ``0..M-1``, ``M = channels x banks x ranks``.
@@ -132,11 +98,6 @@ def _route_table(config: MemoryConfig) -> Tuple[np.ndarray, ...]:
         np.ascontiguousarray(a, dtype=np.int32)
         for a in (chan, ri, ri * banks + bank)
     )
-
-
-def clear_kernel_memos() -> None:
-    """Drop the kernel's array memo (cold-run benchmarking)."""
-    _trace_buffers.cache_clear()
 
 
 def _finalize_result(
@@ -223,8 +184,12 @@ def replay_compiled(
     fraction = point.upgraded_fraction
     upgrading = arcc_enabled and fraction > 0.0
 
+    if not np.all(np.diff(batch.core_offsets) > 0):
+        # The kernel reads a core's first access before it checks for
+        # the end of its stream.
+        raise ValueError("replay needs at least one access on every core")
     lib = load_kernel()
-    buffers = _trace_buffers(batch)
+    buffers = batch.kernel_buffers
     routes = _route_table(config)
 
     timings = timings_for_width(config.io_width)
@@ -318,6 +283,5 @@ def replay_compiled(
 
 __all__ = [
     "KernelStats",
-    "clear_kernel_memos",
     "replay_compiled",
 ]

@@ -633,12 +633,13 @@ extern double random_standard_exponential(bitgen_t *bitgen_state);
  * draw for draw — a uniform for the locality test,
  * Lemire bounded rejection on 32-bit half-words for random lines, the
  * ziggurat exponential for the instruction gap, a uniform for the
- * write flag.  Returns the access count (<= instructions_per_core,
- * since every gap is >= 1 — the caller sizes buffers to exactly that
- * bound), or -1 if the buffers would overflow (cannot happen with
- * correctly sized buffers; the stream is consumed, so no retry).
- * perf/trace.py uses it only after a per-process probe finds it equal
- * to CoreTrace, array for array. */
+ * write flag.  Draws until the retired-instruction total reaches
+ * instructions_per_core or the buffers hold capacity accesses, and
+ * returns the count written.  Capacity is checked before any draw, so
+ * a full buffer leaves the stream exactly where the next access
+ * begins: the caller resumes with the remaining instruction quota and
+ * the last line written as current.  perf/trace.py uses it only after
+ * a per-process probe finds it equal to CoreTrace, array for array. */
 i64 materialize_kernel(
     bitgen_t *bitgen,
     double locality,
@@ -661,12 +662,9 @@ i64 materialize_kernel(
     i64 total = 0;
     i64 count = 0;
 
-    while (total < instructions_per_core) {
+    while (total < instructions_per_core && count < capacity) {
         i64 line;
         i64 gap;
-        if (count >= capacity) {
-            return -1;
-        }
         if ((double)(next_u64(st) >> 11) * INV_2_53 < locality) {
             line = current + 1;
             if (line >= end) {

@@ -41,7 +41,7 @@ from repro.perf.simulator import (
     TraceSimulator,
     page_is_upgraded,
 )
-from repro.perf.trace import materialize_mix
+from repro.perf.trace import check_instructions_per_core, materialize_mix
 from repro.runner.job import Job
 from repro.workloads.spec import WorkloadMix
 
@@ -173,12 +173,10 @@ def engine_provenance() -> Dict[str, str]:
 
 
 def clear_engine_memos() -> None:
-    """Drop memoized traces and their kernel buffers (cold-run
+    """Drop the memoized trace and its kernel buffers (cold-run
     benchmarking)."""
-    from repro.perf._kernel import clear_kernel_memos
     from repro.perf.trace import clear_trace_memo
 
-    clear_kernel_memos()
     clear_trace_memo()
 
 
@@ -193,9 +191,10 @@ def replay(
     """Replay one mix at one point on the resolved engine tier.
 
     The compiled tier replays the memoized trace of ``(mix, seed,
-    instructions_per_core)``, so points of one mix — any fraction, any
-    organization — generate it once per process; the reference tier
+    instructions_per_core)``, so consecutive points of one mix — any
+    fraction, any organization — generate it once; the reference tier
     *is* ``TraceSimulator.run``, which draws its own traces.
+    ``instructions_per_core`` below 1 raises ``ValueError`` on both.
 
     Examples
     --------
@@ -210,6 +209,7 @@ def replay(
     >>> quarter.mix_name
     'Mix1'
     """
+    check_instructions_per_core(instructions_per_core)
     if resolve_engine(engine) == "reference":
         return TraceSimulator(
             config=point.config,
@@ -273,9 +273,24 @@ def point_job(name: str, **config: Any) -> Job:
     ``engine=resolve_engine("auto")``, so a compiled result never
     satisfies a fallback run's cache lookup. ``REPRO_KERNEL_DISABLE=1``
     is how a run forces the reference tier.
+
+    The job's ``group`` is its trace, ``(mix name, profiles, seed,
+    instructions_per_core)``, so the runner runs the points of one trace
+    back to back and the one-batch trace memo draws it once. The group
+    is not part of the job's identity or cache key.
     """
+    mix = config["mix"]
     return Job.create(
-        name, simulate_point_job, engine=resolve_engine("auto"), **config
+        name,
+        simulate_point_job,
+        engine=resolve_engine("auto"),
+        group=(
+            mix.name,
+            tuple(mix.profiles),
+            config.get("seed"),
+            config["instructions_per_core"],
+        ),
+        **config,
     )
 
 

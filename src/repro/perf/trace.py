@@ -26,18 +26,56 @@ trusted only after a per-process probe: one shipped mix materialized
 through both paths must agree array for array. Without a kernel, or
 after a failed probe, materialization steps ``CoreTrace``;
 :func:`trace_rng_provenance` reports which path ran.
+
+Trace memory is bounded by one trace. The C materializer draws each
+core in fixed-size chunks, resuming the stream where the previous chunk
+stopped, so its scratch space does not grow with the instruction
+budget. The memo behind :func:`materialize_mix` holds one batch, and the
+replay kernel's contiguous inputs are a cached attribute of that batch
+(:attr:`TraceBatch.kernel_buffers`), so they are freed with it. The
+runner runs trace jobs grouped by trace (:func:`repro.perf.engine.
+point_job` gives each a grouping key), so one slot is enough for each
+trace to be drawn once per batch of jobs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Tuple
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from repro.workloads.spec import ALL_MIXES, BenchmarkProfile, WorkloadMix
 from repro.workloads.trace import TraceGenerator
+
+
+def check_instructions_per_core(instructions_per_core: int) -> None:
+    """Reject an instruction budget below 1.
+
+    Every core must retire at least one instruction, so that every core
+    holds at least one access; the replay kernel reads a core's first
+    access before it checks for the end of its stream.
+    """
+    if instructions_per_core < 1:
+        raise ValueError(
+            "instructions_per_core must be at least 1, got "
+            f"{instructions_per_core!r}"
+        )
+
+
+class KernelBuffers(NamedTuple):
+    """A batch's contiguous, organization-independent replay inputs.
+
+    ``arrays`` are the line addresses, write flags as ``uint8``, gap
+    cycles, core offsets and per-core MLP; ``pointers`` are their data
+    addresses in the kernel's argument order (``arrays`` keeps them
+    alive); ``instructions`` are each core's retired instructions.
+    """
+
+    arrays: Tuple[np.ndarray, ...]
+    pointers: Tuple[int, ...]
+    instructions: Tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +84,8 @@ class TraceBatch:
 
     Identity-compared and identity-hashed (``eq=False``): batches come
     out of the :func:`materialize_mix` memo, so identical parameters
-    already yield the *same object*, and downstream caches (the shared
-    replay arrays in :mod:`repro.perf.engine`) key on that identity.
+    yield the *same object* while it is memoized, and every point
+    replayed against it shares its :attr:`kernel_buffers`.
 
     Accesses are grouped by core and stream-ordered within each core:
     ``core_offsets[i]:core_offsets[i+1]`` slices core ``i``'s accesses.
@@ -109,12 +147,38 @@ class TraceBatch:
             )
         return out
 
+    @cached_property
+    def kernel_buffers(self) -> KernelBuffers:
+        """The replay kernel's inputs, built once per batch.
+
+        Cached on the batch, so they live exactly as long as it does.
+        """
+        arrays = (
+            np.ascontiguousarray(self.line_addresses, dtype=np.int64),
+            np.ascontiguousarray(self.write_flags).view(np.uint8),
+            np.ascontiguousarray(self.gap_cycles(), dtype=np.float64),
+            np.ascontiguousarray(self.core_offsets, dtype=np.int64),
+            np.array([p.mlp for p in self.profiles], dtype=np.float64),
+        )
+        return KernelBuffers(
+            arrays=arrays,
+            pointers=tuple(a.ctypes.data for a in arrays),
+            instructions=tuple(
+                int(self.instruction_gaps[self.core_slice(i)].sum())
+                for i in range(self.cores)
+            ),
+        )
+
 
 #: The probe that gates the C materializer: a shipped mix at a scale
 #: that draws about 1,600 accesses, both random-jump and sequential.
 _PROBE_MIX = ALL_MIXES[0]
 _PROBE_SEED = 0xBEEF
 _PROBE_INSTRUCTIONS = 40_000
+
+#: Most accesses one call of the C materializer writes: the size of its
+#: scratch buffers, whatever the instruction budget.
+_CHUNK = 1 << 16
 
 
 def _draw_core(trace, instructions_per_core):
@@ -140,37 +204,42 @@ def _draw_core(trace, instructions_per_core):
 
 
 def _draw_core_compiled(lib, trace, instructions_per_core):
-    """One core's exact access stream, drawn by the C kernel.
+    """One core's exact access stream, drawn by the C kernel in chunks.
 
-    Buffers are sized to ``instructions_per_core`` — every access
-    retires at least one instruction, so the count can never exceed
-    that (the kernel's overflow return is therefore unreachable).
+    Each call writes at most ``_CHUNK`` accesses and stops before it
+    draws past a full buffer, so the next call resumes the same stream
+    with the remaining instruction quota and the last line as
+    ``current``. Every access retires at least one instruction, so a
+    chunk never needs more room than the quota left.
     """
-    capacity = int(instructions_per_core)
-    addresses = np.empty(capacity, dtype=np.int64)
-    writes = np.empty(capacity, dtype=np.uint8)
-    gaps = np.empty(capacity, dtype=np.int64)
-    count = lib.materialize_kernel(
-        trace.rng.bit_generator.ctypes.bit_generator,
-        float(trace.profile.spatial_locality),
-        float(trace.profile.read_fraction),
-        int(trace.region_base),
-        int(trace.footprint_lines),
-        float(trace._gap_instructions),
-        capacity,
-        int(trace._current),
-        capacity,
-        addresses.ctypes.data,
-        writes.ctypes.data,
-        gaps.ctypes.data,
-    )
-    if count < 0:  # pragma: no cover - capacity bound is exact
-        raise RuntimeError("materialize_kernel buffer overflow")
-    return (
-        addresses[:count],
-        writes[:count].view(np.bool_),
-        gaps[:count],
-    )
+    bitgen = trace.rng.bit_generator.ctypes.bit_generator
+    remaining = int(instructions_per_core)
+    current = int(trace._current)
+    chunks = []
+    while remaining > 0:
+        capacity = min(_CHUNK, remaining)
+        addresses = np.empty(capacity, dtype=np.int64)
+        writes = np.empty(capacity, dtype=np.uint8)
+        gaps = np.empty(capacity, dtype=np.int64)
+        count = lib.materialize_kernel(
+            bitgen,
+            float(trace.profile.spatial_locality),
+            float(trace.profile.read_fraction),
+            int(trace.region_base),
+            int(trace.footprint_lines),
+            float(trace._gap_instructions),
+            remaining,
+            current,
+            capacity,
+            addresses.ctypes.data,
+            writes.ctypes.data,
+            gaps.ctypes.data,
+        )
+        chunks.append((addresses[:count], writes[:count], gaps[:count]))
+        remaining -= int(gaps[:count].sum())
+        current = int(addresses[count - 1])
+    addresses, writes, gaps = (np.concatenate(part) for part in zip(*chunks))
+    return addresses, writes.view(np.bool_), gaps
 
 
 def _build_batch(
@@ -272,7 +341,7 @@ def trace_rng_provenance() -> str:
     return "compiled-pcg64"
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _materialize(
     mix_name: str,
     profiles: Tuple[BenchmarkProfile, ...],
@@ -290,10 +359,12 @@ def materialize_mix(
 ) -> TraceBatch:
     """Materialize (or fetch the memoized copy of) one mix's streams.
 
-    Memoized per process, so a sweep of many ``upgraded_fraction`` or
-    organization points — or many runner jobs landing in the same worker
-    — generates each trace once. The memo is keyed on the *profiles*,
-    not just the mix name, so custom mixes never alias.
+    The memo holds the last batch, so consecutive points of one trace —
+    any ``upgraded_fraction`` or organization, or the runner's trace
+    jobs, which run grouped by trace — generate it once while at most
+    one trace stays resident. The memo is keyed on the *profiles*, not
+    just the mix name, so custom mixes never alias.
+    ``instructions_per_core`` below 1 raises ``ValueError``.
 
     Examples
     --------
@@ -303,11 +374,12 @@ def materialize_mix(
     >>> a is b  # memoized: the arrays are generated once
     True
     """
+    check_instructions_per_core(instructions_per_core)
     return _materialize(
         mix.name, tuple(mix.profiles), seed, instructions_per_core
     )
 
 
 def clear_trace_memo() -> None:
-    """Drop memoized batches (benchmarks use this to time cold runs)."""
+    """Drop the memoized batch (benchmarks use this to time cold runs)."""
     _materialize.cache_clear()

@@ -9,10 +9,18 @@ whose computation is identical (same callable, config and seed — names
 aside) are looked up and run once per batch and share the value —
 together these make ``--jobs 1`` and ``--jobs N`` produce identical
 outputs while never simulating the same point twice.
+
+Jobs that share a ``group`` (the trace jobs of one trace, see
+:func:`repro.perf.engine.point_job`) run, and are submitted to the pool,
+one group after another in order of first appearance; jobs without one
+keep their place. A process then needs only its last trace in memory:
+inline, each trace is drawn once per batch, and a pool worker that has
+moved on to a later group never receives an earlier one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -53,11 +61,26 @@ def _with_seeds(jobs: Sequence[Job], base_seed: Optional[int]) -> List[Job]:
         return jobs
     seeds = derive_seeds(base_seed, len(jobs))
     return [
-        Job(job.name, job.fn, job.config, seed)
+        dataclasses.replace(job, seed=seed)
         if job.seed is None and _accepts_seed(job.fn)
         else job
         for job, seed in zip(jobs, seeds)
     ]
+
+
+def _grouped(jobs: Sequence[Job], pending: List[int]) -> List[int]:
+    """``pending`` with each group's jobs moved up to its first member.
+
+    Stable: jobs of one group keep their relative order, and jobs
+    without a group keep their place.
+    """
+    first: Dict[Any, int] = {}
+    order = []
+    for index in pending:
+        group = jobs[index].group
+        position = index if group is None else first.setdefault(group, index)
+        order.append((position, index))
+    return [index for _, index in sorted(order)]
 
 
 def run_jobs(
@@ -92,6 +115,7 @@ def run_jobs(
                 results[index] = JobResult(job.name, value, cached=True)
                 continue
         pending.append(index)
+    pending = _grouped(jobs, pending)
 
     def complete(index: int, value: Any, seconds: float) -> None:
         # Persist each result the moment it exists, not after the whole

@@ -79,7 +79,10 @@ class Job:
     (values may themselves be unhashable, e.g. dicts — compare jobs or
     key them via :meth:`describe`, not ``hash``); ``seed`` (when set) is
     passed as the ``seed`` keyword, giving every job its own
-    deterministic RNG stream.
+    deterministic RNG stream. ``group`` is a scheduling hint, not part of
+    the computation: jobs that share a non-``None`` group (trace jobs of
+    one trace) run one after another, and it stays out of
+    :meth:`describe`, equality and :func:`job_identity`.
 
     Examples
     --------
@@ -96,6 +99,7 @@ class Job:
     fn: Callable[..., Any]
     config: Tuple[Tuple[str, Any], ...] = ()
     seed: Optional[int] = None
+    group: Any = field(default=None, compare=False)
 
     @classmethod
     def create(
@@ -103,6 +107,7 @@ class Job:
         name: str,
         fn: Callable[..., Any],
         seed: Optional[int] = None,
+        group: Any = None,
         **config: Any,
     ) -> "Job":
         """Build a job from plain keyword arguments."""
@@ -111,6 +116,7 @@ class Job:
             fn=fn,
             config=tuple(sorted(config.items())),
             seed=seed,
+            group=group,
         )
 
     @property

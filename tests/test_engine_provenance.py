@@ -32,7 +32,7 @@ from repro.perf.engine import (
     simulate_point_job,
 )
 from repro.perf import trace
-from repro.perf._kernel.loader import materializer_available
+from repro.perf._kernel.loader import load_kernel, materializer_available
 from repro.perf.trace import (
     clear_trace_memo,
     materialize_mix,
@@ -40,6 +40,7 @@ from repro.perf.trace import (
 )
 from repro.runner import Job, ResultCache
 from repro.workloads.spec import mix_by_name
+from repro.workloads.trace import TraceGenerator
 
 
 def _point_job(engine: str) -> Job:
@@ -301,3 +302,34 @@ class TestMaterializerPaths:
             batch = materialize_mix(mix_by_name(name), 11, 30_000)
             _assert_same_arrays(batch, expected[name])
         assert len(calls) == calls_after_probe
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, None])
+    def test_chunked_draws_equal_core_trace(
+        self, fresh_materializer, monkeypatch, chunk
+    ):
+        """The C materializer resumes each core's stream across chunks:
+        at any chunk size, the default included, its arrays equal the
+        ``CoreTrace`` path's, also when a core's last access fills a
+        chunk exactly."""
+        if chunk is not None:
+            monkeypatch.setattr(trace, "_CHUNK", chunk)
+        cases = [("Mix1", 11, 3_000), ("Mix7", 3, 30_000), ("Mix9", 0, 60_000)]
+        boundary = None
+        if chunk is not None:
+            boundary = ("Mix4", 5, _budget_ending_at("Mix4", 5, 2 * chunk))
+            cases.append(boundary)
+        lib = load_kernel()
+        for name, seed, instructions in cases:
+            args = (name, tuple(mix_by_name(name).profiles), seed, instructions)
+            compiled = trace._build_batch(*args, lib)
+            reference = trace._build_batch(*args, None)
+            _assert_same_arrays(compiled, reference)
+            if (name, seed, instructions) == boundary:
+                assert reference.core_offsets[1] == 2 * chunk
+
+
+def _budget_ending_at(name: str, seed: int, accesses: int) -> int:
+    """An instruction budget that core 0 of ``name`` retires on exactly
+    its ``accesses``-th access."""
+    core = TraceGenerator(mix_by_name(name).profiles, seed=seed).core_traces()[0]
+    return sum(next(core).instructions_since_last for _ in range(accesses))

@@ -17,9 +17,11 @@ one:
 LOT-ECC checksum accounting is drawn too: its extra bursts change
 timing, never the cache, so every invariant holds in both modes.
 
-A tracemalloc check pins the driver's memory: once a trace's buffers
-exist, replaying more points over it allocates only a few small
-per-point arrays, whatever the trace length.
+Tracemalloc checks pin the trace layers' memory: once a trace's
+buffers exist, replaying more points over it allocates only a few small
+per-point arrays, whatever the trace length; materializing a trace
+peaks at a small multiple of the trace itself; and replaying one mix
+after another keeps at most one trace alive.
 
 Skips with the loader's reason when no C compiler is present.
 """
@@ -27,6 +29,7 @@ Skips with the loader's reason when no C compiler is present.
 import dataclasses
 import gc
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,7 @@ from repro.config import (
     BASELINE_MEMORY_CONFIG,
     PROCESSOR_CONFIG,
 )
+from repro.perf import trace
 from repro.perf._kernel import (
     kernel_available,
     kernel_provenance,
@@ -44,7 +48,11 @@ from repro.perf._kernel import (
 )
 from repro.perf.engine import SweepPoint, replay
 from repro.perf.simulator import TraceSimulator
-from repro.perf.trace import materialize_mix
+from repro.perf.trace import (
+    clear_trace_memo,
+    materialize_mix,
+    trace_rng_provenance,
+)
 from repro.workloads.spec import ALL_MIXES, mix_by_name
 
 pytestmark = pytest.mark.skipif(
@@ -133,10 +141,11 @@ class TestKernelInvariants:
 
 
 class TestBoundedMemory:
-    """Replay keeps no per-point array: after the first point over a
-    trace, further points — other upgraded fractions, another
-    organization — retain under 16 KB and peak under 64 KB, whatever
-    the trace length."""
+    """Trace memory is bounded by one trace. Replay keeps no per-point
+    array: after the first point over a trace, further points — other
+    upgraded fractions, another organization — retain under 16 KB and
+    peak under 64 KB, whatever the trace length. Materialization peaks
+    near the trace's own size, and the memo keeps one trace."""
 
     @pytest.mark.parametrize("instructions", [3_000, 30_000])
     def test_more_points_over_one_trace_allocate_little(self, instructions):
@@ -157,3 +166,53 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert retained < 16 * 1024, retained
         assert peak < 64 * 1024, peak
+
+    def test_materialization_peaks_near_the_trace_size(self):
+        """Chunked draws: scratch space does not grow with the budget,
+        so drawing 2M instructions per core peaks at a small multiple
+        of the arrays it returns (sizing scratch to the budget peaked
+        at about 52x)."""
+        trace_rng_provenance()  # run the probe outside the measurement
+        clear_trace_memo()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            batch = materialize_mix(mix_by_name("Mix9"), 0, 2_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            clear_trace_memo()
+        own = sum(
+            array.nbytes
+            for array in (
+                batch.line_addresses,
+                batch.write_flags,
+                batch.instruction_gaps,
+                batch.core_offsets,
+            )
+        )
+        assert peak <= 3 * own, (peak, own)
+
+    def test_replaying_every_mix_retains_one_trace(self, monkeypatch):
+        """A batch and its kernel buffers are freed once the memo moves
+        on to the next trace."""
+        trace_rng_provenance()  # the probe's batches are not counted
+        built = []
+        original = trace._build_batch
+
+        def tracked(*args):
+            batch = original(*args)
+            built.append(weakref.ref(batch))
+            return batch
+
+        monkeypatch.setattr(trace, "_build_batch", tracked)
+        clear_trace_memo()
+        try:
+            for mix in ALL_MIXES:
+                replay(mix, SweepPoint(), 3_000, 11, engine="compiled")
+            gc.collect()
+            alive = [ref for ref in built if ref() is not None]
+        finally:
+            clear_trace_memo()
+        assert len(built) == len(ALL_MIXES)
+        assert len(alive) <= 1

@@ -25,6 +25,13 @@ from repro.config import (
     PROCESSOR_CONFIG,
 )
 from repro.dram.addressing import AddressMapping, MappingPolicy
+from repro.experiments import (
+    plan_fig7_1,
+    plan_fig7_2_7_3,
+    plan_sweep_upgraded_fraction_measured,
+)
+from repro.fleet import plan_measured_profiles
+from repro.fleet.policies import plan_fleet_compare_measured
 from repro.perf import trace as trace_module
 from repro.perf._kernel import (
     kernel_available,
@@ -45,7 +52,7 @@ from repro.perf.simulator import (
     page_is_upgraded,
 )
 from repro.perf.trace import materialize_mix
-from repro.workloads.spec import mix_by_name
+from repro.workloads.spec import ALL_MIXES, mix_by_name
 from repro.workloads.trace import CoreTrace, TraceGenerator
 
 #: Quick scale of the trace checks (the registry's --quick setting).
@@ -352,6 +359,52 @@ class TestTraceMaterialization:
                 gap_cycles[view].tolist(),
             ):
                 assert cycles == gap / profile.base_ipc
+
+
+class TestInstructionBudget:
+    """A budget below one instruction per core fails at every entry
+    point, naming ``instructions_per_core``: the replay kernel reads a
+    core's first access before it checks for the end of the stream, so
+    an empty core crashed the interpreter."""
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_materialize_mix_rejects(self, budget):
+        with pytest.raises(ValueError, match="instructions_per_core"):
+            materialize_mix(mix_by_name("Mix1"), 3, budget)
+
+    @pytest.mark.parametrize("engine", TIERS)
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_replay_rejects(self, engine, budget):
+        with pytest.raises(ValueError, match="instructions_per_core"):
+            replay(mix_by_name("Mix1"), SweepPoint(), budget, 3, engine=engine)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            plan_fig7_1,
+            plan_fig7_2_7_3,
+            plan_sweep_upgraded_fraction_measured,
+            plan_measured_profiles,
+            plan_fleet_compare_measured,
+        ],
+    )
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_plan_builders_reject_at_build_time(self, build, budget):
+        with pytest.raises(ValueError, match="instructions_per_core"):
+            build(mixes=ALL_MIXES[:1], instructions_per_core=budget)
+
+    @pytest.mark.skipif(
+        not kernel_available(),
+        reason=f"compiled replay kernel unavailable: {kernel_provenance()}",
+    )
+    def test_driver_refuses_an_empty_core(self):
+        mix = mix_by_name("Mix1")
+        batch = trace_module._build_batch(
+            mix.name, tuple(mix.profiles), 3, 0, None
+        )
+        assert batch.accesses == 0
+        with pytest.raises(ValueError, match="at least one access"):
+            replay_compiled(batch, SweepPoint(), PROCESSOR_CONFIG)
 
 
 class TestPageUpgradeProperties:

@@ -7,8 +7,13 @@ run the real figure pipelines both ways at reduced scale and compare
 exact values — no tolerances.
 """
 
+import collections
+import dataclasses
+import hashlib
+
 import pytest
 
+from repro.config import ARCC_MEMORY_CONFIG
 from repro.experiments import (
     plan_fig3_1,
     plan_fig6_1,
@@ -18,10 +23,13 @@ from repro.experiments import (
     plan_fig7_6,
     plan_sweep_upgraded_fraction_measured,
 )
+from repro.perf import trace
+from repro.perf._kernel import kernel_available, kernel_provenance
+from repro.perf.engine import point_job, resolve_engine
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.montecarlo import BLOCK_CHANNELS, plan_montecarlo
-from repro.runner import ResultCache, execute_plan
-from repro.workloads.spec import ALL_MIXES
+from repro.runner import Job, ResultCache, execute_plan, job_identity, run_jobs
+from repro.workloads.spec import ALL_MIXES, mix_by_name
 
 
 def _outcome_tuple(outcome):
@@ -117,6 +125,90 @@ class TestFigureParallelism:
             max_workers=4,
         )
         assert a.ratios == b.ratios
+
+
+def _note(x, seed=0, log=None):
+    """Job that records its run order in ``log`` (inline runs only)."""
+    log.append(x)
+    return x + seed
+
+
+#: sha256 of a fixed ``point_job``'s identity on each replay tier, pinned:
+#: the grouping key is a scheduling hint, and were it part of the
+#: identity, every cache entry would change.
+POINT_JOB_IDENTITY_SHA256 = {
+    "compiled": "274db7528cdc6b2ca99c43eba577dfd11917820f115f087063b2510d427f5d0f",
+    "reference": "9c6b67514b647dcd06fa9f1f1592df76ecc5a9e97687b6d834ed7d692f46c47a",
+}
+
+
+class TestGroupedTraceJobs:
+    """Jobs sharing a ``group`` (the trace jobs of one trace) run one
+    group after another, so the one-batch trace memo draws each trace
+    once; results, values and identities do not move."""
+
+    def test_groups_run_together_in_order_of_first_appearance(self):
+        log = []
+        groups = ["a", None, "b", "a", None, "b"]
+        jobs = [
+            Job.create(f"j{i}", _note, seed=0, group=group, x=i, log=log)
+            for i, group in enumerate(groups)
+        ]
+        results = run_jobs(jobs, max_workers=1)
+        assert log == [0, 3, 1, 2, 5, 4]
+        assert [r.name for r in results] == [j.name for j in jobs]
+        assert [r.value for r in results] == list(range(6))
+
+    @staticmethod
+    def _interleaved_jobs():
+        """Figure 7.1's jobs followed by Figures 7.2/7.3's, same mixes."""
+        kwargs = dict(mixes=ALL_MIXES[:3], instructions_per_core=3_000)
+        return plan_fig7_1(**kwargs).jobs + plan_fig7_2_7_3(**kwargs).jobs
+
+    @pytest.mark.skipif(
+        not kernel_available(),
+        reason=f"compiled replay kernel unavailable: {kernel_provenance()}",
+    )
+    def test_each_trace_is_drawn_once(self, monkeypatch):
+        trace.trace_rng_provenance()  # the probe's batches are not counted
+        calls = collections.Counter()
+        original = trace._build_batch
+
+        def counted(*args):
+            calls[args[:4]] += 1
+            return original(*args)
+
+        monkeypatch.setattr(trace, "_build_batch", counted)
+        trace.clear_trace_memo()
+        jobs = self._interleaved_jobs()
+        results = run_jobs(jobs, max_workers=1)
+        trace.clear_trace_memo()
+        assert [r.name for r in results] == [j.name for j in jobs]
+        assert len(calls) == 3
+        assert set(calls.values()) == {1}
+
+    def test_values_identical_at_one_and_two_workers(self):
+        jobs = self._interleaved_jobs()
+        inline = run_jobs(jobs, max_workers=1)
+        pooled = run_jobs(jobs, max_workers=2)
+        assert [r.name for r in pooled] == [j.name for j in jobs]
+        assert [r.value for r in inline] == [r.value for r in pooled]
+
+    def test_group_is_not_part_of_the_identity(self):
+        job = point_job(
+            "fig7.1[Mix1][arcc]",
+            mix=mix_by_name("Mix1"),
+            config=ARCC_MEMORY_CONFIG,
+            upgraded_fraction=0.0,
+            instructions_per_core=2_000,
+            seed=7,
+        )
+        assert job.group == (
+            "Mix1", tuple(mix_by_name("Mix1").profiles), 7, 2_000
+        )
+        digest = hashlib.sha256(job_identity(job).encode()).hexdigest()
+        assert digest == POINT_JOB_IDENTITY_SHA256[resolve_engine("auto")]
+        assert job == dataclasses.replace(job, group=None)
 
 
 class TestCacheReproducibility:
