@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 
 from repro.config import MemoryConfig
 from repro.core.modes import ProtectionMode
-from repro.dram.addressing import AddressMapping, MappingPolicy
+from repro.dram.addressing import AddressMapping
 from repro.dram.device import DRAMDevice
 from repro.ecc.chipkill import (
     ChipkillCodec,
@@ -65,19 +65,14 @@ def symbol_home(mode: ProtectionMode, symbol_index: int) -> Tuple[int, int]:
 class ArccStorage:
     """Devices of one ARCC memory system plus the symbol placement logic."""
 
-    def __init__(
-        self,
-        config: MemoryConfig,
-        pages: int,
-        policy: MappingPolicy = MappingPolicy.HIPERF,
-    ):
+    def __init__(self, config: MemoryConfig, pages: int):
         if config.devices_per_rank != DEVICES_PER_SUBLINE:
             raise ValueError(
                 "functional storage models the 18-device ARCC rank"
             )
         self.config = config
         self.pages = pages
-        self.mapping = AddressMapping(config, policy)
+        self.mapping = AddressMapping(config)
         self.total_lines = pages * config.lines_per_page
 
         lines_per_bank_row = self.mapping.lines_per_row

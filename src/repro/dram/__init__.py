@@ -13,7 +13,7 @@ Two concerns live here, deliberately separated:
   sub-line requests that upgraded ARCC pages require (Section 4.2.4).
 """
 
-from repro.dram.addressing import AddressMapping, MappingPolicy
+from repro.dram.addressing import AddressMapping
 from repro.dram.channel import Channel
 from repro.dram.controller import MemoryController
 from repro.dram.device import DRAMDevice
@@ -39,7 +39,6 @@ __all__ = [
     "DeviceTimings",
     "MICRON_512MB_X4",
     "MICRON_512MB_X8",
-    "MappingPolicy",
     "MemoryController",
     "MemorySystem",
     "PowerCounters",

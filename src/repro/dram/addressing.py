@@ -1,42 +1,20 @@
-"""Physical-address mapping policies (DRAMsim's BASE / HIPERF / CLOSE_PAGE).
+"""The physical-address map: DRAMsim's high-performance ``sdram_hiperf_map``.
 
 The mapping decides which channel, rank, bank, row and column serve a line
 address. The property ARCC depends on (Section 4.1) is that conventional
 multi-controller mappings put *adjacent 64B lines on alternate channels*,
 so the two sub-lines of an upgraded 128B line always live on different
-channels and can be fetched in parallel. The high-performance map used in
-the evaluation interleaves channel first, then bank, then rank — maximizing
-parallelism for streams under the closed-page policy.
+channels and can be fetched in parallel. The evaluation's map interleaves
+channel first, then bank, then rank, then column, then row (lowest-order
+field first) — maximizing parallelism for streams under the closed-page
+policy. It is the one map the memory system uses.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from repro.config import MemoryConfig
-
-
-class MappingPolicy(enum.Enum):
-    """Address interleave orders (lowest-order field listed first).
-
-    All three put the channel at the bottom — adjacent lines alternate
-    channels, the property Figure 4.1 requires — and differ in what they
-    interleave next:
-
-    * ``BASE`` — channel : column : bank : rank : row. Sequential lines
-      fill a DRAM row before moving on (row-buffer locality for
-      open-page policies).
-    * ``HIPERF`` — channel : bank : rank : column : row. Banks first:
-      sequential streams hit different banks, maximizing parallelism
-      under the closed-page policy (the evaluation's choice).
-    * ``CLOSE_PAGE`` — channel : rank : bank : column : row. Ranks
-      before banks, spreading consecutive lines across ranks.
-    """
-
-    BASE = "sdram_base_map"
-    HIPERF = "sdram_hiperf_map"
-    CLOSE_PAGE = "sdram_close_page_map"
 
 
 @dataclass(frozen=True)
@@ -56,22 +34,16 @@ def _take(value: int, count: int) -> tuple:
 
 
 class AddressMapping:
-    """Line-address decoder for one mapping policy and memory geometry.
+    """Line-address decoder for one memory geometry.
 
-    Addresses are *line indices* (byte address / line size); all policies
-    here put the channel bits at the bottom so adjacent lines alternate
-    channels, as the paper's Figure 4.1 requires.
+    Addresses are *line indices* (byte address / line size), decoded
+    channel : bank : rank : column : row from the bottom, so adjacent
+    lines alternate channels, as the paper's Figure 4.1 requires.
     """
 
-    def __init__(
-        self,
-        config: MemoryConfig,
-        policy: MappingPolicy = MappingPolicy.HIPERF,
-        rows: int = 16384,
-    ):
+    def __init__(self, config: MemoryConfig):
         self.config = config
-        self.policy = policy
-        self.rows = rows
+        self.rows = config.rows_per_bank
         line_bits = config.cacheline_bytes
         row_bytes = config.page_bytes * config.pages_per_row
         self.lines_per_row = row_bytes // line_bits
@@ -81,25 +53,11 @@ class AddressMapping:
         if line_address < 0:
             raise ValueError("line address must be non-negative")
         cfg = self.config
-        rest = line_address
-        if self.policy == MappingPolicy.BASE:
-            channel, rest = _take(rest, cfg.channels)
-            column, rest = _take(rest, self.lines_per_row)
-            bank, rest = _take(rest, cfg.banks_per_device)
-            rank, rest = _take(rest, cfg.ranks_per_channel)
-            row = rest % self.rows
-        elif self.policy == MappingPolicy.HIPERF:
-            channel, rest = _take(rest, cfg.channels)
-            bank, rest = _take(rest, cfg.banks_per_device)
-            rank, rest = _take(rest, cfg.ranks_per_channel)
-            column, rest = _take(rest, self.lines_per_row)
-            row = rest % self.rows
-        else:  # CLOSE_PAGE
-            channel, rest = _take(rest, cfg.channels)
-            rank, rest = _take(rest, cfg.ranks_per_channel)
-            bank, rest = _take(rest, cfg.banks_per_device)
-            column, rest = _take(rest, self.lines_per_row)
-            row = rest % self.rows
+        channel, rest = _take(line_address, cfg.channels)
+        bank, rest = _take(rest, cfg.banks_per_device)
+        rank, rest = _take(rest, cfg.ranks_per_channel)
+        column, rest = _take(rest, self.lines_per_row)
+        row = rest % self.rows
         return DecodedAddress(
             channel=channel, rank=rank, bank=bank, row=row, column=column
         )
@@ -107,24 +65,11 @@ class AddressMapping:
     def encode(self, decoded: DecodedAddress) -> int:
         """Inverse of :meth:`decode` (used by tests and the scrubber)."""
         cfg = self.config
-        if self.policy == MappingPolicy.BASE:
-            value = decoded.row
-            value = value * cfg.ranks_per_channel + decoded.rank
-            value = value * cfg.banks_per_device + decoded.bank
-            value = value * self.lines_per_row + decoded.column
-            value = value * cfg.channels + decoded.channel
-        elif self.policy == MappingPolicy.HIPERF:
-            value = decoded.row
-            value = value * self.lines_per_row + decoded.column
-            value = value * cfg.ranks_per_channel + decoded.rank
-            value = value * cfg.banks_per_device + decoded.bank
-            value = value * cfg.channels + decoded.channel
-        else:  # CLOSE_PAGE
-            value = decoded.row
-            value = value * self.lines_per_row + decoded.column
-            value = value * cfg.banks_per_device + decoded.bank
-            value = value * cfg.ranks_per_channel + decoded.rank
-            value = value * cfg.channels + decoded.channel
+        value = decoded.row
+        value = value * self.lines_per_row + decoded.column
+        value = value * cfg.ranks_per_channel + decoded.rank
+        value = value * cfg.banks_per_device + decoded.bank
+        value = value * cfg.channels + decoded.channel
         return value
 
     def sibling_line(self, line_address: int) -> int:

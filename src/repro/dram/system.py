@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.config import MemoryConfig
-from repro.dram.addressing import AddressMapping, MappingPolicy
+from repro.dram.addressing import AddressMapping
 from repro.dram.channel import Channel
 from repro.dram.command import MemoryRequest
 from repro.dram.controller import ControllerStats, MemoryController
@@ -82,13 +82,12 @@ class MemorySystem:
     def __init__(
         self,
         config: MemoryConfig,
-        policy: MappingPolicy = MappingPolicy.HIPERF,
         lotecc_checksum: bool = False,
     ):
         self.config = config
         self.timings = timings_for_width(config.io_width)
         self.power_params = power_params_for_width(config.io_width)
-        self.mapping = AddressMapping(config, policy)
+        self.mapping = AddressMapping(config)
         self.channels = [
             Channel(self.timings, config.ranks_per_channel)
             for _ in range(config.channels)

@@ -23,7 +23,12 @@ import numpy as np
 
 from repro.config import ARCC_MEMORY_CONFIG, MemoryConfig
 from repro.faults.types import DEFAULT_FIT_RATES, FaultRates
-from repro.fleet.engine import faulty_fractions_by_year, fleet_blocks, sample_block
+from repro.fleet.engine import (
+    check_channels,
+    faulty_fractions_by_year,
+    fleet_blocks,
+    sample_block,
+)
 from repro.runner import ExperimentPlan, Job
 from repro.util.stats import confidence_interval
 from repro.util.tables import format_table
@@ -98,8 +103,10 @@ def plan_fig3_1(
 
     Every multiplier samples the same block partition (common random
     numbers across the 1x/2x/4x sweep), and each block's stream derives
-    only from ``seed`` and the block index.
+    only from ``seed`` and the block index. ``channels`` below 1
+    raises ``ValueError``.
     """
+    check_channels(channels)
     multipliers = tuple(multipliers)
     blocks = fleet_blocks(seed, channels)
     jobs = [

@@ -33,7 +33,12 @@ import numpy as np
 from repro.faults.lifetime import FaultEvent
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.faults.types import FaultType
-from repro.fleet.engine import fleet_blocks, overhead_series_by_year, sample_block
+from repro.fleet.engine import (
+    check_channels,
+    fleet_blocks,
+    overhead_series_by_year,
+    sample_block,
+)
 from repro.perf.simulator import (
     worst_case_performance_ratio,
     worst_case_power_ratio,
@@ -221,8 +226,10 @@ def plan_fig7_4_7_5(
     """Figures 7.4/7.5 as runner jobs: one per (rate multiplier, block).
 
     ``overheads`` maps fault type -> (power ratio, perf ratio); ``None``
-    uses :data:`FALLBACK_OVERHEADS`.
+    uses :data:`FALLBACK_OVERHEADS`. ``channels`` below 1 raises
+    ``ValueError``.
     """
+    check_channels(channels)
     multipliers = tuple(multipliers)
     overheads = overheads or FALLBACK_OVERHEADS
     blocks = fleet_blocks(seed, channels)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.core.lotecc_arcc import lotecc_lifetime_overhead
+from repro.fleet.engine import check_channels
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.due import due_reduction_factor
 from repro.runner import ExperimentPlan, Job
@@ -63,7 +64,11 @@ def plan_fig7_6(
     multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
     seed: int = 0x107ECC,
 ) -> ExperimentPlan:
-    """Figure 7.6 as runner jobs: one job per rate multiplier."""
+    """Figure 7.6 as runner jobs: one job per rate multiplier.
+
+    ``channels`` below 1 raises ``ValueError``.
+    """
+    check_channels(channels)
     multipliers = tuple(multipliers)
     jobs = [
         Job.create(

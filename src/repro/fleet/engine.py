@@ -204,6 +204,17 @@ def sample_block(
     )
 
 
+def check_channels(channels: int) -> None:
+    """Reject a population below one channel.
+
+    Figure planners call this: their assembly needs at least one
+    sampled channel. :func:`fleet_blocks` itself still partitions an
+    empty population into no blocks.
+    """
+    if channels < 1:
+        raise ValueError(f"channels must be at least 1, got {channels!r}")
+
+
 def fleet_blocks(
     seed: int, channels: int, block_channels: int = FLEET_BLOCK_CHANNELS
 ) -> List[Tuple[int, int]]:

@@ -18,15 +18,16 @@ locate the faulty circuitry at rank level (the fields the per-channel
 event form always had), and ``bank``/``row``/``column`` refine the
 footprint below the device so reductions that need exact
 footprint-intersection geometry (the uncorrectable-pair screen) can
-compute it instead of bounding it. Histories predating the coordinate
-extension default the sub-device coordinates to zero — zero coordinates
-reproduce the rank-level behaviour exactly.
+compute it instead of bounding it. Every coordinate array is required;
+a caller that only knows rank-level coordinates passes zeros for the
+sub-device ones, which reproduce the rank-level behaviour exactly (zero
+coordinates always co-locate).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,8 +41,7 @@ FAULT_TYPE_ORDER: Tuple[FaultType, ...] = tuple(FaultType)
 
 _CODE_OF = {fault_type: code for code, fault_type in enumerate(FAULT_TYPE_ORDER)}
 
-#: Per-event array fields, in canonical order. ``bank``/``row``/``column``
-#: default to zeros so pre-coordinate callers keep working unchanged.
+#: Per-event array fields, in canonical order.
 EVENT_FIELDS: Tuple[str, ...] = (
     "time_hours",
     "type_code",
@@ -79,8 +79,7 @@ class FaultEventBatch:
         circuitry within the member's memory system.
     bank, row, column : numpy.ndarray
         ``(events,)`` int64 sub-device coordinates of the fault
-        footprint. Optional at construction; omitted fields default to
-        zeros (the pre-coordinate rank-level representation).
+        footprint. All zeros is the rank-level representation.
 
     Examples
     --------
@@ -92,6 +91,9 @@ class FaultEventBatch:
     ...     channel=np.array([0, 1]),
     ...     rank=np.array([0, 1]),
     ...     device=np.array([7, 2]),
+    ...     bank=np.array([0, 3]),
+    ...     row=np.array([0, 120]),
+    ...     column=np.array([0, 0]),
     ... )
     >>> batch.num_channels, batch.num_events
     (2, 2)
@@ -99,8 +101,8 @@ class FaultEventBatch:
     [2, 0]
     >>> [ft.value for ft in batch.fault_types()]
     ['lane', 'bank']
-    >>> batch.bank.tolist()  # defaulted sub-device coordinates
-    [0, 0]
+    >>> batch.bank.tolist()
+    [0, 3]
     """
 
     offsets: np.ndarray  # (members + 1,) int64, monotone, offsets[0] == 0
@@ -109,19 +111,9 @@ class FaultEventBatch:
     channel: np.ndarray  # (events,) int64
     rank: np.ndarray  # (events,) int64
     device: np.ndarray  # (events,) int64
-    bank: Optional[np.ndarray] = None  # (events,) int64, defaults to zeros
-    row: Optional[np.ndarray] = None  # (events,) int64, defaults to zeros
-    column: Optional[np.ndarray] = None  # (events,) int64, defaults to zeros
-
-    def __post_init__(self) -> None:
-        # Sub-device coordinates are optional: histories that predate
-        # them normalize to zeros, which reproduce rank-level behaviour
-        # exactly (zero coordinates always co-locate).
-        for name in ("bank", "row", "column"):
-            if getattr(self, name) is None:
-                object.__setattr__(
-                    self, name, np.zeros(len(self.time_hours), dtype=np.int64)
-                )
+    bank: np.ndarray  # (events,) int64
+    row: np.ndarray  # (events,) int64
+    column: np.ndarray  # (events,) int64
 
     @property
     def num_channels(self) -> int:

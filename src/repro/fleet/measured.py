@@ -59,7 +59,7 @@ from repro.config import ARCC_MEMORY_CONFIG, MEASUREMENT_CONFIG, MemoryConfig
 from repro.core.lotecc_arcc import WORST_CASE_UPGRADE_FACTOR
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.faults.types import FaultType
-from repro.perf.engine import arcc_capable, point_job
+from repro.perf.engine import point_job
 from repro.perf.simulator import (
     worst_case_performance_ratio,
     worst_case_power_ratio,
@@ -235,12 +235,6 @@ def _check_organizations(
 ) -> Tuple[MemoryConfig, ...]:
     seen: Dict[str, MemoryConfig] = {}
     for config in organizations:
-        if not arcc_capable(config):
-            raise ValueError(
-                f"organization {config.name!r} has {config.channels} "
-                "channel(s); measured overheads need the >=2 channels "
-                "ARCC pairing requires (use worst-case weights instead)"
-            )
         known = seen.setdefault(config.name, config)
         if known != config:
             raise ValueError(

@@ -380,9 +380,8 @@ def uncorrectable_candidate_channels(
     bit-identical to the Monte-Carlo footprint model on identical
     coordinates (the ``pair-screen`` fuzz oracle and
     ``tests/test_policy_mc_crosscheck.py`` enforce equality in both
-    directions). Batches without sub-device coordinates default them to
-    zero, which reproduces the historical rank-level (upper-bound)
-    behaviour.
+    directions). A batch whose sub-device coordinates are all zero
+    gets the rank-level (upper-bound) screen.
 
     The screen is one segmented pass: the device-level events of every
     member with at least two of them form one segment each, and

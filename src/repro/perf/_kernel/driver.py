@@ -42,7 +42,6 @@ from repro.dram.system import power_report_from_counters
 from repro.dram.timing import power_params_for_width, timings_for_width
 from repro.perf._kernel.loader import (
     REPLAY_NOMEM,
-    REPLAY_SINGLE_CHANNEL_PAIR,
     STAT_HITS,
     STAT_MAX_OCCUPANCY,
     STAT_MIRROR_VIOLATIONS,
@@ -180,9 +179,6 @@ def replay_compiled(
     """
     validate_llc_geometry(processor.l2_sets, processor.l2_assoc)
     config = point.config
-    arcc_enabled = point.resolved_arcc()
-    fraction = point.upgraded_fraction
-    upgrading = arcc_enabled and fraction > 0.0
 
     if not np.all(np.diff(batch.core_offsets) > 0):
         # The kernel reads a core's first access before it checks for
@@ -203,7 +199,6 @@ def replay_compiled(
         n_channels=config.channels,
         n_ranks=config.ranks_per_channel,
         banks_per_device=config.banks_per_device,
-        paired_single_channel=int(upgrading and config.channels == 1),
         lotecc_checksum=int(point.lotecc_checksum),
         route_mod=len(routes[0]),
         lines_per_page=CoreTrace.LINES_PER_PAGE,
@@ -214,8 +209,9 @@ def replay_compiled(
         data_offset_ns=timings.trcd_ns + timings.cas_ns,
         hysteresis_ns=POWERDOWN_HYSTERESIS_NS,
         ns_per_cycle=1.0 / processor.clock_ghz,
-        # page_is_upgraded's threshold, the same double.
-        upgrade_below=fraction * _HASH_MOD if upgrading else 0.0,
+        # page_is_upgraded's threshold, the same double (0.0 at
+        # fraction 0, so nothing is upgraded).
+        upgrade_below=point.upgraded_fraction * _HASH_MOD,
     )
 
     cycles = np.zeros(n_cores, dtype=np.float64)
@@ -242,13 +238,6 @@ def replay_compiled(
         *buffers.pointers,
         *(a.ctypes.data for a in routes + outputs),
     )
-    if status == REPLAY_SINGLE_CHANNEL_PAIR:
-        # The exact message the scalar controller raises on this
-        # condition.
-        raise RuntimeError(
-            "sub-lines of an upgraded line mapped to one channel; "
-            "address mapping must interleave channels at line level"
-        )
     if status == REPLAY_NOMEM:
         raise MemoryError("replay kernel allocation failed")
 

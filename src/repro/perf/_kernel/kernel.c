@@ -71,7 +71,7 @@
 typedef long long i64;
 typedef unsigned char u8;
 
-/* Keep in sync with the ctypes.Structure in loader.py: twelve 8-byte
+/* Keep in sync with the ctypes.Structure in loader.py: eleven 8-byte
  * integers followed by seven doubles, so the layout has no padding. */
 typedef struct {
     i64 n_accesses;
@@ -81,7 +81,6 @@ typedef struct {
     i64 n_channels;
     i64 n_ranks; /* per channel */
     i64 banks_per_device;
-    i64 paired_single_channel;
     i64 lotecc_checksum; /* SweepPoint.lotecc_checksum */
     i64 route_mod;       /* M: route-table length */
     i64 lines_per_page;  /* CoreTrace.LINES_PER_PAGE */
@@ -92,13 +91,12 @@ typedef struct {
     double data_offset_ns;
     double hysteresis_ns;
     double ns_per_cycle;
-    double upgrade_below; /* fraction * 2**32, or 0.0 when nothing is */
+    double upgrade_below; /* fraction * 2**32: 0.0 upgrades nothing */
 } ReplayParams;
 
 /* Return codes. */
 #define REPLAY_OK 0
-#define REPLAY_SINGLE_CHANNEL_PAIR 1
-#define REPLAY_NOMEM 2
+#define REPLAY_NOMEM 1
 
 /* stat_out layout (before the per-core final positions). */
 #define STAT_HITS 0
@@ -447,12 +445,6 @@ int replay_kernel(
                 double completion, latency;
                 int w;
 
-                if (is_upg && P->paired_single_channel) {
-                    status = REPLAY_SINGLE_CHANNEL_PAIR;
-                    position[core] = p;
-                    cycles[core] = cyc;
-                    goto done;
-                }
                 evict_until_free(&L, s, wbs, &n_wb);
                 clock += 1;
                 set_append(&L, s, a, clock, (u8)(is_write ? 1 : 0),
@@ -580,14 +572,14 @@ int replay_kernel(
     }
 
 done:
-    if (status != REPLAY_NOMEM) {
+    if (status == REPLAY_OK) {
         float_out[0] = total_latency;
         stat_out[STAT_HITS] = hits;
         stat_out[STAT_MISSES] = misses;
         stat_out[STAT_MAX_OCCUPANCY] = L.max_occupancy;
         stat_out[STAT_MIRROR_VIOLATIONS] = mirror_violations;
         for (k = 0; k < n_cores; k++) {
-            stat_out[STAT_POSITIONS + k] = position ? position[k] : 0;
+            stat_out[STAT_POSITIONS + k] = position[k];
         }
     }
     free(L.slot_addr);

@@ -78,7 +78,7 @@ _state: Optional[Tuple[bool, str, Optional[ctypes.CDLL]]] = None
 
 class ReplayParams(ctypes.Structure):
     """Mirror of ``ReplayParams`` in ``kernel.c`` (same field order):
-    twelve 8-byte integers, then seven doubles, so there is no padding."""
+    eleven 8-byte integers, then seven doubles, so there is no padding."""
 
     _fields_ = [
         ("n_accesses", ctypes.c_longlong),
@@ -88,7 +88,6 @@ class ReplayParams(ctypes.Structure):
         ("n_channels", ctypes.c_longlong),
         ("n_ranks", ctypes.c_longlong),
         ("banks_per_device", ctypes.c_longlong),
-        ("paired_single_channel", ctypes.c_longlong),
         ("lotecc_checksum", ctypes.c_longlong),
         ("route_mod", ctypes.c_longlong),
         ("lines_per_page", ctypes.c_longlong),
@@ -105,8 +104,7 @@ class ReplayParams(ctypes.Structure):
 
 #: ``replay_kernel`` return codes (keep in sync with kernel.c).
 REPLAY_OK = 0
-REPLAY_SINGLE_CHANNEL_PAIR = 1
-REPLAY_NOMEM = 2
+REPLAY_NOMEM = 1
 
 #: ``stat_out`` slot indices (keep in sync with kernel.c).
 STAT_HITS = 0
@@ -282,7 +280,6 @@ __all__ = [
     "DISABLE_ENV",
     "REPLAY_NOMEM",
     "REPLAY_OK",
-    "REPLAY_SINGLE_CHANNEL_PAIR",
     "STAT_HITS",
     "STAT_MAX_OCCUPANCY",
     "STAT_MIRROR_VIOLATIONS",

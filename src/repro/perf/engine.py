@@ -21,12 +21,19 @@ The two are bit-identical, field for field of the
 (``tests/test_kernel_equivalence.py``), LOT-ECC checksum points
 (:attr:`SweepPoint.lotecc_checksum`) included. Figures reach
 :func:`replay` through the :func:`point_job` runner jobs.
+
+Pairing is a property of the organization, not an option: an upgraded
+line reads its two sub-lines from both channels in lockstep, so any
+organization with at least two channels pairs and a one-channel one
+cannot host upgraded pages. :class:`SweepPoint` rejects such a point
+when it is built, and :func:`point_job` builds one, so every trace plan
+rejects it when the plan is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -70,10 +77,10 @@ def arcc_capable(config: MemoryConfig) -> bool:
     """Whether an organization can run upgraded (paired) pages.
 
     Sub-lines of an upgraded line live on the two sides of ``addr ^ 1``,
-    and every mapping policy takes the channel from the bottom of the
-    address, so pairing needs at least two channels. Custom organizations
-    from scenario files are screened with this before any measured-
-    overhead trace job is planned for them.
+    and the HIPERF map takes the channel from the bottom of the address,
+    so pairing needs at least two channels. :class:`SweepPoint` applies
+    it to every point; study files apply it at load time, where the
+    error can name the dotted path.
 
     Examples
     --------
@@ -95,25 +102,21 @@ class SweepPoint:
     instead of scaled by the closed-form factor.
 
     Upgraded pages need ARCC pairing: a point with a non-zero
-    ``upgraded_fraction`` and pairing off is rejected when it is built.
+    ``upgraded_fraction`` on an organization that is not
+    :func:`arcc_capable` is rejected when it is built.
     """
 
     config: MemoryConfig = ARCC_MEMORY_CONFIG
     upgraded_fraction: float = 0.0
-    arcc_enabled: Optional[bool] = None
     lotecc_checksum: bool = False
 
     def __post_init__(self) -> None:
-        if self.upgraded_fraction and not self.resolved_arcc():
+        if self.upgraded_fraction and not arcc_capable(self.config):
             raise ValueError(
-                "upgraded pages require an ARCC-capable configuration"
+                f"organization {self.config.name!r} has "
+                f"{self.config.channels} channel(s); upgraded pages need "
+                "the >= 2 channels ARCC pairing requires"
             )
-
-    def resolved_arcc(self) -> bool:
-        """ARCC pairing on/off (defaults to multi-channel configs)."""
-        if self.arcc_enabled is None:
-            return arcc_capable(self.config)
-        return self.arcc_enabled
 
 
 #: The replay engine tiers. ``auto`` resolves to the compiled kernel
@@ -215,7 +218,6 @@ def replay(
             config=point.config,
             processor=processor,
             upgraded_fraction=point.upgraded_fraction,
-            arcc_enabled=point.arcc_enabled,
             seed=seed,
             lotecc_checksum=point.lotecc_checksum,
         ).run(mix, instructions_per_core)
@@ -278,7 +280,12 @@ def point_job(name: str, **config: Any) -> Job:
     instructions_per_core)``, so the runner runs the points of one trace
     back to back and the one-batch trace memo draws it once. The group
     is not part of the job's identity or cache key.
+
+    The point is built here once, only for its check, so a plan with an
+    upgraded point on a one-channel organization fails when it is built,
+    not later in a worker.
     """
+    SweepPoint(config["config"], config["upgraded_fraction"])
     mix = config["mix"]
     return Job.create(
         name,

@@ -11,6 +11,8 @@ needs from M5:
 * an access to an *upgraded* page occupies both channels and fills both
   sub-lines into the LLC — useful prefetch for high-locality benchmarks,
   wasted bandwidth for low-locality ones (the two sides of Figure 7.3).
+  Pairing follows the organization: any organization with two or more
+  channels pairs, and a one-channel one cannot take upgraded pages.
 
 Power comes from the IDD-based model accumulated by the channel timing
 state. "Performance of a mixed workload is reported as the sum of the
@@ -21,7 +23,7 @@ same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.cache.llc import LastLevelCache
 from repro.config import (
@@ -100,29 +102,26 @@ class TraceSimulator:
         config: MemoryConfig = ARCC_MEMORY_CONFIG,
         processor: ProcessorConfig = PROCESSOR_CONFIG,
         upgraded_fraction: float = 0.0,
-        arcc_enabled: Optional[bool] = None,
         seed: int = 0x7ACE,
         lotecc_checksum: bool = False,
     ):
+        # The oracle's own copy of SweepPoint's check: the two sub-lines
+        # of an upgraded line need two channels.
+        if upgraded_fraction and config.channels < 2:
+            raise ValueError(
+                f"organization {config.name!r} has {config.channels} "
+                "channel(s); upgraded pages need the >= 2 channels ARCC "
+                "pairing requires"
+            )
         self.config = config
         self.processor = processor
         self.upgraded_fraction = upgraded_fraction
-        # Pairing only exists on multi-channel ARCC organizations.
-        if arcc_enabled is None:
-            arcc_enabled = config.channels >= 2
-        self.arcc_enabled = arcc_enabled
         self.seed = seed
         self.lotecc_checksum = lotecc_checksum
-        if upgraded_fraction and not arcc_enabled:
-            raise ValueError(
-                "upgraded pages require an ARCC-capable configuration"
-            )
 
     # -- helpers ----------------------------------------------------------------
 
     def _is_upgraded(self, line_address: int) -> bool:
-        if not self.arcc_enabled:
-            return False
         page = line_address // CoreTrace.LINES_PER_PAGE
         return page_is_upgraded(page, self.upgraded_fraction)
 

@@ -1,12 +1,12 @@
 """Job execution: inline, or fanned out over a process pool.
 
 ``run_jobs`` is the single entry point. Results are returned in job
-order no matter how execution interleaves, every job carries its own
-explicit seed (``base_seed`` fills in missing ones deterministically via
-:func:`repro.util.rng.derive_seeds`), a :class:`ResultCache` short-
-circuits work that has already been done by a previous run, and jobs
-whose computation is identical (same callable, config and seed — names
-aside) are looked up and run once per batch and share the value —
+order no matter how execution interleaves, every job's randomness comes
+from its own seed (planners derive them with
+:func:`repro.util.rng.derive_seeds`), a :class:`ResultCache`
+short-circuits work that has already been done by a previous run, and
+jobs whose computation is identical (same callable, config and seed —
+names aside) are looked up and run once per batch and share the value —
 together these make ``--jobs 1`` and ``--jobs N`` produce identical
 outputs while never simulating the same point twice.
 
@@ -20,15 +20,12 @@ moved on to a later group never receives an earlier one.
 
 from __future__ import annotations
 
-import dataclasses
-import inspect
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.cache import ResultCache
 from repro.runner.job import ExperimentPlan, Job, JobResult, job_identity
-from repro.util.rng import derive_seeds
 
 
 def _call_job(job: Job) -> Tuple[Any, float]:
@@ -36,36 +33,6 @@ def _call_job(job: Job) -> Tuple[Any, float]:
     started = time.perf_counter()
     value = job.execute()
     return value, time.perf_counter() - started
-
-
-def _accepts_seed(fn: Any) -> bool:
-    """Whether a callable can receive a ``seed`` keyword argument."""
-    try:
-        parameters = inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        return False
-    return "seed" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-
-
-def _with_seeds(jobs: Sequence[Job], base_seed: Optional[int]) -> List[Job]:
-    """Fill in missing job seeds from ``base_seed`` deterministically.
-
-    Jobs whose callable takes no ``seed`` keyword (e.g. Monte-Carlo
-    block jobs, which carry their seed as ordinary config) are left
-    untouched rather than crashed with an unexpected-keyword error.
-    """
-    jobs = list(jobs)
-    if base_seed is None:
-        return jobs
-    seeds = derive_seeds(base_seed, len(jobs))
-    return [
-        dataclasses.replace(job, seed=seed)
-        if job.seed is None and _accepts_seed(job.fn)
-        else job
-        for job, seed in zip(jobs, seeds)
-    ]
 
 
 def _grouped(jobs: Sequence[Job], pending: List[int]) -> List[int]:
@@ -87,7 +54,6 @@ def run_jobs(
     jobs: Sequence[Job],
     max_workers: int = 1,
     cache: Optional[ResultCache] = None,
-    base_seed: Optional[int] = None,
 ) -> List[JobResult]:
     """Execute jobs, returning results in input order.
 
@@ -96,7 +62,7 @@ def run_jobs(
     bit-for-bit: each job's randomness comes only from its own seed, so
     scheduling cannot leak into results.
     """
-    jobs = _with_seeds(jobs, base_seed)
+    jobs = list(jobs)
     results: List[Optional[JobResult]] = [None] * len(jobs)
 
     pending: List[int] = []  # unique computations to run, first index wins

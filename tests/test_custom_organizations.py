@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
-from repro.dram.addressing import AddressMapping, MappingPolicy
+from repro.dram.addressing import AddressMapping
 from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import FaultType
 from repro.perf.engine import (
@@ -114,7 +114,7 @@ class TestDecodeCustomOrganizations:
         "config", CUSTOM_ORGANIZATIONS, ids=lambda c: c.name
     )
     def test_decode_lines_matches_scalar_mapping(self, config):
-        mapping = AddressMapping(config, MappingPolicy.HIPERF)
+        mapping = AddressMapping(config)
         rng = np.random.default_rng(23)
         addresses = rng.integers(0, 1 << 24, size=2_000)
         channel, rank, bank = decode_lines(addresses, config)

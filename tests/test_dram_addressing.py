@@ -1,18 +1,31 @@
-"""Tests for physical-address mapping policies."""
+"""Tests for the physical-address map (HIPERF)."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
-from repro.dram.addressing import AddressMapping, MappingPolicy
-
-POLICIES = list(MappingPolicy)
+from repro.dram.addressing import AddressMapping
 
 
-@pytest.fixture(params=POLICIES, ids=[p.value for p in POLICIES])
+#: The one map on Table 7.1's two organizations, and on one that bends
+#: the radices: three channels (adjacent lines still alternate) and an
+#: odd bank count.
+ORGANIZATIONS = (
+    ARCC_MEMORY_CONFIG,
+    BASELINE_MEMORY_CONFIG,
+    dataclasses.replace(
+        ARCC_MEMORY_CONFIG, name="tri-channel-odd-bank", channels=3,
+        banks_per_device=5,
+    ),
+)
+
+
+@pytest.fixture(params=ORGANIZATIONS, ids=lambda c: c.name)
 def mapping(request):
-    return AddressMapping(ARCC_MEMORY_CONFIG, request.param)
+    return AddressMapping(request.param)
 
 
 class TestDecode:
@@ -21,7 +34,7 @@ class TestDecode:
             mapping.decode(-1)
 
     def test_fields_in_range(self, mapping):
-        cfg = ARCC_MEMORY_CONFIG
+        cfg = mapping.config
         for addr in range(0, 4096, 17):
             d = mapping.decode(addr)
             assert 0 <= d.channel < cfg.channels
@@ -38,17 +51,25 @@ class TestDecode:
                 != mapping.decode(addr + 1).channel
             )
 
-    @given(st.integers(min_value=0, max_value=1 << 20))
-    def test_encode_decode_roundtrip(self, addr):
-        mapping = AddressMapping(ARCC_MEMORY_CONFIG, MappingPolicy.HIPERF)
+    @pytest.mark.parametrize("config", ORGANIZATIONS, ids=lambda c: c.name)
+    @given(addr=st.integers(min_value=0, max_value=1 << 20))
+    def test_encode_decode_roundtrip(self, config, addr):
+        mapping = AddressMapping(config)
         assert mapping.encode(mapping.decode(addr)) == addr
 
-    @given(st.integers(min_value=0, max_value=1 << 20))
-    def test_close_page_roundtrip(self, addr):
-        mapping = AddressMapping(
-            ARCC_MEMORY_CONFIG, MappingPolicy.CLOSE_PAGE
-        )
-        assert mapping.encode(mapping.decode(addr)) == addr
+    def test_hiperf_interleaves_banks_first(self, mapping):
+        """Consecutive same-channel lines hit different banks."""
+        a = mapping.decode(0)
+        # The next line on the same channel.
+        b = mapping.decode(mapping.config.channels)
+        assert a.channel == b.channel
+        assert a.bank != b.bank
+
+    def test_rows_come_from_the_organization(self):
+        config = dataclasses.replace(ARCC_MEMORY_CONFIG, rows_per_bank=4)
+        mapping = AddressMapping(config)
+        rows = {mapping.decode(addr).row for addr in range(0, 1 << 22, 997)}
+        assert rows == set(range(4))
 
     def test_distinct_addresses_distinct_locations(self, mapping):
         seen = set()

@@ -9,12 +9,15 @@ results independent of worker count and prefix-stable in population
 size; and scenario reports attach confidence intervals to every mean.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
 from repro.experiments.fig3_1 import plan_fig3_1
 from repro.experiments.fig7_4_7_5 import _overhead_series, plan_fig7_4_7_5
+from repro.experiments.fig7_6 import plan_fig7_6
 from repro.faults.lifetime import _fraction_after_events
 from repro.faults.types import DEFAULT_FIT_RATES, FaultType
 from repro.fleet import (
@@ -78,14 +81,7 @@ class TestFaultEventBatch:
 
     def test_validate_rejects_bad_offsets(self):
         batch = sample_fleet(20, 7.0, rate_multiplier=30.0, seed=1)
-        broken = FaultEventBatch(
-            offsets=batch.offsets[:-1],
-            time_hours=batch.time_hours,
-            type_code=batch.type_code,
-            channel=batch.channel,
-            rank=batch.rank,
-            device=batch.device,
-        )
+        broken = dataclasses.replace(batch, offsets=batch.offsets[:-1])
         with pytest.raises(ValueError):
             broken.validate()
 
@@ -502,6 +498,22 @@ class TestFigureIntegration:
             assert len(result.power_ci[mult]) == 3
             assert all(h >= 0 for h in result.power_ci[mult])
         assert "±" in result.to_table()
+
+    @pytest.mark.parametrize(
+        "build", [plan_fig3_1, plan_fig7_4_7_5, plan_fig7_6],
+        ids=["fig3.1", "fig7.4", "fig7.6"],
+    )
+    @pytest.mark.parametrize("channels", [0, -5])
+    def test_empty_population_rejected_at_build_time(self, build, channels):
+        """Assembly needs at least one sampled channel, so a figure
+        planner names ``channels`` instead of failing at assembly (or
+        printing ``nan%``)."""
+        with pytest.raises(ValueError, match="channels must be at least 1"):
+            build(years=3, channels=channels)
+
+    def test_empty_population_partitions_into_no_blocks(self):
+        """Figure 6.1's quick scale samples no Monte-Carlo channels."""
+        assert fleet_blocks(11, 0) == []
 
     def test_registry_exposes_fleet(self):
         from repro.runner.registry import FIGURES, build_plans

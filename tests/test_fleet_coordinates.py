@@ -146,29 +146,18 @@ class TestCoordinateRoundTrips:
         assert batch.to_histories() == [list(evs) for evs in histories]
         assert FaultEventBatch.from_histories(batch.to_histories()) == batch
 
-    @settings(max_examples=30, deadline=None)
-    @given(histories=_histories)
-    def test_defaulted_coordinates_are_zero_and_equal(self, histories):
-        """Dropping the coordinate arrays yields the zero-defaulted
-        batch — the exact wire format pre-coordinate producers emit."""
-        batch = FaultEventBatch.from_histories(histories)
-        stripped = FaultEventBatch(
-            offsets=batch.offsets,
-            time_hours=batch.time_hours,
-            type_code=batch.type_code,
-            channel=batch.channel,
-            rank=batch.rank,
-            device=batch.device,
-        )
-        stripped.validate()
-        assert np.array_equal(stripped.bank, np.zeros_like(batch.bank))
-        zeroed = dataclasses.replace(
-            batch,
-            bank=np.zeros_like(batch.bank),
-            row=np.zeros_like(batch.row),
-            column=np.zeros_like(batch.column),
-        )
-        assert stripped == zeroed
+    def test_coordinates_are_required(self):
+        """Every producer carries bank/row/column, so a batch built
+        without them is a construction error, not a zero-filled batch."""
+        batch = sample_block(3, 64, 5.0, rate_multiplier=12.0)
+        for name in ("bank", "row", "column"):
+            fields = {
+                f.name: getattr(batch, f.name)
+                for f in dataclasses.fields(batch)
+                if f.init and f.name != name
+            }
+            with pytest.raises(TypeError, match=name):
+                FaultEventBatch(**fields)
 
     def test_negative_coordinates_are_rejected(self):
         batch = sample_block(3, 64, 5.0, rate_multiplier=12.0)

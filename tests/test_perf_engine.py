@@ -8,8 +8,8 @@ golden matrix of ``tests/test_kernel_equivalence.py`` holds that line
 for the compiled tier across every mix, fraction and organization; the
 tests here pin ``replay``'s own contract on both tiers (the compiled
 one skips where the kernel cannot be built) — odd channel counts, the
-single-channel error, the LLC geometry it is handed, the
-upgrades-require-ARCC check and the runner-job payload — plus the trace
+LLC geometry it is handed, the upgrades-require-ARCC check (when a
+point or a plan is built) and the runner-job payload — plus the trace
 materialization, the page classifier and the route decode it runs on.
 """
 
@@ -24,7 +24,7 @@ from repro.config import (
     BASELINE_MEMORY_CONFIG,
     PROCESSOR_CONFIG,
 )
-from repro.dram.addressing import AddressMapping, MappingPolicy
+from repro.dram.addressing import AddressMapping
 from repro.experiments import (
     plan_fig7_1,
     plan_fig7_2_7_3,
@@ -42,6 +42,7 @@ from repro.perf.engine import (
     SweepPoint,
     arcc_capable,
     decode_lines,
+    point_job,
     replay,
     simulate_point_job,
 )
@@ -99,55 +100,56 @@ class TestReplay:
     def test_upgrades_require_arcc(self):
         """Rejected when the point is built, on every tier; the oracle
         keeps its own copy of the check."""
-        with pytest.raises(ValueError, match="ARCC-capable"):
-            SweepPoint(upgraded_fraction=0.5, arcc_enabled=False)
-        single = dataclasses.replace(
-            ARCC_MEMORY_CONFIG, name="ARCC-1ch", channels=1
-        )
-        with pytest.raises(ValueError, match="ARCC-capable"):
-            SweepPoint(config=single, upgraded_fraction=0.25)
-        with pytest.raises(ValueError, match="ARCC-capable"):
-            TraceSimulator(upgraded_fraction=0.5, arcc_enabled=False)
-        # Pairing off is fine while nothing is upgraded.
-        assert not SweepPoint(arcc_enabled=False).resolved_arcc()
+        with pytest.raises(ValueError, match="'ARCC-1ch' has 1 channel"):
+            SweepPoint(config=ONE_CHANNEL, upgraded_fraction=0.25)
+        with pytest.raises(ValueError, match="'ARCC-1ch' has 1 channel"):
+            TraceSimulator(ONE_CHANNEL, upgraded_fraction=0.5)
+        # One channel is fine while nothing is upgraded.
+        SweepPoint(config=ONE_CHANNEL)
+        TraceSimulator(ONE_CHANNEL)
 
     @pytest.mark.parametrize(
-        "config, fraction, arcc_enabled, accepted, paired",
+        "config, fraction, accepted",
         [
-            (ARCC_MEMORY_CONFIG, 0.5, None, True, True),
-            (ARCC_MEMORY_CONFIG, 0.5, False, False, None),
-            (ARCC_MEMORY_CONFIG, 0.0, False, True, False),
-            (BASELINE_MEMORY_CONFIG, 0.5, None, True, True),
-            (ONE_CHANNEL, 0.25, None, False, None),
-            (ONE_CHANNEL, 0.0, None, True, False),
-            # Explicit pairing on one channel is built; the replay
-            # raises later (test_single_channel_paired_access_...).
-            (ONE_CHANNEL, 1.0, True, True, True),
+            (ARCC_MEMORY_CONFIG, 0.5, True),
+            (ARCC_MEMORY_CONFIG, 1.0, True),
+            (BASELINE_MEMORY_CONFIG, 0.5, True),
+            (
+                dataclasses.replace(
+                    ARCC_MEMORY_CONFIG, name="ARCC-3ch", channels=3
+                ),
+                0.5,
+                True,
+            ),
+            (ONE_CHANNEL, 0.25, False),
+            (ONE_CHANNEL, 1.0, False),
+            (ONE_CHANNEL, 0.0, True),
         ],
         ids=[
             "arcc-upgraded",
-            "arcc-unpaired-upgraded",
-            "arcc-unpaired-clean",
+            "arcc-all-upgraded",
             "baseline-upgraded",
+            "three-channel-upgraded",
             "one-channel-upgraded",
+            "one-channel-all-upgraded",
             "one-channel-clean",
-            "one-channel-forced-pairing",
         ],
     )
-    def test_point_validation(
-        self, config, fraction, arcc_enabled, accepted, paired
-    ):
-        """Which points can be built, and the pairing they resolve to."""
-        kwargs = dict(
-            config=config,
-            upgraded_fraction=fraction,
-            arcc_enabled=arcc_enabled,
+    def test_point_validation(self, config, fraction, accepted):
+        """Which points can be built, as a point and as a runner job."""
+        point = dict(config=config, upgraded_fraction=fraction)
+        job = dict(
+            point, mix=mix_by_name("Mix1"), instructions_per_core=2_000,
+            seed=7,
         )
         if not accepted:
-            with pytest.raises(ValueError, match="ARCC-capable"):
-                SweepPoint(**kwargs)
+            with pytest.raises(ValueError, match="ARCC pairing"):
+                SweepPoint(**point)
+            with pytest.raises(ValueError, match="ARCC pairing"):
+                point_job("p", **job)
             return
-        assert SweepPoint(**kwargs).resolved_arcc() is paired
+        assert SweepPoint(**point).config == config
+        assert dict(point_job("p", **job).config)["config"] == config
 
     @pytest.mark.parametrize("engine", TIERS)
     def test_odd_channel_counts_simulate_like_the_oracle(self, engine):
@@ -169,23 +171,6 @@ class TestReplay:
             5_000, 0x7ACE, engine=engine,
         )
         assert result_fingerprint(legacy) == result_fingerprint(replayed)
-
-    @pytest.mark.parametrize("engine", TIERS)
-    def test_single_channel_paired_access_raises_like_the_oracle(
-        self, engine
-    ):
-        """One channel cannot serve both sub-lines: RuntimeError, lazily."""
-        mix = mix_by_name("Mix1")
-        legacy = TraceSimulator(
-            ONE_CHANNEL, upgraded_fraction=1.0, arcc_enabled=True
-        )
-        point = SweepPoint(
-            config=ONE_CHANNEL, upgraded_fraction=1.0, arcc_enabled=True
-        )
-        with pytest.raises(RuntimeError):
-            legacy.run(mix, instructions_per_core=2_000)
-        with pytest.raises(RuntimeError):
-            replay(mix, point, 2_000, 0x7ACE, engine=engine)
 
     @pytest.mark.parametrize("engine", TIERS)
     def test_processor_reaches_the_tier(self, engine):
@@ -407,6 +392,41 @@ class TestInstructionBudget:
             replay_compiled(batch, SweepPoint(), PROCESSOR_CONFIG)
 
 
+class TestUnpairablePointsFailAtBuild:
+    """An upgraded point on a one-channel organization fails when its
+    plan is built, with :class:`SweepPoint`'s message, on every trace
+    plan builder: no worker ever runs a paired access on one channel."""
+
+    def test_measured_fraction_sweep(self):
+        with pytest.raises(ValueError, match="'ARCC-1ch' has 1 channel"):
+            plan_sweep_upgraded_fraction_measured(
+                mixes=ALL_MIXES[:1], instructions_per_core=2_000,
+                config=ONE_CHANNEL,
+            )
+
+    def test_measured_profiles(self):
+        with pytest.raises(ValueError, match="'ARCC-1ch' has 1 channel"):
+            plan_measured_profiles(
+                organizations=(ONE_CHANNEL,), mixes=ALL_MIXES[:1],
+                instructions_per_core=2_000,
+            )
+
+    def test_measured_fleet_comparison(self):
+        from repro.fleet.scenarios import FleetScenario, SubPopulation
+
+        scenario = FleetScenario(
+            name="one-channel",
+            description="a one-channel organization",
+            populations=(
+                SubPopulation(name="a", channels=64, config=ONE_CHANNEL),
+            ),
+        )
+        with pytest.raises(ValueError, match="'ARCC-1ch' has 1 channel"):
+            plan_fleet_compare_measured(
+                scenario, mixes=ALL_MIXES[:1], instructions_per_core=2_000
+            )
+
+
 class TestPageUpgradeProperties:
     """Satellite: property tests for the golden-ratio classifier."""
 
@@ -463,7 +483,7 @@ class TestDecodeLines:
         ids=lambda c: c.name,
     )
     def test_matches_scalar_decoder(self, config):
-        mapping = AddressMapping(config, MappingPolicy.HIPERF)
+        mapping = AddressMapping(config)
         rng = np.random.default_rng(11)
         addresses = rng.integers(0, 1 << 24, size=2_000)
         channel, rank, bank = decode_lines(addresses, config)

@@ -32,10 +32,12 @@ from repro.runner import execute_plan
 
 
 def _batch(rows):
-    """Build a batch from (member, time_hours, type, channel, rank, device)."""
+    """Build a rank-level batch from (member, time_hours, type, channel,
+    rank, device): the sub-device coordinates are all zero."""
     rows = sorted(rows, key=lambda r: (r[0], r[1]))
     members = max(r[0] for r in rows) + 1
     counts = np.bincount([r[0] for r in rows], minlength=members)
+    zeros = np.zeros(len(rows), dtype=np.int64)
     return FaultEventBatch(
         offsets=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
         time_hours=np.array([r[1] for r in rows], dtype=np.float64),
@@ -45,6 +47,9 @@ def _batch(rows):
         channel=np.array([r[3] for r in rows], dtype=np.int64),
         rank=np.array([r[4] for r in rows], dtype=np.int64),
         device=np.array([r[5] for r in rows], dtype=np.int64),
+        bank=zeros,
+        row=zeros,
+        column=zeros,
     )
 
 

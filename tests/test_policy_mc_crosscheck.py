@@ -14,7 +14,7 @@ batch the screen reads:
   mixes and device/lane-only mixes all agree channel for channel with
   the per-fault footprint walk, for every window/seed/rate swept here;
 * **coordinate-less batches stay a true upper bound** — a batch whose
-  bank/row/column default to zero (the pre-coordinate wire format)
+  bank/row/column are all zero (the rank-level representation)
   degrades to the historic rank-level screen: it still flags every
   exactly-uncorrectable channel, and carrying the coordinates is
   precisely what removes the over-count.
@@ -59,9 +59,10 @@ def _sample(params, seed, channels):
 
 
 def _without_coordinates(batch):
-    """The pre-coordinate wire format: bank/row/column default to zero,
-    which the screen must still treat conservatively."""
-    return replace(batch, bank=None, row=None, column=None)
+    """The rank-level representation: bank/row/column all zero, which
+    the screen must still treat conservatively."""
+    zeros = np.zeros(batch.num_events, dtype=np.int64)
+    return replace(batch, bank=zeros, row=zeros, column=zeros)
 
 
 def _exact_uncorrectable(batch, window_hours: float) -> np.ndarray:
@@ -111,7 +112,7 @@ class TestScreenIsExactEverywhere:
 
 class TestCoordinateLessBatchesStayConservative:
     def test_zero_default_coordinates_are_a_true_upper_bound(self):
-        """A pre-coordinate batch (bank/row/column all zero) degrades to
+        """A rank-level batch (bank/row/column all zero) degrades to
         the historic rank-level screen: every exactly-uncorrectable
         channel is still flagged, and the over-count the coordinates
         remove is visible in the comparison."""

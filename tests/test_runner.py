@@ -37,11 +37,6 @@ def _boom(x, seed=0):
     raise RuntimeError("boom")
 
 
-def _seed_from_kwargs(**kwargs):
-    """Callable that only takes **kwargs (no named ``seed`` parameter)."""
-    return kwargs.get("seed")
-
-
 @dataclasses.dataclass(frozen=True)
 class _Volts:
     level: float
@@ -149,42 +144,6 @@ class TestRunJobs:
         inline = [r.value for r in run_jobs(jobs, max_workers=1)]
         pooled = [r.value for r in run_jobs(jobs, max_workers=4)]
         assert inline == pooled
-
-    def test_base_seed_fills_missing_seeds_deterministically(self):
-        jobs = [Job.create(f"j{i}", _square, x=0) for i in range(4)]
-        a = [r.value for r in run_jobs(jobs, base_seed=42)]
-        b = [r.value for r in run_jobs(jobs, base_seed=42)]
-        c = [r.value for r in run_jobs(jobs, base_seed=43)]
-        assert a == b
-        assert a != c
-
-    def test_explicit_seed_wins_over_base_seed(self):
-        jobs = [Job.create("j", _square, seed=5, x=0)]
-        (result,) = run_jobs(jobs, base_seed=42)
-        assert result.value == 5
-
-    def test_base_seed_reaches_kwargs_only_callables(self):
-        """``**kwargs`` counts as accepting ``seed`` — wrapper callables
-        (e.g. partial-style shims) must still get deterministic seeds."""
-        (result,) = run_jobs(
-            [Job.create("j", _seed_from_kwargs)], base_seed=9
-        )
-        assert result.value is not None
-        (again,) = run_jobs(
-            [Job.create("j", _seed_from_kwargs)], base_seed=9
-        )
-        assert again.value == result.value
-
-    def test_base_seed_skips_seedless_callables(self):
-        """Jobs whose fn takes no ``seed`` kwarg must not be crashed by
-        base_seed injection (e.g. Monte-Carlo block jobs carry their
-        seed as ordinary config)."""
-        from repro.reliability.analytical import ReliabilityParams
-        from repro.reliability.montecarlo import plan_montecarlo
-
-        jobs = plan_montecarlo(ReliabilityParams(), 10, 1.0, seed=1).jobs
-        results = run_jobs(jobs, base_seed=5)
-        assert results[0].value.channels == 10
 
 
 class TestResultCache:

@@ -1,9 +1,7 @@
-"""Tests for the sensitivity-study module and mapping-policy differences."""
+"""Tests for the sensitivity-study module."""
 
 import pytest
 
-from repro.config import ARCC_MEMORY_CONFIG
-from repro.dram.addressing import AddressMapping, MappingPolicy
 from repro.experiments.sensitivity import (
     sweep_page_size,
     sweep_scrub_interval,
@@ -85,46 +83,6 @@ class TestUpgradedFractionSweep:
 
     def test_table_renders(self):
         assert "Upgraded fraction" in sweep_upgraded_fraction().to_table()
-
-
-class TestMappingPoliciesDiffer:
-    def test_base_fills_rows_first(self):
-        """BASE: consecutive same-channel lines share a bank (and row)."""
-        mapping = AddressMapping(ARCC_MEMORY_CONFIG, MappingPolicy.BASE)
-        a = mapping.decode(0)
-        b = mapping.decode(2)  # next line on the same channel
-        assert (a.bank, a.rank, a.row) == (b.bank, b.rank, b.row)
-        assert a.column != b.column
-
-    def test_hiperf_interleaves_banks_first(self):
-        """HIPERF: consecutive same-channel lines hit different banks."""
-        mapping = AddressMapping(ARCC_MEMORY_CONFIG, MappingPolicy.HIPERF)
-        a = mapping.decode(0)
-        b = mapping.decode(2)
-        assert a.bank != b.bank
-
-    def test_close_page_interleaves_ranks_first(self):
-        """CLOSE_PAGE: consecutive same-channel lines hit different ranks."""
-        mapping = AddressMapping(
-            ARCC_MEMORY_CONFIG, MappingPolicy.CLOSE_PAGE
-        )
-        a = mapping.decode(0)
-        b = mapping.decode(2)
-        assert a.rank != b.rank
-
-    def test_policies_disagree_somewhere(self):
-        mappings = [
-            AddressMapping(ARCC_MEMORY_CONFIG, policy)
-            for policy in MappingPolicy
-        ]
-        decodes = [
-            tuple(
-                (d.channel, d.rank, d.bank, d.row, d.column)
-                for d in (m.decode(addr) for addr in range(64))
-            )
-            for m in mappings
-        ]
-        assert len(set(decodes)) == 3
 
 
 class TestMeasuredFractionSweep:

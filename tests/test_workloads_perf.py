@@ -1,5 +1,7 @@
 """Tests for the workload substrate and the trace-driven simulator."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
@@ -202,12 +204,11 @@ class TestTraceSimulator:
         assert 1.05 < ratio < 2.0  # below the worst-case 2x
 
     def test_upgrade_requires_arcc_config(self):
-        with pytest.raises(ValueError):
-            TraceSimulator(
-                BASELINE_MEMORY_CONFIG,
-                upgraded_fraction=0.5,
-                arcc_enabled=False,
-            )
+        one_channel = dataclasses.replace(
+            BASELINE_MEMORY_CONFIG, name="one-channel", channels=1
+        )
+        with pytest.raises(ValueError, match="ARCC pairing"):
+            TraceSimulator(one_channel, upgraded_fraction=0.5)
 
     def test_ipc_bounded_by_base(self):
         result = TraceSimulator(ARCC_MEMORY_CONFIG).run(
