@@ -35,10 +35,11 @@ def test_fig7_2_and_7_3_fault_overheads(once):
         result.to_table(),
     )
 
-    lane = result.average_power_ratio(FaultType.LANE)
-    device = result.average_power_ratio(FaultType.DEVICE)
-    bank = result.average_power_ratio(FaultType.BANK)
-    column = result.average_power_ratio(FaultType.COLUMN)
+    overheads = result.overheads()
+    lane = overheads[FaultType.LANE][0]
+    device = overheads[FaultType.DEVICE][0]
+    bank = overheads[FaultType.BANK][0]
+    column = overheads[FaultType.COLUMN][0]
 
     # Figure 7.2 ordering and worst-case bound.
     assert lane > device > bank >= column >= 1.0 - 1e-6
@@ -54,7 +55,7 @@ def test_fig7_2_and_7_3_fault_overheads(once):
     # Figure 7.3: negligible average degradation; some mixes *improve*
     # under a lane fault thanks to spatial locality.
     perf_lane = [
-        result.performance_ratio[(mix.name, FaultType.LANE)]
+        result.ratios[(mix.name, upgraded_page_fraction(FaultType.LANE))][1]
         for mix in MIXES
     ]
     assert sum(perf_lane) / len(perf_lane) > 0.95

@@ -9,8 +9,7 @@ import pytest
 
 from conftest import emit
 
-from repro.experiments.fig7_4_7_5 import plan_fig7_4_7_5
-from repro.fleet import measured_fault_ratios
+from repro.experiments.fig7_4_7_5 import plan_fig7_4_7_5_measured
 from repro.runner import execute_plan
 from repro.workloads.spec import ALL_MIXES
 
@@ -21,11 +20,13 @@ CHANNELS = 800
 
 def test_fig7_4_and_7_5_lifetime_overheads(once):
     def full_run():
-        overheads = measured_fault_ratios(
-            instructions_per_core=15_000, mixes=ALL_MIXES[:3]
-        )
         return execute_plan(
-            plan_fig7_4_7_5(years=7, channels=CHANNELS, overheads=overheads)
+            plan_fig7_4_7_5_measured(
+                years=7,
+                channels=CHANNELS,
+                mixes=ALL_MIXES[:3],
+                instructions_per_core=15_000,
+            )
         )
 
     result = once(full_run)

@@ -14,6 +14,7 @@ import sys
 
 from repro.experiments.fig7_1 import plan_fig7_1
 from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
+from repro.faults.types import FaultType
 from repro.runner import execute_plan
 from repro.workloads.spec import ALL_MIXES
 
@@ -42,9 +43,7 @@ def main() -> None:
     )
     print(overheads.to_table())
     print()
-    lane = overheads.average_power_ratio(
-        next(ft for ft in overheads.fault_types if ft.value == "lane")
-    )
+    lane = overheads.overheads()[FaultType.LANE][0]
     print(
         "Even a lane fault (every page upgraded) costs "
         f"{lane - 1:.0%} extra power — still well under the 2x worst case, "

@@ -91,15 +91,12 @@ def main() -> None:
     print()
 
     # Phase 2: Figures 7.4/7.5 consume the overheads measured in 7.2/7.3.
-    per_fault = {
-        ft: (
-            fig7_2_7_3.average_power_ratio(ft),
-            fig7_2_7_3.average_performance_ratio(ft),
-        )
-        for ft in fig7_2_7_3.fault_types
-    }
     (fig7_4_7_5,) = execute_plans(
-        [plan_fig7_4_7_5(channels=channels, overheads=per_fault)],
+        [
+            plan_fig7_4_7_5(
+                channels=channels, overheads=fig7_2_7_3.overheads()
+            )
+        ],
         max_workers=args.jobs,
     )
     print(fig7_4_7_5.to_table())

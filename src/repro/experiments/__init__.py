@@ -14,7 +14,11 @@ from repro.experiments.fig3_1 import Fig31Result, plan_fig3_1
 from repro.experiments.fig6_1 import Fig61Result, plan_fig6_1
 from repro.experiments.fig7_1 import Fig71Result, plan_fig7_1
 from repro.experiments.fig7_2_7_3 import FaultOverheadResult, plan_fig7_2_7_3
-from repro.experiments.fig7_4_7_5 import LifetimeOverheadResult, plan_fig7_4_7_5
+from repro.experiments.fig7_4_7_5 import (
+    LifetimeOverheadResult,
+    plan_fig7_4_7_5,
+    plan_fig7_4_7_5_measured,
+)
 from repro.experiments.fig7_6 import Fig76Result, plan_fig7_6
 from repro.experiments.sensitivity import (
     MeasuredFractionSweep,
@@ -40,6 +44,7 @@ __all__ = [
     "plan_fig7_1",
     "plan_fig7_2_7_3",
     "plan_fig7_4_7_5",
+    "plan_fig7_4_7_5_measured",
     "plan_fig7_6",
     "plan_sweep_upgraded_fraction_measured",
     "render_table_7_1",

@@ -9,75 +9,65 @@ fault-free run. The shapes being reproduced:
 * performance (7.3): high-spatial-locality mixes *improve* (the paired
   fetch acts as a prefetch), low-locality mixes degrade, bounded by the
   worst case ``1 / (1 + fraction)``.
+
+The plan is a :func:`~repro.perf.engine.plan_trace_ratios` grid over the
+fault types' fractions. Section 7.1 feeds its per-fault-type averages
+into Figures 7.4/7.5
+(:func:`~repro.experiments.fig7_4_7_5.plan_fig7_4_7_5_measured`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.config import ARCC_MEMORY_CONFIG
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.faults.types import FaultType
-from repro.perf.engine import point_job
+from repro.perf.engine import TraceRatios, plan_trace_ratios
 from repro.perf.simulator import (
     worst_case_performance_ratio,
     worst_case_power_ratio,
 )
-from repro.perf.trace import check_instructions_per_core
 from repro.runner import ExperimentPlan
 from repro.util.tables import format_table
-from repro.workloads.spec import ALL_MIXES, WorkloadMix
+from repro.workloads.spec import WorkloadMix
 
 
 @dataclass
-class FaultOverheadResult:
-    """Normalized power/performance per (mix, fault type)."""
+class FaultOverheadResult(TraceRatios):
+    """Normalized power/performance per (mix, fault type's fraction).
 
-    #: (mix, fault type) -> power ratio (faulty / fault-free)
-    power_ratio: Dict[Tuple[str, FaultType], float]
-    #: (mix, fault type) -> performance ratio
-    performance_ratio: Dict[Tuple[str, FaultType], float]
+    ``ratios`` is keyed by each fault type's Table 7.4 fraction on the
+    ARCC organization.
+    """
+
     fault_types: Tuple[FaultType, ...] = TABLE_7_4_TYPES
 
-    def mixes(self) -> List[str]:
-        """Mix names present, in run order."""
-        seen: List[str] = []
-        for mix_name, _ in self.power_ratio:
-            if mix_name not in seen:
-                seen.append(mix_name)
-        return seen
-
-    def average_power_ratio(self, fault_type: FaultType) -> float:
-        """Mean power ratio of one fault type across mixes."""
-        values = [
-            v
-            for (mix, ft), v in self.power_ratio.items()
-            if ft == fault_type
-        ]
-        return sum(values) / len(values)
-
-    def average_performance_ratio(self, fault_type: FaultType) -> float:
-        """Mean performance ratio of one fault type across mixes."""
-        values = [
-            v
-            for (mix, ft), v in self.performance_ratio.items()
-            if ft == fault_type
-        ]
-        return sum(values) / len(values)
+    def overheads(self) -> Dict[FaultType, Tuple[float, float]]:
+        """Mean (power, performance) ratio per fault type across mixes:
+        the ``overheads=`` input of Figures 7.4/7.5."""
+        return {
+            ft: (
+                self.average_power_ratio(upgraded_page_fraction(ft)),
+                self.average_performance_ratio(upgraded_page_fraction(ft)),
+            )
+            for ft in self.fault_types
+        }
 
     def to_table(self) -> str:
         """Render both figures as one table per metric."""
+        fractions = [upgraded_page_fraction(ft) for ft in self.fault_types]
         out = []
-        for title, ratios, worst in (
+        for title, metric, worst in (
             (
                 "Figure 7.2: Power with fault (normalized)",
-                self.power_ratio,
+                0,
                 worst_case_power_ratio,
             ),
             (
                 "Figure 7.3: Performance with fault (normalized)",
-                self.performance_ratio,
+                1,
                 worst_case_performance_ratio,
             ),
         ):
@@ -87,16 +77,13 @@ class FaultOverheadResult:
                 rows.append(
                     [mix]
                     + [
-                        f"{ratios[(mix, ft)]:.3f}"
-                        for ft in self.fault_types
+                        f"{self.ratios[(mix, fraction)][metric]:.3f}"
+                        for fraction in fractions
                     ]
                 )
             rows.append(
                 ["worst case est."]
-                + [
-                    f"{worst(upgraded_page_fraction(ft)):.3f}"
-                    for ft in self.fault_types
-                ]
+                + [f"{worst(fraction):.3f}" for fraction in fractions]
             )
             out.append(format_table(headers, rows, title=title))
         return "\n\n".join(out)
@@ -110,58 +97,29 @@ def plan_fig7_2_7_3(
 ) -> ExperimentPlan:
     """Figures 7.2/7.3 as runner jobs: one per (mix, sweep point).
 
-    Each mix contributes one shared fault-free *baseline job* plus one
-    job per fault type, all on the batched engine against one memoized
-    trace. The baseline used to be recomputed inside every mix job —
-    hoisted out, the result cache stores it once per mix (and shares it
-    with Figure 7.1's ARCC point and the sensitivity sweep), and the
+    Each mix contributes its fault-free baseline job plus one job per
+    fault type. The baseline is one cache entry shared with Figure
+    7.1's ARCC point and the sensitivity sweep's zero point; the
     normalization happens at assembly.
+
+    Examples
+    --------
+    >>> len(plan_fig7_2_7_3().jobs)      # 12 mixes x (1 + 4 fault types)
+    60
     """
-    check_instructions_per_core(instructions_per_core)
-    mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
     fault_types = tuple(fault_types)
-    jobs = []
-    for mix in mixes:
-        jobs.append(
-            point_job(
-                f"fig7.2[{mix.name}][fault-free]",
-                mix=mix,
-                config=ARCC_MEMORY_CONFIG,
-                upgraded_fraction=0.0,
-                instructions_per_core=instructions_per_core,
-                seed=seed,
-            )
-        )
-        for fault_type in fault_types:
-            jobs.append(
-                point_job(
-                    f"fig7.2[{mix.name}][{fault_type.value}]",
-                    mix=mix,
-                    config=ARCC_MEMORY_CONFIG,
-                    upgraded_fraction=upgraded_page_fraction(fault_type),
-                    instructions_per_core=instructions_per_core,
-                    seed=seed,
-                )
-            )
-
-    def assemble(values: List[dict]) -> FaultOverheadResult:
-        power: Dict[Tuple[str, FaultType], float] = {}
-        perf: Dict[Tuple[str, FaultType], float] = {}
-        stride = 1 + len(fault_types)
-        for index, mix in enumerate(mixes):
-            fault_free = values[index * stride]
-            for offset, fault_type in enumerate(fault_types, start=1):
-                faulty = values[index * stride + offset]
-                power[(mix.name, fault_type)] = (
-                    faulty["power_w"] / fault_free["power_w"]
-                )
-                perf[(mix.name, fault_type)] = (
-                    faulty["performance"] / fault_free["performance"]
-                )
-        return FaultOverheadResult(
-            power_ratio=power,
-            performance_ratio=perf,
-            fault_types=fault_types,
-        )
-
-    return ExperimentPlan(name="fig7.2", jobs=jobs, assemble=assemble)
+    grid = plan_trace_ratios(
+        "fig7.2",
+        mixes,
+        [upgraded_page_fraction(ft) for ft in fault_types],
+        ARCC_MEMORY_CONFIG,
+        instructions_per_core,
+        seed,
+    )
+    return ExperimentPlan(
+        name="fig7.2",
+        jobs=grid.jobs,
+        assemble=lambda values: FaultOverheadResult(
+            ratios=grid.assemble(values), fault_types=fault_types
+        ),
+    )

@@ -14,13 +14,13 @@ reduction is kept as :func:`_overhead_series` — the reference the
 vectorized accumulation is tested against on identical histories.
 
 By default the per-fault overheads are the recorded
-:data:`FALLBACK_OVERHEADS`; for the fully measured methodology pass
-freshly measured Figure 7.2/7.3 ratios in::
+:data:`FALLBACK_OVERHEADS`. The fully measured methodology is its own
+plan, :func:`plan_fig7_4_7_5_measured`: its jobs are the Figure 7.2/7.3
+grid's, shared with the trace figures and ``repro fleet --measured``
+through the cache, and its assembly feeds the per-fault-type averages to
+:func:`plan_fig7_4_7_5` inline::
 
-    execute_plan(plan_fig7_4_7_5(overheads=measured_fault_ratios()))
-
-with :func:`repro.fleet.measured.measured_fault_ratios`, which memoizes
-per process and shares its cache entries with the trace figures.
+    execute_plan(plan_fig7_4_7_5_measured())
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.config import MEASUREMENT_CONFIG
+from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
 from repro.faults.lifetime import FaultEvent
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.faults.types import FaultType
@@ -43,18 +45,18 @@ from repro.perf.simulator import (
     worst_case_performance_ratio,
     worst_case_power_ratio,
 )
-from repro.runner import ExperimentPlan, Job
+from repro.runner import ExperimentPlan, Job, execute_plan
 from repro.util.stats import confidence_interval_from_moments
 from repro.util.tables import format_table
 from repro.util.units import HOURS_PER_YEAR
+from repro.workloads.spec import WorkloadMix
 
 DEFAULT_MULTIPLIERS = (1.0, 2.0, 4.0)
 
 #: Measured per-fault-type overheads (power ratio, performance ratio)
 #: averaged over the 12 mixes at the default simulation scale. Regenerate
-#: with :func:`repro.fleet.measured.measured_fault_ratios` when the
-#: simulator or profiles change — `benchmarks/test_fig7_4_7_5` does
-#: exactly that.
+#: with :func:`plan_fig7_4_7_5_measured` when the simulator or profiles
+#: change — `benchmarks/test_fig7_4_7_5_lifetime.py` runs it.
 FALLBACK_OVERHEADS: Dict[FaultType, Tuple[float, float]] = {
     FaultType.LANE: (1.38, 1.02),
     FaultType.DEVICE: (1.16, 1.00),
@@ -279,3 +281,47 @@ def plan_fig7_4_7_5(
         )
 
     return ExperimentPlan(name="fig7.4", jobs=jobs, assemble=assemble)
+
+
+def plan_fig7_4_7_5_measured(
+    years: int = 7,
+    channels: int = 2000,
+    multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
+    seed: int = 0xFA117,
+    mixes: Optional[Sequence[WorkloadMix]] = None,
+    instructions_per_core: int = MEASUREMENT_CONFIG.instructions_per_core,
+    measurement_seed: int = MEASUREMENT_CONFIG.seed,
+) -> ExperimentPlan:
+    """Figures 7.4/7.5 on freshly measured overheads, as one plan.
+
+    Composed the way
+    :func:`~repro.fleet.policies.plan_fleet_compare_measured` is: the
+    plan's jobs are the Figure 7.2/7.3 ratio grid's (cache-shared with
+    the trace figures); assembly averages the ratios per fault type
+    across mixes and runs :func:`plan_fig7_4_7_5` with them inline.
+
+    Examples
+    --------
+    >>> from repro.workloads.spec import ALL_MIXES
+    >>> len(plan_fig7_4_7_5_measured(mixes=ALL_MIXES[:3]).jobs)
+    15
+    """
+    check_channels(channels)
+    grid = plan_fig7_2_7_3(
+        mixes=mixes,
+        instructions_per_core=instructions_per_core,
+        seed=measurement_seed,
+    )
+
+    def assemble(values: List[Any]) -> LifetimeOverheadResult:
+        return execute_plan(
+            plan_fig7_4_7_5(
+                years=years,
+                channels=channels,
+                multipliers=multipliers,
+                overheads=grid.assemble(values).overheads(),
+                seed=seed,
+            )
+        )
+
+    return ExperimentPlan(name="fig7.4", jobs=grid.jobs, assemble=assemble)

@@ -9,19 +9,18 @@ feature on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.config import ARCC_MEMORY_CONFIG, MemoryConfig, ScrubConfig
 from repro.core.scrubber import scrub_bandwidth_overhead
 from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import FaultType
-from repro.perf.engine import point_job
-from repro.perf.trace import check_instructions_per_core
+from repro.perf.engine import TraceRatios, plan_trace_ratios
 from repro.reliability.analytical import ReliabilityParams, sdc_rate_arcc_ded
 from repro.runner import ExperimentPlan
 from repro.util.tables import format_table
 from repro.util.units import GB, KB
-from repro.workloads.spec import ALL_MIXES, WorkloadMix
+from repro.workloads.spec import WorkloadMix
 
 #: Default measured-sweep grid: the Table 7.4 fractions (so those points
 #: are shared with the Figure 7.2/7.3 cache) plus midpoints that chart
@@ -209,8 +208,25 @@ def sweep_upgraded_fraction(
 # -- measured upgraded-fraction response (batched-engine sweep) ----------------
 
 
+def check_sweep_fractions(fractions: Sequence[float]) -> Tuple[float, ...]:
+    """A measured sweep's grid: the fault-free 0.0 point, all in [0, 1].
+
+    The one check of a sweep's fractions, for
+    :func:`plan_sweep_upgraded_fraction_measured` and study files.
+    """
+    fractions = tuple(fractions)
+    if 0.0 not in fractions:
+        raise ValueError("the sweep needs the fault-free 0.0 point")
+    out_of_range = [f for f in fractions if not 0.0 <= f <= 1.0]
+    if out_of_range:
+        raise ValueError(
+            f"upgraded fractions must be in [0, 1], got {out_of_range}"
+        )
+    return fractions
+
+
 @dataclass
-class MeasuredFractionSweep:
+class MeasuredFractionSweep(TraceRatios):
     """Simulated power/performance response to the upgraded fraction.
 
     Where :class:`UpgradedFractionCurve` charts the closed-form worst
@@ -222,30 +238,6 @@ class MeasuredFractionSweep:
     """
 
     fractions: Tuple[float, ...]
-    #: (mix name, fraction) -> (power ratio, performance ratio)
-    ratios: Dict[Tuple[str, float], Tuple[float, float]]
-
-    def mixes(self) -> List[str]:
-        """Mix names present, in run order."""
-        seen: List[str] = []
-        for mix_name, _ in self.ratios:
-            if mix_name not in seen:
-                seen.append(mix_name)
-        return seen
-
-    def average_power_ratio(self, fraction: float) -> float:
-        """Mean measured power ratio at one fraction across mixes."""
-        values = [
-            v for (_, f), (v, _) in self.ratios.items() if f == fraction
-        ]
-        return sum(values) / len(values)
-
-    def average_performance_ratio(self, fraction: float) -> float:
-        """Mean measured performance ratio at one fraction."""
-        values = [
-            v for (_, f), (_, v) in self.ratios.items() if f == fraction
-        ]
-        return sum(values) / len(values)
 
     def headroom_vs_worst_case(self, fraction: float) -> float:
         """How far the measured average power sits under ``1 + f``."""
@@ -289,47 +281,30 @@ def plan_sweep_upgraded_fraction_measured(
 ) -> ExperimentPlan:
     """The measured fraction sweep as runner jobs: one per (mix, point).
 
-    All of a mix's points replay the same memoized trace, and the
-    fractions shared with Table 7.4 (and the fault-free zero point) are
-    the *same cached jobs* as Figures 7.1/7.2/7.3's. ``config`` selects
-    the memory organization under test (study files sweep custom
-    organizations through here).
+    A :func:`~repro.perf.engine.plan_trace_ratios` grid: all of a mix's
+    points replay the same trace, and the fractions shared with Table
+    7.4 (and the fault-free zero point) are the *same cached jobs* as
+    Figures 7.1/7.2/7.3's. ``config`` selects the memory organization
+    under test (study files sweep custom organizations through here).
+
+    Examples
+    --------
+    >>> len(plan_sweep_upgraded_fraction_measured().jobs)  # 12 mixes x 7
+    84
     """
-    check_instructions_per_core(instructions_per_core)
-    mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
-    fractions = tuple(fractions)
-    if 0.0 not in fractions:
-        raise ValueError("the sweep needs the fault-free 0.0 point")
-    out_of_range = [f for f in fractions if not 0.0 <= f <= 1.0]
-    if out_of_range:
-        raise ValueError(
-            f"upgraded fractions must be in [0, 1], got {out_of_range}"
-        )
-    jobs = [
-        point_job(
-            f"sensitivity[{config.name}][{mix.name}][{fraction:g}]",
-            mix=mix,
-            config=config,
-            upgraded_fraction=fraction,
-            instructions_per_core=instructions_per_core,
-            seed=seed,
-        )
-        for mix in mixes
-        for fraction in fractions
-    ]
-
-    def assemble(values: List[dict]) -> MeasuredFractionSweep:
-        ratios: Dict[Tuple[str, float], Tuple[float, float]] = {}
-        stride = len(fractions)
-        zero = fractions.index(0.0)
-        for index, mix in enumerate(mixes):
-            base = values[index * stride + zero]
-            for offset, fraction in enumerate(fractions):
-                point = values[index * stride + offset]
-                ratios[(mix.name, fraction)] = (
-                    point["power_w"] / base["power_w"],
-                    point["performance"] / base["performance"],
-                )
-        return MeasuredFractionSweep(fractions=fractions, ratios=ratios)
-
-    return ExperimentPlan(name="sensitivity", jobs=jobs, assemble=assemble)
+    fractions = check_sweep_fractions(fractions)
+    grid = plan_trace_ratios(
+        f"sensitivity[{config.name}]",
+        mixes,
+        fractions,
+        config,
+        instructions_per_core,
+        seed,
+    )
+    return ExperimentPlan(
+        name="sensitivity",
+        jobs=grid.jobs,
+        assemble=lambda values: MeasuredFractionSweep(
+            ratios=grid.assemble(values), fractions=fractions
+        ),
+    )

@@ -39,7 +39,6 @@ from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch, empty_batch
 from repro.fleet.measured import (
     MeasuredOverheadProfile,
     clear_measured_memo,
-    measured_fault_ratios,
     plan_measured_profiles,
 )
 from repro.fleet.policies import (
@@ -127,7 +126,6 @@ __all__ = [
     "load_raw_mapping",
     "load_scenario_file",
     "load_study_file",
-    "measured_fault_ratios",
     "measured_policy",
     "overhead_series_by_year",
     "plan_fleet",

@@ -38,16 +38,19 @@ measured points):
   :data:`~repro.core.lotecc_arcc.WORST_CASE_UPGRADE_FACTOR` the
   all-reads ceiling.
 
-Every simulation point funnels through
-:func:`~repro.perf.engine.simulate_point_job` with the Figure 7.1-7.3
-seeds, so points shared with those figures are one cache entry (and one
-in-batch computation); the sccdcd lane point is likewise the arcc lane
-point, computed once. Measurement is a plan, never an eager call:
+The ratios come from :func:`~repro.perf.engine.plan_trace_ratios`, the
+normalization plan behind Figures 7.2/7.3 and the measured fraction
+sweep, with the Figure 7.1-7.3 seeds, so points shared with those
+figures are one cache entry (and one in-batch computation); the sccdcd
+lane point is likewise the arcc lane point, computed once. Measurement
+is a plan, never an eager call:
 :func:`~repro.fleet.policies.plan_fleet_compare_measured` composes it
-with the comparison, and several such plans in one ``execute_plans``
-batch (``repro fleet --measured`` over several scenarios, a study's
-measured points) share their common points through in-batch dedup.
-Across processes they share the same disk-cache entries.
+with the comparison the way
+:func:`~repro.experiments.fig7_4_7_5.plan_fig7_4_7_5_measured` composes
+the Figure 7.2 grid with Figures 7.4/7.5, and several such plans in one
+``execute_plans`` batch (``repro fleet --measured`` over several
+scenarios, a study's measured points) share their common points through
+in-batch dedup. Across processes they share the same disk-cache entries.
 """
 
 from __future__ import annotations
@@ -59,14 +62,13 @@ from repro.config import ARCC_MEMORY_CONFIG, MEASUREMENT_CONFIG, MemoryConfig
 from repro.core.lotecc_arcc import WORST_CASE_UPGRADE_FACTOR
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.faults.types import FaultType
-from repro.perf.engine import point_job
+from repro.fleet.report import MeanCI
+from repro.perf.engine import plan_trace_ratios
 from repro.perf.simulator import (
     worst_case_performance_ratio,
     worst_case_power_ratio,
 )
-from repro.perf.trace import check_instructions_per_core
-from repro.fleet.report import MeanCI
-from repro.runner import ExperimentPlan, Job, ResultCache, execute_plan
+from repro.runner import ExperimentPlan
 from repro.util.stats import confidence_interval
 from repro.util.tables import format_table
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
@@ -252,139 +254,92 @@ def plan_measured_profiles(
 ) -> ExperimentPlan:
     """Measured overheads as runner jobs: one per (policy, mix, class).
 
-    Per organization and mix there is one shared fault-free baseline
-    job and one job per (policy, fault class) at the class's Table 7.4
-    fraction *for that organization*. LOT-ECC points (class points and
-    their own relaxed baseline) run in the engine's checksum-replay
-    mode, and only their job configurations carry
-    ``lotecc_checksum=True``. Jobs whose computation coincides — any
-    point shared with Figures 7.1-7.3 — dedup in-batch and in the
-    result cache. Assembles a dict keyed by (policy, organization name).
+    Per organization there are up to two
+    :func:`~repro.perf.engine.plan_trace_ratios` grids over each
+    requested policy's class fractions *for that organization*: a
+    relaxed one when ``arcc`` or ``sccdcd`` is requested, and a LOT-ECC
+    one in the engine's checksum-replay mode, normalized to its own
+    relaxed LOT-ECC baseline. Jobs whose computation coincides — the
+    sccdcd lane point is the arcc lane point, and every relaxed point
+    is a Figures 7.1-7.3 point — dedup in-batch and in the result
+    cache. Assembles a dict keyed by (policy, organization name).
+
+    Examples
+    --------
+    >>> len(plan_measured_profiles(mixes=ALL_MIXES[:2]).jobs)
+    22
+    >>> len(plan_measured_profiles(("lotecc",), mixes=ALL_MIXES[:2]).jobs)
+    10
     """
-    check_instructions_per_core(instructions_per_core)
     policies = _check_policies(policies)
     organizations = _check_organizations(organizations)
     mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
 
-    jobs: List[Job] = []
-    # descriptor: ("base"|"lotbase", org index, mix index) or
-    #             ("class", org index, mix index, policy, fault type)
-    descriptors: List[Tuple[Any, ...]] = []
-    for o, config in enumerate(organizations):
-        for m, mix in enumerate(mixes):
-            jobs.append(
-                point_job(
-                    f"measured[{config.name}/{mix.name}][fault-free]",
-                    mix=mix,
-                    config=config,
-                    upgraded_fraction=0.0,
-                    instructions_per_core=instructions_per_core,
-                    seed=seed,
+    # (organization, checksum mode) -> the ratio grid measured in it.
+    # Relaxed LOT-ECC still pays its checksum write per write, so the
+    # LOT-ECC grid's baseline replays in checksum mode too.
+    grids: Dict[Tuple[str, bool], ExperimentPlan] = {}
+    for config in organizations:
+        for checksum in (False, True):
+            measured = [
+                policy for policy in policies if (policy == "lotecc") == checksum
+            ]
+            if measured:
+                grids[(config.name, checksum)] = plan_trace_ratios(
+                    f"measured[{config.name}{'/lotecc' if checksum else ''}]",
+                    mixes,
+                    [
+                        upgraded_page_fraction(fault_type, config)
+                        for policy in measured
+                        for fault_type in POLICY_FAULT_CLASSES[policy]
+                    ],
+                    config,
+                    instructions_per_core,
+                    seed,
+                    lotecc_checksum=checksum,
                 )
-            )
-            descriptors.append(("base", o, m))
-            if "lotecc" in policies:
-                # Relaxed LOT-ECC still pays its checksum write per
-                # write, so the LOT-ECC ratio's denominator replays in
-                # the same checksum mode as its numerator.
-                jobs.append(
-                    point_job(
-                        f"measured[{config.name}/{mix.name}]"
-                        "[lotecc-relaxed]",
-                        mix=mix,
-                        config=config,
-                        upgraded_fraction=0.0,
-                        instructions_per_core=instructions_per_core,
-                        seed=seed,
-                        lotecc_checksum=True,
-                    )
-                )
-                descriptors.append(("lotbase", o, m))
-            for policy in policies:
-                for fault_type in POLICY_FAULT_CLASSES[policy]:
-                    kwargs: Dict[str, Any] = {}
-                    if policy == "lotecc":
-                        kwargs["lotecc_checksum"] = True
-                    jobs.append(
-                        point_job(
-                            f"measured[{config.name}/{policy}/{mix.name}]"
-                            f"[{fault_type.value}]",
-                            mix=mix,
-                            config=config,
-                            upgraded_fraction=upgraded_page_fraction(
-                                fault_type, config
-                            ),
-                            instructions_per_core=instructions_per_core,
-                            seed=seed,
-                            **kwargs,
-                        )
-                    )
-                    descriptors.append(("class", o, m, policy, fault_type))
-
     mix_names = tuple(mix.name for mix in mixes)
 
     def assemble(values: List[Any]) -> ProfileMap:
-        base: Dict[Tuple[int, int], Dict[str, float]] = {}
-        lotecc_base: Dict[Tuple[int, int], Dict[str, float]] = {}
-        points: Dict[Tuple[int, int, str, FaultType], Dict[str, float]] = {}
-        for descriptor, value in zip(descriptors, values):
-            if descriptor[0] == "base":
-                base[descriptor[1:]] = value
-            elif descriptor[0] == "lotbase":
-                lotecc_base[descriptor[1:]] = value
-            else:
-                points[descriptor[1:]] = value
+        rest = iter(values)
+        ratios = {
+            key: grid.assemble([next(rest) for _ in grid.jobs])
+            for key, grid in grids.items()
+        }
 
         profiles: ProfileMap = {}
-        for o, config in enumerate(organizations):
+        for config in organizations:
             for policy in policies:
+                grid = ratios[(config.name, policy == "lotecc")]
                 power: Dict[FaultType, MeanCI] = {}
                 performance: Dict[FaultType, MeanCI] = {}
                 worst_power: Dict[FaultType, float] = {}
                 worst_perf: Dict[FaultType, float] = {}
                 for fault_type in POLICY_FAULT_CLASSES[policy]:
                     fraction = upgraded_page_fraction(fault_type, config)
-                    power_samples: List[float] = []
-                    perf_samples: List[float] = []
-                    for m in range(len(mixes)):
-                        fault_free = (
-                            lotecc_base[(o, m)]
-                            if policy == "lotecc"
-                            else base[(o, m)]
+                    p, q, wp, wq = zip(
+                        *(
+                            _class_samples(policy, fraction, *grid[(name, fraction)])
+                            for name in mix_names
                         )
-                        point = points[(o, m, policy, fault_type)]
-                        p, q, wp, wq = _class_samples(
-                            policy,
-                            fraction,
-                            point["power_w"] / fault_free["power_w"],
-                            point["performance"] / fault_free["performance"],
-                        )
-                        power_samples.append(p)
-                        perf_samples.append(q)
-                        worst_power[fault_type] = wp
-                        worst_perf[fault_type] = wq
-                    power[fault_type] = confidence_interval(power_samples)
-                    performance[fault_type] = confidence_interval(
-                        perf_samples
                     )
+                    power[fault_type] = confidence_interval(p)
+                    performance[fault_type] = confidence_interval(q)
+                    worst_power[fault_type], worst_perf[fault_type] = wp[0], wq[0]
                 static_power: MeanCI = (0.0, 0.0)
                 static_perf: MeanCI = (0.0, 0.0)
-                per_fault_power = power
-                per_fault_perf = performance
                 if policy == "sccdcd":
                     # Always-strong: the lane measurement becomes the
                     # constant premium; nothing accrues per fault.
-                    static_power = power[FaultType.LANE]
-                    static_perf = performance[FaultType.LANE]
-                    per_fault_power = {}
-                    per_fault_perf = {}
+                    static_power = power.pop(FaultType.LANE)
+                    static_perf = performance.pop(FaultType.LANE)
                     worst_power = {}
                     worst_perf = {}
                 profiles[(policy, config.name)] = MeasuredOverheadProfile(
                     policy=policy,
                     organization=config.name,
-                    power=per_fault_power,
-                    performance=per_fault_perf,
+                    power=power,
+                    performance=performance,
                     worst_case_power=worst_power,
                     worst_case_performance=worst_perf,
                     static_power=static_power,
@@ -395,59 +350,19 @@ def plan_measured_profiles(
                 )
         return profiles
 
-    return ExperimentPlan(name="measured", jobs=jobs, assemble=assemble)
-
-
-_ratio_memo: Dict[Tuple[Any, ...], Dict[FaultType, Tuple[float, float]]] = {}
+    return ExperimentPlan(
+        name="measured",
+        jobs=[job for grid in grids.values() for job in grid.jobs],
+        assemble=assemble,
+    )
 
 
 def clear_measured_memo() -> None:
-    """Drop the per-process measurement memo (cold-run benchmarking)."""
-    _ratio_memo.clear()
+    """Do nothing: measurement is a plan and keeps no per-process memo.
 
-
-def measured_fault_ratios(
-    mixes: Optional[Sequence[WorkloadMix]] = None,
-    instructions_per_core: int = MEASUREMENT_CONFIG.instructions_per_core,
-    seed: int = MEASUREMENT_CONFIG.seed,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> Dict[FaultType, Tuple[float, float]]:
-    """Measured (power, performance) ratios per fault type (Fig 7.2/7.3).
-
-    The ``overheads=`` input of measured Figures 7.4/7.5, memoized per
-    process; it shares the per-(mix, point) cache entries with
-    :func:`plan_measured_profiles` — one measurement feeds Figures
-    7.4/7.5 *and* the policy comparison. The memo is keyed on each mix's
-    benchmarks as well as its name, so a custom mix that reuses a
-    built-in name never gets the built-in's ratios.
+    Kept only for the benchmark harness, which still calls it before
+    each cold run.
     """
-    from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
-
-    mix_list = list(mixes) if mixes is not None else list(ALL_MIXES)
-    key = (
-        tuple((mix.name, mix.benchmark_names) for mix in mix_list),
-        instructions_per_core,
-        seed,
-    )
-    if key not in _ratio_memo:
-        result = execute_plan(
-            plan_fig7_2_7_3(
-                mixes=mix_list,
-                instructions_per_core=instructions_per_core,
-                seed=seed,
-            ),
-            max_workers=jobs,
-            cache=cache,
-        )
-        _ratio_memo[key] = {
-            ft: (
-                result.average_power_ratio(ft),
-                result.average_performance_ratio(ft),
-            )
-            for ft in result.fault_types
-        }
-    return _ratio_memo[key]
 
 
 def profiles_to_table(profiles: Mapping[Tuple[str, str], Any]) -> str:
@@ -505,7 +420,6 @@ __all__ = [
     "POLICY_FAULT_CLASSES",
     "ProfileMap",
     "clear_measured_memo",
-    "measured_fault_ratios",
     "plan_measured_profiles",
     "profiles_to_table",
 ]

@@ -48,6 +48,7 @@ from typing import (
 from repro.config import MEASUREMENT_CONFIG, MemoryConfig
 from repro.experiments.sensitivity import (
     MeasuredFractionSweep,
+    check_sweep_fractions,
     plan_sweep_upgraded_fraction_measured,
 )
 from repro.fleet.policies import (
@@ -163,12 +164,8 @@ class Study:
                 raise ValueError(f"unknown policy key {unknown[0]!r}")
         if any(s < 1 for s in self.instruction_scales):
             raise ValueError("instruction scales must be >= 1")
-        if self.upgraded_fractions and 0.0 not in self.upgraded_fractions:
-            raise ValueError(
-                "upgraded_fractions needs the fault-free 0.0 point"
-            )
-        if any(not 0.0 <= f <= 1.0 for f in self.upgraded_fractions):
-            raise ValueError("upgraded fractions must be in [0, 1]")
+        if self.upgraded_fractions:
+            check_sweep_fractions(self.upgraded_fractions)
         if self.instruction_scales and not (
             self.measured or self.upgraded_fractions
         ):

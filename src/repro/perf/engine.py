@@ -20,7 +20,9 @@ The two are bit-identical, field for field of the
 :class:`~repro.perf.simulator.MixResult`
 (``tests/test_kernel_equivalence.py``), LOT-ECC checksum points
 (:attr:`SweepPoint.lotecc_checksum`) included. Figures reach
-:func:`replay` through the :func:`point_job` runner jobs.
+:func:`replay` through the :func:`point_job` runner jobs; every figure
+that reports a faulty point over its mix's fault-free point builds them
+with :func:`plan_trace_ratios`.
 
 Pairing is a property of the organization, not an option: an upgraded
 line reads its two sub-lines from both channels in lockstep, so any
@@ -33,7 +35,7 @@ rejects it when the plan is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,8 +51,8 @@ from repro.perf.simulator import (
     page_is_upgraded,
 )
 from repro.perf.trace import check_instructions_per_core, materialize_mix
-from repro.runner.job import Job
-from repro.workloads.spec import WorkloadMix
+from repro.runner.job import ExperimentPlan, Job
+from repro.workloads.spec import ALL_MIXES, WorkloadMix
 
 
 def decode_lines(
@@ -301,14 +303,111 @@ def point_job(name: str, **config: Any) -> Job:
     )
 
 
+#: ``(mix name, upgraded fraction) -> (power ratio, performance ratio)``
+Ratios = Dict[Tuple[str, float], Tuple[float, float]]
+
+
+@dataclass
+class TraceRatios:
+    """Trace points over their mix's fault-free point (Figures 7.2/7.3).
+
+    The result shape of every ratio plan: ``ratios`` holds each mix's
+    entry at ``0.0``, exactly ``(1.0, 1.0)``, and one per requested
+    fraction, as :func:`plan_trace_ratios` assembles them.
+    """
+
+    ratios: Ratios
+
+    def mixes(self) -> List[str]:
+        """Mix names present, in run order."""
+        return list(dict.fromkeys(mix for mix, _ in self.ratios))
+
+    def average_power_ratio(self, fraction: float) -> float:
+        """Mean power ratio at one fraction across mixes."""
+        values = [p for (_, f), (p, _) in self.ratios.items() if f == fraction]
+        return sum(values) / len(values)
+
+    def average_performance_ratio(self, fraction: float) -> float:
+        """Mean performance ratio at one fraction across mixes."""
+        values = [q for (_, f), (_, q) in self.ratios.items() if f == fraction]
+        return sum(values) / len(values)
+
+
+def plan_trace_ratios(
+    name: str,
+    mixes: Optional[Sequence[WorkloadMix]],
+    fractions: Sequence[float],
+    config: MemoryConfig,
+    instructions_per_core: int,
+    seed: int,
+    lotecc_checksum: bool = False,
+) -> ExperimentPlan:
+    """Per-mix trace ratios as runner jobs: the one normalization plan.
+
+    Each mix (``None`` means every mix) gets its fault-free point, then
+    one point per entry of ``fractions``: a ``0.0`` entry is the
+    fault-free point itself, and duplicates are kept (they share one
+    identity, so the runner computes them once). With
+    ``lotecc_checksum`` both sides of every ratio replay in LOT-ECC
+    checksum mode; only then does the flag enter the jobs'
+    configurations, so relaxed points keep the identities that Figure
+    7.1's ARCC point, the Figure 7.2 baseline and the sweep's zero
+    point share. Assembles :data:`Ratios`.
+
+    Examples
+    --------
+    >>> plan = plan_trace_ratios(
+    ...     "demo", ALL_MIXES[:2], (0.0, 0.25, 1.0), ARCC_MEMORY_CONFIG,
+    ...     instructions_per_core=2_000, seed=7,
+    ... )
+    >>> len(plan.jobs)
+    6
+    """
+    check_instructions_per_core(instructions_per_core)
+    mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
+    grid = [0.0] + [fraction for fraction in fractions if fraction != 0.0]
+    checksum = {"lotecc_checksum": True} if lotecc_checksum else {}
+    jobs = [
+        point_job(
+            f"{name}[{mix.name}][{fraction:g}]",
+            mix=mix,
+            config=config,
+            upgraded_fraction=fraction,
+            instructions_per_core=instructions_per_core,
+            seed=seed,
+            **checksum,
+        )
+        for mix in mixes
+        for fraction in grid
+    ]
+
+    def assemble(values: List[Dict[str, float]]) -> Ratios:
+        ratios: Ratios = {}
+        rest = iter(values)
+        for mix in mixes:
+            points = [next(rest) for _ in grid]
+            base = points[0]
+            for fraction, point in zip(grid, points):
+                ratios[(mix.name, fraction)] = (
+                    point["power_w"] / base["power_w"],
+                    point["performance"] / base["performance"],
+                )
+        return ratios
+
+    return ExperimentPlan(name=name, jobs=jobs, assemble=assemble)
+
+
 __all__ = [
     "ENGINE_TIERS",
+    "Ratios",
     "SweepPoint",
+    "TraceRatios",
     "arcc_capable",
     "clear_engine_memos",
     "decode_lines",
     "engine_provenance",
     "page_is_upgraded",
+    "plan_trace_ratios",
     "point_job",
     "replay",
     "resolve_engine",

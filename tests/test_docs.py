@@ -37,6 +37,9 @@ DOCTEST_MODULES = (
     "repro.fleet.scenario_file",
     "repro.perf.trace",
     "repro.perf.engine",
+    "repro.experiments.fig7_2_7_3",
+    "repro.experiments.sensitivity",
+    "repro.experiments.fig7_4_7_5",
     "repro.reliability.montecarlo",
     "repro.runner.job",
     "repro.fuzz.sampler",

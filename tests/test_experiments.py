@@ -124,21 +124,22 @@ class TestFig7273:
 
     def test_power_ordering(self, result):
         """Figure 7.2: lane > device > bank >= column overhead."""
-        lane = result.average_power_ratio(FaultType.LANE)
-        device = result.average_power_ratio(FaultType.DEVICE)
-        bank = result.average_power_ratio(FaultType.BANK)
-        column = result.average_power_ratio(FaultType.COLUMN)
+        overheads = result.overheads()
+        lane = overheads[FaultType.LANE][0]
+        device = overheads[FaultType.DEVICE][0]
+        bank = overheads[FaultType.BANK][0]
+        column = overheads[FaultType.COLUMN][0]
         assert lane > device > bank >= column >= 1.0 - 1e-6
 
     def test_power_below_worst_case(self, result):
         """Spatial locality keeps measured power under 1 + fraction."""
-        assert result.average_power_ratio(FaultType.LANE) < 2.0
-        assert result.average_power_ratio(FaultType.DEVICE) < 1.5
+        assert result.overheads()[FaultType.LANE][0] < 2.0
+        assert result.overheads()[FaultType.DEVICE][0] < 1.5
 
     def test_performance_near_unity(self, result):
         """Figure 7.3: negligible average degradation."""
-        for ft in result.fault_types:
-            assert 0.90 < result.average_performance_ratio(ft) < 1.15
+        for _, performance in result.overheads().values():
+            assert 0.90 < performance < 1.15
 
     def test_table_contains_worst_case_row(self, result):
         assert "worst case est." in result.to_table()

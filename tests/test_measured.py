@@ -21,8 +21,6 @@ from repro.fleet import (
     FleetScenario,
     MeasuredOverheadProfile,
     SubPopulation,
-    clear_measured_memo,
-    measured_fault_ratios,
     measured_policy,
     plan_fleet_compare,
     plan_fleet_compare_measured,
@@ -35,14 +33,6 @@ from repro.workloads.spec import ALL_MIXES, WorkloadMix
 
 MIXES = ALL_MIXES[:3]
 INSTRUCTIONS = 4_000
-
-
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    """Each test starts without the per-process measurement memo."""
-    clear_measured_memo()
-    yield
-    clear_measured_memo()
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +109,15 @@ class TestProfileReduction:
         with pytest.raises(ValueError, match="ARCC pairing"):
             plan_measured_profiles(organizations=(one,))
 
+    def test_lotecc_only_replays_no_relaxed_baseline(self):
+        """LOT-ECC normalizes to its own checksum-mode baseline, so a
+        LOT-ECC-only measurement builds no relaxed fault-free point."""
+        plan = plan_measured_profiles(
+            policies=("lotecc",), mixes=ALL_MIXES[:2], instructions_per_core=2_000
+        )
+        assert len(plan.jobs) == 10  # 2 mixes x (baseline + 4 classes)
+        assert all(dict(job.config).get("lotecc_checksum") for job in plan.jobs)
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(KeyError, match="unknown policy"):
             plan_measured_profiles(policies=("secded",))
@@ -171,48 +170,83 @@ class TestDeterminismAndCaching:
         fig_keys = {cache.key(job) for job in fig.jobs}
         assert fig_keys <= bridge_keys
 
-    def test_measured_fault_ratios_memoized_per_process(self):
-        first = measured_fault_ratios(
-            mixes=MIXES[:1], instructions_per_core=2_000
+    def test_measured_fig7_4_is_the_fig7_2_grid_plus_inline_lifetime(
+        self, tmp_path
+    ):
+        """Measured Figures 7.4/7.5 are a plan: its jobs are Figure 7.2's
+        (one cache entry each), a warm run recomputes nothing and the
+        lifetime figures run on the grid's per-fault-type averages."""
+        from repro.experiments import (
+            plan_fig7_2_7_3,
+            plan_fig7_4_7_5,
+            plan_fig7_4_7_5_measured,
         )
-        assert measured_fault_ratios(
-            mixes=MIXES[:1], instructions_per_core=2_000
-        ) is first
-        assert set(first) == {
+
+        kwargs = dict(mixes=MIXES[:1], instructions_per_core=2_000)
+        plan = plan_fig7_4_7_5_measured(years=2, channels=60, **kwargs)
+        fig72 = plan_fig7_2_7_3(**kwargs)
+        assert [job_identity(j) for j in plan.jobs] == [
+            job_identity(j) for j in fig72.jobs
+        ]
+        cache = ResultCache(tmp_path / "cache")
+        cold = execute_plan(plan, cache=cache)
+        entries = sorted((tmp_path / "cache").glob("*.pkl"))
+        assert len(entries) == len(plan.jobs)
+        warm = execute_plan(plan, cache=cache)
+        assert sorted((tmp_path / "cache").glob("*.pkl")) == entries
+        overheads = execute_plan(fig72, cache=cache).overheads()
+        assert set(overheads) == {
             FaultType.LANE,
             FaultType.DEVICE,
             FaultType.BANK,
             FaultType.COLUMN,
         }
+        direct = execute_plan(
+            plan_fig7_4_7_5(years=2, channels=60, overheads=overheads)
+        )
+        for result in (cold, warm):
+            assert result.power_overhead == direct.power_overhead
+            assert result.performance_overhead == direct.performance_overhead
 
-    def test_memo_tells_same_named_mixes_apart(self):
+    def test_same_named_mixes_are_told_apart(self):
         """A custom mix reusing a built-in name is measured on its own
-        benchmarks, not served the built-in's memoized ratios."""
+        benchmarks: other identities, other ratios."""
+        from repro.experiments import plan_fig7_2_7_3
+
         builtin = ALL_MIXES[0]
         impostor = WorkloadMix(builtin.name, ALL_MIXES[9].benchmark_names)
         assert impostor.benchmark_names != builtin.benchmark_names
-        first = measured_fault_ratios(
-            mixes=[builtin], instructions_per_core=300
+        plans = [
+            plan_fig7_2_7_3(mixes=[mix], instructions_per_core=300)
+            for mix in (builtin, impostor)
+        ]
+        first, second = (
+            {job_identity(job) for job in plan.jobs} for plan in plans
         )
-        second = measured_fault_ratios(
-            mixes=[impostor], instructions_per_core=300
-        )
-        assert second is not first
+        assert first.isdisjoint(second)
+        first, second = (execute_plan(plan).ratios for plan in plans)
+        assert first.keys() == second.keys()
         assert second != first
 
-    def test_memo_shares_identically_defined_mixes(self):
-        """The memo keys on what a mix is, not on the object: a fresh
-        ``WorkloadMix`` with a built-in's name and benchmarks is served
-        the built-in's memoized ratios."""
+    def test_identically_defined_mixes_share_identities(self):
+        """Identity follows what a mix is, not the object: a fresh
+        ``WorkloadMix`` with a built-in's name and benchmarks is the
+        built-in's measurement, one cache entry per point."""
+        from repro.experiments import plan_fig7_2_7_3
+
         builtin = ALL_MIXES[0]
         twin = WorkloadMix(builtin.name, builtin.benchmark_names)
         assert twin is not builtin
-        first = measured_fault_ratios(
-            mixes=[builtin], instructions_per_core=300
+        first, second = (
+            [
+                job_identity(job)
+                for job in plan_fig7_2_7_3(
+                    mixes=[mix], instructions_per_core=300
+                ).jobs
+            ]
+            for mix in (builtin, twin)
         )
-        assert measured_fault_ratios(
-            mixes=[twin], instructions_per_core=300
-        ) is first
+        assert first == second
 
 
 class TestMeasuredPolicies:

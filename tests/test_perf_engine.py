@@ -28,6 +28,7 @@ from repro.dram.addressing import AddressMapping
 from repro.experiments import (
     plan_fig7_1,
     plan_fig7_2_7_3,
+    plan_fig7_4_7_5_measured,
     plan_sweep_upgraded_fraction_measured,
 )
 from repro.fleet import plan_measured_profiles
@@ -42,6 +43,7 @@ from repro.perf.engine import (
     SweepPoint,
     arcc_capable,
     decode_lines,
+    plan_trace_ratios,
     point_job,
     replay,
     simulate_point_job,
@@ -53,6 +55,7 @@ from repro.perf.simulator import (
     page_is_upgraded,
 )
 from repro.perf.trace import materialize_mix
+from repro.runner import execute_plan, job_identity
 from repro.workloads.spec import ALL_MIXES, mix_by_name
 from repro.workloads.trace import CoreTrace, TraceGenerator
 
@@ -371,6 +374,7 @@ class TestInstructionBudget:
             plan_sweep_upgraded_fraction_measured,
             plan_measured_profiles,
             plan_fleet_compare_measured,
+            plan_fig7_4_7_5_measured,
         ],
     )
     @pytest.mark.parametrize("budget", [0, -3])
@@ -424,6 +428,72 @@ class TestUnpairablePointsFailAtBuild:
         with pytest.raises(ValueError, match="'ARCC-1ch' has 1 channel"):
             plan_fleet_compare_measured(
                 scenario, mixes=ALL_MIXES[:1], instructions_per_core=2_000
+            )
+
+
+class TestTraceRatioPlan:
+    """:func:`plan_trace_ratios`, the one normalization plan behind
+    Figures 7.2/7.3, the measured fraction sweep and the measured
+    policy weights."""
+
+    @staticmethod
+    def _plan(fractions, **kwargs):
+        return plan_trace_ratios(
+            "demo",
+            ALL_MIXES[:2],
+            fractions,
+            ARCC_MEMORY_CONFIG,
+            instructions_per_core=2_000,
+            seed=7,
+            **kwargs,
+        )
+
+    def test_zero_entry_is_the_baseline_not_a_second_job(self):
+        plan = self._plan((0.0, 0.25, 1.0))
+        assert len(plan.jobs) == 6
+        fractions = [dict(job.config)["upgraded_fraction"] for job in plan.jobs]
+        assert fractions == [0.0, 0.25, 1.0] * 2
+        assert len(self._plan((0.25, 1.0)).jobs) == 6
+
+    def test_duplicate_fractions_are_kept(self):
+        plan = self._plan((1.0, 0.5, 1.0))
+        assert len(plan.jobs) == 8
+        identities = [job_identity(job) for job in plan.jobs]
+        assert identities[1] == identities[3]
+        assert len(set(identities)) == 6
+
+    def test_lotecc_baseline_replays_in_checksum_mode(self):
+        relaxed, checksum = (
+            self._plan((0.25,), **kwargs).jobs
+            for kwargs in ({}, {"lotecc_checksum": True})
+        )
+        assert all(dict(job.config)["lotecc_checksum"] for job in checksum)
+        # Relaxed jobs leave the flag out: their identities stay those
+        # of Figure 7.1's ARCC point and the Figure 7.2 baseline.
+        assert all("lotecc_checksum" not in dict(job.config) for job in relaxed)
+        fig71 = plan_fig7_1(mixes=ALL_MIXES[:1], instructions_per_core=2_000, seed=7)
+        assert job_identity(relaxed[0]) == job_identity(fig71.jobs[1])
+        assert job_identity(checksum[0]) != job_identity(relaxed[0])
+
+    def test_ratio_at_zero_is_exactly_one(self):
+        ratios = execute_plan(self._plan((0.0, 0.5)))
+        assert list(ratios) == [
+            (mix.name, fraction)
+            for mix in ALL_MIXES[:2]
+            for fraction in (0.0, 0.5)
+        ]
+        for mix in ALL_MIXES[:2]:
+            assert ratios[(mix.name, 0.0)] == (1.0, 1.0)
+            assert ratios[(mix.name, 0.5)] != (1.0, 1.0)
+
+    def test_sweep_without_zero_still_raises(self):
+        with pytest.raises(ValueError, match="0.0 point"):
+            plan_sweep_upgraded_fraction_measured(
+                mixes=ALL_MIXES[:2], fractions=(0.25, 1.0)
+            )
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            plan_sweep_upgraded_fraction_measured(
+                mixes=ALL_MIXES[:2], fractions=(0.0, 1.5)
             )
 
 

@@ -100,8 +100,7 @@ class TestFigureParallelism:
         kwargs = dict(mixes=ALL_MIXES[:3], instructions_per_core=4_000)
         a = execute_plan(plan_fig7_2_7_3(**kwargs), max_workers=1)
         b = execute_plan(plan_fig7_2_7_3(**kwargs), max_workers=4)
-        assert a.power_ratio == b.power_ratio
-        assert a.performance_ratio == b.performance_ratio
+        assert a.ratios == b.ratios
 
     def test_fig7_4_7_5_series_identical(self):
         a = execute_plan(plan_fig7_4_7_5(years=3, channels=120), max_workers=1)
@@ -140,6 +139,98 @@ POINT_JOB_IDENTITY_SHA256 = {
     "compiled": "274db7528cdc6b2ca99c43eba577dfd11917820f115f087063b2510d427f5d0f",
     "reference": "9c6b67514b647dcd06fa9f1f1592df76ecc5a9e97687b6d834ed7d692f46c47a",
 }
+
+
+#: (registry key, --quick) -> (job count, sha256 of the sorted job
+#: identities on each replay tier) of every registry plan with trace
+#: jobs, pinned: a planner refactor must keep each plan's jobs as a
+#: multiset, or cache entries and in-batch sharing move.
+PLAN_IDENTITY_SHA256 = {
+    ("fig7.1", True): (
+        8,
+        {
+            "compiled": "4e2d4299be4a64a50077facfada26abb2741a190f514ee90328e88d009216fad",
+            "reference": "da97e86ff0e646f91149e838f76b33e02d796faf2b679b8f7421ffe6082a095b",
+        },
+    ),
+    ("fig7.1", False): (
+        24,
+        {
+            "compiled": "289cfec9c2fb23ef4e166b019fd041aa227a568154905fee2549f968062cd1fe",
+            "reference": "91777452faf2db8d639b52c67a8d49c61e7e767fe541c0d9eb89c871cf9a07da",
+        },
+    ),
+    ("fig7.2", True): (
+        15,
+        {
+            "compiled": "5a6b5533eb53516a74c049ec16ad5395a1153d01722b2eaf8bbdf3bd29b4f420",
+            "reference": "3e234bd3eb4e91070ac85be794113928d878cf90ef9e8ddf7d0cf45f7e8e65ab",
+        },
+    ),
+    ("fig7.2", False): (
+        60,
+        {
+            "compiled": "462bb6f62944ba1a7b08fe0cc16aab6c38b78caced94844ea64a37f1daaedada",
+            "reference": "52eccd626744fbd6b917a7307823411c2d92cb8cdc59d97a8f1cde1988f88bff",
+        },
+    ),
+    ("sensitivity", True): (
+        12,
+        {
+            "compiled": "93bf88346332245931322e6225c64724b6a07a033708f41fe71435b662c39c5e",
+            "reference": "0eaea30a91bb6fc94c4c7074e14ef3bc4372b5d8d15a7f4621dba6e4cfe976d7",
+        },
+    ),
+    ("sensitivity", False): (
+        84,
+        {
+            "compiled": "806f2d2f063dccea31b1209b72b13c1834f47734a950b08d88cd62ae5d5243d8",
+            "reference": "710189e0e360ddc33c8b22be4960ec517f053ccc53f491f6e8ee9998c1bc74e8",
+        },
+    ),
+    ("fleet-compare-measured", True): (
+        264,
+        {
+            "compiled": "16669d59fee57f2efb22fa6714a2016f76db0771df2d64a5640efdb425095d32",
+            "reference": "7badc2439a9350f88ec559fc46b852c0053c9db8785efd53665753a616262f13",
+        },
+    ),
+    ("fleet-compare-measured", False): (
+        264,
+        {
+            "compiled": "841386d866505d759ba4d6fcbeb0188f5e08c42e11f3e2c534154db21d083167",
+            "reference": "d88648c9d616017a566bb49f53659d2eb2b4668f8cdeaf5c829b01c955ef59d2",
+        },
+    ),
+    ("study", True): (
+        44,
+        {
+            "compiled": "c1e661dc7095a47856b02cfd39448013de4bc6a5fd1731816de8fbdfdfdc2f67",
+            "reference": "bb175b110d60d1c3a056e4c7f1e2cf0b97bf6946295a0857ebb427df32ae6774",
+        },
+    ),
+    ("study", False): (
+        44,
+        {
+            "compiled": "c1e661dc7095a47856b02cfd39448013de4bc6a5fd1731816de8fbdfdfdc2f67",
+            "reference": "bb175b110d60d1c3a056e4c7f1e2cf0b97bf6946295a0857ebb427df32ae6774",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key, quick", sorted(PLAN_IDENTITY_SHA256), ids=lambda v: str(v)
+)
+def test_registry_plan_identities_pinned(key, quick):
+    from repro.runner.registry import FIGURES
+
+    jobs = FIGURES[key].plan(quick=quick).jobs
+    identities = "\n".join(sorted(job_identity(job) for job in jobs))
+    count, digests = PLAN_IDENTITY_SHA256[(key, quick)]
+    assert len(jobs) == count
+    digest = hashlib.sha256(identities.encode()).hexdigest()
+    assert digest == digests[resolve_engine("auto")]
 
 
 class TestGroupedTraceJobs:
@@ -227,8 +318,7 @@ class TestCacheReproducibility:
             max_workers=4,
             cache=cache,
         )
-        assert cold.power_ratio == warm.power_ratio
-        assert cold.performance_ratio == warm.performance_ratio
+        assert cold.ratios == warm.ratios
 
     def test_cache_shares_points_across_figures(self, tmp_path):
         """The fault-free ARCC point is one entry for fig7.1/7.2/sens."""
