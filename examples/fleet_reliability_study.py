@@ -119,7 +119,8 @@ def main() -> None:
     # points against both organizations of this fleet, so LOT-ECC is
     # priced at its locality-aware cost instead of the flat 4x worst
     # case. The measurement shares its cache with fig7.2/7.3; the plan's
-    # assembly runs the comparison on the measured weights.
+    # assembly returns the comparison on the measured weights as a
+    # follow-up plan, which execute_plan runs as a second stage.
     measured = execute_plan(
         plan_fleet_compare_measured(
             DATACENTER_FLEET,

@@ -17,8 +17,9 @@ By default the per-fault overheads are the recorded
 :data:`FALLBACK_OVERHEADS`. The fully measured methodology is its own
 plan, :func:`plan_fig7_4_7_5_measured`: its jobs are the Figure 7.2/7.3
 grid's, shared with the trace figures and ``repro fleet --measured``
-through the cache, and its assembly feeds the per-fault-type averages to
-:func:`plan_fig7_4_7_5` inline::
+through the cache, and its assembly returns :func:`plan_fig7_4_7_5` on
+the per-fault-type averages as a follow-up plan, whose blocks the
+executor runs and caches like the first stage's::
 
     execute_plan(plan_fig7_4_7_5_measured())
 """
@@ -45,7 +46,7 @@ from repro.perf.simulator import (
     worst_case_performance_ratio,
     worst_case_power_ratio,
 )
-from repro.runner import ExperimentPlan, Job, execute_plan
+from repro.runner import ExperimentPlan, Job
 from repro.util.stats import confidence_interval_from_moments
 from repro.util.tables import format_table
 from repro.util.units import HOURS_PER_YEAR
@@ -298,7 +299,8 @@ def plan_fig7_4_7_5_measured(
     :func:`~repro.fleet.policies.plan_fleet_compare_measured` is: the
     plan's jobs are the Figure 7.2/7.3 ratio grid's (cache-shared with
     the trace figures); assembly averages the ratios per fault type
-    across mixes and runs :func:`plan_fig7_4_7_5` with them inline.
+    across mixes and returns :func:`plan_fig7_4_7_5` with them as the
+    follow-up plan, whose blocks are keyed on those averages.
 
     Examples
     --------
@@ -313,15 +315,13 @@ def plan_fig7_4_7_5_measured(
         seed=measurement_seed,
     )
 
-    def assemble(values: List[Any]) -> LifetimeOverheadResult:
-        return execute_plan(
-            plan_fig7_4_7_5(
-                years=years,
-                channels=channels,
-                multipliers=multipliers,
-                overheads=grid.assemble(values).overheads(),
-                seed=seed,
-            )
+    def assemble(values: List[Any]) -> ExperimentPlan:
+        return plan_fig7_4_7_5(
+            years=years,
+            channels=channels,
+            multipliers=multipliers,
+            overheads=grid.assemble(values).overheads(),
+            seed=seed,
         )
 
     return ExperimentPlan(name="fig7.4", jobs=grid.jobs, assemble=assemble)

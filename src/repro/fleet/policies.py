@@ -34,7 +34,8 @@ By default the per-fault weights are the worst-case constants above
 the one path that prices every policy with locality-aware weights
 instead: its jobs measure them on the trace engine against each
 slice's own memory organization (:mod:`repro.fleet.measured`), and its
-assembly runs this module's comparison on the resulting profiles.
+assembly returns this module's comparison on the resulting profiles as
+a follow-up plan.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from repro.reliability.due import (
     due_rate_sccdcd,
     due_rate_sparing,
 )
-from repro.runner import ExperimentPlan, Job, execute_plan
+from repro.runner import ExperimentPlan, Job
 from repro.util.rng import derive_seeds
 from repro.util.stats import binomial_confidence_interval
 from repro.util.suggest import unknown_key_message
@@ -864,19 +865,21 @@ def plan_fleet_compare_measured(
     instructions_per_core: int = MEASUREMENT_CONFIG.instructions_per_core,
     measurement_seed: int = MEASUREMENT_CONFIG.seed,
 ) -> ExperimentPlan:
-    """The measured comparison as one plan (the only measured path).
+    """The measured comparison as a two-stage plan (the only measured path).
 
     The plan's jobs are the measurement points of every organization
-    the scenario deploys (the expensive, cache-shared part); assembly
-    reduces them into profiles and then runs the (vectorized, cheap)
-    comparison blocks inline — so the plan/assemble contract holds even
-    though the block jobs' weights depend on measured values. Several
-    such plans in one ``execute_plans`` batch (scenarios or study points
-    on the same organizations) share their measurement points through
+    the scenario deploys (the expensive, cache-shared part). Assembly
+    reduces them into profiles and returns the follow-up plan
+    :func:`plan_fleet_compare` with those profiles: its comparison
+    blocks carry the measured weights in their configuration, so the
+    executor keys, caches, deduplicates and fans them out like any
+    other jobs, and a warm rerun executes neither stage. Several such
+    plans in one ``execute_plans`` batch (scenarios or study points on
+    the same organizations) share their measurement points through
     in-batch dedup. Results are bit-identical at any worker count:
-    measurement points own explicit seeds and the inline comparison is
-    deterministic. ``mixes`` defaults to every workload mix; a
-    single-channel organization raises ``ValueError`` at build time.
+    measurement points and blocks own explicit seeds. ``mixes``
+    defaults to every workload mix; a single-channel organization
+    raises ``ValueError`` at build time.
     """
     scenario = resolve_scenario(scenario)
     if channels is not None:
@@ -890,15 +893,12 @@ def plan_fleet_compare_measured(
         seed=measurement_seed,
     )
 
-    def assemble(values: List[Any]) -> PolicyComparisonReport:
-        profiles = measured_plan.assemble(values)
-        return execute_plan(
-            plan_fleet_compare(
-                scenario=scenario,
-                policies=policies,
-                seed=seed,
-                profiles=profiles,
-            )
+    def assemble(values: List[Any]) -> ExperimentPlan:
+        return plan_fleet_compare(
+            scenario=scenario,
+            policies=policies,
+            seed=seed,
+            profiles=measured_plan.assemble(values),
         )
 
     return ExperimentPlan(

@@ -81,11 +81,11 @@ from repro.perf.engine import arcc_capable, engine_provenance, resolve_engine
 from repro.runner import (
     ExperimentPlan,
     Job,
-    JobResult,
     ResultCache,
     code_version,
+    gather,
     job_identity,
-    run_jobs,
+    run_stages,
 )
 from repro.util.suggest import did_you_mean
 from repro.util.tables import format_table
@@ -329,9 +329,9 @@ def _fleet_point_plan(study: Study, point: StudyPoint) -> ExperimentPlan:
     Unmeasured points are the comparison blocks directly. Measured
     points are :func:`~repro.fleet.policies.plan_fleet_compare_measured`:
     the plan's jobs are only the (expensive, cache-shared) measurement
-    points, and assembly runs the (vectorized, cheap) comparison inline
-    — which is what lets every rate multiplier at one instruction scale
-    share that scale's measurements.
+    points, which is what lets every rate multiplier at one instruction
+    scale share that scale's measurements, and its assembly returns the
+    comparison blocks as a follow-up plan.
     """
     scenario = _point_scenario(study, point)
     if not study.measured:
@@ -378,7 +378,12 @@ def expand_study(study: Study) -> ExperimentPlan:
     several axis values — e.g. two rate multipliers at one instruction
     scale, or the sweep's zero point and the measured baseline — enters
     the batch once, and every point's assembly reads the shared value.
-    The plan assembles into a :class:`StudyResult`.
+    The plan assembles into a :class:`StudyResult`; when measured points
+    assemble into follow-up plans, it first returns them gathered into
+    one follow-up plan (:func:`~repro.runner.gather`), so all points'
+    comparison blocks run as one more batch. The counts, the table's
+    ``Jobs`` column and the manifest's cache keys cover the planned
+    (first-stage) jobs only.
     """
     jobs: List[Job] = []
     slot_by_identity: Dict[str, int] = {}
@@ -397,21 +402,27 @@ def expand_study(study: Study) -> ExperimentPlan:
         compiled.append((point, sub.assemble, tuple(indices)))
     total_jobs = sum(len(indices) for _, _, indices in compiled)
 
-    def assemble(values: List[Any]) -> "StudyResult":
-        points = [
-            StudyPointResult(
-                point=point,
-                report=sub_assemble([values[i] for i in indices]),
-                job_indices=indices,
-            )
-            for point, sub_assemble, indices in compiled
-        ]
+    def finish(reports: List[Any]) -> "StudyResult":
         return StudyResult(
             study=study,
-            points=points,
+            points=[
+                StudyPointResult(
+                    point=point, report=report, job_indices=indices
+                )
+                for (point, _, indices), report in zip(compiled, reports)
+            ],
             jobs=list(jobs),
             total_jobs=total_jobs,
             unique_jobs=len(jobs),
+        )
+
+    def assemble(values: List[Any]) -> Any:
+        return gather(
+            [
+                sub_assemble([values[i] for i in indices])
+                for _, sub_assemble, indices in compiled
+            ],
+            finish,
         )
 
     return ExperimentPlan(
@@ -435,9 +446,10 @@ class StudyPointResult:
 class StudyResult:
     """A completed (or cache-replayed) campaign.
 
-    ``executed_jobs``/``cached_jobs`` are filled by :func:`run_study`:
+    ``executed_jobs``/``cached_jobs`` are filled by :func:`run_study`
+    and count every stage's jobs, follow-up comparison blocks included:
     a fully resumed campaign reports ``executed_jobs == 0`` with every
-    unique job accounted for in ``cached_jobs``.
+    job accounted for in ``cached_jobs``.
     """
 
     study: Study
@@ -621,16 +633,15 @@ def run_study(
 ) -> StudyResult:
     """Execute a study and (optionally) write its manifest.
 
-    Runs the deduplicated batch through :func:`~repro.runner.run_jobs`
-    directly so the result keeps per-job ``cached`` flags — the resume
-    guarantee is observable: re-running a finished campaign reports
-    ``executed_jobs == 0``.
+    Runs the deduplicated batch and its follow-ups through
+    :func:`~repro.runner.run_stages` so the result keeps per-job
+    ``cached`` flags — the resume guarantee is observable: re-running a
+    finished campaign reports ``executed_jobs == 0``.
     """
-    plan = expand_study(study)
-    results: List[JobResult] = run_jobs(
-        plan.jobs, max_workers=jobs, cache=cache
+    out: StudyResult
+    out, results = run_stages(
+        expand_study(study), max_workers=jobs, cache=cache
     )
-    out: StudyResult = plan.assemble([r.value for r in results])
     out.cached_jobs = sum(1 for r in results if r.cached)
     out.executed_jobs = len(results) - out.cached_jobs
     if manifest_path is not None:

@@ -105,6 +105,43 @@ typedef struct {
 #define STAT_MIRROR_VIOLATIONS 3
 #define STAT_POSITIONS 4
 
+/* -- division by a per-replay constant ---------------------------------- */
+
+/* x % d and x / d for x >= 0 (line addresses are non-negative, which
+ * TraceBatch.kernel_buffers checks): a mask and a shift when d is a
+ * power of two, as in the shipped geometries, and the division
+ * otherwise (3-channel organizations, odd LLC geometries). */
+typedef struct {
+    i64 d;
+    i64 mask; /* d - 1 when d is a power of two, else -1 */
+    int shift; /* log2(d) when d is a power of two */
+} Divisor;
+
+static Divisor divisor(i64 d)
+{
+    Divisor D;
+    D.d = d;
+    D.mask = -1;
+    D.shift = 0;
+    if (d > 0 && (d & (d - 1)) == 0) {
+        D.mask = d - 1;
+        while (((i64)1 << D.shift) < d) {
+            D.shift++;
+        }
+    }
+    return D;
+}
+
+static i64 mod_by(const Divisor *D, i64 x)
+{
+    return D->mask >= 0 ? x & D->mask : x % D->d;
+}
+
+static i64 div_by(const Divisor *D, i64 x)
+{
+    return D->mask >= 0 ? x >> D->shift : x / D->d;
+}
+
 /* -- LLC: per-set way arrays ------------------------------------------- */
 
 typedef struct {
@@ -114,6 +151,7 @@ typedef struct {
     u8 *slot_upg;
     int *set_len;
     i64 n_sets;
+    Divisor sets; /* set of line a: mod_by(&sets, a) */
     i64 n_ways;
     i64 occupancy;
     i64 max_occupancy;
@@ -192,7 +230,7 @@ static void evict_until_free(Llc *L, i64 s, WriteBack *wbs, int *n_wb)
         set_pop(L, s, v_i);
         if (vupg) {
             i64 sib = vaddr ^ 1;
-            i64 ss = sib % L->n_sets;
+            i64 ss = mod_by(&L->sets, sib);
             int sj = set_find(L, ss, sib);
             int was_dirty;
             if (sj >= 0) {
@@ -275,14 +313,14 @@ typedef struct {
     const int *chan;
     const int *ri;
     const int *fb;
-    i64 mod;
+    Divisor mod;
 } Routes;
 
 static double service_line(Channels *C, const ReplayParams *P,
                            const Routes *R, double now, i64 a,
                            int is_write)
 {
-    i64 m = a % R->mod;
+    i64 m = mod_by(&R->mod, a);
     return channel_service(C, P, now, R->chan[m], R->ri[m], R->fb[m],
                            is_write);
 }
@@ -303,7 +341,7 @@ int replay_kernel(
     const i64 *END = core_offsets + 1;
     const double ns_per_cycle = P->ns_per_cycle;
     const i64 n_rank_states = P->n_channels * P->n_ranks;
-    const i64 lines_per_page = P->lines_per_page;
+    const Divisor lines_per_page = divisor(P->lines_per_page);
     const uint64_t page_hash_mult = (uint64_t)P->page_hash_mult;
     const double upgrade_below = P->upgrade_below;
     Routes R;
@@ -326,8 +364,9 @@ int replay_kernel(
     R.chan = route_chan;
     R.ri = route_ri;
     R.fb = route_fb;
-    R.mod = P->route_mod;
+    R.mod = divisor(P->route_mod);
     L.n_sets = P->n_sets;
+    L.sets = divisor(P->n_sets);
     L.n_ways = P->n_ways;
     L.slot_addr = malloc((size_t)(L.n_sets * L.n_ways) * sizeof(i64));
     L.slot_rec = malloc((size_t)(L.n_sets * L.n_ways) * sizeof(i64));
@@ -385,7 +424,7 @@ int replay_kernel(
         double core_mlp = mlp[core];
         for (;;) {
             i64 a = addr_a[p];
-            i64 s = a % P->n_sets;
+            i64 s = mod_by(&L.sets, a);
             int idx;
             cyc += gap_cyc[p];
 
@@ -397,7 +436,7 @@ int replay_kernel(
                      * sibling must be resident with an equal tick
                      * before this touch re-stamps both. */
                     i64 sib = a ^ 1;
-                    i64 ss = sib % P->n_sets;
+                    i64 ss = mod_by(&L.sets, sib);
                     int sj = set_find(&L, ss, sib);
                     if (sj < 0 ||
                         L.slot_rec[ss * L.n_ways + sj] !=
@@ -437,7 +476,7 @@ int replay_kernel(
                 /* page_is_upgraded: (page * mult) mod 2**32 is the
                  * low word of the 64-bit product. */
                 int is_upg =
-                    (double)(uint32_t)((uint64_t)(a / lines_per_page) *
+                    (double)(uint32_t)((uint64_t)div_by(&lines_per_page, a) *
                                        page_hash_mult) < upgrade_below;
                 int is_write = write_a[p];
                 WriteBack wbs[8];
@@ -451,7 +490,7 @@ int replay_kernel(
                            (u8)(is_upg ? 1 : 0));
                 if (is_upg) {
                     i64 sib = a ^ 1;
-                    i64 ss = sib % P->n_sets;
+                    i64 ss = mod_by(&L.sets, sib);
                     int sj = set_find(&L, ss, sib);
                     if (sj >= 0) {
                         /* Sibling already resident: mark it paired; its

@@ -352,7 +352,9 @@ def plan_trace_ratios(
     checksum mode; only then does the flag enter the jobs'
     configurations, so relaxed points keep the identities that Figure
     7.1's ARCC point, the Figure 7.2 baseline and the sweep's zero
-    point share. Assembles :data:`Ratios`.
+    point share. Assembles :data:`Ratios`, keyed by mix name, so two
+    mixes that share a name raise ``ValueError`` here, when the plan is
+    built.
 
     Examples
     --------
@@ -365,6 +367,14 @@ def plan_trace_ratios(
     """
     check_instructions_per_core(instructions_per_core)
     mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
+    seen = set()
+    for mix in mixes:
+        if mix.name in seen:
+            raise ValueError(
+                f"{name}: mix name {mix.name!r} appears more than once; "
+                "ratios are keyed by mix name, so each mix needs its own"
+            )
+        seen.add(mix.name)
     grid = [0.0] + [fraction for fraction in fractions if fraction != 0.0]
     checksum = {"lotecc_checksum": True} if lotecc_checksum else {}
     jobs = [

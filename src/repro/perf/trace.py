@@ -152,9 +152,18 @@ class TraceBatch:
         """The replay kernel's inputs, built once per batch.
 
         Cached on the batch, so they live exactly as long as it does.
+        Line addresses are non-negative by construction; the kernel
+        relies on it (it reduces them with masks and shifts), so a
+        negative one raises ``ValueError`` here.
         """
+        addresses = np.ascontiguousarray(self.line_addresses, dtype=np.int64)
+        if addresses.size and addresses.min() < 0:
+            raise ValueError(
+                f"trace '{self.mix_name}' has a negative line address "
+                f"({int(addresses.min())}); line addresses must be >= 0"
+            )
         arrays = (
-            np.ascontiguousarray(self.line_addresses, dtype=np.int64),
+            addresses,
             np.ascontiguousarray(self.write_flags).view(np.uint8),
             np.ascontiguousarray(self.gap_cycles(), dtype=np.float64),
             np.ascontiguousarray(self.core_offsets, dtype=np.int64),

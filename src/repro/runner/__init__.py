@@ -17,8 +17,15 @@ from repro.runner.executor import (
     execute_plans,
     job_identity,
     run_jobs,
+    run_stages,
 )
-from repro.runner.job import ExperimentPlan, Job, JobResult, describe_value
+from repro.runner.job import (
+    ExperimentPlan,
+    Job,
+    JobResult,
+    describe_value,
+    gather,
+)
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -30,6 +37,8 @@ __all__ = [
     "describe_value",
     "execute_plan",
     "execute_plans",
+    "gather",
     "job_identity",
     "run_jobs",
+    "run_stages",
 ]

@@ -16,6 +16,11 @@ one group after another in order of first appearance; jobs without one
 keep their place. A process then needs only its last trace in memory:
 inline, each trace is drawn once per batch, and a pool worker that has
 moved on to a later group never receives an earlier one.
+
+A plan whose assembly returns a follow-up plan runs in stages
+(:func:`run_stages`): each stage is one ``run_jobs`` batch, so second
+stages are cached, deduplicated and parallel like first ones, and a warm
+rerun of a measured comparison executes no job at all.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.cache import ResultCache
-from repro.runner.job import ExperimentPlan, Job, JobResult, job_identity
+from repro.runner.job import ExperimentPlan, Job, JobResult, gather, job_identity
 
 
 def _call_job(job: Job) -> Tuple[Any, float]:
@@ -116,14 +121,25 @@ def run_jobs(
     return [result for result in results if result is not None]
 
 
-def execute_plan(
+def run_stages(
     plan: ExperimentPlan,
     max_workers: int = 1,
     cache: Optional[ResultCache] = None,
-) -> Any:
-    """Run one experiment plan and assemble its figure result."""
-    results = run_jobs(plan.jobs, max_workers=max_workers, cache=cache)
-    return plan.assemble([r.value for r in results])
+) -> Tuple[Any, List[JobResult]]:
+    """Run ``plan`` and each follow-up it assembles into, to the end.
+
+    Every stage is one :func:`run_jobs` batch with the same cache and
+    worker count, so a follow-up's jobs are keyed, deduplicated, cached
+    and fanned out like any other's. Returns the final result and every
+    stage's job results, in stage order (``cached`` flags included).
+    """
+    outcome: Any = plan
+    results: List[JobResult] = []
+    while isinstance(outcome, ExperimentPlan):
+        stage = run_jobs(outcome.jobs, max_workers=max_workers, cache=cache)
+        results.extend(stage)
+        outcome = outcome.assemble([r.value for r in stage])
+    return outcome, results
 
 
 def execute_plans(
@@ -131,19 +147,20 @@ def execute_plans(
     max_workers: int = 1,
     cache: Optional[ResultCache] = None,
 ) -> List[Any]:
-    """Run several plans through one shared pool.
+    """Run several plans through one shared pool; one result per plan.
 
     All plans' jobs are flattened into a single batch so, e.g., the 12
     trace-simulation mixes of Figure 7.1 and the Monte-Carlo blocks of
     Figure 6.1 fill the same workers instead of serializing per figure.
+    Their follow-up plans likewise run together as the next batch.
     """
-    flat: List[Job] = []
-    spans: List[Tuple[int, int]] = []
-    for plan in plans:
-        spans.append((len(flat), len(flat) + len(plan.jobs)))
-        flat.extend(plan.jobs)
-    results = run_jobs(flat, max_workers=max_workers, cache=cache)
-    return [
-        plan.assemble([r.value for r in results[start:stop]])
-        for plan, (start, stop) in zip(plans, spans)
-    ]
+    return run_stages(gather(plans), max_workers=max_workers, cache=cache)[0]
+
+
+def execute_plan(
+    plan: ExperimentPlan,
+    max_workers: int = 1,
+    cache: Optional[ResultCache] = None,
+) -> Any:
+    """Run one experiment plan and assemble its figure result."""
+    return execute_plans([plan], max_workers=max_workers, cache=cache)[0]

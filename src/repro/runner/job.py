@@ -16,7 +16,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 
 #: Types whose exact instances describe themselves.
@@ -186,7 +186,11 @@ class ExperimentPlan:
 
     ``assemble`` receives the job values in job order and builds the
     figure's result object; it runs in the parent process, so it may be a
-    closure over the plan's parameters.
+    closure over the plan's parameters. It may instead return a
+    *follow-up* plan: a second stage whose jobs depend on the first
+    stage's values (fleet blocks weighted by measured overheads). The
+    executor runs a follow-up like any other plan, through the same
+    cache and pool, until the result is final.
 
     Examples
     --------
@@ -204,3 +208,50 @@ class ExperimentPlan:
     name: str
     jobs: List[Job] = field(default_factory=list)
     assemble: Callable[[List[Any]], Any] = _identity
+
+
+def gather(
+    outcomes: Sequence[Any], finish: Callable[[List[Any]], Any] = list
+) -> Any:
+    """``finish`` over ``outcomes`` once none of them is a plan.
+
+    Final outcomes pass through. If any outcome is an
+    :class:`ExperimentPlan`, the result is one plan whose jobs are all of
+    theirs, in order, and whose assembly hands each plan its own values
+    and gathers again what they return, so follow-ups of follow-ups run
+    stage by stage, each stage one batch. ``gather(plans)`` is the batch
+    :func:`~repro.runner.execute_plans` runs.
+
+    Examples
+    --------
+    >>> def double(x):
+    ...     return 2 * x
+    >>> plan = ExperimentPlan(
+    ...     "demo", [Job.create("double[1]", double, x=1)], assemble=sum
+    ... )
+    >>> batch = gather([plan, "final"])
+    >>> batch.assemble([job.execute() for job in batch.jobs])
+    [2, 'final']
+    >>> gather(["a", "b"], finish="".join)
+    'ab'
+    """
+    plans = [
+        (index, outcome)
+        for index, outcome in enumerate(outcomes)
+        if isinstance(outcome, ExperimentPlan)
+    ]
+    if not plans:
+        return finish(list(outcomes))
+    jobs: List[Job] = []
+    spans: List[Tuple[int, int]] = []
+    for _, plan in plans:
+        spans.append((len(jobs), len(jobs) + len(plan.jobs)))
+        jobs.extend(plan.jobs)
+
+    def assemble(values: List[Any]) -> Any:
+        resolved = list(outcomes)
+        for (index, plan), (start, stop) in zip(plans, spans):
+            resolved[index] = plan.assemble(values[start:stop])
+        return gather(resolved, finish)
+
+    return ExperimentPlan(name="gather", jobs=jobs, assemble=assemble)

@@ -160,8 +160,9 @@ FIGURES: Dict[str, FigureSpec] = {
             quick={"scenario": "mixed-generations", "channels": 4_000},
         ),
         # The plan's jobs are the trace-measurement points (shared with
-        # fig7.1/fig7.2/sensitivity through the cache); the vectorized
-        # comparison runs inline at assembly with the measured weights.
+        # fig7.1/fig7.2/sensitivity through the cache); its assembly
+        # returns the comparison blocks, priced with the measured
+        # weights, as a follow-up plan that runs through the same cache.
         FigureSpec(
             "fleet-compare-measured",
             "Fleet policy comparison with measured per-fault weights",

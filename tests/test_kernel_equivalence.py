@@ -207,6 +207,39 @@ class TestRouteTable:
         )
 
 
+#: An even set count that is no power of two (170 sets of 6 ways): the
+#: kernel finds sets by division here, while the ARCC route table
+#: (16 entries) is still reduced by a mask.
+ODD_SETS_PROCESSOR = dataclasses.replace(
+    PROCESSOR_CONFIG, l2_assoc=6, cacheline_bytes=1024
+)
+
+
+class TestSetIndex:
+    """The kernel reduces a line address to its set, route entry and
+    page with a mask or shift for power-of-two divisors and a division
+    otherwise; both must give the oracle's replay."""
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25, 1.0])
+    def test_non_power_of_two_set_count(self, fraction):
+        assert ODD_SETS_PROCESSOR.l2_sets == 170
+        batch = materialize_mix(mix_by_name("Mix10"), 0x7ACE, 60_000)
+        point = SweepPoint(
+            config=ARCC_MEMORY_CONFIG, upgraded_fraction=fraction
+        )
+        two_way(batch, point, ODD_SETS_PROCESSOR)
+        stats = replay_compiled(batch, point, ODD_SETS_PROCESSOR)[1]
+        assert stats.misses > 170 * 6
+
+    def test_negative_line_address_rejected(self):
+        batch = materialize_mix(mix_by_name("Mix1"), 0x7ACE, 2_000)
+        addresses = batch.line_addresses.copy()
+        addresses[3] = -5
+        bad = dataclasses.replace(batch, line_addresses=addresses)
+        with pytest.raises(ValueError, match="negative line address"):
+            bad.kernel_buffers
+
+
 #: Fault-free, every Table 7.4 class fraction, and fully upgraded.
 CHECKSUM_FRACTIONS = (0.0,) + tuple(
     upgraded_page_fraction(ft) for ft in TABLE_7_4_TYPES

@@ -56,7 +56,7 @@ from repro.perf.simulator import (
 )
 from repro.perf.trace import materialize_mix
 from repro.runner import execute_plan, job_identity
-from repro.workloads.spec import ALL_MIXES, mix_by_name
+from repro.workloads.spec import ALL_MIXES, WorkloadMix, mix_by_name
 from repro.workloads.trace import CoreTrace, TraceGenerator
 
 #: Quick scale of the trace checks (the registry's --quick setting).
@@ -485,6 +485,24 @@ class TestTraceRatioPlan:
         for mix in ALL_MIXES[:2]:
             assert ratios[(mix.name, 0.0)] == (1.0, 1.0)
             assert ratios[(mix.name, 0.5)] != (1.0, 1.0)
+
+    def test_duplicate_mix_names_rejected_at_build(self):
+        """Ratios are keyed by mix name: a second mix under a name
+        already planned would be replayed and then dropped."""
+        impostor = WorkloadMix("Mix1", ALL_MIXES[9].benchmark_names)
+        with pytest.raises(ValueError, match="'Mix1' appears more than once"):
+            plan_fig7_2_7_3(
+                mixes=[ALL_MIXES[0], impostor], instructions_per_core=300
+            )
+        for build in (
+            lambda mixes: plan_sweep_upgraded_fraction_measured(mixes=mixes),
+            lambda mixes: plan_measured_profiles(mixes=mixes),
+            lambda mixes: plan_trace_ratios(
+                "demo", mixes, (0.5,), ARCC_MEMORY_CONFIG, 300, seed=7
+            ),
+        ):
+            with pytest.raises(ValueError, match="appears more than once"):
+                build([ALL_MIXES[1], ALL_MIXES[1]])
 
     def test_sweep_without_zero_still_raises(self):
         with pytest.raises(ValueError, match="0.0 point"):
