@@ -14,9 +14,15 @@ count and the same 12.5% ECC storage overhead:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Dict, Iterable, Tuple
 
+from repro.util.bitops import is_power_of_two
+from repro.util.fields import FieldError, check_range
 from repro.util.units import GB, KB
+
+#: Device I/O widths with datasheet parameters (``repro.dram.timing``).
+SUPPORTED_IO_WIDTHS = (4, 8)
 
 
 @dataclass(frozen=True)
@@ -26,6 +32,12 @@ class MemoryConfig:
     Attributes mirror the table: DRAM technology, device I/O width,
     number of channels, ranks per channel and devices per rank. The
     derived properties capture the codeword geometry Chapter 4 assumes.
+
+    Construction checks every value: counts and sizes are >= 1, line
+    and page sizes are powers of two (they feed set indexing and page
+    striping), the I/O width has datasheet parameters, a page holds
+    whole lines and a channel whole pages, and a rank keeps at least
+    one check device.
     """
 
     name: str
@@ -47,10 +59,33 @@ class MemoryConfig:
     columns_per_row: int = 2048
 
     def __post_init__(self) -> None:
+        for item in fields(self)[2:]:  # every field after the two names
+            check_range(item.name, getattr(self, item.name), at_least=1)
+        for name in ("cacheline_bytes", "page_bytes"):
+            if not is_power_of_two(getattr(self, name)):
+                raise FieldError(
+                    name, f"must be a power of two, got {getattr(self, name)}"
+                )
+        if self.io_width not in SUPPORTED_IO_WIDTHS:
+            raise FieldError(
+                "io_width",
+                f"no datasheet parameters for x{self.io_width} devices; "
+                f"supported: {', '.join(map(str, SUPPORTED_IO_WIDTHS))}",
+            )
+        if self.page_bytes % self.cacheline_bytes:
+            raise FieldError(
+                "page_bytes",
+                "must be a multiple of cacheline_bytes "
+                f"({self.cacheline_bytes}), got {self.page_bytes}",
+            )
+        if self.capacity_per_channel_bytes % self.page_bytes:
+            raise FieldError(
+                "capacity_per_channel_bytes",
+                f"must be a multiple of page_bytes ({self.page_bytes}), "
+                f"got {self.capacity_per_channel_bytes}",
+            )
         if self.data_devices_per_rank >= self.devices_per_rank:
             raise ValueError("need at least one redundant device per rank")
-        if self.page_bytes % self.cacheline_bytes:
-            raise ValueError("page size must be a multiple of the line size")
 
     @property
     def check_devices_per_rank(self) -> int:
@@ -81,6 +116,26 @@ class MemoryConfig:
     def pages_per_channel(self) -> int:
         """Physical 4 KB pages mapped to one channel."""
         return self.capacity_per_channel_bytes // self.page_bytes
+
+
+def distinct_organizations(
+    configs: Iterable[MemoryConfig], field: str = "organizations"
+) -> Tuple[MemoryConfig, ...]:
+    """Distinct organizations in first-appearance order, keyed by name.
+
+    The one name-collision check: an organization's name is its key in
+    measurement plans and reports, so two *different* organizations may
+    not share one (:class:`FieldError` at ``field[i]``).
+    """
+    seen: Dict[str, MemoryConfig] = {}
+    for i, config in enumerate(configs):
+        if seen.setdefault(config.name, config) != config:
+            raise FieldError(
+                f"{field}[{i}]",
+                "two different memory organizations share the name "
+                f"{config.name!r}",
+            )
+    return tuple(seen.values())
 
 
 #: Table 7.1, row "Baseline": DDR2 x4, two logical channels (each a

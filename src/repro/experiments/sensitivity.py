@@ -18,6 +18,7 @@ from repro.faults.types import FaultType
 from repro.perf.engine import TraceRatios, plan_trace_ratios
 from repro.reliability.analytical import ReliabilityParams, sdc_rate_arcc_ded
 from repro.runner import ExperimentPlan
+from repro.util.fields import FieldError, check_range
 from repro.util.tables import format_table
 from repro.util.units import GB, KB
 from repro.workloads.spec import WorkloadMix
@@ -208,19 +209,25 @@ def sweep_upgraded_fraction(
 # -- measured upgraded-fraction response (batched-engine sweep) ----------------
 
 
-def check_sweep_fractions(fractions: Sequence[float]) -> Tuple[float, ...]:
-    """A measured sweep's grid: the fault-free 0.0 point, all in [0, 1].
+def check_sweep_fractions(
+    fractions: Sequence[float], field: str = "fractions"
+) -> Tuple[float, ...]:
+    """A measured sweep's grid: all finite in [0, 1], with the
+    fault-free 0.0 point.
 
     The one check of a sweep's fractions, for
-    :func:`plan_sweep_upgraded_fraction_measured` and study files.
+    :func:`plan_sweep_upgraded_fraction_measured` and
+    :class:`~repro.fleet.study.Study`. Raises
+    :class:`~repro.util.fields.FieldError` at ``field[i]`` for an
+    element, at ``field`` for the missing zero point.
     """
     fractions = tuple(fractions)
+    for i, fraction in enumerate(fractions):
+        check_range(f"{field}[{i}]", fraction, at_least=0.0, at_most=1.0)
     if 0.0 not in fractions:
-        raise ValueError("the sweep needs the fault-free 0.0 point")
-    out_of_range = [f for f in fractions if not 0.0 <= f <= 1.0]
-    if out_of_range:
-        raise ValueError(
-            f"upgraded fractions must be in [0, 1], got {out_of_range}"
+        raise FieldError(
+            field,
+            "needs the fault-free 0.0 point (ratios are normalized to it)",
         )
     return fractions
 
@@ -285,7 +292,7 @@ def plan_sweep_upgraded_fraction_measured(
     points replay the same trace, and the fractions shared with Table
     7.4 (and the fault-free zero point) are the *same cached jobs* as
     Figures 7.1/7.2/7.3's. ``config`` selects the memory organization
-    under test (study files sweep custom organizations through here).
+    under test.
 
     Examples
     --------
@@ -293,6 +300,21 @@ def plan_sweep_upgraded_fraction_measured(
     84
     """
     fractions = check_sweep_fractions(fractions)
+    return fraction_sweep_plan(
+        mixes, fractions, instructions_per_core, seed, config
+    )
+
+
+def fraction_sweep_plan(
+    mixes: Optional[Sequence[WorkloadMix]],
+    fractions: Tuple[float, ...],
+    instructions_per_core: int,
+    seed: int,
+    config: MemoryConfig,
+) -> ExperimentPlan:
+    """:func:`plan_sweep_upgraded_fraction_measured` on fractions that
+    :func:`check_sweep_fractions` has passed — a study's, checked once
+    when the :class:`~repro.fleet.study.Study` is built."""
     grid = plan_trace_ratios(
         f"sensitivity[{config.name}]",
         mixes,

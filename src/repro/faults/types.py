@@ -15,8 +15,10 @@ The paper makes a worst-case assumption we keep: every fault corrupts
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Tuple
+
+from repro.util.fields import check_range
 
 
 class FaultType(enum.Enum):
@@ -32,7 +34,7 @@ class FaultType(enum.Enum):
 
 @dataclass(frozen=True)
 class FaultRates:
-    """Per-device FIT rates for each fault type."""
+    """Per-device FIT rates for each fault type (finite, >= 0)."""
 
     bit: float
     row: float
@@ -40,6 +42,10 @@ class FaultRates:
     bank: float
     device: float
     lane: float
+
+    def __post_init__(self) -> None:
+        for item in fields(self):
+            check_range(item.name, getattr(self, item.name), at_least=0.0)
 
     def scaled(self, multiplier: float) -> "FaultRates":
         """Uniformly scaled rates (the 1x/2x/4x sweeps)."""

@@ -58,7 +58,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.config import ARCC_MEMORY_CONFIG, MEASUREMENT_CONFIG, MemoryConfig
+from repro.config import (
+    ARCC_MEMORY_CONFIG,
+    MEASUREMENT_CONFIG,
+    MemoryConfig,
+    distinct_organizations,
+)
 from repro.core.lotecc_arcc import WORST_CASE_UPGRADE_FACTOR
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.faults.types import FaultType
@@ -219,32 +224,6 @@ def _class_samples(
     )
 
 
-def _check_policies(policies: Sequence[str]) -> Tuple[str, ...]:
-    unknown = [key for key in policies if key not in POLICY_FAULT_CLASSES]
-    if unknown:
-        from repro.util.suggest import unknown_key_message
-
-        raise KeyError(
-            unknown_key_message(
-                "policy key", unknown[0], POLICY_FAULT_CLASSES
-            )
-        )
-    return tuple(dict.fromkeys(policies))
-
-
-def _check_organizations(
-    organizations: Sequence[MemoryConfig],
-) -> Tuple[MemoryConfig, ...]:
-    seen: Dict[str, MemoryConfig] = {}
-    for config in organizations:
-        known = seen.setdefault(config.name, config)
-        if known != config:
-            raise ValueError(
-                f"two different organizations share the name {config.name!r}"
-            )
-    return tuple(seen.values())
-
-
 def plan_measured_profiles(
     policies: Sequence[str] = tuple(POLICY_FAULT_CLASSES),
     organizations: Sequence[MemoryConfig] = (ARCC_MEMORY_CONFIG,),
@@ -271,8 +250,11 @@ def plan_measured_profiles(
     >>> len(plan_measured_profiles(("lotecc",), mixes=ALL_MIXES[:2]).jobs)
     10
     """
-    policies = _check_policies(policies)
-    organizations = _check_organizations(organizations)
+    # Deferred: repro.fleet.policies imports this module.
+    from repro.fleet.policies import resolve_policies
+
+    policies = tuple(policy.key for policy in resolve_policies(policies))
+    organizations = distinct_organizations(organizations)
     mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
 
     # (organization, checksum mode) -> the ratio grid measured in it.

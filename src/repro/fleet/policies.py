@@ -84,6 +84,7 @@ from repro.reliability.due import (
     due_rate_sparing,
 )
 from repro.runner import ExperimentPlan, Job
+from repro.util.fields import FieldError
 from repro.util.rng import derive_seeds
 from repro.util.stats import binomial_confidence_interval
 from repro.util.suggest import unknown_key_message
@@ -235,21 +236,40 @@ POLICY_KEYS: Tuple[str, ...] = tuple(_POLICY_BUILDERS)
 DEFAULT_POLICY_KEYS: Tuple[str, ...] = POLICY_KEYS
 
 
+def check_policy_set(
+    keys: Sequence[str], field: str = "policies"
+) -> Tuple[str, ...]:
+    """The one check of a policy comparison: non-empty, known, distinct.
+
+    Raises :class:`~repro.util.fields.FieldError` at ``field`` (empty)
+    or ``field[i]`` (the offending key, with a closest-match suggestion
+    when unknown); a scenario file's ``policies`` and every policy set
+    of a study pass through here.
+    """
+    if not keys:
+        raise FieldError(
+            field, "policy set must not be empty; name at least one policy"
+        )
+    for i, key in enumerate(keys):
+        if key not in POLICY_KEYS:
+            raise FieldError(
+                f"{field}[{i}]", unknown_key_message("policy", key, POLICY_KEYS)
+            )
+        if key in keys[:i]:
+            raise FieldError(f"{field}[{i}]", f"duplicate policy {key!r}")
+    return tuple(keys)
+
+
 def resolve_policies(keys: Sequence[str]) -> Tuple[ProtectionPolicy, ...]:
     """Build policies, with their worst-case weights, from their keys.
 
-    Unknown keys raise ``KeyError`` naming the closest known policy.
+    Unknown keys raise ``KeyError`` naming the closest known policy;
+    an empty or repeating set fails :func:`check_policy_set`.
     """
-    if not keys:
-        raise ValueError("need at least one policy")
-    policies = []
     for key in keys:
         if key not in _POLICY_BUILDERS:
             raise KeyError(unknown_key_message("policy", key, POLICY_KEYS))
-        policies.append(_POLICY_BUILDERS[key]())
-    if len({p.key for p in policies}) != len(policies):
-        raise ValueError("duplicate policy keys")
-    return tuple(policies)
+    return tuple(_POLICY_BUILDERS[key]() for key in check_policy_set(keys))
 
 
 def measured_policy(
@@ -884,7 +904,6 @@ def plan_fleet_compare_measured(
     scenario = resolve_scenario(scenario)
     if channels is not None:
         scenario = scenario.scaled_to(channels)
-    resolve_policies(policies)  # fail fast on unknown keys
     measured_plan = plan_measured_profiles(
         policies=tuple(policies),
         organizations=scenario.organizations(),

@@ -10,7 +10,13 @@ The full schema — every key, type, default and unit — is documented in
 Validation is strict and errors are precise: every message carries the
 dotted path of the offending key (``populations[1].rate_multiplier``),
 unknown keys are rejected with a closest-match suggestion, and types are
-checked before values. :func:`scenario_to_mapping` is the exact inverse
+checked before values. The loader checks only shape — tables, arrays,
+types, keys and name references; every value rule belongs to the domain
+object it constrains (:class:`~repro.config.MemoryConfig`,
+:class:`~repro.faults.types.FaultRates`,
+:class:`~repro.fleet.scenarios.SubPopulation`, ...), whose
+:class:`~repro.util.fields.FieldError` the loader re-raises at the
+field's dotted path. :func:`scenario_to_mapping` is the exact inverse
 of :func:`scenario_from_mapping`, so ``load -> dump -> load`` round-trips
 (the round-trip test in ``tests/test_scenario_file.py`` pins this).
 """
@@ -18,25 +24,21 @@ of :func:`scenario_from_mapping`, so ``load -> dump -> load`` round-trips
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.config import (
-    ARCC_MEMORY_CONFIG,
-    BASELINE_MEMORY_CONFIG,
-    MemoryConfig,
-)
+from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG, MemoryConfig
 from repro.faults.types import DEFAULT_FIT_RATES, FaultRates
-from repro.fleet.policies import POLICY_KEYS
+from repro.fleet.policies import check_policy_set
 from repro.fleet.scenarios import (
-    SPATIAL_KINDS,
     FleetScenario,
     RatePhase,
     SpatialFaultModel,
     SubPopulation,
 )
-from repro.util.bitops import is_power_of_two
+from repro.util.fields import FieldError, check_range
 from repro.util.suggest import did_you_mean
 
 #: Named memory organizations a scenario file may reference.
@@ -45,8 +47,18 @@ CONFIG_NAMES: Dict[str, MemoryConfig] = {
     "baseline": BASELINE_MEMORY_CONFIG,
 }
 
-_RATE_FIELDS = tuple(f.name for f in fields(FaultRates))
 
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(item.name for item in fields(cls))
+
+
+#: File keys are the dataclass fields, in declaration order (an
+#: organization's name is its table key, so it has no key of its own).
+_RATE_FIELDS = _field_names(FaultRates)
+_ORGANIZATION_KEYS = _field_names(MemoryConfig)[1:]
+_POPULATION_KEYS = _field_names(SubPopulation)
+_PHASE_KEYS = _field_names(RatePhase)
+_SPATIAL_KEYS = _field_names(SpatialFaultModel)
 _TOP_LEVEL_KEYS = (
     "name",
     "description",
@@ -56,21 +68,6 @@ _TOP_LEVEL_KEYS = (
     "organizations",
     "populations",
 )
-_ORGANIZATION_KEYS = (
-    "technology",
-    "io_width",
-    "channels",
-    "ranks_per_channel",
-    "devices_per_rank",
-    "data_devices_per_rank",
-    "cacheline_bytes",
-    "page_bytes",
-    "capacity_per_channel_bytes",
-    "banks_per_device",
-    "pages_per_row",
-    "rows_per_bank",
-    "columns_per_row",
-)
 _ORGANIZATION_REQUIRED = (
     "io_width",
     "channels",
@@ -78,23 +75,6 @@ _ORGANIZATION_REQUIRED = (
     "devices_per_rank",
     "data_devices_per_rank",
 )
-#: Organization fields that must be powers of two: line and page sizes
-#: feed power-of-two address arithmetic (set indexing, page striping);
-#: the I/O width additionally needs a datasheet row (x4 or x8).
-_ORGANIZATION_POW2 = ("cacheline_bytes", "page_bytes")
-_SUPPORTED_IO_WIDTHS = (4, 8)
-_POPULATION_KEYS = (
-    "name",
-    "channels",
-    "config",
-    "rates",
-    "rate_multiplier",
-    "lifespan_years",
-    "schedule",
-    "spatial",
-)
-_PHASE_KEYS = ("duration_years", "multiplier")
-_SPATIAL_KEYS = ("kind", "fraction", "banks", "rows", "columns")
 
 
 #: Section names that mark a file as a *study* (a campaign over a grid
@@ -133,10 +113,41 @@ class ScenarioFile:
     policies: Optional[Tuple[str, ...]] = None
     organizations: Tuple[MemoryConfig, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.seed is not None:
+            check_range("seed", self.seed, at_least=0)
+        if self.channels is not None:
+            check_range("channels", self.channels, at_least=1)
+        if self.policies is not None:
+            check_policy_set(self.policies)
+
 
 def _fail(path: str, message: str) -> "ScenarioFileError":
     prefix = f"{path}: " if path else ""
     return ScenarioFileError(f"{prefix}{message}")
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+@contextmanager
+def _values_at(
+    path: str, locate: Optional[Callable[[str], str]] = None
+) -> Iterator[None]:
+    """Re-path the value errors of the domain object built inside.
+
+    A :class:`~repro.util.fields.FieldError` lands at ``path.<field>``
+    (or at ``locate(field)`` where the file spells the field otherwise),
+    any other ``ValueError`` at ``path`` itself.
+    """
+    try:
+        yield
+    except FieldError as exc:
+        where = locate(exc.field) if locate else _join(path, exc.field)
+        raise _fail(where, exc.message) from exc
+    except ValueError as exc:
+        raise _fail(path, str(exc)) from exc
 
 
 def _check_keys(
@@ -147,127 +158,106 @@ def _check_keys(
     for key in mapping:
         if key not in allowed:
             raise _fail(
-                f"{path}.{key}" if path else str(key),
+                _join(path, str(key)),
                 f"unknown key{did_you_mean(str(key), allowed)}; "
                 f"allowed: {', '.join(allowed)}",
             )
+
+
+def _require_keys(
+    mapping: Mapping[str, Any], required: Sequence[str], path: str
+) -> None:
+    for key in required:
+        if key not in mapping:
+            raise _fail(path, f"missing required key {key!r}")
 
 
 def _type_name(value: Any) -> str:
     return type(value).__name__
 
 
-def _get_str(mapping: Mapping[str, Any], key: str, path: str) -> str:
-    if key not in mapping:
-        raise _fail(path, f"missing required key {key!r}")
+def _is_array(value: Any) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
+def _get_str(
+    mapping: Mapping[str, Any], key: str, path: str, empty: bool = False
+) -> str:
+    _require_keys(mapping, (key,), path)
     value = mapping[key]
     if not isinstance(value, str):
-        raise _fail(f"{path}.{key}", f"expected str, got {_type_name(value)}")
-    if not value:
-        raise _fail(f"{path}.{key}", "must not be empty")
+        raise _fail(_join(path, key), f"expected str, got {_type_name(value)}")
+    if not value and not empty:
+        raise _fail(_join(path, key), "must not be empty")
     return value
 
 
-def _check_int(value: Any, path: str, minimum: Optional[int] = None) -> int:
+def _check_int(value: Any, path: str) -> int:
     # bool is an int subclass; a scenario never wants `channels = true`.
     if isinstance(value, bool) or not isinstance(value, int):
         raise _fail(path, f"expected int, got {_type_name(value)}")
-    if minimum is not None and value < minimum:
-        raise _fail(path, f"must be >= {minimum}, got {value}")
     return value
 
 
-def _check_float(
-    value: Any,
-    path: str,
-    minimum: Optional[float] = None,
-    exclusive: bool = False,
-    maximum: Optional[float] = None,
-) -> float:
+def _check_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected number, got {_type_name(value)}")
-    value = float(value)
-    if minimum is not None:
-        if exclusive and value <= minimum:
-            raise _fail(path, f"must be > {minimum:g}, got {value:g}")
-        if not exclusive and value < minimum:
-            raise _fail(path, f"must be >= {minimum:g}, got {value:g}")
-    if maximum is not None and value > maximum:
-        raise _fail(path, f"must be <= {maximum:g}, got {value:g}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise _fail(
+            path, "must be finite, got an integer too large for a float"
+        ) from None
 
 
-def _get_int(
-    mapping: Mapping[str, Any],
-    key: str,
-    path: str,
-    minimum: Optional[int] = None,
-) -> int:
-    return _check_int(mapping[key], f"{path}.{key}", minimum)
+def _get_int(mapping: Mapping[str, Any], key: str, path: str) -> int:
+    return _check_int(mapping[key], _join(path, key))
 
 
-def _get_float(
-    mapping: Mapping[str, Any],
-    key: str,
-    path: str,
-    minimum: Optional[float] = None,
-    exclusive: bool = False,
-) -> float:
-    return _check_float(mapping[key], f"{path}.{key}", minimum, exclusive)
+def _get_float(mapping: Mapping[str, Any], key: str, path: str) -> float:
+    return _check_float(mapping[key], _join(path, key))
 
 
 def _get_bool(mapping: Mapping[str, Any], key: str, path: str) -> bool:
     value = mapping[key]
     if not isinstance(value, bool):
-        raise _fail(f"{path}.{key}", f"expected bool, got {_type_name(value)}")
+        raise _fail(_join(path, key), f"expected bool, got {_type_name(value)}")
     return value
 
 
 def _get_array(mapping: Mapping[str, Any], key: str, path: str) -> List[Any]:
     value = mapping[key]
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+    if not _is_array(value):
         raise _fail(
-            f"{path}.{key}", f"expected an array, got {_type_name(value)}"
+            _join(path, key), f"expected an array, got {_type_name(value)}"
         )
     if not value:
-        raise _fail(f"{path}.{key}", "must not be empty")
+        raise _fail(_join(path, key), "must not be empty")
     return list(value)
 
 
-def _check_policy_set(group: Sequence[Any], path: str) -> Tuple[str, ...]:
-    """Validate one policy comparison: distinct, known policy keys.
-
-    Shared by the top-level ``policies`` array and every policy set of a
-    study's ``policies`` axis, so both reject the same mistakes at their
-    own ``path[i]``.
-    """
-    if not group:
-        raise _fail(path, "policy set must not be empty")
-    keys: List[str] = []
-    for i, key in enumerate(group):
-        if not isinstance(key, str):
-            raise _fail(f"{path}[{i}]", f"expected str, got {_type_name(key)}")
-        if key not in POLICY_KEYS:
-            raise _fail(
-                f"{path}[{i}]",
-                f"unknown policy {key!r}{did_you_mean(key, POLICY_KEYS)}; "
-                f"known: {', '.join(POLICY_KEYS)}",
-            )
-        if key in keys:
-            raise _fail(f"{path}[{i}]", f"duplicate policy {key!r}")
-        keys.append(key)
-    return tuple(keys)
+def _check_strs(value: Any, path: str) -> Tuple[str, ...]:
+    """An array of strings (a policy set), element types checked."""
+    if not _is_array(value):
+        raise _fail(
+            path, f"expected an array of strings, got {_type_name(value)}"
+        )
+    for i, item in enumerate(value):
+        if not isinstance(item, str):
+            raise _fail(f"{path}[{i}]", f"expected str, got {_type_name(item)}")
+    return tuple(value)
 
 
 def _parse_rates(raw: Any, path: str) -> FaultRates:
     _check_keys(raw, _RATE_FIELDS, path)
-    values = {}
-    for name in _RATE_FIELDS:
-        if name in raw:
-            values[name] = _get_float(raw, name, path, minimum=0.0)
-        else:
-            values[name] = getattr(DEFAULT_FIT_RATES, name)
-    return FaultRates(**values)
+    values = {
+        name: _get_float(raw, name, path)
+        if name in raw
+        else getattr(DEFAULT_FIT_RATES, name)
+        for name in _RATE_FIELDS
+    }
+    with _values_at(path):
+        return FaultRates(**values)
 
 
 def _parse_organization(name: str, raw: Any, path: str) -> MemoryConfig:
@@ -286,50 +276,15 @@ def _parse_organization(name: str, raw: Any, path: str) -> MemoryConfig:
             f"built-ins: {', '.join(CONFIG_NAMES)}",
         )
     _check_keys(raw, _ORGANIZATION_KEYS, path)
-    for key in _ORGANIZATION_REQUIRED:
-        if key not in raw:
-            raise _fail(path, f"missing required key {key!r}")
-
-    technology = "DDR2-667"
+    _require_keys(raw, _ORGANIZATION_REQUIRED, path)
+    values: Dict[str, Any] = {"technology": "DDR2-667"}
     if "technology" in raw:
-        technology = _get_str(raw, "technology", path)
-    values: Dict[str, int] = {}
-    for key in _ORGANIZATION_KEYS:
-        if key == "technology" or key not in raw:
-            continue
-        values[key] = _get_int(raw, key, path, minimum=1)
-    for key in _ORGANIZATION_POW2:
-        if key in values and not is_power_of_two(values[key]):
-            raise _fail(
-                f"{path}.{key}",
-                f"must be a power of two, got {values[key]}",
-            )
-    io_width = values["io_width"]
-    if io_width not in _SUPPORTED_IO_WIDTHS:
-        raise _fail(
-            f"{path}.io_width",
-            f"no datasheet parameters for x{io_width} devices; "
-            f"supported: {', '.join(str(w) for w in _SUPPORTED_IO_WIDTHS)}",
-        )
-    page_bytes = values.get("page_bytes", 4096)
-    cacheline_bytes = values.get("cacheline_bytes", 64)
-    if page_bytes % cacheline_bytes:
-        raise _fail(
-            f"{path}.page_bytes",
-            f"must be a multiple of cacheline_bytes ({cacheline_bytes}), "
-            f"got {page_bytes}",
-        )
-    capacity = values.get("capacity_per_channel_bytes")
-    if capacity is not None and capacity % page_bytes:
-        raise _fail(
-            f"{path}.capacity_per_channel_bytes",
-            f"must be a multiple of page_bytes ({page_bytes}), "
-            f"got {capacity}",
-        )
-    try:
-        return MemoryConfig(name=name, technology=technology, **values)
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from exc
+        values["technology"] = _get_str(raw, "technology", path)
+    for key in _ORGANIZATION_KEYS[1:]:
+        if key in raw:
+            values[key] = _get_int(raw, key, path)
+    with _values_at(path):
+        return MemoryConfig(name=name, **values)
 
 
 def organization_from_mapping(
@@ -337,11 +292,12 @@ def organization_from_mapping(
 ) -> MemoryConfig:
     """One organization table -> :class:`MemoryConfig` (public hook).
 
-    The same validation the scenario-file loader applies to an
-    ``[organizations.<name>]`` table — required keys, supported I/O
-    widths, power-of-two line/page sizes, divisibility. The fuzz
-    sampler (:mod:`repro.fuzz.sampler`) builds its random organizations
-    through this function so a sampled case can never be schema-invalid.
+    The scenario-file loader's handling of an ``[organizations.<name>]``
+    table — required keys and types here, every value rule (supported
+    I/O widths, power-of-two line/page sizes, divisibility) in
+    :class:`MemoryConfig`. The fuzz sampler
+    (:mod:`repro.fuzz.sampler`) builds its random organizations through
+    this function so a sampled case can never be schema-invalid.
 
     Examples
     --------
@@ -371,41 +327,23 @@ def _parse_organizations(raw: Any, path: str) -> Dict[str, MemoryConfig]:
 
 def _parse_phase(raw: Any, path: str) -> RatePhase:
     _check_keys(raw, _PHASE_KEYS, path)
-    for key in _PHASE_KEYS:
-        if key not in raw:
-            raise _fail(path, f"missing required key {key!r}")
-    return RatePhase(
-        duration_years=_get_float(
-            raw, "duration_years", path, minimum=0.0, exclusive=True
-        ),
-        multiplier=_get_float(raw, "multiplier", path, minimum=0.0),
-    )
+    _require_keys(raw, _PHASE_KEYS, path)
+    values = {key: _get_float(raw, key, path) for key in _PHASE_KEYS}
+    with _values_at(path):
+        return RatePhase(**values)
 
 
 def _parse_spatial(raw: Any, path: str) -> SpatialFaultModel:
     """One ``[populations.spatial]`` table -> :class:`SpatialFaultModel`."""
     _check_keys(raw, _SPATIAL_KEYS, path)
-    kind = _get_str(raw, "kind", path)
-    if kind not in SPATIAL_KINDS:
-        raise _fail(
-            f"{path}.kind",
-            f"unknown spatial kind {kind!r}"
-            f"{did_you_mean(kind, SPATIAL_KINDS)}; "
-            f"known: {', '.join(SPATIAL_KINDS)}",
-        )
-    fraction = 0.5
+    values: Dict[str, Any] = {"kind": _get_str(raw, "kind", path)}
     if "fraction" in raw:
-        fraction = _get_float(raw, "fraction", path, minimum=0.0, exclusive=True)
-        if fraction > 1.0:
-            raise _fail(f"{path}.fraction", f"must be <= 1, got {fraction:g}")
-    extents = {}
+        values["fraction"] = _get_float(raw, "fraction", path)
     for key in ("banks", "rows", "columns"):
         if key in raw:
-            extents[key] = _get_int(raw, key, path, minimum=1)
-    try:
-        return SpatialFaultModel(kind=kind, fraction=fraction, **extents)
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from exc
+            values[key] = _get_int(raw, key, path)
+    with _values_at(path):
+        return SpatialFaultModel(**values)
 
 
 def _parse_population(
@@ -414,15 +352,13 @@ def _parse_population(
     organizations: Optional[Mapping[str, MemoryConfig]] = None,
 ) -> SubPopulation:
     _check_keys(raw, _POPULATION_KEYS, path)
-    name = _get_str(raw, "name", path)
-    if "channels" not in raw:
-        raise _fail(path, "missing required key 'channels'")
-    channels = _get_int(raw, "channels", path, minimum=1)
+    values: Dict[str, Any] = {"name": _get_str(raw, "name", path)}
+    _require_keys(raw, ("channels",), path)
+    values["channels"] = _get_int(raw, "channels", path)
 
-    known_configs: Dict[str, MemoryConfig] = dict(CONFIG_NAMES)
-    known_configs.update(organizations or {})
-    config = ARCC_MEMORY_CONFIG
     if "config" in raw:
+        known_configs: Dict[str, MemoryConfig] = dict(CONFIG_NAMES)
+        known_configs.update(organizations or {})
         config_name = _get_str(raw, "config", path)
         if config_name not in known_configs:
             raise _fail(
@@ -431,50 +367,27 @@ def _parse_population(
                 f"{did_you_mean(config_name, known_configs)}; "
                 f"known: {', '.join(known_configs)}",
             )
-        config = known_configs[config_name]
-
-    rates = DEFAULT_FIT_RATES
+        values["config"] = known_configs[config_name]
     if "rates" in raw:
-        rates = _parse_rates(raw["rates"], f"{path}.rates")
-
-    rate_multiplier = 1.0
-    if "rate_multiplier" in raw:
-        rate_multiplier = _get_float(
-            raw, "rate_multiplier", path, minimum=0.0, exclusive=True
-        )
-    lifespan_years = 7.0
-    if "lifespan_years" in raw:
-        lifespan_years = _get_float(
-            raw, "lifespan_years", path, minimum=0.0, exclusive=True
-        )
-
-    schedule: Tuple[RatePhase, ...] = ()
+        values["rates"] = _parse_rates(raw["rates"], f"{path}.rates")
+    for key in ("rate_multiplier", "lifespan_years"):
+        if key in raw:
+            values[key] = _get_float(raw, key, path)
     if "schedule" in raw:
         phases = raw["schedule"]
-        if not isinstance(phases, Sequence) or isinstance(phases, (str, bytes)):
+        if not _is_array(phases):
             raise _fail(
                 f"{path}.schedule",
                 f"expected an array of tables, got {_type_name(phases)}",
             )
-        schedule = tuple(
+        values["schedule"] = tuple(
             _parse_phase(phase, f"{path}.schedule[{i}]")
             for i, phase in enumerate(phases)
         )
-
-    spatial: Optional[SpatialFaultModel] = None
     if "spatial" in raw:
-        spatial = _parse_spatial(raw["spatial"], f"{path}.spatial")
-
-    return SubPopulation(
-        name=name,
-        channels=channels,
-        config=config,
-        rates=rates,
-        rate_multiplier=rate_multiplier,
-        lifespan_years=lifespan_years,
-        schedule=schedule,
-        spatial=spatial,
-    )
+        values["spatial"] = _parse_spatial(raw["spatial"], f"{path}.spatial")
+    with _values_at(path):
+        return SubPopulation(**values)
 
 
 def scenario_from_mapping(
@@ -500,31 +413,14 @@ def scenario_from_mapping(
         name = _get_str(raw, "name", "")
         description = ""
         if "description" in raw:
-            value = raw["description"]
-            if not isinstance(value, str):
-                raise _fail(
-                    "description", f"expected str, got {_type_name(value)}"
-                )
-            description = value
+            description = _get_str(raw, "description", "", empty=True)
 
-        seed = None
-        if "seed" in raw:
-            seed = _get_int(raw, "seed", "", minimum=0)
-        channels = None
-        if "channels" in raw:
-            channels = _get_int(raw, "channels", "", minimum=1)
-
-        policies: Optional[Tuple[str, ...]] = None
+        defaults: Dict[str, Any] = {}
+        for key in ("seed", "channels"):
+            if key in raw:
+                defaults[key] = _get_int(raw, key, "")
         if "policies" in raw:
-            value = raw["policies"]
-            if not isinstance(value, Sequence) or isinstance(
-                value, (str, bytes)
-            ):
-                raise _fail(
-                    "policies",
-                    f"expected an array of strings, got {_type_name(value)}",
-                )
-            policies = _check_policy_set(value, "policies")
+            defaults["policies"] = _check_strs(raw["policies"], "policies")
 
         organizations: Dict[str, MemoryConfig] = {}
         if "organizations" in raw:
@@ -532,22 +428,21 @@ def scenario_from_mapping(
                 raw["organizations"], "organizations"
             )
 
-        if "populations" not in raw:
-            raise _fail("", "missing required key 'populations'")
+        _require_keys(raw, ("populations",), "")
         raw_pops = raw["populations"]
-        if not isinstance(raw_pops, Sequence) or isinstance(
-            raw_pops, (str, bytes)
-        ):
+        if not _is_array(raw_pops):
             raise _fail(
                 "populations",
                 f"expected an array of tables, got {_type_name(raw_pops)}",
             )
-        if not raw_pops:
-            raise _fail("populations", "needs at least one sub-population")
         populations = tuple(
             _parse_population(pop, f"populations[{i}]", organizations)
             for i, pop in enumerate(raw_pops)
         )
+        with _values_at(""):
+            scenario = FleetScenario(
+                name=name, description=description, populations=populations
+            )
         # Strict like everything else — and what keeps load -> dump ->
         # load exact: a dump can only emit organizations its populations
         # reference, so an unreferenced table (usually a typo in some
@@ -561,24 +456,16 @@ def scenario_from_mapping(
                 "(reference it via `config = " + repr(unused[0]) + "` "
                 "or remove the table)",
             )
-
-        try:
-            scenario = FleetScenario(
-                name=name, description=description, populations=populations
+        with _values_at(""):
+            return ScenarioFile(
+                scenario=scenario,
+                organizations=tuple(organizations.values()),
+                **defaults,
             )
-        except ValueError as exc:
-            raise _fail("populations", str(exc)) from exc
     except ScenarioFileError as exc:
         if source:
             raise ScenarioFileError(f"{source}: {exc}") from None
         raise
-    return ScenarioFile(
-        scenario=scenario,
-        seed=seed,
-        channels=channels,
-        policies=policies,
-        organizations=tuple(organizations.values()),
-    )
 
 
 def load_raw_mapping(path: "str | Path") -> Mapping[str, Any]:
@@ -642,25 +529,6 @@ def _config_name(config: MemoryConfig) -> str:
     return config.name
 
 
-def _organization_table(config: MemoryConfig) -> Dict[str, Any]:
-    """Full ``[organizations.<name>]`` table of one custom config."""
-    return {
-        "technology": config.technology,
-        "io_width": config.io_width,
-        "channels": config.channels,
-        "ranks_per_channel": config.ranks_per_channel,
-        "devices_per_rank": config.devices_per_rank,
-        "data_devices_per_rank": config.data_devices_per_rank,
-        "cacheline_bytes": config.cacheline_bytes,
-        "page_bytes": config.page_bytes,
-        "capacity_per_channel_bytes": config.capacity_per_channel_bytes,
-        "banks_per_device": config.banks_per_device,
-        "pages_per_row": config.pages_per_row,
-        "rows_per_bank": config.rows_per_bank,
-        "columns_per_row": config.columns_per_row,
-    }
-
-
 def scenario_to_mapping(
     scenario: FleetScenario,
     seed: Optional[int] = None,
@@ -679,27 +547,21 @@ def scenario_to_mapping(
     for config in scenario.organizations():
         if any(config == known for known in CONFIG_NAMES.values()):
             continue
-        organizations[_config_name(config)] = _organization_table(config)
+        organizations[_config_name(config)] = {
+            key: getattr(config, key) for key in _ORGANIZATION_KEYS
+        }
     populations: List[Dict[str, Any]] = []
     for pop in scenario.populations:
         entry: Dict[str, Any] = {
             "name": pop.name,
             "channels": pop.channels,
             "config": _config_name(pop.config),
-            "rates": {
-                name: getattr(pop.rates, name) for name in _RATE_FIELDS
-            },
+            "rates": asdict(pop.rates),
             "rate_multiplier": pop.rate_multiplier,
             "lifespan_years": pop.lifespan_years,
         }
         if pop.schedule:
-            entry["schedule"] = [
-                {
-                    "duration_years": phase.duration_years,
-                    "multiplier": phase.multiplier,
-                }
-                for phase in pop.schedule
-            ]
+            entry["schedule"] = [asdict(phase) for phase in pop.schedule]
         if pop.spatial:
             entry["spatial"] = pop.spatial.to_config()
         populations.append(entry)

@@ -15,8 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG, MemoryConfig
+from repro.config import (
+    ARCC_MEMORY_CONFIG,
+    BASELINE_MEMORY_CONFIG,
+    MemoryConfig,
+    distinct_organizations,
+)
 from repro.faults.types import DEFAULT_FIT_RATES, FaultRates
+from repro.util.fields import FieldError, check_range
+from repro.util.suggest import unknown_key_message
 
 #: Spatial fault-model kinds understood by the fleet engine.
 SPATIAL_KINDS = ("multi-row-cluster", "retention-cluster", "bank-wear")
@@ -72,14 +79,12 @@ class SpatialFaultModel:
 
     def __post_init__(self) -> None:
         if self.kind not in SPATIAL_KINDS:
-            raise ValueError(
-                f"unknown spatial kind {self.kind!r}; "
-                f"expected one of {', '.join(SPATIAL_KINDS)}"
+            raise FieldError(
+                "kind", unknown_key_message("spatial kind", self.kind, SPATIAL_KINDS)
             )
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError("spatial fraction must be in (0, 1]")
-        if self.banks < 1 or self.rows < 1 or self.columns < 1:
-            raise ValueError("spatial region extents must be at least 1")
+        check_range("fraction", self.fraction, above=0.0, at_most=1.0)
+        for name in ("banks", "rows", "columns"):
+            check_range(name, getattr(self, name), at_least=1)
 
     def to_config(self) -> Dict[str, object]:
         """Plain JSON-able mapping for job configs and scenario files."""
@@ -100,10 +105,8 @@ class RatePhase:
     multiplier: float
 
     def __post_init__(self) -> None:
-        if self.duration_years <= 0:
-            raise ValueError("phase duration must be positive")
-        if self.multiplier < 0:
-            raise ValueError("phase multiplier must be non-negative")
+        check_range("duration_years", self.duration_years, above=0.0)
+        check_range("multiplier", self.multiplier, at_least=0.0)
 
 
 @dataclass(frozen=True)
@@ -160,12 +163,9 @@ class SubPopulation:
     spatial: Optional[SpatialFaultModel] = None
 
     def __post_init__(self) -> None:
-        if self.channels <= 0:
-            raise ValueError("sub-population needs at least one channel")
-        if self.rate_multiplier <= 0:
-            raise ValueError("rate multiplier must be positive")
-        if self.lifespan_years <= 0:
-            raise ValueError("lifespan must be positive")
+        check_range("channels", self.channels, at_least=1)
+        check_range("rate_multiplier", self.rate_multiplier, above=0.0)
+        check_range("lifespan_years", self.lifespan_years, above=0.0)
 
     @property
     def report_years(self) -> int:
@@ -227,18 +227,15 @@ class FleetScenario:
 
     def __post_init__(self) -> None:
         if not self.populations:
-            raise ValueError("scenario needs at least one sub-population")
+            raise FieldError("populations", "needs at least one sub-population")
         names = [pop.name for pop in self.populations]
-        if len(set(names)) != len(names):
-            raise ValueError("sub-population names must be unique")
-        seen: Dict[str, MemoryConfig] = {}
-        for pop in self.populations:
-            known = seen.setdefault(pop.config.name, pop.config)
-            if known != pop.config:
-                raise ValueError(
-                    "two different memory organizations share the name "
-                    f"{pop.config.name!r}"
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise FieldError(
+                    f"populations[{i}].name",
+                    f"sub-population names must be unique; {name!r} repeats",
                 )
+        self.organizations()
 
     @property
     def total_channels(self) -> int:
@@ -248,14 +245,13 @@ class FleetScenario:
     def organizations(self) -> Tuple[MemoryConfig, ...]:
         """Distinct memory organizations, in first-appearance order.
 
-        Organization names are unique within a scenario (validated at
-        construction), so the result is usable as a keyed set — the
+        Organization names are unique within a scenario (construction
+        runs this check), so the result is usable as a keyed set — the
         measured-overhead bridge plans one measurement per entry.
         """
-        seen: Dict[str, MemoryConfig] = {}
-        for pop in self.populations:
-            seen.setdefault(pop.config.name, pop.config)
-        return tuple(seen.values())
+        return distinct_organizations(
+            (pop.config for pop in self.populations), "populations"
+        )
 
     @property
     def max_years(self) -> int:
@@ -400,8 +396,6 @@ def resolve_scenario(scenario: "FleetScenario | str") -> FleetScenario:
     if isinstance(scenario, FleetScenario):
         return scenario
     if scenario not in DEFAULT_SCENARIOS:
-        from repro.util.suggest import unknown_key_message
-
         raise KeyError(
             unknown_key_message("scenario", scenario, DEFAULT_SCENARIOS)
         )

@@ -7,7 +7,7 @@ and upgraded fractions. :func:`expand_study` compiles the resulting grid
 into **one** deduplicated :class:`~repro.runner.ExperimentPlan` over the
 existing machinery (:func:`~repro.fleet.policies.plan_fleet_compare`,
 :func:`~repro.fleet.policies.plan_fleet_compare_measured`,
-:func:`~repro.experiments.sensitivity.plan_sweep_upgraded_fraction_measured`),
+:func:`~repro.experiments.sensitivity.fraction_sweep_plan`),
 so axis points that share simulations — e.g. every rate multiplier at
 one instruction scale reuses that scale's measurement jobs — run once.
 
@@ -49,12 +49,12 @@ from repro.config import MEASUREMENT_CONFIG, MemoryConfig
 from repro.experiments.sensitivity import (
     MeasuredFractionSweep,
     check_sweep_fractions,
-    plan_sweep_upgraded_fraction_measured,
+    fraction_sweep_plan,
 )
 from repro.fleet.policies import (
     DEFAULT_POLICY_KEYS,
-    POLICY_KEYS,
     PolicyComparisonReport,
+    check_policy_set,
     plan_fleet_compare,
     plan_fleet_compare_measured,
 )
@@ -66,18 +66,21 @@ from repro.fleet.scenario_file import (
     _check_float,
     _check_int,
     _check_keys,
-    _check_policy_set,
+    _check_strs,
     _fail,
     _get_array,
     _get_bool,
     _get_int,
+    _get_str,
+    _is_array,
     _type_name,
+    _values_at,
     load_raw_mapping,
     organization_from_mapping,
     scenario_from_mapping,
 )
 from repro.fleet.scenarios import FleetScenario
-from repro.perf.engine import arcc_capable, engine_provenance, resolve_engine
+from repro.perf.engine import check_arcc_capable, engine_provenance, resolve_engine
 from repro.runner import (
     ExperimentPlan,
     Job,
@@ -87,6 +90,7 @@ from repro.runner import (
     job_identity,
     run_stages,
 )
+from repro.util.fields import FieldError, check_range
 from repro.util.suggest import did_you_mean
 from repro.util.tables import format_table
 from repro.workloads.spec import ALL_MIXES
@@ -135,6 +139,11 @@ class Study:
       style comparison.
     * ``upgraded_fractions`` — non-empty adds a measured
       upgraded-fraction sweep artifact per (organization, scale).
+
+    Construction checks every value and raises
+    :class:`~repro.util.fields.FieldError` naming the field and element
+    (``rate_multipliers[1]``, ``policy_sets[0][2]``); measured studies
+    and fraction sweeps need ARCC-capable organizations.
     """
 
     name: str
@@ -152,31 +161,46 @@ class Study:
     measurement_seed: int = MEASUREMENT_CONFIG.seed
 
     def __post_init__(self) -> None:
+        if self.mixes is not None:
+            check_range("mixes", self.mixes, at_least=1)
+            if self.mixes > len(ALL_MIXES):
+                raise FieldError(
+                    "mixes",
+                    f"only {len(ALL_MIXES)} workload mixes exist, "
+                    f"got {self.mixes}",
+                )
+        for i, scale in enumerate(self.instruction_scales):
+            check_range(f"instruction_scales[{i}]", scale, at_least=1)
         if not self.rate_multipliers:
-            raise ValueError("need at least one rate multiplier")
-        if any(m <= 0 for m in self.rate_multipliers):
-            raise ValueError("rate multipliers must be > 0")
-        if not self.policy_sets or any(not s for s in self.policy_sets):
-            raise ValueError("need at least one non-empty policy set")
-        for keys in self.policy_sets:
-            unknown = [k for k in keys if k not in POLICY_KEYS]
-            if unknown:
-                raise ValueError(f"unknown policy key {unknown[0]!r}")
-        if any(s < 1 for s in self.instruction_scales):
-            raise ValueError("instruction scales must be >= 1")
+            raise FieldError("rate_multipliers", "must not be empty")
+        for i, multiplier in enumerate(self.rate_multipliers):
+            check_range(f"rate_multipliers[{i}]", multiplier, above=0.0)
         if self.upgraded_fractions:
-            check_sweep_fractions(self.upgraded_fractions)
+            check_sweep_fractions(self.upgraded_fractions, "upgraded_fractions")
+        if not self.policy_sets:
+            raise FieldError("policy_sets", "must not be empty")
+        for g, keys in enumerate(self.policy_sets):
+            check_policy_set(keys, f"policy_sets[{g}]")
         if self.instruction_scales and not (
             self.measured or self.upgraded_fractions
         ):
-            raise ValueError(
-                "instruction_scales only affect measured studies or "
-                "upgraded-fraction sweeps"
+            raise FieldError(
+                "instruction_scales",
+                "only affects trace measurements; set `measured = true` "
+                "or add `upgraded_fractions`",
             )
-        if self.mixes is not None and not 1 <= self.mixes <= len(ALL_MIXES):
-            raise ValueError(
-                f"mixes must be in [1, {len(ALL_MIXES)}], got {self.mixes}"
-            )
+        check_range("seed", self.seed, at_least=0)
+        if self.channels is not None:
+            check_range("channels", self.channels, at_least=1)
+        check_range("measurement_seed", self.measurement_seed, at_least=0)
+        if self.measured or self.upgraded_fractions:
+            for i, config in enumerate(self.organizations):
+                check_arcc_capable(config, f"organizations[{i}]")
+            if not self.organizations:
+                for i, pop in enumerate(self.scenario.populations):
+                    check_arcc_capable(
+                        pop.config, f"scenario.populations[{i}].config"
+                    )
 
     def mix_list(self) -> List[Any]:
         """The workload mixes measurement points simulate."""
@@ -355,7 +379,7 @@ def _sweep_point_plan(study: Study, point: StudyPoint) -> ExperimentPlan:
     measurement seed, its cache entries: the zero point of an ARCC sweep
     at the default scale *is* the figures' fault-free baseline job).
     """
-    return plan_sweep_upgraded_fraction_measured(
+    return fraction_sweep_plan(
         mixes=study.mix_list(),
         fractions=study.upgraded_fractions,
         instructions_per_core=point.instructions_per_core,
@@ -655,99 +679,68 @@ def run_study(
 def _no_duplicates(values: Sequence[Any], path: str) -> None:
     seen = set()
     for i, value in enumerate(values):
-        key = tuple(value) if isinstance(value, list) else value
-        if key in seen:
+        if value in seen:
             raise _fail(f"{path}[{i}]", f"duplicate axis value {value!r}")
-        seen.add(key)
+        seen.add(value)
 
 
-def _int_axis(
-    section: Mapping[str, Any], key: str, path: str, minimum: int
-) -> Tuple[int, ...]:
-    axis = f"{path}.{key}"
-    values = [
-        _check_int(value, f"{axis}[{i}]", minimum)
-        for i, value in enumerate(_get_array(section, key, path))
-    ]
-    _no_duplicates(values, axis)
-    return tuple(values)
-
-
-def _float_axis(
+def _axis(
     section: Mapping[str, Any],
     key: str,
     path: str,
-    minimum: float,
-    exclusive: bool,
-    maximum: Optional[float] = None,
-) -> Tuple[float, ...]:
+    check: Callable[[Any, str], Any],
+) -> Tuple[Any, ...]:
+    """One array axis: each element type-checked, no value repeated."""
     axis = f"{path}.{key}"
-    values = [
-        _check_float(value, f"{axis}[{i}]", minimum, exclusive, maximum)
+    values = tuple(
+        check(value, f"{axis}[{i}]")
         for i, value in enumerate(_get_array(section, key, path))
-    ]
+    )
     _no_duplicates(values, axis)
-    return tuple(values)
+    return values
 
 
 def _policy_sets(
-    section: Mapping[str, Any], path: str, default: Tuple[str, ...]
-) -> Tuple[Tuple[str, ...], ...]:
+    section: Mapping[str, Any], path: str
+) -> Tuple[Tuple[Tuple[str, ...], ...], bool]:
     """Parse the ``policies`` axis: a flat array is one comparison,
-    an array of arrays is one comparison per entry."""
-    if "policies" not in section:
-        return (default,)
+    an array of arrays is one comparison per entry. Returns the sets
+    and whether the array was flat."""
     raw_sets = _get_array(section, "policies", path)
-    nested = all(
-        isinstance(entry, Sequence) and not isinstance(entry, (str, bytes))
-        for entry in raw_sets
-    )
-    flat = all(isinstance(entry, str) for entry in raw_sets)
-    if not nested and not flat:
+    if all(isinstance(entry, str) for entry in raw_sets):
+        return (_check_strs(raw_sets, f"{path}.policies"),), True
+    if not all(_is_array(entry) for entry in raw_sets):
         raise _fail(
             f"{path}.policies",
             "expected an array of policy names or an array of policy-name "
             "arrays (not a mixture)",
         )
-    groups = [raw_sets] if flat else raw_sets
-    sets = [
-        _check_policy_set(
-            group, f"{path}.policies" if flat else f"{path}.policies[{g}]"
-        )
-        for g, group in enumerate(groups)
-    ]
-    _no_duplicates([list(s) for s in sets], f"{path}.policies")
-    return tuple(sets)
+    sets = tuple(
+        _check_strs(group, f"{path}.policies[{g}]")
+        for g, group in enumerate(raw_sets)
+    )
+    _no_duplicates(sets, f"{path}.policies")
+    return sets, False
 
 
-def _organization_axis_names(
-    section: Mapping[str, Any], path: str
-) -> Tuple[str, ...]:
-    if "organizations" not in section:
-        return ()
-    names = []
-    for i, name in enumerate(_get_array(section, "organizations", path)):
-        if not isinstance(name, str) or not name:
-            raise _fail(
-                f"{path}.organizations[{i}]",
-                f"expected a non-empty str, got {_type_name(name)}",
-            )
-        names.append(name)
-    _no_duplicates(names, f"{path}.organizations")
-    return tuple(names)
+def _check_name(value: Any, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise _fail(path, f"expected a non-empty str, got {_type_name(value)}")
+    return value
 
 
-def _require_arcc_capable(
-    configs: Sequence[MemoryConfig], path: str
-) -> None:
-    for config in configs:
-        if not arcc_capable(config):
-            raise _fail(
-                path,
-                f"organization {config.name!r} has a single channel and "
-                "cannot host upgraded (paired) pages; measured studies "
-                "and upgraded-fraction sweeps need >= 2 channels",
-            )
+def _study_path(field: str, section_key: str, flat_policies: bool) -> str:
+    """Where a :class:`Study` field is spelled in a study file."""
+    if field.startswith("scenario."):
+        return field[len("scenario."):]
+    if field in ("seed", "channels"):
+        return field
+    if field.startswith("policy_sets"):
+        index = field[len("policy_sets"):]
+        if flat_policies:
+            index = index[len("[0]"):]
+        return f"{section_key}.policies{index}"
+    return f"{section_key}.{field}"
 
 
 def study_from_mapping(
@@ -761,9 +754,11 @@ def study_from_mapping(
     except that ``[organizations.<name>]`` tables referenced only by the
     study's ``organizations`` axis are allowed (a plain scenario would
     reject them as unreferenced); tables referenced by *neither* a
-    population nor the axis still fail. Errors follow the scenario-file
-    idiom: dotted key paths, closest-match suggestions, ``source``
-    prefix.
+    population nor the axis still fail. The section's shape — keys,
+    types, axis arrays, name references — is checked here; its values
+    are :class:`Study`'s to check, and its errors are re-raised at
+    their key paths. Errors follow the scenario-file idiom: dotted key
+    paths, closest-match suggestions, ``source`` prefix.
     """
     try:
         if not isinstance(raw, Mapping):
@@ -786,7 +781,9 @@ def study_from_mapping(
         section_key = present[0]
         section = raw[section_key]
         _check_keys(section, _STUDY_KEYS, section_key)
-        axis_names = _organization_axis_names(section, section_key)
+        axis_names: Tuple[str, ...] = ()
+        if "organizations" in section:
+            axis_names = _axis(section, "organizations", section_key, _check_name)
 
         # Split the file's organization tables: population-referenced
         # ones flow into the scenario (which enforces its own
@@ -801,9 +798,7 @@ def study_from_mapping(
         if isinstance(raw_orgs, Mapping):
             population_refs = set()
             raw_pops = rest.get("populations")
-            if isinstance(raw_pops, Sequence) and not isinstance(
-                raw_pops, (str, bytes)
-            ):
+            if _is_array(raw_pops):
                 for pop in raw_pops:
                     if isinstance(pop, Mapping) and isinstance(
                         pop.get("config"), str
@@ -830,72 +825,34 @@ def study_from_mapping(
                 rest.pop("organizations", None)
         spec = scenario_from_mapping(rest)
 
-        description = spec.scenario.description
+        values: Dict[str, Any] = {"description": spec.scenario.description}
         if "description" in section:
-            value = section["description"]
-            if not isinstance(value, str):
-                raise _fail(
-                    f"{section_key}.description",
-                    f"expected str, got {_type_name(value)}",
-                )
-            description = value
-
-        measured = False
+            values["description"] = _get_str(
+                section, "description", section_key, empty=True
+            )
         if "measured" in section:
-            measured = _get_bool(section, "measured", section_key)
-
-        mixes = None
+            values["measured"] = _get_bool(section, "measured", section_key)
         if "mixes" in section:
-            mixes = _get_int(section, "mixes", section_key, minimum=1)
-            if mixes > len(ALL_MIXES):
-                raise _fail(
-                    f"{section_key}.mixes",
-                    f"only {len(ALL_MIXES)} workload mixes exist, "
-                    f"got {mixes}",
-                )
-
-        instruction_scales: Tuple[int, ...] = ()
-        if "instruction_scales" in section:
-            instruction_scales = _int_axis(
-                section, "instruction_scales", section_key, minimum=1
+            values["mixes"] = _get_int(section, "mixes", section_key)
+        for key, check in (
+            ("instruction_scales", _check_int),
+            ("rate_multipliers", _check_float),
+            ("upgraded_fractions", _check_float),
+        ):
+            if key in section:
+                values[key] = _axis(section, key, section_key, check)
+        flat_policies = True
+        if "policies" in section:
+            values["policy_sets"], flat_policies = _policy_sets(
+                section, section_key
             )
-
-        rate_multipliers: Tuple[float, ...] = (1.0,)
-        if "rate_multipliers" in section:
-            rate_multipliers = _float_axis(
-                section,
-                "rate_multipliers",
-                section_key,
-                minimum=0.0,
-                exclusive=True,
-            )
-
-        upgraded_fractions: Tuple[float, ...] = ()
-        if "upgraded_fractions" in section:
-            upgraded_fractions = _float_axis(
-                section,
-                "upgraded_fractions",
-                section_key,
-                minimum=0.0,
-                exclusive=False,
-                maximum=1.0,
-            )
-            if 0.0 not in upgraded_fractions:
-                raise _fail(
-                    f"{section_key}.upgraded_fractions",
-                    "needs the fault-free 0.0 point (ratios are "
-                    "normalized to it)",
-                )
-
-        policy_sets = _policy_sets(
-            section, section_key, spec.policies or DEFAULT_POLICY_KEYS
-        )
+        elif spec.policies:
+            values["policy_sets"] = (spec.policies,)
 
         known_configs: Dict[str, MemoryConfig] = dict(CONFIG_NAMES)
         for config in spec.organizations:
             known_configs[config.name] = config
         known_configs.update(axis_only)
-        organizations: List[MemoryConfig] = []
         for i, name in enumerate(axis_names):
             if name not in known_configs:
                 raise _fail(
@@ -904,38 +861,22 @@ def study_from_mapping(
                     f"{did_you_mean(name, known_configs)}; "
                     f"known: {', '.join(known_configs)}",
                 )
-            organizations.append(known_configs[name])
-
-        if instruction_scales and not (measured or upgraded_fractions):
-            raise _fail(
-                f"{section_key}.instruction_scales",
-                "only affects trace measurements; set `measured = true` "
-                "or add `upgraded_fractions`",
-            )
-
-        study = Study(
-            name=spec.scenario.name,
-            scenario=spec.scenario,
-            description=description,
-            measured=measured,
-            mixes=mixes,
-            instruction_scales=instruction_scales,
-            rate_multipliers=rate_multipliers,
-            organizations=tuple(organizations),
-            policy_sets=policy_sets,
-            upgraded_fractions=upgraded_fractions,
-            seed=spec.seed if spec.seed is not None else DEFAULT_FLEET_SEED,
-            channels=spec.channels,
+        values["organizations"] = tuple(
+            known_configs[name] for name in axis_names
         )
-        if measured or upgraded_fractions:
-            axis_path = (
-                f"{section_key}.organizations"
-                if study.organizations
-                else "populations"
-            )
-            _require_arcc_capable(
-                study.organizations or study.base_scenario().organizations(),
-                axis_path,
+
+        with _values_at(
+            section_key,
+            lambda field: _study_path(field, section_key, flat_policies),
+        ):
+            study = Study(
+                name=spec.scenario.name,
+                scenario=spec.scenario,
+                seed=(
+                    spec.seed if spec.seed is not None else DEFAULT_FLEET_SEED
+                ),
+                channels=spec.channels,
+                **values,
             )
     except ScenarioFileError as exc:
         if source:

@@ -5,11 +5,12 @@ but schema-valid cases: memory organizations within the
 ``[organizations]`` constraints (I/O width 4 or 8, power-of-two line and
 page sizes, odd channel/rank/bank counts allowed), workload-mix subsets,
 piecewise rate schedules with burn-in phases, policy sets, upgraded
-fractions. The samplers here draw those from the same schemas the
-production loaders validate — organizations round-trip through
-:func:`repro.fleet.scenario_file.organization_from_mapping`, schedules
-through :class:`repro.fleet.scenarios.SubPopulation` — so a sampled
-case can never be rejected as malformed, only diverge.
+fractions. The samplers here draw those within the rules the domain
+objects check at construction — organizations round-trip through
+:func:`repro.fleet.scenario_file.organization_from_mapping` into
+:class:`repro.config.MemoryConfig`, schedules through
+:class:`repro.fleet.scenarios.SubPopulation` — so a sampled case can
+never be rejected as malformed, only diverge.
 
 Reproducibility is the riescue idiom: a campaign seed derives one
 integer seed per case index (:func:`repro.util.rng.derive_seeds`,
@@ -47,10 +48,11 @@ def sample_organization(
 ) -> Dict[str, Any]:
     """Draw one valid ``[organizations.<name>]`` table.
 
-    Honors every loader constraint: ``io_width`` in {4, 8}, power-of-two
-    line/page sizes with ``page % line == 0``, capacity a multiple of
-    the page size, at least one check device per rank — while deliberately
-    wandering off Table 7.1 (odd channel/rank/bank counts).
+    Honors every rule :class:`~repro.config.MemoryConfig` checks at
+    construction: ``io_width`` in {4, 8}, power-of-two line/page sizes
+    with ``page % line == 0``, capacity a multiple of the page size, at
+    least one check device per rank — while deliberately wandering off
+    Table 7.1 (odd channel/rank/bank counts).
     ``require_arcc`` keeps ``channels >= 2`` so upgraded pages have a
     pairing partner.
 

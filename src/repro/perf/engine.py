@@ -52,6 +52,7 @@ from repro.perf.simulator import (
 )
 from repro.perf.trace import check_instructions_per_core, materialize_mix
 from repro.runner.job import ExperimentPlan, Job
+from repro.util.fields import FieldError
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
 
 
@@ -80,9 +81,9 @@ def arcc_capable(config: MemoryConfig) -> bool:
 
     Sub-lines of an upgraded line live on the two sides of ``addr ^ 1``,
     and the HIPERF map takes the channel from the bottom of the address,
-    so pairing needs at least two channels. :class:`SweepPoint` applies
-    it to every point; study files apply it at load time, where the
-    error can name the dotted path.
+    so pairing needs at least two channels. :class:`SweepPoint` and
+    :class:`~repro.fleet.study.Study` enforce it through
+    :func:`check_arcc_capable`, the one wording of the rule.
 
     Examples
     --------
@@ -90,6 +91,18 @@ def arcc_capable(config: MemoryConfig) -> bool:
     True
     """
     return config.channels >= 2
+
+
+def check_arcc_capable(config: MemoryConfig, field: str = "config") -> None:
+    """Raise :class:`~repro.util.fields.FieldError` at ``field`` unless
+    ``config`` is :func:`arcc_capable`."""
+    if not arcc_capable(config):
+        raise FieldError(
+            field,
+            f"organization {config.name!r} has {config.channels} "
+            "channel(s); upgraded pages need the >= 2 channels ARCC "
+            "pairing requires",
+        )
 
 
 @dataclass(frozen=True)
@@ -113,12 +126,8 @@ class SweepPoint:
     lotecc_checksum: bool = False
 
     def __post_init__(self) -> None:
-        if self.upgraded_fraction and not arcc_capable(self.config):
-            raise ValueError(
-                f"organization {self.config.name!r} has "
-                f"{self.config.channels} channel(s); upgraded pages need "
-                "the >= 2 channels ARCC pairing requires"
-            )
+        if self.upgraded_fraction:
+            check_arcc_capable(self.config)
 
 
 #: The replay engine tiers. ``auto`` resolves to the compiled kernel

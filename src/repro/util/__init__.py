@@ -1,4 +1,5 @@
-"""Shared utilities: bit manipulation, unit constants, RNG, stats, tables."""
+"""Shared utilities: bit manipulation, unit constants, RNG, stats, tables,
+field-naming value errors."""
 
 from repro.util.bitops import (
     bit_count,
@@ -8,6 +9,7 @@ from repro.util.bitops import (
     parity,
     symbols_to_bytes,
 )
+from repro.util.fields import FieldError, check_range
 from repro.util.rng import derive_seeds, make_rng, split_rng
 from repro.util.stats import (
     OnlineStats,
@@ -28,6 +30,7 @@ from repro.util.units import (
 
 __all__ = [
     "FIT_TO_PER_HOUR",
+    "FieldError",
     "GB",
     "HOURS_PER_YEAR",
     "KB",
@@ -36,6 +39,7 @@ __all__ = [
     "SECONDS_PER_HOUR",
     "bit_count",
     "bytes_to_symbols",
+    "check_range",
     "confidence_interval",
     "derive_seeds",
     "did_you_mean",

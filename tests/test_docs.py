@@ -46,6 +46,7 @@ DOCTEST_MODULES = (
     "repro.fuzz.oracles",
     "repro.fuzz.campaign",
     "repro.fuzz.shrink",
+    "repro.util.fields",
 )
 
 

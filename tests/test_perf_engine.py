@@ -509,7 +509,9 @@ class TestTraceRatioPlan:
             plan_sweep_upgraded_fraction_measured(
                 mixes=ALL_MIXES[:2], fractions=(0.25, 1.0)
             )
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        with pytest.raises(
+            ValueError, match=r"^fractions\[1\]: must be <= 1, got 1\.5$"
+        ):
             plan_sweep_upgraded_fraction_measured(
                 mixes=ALL_MIXES[:2], fractions=(0.0, 1.5)
             )

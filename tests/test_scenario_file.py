@@ -9,6 +9,7 @@ on a tiny two-slice file.
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -719,3 +720,289 @@ class TestOrganizationProperties:
             ScenarioFileError, match=r"populations\[0\]\.config"
         ):
             scenario_from_mapping(raw)
+
+
+#: A valid study file touching every section the loaders walk: the top
+#: level, an organization table, a population with rates, a schedule
+#: phase and a spatial model, and a measured ``[study]`` grid.
+TOTALITY_STUDY = {
+    "name": "total",
+    "description": "every section",
+    "seed": 3,
+    "channels": 200,
+    "policies": ["arcc", "sccdcd"],
+    "organizations": {
+        "quad-x8": {
+            "io_width": 8,
+            "channels": 4,
+            "ranks_per_channel": 2,
+            "devices_per_rank": 18,
+            "data_devices_per_rank": 16,
+            "page_bytes": 4096,
+            "capacity_per_channel_bytes": 4096 * 1024,
+        }
+    },
+    "populations": [
+        {
+            "name": "quad",
+            "channels": 200,
+            "config": "quad-x8",
+            "rates": {"bit": 18.6, "lane": 2.4},
+            "rate_multiplier": 2.0,
+            "lifespan_years": 3.0,
+            "schedule": [{"duration_years": 0.5, "multiplier": 4.0}],
+            "spatial": {"kind": "bank-wear", "fraction": 0.5, "banks": 2},
+        }
+    ],
+    "study": {
+        "measured": True,
+        "mixes": 1,
+        "instruction_scales": [1000, 2000],
+        "rate_multipliers": [1.0, 2.0],
+        "upgraded_fractions": [0.0, 0.5],
+        "policies": [["arcc", "sccdcd"], ["arcc", "lotecc"]],
+        "organizations": ["quad-x8", "arcc"],
+    },
+}
+
+#: Replacement values: out-of-range and non-finite numbers, a number too
+#: large for a float, and every wrong type.
+_BAD_VALUES = (
+    0,
+    -1,
+    0.5,
+    1.5,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    1e308,
+    10**400,
+    "x",
+    "",
+    True,
+    None,
+    [],
+    [1],
+    {},
+)
+
+#: ``dotted.path[3]: message`` — how every loader error begins, except a
+#: missing top-level key or section, which has no path to name.
+_DOTTED = re.compile(r"^[\w-]+(\[\d+\])*(\.[\w-]+(\[\d+\])*)*: ")
+
+
+def _sites(node, prefix=()):
+    """Every key and element of a nested mapping, as a key path."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _sites(value, prefix + (key,))
+
+
+def _mutated(site, value):
+    """A deep copy of :data:`TOTALITY_STUDY` with ``site`` replaced by
+    ``value`` (or dropped, for the ``_DROP`` marker)."""
+    raw = json.loads(json.dumps(TOTALITY_STUDY))
+    parent = raw
+    for key in site[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[site[-1]]
+    else:
+        parent[site[-1]] = value
+    return raw
+
+
+_DROP = object()
+
+
+def _assert_total(load, raw):
+    """``load`` returns, or fails with a dotted-path ScenarioFileError."""
+    try:
+        load(raw)
+    except ScenarioFileError as exc:
+        message = str(exc)
+        assert _DOTTED.match(message) or message.startswith("missing "), (
+            message
+        )
+
+
+class TestLoaderTotality:
+    """Hypothesis: no mutation of a valid file escapes the loaders as
+    anything but a ScenarioFileError that names where it is."""
+
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    SITES = tuple(_sites(TOTALITY_STUDY))
+
+    def test_base_study_and_scenario_load(self):
+        from repro.fleet import study_from_mapping
+
+        study = study_from_mapping(TOTALITY_STUDY)
+        assert study.upgraded_fractions == (0.0, 0.5)
+        scenario_only = {
+            k: v for k, v in TOTALITY_STUDY.items() if k != "study"
+        }
+        assert scenario_from_mapping(scenario_only).seed == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        site=st.sampled_from(SITES),
+        value=st.sampled_from((_DROP,) + _BAD_VALUES),
+    )
+    @example(site=("study", "upgraded_fractions", 1), value=float("nan"))
+    @example(site=("populations", 0, "lifespan_years"), value=float("inf"))
+    @example(site=("populations", 0, "rate_multiplier"), value=10**400)
+    def test_mutations_fail_with_a_dotted_path(self, site, value):
+        from repro.fleet import study_from_mapping
+
+        raw = _mutated(site, value)
+        _assert_total(study_from_mapping, raw)
+        if site[0] != "study" and isinstance(raw, dict):
+            raw.pop("study")
+            _assert_total(scenario_from_mapping, raw)
+
+
+class TestNonFiniteNumbers:
+    """NaN and infinity pass every ``<``/``>`` bound; the domain objects
+    reject them by name, and the loaders report the dotted path."""
+
+    @pytest.mark.parametrize(
+        "key, literal, message",
+        [
+            (
+                "rate_multiplier",
+                "NaN",
+                "populations[0].rate_multiplier: must be finite, got nan",
+            ),
+            (
+                "lifespan_years",
+                "Infinity",
+                "populations[0].lifespan_years: must be finite, got inf",
+            ),
+        ],
+    )
+    def test_json_population_numbers(self, tmp_path, key, literal, message):
+        path = tmp_path / "fleet.json"
+        raw = _mapping()
+        raw["populations"][0][key] = float(literal)
+        path.write_text(json.dumps(raw))
+        assert literal in path.read_text()
+        with pytest.raises(ScenarioFileError) as excinfo:
+            load_scenario_file(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (
+                "[populations.rates]\nbit = nan",
+                "populations[1].rates.bit: must be finite, got nan",
+            ),
+            (
+                "[[populations.schedule]]\nduration_years = 1.0\n"
+                "multiplier = inf",
+                "populations[1].schedule[0].multiplier: must be finite, "
+                "got inf",
+            ),
+            (
+                '[populations.spatial]\nkind = "bank-wear"\nfraction = nan',
+                "populations[1].spatial.fraction: must be finite, got nan",
+            ),
+        ],
+        ids=["rates", "schedule", "spatial"],
+    )
+    def test_toml_nested_numbers(self, tmp_path, line, message):
+        path = tmp_path / "fleet.toml"
+        base = TINY_TOML.replace("[populations.rates]\nbit = 20.0\n", "")
+        path.write_text(f"{base}\n{line}\n")
+        with pytest.raises(ScenarioFileError) as excinfo:
+            load_scenario_file(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_cli_reports_non_finite_without_traceback(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "fleet.json"
+        raw = _mapping()
+        raw["populations"][0]["rate_multiplier"] = float("nan")
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--scenario-file", str(path)])
+        assert str(excinfo.value.code) == (
+            f"repro fleet: {path}: populations[0].rate_multiplier: "
+            "must be finite, got nan"
+        )
+
+
+class TestDomainRules:
+    """The value rules hold for objects built in Python too, named by
+    field, in the loader's wording."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: RatePhase(duration_years=float("nan"), multiplier=1.0),
+                "duration_years: must be finite, got nan",
+            ),
+            (
+                lambda: SubPopulation(name="a", channels=0),
+                "channels: must be >= 1, got 0",
+            ),
+            (
+                lambda: SubPopulation(name="a", channels=1, lifespan_years=0.0),
+                "lifespan_years: must be > 0, got 0",
+            ),
+            (
+                lambda: replace(ARCC_MEMORY_CONFIG, io_width=16),
+                "io_width: no datasheet parameters for x16 devices; "
+                "supported: 4, 8",
+            ),
+            (
+                lambda: replace(ARCC_MEMORY_CONFIG, page_bytes=3000),
+                "page_bytes: must be a power of two, got 3000",
+            ),
+            (
+                lambda: replace(ARCC_MEMORY_CONFIG, banks_per_device=0),
+                "banks_per_device: must be >= 1, got 0",
+            ),
+        ],
+        ids=["phase", "channels", "lifespan", "io-width", "pow2", "banks"],
+    )
+    def test_constructors_name_the_field(self, build, message):
+        from repro.util import FieldError
+
+        with pytest.raises(FieldError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+    def test_rates_reject_negative_and_non_finite(self):
+        from repro.faults.types import DEFAULT_FIT_RATES
+        from repro.util import FieldError
+
+        with pytest.raises(FieldError, match="^lane: must be >= 0, got -1$"):
+            replace(DEFAULT_FIT_RATES, lane=-1.0)
+        with pytest.raises(FieldError, match="^row: must be finite, got inf$"):
+            replace(DEFAULT_FIT_RATES, row=float("inf"))
+
+    def test_one_organization_name_collision_message(self):
+        from repro.fleet.measured import plan_measured_profiles
+
+        impostor = replace(ARCC_MEMORY_CONFIG, channels=4)
+        message = "two different memory organizations share the name 'ARCC'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FleetScenario(
+                name="x",
+                description="",
+                populations=(
+                    SubPopulation(name="a", channels=1),
+                    SubPopulation(name="b", channels=1, config=impostor),
+                ),
+            )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            plan_measured_profiles(
+                organizations=(ARCC_MEMORY_CONFIG, impostor)
+            )

@@ -237,6 +237,125 @@ class TestValidation:
             load_study_file(path)
 
 
+class TestValueRules:
+    """Study values are the Study's to check; the loader re-paths them."""
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            (
+                {"upgraded_fractions": [0.0, float("nan")]},
+                "study.upgraded_fractions[1]: must be finite, got nan",
+            ),
+            (
+                {"rate_multipliers": [1.0, float("inf")]},
+                "study.rate_multipliers[1]: must be finite, got inf",
+            ),
+            (
+                {"policies": [["arcc"], ["arcc", "arcx"]]},
+                "study.policies[1][1]: unknown policy 'arcx' "
+                "(did you mean 'arcc'?); known: arcc, sccdcd, lotecc",
+            ),
+            (
+                {"policies": ["sccdcd", "sccdcd"]},
+                "study.policies[1]: duplicate policy 'sccdcd'",
+            ),
+        ],
+        ids=["nan-fraction", "inf-multiplier", "nested-policy", "flat-policy"],
+    )
+    def test_errors_land_at_the_file_path(self, section, message):
+        with pytest.raises(ScenarioFileError) as excinfo:
+            study_from_mapping(base_mapping(**section))
+        assert str(excinfo.value) == message
+
+    def test_toml_infinite_rate_multiplier(self, tmp_path):
+        path = tmp_path / "study.toml"
+        path.write_text(
+            'name = "s"\n'
+            "[[populations]]\n"
+            'name = "fleet"\n'
+            "channels = 400\n"
+            "[study]\n"
+            "rate_multipliers = [1.0, inf]\n"
+        )
+        with pytest.raises(ScenarioFileError) as excinfo:
+            load_study_file(path)
+        assert str(excinfo.value) == (
+            f"{path}: study.rate_multipliers[1]: must be finite, got inf"
+        )
+
+    def test_single_channel_population_named_by_path(self):
+        mapping = base_mapping(upgraded_fractions=[0.0, 0.5])
+        mapping["organizations"] = {
+            "narrow": {
+                "io_width": 8,
+                "channels": 1,
+                "ranks_per_channel": 1,
+                "devices_per_rank": 9,
+                "data_devices_per_rank": 8,
+            }
+        }
+        mapping["populations"][0]["config"] = "narrow"
+        with pytest.raises(ScenarioFileError) as excinfo:
+            study_from_mapping(mapping)
+        assert str(excinfo.value).startswith(
+            "populations[0].config: organization 'narrow' has 1 channel(s)"
+        )
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"channels": 0}, "channels: must be >= 1, got 0"),
+            ({"seed": -1}, "seed: must be >= 0, got -1"),
+            ({"measurement_seed": -1}, "measurement_seed: must be >= 0, got -1"),
+        ],
+    )
+    def test_run_overrides_checked_at_construction(self, override, message):
+        from dataclasses import replace
+
+        study = study_from_mapping(base_mapping())
+        with pytest.raises(ValueError) as excinfo:
+            replace(study, **override)
+        assert str(excinfo.value) == message
+
+    def test_fractions_checked_once_per_study(self, monkeypatch):
+        """The Study checks its fractions; expanding its grid does not
+        check them again."""
+        import repro.experiments.sensitivity as sensitivity
+        import repro.fleet.study as study_module
+
+        calls = []
+        original = sensitivity.check_sweep_fractions
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(study_module, "check_sweep_fractions", counting)
+        monkeypatch.setattr(sensitivity, "check_sweep_fractions", counting)
+        study = tiny_study(upgraded_fractions=[0.0, 0.5], rate_multipliers=None)
+        assert len(calls) == 1
+        expand_study(study)
+        assert len(calls) == 1
+
+    def test_cli_non_finite_fraction_is_one_line(self, tmp_path):
+        path = tmp_path / "bad.toml"
+        path.write_text(
+            'name = "s"\n'
+            "[[populations]]\n"
+            'name = "fleet"\n'
+            "channels = 400\n"
+            "[study]\n"
+            "upgraded_fractions = [0.0, nan]\n"
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["study", str(path), "--no-cache"])
+        assert str(excinfo.value.code) == (
+            f"repro study: {path}: study.upgraded_fractions[1]: "
+            "must be finite, got nan"
+        )
+
+
 class TestExpansion:
     def test_example_study_loads(self):
         study = load_study_file(resolve_study_path(EXAMPLE_STUDY_PATH))
