@@ -213,11 +213,13 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
         )
 
     started = time.perf_counter()
-    if policy_keys:
-        build = (
-            plan_fleet_compare_measured if args.measured else plan_fleet_compare
-        )
-        try:
+    try:
+        if policy_keys:
+            build = (
+                plan_fleet_compare_measured
+                if args.measured
+                else plan_fleet_compare
+            )
             plans = [
                 build(
                     scenario=scenario,
@@ -227,14 +229,14 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
                 )
                 for scenario, channels, seed in specs
             ]
-        except (KeyError, ValueError) as exc:
-            message = exc.args[0] if exc.args else str(exc)
-            raise SystemExit(f"repro fleet: {message}") from exc
-    else:
-        plans = [
-            plan_fleet(scenario=scenario, channels=channels, seed=seed)
-            for scenario, channels, seed in specs
-        ]
+        else:
+            plans = [
+                plan_fleet(scenario=scenario, channels=channels, seed=seed)
+                for scenario, channels, seed in specs
+            ]
+    except (KeyError, ValueError) as exc:
+        message = exc.args[0] if exc.args else str(exc)
+        raise SystemExit(f"repro fleet: {message}") from exc
     # Measurement points share the default runner cache with `repro run`
     # (fig7.1/fig7.2/sensitivity), so one measurement serves every figure
     # across invocations; scenarios on one organization share it in-batch.

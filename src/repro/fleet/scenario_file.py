@@ -33,6 +33,7 @@ from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG, MemoryConfi
 from repro.faults.types import DEFAULT_FIT_RATES, FaultRates
 from repro.fleet.policies import check_policy_set
 from repro.fleet.scenarios import (
+    MAX_FLEET_CHANNELS,
     FleetScenario,
     RatePhase,
     SpatialFaultModel,
@@ -117,7 +118,9 @@ class ScenarioFile:
         if self.seed is not None:
             check_range("seed", self.seed, at_least=0)
         if self.channels is not None:
-            check_range("channels", self.channels, at_least=1)
+            check_range(
+                "channels", self.channels, at_least=1, at_most=MAX_FLEET_CHANNELS
+            )
         if self.policies is not None:
             check_policy_set(self.policies)
 

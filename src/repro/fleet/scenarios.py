@@ -25,6 +25,13 @@ from repro.faults.types import DEFAULT_FIT_RATES, FaultRates
 from repro.util.fields import FieldError, check_range
 from repro.util.suggest import unknown_key_message
 
+#: Most channels one fleet may deploy, in one slice or in total. The
+#: fleet engine plans one job per 4096-channel block, so this bounds a
+#: plan at about 2,450 jobs, built in 0.07 s on a 2-vCPU host; ten times
+#: more took 0.8 s, too near a one-second budget for plan build. It is
+#: ten times the 10^6-channel fleets the documentation sweeps.
+MAX_FLEET_CHANNELS = 10**7
+
 #: Spatial fault-model kinds understood by the fleet engine.
 SPATIAL_KINDS = ("multi-row-cluster", "retention-cluster", "bank-wear")
 
@@ -123,7 +130,8 @@ class SubPopulation:
     name : str
         Slice name, unique within its scenario.
     channels : int
-        Memory channels deployed in this slice (> 0).
+        Memory channels deployed in this slice (1 to
+        :data:`MAX_FLEET_CHANNELS`).
     config : MemoryConfig
         Memory organization (Table 7.1); default is the ARCC row.
     rates : FaultRates
@@ -163,7 +171,9 @@ class SubPopulation:
     spatial: Optional[SpatialFaultModel] = None
 
     def __post_init__(self) -> None:
-        check_range("channels", self.channels, at_least=1)
+        check_range(
+            "channels", self.channels, at_least=1, at_most=MAX_FLEET_CHANNELS
+        )
         check_range("rate_multiplier", self.rate_multiplier, above=0.0)
         check_range("lifespan_years", self.lifespan_years, above=0.0)
 
@@ -202,7 +212,8 @@ class FleetScenario:
     description : str
         One-line description for report titles and ``repro fleet --list``.
     populations : tuple of SubPopulation
-        The fleet's slices; at least one, names unique.
+        The fleet's slices; at least one, names unique, at most
+        :data:`MAX_FLEET_CHANNELS` channels in total.
 
     Examples
     --------
@@ -235,6 +246,12 @@ class FleetScenario:
                     f"populations[{i}].name",
                     f"sub-population names must be unique; {name!r} repeats",
                 )
+        if self.total_channels > MAX_FLEET_CHANNELS:
+            raise FieldError(
+                "populations",
+                f"total channels must be <= {MAX_FLEET_CHANNELS}, "
+                f"got {self.total_channels}",
+            )
         self.organizations()
 
     @property
@@ -265,8 +282,7 @@ class FleetScenario:
 
     def scaled_to(self, channels: int) -> "FleetScenario":
         """Copy with the total fleet scaled to ``channels`` proportionally."""
-        if channels <= 0:
-            raise ValueError("fleet must keep at least one channel")
+        check_range("channels", channels, at_least=1, at_most=MAX_FLEET_CHANNELS)
         factor = channels / self.total_channels
         return replace(
             self,

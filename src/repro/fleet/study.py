@@ -79,7 +79,7 @@ from repro.fleet.scenario_file import (
     organization_from_mapping,
     scenario_from_mapping,
 )
-from repro.fleet.scenarios import FleetScenario
+from repro.fleet.scenarios import MAX_FLEET_CHANNELS, FleetScenario
 from repro.perf.engine import check_arcc_capable, engine_provenance, resolve_engine
 from repro.runner import (
     ExperimentPlan,
@@ -106,6 +106,13 @@ _STUDY_KEYS = (
     "policies",
     "upgraded_fractions",
 )
+
+#: Largest trace-measurement scale, in instructions per core: five times
+#: the 200M paper scale. A trace holds 0.56-1.35 bytes per instruction
+#: per core (Mix3 to Mix9, measured at 40k), so one at this scale holds
+#: up to 1.35 GB, the most one process should; a larger scale is a typo
+#: that would exhaust memory mid-run, not a campaign.
+MAX_INSTRUCTION_SCALE = 10**9
 
 #: Default manifest filename (written next to the working directory's
 #: other campaign artifacts, e.g. ``benchmarks/BENCH_history.json``).
@@ -170,7 +177,12 @@ class Study:
                     f"got {self.mixes}",
                 )
         for i, scale in enumerate(self.instruction_scales):
-            check_range(f"instruction_scales[{i}]", scale, at_least=1)
+            check_range(
+                f"instruction_scales[{i}]",
+                scale,
+                at_least=1,
+                at_most=MAX_INSTRUCTION_SCALE,
+            )
         if not self.rate_multipliers:
             raise FieldError("rate_multipliers", "must not be empty")
         for i, multiplier in enumerate(self.rate_multipliers):
@@ -191,7 +203,9 @@ class Study:
             )
         check_range("seed", self.seed, at_least=0)
         if self.channels is not None:
-            check_range("channels", self.channels, at_least=1)
+            check_range(
+                "channels", self.channels, at_least=1, at_most=MAX_FLEET_CHANNELS
+            )
         check_range("measurement_seed", self.measurement_seed, at_least=0)
         if self.measured or self.upgraded_fractions:
             for i, config in enumerate(self.organizations):

@@ -60,8 +60,8 @@ def check_range(
     if isinstance(value, float) and not math.isfinite(value):
         raise FieldError(field, f"must be finite, got {value:g}")
     if above is not None and value <= above:
-        raise FieldError(field, f"must be > {above:g}, got {_shown(value)}")
+        raise FieldError(field, f"must be > {_shown(above)}, got {_shown(value)}")
     if at_least is not None and value < at_least:
-        raise FieldError(field, f"must be >= {at_least:g}, got {_shown(value)}")
+        raise FieldError(field, f"must be >= {_shown(at_least)}, got {_shown(value)}")
     if at_most is not None and value > at_most:
-        raise FieldError(field, f"must be <= {at_most:g}, got {_shown(value)}")
+        raise FieldError(field, f"must be <= {_shown(at_most)}, got {_shown(value)}")

@@ -95,7 +95,7 @@ class TestGather:
     def test_follow_up_jobs_are_cached(self, tmp_path, executions):
         cache = ResultCache(tmp_path / "cache")
         assert execute_plan(_two_stage([1, 2]), cache=cache) == 103
-        assert len(list((tmp_path / "cache").glob("*.pkl"))) == 3
+        assert len(ResultCache(tmp_path / "cache").keys()) == 3
         executions.clear()
         assert execute_plan(_two_stage([1, 2]), cache=cache) == 103
         assert executions == []

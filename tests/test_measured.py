@@ -146,7 +146,7 @@ class TestDeterminismAndCaching:
             instructions_per_core=INSTRUCTIONS,
         )
         cold = execute_plan(plan_measured_profiles(**kwargs), cache=cache)
-        assert list((tmp_path / "cache").glob("*.pkl"))
+        assert ResultCache(tmp_path / "cache").keys()
         warm = execute_plan(plan_measured_profiles(**kwargs), cache=cache)
         assert cold == warm
 
@@ -191,7 +191,7 @@ class TestDeterminismAndCaching:
         ]
         cache = ResultCache(tmp_path / "cache")
         cold = execute_plan(plan, cache=cache)
-        entries = sorted((tmp_path / "cache").glob("*.pkl"))
+        entries = ResultCache(tmp_path / "cache").keys()
         overheads = execute_plan(fig72, cache=cache).overheads()
         assert set(overheads) == {
             FaultType.LANE,
@@ -202,7 +202,7 @@ class TestDeterminismAndCaching:
         follow_up = plan_fig7_4_7_5(years=2, channels=60, overheads=overheads)
         assert len(entries) == len(plan.jobs) + len(follow_up.jobs)
         warm = execute_plan(plan, cache=cache)
-        assert sorted((tmp_path / "cache").glob("*.pkl")) == entries
+        assert ResultCache(tmp_path / "cache").keys() == entries
         direct = execute_plan(follow_up)
         for result in (cold, warm):
             assert result.power_overhead == direct.power_overhead

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -243,48 +244,108 @@ class TestResultCache:
         assert cache.clear() == 1
         assert cache.get(Job.create("j", _square, x=1)) == (False, None)
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        job = Job.create("j", _square, x=1)
-        run_jobs([job], cache=cache)
-        for path in (tmp_path / "cache").glob("*.pkl"):
-            path.write_bytes(b"not a pickle")
-        hit, _ = cache.get(job)
-        assert not hit
+    def test_one_pack_per_writer(self, tmp_path):
+        """A writer appends every entry to one pack; no per-entry files."""
+        cache = ResultCache(tmp_path / "cache", version="v1")
+        run_jobs([Job.create("j", _square, x=x) for x in range(4)], cache=cache)
+        (pack,) = (tmp_path / "cache").iterdir()
+        assert pack.name.startswith("v1-") and pack.suffix == ".pack"
+        fresh = ResultCache(tmp_path / "cache", version="v1")
+        assert fresh.get(Job.create("j", _square, x=3)) == (True, 9)
 
-    def test_truncated_entry_is_a_miss(self, tmp_path):
-        """A torn write (e.g. the process was killed mid-copy of the
-        cache directory) must read as a miss and then heal on rerun."""
+    def test_flipped_body_byte_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        job = Job.create("j", _square, x=5)
+        job = Job.create("j", _square, x=1000)
         run_jobs([job], cache=cache)
-        for path in (tmp_path / "cache").glob("*.pkl"):
-            path.write_bytes(path.read_bytes()[:3])
-        hit, _ = cache.get(job)
-        assert not hit
-        (result,) = run_jobs([job], cache=cache)
-        assert not result.cached and result.value == 25
-        hit, value = cache.get(job)
-        assert hit and value == 25
+        (pack,) = (tmp_path / "cache").glob("*.pack")
+        data = bytearray(pack.read_bytes())
+        # The top byte of the pickled int: still a valid pickle, of
+        # another value, so only the CRC can tell.
+        data[-2] ^= 0x01
+        assert pickle.loads(bytes(data[-len(pickle.dumps(10**6, 5)) :])) != 10**6
+        pack.write_bytes(bytes(data))
+        assert cache.get(job) == (False, None)
+        assert ResultCache(tmp_path / "cache").get(job) == (False, None)
+
+    @pytest.mark.parametrize(
+        "cut",
+        [3, len(pickle.dumps(2, protocol=pickle.HIGHEST_PROTOCOL)) + 30],
+        ids=["mid-body", "mid-header"],  # the key alone is 32 bytes
+    )
+    def test_truncated_pack_misses_only_the_torn_entry(self, tmp_path, cut):
+        """A torn write (e.g. the process was killed mid-record) reads as
+        a miss for that record alone, and heals on rerun."""
+        log = tmp_path / "calls.log"
+        jobs = [Job.create(f"j{x}", _record, x=x, path=str(log)) for x in range(3)]
+        run_jobs(jobs, cache=ResultCache(tmp_path / "cache"))
+        (pack,) = (tmp_path / "cache").glob("*.pack")
+        pack.write_bytes(pack.read_bytes()[:-cut])
+        torn = ResultCache(tmp_path / "cache")
+        assert [torn.get(job) for job in jobs] == [(True, 0), (True, 1), (False, None)]
+        results = run_jobs(jobs, cache=torn)
+        assert [r.cached for r in results] == [True, True, False]
+        assert log.read_text().split() == ["0", "1", "2", "2"]
+        healed = ResultCache(tmp_path / "cache")
+        assert [healed.get(job) for job in jobs] == [(True, 0), (True, 1), (True, 2)]
+
+    def test_two_writers_visible_to_a_third(self, tmp_path):
+        first = ResultCache(tmp_path / "cache")
+        second = ResultCache(tmp_path / "cache")
+        run_jobs([Job.create("j", _square, x=2)], cache=first)
+        run_jobs([Job.create("j", _square, x=3)], cache=second)
+        assert len(list((tmp_path / "cache").glob("*.pack"))) == 2
+        third = ResultCache(tmp_path / "cache")
+        assert third.get(Job.create("j", _square, x=2)) == (True, 4)
+        assert third.get(Job.create("j", _square, x=3)) == (True, 9)
+
+    def test_other_version_packs_are_never_read(self, tmp_path):
+        """A pack named for code version ``v1`` is not read by a ``v2``
+        cache, even when it holds a record under the ``v2`` key."""
+        job = Job.create("j", _square, x=4)
+        v2 = ResultCache(tmp_path / "cache", version="v2")
+        run_jobs([job], cache=v2)
+        v2.close()
+        (pack,) = (tmp_path / "cache").glob("*.pack")
+        pack.rename(pack.with_name("v1-" + pack.name.partition("-")[2]))
+        assert ResultCache(tmp_path / "cache", version="v1").get(job) == (
+            False,
+            None,
+        )
+        assert ResultCache(tmp_path / "cache", version="v2").get(job) == (
+            False,
+            None,
+        )
+
+    def test_keying_and_missing_root_touch_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = ResultCache("missing-dir")
+        job = Job.create("j", _square, x=1)
+        cache.key(job)
+        assert cache.get(job) == (False, None)
+        assert list(tmp_path.iterdir()) == []
 
     def test_clear_tolerates_concurrent_removal(self, tmp_path, monkeypatch):
-        """An entry unlinked by another process between the directory
+        """A pack unlinked by another process between the directory
         listing and the unlink must not crash ``clear()``."""
-        from pathlib import Path
+        import os
+
+        for x in range(2):
+            run_jobs(
+                [Job.create("j", _square, x=x), Job.create("j", _square, x=x + 2)],
+                cache=ResultCache(tmp_path / "cache"),
+            )
+        real_listdir = os.listdir
+
+        def racing_listdir(path):
+            names = real_listdir(path)
+            os.unlink(os.path.join(path, sorted(names)[0]))  # a concurrent clear
+            return names
 
         cache = ResultCache(tmp_path / "cache")
-        for x in range(3):
-            run_jobs([Job.create("j", _square, x=x)], cache=cache)
-        real_glob = Path.glob
-
-        def racing_glob(self, pattern):
-            paths = list(real_glob(self, pattern))
-            paths[0].unlink()  # a concurrent clear got there first
-            return iter(paths)
-
-        monkeypatch.setattr(Path, "glob", racing_glob)
-        assert cache.clear() == 3
+        monkeypatch.setattr(os, "listdir", racing_listdir)
+        assert cache.clear() == 2
         monkeypatch.undo()
+        assert list((tmp_path / "cache").iterdir()) == []
         assert cache.get(Job.create("j", _square, x=0)) == (False, None)
 
 

@@ -1006,3 +1006,103 @@ class TestDomainRules:
             plan_measured_profiles(
                 organizations=(ARCC_MEMORY_CONFIG, impostor)
             )
+
+
+class TestSizeBounds:
+    """Fleet sizes and trace scales have upper bounds, so a typo fails
+    at load with its path instead of planning one fleet job per
+    4096-channel block for ever."""
+
+    HUGE = 10**20
+
+    @pytest.mark.parametrize(
+        "old, new, flags, where",
+        [
+            ("channels = 300", f"channels = {HUGE}", [], "populations[0].channels"),
+            ("channels = 400", f"channels = {HUGE}", [], "channels"),
+            ("", "", ["--channels", str(HUGE)], None),
+            (
+                "channels = 300",
+                "channels = 6000000",
+                [],
+                "populations",
+            ),
+        ],
+        ids=["population", "file-scaling", "flag-scaling", "fleet-total"],
+    )
+    def test_cli_fails_fast_at_the_path(self, tmp_path, old, new, flags, where):
+        import time
+
+        from repro.cli import main
+
+        path = tmp_path / "fleet.toml"
+        text = TINY_TOML.replace(old, new, 1)
+        if where == "populations":
+            text = text.replace("channels = 100", "channels = 5000000", 1)
+        path.write_text(text)
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--scenario-file", str(path), *flags])
+        assert time.perf_counter() - started < 1.0
+        message = str(excinfo.value.code)
+        if where == "populations":
+            assert message == (
+                f"repro fleet: {path}: populations: total channels must be "
+                "<= 10000000, got 11000000"
+            )
+        elif where is None:
+            assert message == (
+                f"repro fleet: channels: must be <= 10000000, got {self.HUGE}"
+            )
+        else:
+            assert message == (
+                f"repro fleet: {path}: {where}: must be <= 10000000, "
+                f"got {self.HUGE}"
+            )
+
+    def test_constructors_reject_past_the_bound(self):
+        from repro.fleet.scenarios import MAX_FLEET_CHANNELS
+        from repro.util import FieldError
+
+        over = MAX_FLEET_CHANNELS + 1
+        message = f"^channels: must be <= {MAX_FLEET_CHANNELS}, got {over}$"
+        with pytest.raises(FieldError, match=message):
+            SubPopulation(name="a", channels=over)
+        fleet = FleetScenario(
+            name="x",
+            description="",
+            populations=(SubPopulation(name="a", channels=MAX_FLEET_CHANNELS),),
+        )
+        with pytest.raises(FieldError, match=message):
+            fleet.scaled_to(over)
+
+    def test_shipped_defaults_sit_inside_the_bounds(self):
+        from pathlib import Path
+
+        from repro.config import MEASUREMENT_CONFIG
+        from repro.fleet import DEFAULT_SCENARIOS, load_study_file
+        from repro.fleet.scenarios import MAX_FLEET_CHANNELS
+        from repro.fleet.study import MAX_INSTRUCTION_SCALE
+        from repro.runner.registry import FIGURES
+
+        for spec in FIGURES.values():
+            for kwargs in (spec.defaults, spec.quick):
+                for key, value in kwargs.items():
+                    if "channels" in key:
+                        assert value <= MAX_FLEET_CHANNELS, (spec.key, key)
+                    if key == "instructions_per_core":
+                        assert value <= MAX_INSTRUCTION_SCALE, (spec.key, key)
+        assert MEASUREMENT_CONFIG.instructions_per_core <= MAX_INSTRUCTION_SCALE
+        for scenario in DEFAULT_SCENARIOS.values():
+            assert scenario.total_channels <= MAX_FLEET_CHANNELS
+        examples = sorted(Path("examples/scenarios").glob("*.*"))
+        assert examples
+        for path in examples:
+            try:
+                study = load_study_file(path)
+            except ScenarioFileError:
+                spec = load_scenario_file(path)
+                assert (spec.channels or 0) <= MAX_FLEET_CHANNELS
+                continue
+            assert max(study.effective_scales()) <= MAX_INSTRUCTION_SCALE
+            assert study.base_scenario().total_channels <= MAX_FLEET_CHANNELS

@@ -260,13 +260,33 @@ class TestValueRules:
                 {"policies": ["sccdcd", "sccdcd"]},
                 "study.policies[1]: duplicate policy 'sccdcd'",
             ),
+            (
+                {"measured": True, "instruction_scales": [1000, 10**12]},
+                "study.instruction_scales[1]: must be <= 1000000000, "
+                "got 1000000000000",
+            ),
         ],
-        ids=["nan-fraction", "inf-multiplier", "nested-policy", "flat-policy"],
+        ids=[
+            "nan-fraction",
+            "inf-multiplier",
+            "nested-policy",
+            "flat-policy",
+            "huge-scale",
+        ],
     )
     def test_errors_land_at_the_file_path(self, section, message):
         with pytest.raises(ScenarioFileError) as excinfo:
             study_from_mapping(base_mapping(**section))
         assert str(excinfo.value) == message
+
+    def test_fleet_scaling_is_bounded(self):
+        mapping = base_mapping()
+        mapping["channels"] = 10**20
+        with pytest.raises(ScenarioFileError) as excinfo:
+            study_from_mapping(mapping)
+        assert str(excinfo.value) == (
+            "channels: must be <= 10000000, got 100000000000000000000"
+        )
 
     def test_toml_infinite_rate_multiplier(self, tmp_path):
         path = tmp_path / "study.toml"
