@@ -48,9 +48,14 @@ class FaultRates:
             check_range(item.name, getattr(self, item.name), at_least=0.0)
 
     def scaled(self, multiplier: float) -> "FaultRates":
-        """Uniformly scaled rates (the 1x/2x/4x sweeps)."""
-        if multiplier <= 0:
-            raise ValueError("rate multiplier must be positive")
+        """Uniformly scaled rates (the 1x/2x/4x sweeps).
+
+        >>> DEFAULT_FIT_RATES.scaled(float("nan"))
+        Traceback (most recent call last):
+        ...
+        repro.util.fields.FieldError: multiplier: must be finite, got nan
+        """
+        check_range("multiplier", multiplier, above=0.0)
         return FaultRates(
             bit=self.bit * multiplier,
             row=self.row * multiplier,

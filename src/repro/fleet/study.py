@@ -90,6 +90,7 @@ from repro.runner import (
     job_identity,
     run_stages,
 )
+from repro.runner.job import Fragments
 from repro.util.fields import FieldError, check_range
 from repro.util.suggest import did_you_mean
 from repro.util.tables import format_table
@@ -416,6 +417,8 @@ def expand_study(study: Study) -> ExperimentPlan:
     several axis values — e.g. two rate multipliers at one instruction
     scale, or the sweep's zero point and the measured baseline — enters
     the batch once, and every point's assembly reads the shared value.
+    The dedup pass keys every job with one fragment memo, so a config
+    object shared by many points is encoded once.
     The plan assembles into a :class:`StudyResult`; when measured points
     assemble into follow-up plans, it first returns them gathered into
     one follow-up plan (:func:`~repro.runner.gather`), so all points'
@@ -425,6 +428,7 @@ def expand_study(study: Study) -> ExperimentPlan:
     """
     jobs: List[Job] = []
     slot_by_identity: Dict[str, int] = {}
+    fragments: Fragments = {}
     compiled: List[
         Tuple[StudyPoint, Callable[[List[Any]], Any], Tuple[int, ...]]
     ] = []
@@ -432,7 +436,7 @@ def expand_study(study: Study) -> ExperimentPlan:
         sub = _point_plan(study, point)
         indices = []
         for job in sub.jobs:
-            identity = job_identity(job)
+            identity = job_identity(job, fragments)
             slot = slot_by_identity.setdefault(identity, len(jobs))
             if slot == len(jobs):
                 jobs.append(job)

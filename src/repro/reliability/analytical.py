@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.faults.types import (
     DEFAULT_FIT_RATES,
@@ -65,8 +65,33 @@ class ReliabilityParams:
 
 def device_rates_per_hour(params: ReliabilityParams) -> Dict[FaultType, float]:
     """:meth:`ReliabilityParams.device_rate_per_hour` of every
-    device-level type, computed once for a whole pair or triple sum."""
-    return {ft: params.device_rate_per_hour(ft) for ft in DEVICE_LEVEL_TYPES}
+    device-level type, scaling the rates once for a whole pair or
+    triple sum.
+
+    >>> rates = device_rates_per_hour(ReliabilityParams(rate_multiplier=2.0))
+    >>> rates[FaultType.DEVICE] == ReliabilityParams(
+    ...     rate_multiplier=2.0).device_rate_per_hour(FaultType.DEVICE)
+    True
+    """
+    scaled = params.scaled_rates
+    return {ft: scaled.fit_of(ft) * FIT_TO_PER_HOUR for ft in DEVICE_LEVEL_TYPES}
+
+
+def _pair_tables(
+    params: ReliabilityParams,
+) -> Tuple[List[float], List[int], List[List[float]]]:
+    """Per-hour device rate and :func:`_peers` of each device-level type
+    with a nonzero rate, in :data:`DEVICE_LEVEL_TYPES` order, and
+    :func:`overlap_probability` of each ordered pair of them (row ``i``,
+    column ``j``): built once per sum and read by position in its loops.
+    Zero-rate types add nothing to any sum, so the sums skip them."""
+    lam = device_rates_per_hour(params)
+    live = [ft for ft in DEVICE_LEVEL_TYPES if lam[ft] != 0.0]
+    return (
+        [lam[a] for a in live],
+        [_peers(a, params) for a in live],
+        [[overlap_probability(a, b, params) for b in live] for a in live],
+    )
 
 
 def overlap_probability(
@@ -114,24 +139,24 @@ def sdc_rate_arcc_ded(params: ReliabilityParams) -> float:
     interval as the first (mean exposure: half an interval, since the
     first fault lands uniformly within its scrub period).
     """
-    window = params.scrub_interval_hours / 2.0
-    lam = device_rates_per_hour(params)
+    return pair_race_rate(params, params.scrub_interval_hours / 2.0)
+
+
+def pair_race_rate(params: ReliabilityParams, window_hours: float) -> float:
+    """Rate (per channel-hour) of a second fault overlapping a first
+    within ``window_hours`` of it: the sum over fault-type pairs (A, B)
+    of lam_A*N * peers_A * lam_B * window * o(A,B)."""
+    rates, peers, overlap = _pair_tables(params)
     rate = 0.0
-    for a in DEVICE_LEVEL_TYPES:
-        lam_a = lam[a] * params.total_devices
+    for lam, peers_a, overlap_a in zip(rates, peers, overlap):
+        lam_a = lam * params.total_devices
         if lam_a == 0.0:
             continue
-        for b in DEVICE_LEVEL_TYPES:
-            lam_b = lam[b]
-            if lam_b == 0.0:
-                continue
-            rate += (
-                lam_a
-                * _peers(a, params)
-                * lam_b
-                * window
-                * overlap_probability(a, b, params)
-            )
+        # Left-to-right prefixes of the product, so every float is the
+        # one the full product gives.
+        head = lam_a * peers_a
+        for lam_b, overlap_ab in zip(rates, overlap_a):
+            rate += head * lam_b * window_hours * overlap_ab
     return rate
 
 
@@ -162,32 +187,20 @@ def expected_sdc_sccdcd(
     """
     hours = lifespan_years * HOURS_PER_YEAR
     window = params.scrub_interval_hours / 2.0
-    lam = device_rates_per_hour(params)
+    rates, peers, overlap = _pair_tables(params)
     expected = 0.0
-    for a in DEVICE_LEVEL_TYPES:
-        lam_a = lam[a] * params.total_devices
+    for lam, peers_a, overlap_a in zip(rates, peers, overlap):
+        lam_a = lam * params.total_devices
         if lam_a == 0.0:
             continue
-        peers = _peers(a, params)
-        for b in DEVICE_LEVEL_TYPES:
-            lam_b = lam[b]
-            if lam_b == 0.0:
-                continue
-            for c in DEVICE_LEVEL_TYPES:
-                lam_c = lam[c]
-                if lam_c == 0.0:
-                    continue
-                expected += (
-                    lam_a
-                    * (hours * hours / 2.0)
-                    * peers
-                    * lam_b
-                    * overlap_probability(a, b, params)
-                    * max(peers - 1, 1)
-                    * lam_c
-                    * window
-                    * overlap_probability(a, c, params)
-                )
+        # Left-to-right prefixes of the product, so every float is the
+        # one the full product gives.
+        head_a = lam_a * (hours * hours / 2.0) * peers_a
+        others = max(peers_a - 1, 1)
+        for lam_b, overlap_ab in zip(rates, overlap_a):
+            head_ab = head_a * lam_b * overlap_ab * others
+            for lam_c, overlap_ac in zip(rates, overlap_a):
+                expected += head_ab * lam_c * window * overlap_ac
     return expected
 
 

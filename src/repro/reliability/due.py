@@ -18,40 +18,12 @@
 from __future__ import annotations
 
 from repro.faults.types import DEVICE_LEVEL_TYPES
-from repro.reliability.analytical import (
-    ReliabilityParams,
-    _peers,
-    device_rates_per_hour,
-    overlap_probability,
-)
+from repro.reliability.analytical import ReliabilityParams, pair_race_rate
 
 #: Default service interval for replacing a DIMM after its first corrected
 #: device failure (hours). Field practice is scheduled maintenance on the
 #: order of a month.
 DEFAULT_REPAIR_HOURS = 720.0
-
-
-def _pair_race_rate(params: ReliabilityParams, window_hours: float) -> float:
-    """Rate (per channel-hour) of a second fault overlapping a first
-    within ``window_hours`` of it."""
-    lam = device_rates_per_hour(params)
-    rate = 0.0
-    for a in DEVICE_LEVEL_TYPES:
-        lam_a = lam[a] * params.total_devices
-        if lam_a == 0.0:
-            continue
-        for b in DEVICE_LEVEL_TYPES:
-            lam_b = lam[b]
-            if lam_b == 0.0:
-                continue
-            rate += (
-                lam_a
-                * _peers(a, params)
-                * lam_b
-                * window_hours
-                * overlap_probability(a, b, params)
-            )
-    return rate
 
 
 def due_rate_sccdcd(
@@ -61,13 +33,13 @@ def due_rate_sccdcd(
     """DUE rate (per channel-hour) of single-correct codes (SCCDCD,
     nine-device LOT-ECC): second overlapping fault during the repair
     exposure of the first."""
-    return _pair_race_rate(params, repair_hours / 2.0)
+    return pair_race_rate(params, repair_hours / 2.0)
 
 
 def due_rate_sparing(params: ReliabilityParams) -> float:
     """DUE rate (per channel-hour) of double chip sparing (and of the
     18-device LOT-ECC of Section 5.2): the pair must race one scrub."""
-    return _pair_race_rate(params, params.scrub_interval_hours / 2.0)
+    return pair_race_rate(params, params.scrub_interval_hours / 2.0)
 
 
 def due_reduction_factor(

@@ -146,7 +146,9 @@ class ResultCache:
         and the sensitivity sweep's zero point are one cache entry).
         The payload is the sorted-key JSON object ``{"code": version,
         "job": identity}``, spelled out around :func:`job_identity` so
-        the job encoding lives in one place.
+        the job encoding lives in one place: the identity the batch
+        already wrote for the job, or, for a job keyed on its own,
+        :func:`~repro.runner.job.encode_job`'s text without a memo.
         """
         payload = f'{{"code": {json.dumps(self.version)}, "job": {job_identity(job)}}}'
         return hashlib.sha256(payload.encode()).hexdigest()[:32]

@@ -30,7 +30,14 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.cache import ResultCache
-from repro.runner.job import ExperimentPlan, Job, JobResult, gather, job_identity
+from repro.runner.job import (
+    ExperimentPlan,
+    Fragments,
+    Job,
+    JobResult,
+    gather,
+    job_identity,
+)
 
 
 def _call_job(job: Job) -> Tuple[Any, float]:
@@ -65,7 +72,9 @@ def run_jobs(
     ``max_workers <= 1`` runs everything inline (no pool, no pickling),
     which is also the reference behaviour parallel runs must reproduce
     bit-for-bit: each job's randomness comes only from its own seed, so
-    scheduling cannot leak into results.
+    scheduling cannot leak into results. Every job is keyed once, in one
+    pass before anything runs, sharing one fragment memo per batch
+    (:func:`~repro.runner.job.job_identity`).
     """
     jobs = list(jobs)
     results: List[Optional[JobResult]] = [None] * len(jobs)
@@ -73,8 +82,10 @@ def run_jobs(
     pending: List[int] = []  # unique computations to run, first index wins
     duplicates: Dict[int, int] = {}  # duplicate index -> representative
     first_by_identity: Dict[str, int] = {}
+    fragments: Fragments = {}
     for index, job in enumerate(jobs):
-        representative = first_by_identity.setdefault(job_identity(job), index)
+        identity = job_identity(job, fragments)
+        representative = first_by_identity.setdefault(identity, index)
         if representative != index:
             duplicates[index] = representative
             continue

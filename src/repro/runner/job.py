@@ -13,9 +13,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 
@@ -32,8 +34,10 @@ def _sorted_field_names(cls: type) -> Tuple[str, ...]:
 def describe_value(value: Any) -> Any:
     """Canonical, hashable-by-JSON description of a config value.
 
-    Used to build cache keys, so it must be stable across processes and
-    interpreter runs and must never let two different values collide:
+    Its sorted-key JSON is what cache keys hash — :func:`encode_value`
+    writes that text directly, and this description is its reference —
+    so it must be stable across processes and interpreter runs and must
+    never let two different values collide:
     enums collapse to their names, every dataclass — nested ones too —
     to its type name plus a sorted field mapping (read field by field,
     one walk, no copy), callables to ``module:qualname``, and JSON
@@ -69,6 +73,120 @@ def describe_value(value: Any) -> Any:
     )
 
 
+#: Finished JSON text of each object :func:`encode_value` met in one
+#: batch, scalars, lists and tuples aside: ``id(obj) -> (obj, text)``.
+#: Holding the object keeps its id from being reused while the memo
+#: lives.
+Fragments = Dict[int, Tuple[Any, str]]
+
+#: ``json.dumps(..., sort_keys=True)`` without building an encoder per call.
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+#: JSON text of each exact scalar type, spelled as ``json.dumps`` does.
+_SCALAR_TEXT: Dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+@cache
+def _dataclass_entries(cls: type) -> Optional[Tuple[Tuple[str, Optional[str]], ...]]:
+    """How :func:`encode_value` spells an instance of ``cls``.
+
+    ``None`` unless ``cls`` is a dataclass that :func:`describe_value`
+    describes field by field (enums are described by name). Otherwise
+    one ``(key, field)`` per key of the description, in sorted-key
+    order: ``key`` is the key's ``"name": `` prefix, followed by the
+    field's encoding, or the whole ``"__dataclass__"`` entry when
+    ``field`` is ``None``.
+    """
+    if not dataclasses.is_dataclass(cls) or issubclass(cls, enum.Enum):
+        return None
+    names = _sorted_field_names(cls)
+    entries = {name: (f"{encode_basestring_ascii(name)}: ", name) for name in names}
+    entries.setdefault(
+        "__dataclass__",
+        (f'"__dataclass__": {encode_basestring_ascii(cls.__name__)}', None),
+    )
+    return tuple(entries[key] for key in sorted(entries))
+
+
+def encode_value(value: Any, fragments: Optional[Fragments] = None) -> str:
+    """``json.dumps(describe_value(value), sort_keys=True)``, in one pass.
+
+    Exact JSON scalars, lists and tuples are written directly and
+    dataclasses field by field; any other value (enums, mappings,
+    callables, scalar subclasses such as ``np.float64``) goes through
+    :func:`describe_value`. With a ``fragments`` memo, each such object
+    (a dataclass instance, a callable, a mapping) is encoded once and
+    its text reused wherever it recurs — sound only while no object in
+    the memo changes, so a memo lives for one batch of jobs. Exact
+    scalars, lists and tuples are never memoized: ``1``, ``1.0`` and
+    ``True`` encode apart.
+
+    Examples
+    --------
+    >>> from repro.config import ARCC_MEMORY_CONFIG
+    >>> value = {"mem": ARCC_MEMORY_CONFIG, "x": (1, 1.0, True)}
+    >>> encode_value(value) == json.dumps(describe_value(value), sort_keys=True)
+    True
+    >>> encode_value([1, 1.0, True, None, float("nan"), "é"])
+    '[1, 1.0, true, null, NaN, "\\\\u00e9"]'
+    """
+    cls = type(value)
+    scalar = _SCALAR_TEXT.get(cls)
+    if scalar is not None:
+        return scalar(value)
+    if cls is list or cls is tuple:
+        return "[" + ", ".join([encode_value(item, fragments) for item in value]) + "]"
+    if fragments is not None:
+        known = fragments.get(id(value))
+        if known is not None:
+            return known[1]
+    entries = _dataclass_entries(cls)
+    if entries is None:
+        text = _SORTED_JSON.encode(describe_value(value))
+    else:
+        text = "{" + ", ".join([
+            key if name is None else key + encode_value(getattr(value, name), fragments)
+            for key, name in entries
+        ]) + "}"
+    if fragments is not None:
+        fragments[id(value)] = (value, text)
+    return text
+
+
+def encode_job(job: "Job", fragments: Optional[Fragments] = None) -> str:
+    """The identity text of ``job``: its description, name excluded, as
+    sorted-key JSON — ``{"config": ..., "fn": ..., "seed": ...}`` —
+    byte for byte what ``json.dumps(description, sort_keys=True)``
+    writes. ``fragments`` is :func:`encode_value`'s batch memo."""
+    config = dict(job.config)
+    entries = ", ".join([
+        f"{encode_basestring_ascii(key)}: {encode_value(config[key], fragments)}"
+        for key in sorted(config)
+    ])
+    seed = _SCALAR_TEXT.get(type(job.seed), json.dumps)(job.seed)
+    return (
+        f'{{"config": {{{entries}}}, "fn": {encode_value(job.fn, fragments)}, '
+        f'"seed": {seed}}}'
+    )
+
+
 @dataclass(frozen=True)
 class Job:
     """One schedulable experiment computation.
@@ -77,7 +195,7 @@ class Job:
     reference when shipped to a worker process); ``config`` holds its
     keyword arguments as a sorted tuple so equality is order-insensitive
     (values may themselves be unhashable, e.g. dicts — compare jobs or
-    key them via :meth:`describe`, not ``hash``); ``seed`` (when set) is
+    key them via :func:`job_identity`, not ``hash``); ``seed`` (when set) is
     passed as the ``seed`` keyword, giving every job its own
     deterministic RNG stream. ``group`` is a scheduling hint, not part of
     the computation: jobs that share a non-``None`` group (trace jobs of
@@ -132,7 +250,11 @@ class Job:
         return self.fn(**self.kwargs)
 
     def describe(self) -> Dict[str, Any]:
-        """Stable description used for cache keying and logging."""
+        """Readable description for logging; keying never builds it.
+
+        Its name-less sorted-key JSON is, byte for byte, the identity
+        :func:`encode_job` writes directly.
+        """
         return {
             "name": self.name,
             "fn": describe_value(self.fn),
@@ -140,15 +262,13 @@ class Job:
             "config": {k: describe_value(v) for k, v in self.config},
         }
 
-    @cached_property
+    @property
     def identity(self) -> str:
-        """:func:`job_identity`, memoized on this job."""
-        description = self.describe()
-        description.pop("name", None)
-        return json.dumps(description, sort_keys=True)
+        """:func:`job_identity` of this job, without a batch memo."""
+        return job_identity(self)
 
 
-def job_identity(job: Job) -> str:
+def job_identity(job: Job, fragments: Optional[Fragments] = None) -> str:
     """Canonical identity of a job's *computation* (name excluded).
 
     Two jobs with the same callable, configuration and seed compute the
@@ -158,12 +278,21 @@ def job_identity(job: Job) -> str:
     batch, each (mix, organization, fraction) simulation runs once. The
     result cache keys on the same encoding.
 
-    Computed once per :class:`Job` object (a cold cache miss needs it
-    for the lookup, the dedup and the store) and kept on the job, never
-    shared between jobs by value: ``1``, ``1.0`` and ``True`` compare
-    equal but describe differently.
+    The text is :func:`encode_job`'s, written once per :class:`Job`
+    object (a cold cache miss needs it for the lookup, the dedup and
+    the store) and kept on the job. A batch passes one ``fragments``
+    memo to every job it keys, so a config object shared by many jobs
+    (a mix, a memory organization, a scenario) is encoded once per
+    batch; the memo dies with the batch. Identities are never shared
+    between jobs by value: ``1``, ``1.0`` and ``True`` compare equal
+    but encode differently.
     """
-    return job.identity
+    # Kept in the instance dict of the frozen job: a memo, not a field,
+    # so it stays out of equality, ``repr`` and ``dataclasses.replace``.
+    identity = job.__dict__.get("_identity")
+    if identity is None:
+        identity = job.__dict__["_identity"] = encode_job(job, fragments)
+    return identity
 
 
 @dataclass

@@ -14,6 +14,7 @@ from repro.faults.models import (
 from repro.faults.types import DEFAULT_FIT_RATES, FaultType
 from repro.fleet.engine import sample_fleet
 from repro.runner import execute_plan
+from repro.util.fields import FieldError
 from repro.util.rng import make_rng
 
 
@@ -26,6 +27,23 @@ class TestFaultRates:
     def test_invalid_multiplier(self):
         with pytest.raises(ValueError):
             DEFAULT_FIT_RATES.scaled(0.0)
+
+    @pytest.mark.parametrize(
+        "multiplier, shown",
+        [
+            (float("nan"), "must be finite, got nan"),
+            (float("inf"), "must be finite, got inf"),
+            (0, "must be > 0, got 0"),
+            (0.0, "must be > 0, got 0"),
+            (-2.0, "must be > 0, got -2"),
+        ],
+        ids=["nan", "inf", "zero", "zero-float", "negative"],
+    )
+    def test_bad_multiplier_is_named(self, multiplier, shown):
+        """The error names the multiplier, not the first scaled rate."""
+        with pytest.raises(FieldError) as raised:
+            DEFAULT_FIT_RATES.scaled(multiplier)
+        assert str(raised.value) == f"multiplier: {shown}"
 
     def test_total_fit(self):
         assert DEFAULT_FIT_RATES.total_fit == pytest.approx(

@@ -4,9 +4,15 @@ import pytest
 
 from repro.experiments import plan_fig6_1
 from repro.faults.lifetime import FaultEvent
-from repro.faults.types import FaultType
+from repro.faults.types import (
+    DEFAULT_FIT_RATES,
+    DEVICE_LEVEL_TYPES,
+    FaultRates,
+    FaultType,
+)
 from repro.reliability.analytical import (
     ReliabilityParams,
+    _peers,
     expected_sdc_arcc,
     expected_sdc_sccdcd,
     overlap_probability,
@@ -14,12 +20,14 @@ from repro.reliability.analytical import (
     sdc_rate_arcc_ded,
 )
 from repro.reliability.due import (
+    DEFAULT_REPAIR_HOURS,
     due_rate_sccdcd,
     due_rate_sparing,
     due_reduction_factor,
 )
 from repro.reliability.montecarlo import footprint_intersects, plan_montecarlo
 from repro.runner import execute_plan
+from repro.util.units import HOURS_PER_YEAR
 
 
 class TestOverlapProbability:
@@ -115,6 +123,101 @@ class TestAnalyticalSdc:
     def test_invalid_lifespan_rejected(self):
         with pytest.raises(ValueError):
             sdc_events_per_1000_machine_years(0.0, ReliabilityParams())
+
+
+def _reference_pair_rate(params, window):
+    """The pair sum as first written: every type, a fresh product."""
+    rate = 0.0
+    for a in DEVICE_LEVEL_TYPES:
+        lam_a = params.device_rate_per_hour(a) * params.total_devices
+        if lam_a == 0.0:
+            continue
+        for b in DEVICE_LEVEL_TYPES:
+            lam_b = params.device_rate_per_hour(b)
+            if lam_b == 0.0:
+                continue
+            rate += (
+                lam_a
+                * _peers(a, params)
+                * lam_b
+                * window
+                * overlap_probability(a, b, params)
+            )
+    return rate
+
+
+def _reference_sdc_sccdcd(params, lifespan_years):
+    """The triple sum as first written: every type, a fresh product."""
+    hours = lifespan_years * HOURS_PER_YEAR
+    window = params.scrub_interval_hours / 2.0
+    expected = 0.0
+    for a in DEVICE_LEVEL_TYPES:
+        lam_a = params.device_rate_per_hour(a) * params.total_devices
+        if lam_a == 0.0:
+            continue
+        peers = _peers(a, params)
+        for b in DEVICE_LEVEL_TYPES:
+            lam_b = params.device_rate_per_hour(b)
+            if lam_b == 0.0:
+                continue
+            for c in DEVICE_LEVEL_TYPES:
+                lam_c = params.device_rate_per_hour(c)
+                if lam_c == 0.0:
+                    continue
+                expected += (
+                    lam_a
+                    * (hours * hours / 2.0)
+                    * peers
+                    * lam_b
+                    * overlap_probability(a, b, params)
+                    * max(peers - 1, 1)
+                    * lam_c
+                    * window
+                    * overlap_probability(a, c, params)
+                )
+    return expected
+
+
+_SPARSE_RATES = FaultRates(
+    bit=0.0, row=8.2, column=0.0, bank=10.0, device=0.0, lane=2.4
+)
+
+
+class TestSumsMatchReference:
+    """The sums over per-call tables return the very floats of the
+    original loops (exact ``==``, not approx)."""
+
+    @pytest.mark.parametrize("multiplier", [1.0, 2.0, 4.0, 0.37])
+    @pytest.mark.parametrize("rates", [DEFAULT_FIT_RATES, _SPARSE_RATES],
+                             ids=["default", "zero-entries"])
+    def test_pair_sums(self, multiplier, rates):
+        params = ReliabilityParams(rate_multiplier=multiplier, rates=rates)
+        scrub = params.scrub_interval_hours / 2.0
+        assert sdc_rate_arcc_ded(params) == _reference_pair_rate(params, scrub)
+        assert due_rate_sparing(params) == _reference_pair_rate(params, scrub)
+        assert due_rate_sccdcd(params) == _reference_pair_rate(
+            params, DEFAULT_REPAIR_HOURS / 2.0
+        )
+
+    @pytest.mark.parametrize("lifespan", [1.0, 3.0, 7.0])
+    @pytest.mark.parametrize("multiplier", [1.0, 2.0, 4.0, 0.37])
+    @pytest.mark.parametrize("rates", [DEFAULT_FIT_RATES, _SPARSE_RATES],
+                             ids=["default", "zero-entries"])
+    def test_triple_sum(self, lifespan, multiplier, rates):
+        params = ReliabilityParams(rate_multiplier=multiplier, rates=rates)
+        assert expected_sdc_sccdcd(params, lifespan) == _reference_sdc_sccdcd(
+            params, lifespan
+        )
+
+    def test_lane_only_rates(self):
+        """One live type: the tables hold a single pair."""
+        rates = FaultRates(bit=0.0, row=0.0, column=0.0, bank=0.0,
+                           device=0.0, lane=2.4)
+        params = ReliabilityParams(rates=rates)
+        assert expected_sdc_sccdcd(params, 7.0) == _reference_sdc_sccdcd(params, 7.0)
+        assert sdc_rate_arcc_ded(params) == _reference_pair_rate(
+            params, params.scrub_interval_hours / 2.0
+        )
 
 
 class TestDueRates:

@@ -1,12 +1,15 @@
 """Tests for the parallel experiment runner (jobs, cache, executor)."""
 
 import dataclasses
+import enum
 import hashlib
 import json
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import ARCC_MEMORY_CONFIG
 from repro.faults.types import FaultType
@@ -20,6 +23,7 @@ from repro.runner import (
     job_identity,
     run_jobs,
 )
+from repro.runner.job import encode_job, encode_value
 
 
 def _square(x, seed=0):
@@ -51,6 +55,69 @@ class _Amps:
 @dataclasses.dataclass(frozen=True)
 class _Reading:
     sensor: object
+
+
+@dataclasses.dataclass(frozen=True)
+class _Pair:
+    """Frozen; ``Zed`` sorts before ``__dataclass__``, ``alpha`` after."""
+
+    Zed: object
+    alpha: object
+
+
+@dataclasses.dataclass
+class _Box:
+    """Not frozen: its description can change between batches."""
+
+    item: object
+
+
+class _Color(enum.Enum):
+    RED = "r"
+    BLUE = 2
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+def _unbox(box, seed=0):
+    return box.item
+
+
+def _oracle(value):
+    return json.dumps(describe_value(value), sort_keys=True)
+
+
+_leaves = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from([1, 1.0, True, False, None]),
+    st.floats().map(np.float64),
+    st.text(),
+    st.sampled_from(["\u00e9t\u00e9", "\u2603", "\U0001f600", "\x00\n\""]),
+    st.sampled_from(list(_Color) + list(_Level)),
+)
+_keys = st.one_of(
+    st.text(max_size=4),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.sampled_from(list(_Color) + list(_Level)),
+)
+_values = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_keys, children, max_size=4),
+        st.builds(_Pair, children, children),
+        st.builds(_Box, children),
+        st.builds(_Reading, children),
+    ),
+    max_leaves=12,
+)
 
 
 class _CountingCache(ResultCache):
@@ -133,6 +200,44 @@ class TestDescribeValue:
             ResultCache(tmp_path / "cache", version="v1").key(job)
 
 
+class TestEncodeValue:
+    """The one-pass encoder writes exactly the oracle's text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_values)
+    @example(value=[[], (), {}, _Box(())])
+    @example(value=(-0.0, np.float64(-0.0), 1e300, float("-inf")))
+    def test_matches_describe_value_json(self, value):
+        assert encode_value(value) == _oracle(value)
+        fragments = {}
+        assert encode_value(value, fragments) == _oracle(value)
+        # A memo shared across repeats and enclosing values changes nothing.
+        shared = [value, _Box(value), (value,)]
+        assert encode_value(shared, fragments) == _oracle(shared)
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=st.dictionaries(st.text(max_size=4), _values, max_size=4),
+           seed=st.one_of(st.none(), st.integers(0, 2**64)))
+    def test_job_identity_matches_description_json(self, config, seed):
+        job = Job.create("j", _square, seed=seed, **config)
+        description = job.describe()
+        description.pop("name")
+        assert job_identity(job, {}) == json.dumps(description, sort_keys=True)
+
+    def test_memo_is_per_batch(self, tmp_path):
+        """A non-frozen config mutated between two batches keys anew:
+        nothing from the first batch's memo reaches the second."""
+        box = _Box(1)
+        cache = ResultCache(tmp_path / "cache", version="v1")
+        (first,) = run_jobs([Job.create("j", _unbox, box=box)], cache=cache)
+        box.item = 2
+        job = Job.create("j", _unbox, box=box)
+        (second,) = run_jobs([job], cache=cache)
+        assert (first.value, second.value) == (1, 2)
+        assert not second.cached
+        assert '"item": 2' in job_identity(job)
+
+
 class TestRunJobs:
     def test_results_in_job_order(self):
         jobs = [Job.create(f"j{i}", _square, x=i) for i in range(6)]
@@ -189,28 +294,31 @@ class TestResultCache:
         assert cache.key(job) == expected
         assert cache.key(job) == cache.key(dataclasses.replace(job, name="other"))
 
-    def test_cold_run_describes_each_job_once(self, tmp_path, monkeypatch):
+    def test_cold_run_encodes_each_job_once(self, tmp_path, monkeypatch):
         """A cold miss needs the identity for the lookup, the dedup and
-        the store; the job describes itself once for all three."""
-        described = []
-        describe = Job.describe
+        the store; the job's identity is encoded once for all three."""
+        encoded = []
 
-        def counting(job):
-            described.append(job.name)
-            return describe(job)
+        def counting(job, fragments=None):
+            encoded.append(job.name)
+            return encode_job(job, fragments)
 
-        monkeypatch.setattr(Job, "describe", counting)
+        monkeypatch.setattr("repro.runner.job.encode_job", counting)
         jobs = [Job.create(f"sq[{x}]", _square, x=x) for x in range(3)]
         jobs.append(Job.create("same-as-sq[1]", _square, x=1))
         cache = ResultCache(tmp_path / "cache", version="v1")
         results = run_jobs(jobs, cache=cache)
         assert [r.value for r in results] == [0, 1, 4, 1]
-        assert sorted(described) == sorted(job.name for job in jobs)
+        assert sorted(encoded) == sorted(job.name for job in jobs)
+        assert run_jobs(jobs, cache=cache)[0].cached
+        assert len(encoded) == len(jobs)  # kept on each job, not re-encoded
 
     def test_identity_is_not_shared_between_equal_values(self):
-        """``1``, ``1.0`` and ``True`` compare equal but key apart."""
+        """``1``, ``1.0`` and ``True`` compare equal but key apart, also
+        in one batch's memo."""
         jobs = [Job.create("j", _square, x=x) for x in (1, 1.0, True)]
-        assert len({job_identity(job) for job in jobs}) == 3
+        fragments = {}
+        assert len({job_identity(job, fragments) for job in jobs}) == 3
 
     def test_registry_keys_match_description_hash(self):
         """Every registry job, full scale and ``--quick``, keys exactly as
