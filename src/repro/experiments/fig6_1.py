@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.reliability.analytical import (
+    PairTableMemo,
     ReliabilityParams,
     sdc_events_per_1000_machine_years,
 )
@@ -105,11 +106,12 @@ def plan_fig6_1(
 
     def assemble(values: List[Any]) -> Fig61Result:
         cells = {}
+        tables: PairTableMemo = {}
         for years in lifespans:
             for mult in multipliers:
                 params = ReliabilityParams(rate_multiplier=mult)
                 cells[(years, mult)] = sdc_events_per_1000_machine_years(
-                    years, params
+                    years, params, tables
                 )
         if mc_plan is None:
             return Fig61Result(cells=cells)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
-from repro.perf.engine import point_job
+from repro.perf.engine import point_jobs
 from repro.perf.trace import check_instructions_per_core
 from repro.runner import ExperimentPlan
 from repro.util.tables import format_table
@@ -99,19 +99,16 @@ def plan_fig7_1(
     """
     check_instructions_per_core(instructions_per_core)
     mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
-    configs = (BASELINE_MEMORY_CONFIG, ARCC_MEMORY_CONFIG)
-    jobs = [
-        point_job(
-            f"fig7.1[{mix.name}][{config.name}]",
-            mix=mix,
-            config=config,
-            upgraded_fraction=0.0,
-            instructions_per_core=instructions_per_core,
-            seed=seed,
-        )
-        for mix in mixes
-        for config in configs
-    ]
+    jobs = point_jobs(
+        "fig7.1",
+        mixes,
+        [
+            (config.name, config, 0.0)
+            for config in (BASELINE_MEMORY_CONFIG, ARCC_MEMORY_CONFIG)
+        ],
+        instructions_per_core,
+        seed,
+    )
 
     def assemble(values: List[dict]) -> Fig71Result:
         rows = []

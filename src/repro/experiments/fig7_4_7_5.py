@@ -143,15 +143,17 @@ def _overhead_series(
     Each channel's instantaneous overhead is the sum of the overheads of
     the faults that have arrived (Section 7.1 step 3 is additive), capped
     at ``cap`` — a channel cannot exceed fully-upgraded behaviour.
+
+    Each channel's steps are accumulated once; year ``y`` reads the
+    running sum after its ``y * steps_per_year`` steps, which is the
+    very float a fresh accumulation of that prefix gives.
     """
-    series = []
-    channels = len(histories)
-    for year in range(1, years + 1):
-        samples = year * steps_per_year
-        total = 0.0
-        for events in histories:
-            acc = 0.0
-            for step in range(samples):
+    totals = [0.0] * years
+    for events in histories:
+        acc = 0.0
+        step = 0
+        for year in range(years):
+            for _ in range(steps_per_year):
                 t_hours = (step + 0.5) / steps_per_year * HOURS_PER_YEAR
                 overhead = sum(
                     per_fault.get(e.fault_type, 0.0)
@@ -159,9 +161,9 @@ def _overhead_series(
                     if e.time_hours <= t_hours
                 )
                 acc += min(overhead, cap)
-            total += acc / samples
-        series.append(total / channels)
-    return series
+                step += 1
+            totals[year] += acc / step
+    return [total / len(histories) for total in totals]
 
 
 def _per_fault_weights(

@@ -74,6 +74,7 @@ from repro.fleet.scenarios import (
     resolve_scenario,
 )
 from repro.reliability.analytical import (
+    PairTableMemo,
     ReliabilityParams,
     expected_sdc_arcc,
     expected_sdc_sccdcd,
@@ -345,19 +346,23 @@ def _saturating_per_1k(
 
 
 def policy_sdc_per_1k(
-    policy: ProtectionPolicy, pop: SubPopulation
+    policy: ProtectionPolicy,
+    pop: SubPopulation,
+    tables: Optional[PairTableMemo] = None,
 ) -> float:
     """Analytic SDCs per 1000 machine-years of one (policy, slice).
 
     A machine is the slice's whole memory system: the per-channel
     expected count scales by the (independent) channel count before
-    the one-event-retires-the-machine saturation.
+    the one-event-retires-the-machine saturation. ``tables`` is the
+    caller's :data:`~repro.reliability.analytical.PairTableMemo`, so a
+    comparison tabulates each slice's parameters once for every policy.
     """
     params = slice_reliability_params(pop)
     expected = (
-        expected_sdc_sccdcd(params, pop.lifespan_years)
+        expected_sdc_sccdcd(params, pop.lifespan_years, tables)
         if policy.sdc_model == "triple"
-        else expected_sdc_arcc(params, pop.lifespan_years)
+        else expected_sdc_arcc(params, pop.lifespan_years, tables)
     )
     return _saturating_per_1k(
         expected * pop.config.channels, pop.lifespan_years
@@ -365,14 +370,17 @@ def policy_sdc_per_1k(
 
 
 def policy_due_per_1k(
-    policy: ProtectionPolicy, pop: SubPopulation
+    policy: ProtectionPolicy,
+    pop: SubPopulation,
+    tables: Optional[PairTableMemo] = None,
 ) -> float:
-    """Analytic DUEs per 1000 machine-years of one (policy, slice)."""
+    """Analytic DUEs per 1000 machine-years of one (policy, slice);
+    ``tables`` as for :func:`policy_sdc_per_1k`."""
     params = slice_reliability_params(pop)
     if policy.due_window == "scrub":
-        rate = due_rate_sparing(params)
+        rate = due_rate_sparing(params, tables)
     else:
-        rate = due_rate_sccdcd(params)
+        rate = due_rate_sccdcd(params, tables=tables)
     expected = (
         rate * pop.config.channels * pop.lifespan_years * HOURS_PER_YEAR
     )
@@ -779,6 +787,7 @@ def plan_fleet_compare(
     def assemble(values: List[List[Dict[str, Any]]]) -> PolicyComparisonReport:
         slice_reports: List[PolicySliceReport] = []
         summaries: List[PolicyFleetSummary] = []
+        tables: PairTableMemo = {}
         for policy_index, policy in enumerate(built):
             fleet_power = _Moments()
             fleet_perf = _Moments()
@@ -802,8 +811,8 @@ def plan_fleet_compare(
                     power.add(n, block["power_sum"], block["power_sumsq"])
                     perf.add(n, block["perf_sum"], block["perf_sumsq"])
                     unc_sum += block["uncorrectable_sum"]
-                sdc = policy_sdc_per_1k(variant, pop)
-                due = policy_due_per_1k(variant, pop)
+                sdc = policy_sdc_per_1k(variant, pop, tables)
+                due = policy_due_per_1k(variant, pop, tables)
                 slice_reports.append(
                     PolicySliceReport(
                         policy=policy.key,

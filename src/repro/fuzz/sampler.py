@@ -21,6 +21,7 @@ changing the shapes drawn.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List
 
 import numpy as np
@@ -36,6 +37,32 @@ _DEVICE_SHAPES = ((9, 8), (10, 8), (12, 10), (18, 16), (36, 32))
 #: a custom table (the :data:`repro.fleet.scenario_file.CONFIG_NAMES`
 #: keys — both rows of Table 7.1 are ARCC-capable two-channel systems).
 BUILTIN_ORGANIZATIONS = ("arcc", "baseline")
+
+
+def round_to(value: float, decimals: int) -> float:
+    """``float(np.round(value, decimals))`` without a NumPy scalar call.
+
+    NumPy rounds a float to ``decimals > 0`` places as ``rint(value *
+    10**decimals) / 10**decimals``. Python's :func:`round` of a float
+    rounds half to even as ``rint`` does, so the same three operations
+    give the same float, bit for bit; the sign of a zero result comes
+    back from ``value`` (``rint`` keeps it, ``round`` returns an int).
+    Where the scaled value is not finite (``value`` is NaN or infinite,
+    or so large that scaling overflows) the result is that value over
+    the scale, as NumPy's is, instead of :func:`round`'s error.
+
+    >>> round_to(2.675, 2) == float(np.round(2.675, 2))
+    True
+    >>> round_to(0.125, 2), round_to(-0.0001, 3)
+    (0.12, -0.0)
+    >>> round_to(float("inf"), 3), round_to(1e307, 4)
+    (inf, inf)
+    """
+    scale = 10.0**decimals
+    scaled = value * scale
+    if not math.isfinite(scaled):
+        return scaled / scale
+    return math.copysign(round(scaled) / scale, value)
 
 
 def _choice(rng: np.random.Generator, options) -> Any:
@@ -102,7 +129,7 @@ def sample_rates(
     exact, not merely an upper bound.
     """
     draw = {
-        name: float(np.round(rng.uniform(2.0, 40.0), 3))
+        name: round_to(rng.uniform(2.0, 40.0), 3)
         for name in ("bit", "row", "column", "bank", "device", "lane")
     }
     if device_lane_only:
@@ -125,8 +152,8 @@ def sample_schedule(
     for _ in range(int(rng.integers(0, 3))):
         if remaining <= 0.25:
             break
-        duration = float(np.round(rng.uniform(0.1, remaining / 2), 3))
-        multiplier = float(np.round(rng.uniform(0.5, 6.0), 3))
+        duration = round_to(rng.uniform(0.1, remaining / 2), 3)
+        multiplier = round_to(rng.uniform(0.5, 6.0), 3)
         phases.append([duration, multiplier])
         remaining -= duration
     return phases
@@ -145,7 +172,7 @@ def sample_upgraded_fraction(rng: np.random.Generator) -> float:
     """An upgraded-page fraction: exact endpoints half the time."""
     if rng.random() < 0.5:
         return float(_choice(rng, (0.0, 0.0625, 0.125, 0.5, 1.0)))
-    return float(np.round(rng.uniform(0.0, 1.0), 4))
+    return round_to(rng.uniform(0.0, 1.0), 4)
 
 
 # -- per-oracle case samplers -------------------------------------------------
@@ -158,8 +185,8 @@ def sample_montecarlo_case(
     return {
         "seed": int(rng.integers(0, 2**31)),
         "channels": int(rng.integers(64, 257 if quick else 1025)),
-        "years": float(np.round(rng.uniform(1.0, 7.0), 2)),
-        "rate_multiplier": float(np.round(rng.uniform(4.0, 24.0), 2)),
+        "years": round_to(rng.uniform(1.0, 7.0), 2),
+        "rate_multiplier": round_to(rng.uniform(4.0, 24.0), 2),
         "rates": sample_rates(rng),
         "devices_per_rank": int(_choice(rng, (18, 36))),
         "ranks": int(rng.integers(1, 4)),
@@ -176,19 +203,19 @@ def sample_fleet_case(
     """A case for the fleet-engine-vs-legacy-reduction pair."""
     years = int(rng.integers(1, 5 if quick else 8))
     per_fault = {
-        name: float(np.round(rng.uniform(0.0, 0.4), 4))
+        name: round_to(rng.uniform(0.0, 0.4), 4)
         for name in ("row", "column", "bank", "device", "lane")
     }
     return {
         "seed": int(rng.integers(0, 2**31)),
         "channels": int(rng.integers(16, 65 if quick else 161)),
         "years": years,
-        "rate_multiplier": float(np.round(rng.uniform(2.0, 16.0), 2)),
+        "rate_multiplier": round_to(rng.uniform(2.0, 16.0), 2),
         "organization": sample_organization_ref(rng),
         "rates": sample_rates(rng),
         "phases": sample_schedule(rng, float(years)),
         "per_fault": per_fault,
-        "cap": float(np.round(rng.uniform(0.3, 1.2), 3)),
+        "cap": round_to(rng.uniform(0.3, 1.2), 3),
     }
 
 
@@ -215,8 +242,8 @@ def sample_screen_case(
     return {
         "seed": int(rng.integers(0, 2**31)),
         "channels": int(rng.integers(128, 513 if quick else 1025)),
-        "years": float(np.round(rng.uniform(2.0, 7.0), 2)),
-        "rate_multiplier": float(np.round(rng.uniform(8.0, 24.0), 2)),
+        "years": round_to(rng.uniform(2.0, 7.0), 2),
+        "rate_multiplier": round_to(rng.uniform(8.0, 24.0), 2),
         "rates": sample_rates(rng, device_lane_only=device_lane_only),
         "device_lane_only": device_lane_only,
         "window_hours": float(

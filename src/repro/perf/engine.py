@@ -279,6 +279,13 @@ def simulate_point_job(
     }
 
 
+def _trace_group(
+    mix: WorkloadMix, seed: Optional[int], instructions_per_core: int
+) -> Tuple[Any, ...]:
+    """A point job's ``group``: the trace it replays."""
+    return (mix.name, tuple(mix.profiles), seed, instructions_per_core)
+
+
 def point_job(name: str, **config: Any) -> Job:
     """A :func:`simulate_point_job` runner job on this process's tier.
 
@@ -294,22 +301,78 @@ def point_job(name: str, **config: Any) -> Job:
 
     The point is built here once, only for its check, so a plan with an
     upgraded point on a one-channel organization fails when it is built,
-    not later in a worker.
+    not later in a worker. A planner with many points builds them with
+    :func:`point_jobs`, which makes the same jobs.
     """
     SweepPoint(config["config"], config["upgraded_fraction"])
-    mix = config["mix"]
     return Job.create(
         name,
         simulate_point_job,
         engine=resolve_engine("auto"),
-        group=(
-            mix.name,
-            tuple(mix.profiles),
-            config.get("seed"),
-            config["instructions_per_core"],
+        group=_trace_group(
+            config["mix"], config.get("seed"), config["instructions_per_core"]
         ),
         **config,
     )
+
+
+def point_jobs(
+    name: str,
+    mixes: Sequence[WorkloadMix],
+    points: Sequence[Tuple[str, MemoryConfig, float]],
+    instructions_per_core: int,
+    seed: int,
+    **extra: Any,
+) -> List[Job]:
+    """:func:`point_job` of every (mix, point), mix by mix.
+
+    Each ``(label, config, upgraded_fraction)`` of ``points`` gives, per
+    mix, the job ``f"{name}[{mix.name}][{label}]"``; ``extra`` enters
+    every job's configuration. The jobs equal :func:`point_job`'s, name,
+    identity and group alike, but what depends only on the plan is done
+    once per call: the tier is resolved once, each point's pairing is
+    checked once rather than once per mix, and each mix's group is built
+    once.
+
+    Examples
+    --------
+    >>> from repro.config import BASELINE_MEMORY_CONFIG
+    >>> jobs = point_jobs(
+    ...     "demo", ALL_MIXES[:2],
+    ...     [("base", BASELINE_MEMORY_CONFIG, 0.0),
+    ...      ("arcc", ARCC_MEMORY_CONFIG, 0.0)],
+    ...     instructions_per_core=2_000, seed=7,
+    ... )
+    >>> [job.name for job in jobs[:2]]
+    ['demo[Mix1][base]', 'demo[Mix1][arcc]']
+    >>> jobs[1].identity == point_job(
+    ...     "any", mix=ALL_MIXES[0], config=ARCC_MEMORY_CONFIG,
+    ...     upgraded_fraction=0.0, instructions_per_core=2_000, seed=7,
+    ... ).identity
+    True
+    """
+    engine = resolve_engine("auto")
+    for _, config, fraction in points:
+        SweepPoint(config, fraction)
+    jobs = []
+    for mix in mixes:
+        group = _trace_group(mix, seed, instructions_per_core)
+        for label, config, fraction in points:
+            jobs.append(
+                Job.create(
+                    f"{name}[{mix.name}][{label}]",
+                    simulate_point_job,
+                    engine=engine,
+                    group=group,
+                    mix=mix,
+                    config=config,
+                    upgraded_fraction=fraction,
+                    instructions_per_core=instructions_per_core,
+                    seed=seed,
+                    **extra,
+                )
+            )
+    return jobs
 
 
 #: ``(mix name, upgraded fraction) -> (power ratio, performance ratio)``
@@ -386,19 +449,14 @@ def plan_trace_ratios(
         seen.add(mix.name)
     grid = [0.0] + [fraction for fraction in fractions if fraction != 0.0]
     checksum = {"lotecc_checksum": True} if lotecc_checksum else {}
-    jobs = [
-        point_job(
-            f"{name}[{mix.name}][{fraction:g}]",
-            mix=mix,
-            config=config,
-            upgraded_fraction=fraction,
-            instructions_per_core=instructions_per_core,
-            seed=seed,
-            **checksum,
-        )
-        for mix in mixes
-        for fraction in grid
-    ]
+    jobs = point_jobs(
+        name,
+        mixes,
+        [(f"{fraction:g}", config, fraction) for fraction in grid],
+        instructions_per_core,
+        seed,
+        **checksum,
+    )
 
     def assemble(values: List[Dict[str, float]]) -> Ratios:
         ratios: Ratios = {}
@@ -428,6 +486,7 @@ __all__ = [
     "page_is_upgraded",
     "plan_trace_ratios",
     "point_job",
+    "point_jobs",
     "replay",
     "resolve_engine",
     "simulate_point_job",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.faults.types import (
     DEFAULT_FIT_RATES,
@@ -77,13 +77,23 @@ def device_rates_per_hour(params: ReliabilityParams) -> Dict[FaultType, float]:
     return {ft: scaled.fit_of(ft) * FIT_TO_PER_HOUR for ft in DEVICE_LEVEL_TYPES}
 
 
-def _pair_tables(
-    params: ReliabilityParams,
-) -> Tuple[List[float], List[int], List[List[float]]]:
+#: Per-hour rates, peer counts and pairwise overlaps of the live types.
+_Tables = Tuple[List[float], List[int], List[List[float]]]
+
+#: A caller-owned memo of :func:`_pair_tables`, keyed by the params they
+#: describe. An assembly that evaluates several sums over a few
+#: parameter sets passes one dict to all of them, so each distinct
+#: :class:`ReliabilityParams` is tabulated once per call. The memo lives
+#: as long as the caller keeps it; nothing is memoized process-wide.
+PairTableMemo = Dict[ReliabilityParams, _Tables]
+
+
+def _pair_tables(params: ReliabilityParams) -> _Tables:
     """Per-hour device rate and :func:`_peers` of each device-level type
     with a nonzero rate, in :data:`DEVICE_LEVEL_TYPES` order, and
     :func:`overlap_probability` of each ordered pair of them (row ``i``,
-    column ``j``): built once per sum and read by position in its loops.
+    column ``j``): built once per sum, or once per params in a
+    :data:`PairTableMemo`, and read by position in the sums' loops.
     Zero-rate types add nothing to any sum, so the sums skip them."""
     lam = device_rates_per_hour(params)
     live = [ft for ft in DEVICE_LEVEL_TYPES if lam[ft] != 0.0]
@@ -92,6 +102,19 @@ def _pair_tables(
         [_peers(a, params) for a in live],
         [[overlap_probability(a, b, params) for b in live] for a in live],
     )
+
+
+def _tables_for(
+    params: ReliabilityParams, tables: Optional[PairTableMemo]
+) -> _Tables:
+    """``params``' pair tables, built into ``tables`` on first use (or
+    built afresh when there is no memo)."""
+    if tables is None:
+        return _pair_tables(params)
+    found = tables.get(params)
+    if found is None:
+        found = tables[params] = _pair_tables(params)
+    return found
 
 
 def overlap_probability(
@@ -132,21 +155,30 @@ def _peers(a: FaultType, params: ReliabilityParams) -> int:
     return params.devices_per_rank - 1
 
 
-def sdc_rate_arcc_ded(params: ReliabilityParams) -> float:
+def sdc_rate_arcc_ded(
+    params: ReliabilityParams, tables: Optional[PairTableMemo] = None
+) -> float:
     """SDC rate (per channel, per hour) of SCCDCD+ARCC.
 
     An SDC needs a second overlapping fault within the same scrub
     interval as the first (mean exposure: half an interval, since the
     first fault lands uniformly within its scrub period).
     """
-    return pair_race_rate(params, params.scrub_interval_hours / 2.0)
+    return pair_race_rate(params, params.scrub_interval_hours / 2.0, tables)
 
 
-def pair_race_rate(params: ReliabilityParams, window_hours: float) -> float:
+def pair_race_rate(
+    params: ReliabilityParams,
+    window_hours: float,
+    tables: Optional[PairTableMemo] = None,
+) -> float:
     """Rate (per channel-hour) of a second fault overlapping a first
     within ``window_hours`` of it: the sum over fault-type pairs (A, B)
-    of lam_A*N * peers_A * lam_B * window * o(A,B)."""
-    rates, peers, overlap = _pair_tables(params)
+    of lam_A*N * peers_A * lam_B * window * o(A,B).
+
+    ``tables`` is the caller's :data:`PairTableMemo`, if it has one; the
+    rate is the same float either way."""
+    rates, peers, overlap = _tables_for(params, tables)
     rate = 0.0
     for lam, peers_a, overlap_a in zip(rates, peers, overlap):
         lam_a = lam * params.total_devices
@@ -160,13 +192,19 @@ def pair_race_rate(params: ReliabilityParams, window_hours: float) -> float:
     return rate
 
 
-def expected_sdc_arcc(params: ReliabilityParams, lifespan_years: float) -> float:
+def expected_sdc_arcc(
+    params: ReliabilityParams,
+    lifespan_years: float,
+    tables: Optional[PairTableMemo] = None,
+) -> float:
     """Expected ARCC SDC events per channel over a lifespan."""
-    return sdc_rate_arcc_ded(params) * lifespan_years * HOURS_PER_YEAR
+    return sdc_rate_arcc_ded(params, tables) * lifespan_years * HOURS_PER_YEAR
 
 
 def expected_sdc_sccdcd(
-    params: ReliabilityParams, lifespan_years: float
+    params: ReliabilityParams,
+    lifespan_years: float,
+    tables: Optional[PairTableMemo] = None,
 ) -> float:
     """Expected SCCDCD SDC events per channel over a lifespan.
 
@@ -183,11 +221,12 @@ def expected_sdc_sccdcd(
     exposure of the persistent first fault. Triple overlap is
     approximated by the product of pairwise overlaps with A (placements
     independent), exact whenever any fault is device/lane — the dominant
-    case.
+    case. ``tables`` is the caller's :data:`PairTableMemo`, if it has
+    one.
     """
     hours = lifespan_years * HOURS_PER_YEAR
     window = params.scrub_interval_hours / 2.0
-    rates, peers, overlap = _pair_tables(params)
+    rates, peers, overlap = _tables_for(params, tables)
     expected = 0.0
     for lam, peers_a, overlap_a in zip(rates, peers, overlap):
         lam_a = lam * params.total_devices
@@ -207,17 +246,23 @@ def expected_sdc_sccdcd(
 def sdc_events_per_1000_machine_years(
     lifespan_years: float,
     params: ReliabilityParams,
+    tables: Optional[PairTableMemo] = None,
 ) -> Tuple[float, float]:
     """(SCCDCD, SCCDCD+ARCC) SDCs per 1000 machine-years (Figure 6.1).
 
     A machine is one 72-device channel, replaced wholesale at its first
     undetectable error (so each machine contributes at most one SDC):
     count per 1000 machine-years = 1000 * P(SDC within lifespan) /
-    lifespan.
+    lifespan. Both sums read one set of tables: ``tables`` (the caller's
+    :data:`PairTableMemo`, shared across cells) or a memo of this call.
     """
     if lifespan_years <= 0:
         raise ValueError("lifespan must be positive")
-    p_arcc = 1.0 - math.exp(-expected_sdc_arcc(params, lifespan_years))
-    p_sccdcd = 1.0 - math.exp(-expected_sdc_sccdcd(params, lifespan_years))
+    if tables is None:
+        tables = {}
+    p_arcc = 1.0 - math.exp(-expected_sdc_arcc(params, lifespan_years, tables))
+    p_sccdcd = 1.0 - math.exp(
+        -expected_sdc_sccdcd(params, lifespan_years, tables)
+    )
     scale = 1000.0 / lifespan_years
     return p_sccdcd * scale, p_arcc * scale

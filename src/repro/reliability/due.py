@@ -17,8 +17,14 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.faults.types import DEVICE_LEVEL_TYPES
-from repro.reliability.analytical import ReliabilityParams, pair_race_rate
+from repro.reliability.analytical import (
+    PairTableMemo,
+    ReliabilityParams,
+    pair_race_rate,
+)
 
 #: Default service interval for replacing a DIMM after its first corrected
 #: device failure (hours). Field practice is scheduled maintenance on the
@@ -29,28 +35,34 @@ DEFAULT_REPAIR_HOURS = 720.0
 def due_rate_sccdcd(
     params: ReliabilityParams,
     repair_hours: float = DEFAULT_REPAIR_HOURS,
+    tables: Optional[PairTableMemo] = None,
 ) -> float:
     """DUE rate (per channel-hour) of single-correct codes (SCCDCD,
     nine-device LOT-ECC): second overlapping fault during the repair
-    exposure of the first."""
-    return pair_race_rate(params, repair_hours / 2.0)
+    exposure of the first. ``tables``: the caller's
+    :data:`~repro.reliability.analytical.PairTableMemo`, if any."""
+    return pair_race_rate(params, repair_hours / 2.0, tables)
 
 
-def due_rate_sparing(params: ReliabilityParams) -> float:
+def due_rate_sparing(
+    params: ReliabilityParams, tables: Optional[PairTableMemo] = None
+) -> float:
     """DUE rate (per channel-hour) of double chip sparing (and of the
     18-device LOT-ECC of Section 5.2): the pair must race one scrub."""
-    return pair_race_rate(params, params.scrub_interval_hours / 2.0)
+    return pair_race_rate(params, params.scrub_interval_hours / 2.0, tables)
 
 
 def due_reduction_factor(
     params: ReliabilityParams,
     repair_hours: float = DEFAULT_REPAIR_HOURS,
 ) -> float:
-    """DUE improvement from sparing (the paper quotes 17x from [4])."""
-    sparing = due_rate_sparing(params)
+    """DUE improvement from sparing (the paper quotes 17x from [4]).
+    Both rates read one set of pair tables."""
+    tables: PairTableMemo = {}
+    sparing = due_rate_sparing(params, tables)
     if sparing == 0.0:
         raise ValueError("sparing DUE rate is zero; check the rates")
-    return due_rate_sccdcd(params, repair_hours) / sparing
+    return due_rate_sccdcd(params, repair_hours, tables) / sparing
 
 
 def due_rate_arcc(

@@ -135,6 +135,7 @@ class ResultCache:
         self._pack = ""
         self.root = Path(root)
         self.version = version or code_version()
+        self._key_head = f'{{"code": {json.dumps(self.version)}, "job": '
 
     def key(self, job: Job) -> str:
         """Cache key of one job (config hash x code version).
@@ -148,9 +149,11 @@ class ResultCache:
         "job": identity}``, spelled out around :func:`job_identity` so
         the job encoding lives in one place: the identity the batch
         already wrote for the job, or, for a job keyed on its own,
-        :func:`~repro.runner.job.encode_job`'s text without a memo.
+        :func:`~repro.runner.job.encode_job`'s text without a memo. The
+        text up to the identity is the same for every job, so it is
+        written once per cache.
         """
-        payload = f'{{"code": {json.dumps(self.version)}, "job": {job_identity(job)}}}'
+        payload = f"{self._key_head}{job_identity(job)}}}"
         return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
     def _packs(self) -> List[str]:

@@ -267,6 +267,46 @@ class TestVectorizedReductions:
             legacy = _overhead_series(histories, 7, weights, cap=cap)
             assert [sum(year.tolist()) / batch.num_channels for year in row] == legacy
 
+    @pytest.mark.parametrize("years", range(1, 8))
+    def test_legacy_series_equals_per_year_accumulation(self, years):
+        """``_overhead_series`` accumulates each channel once and reads
+        off each year's running sum: exactly (``==``) the floats of the
+        loop that re-accumulated every year's prefix from step 0."""
+
+        def prefix_per_year(histories, years, per_fault, cap, steps_per_year=12):
+            series = []
+            channels = len(histories)
+            for year in range(1, years + 1):
+                samples = year * steps_per_year
+                total = 0.0
+                for events in histories:
+                    acc = 0.0
+                    for step in range(samples):
+                        t_hours = (step + 0.5) / steps_per_year * HOURS_PER_YEAR
+                        overhead = sum(
+                            per_fault.get(e.fault_type, 0.0)
+                            for e in events
+                            if e.time_hours <= t_hours
+                        )
+                        acc += min(overhead, cap)
+                    total += acc / samples
+                series.append(total / channels)
+            return series
+
+        histories = sample_fleet(
+            40, float(years), rate_multiplier=12.0, seed=100 + years
+        ).to_histories()
+        assert any(histories)
+        rng = np.random.default_rng(years)
+        weights = {
+            ft: float(w)
+            for ft, w in zip(FaultType, rng.uniform(0.0, 0.4, len(FaultType)))
+        }
+        for cap in (1.0, 0.5, 0.05, 0.3 + years / 10):
+            assert _overhead_series(
+                histories, years, weights, cap
+            ) == prefix_per_year(histories, years, weights, cap)
+
     def test_timeseries_matches_scalar_reduction(self):
         """The Figure 3.1 series equals the per-channel scalar oracle.
 

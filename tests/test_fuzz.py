@@ -12,7 +12,15 @@ Three properties carry the harness:
   CI job runs the same command 20x larger).
 """
 
+import hashlib
+import json
+import math
+import struct
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.fuzz import (
     ORACLE_KEYS,
@@ -71,7 +79,73 @@ class TestSamplerValidity:
             assert mix_by_name(name).name == name
 
 
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestRoundTo:
+    """``sampler.round_to`` is ``float(np.round(x, d))``, bit for bit
+    (the sign of a zero and NaN's pass-through included)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        value=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(-50.0, 50.0),
+            # Halfway values at every number of places the sampler uses.
+            st.builds(
+                lambda n, d: (n + 0.5) / 10.0**d,
+                st.integers(-(10**6), 10**6),
+                st.integers(2, 4),
+            ),
+        ),
+        decimals=st.integers(2, 4),
+    )
+    @example(value=-0.0, decimals=3)
+    @example(value=-0.00049, decimals=3)
+    @example(value=0.125, decimals=2)
+    @example(value=2.675, decimals=2)
+    @example(value=1e300, decimals=3)
+    @example(value=1e306, decimals=4)
+    @example(value=-math.inf, decimals=2)
+    @example(value=math.nan, decimals=4)
+    def test_equals_numpy(self, value, decimals):
+        with np.errstate(over="ignore"):
+            expected = float(np.round(value, decimals))
+        got = sampler.round_to(value, decimals)
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert _bits(got) == _bits(expected)
+
+    @pytest.mark.parametrize(
+        "low, high, decimals",
+        [(2.0, 40.0, 3), (0.1, 2.5, 3), (0.5, 6.0, 3), (0.0, 1.0, 4),
+         (1.0, 7.0, 2), (4.0, 24.0, 2), (0.0, 0.4, 4), (0.3, 1.2, 3)],
+    )
+    def test_sampler_ranges(self, low, high, decimals):
+        for value in make_rng(11).uniform(low, high, 5_000).tolist():
+            assert _bits(sampler.round_to(value, decimals)) == _bits(
+                float(np.round(value, decimals))
+            )
+
+
 class TestCampaign:
+    def test_cases_are_pinned(self):
+        """The 200-case campaign of seed 0, as sampled with NumPy's
+        scalar rounding: the draws, their order and every rounded
+        value are unchanged."""
+        for quick, pinned in ((False, "01c6ef4818262f32"),
+                              (True, "8fa0e3fa60cdd7cb")):
+            cases = [
+                (index, pair.key, case_seed, case)
+                for index, pair, case_seed, case in sample_campaign_cases(
+                    0, 200, quick=quick
+                )
+            ]
+            text = json.dumps(cases, sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == pinned
+
     def test_cases_are_pure_functions_of_seed_and_index(self):
         full = sample_campaign_cases(seed=5, count=10, quick=True)
         again = sample_campaign_cases(seed=5, count=10, quick=True)

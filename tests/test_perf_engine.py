@@ -33,6 +33,7 @@ from repro.experiments import (
 )
 from repro.fleet import plan_measured_profiles
 from repro.fleet.policies import plan_fleet_compare_measured
+from repro.perf import engine as engine_module
 from repro.perf import trace as trace_module
 from repro.perf._kernel import (
     kernel_available,
@@ -45,6 +46,7 @@ from repro.perf.engine import (
     decode_lines,
     plan_trace_ratios,
     point_job,
+    point_jobs,
     replay,
     simulate_point_job,
 )
@@ -515,6 +517,82 @@ class TestTraceRatioPlan:
             plan_sweep_upgraded_fraction_measured(
                 mixes=ALL_MIXES[:2], fractions=(0.0, 1.5)
             )
+
+
+class TestPointJobs:
+    """:func:`point_jobs`, behind every trace plan, makes
+    :func:`point_job`'s jobs and does the work that depends only on the
+    plan once per plan."""
+
+    #: Each trace planner at a small scale, over every mix.
+    BUILDS = {
+        "trace-ratios": lambda: plan_trace_ratios(
+            "demo", None, (0.25, 0.5, 1.0), ARCC_MEMORY_CONFIG, 2_000, seed=7
+        ),
+        "fig7.1": lambda: plan_fig7_1(instructions_per_core=2_000),
+        "fig7.2": lambda: plan_fig7_2_7_3(instructions_per_core=2_000),
+    }
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        original = getattr(engine_module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("key", list(BUILDS))
+    def test_one_tier_resolution_per_plan(self, monkeypatch, key):
+        calls = self._count(monkeypatch, "resolve_engine")
+        plan = self.BUILDS[key]()
+        assert len(plan.jobs) >= 2 * len(ALL_MIXES)
+        assert calls == [("auto",)]
+
+    def test_each_pairing_checked_once(self, monkeypatch):
+        """One point built per fraction of the grid, not per mix."""
+        calls = self._count(monkeypatch, "SweepPoint")
+        plan = self.BUILDS["trace-ratios"]()
+        assert len(plan.jobs) == 4 * len(ALL_MIXES)
+        assert calls == [
+            (ARCC_MEMORY_CONFIG, fraction) for fraction in (0.0, 0.25, 0.5, 1.0)
+        ]
+
+    @pytest.mark.parametrize("extra", [{}, {"lotecc_checksum": True}])
+    def test_jobs_are_point_jobs(self, extra):
+        points = [
+            ("clean", ARCC_MEMORY_CONFIG, 0.0),
+            ("quarter", ARCC_MEMORY_CONFIG, 0.25),
+            ("base", BASELINE_MEMORY_CONFIG, 0.5),
+        ]
+        jobs = point_jobs("demo", ALL_MIXES[:3], points, 2_000, 7, **extra)
+        singles = [
+            point_job(
+                f"demo[{mix.name}][{label}]",
+                mix=mix,
+                config=config,
+                upgraded_fraction=fraction,
+                instructions_per_core=2_000,
+                seed=7,
+                **extra,
+            )
+            for mix in ALL_MIXES[:3]
+            for label, config, fraction in points
+        ]
+        assert jobs == singles
+        assert [(job.name, job.group, job_identity(job)) for job in jobs] == [
+            (job.name, job.group, job_identity(job)) for job in singles
+        ]
+
+    def test_unpairable_point_rejected_without_mixes(self):
+        one_channel = dataclasses.replace(
+            ARCC_MEMORY_CONFIG, name="ARCC-1ch", channels=1
+        )
+        with pytest.raises(ValueError, match="ARCC pairing"):
+            point_jobs("demo", [], [("x", one_channel, 0.5)], 2_000, 7)
 
 
 class TestPageUpgradeProperties:

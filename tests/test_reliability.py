@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import plan_fig6_1
+from repro.experiments import plan_fig6_1, plan_fig7_6
 from repro.faults.lifetime import FaultEvent
 from repro.faults.types import (
     DEFAULT_FIT_RATES,
@@ -10,6 +10,9 @@ from repro.faults.types import (
     FaultRates,
     FaultType,
 )
+from repro.fleet.policies import plan_fleet_compare, slice_reliability_params
+from repro.fleet.scenarios import resolve_scenario
+from repro.reliability import analytical
 from repro.reliability.analytical import (
     ReliabilityParams,
     _peers,
@@ -26,7 +29,7 @@ from repro.reliability.due import (
     due_reduction_factor,
 )
 from repro.reliability.montecarlo import footprint_intersects, plan_montecarlo
-from repro.runner import execute_plan
+from repro.runner import ResultCache, execute_plan
 from repro.util.units import HOURS_PER_YEAR
 
 
@@ -218,6 +221,72 @@ class TestSumsMatchReference:
         assert sdc_rate_arcc_ded(params) == _reference_pair_rate(
             params, params.scrub_interval_hours / 2.0
         )
+
+
+class TestPairTablesPerAssembly:
+    """Each Chapter 6 assembly tabulates each distinct parameter set
+    once, however many sums read it; the run before the counted one
+    fills the cache, so the counted one is a warm pass: every job a hit,
+    only the assembly computing. A memo that outlived its call would
+    leave the warm pass nothing to build, and fail these counts too."""
+
+    @staticmethod
+    def _warm_builds(monkeypatch, tmp_path, build):
+        execute_plan(build(), cache=ResultCache(str(tmp_path)))
+        built = []
+        original = analytical._pair_tables
+
+        def counted(params):
+            built.append(params)
+            return original(params)
+
+        monkeypatch.setattr(analytical, "_pair_tables", counted)
+        cache = ResultCache(str(tmp_path))
+        execute_plan(build(), cache=cache)
+        cache.close()
+        return built
+
+    def test_fig6_1_one_build_per_multiplier(self, monkeypatch, tmp_path):
+        """Nine cells of two sums each: 18 builds before, 3 now."""
+        built = self._warm_builds(monkeypatch, tmp_path, plan_fig6_1)
+        assert built == [
+            ReliabilityParams(rate_multiplier=mult) for mult in (1.0, 2.0, 4.0)
+        ]
+
+    def test_fig7_6_one_build(self, monkeypatch, tmp_path):
+        """The DUE reduction's two rates share one build (2 before)."""
+        built = self._warm_builds(
+            monkeypatch, tmp_path, lambda: plan_fig7_6(channels=40)
+        )
+        assert built == [ReliabilityParams()]
+
+    def test_fleet_compare_one_build_per_slice_params(
+        self, monkeypatch, tmp_path
+    ):
+        """Every policy's SDC and DUE sums on a slice share its build:
+        three policies x three slices x two sums were 18 builds; the
+        mixed-generations slices have 3 distinct parameter sets."""
+        scenario = resolve_scenario("mixed-generations").scaled_to(300)
+        built = self._warm_builds(
+            monkeypatch, tmp_path, lambda: plan_fleet_compare(scenario)
+        )
+        distinct = {slice_reliability_params(pop) for pop in scenario.populations}
+        assert len(built) == len(set(built)) == len(distinct) == 3
+        assert set(built) == distinct
+
+    def test_shared_memo_gives_the_same_floats(self):
+        tables = {}
+        for mult in (1.0, 2.0, 0.37):
+            params = ReliabilityParams(rate_multiplier=mult)
+            for years in (1.0, 7.0):
+                assert sdc_events_per_1000_machine_years(
+                    years, params, tables
+                ) == sdc_events_per_1000_machine_years(years, params)
+            assert due_rate_sccdcd(params, tables=tables) == due_rate_sccdcd(
+                params
+            )
+            assert due_rate_sparing(params, tables) == due_rate_sparing(params)
+        assert len(tables) == 3
 
 
 class TestDueRates:

@@ -218,8 +218,12 @@ class TestEncodeValue:
     @settings(max_examples=100, deadline=None)
     @given(config=st.dictionaries(st.text(max_size=4), _values, max_size=4),
            seed=st.one_of(st.none(), st.integers(0, 2**64)))
+    @example(config={"fn": [], "name": 0, "seed": 1, "group": None}, seed=None)
     def test_job_identity_matches_description_json(self, config, seed):
-        job = Job.create("j", _square, seed=seed, **config)
+        # Built directly, not through ``Job.create``: a config key may be
+        # named like one of ``create``'s own parameters.
+        job = Job(name="j", fn=_square, config=tuple(sorted(config.items())),
+                  seed=seed)
         description = job.describe()
         description.pop("name")
         assert job_identity(job, {}) == json.dumps(description, sort_keys=True)
