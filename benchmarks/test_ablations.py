@@ -1,8 +1,7 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the design choices of the paper's Sections 4.1-4.2.
 
 1. Scrub interval vs ARCC SDC rate and scrub bandwidth cost.
-2. LLC replacement: paired recency (the paper's design) vs naive LRU vs
-   the sectored-cache alternative.
+2. LLC replacement: paired recency (the paper's design) vs naive LRU.
 3. Upgrade granularity: page vs whole-rank upgrades on a fault.
 4. Upgraded-line design: same symbol size (4 codewords/line) vs halved
    symbols (double the codewords) — decoder-work comparison.
@@ -12,7 +11,6 @@ from conftest import emit
 
 from repro.cache.llc import LastLevelCache
 from repro.cache.replacement import NaivePairedLru, PairedLruPolicy
-from repro.cache.sectored import SectoredCache
 from repro.config import RELAXED_GEOMETRY, UPGRADED_GEOMETRY, ScrubConfig
 from repro.core.scrubber import scrub_bandwidth_overhead
 from repro.faults.models import upgraded_page_fraction
@@ -75,18 +73,12 @@ def test_ablation_llc_replacement(once):
     def run():
         paired = LastLevelCache(sets=64, ways=4, policy=PairedLruPolicy())
         naive = LastLevelCache(sets=64, ways=4, policy=NaivePairedLru())
-        sectored = SectoredCache(sets=64, ways=4)
-        return (
-            _llc_workload(paired),
-            _llc_workload(naive),
-            _llc_workload(sectored),
-        )
+        return _llc_workload(paired), _llc_workload(naive)
 
-    paired, naive, sectored = once(run)
+    paired, naive = once(run)
     rows = [
         ["paired recency (paper)", paired.misses, paired.paired_writebacks],
         ["naive LRU", naive.misses, naive.paired_writebacks],
-        ["sectored cache", sectored.misses, sectored.paired_writebacks],
     ]
     emit(
         "Ablation: LLC design for upgraded lines",

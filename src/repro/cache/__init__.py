@@ -8,26 +8,20 @@ back together (all four check symbols of each codeword span both).
   conventional 64B-line cache with one extra tag bit; the two sub-lines of
   an upgraded line sit in adjacent sets and share the recency of the most
   recently used sub-line.
-* :class:`repro.cache.sectored.SectoredCache` — the rejected alternative
-  (128B sectors with per-64B validity), kept for the ablation benchmark.
 """
 
 from repro.cache.llc import AccessOutcome, CacheStats, LastLevelCache
 from repro.cache.replacement import (
-    LruPolicy,
     NaivePairedLru,
     PairedLruPolicy,
     ReplacementPolicy,
 )
-from repro.cache.sectored import SectoredCache
 
 __all__ = [
     "AccessOutcome",
     "CacheStats",
     "LastLevelCache",
-    "LruPolicy",
     "NaivePairedLru",
     "PairedLruPolicy",
     "ReplacementPolicy",
-    "SectoredCache",
 ]

@@ -30,17 +30,6 @@ class ReplacementPolicy(Protocol):
         ...
 
 
-class LruPolicy:
-    """Plain LRU over own recency only (correct for relaxed-only caches)."""
-
-    def select_victim(
-        self,
-        recencies: List[int],
-        paired_recencies: List[Optional[int]],
-    ) -> int:
-        return min(range(len(recencies)), key=lambda w: recencies[w])
-
-
 class PairedLruPolicy:
     """The paper's policy: use max(own, sibling) recency for upgraded lines."""
 

@@ -233,11 +233,6 @@ class CodewordGeometry:
         return self.data_symbols + self.check_symbols
 
     @property
-    def data_bytes(self) -> int:
-        """Payload bytes carried by one codeword."""
-        return self.data_symbols * self.symbol_bits // 8
-
-    @property
     def storage_overhead(self) -> float:
         """check/data ratio; 12.5% for both ARCC modes."""
         return self.check_symbols / self.data_symbols

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -151,14 +151,22 @@ class ArccLotEcc:
     def inject_device_fault(self, page: int, device: int) -> None:
         """Corrupt one data device's segments across a page."""
         self._check_page(page)
-        self._faulty_devices.setdefault(page, []).append(device)
+        faulty = self._faulty_devices.setdefault(page, [])
+        if device in faulty:
+            return
+        faulty.append(device)
         base = page * self.lines_per_page
         for line in range(base, base + self.lines_per_page):
-            self._apply_faults(line)
+            self._apply_faults(line, [device])
 
-    def _apply_faults(self, line: int) -> None:
+    def _apply_faults(
+        self, line: int, devices: Optional[List[int]] = None
+    ) -> None:
+        """XOR-corrupt ``devices`` (default: every faulty device of the
+        line's page, as after a fresh write) in the stored line."""
         page = self._page_of(line)
-        devices = self._faulty_devices.get(page)
+        if devices is None:
+            devices = self._faulty_devices.get(page)
         stored = self._store.get(line)
         if not devices or stored is None:
             return

@@ -51,13 +51,6 @@ class ProtectionMode(enum.Enum):
         """Check symbols per codeword."""
         return self.geometry.check_symbols
 
-    @property
-    def guaranteed_detection(self) -> int:
-        """Bad symbols per codeword whose detection is guaranteed."""
-        # Commercial-style policy: correct one, keep the rest of the
-        # distance for detection (Chapter 2).
-        return max(self.geometry.check_symbols - 1, 1)
-
     def next_stronger(self) -> "ProtectionMode":
         """The mode a page upgrades into; raises at the top of the lattice."""
         if self == ProtectionMode.RELAXED:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict
 
 from repro.core.modes import ProtectionMode
 
@@ -68,12 +68,6 @@ class PageTable:
         self.set_mode(page, new_mode)
         return new_mode
 
-    def relax_all(self) -> None:
-        """Set every page to RELAXED (the post-boot initial scrub)."""
-        for page in list(self._modes):
-            del self._modes[page]
-        self._default = ProtectionMode.RELAXED
-
     def pages_in_mode(self, mode: ProtectionMode) -> int:
         """Count of pages currently in ``mode``."""
         deviating = sum(1 for m in self._modes.values() if m == mode)
@@ -85,10 +79,6 @@ class PageTable:
         """Fraction of pages above RELAXED (the power-overhead driver)."""
         relaxed = self.pages_in_mode(ProtectionMode.RELAXED)
         return 1.0 - relaxed / self.pages
-
-    def non_default_pages(self) -> Iterator[Tuple[int, ProtectionMode]]:
-        """Pages whose mode deviates from the default."""
-        return iter(sorted(self._modes.items()))
 
 
 @dataclass
@@ -134,6 +124,6 @@ class Tlb:
             self.stats.shootdowns += 1
 
     def flush(self) -> None:
-        """Drop every entry (e.g. after relax_all)."""
+        """Drop every entry."""
         self.stats.shootdowns += len(self._cache)
         self._cache.clear()

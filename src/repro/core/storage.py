@@ -211,13 +211,3 @@ class ArccStorage:
     def ranks_of_channel(self, channel: int) -> List[List[DRAMDevice]]:
         """Rank/device structure of one channel (for the injector)."""
         return self.devices[channel]
-
-    @property
-    def any_faults(self) -> bool:
-        """True when any device carries an overlay."""
-        return any(
-            device.is_faulty
-            for channel in self.devices
-            for rank in channel
-            for device in rank
-        )

@@ -191,14 +191,22 @@ class ArccVecc:
 
     def inject_device_fault(self, page: int, device: int) -> None:
         """Corrupt one in-rank device across a page's stored lines."""
-        self._faulty_devices.setdefault(page, []).append(device)
+        faulty = self._faulty_devices.setdefault(page, [])
+        if device in faulty:
+            return
+        faulty.append(device)
         base = page * self.lines_per_page
         for line in range(base, base + self.lines_per_page):
-            self._apply_faults(line)
+            self._apply_faults(line, [device])
 
-    def _apply_faults(self, line: int) -> None:
+    def _apply_faults(
+        self, line: int, devices: Optional[List[int]] = None
+    ) -> None:
+        """XOR-corrupt ``devices`` (default: every faulty device of the
+        line's page, as after a fresh write) in the stored line."""
         page = self._page_of(line)
-        devices = self._faulty_devices.get(page)
+        if devices is None:
+            devices = self._faulty_devices.get(page)
         stored = self._store.get(line)
         if not devices or stored is None:
             return

@@ -84,8 +84,3 @@ class AddressMapping:
         """Physical 4 KB page index containing the line."""
         lines_per_page = self.config.lines_per_page
         return line_address // lines_per_page
-
-    def lines_of_page(self, page: int) -> range:
-        """All line addresses inside a physical page."""
-        lines_per_page = self.config.lines_per_page
-        return range(page * lines_per_page, (page + 1) * lines_per_page)

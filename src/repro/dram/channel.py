@@ -106,15 +106,6 @@ class Channel:
         c.active_ns += t.tras_ns
         return start, completion
 
-    def earliest_start(self, now_ns: float, rank: int, bank: int) -> float:
-        """When an access could start, without scheduling it."""
-        state = self._rank_state[rank]
-        t = self.timings
-        start = max(now_ns, state.bank_busy_until[bank], self._last_issue_ns)
-        data_offset = t.trcd_ns + t.cas_ns
-        bus_at = max(start + data_offset, self._bus_busy_until)
-        return bus_at - data_offset
-
     # -- power rollup --------------------------------------------------------------
 
     def finalize(self, end_ns: float) -> List[PowerCounters]:

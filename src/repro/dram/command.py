@@ -1,21 +1,10 @@
-"""Memory transactions and DRAM commands."""
+"""Memory transactions."""
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
-
-
-class CommandType(enum.Enum):
-    """DRAM command kinds (closed-page autoprecharge folds PRE into RD/WR)."""
-
-    ACTIVATE = "ACT"
-    READ = "RD"
-    WRITE = "WR"
-    PRECHARGE = "PRE"
-    REFRESH = "REF"
 
 
 _request_ids = itertools.count()

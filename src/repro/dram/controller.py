@@ -27,13 +27,6 @@ class ControllerStats:
     total_latency_ns: float = 0.0
     max_latency_ns: float = 0.0
 
-    @property
-    def average_latency_ns(self) -> float:
-        """Mean request latency (0 when nothing ran)."""
-        if self.requests == 0:
-            return 0.0
-        return self.total_latency_ns / self.requests
-
     def record(self, latency_ns: float, paired: bool) -> None:
         """Record one completed request."""
         self.requests += 1

@@ -181,10 +181,6 @@ class DRAMDevice:
         self.faults.append(fault)
         return fault
 
-    def clear_faults(self) -> None:
-        """Remove all overlays (device replaced)."""
-        self.faults.clear()
-
     def __repr__(self) -> str:
         return (
             f"DRAMDevice(x{self.width}, banks={self.banks}, "

@@ -138,13 +138,3 @@ class RankPowerModel:
         )
         per_device_w = (dynamic_nj + background_nj) / counters.elapsed_ns
         return per_device_w * self.devices
-
-    def access_energy_nj(self, is_write: bool) -> float:
-        """Dynamic energy of one closed-page access for the whole rank."""
-        m = self.device_model
-        burst = (
-            m.energy_per_write_burst_nj
-            if is_write
-            else m.energy_per_read_burst_nj
-        )
-        return self.devices * (m.energy_per_activate_nj + burst)

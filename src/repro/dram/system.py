@@ -31,12 +31,6 @@ class PowerReport:
     dynamic_w: float
     per_rank_w: List[float]
 
-    def normalized_to(self, other: "PowerReport") -> float:
-        """This report's total power as a fraction of another's."""
-        if other.total_w <= 0:
-            raise ValueError("cannot normalize to zero power")
-        return self.total_w / other.total_w
-
 
 def power_report_from_counters(
     model: RankPowerModel,
@@ -133,8 +127,3 @@ class MemorySystem:
         return power_report_from_counters(
             self.rank_power_model, rank_counters, end_ns
         )
-
-    def access_energy_nj(self, is_write: bool, upgraded: bool = False) -> float:
-        """Dynamic energy of one access (doubled for upgraded lines)."""
-        energy = self.rank_power_model.access_energy_nj(is_write)
-        return energy * (2 if upgraded else 1)

@@ -45,11 +45,6 @@ class DeviceTimings:
         """Data-bus occupancy of one burst (double data rate)."""
         return self.burst_length / 2 * self.tck_ns
 
-    @property
-    def closed_page_read_latency_ns(self) -> float:
-        """Idle-bank read latency under the closed-page policy."""
-        return self.trcd_ns + self.cas_ns + self.burst_ns
-
 
 @dataclass(frozen=True)
 class DevicePowerParams:

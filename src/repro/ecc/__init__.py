@@ -20,7 +20,6 @@ from repro.ecc.base import (
     CodecError,
     DecodeResult,
     DecodeStatus,
-    UncorrectableError,
 )
 from repro.ecc.chipkill import (
     ChipkillCodec,
@@ -47,7 +46,6 @@ __all__ = [
     "LotEcc9",
     "ReedSolomonCode",
     "Secded7264",
-    "UncorrectableError",
     "Vecc",
     "make_double_upgraded_codec",
     "make_relaxed_codec",

@@ -86,11 +86,3 @@ class DecodeResult:
 
 class CodecError(Exception):
     """Misuse of a codec API (bad lengths, invalid symbols, ...)."""
-
-
-class UncorrectableError(CodecError):
-    """Raised by strict decode paths when correction is impossible."""
-
-    def __init__(self, message: str, result: Optional[DecodeResult] = None):
-        super().__init__(message)
-        self.result = result

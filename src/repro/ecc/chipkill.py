@@ -123,25 +123,6 @@ class ChipkillCodec:
 
     # -- device-major views (used by the fault injector) -----------------------
 
-    def device_view(self, codewords: Sequence[Sequence[int]]) -> List[List[int]]:
-        """Transpose codewords into per-device symbol lists.
-
-        ``device_view(cws)[d][c]`` is the symbol device ``d`` contributes to
-        codeword ``c``.
-        """
-        return [
-            [cw[d] for cw in codewords] for d in range(self.devices)
-        ]
-
-    def from_device_view(self, view: Sequence[Sequence[int]]) -> List[List[int]]:
-        """Inverse of :meth:`device_view`."""
-        if len(view) != self.devices:
-            raise CodecError("device view has the wrong number of devices")
-        return [
-            [view[d][c] for d in range(self.devices)]
-            for c in range(self.codewords_per_line)
-        ]
-
     def corrupt_device(
         self,
         codewords: Sequence[Sequence[int]],

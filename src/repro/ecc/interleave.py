@@ -12,8 +12,9 @@ interleaving*: the even nibbles of the devices form one shortened GF(256)
 RS(36,32) codeword and the odd nibbles another, giving eight logical
 4-bit-symbol codewords per line backed by pairs of interleaved decoders.
 A whole-device failure corrupts at most one 8-bit symbol in each backing
-codeword, so the chipkill guarantee is preserved exactly. (DESIGN.md lists
-this as a documented substitution.)
+codeword, so the chipkill guarantee is preserved exactly. The interleaving
+is this reproduction's substitution: Section 4.1 does not say which code
+backs the 4-bit symbols.
 """
 
 from __future__ import annotations

@@ -42,14 +42,6 @@ class LotEccLine:
     checksums: List[int]  # tier 1, one per data device
     parity: bytes  # tier 2 XOR across segments
 
-    def copy(self) -> "LotEccLine":
-        """Deep copy (the fault injector mutates lines in place)."""
-        return LotEccLine(
-            segments=list(self.segments),
-            checksums=list(self.checksums),
-            parity=self.parity,
-        )
-
 
 class _LotEccBase:
     """Shared encode/decode engine for both LOT-ECC configurations."""
@@ -185,8 +177,3 @@ class LotEcc18(_LotEccBase):
         if not result.ok or result.data is None:
             raise CodecError("cannot remap an uncorrectable line")
         return self.encode_line(result.data)
-
-    @property
-    def can_absorb_second_fault(self) -> bool:
-        """True once the spare carries a remapped device."""
-        return self.spared_device is not None

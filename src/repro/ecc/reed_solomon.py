@@ -123,11 +123,9 @@ class ReedSolomonCode:
             SCCDCD sets this to 1, reserving the remaining distance for
             detection. ``None`` means correct up to floor((d-1-e)/2).
 
-        Returns a :class:`DecodeResult` whose ``data`` (when usable) holds
-        the corrected *message* symbols as ``bytes`` is NOT done here —
-        ``data`` is left unset; use :meth:`extract_message` on the
-        ``codeword`` attribute embedded in ``detail``-free results. The
-        chipkill layer converts symbols to bytes.
+        Returns a :class:`DecodeResult` whose ``data`` holds the ``k``
+        message symbols of the corrected systematic codeword, one byte
+        each (``None`` for fields wider than 8 bits).
         """
         received = list(received)
         synd = self.syndromes(received)
@@ -196,12 +194,6 @@ class ReedSolomonCode:
         return self._result_from_codeword(
             corrected, DecodeStatus.CORRECTED, tuple(sorted(positions))
         )
-
-    def extract_message(self, codeword: Sequence[int]) -> List[int]:
-        """Return the k message symbols of a systematic codeword."""
-        if len(codeword) != self.n:
-            raise CodecError("wrong codeword length")
-        return list(codeword[: self.k])
 
     # -- decoding internals -------------------------------------------------
 

@@ -122,14 +122,6 @@ class LifetimeOverheadResult:
             out.append(format_table(headers, rows, title=title))
         return "\n\n".join(out)
 
-    def final_power_saving_floor(self, multiplier: float) -> float:
-        """Paper check: power benefit stays >= ~30% even at 4x after 7y.
-
-        Fault-free saving minus the year-7 overhead (both fractions of
-        baseline power ~ fractions of ARCC power to first order).
-        """
-        return self.power_overhead[multiplier][-1]
-
 
 def _overhead_series(
     histories: Sequence[Sequence[FaultEvent]],

@@ -246,14 +246,6 @@ class MeasuredFractionSweep(TraceRatios):
 
     fractions: Tuple[float, ...]
 
-    def headroom_vs_worst_case(self, fraction: float) -> float:
-        """How far the measured average power sits under ``1 + f``."""
-        from repro.perf.simulator import worst_case_power_ratio
-
-        return worst_case_power_ratio(fraction) - self.average_power_ratio(
-            fraction
-        )
-
     def to_table(self) -> str:
         """Render the measured curve next to the worst case."""
         from repro.perf.simulator import (

@@ -21,7 +21,6 @@ from typing import Sequence
 from repro.config import MemoryConfig
 from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import FaultType
-from repro.util.units import HOURS_PER_YEAR
 
 
 @dataclass(frozen=True)
@@ -43,11 +42,6 @@ class FaultEvent:
     bank: int = 0
     row: int = 0
     column: int = 0
-
-    @property
-    def time_years(self) -> float:
-        """Arrival time in years."""
-        return self.time_hours / HOURS_PER_YEAR
 
 
 def _fraction_after_events(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from typing import Iterator, Tuple
 
 from repro.util.fields import check_range
 
@@ -75,16 +74,6 @@ class FaultRates:
             FaultType.DEVICE: self.device,
             FaultType.LANE: self.lane,
         }[fault_type]
-
-    def items(self) -> Iterator[Tuple["FaultType", float]]:
-        """(fault_type, FIT) pairs for every type."""
-        for fault_type in FaultType:
-            yield fault_type, self.fit_of(fault_type)
-
-    @property
-    def total_fit(self) -> float:
-        """Sum of all per-device FIT rates."""
-        return sum(fit for _, fit in self.items())
 
 
 #: Sridharan-Liberty SC'12 DDR2 per-device rates (approximate transcription).

@@ -31,9 +31,8 @@ measured points):
   compared against a relaxed LOT-ECC baseline replayed in the same
   mode, so ``power = ratio - 1`` and ``perf = 1 - ratio`` price the
   real traffic instead of scaling ARCC's excess by the closed-form
-  factor ``F = 2 (2r + 2w) / (r + 2w)`` (retained as
-  :func:`_lotecc_factor`, the documented approximation this mode
-  replaces). Weights stay clamped to the Figure 7.6 worst case
+  factor ``F = 2 (2r + 2w) / (r + 2w)``, the approximation this mode
+  replaced. Weights stay clamped to the Figure 7.6 worst case
   ``(F_wc - 1) f`` / ``(1 - 1/F_wc) f`` per class, with
   :data:`~repro.core.lotecc_arcc.WORST_CASE_UPGRADE_FACTOR` the
   all-reads ceiling.
@@ -164,32 +163,6 @@ class MeasuredOverheadProfile:
 
 def _clamp(value: float, upper: float) -> float:
     return min(max(value, 0.0), upper)
-
-
-def _lotecc_factor(write_fraction: float) -> float:
-    """Closed-form LOT-ECC upgrade factor for one read/write split.
-
-    ``2 * (2r + 2w) / (r + 2w)``: devices double, and the operation
-    count moves from ``r + 2w`` (nine-device LOT-ECC: extra write per
-    write) to ``2r + 2w`` (18-device: extra read per read as well).
-    All-reads recovers the worst case 4x of Figure 7.6; all-writes
-    bottoms out at 2x (both modes already pay the checksum write).
-
-    Retained as the documented approximation the direct checksum-replay
-    measurement (``SweepPoint.lotecc_checksum``) replaced — the profile
-    pipeline no longer scales by it, but it remains the analytic
-    reference the replay mode is sanity-checked against.
-
-    Examples
-    --------
-    >>> _lotecc_factor(0.0)     # all reads: the Figure 7.6 worst case
-    4.0
-    >>> _lotecc_factor(1.0)     # all writes
-    2.0
-    """
-    r = 1.0 - write_fraction
-    w = write_fraction
-    return 2.0 * (2.0 * r + 2.0 * w) / (r + 2.0 * w)
 
 
 def _class_samples(

@@ -570,13 +570,6 @@ class PolicyComparisonReport:
             seen[row.slice_name] = row.channels
         return sum(seen.values())
 
-    def slice_report(self, policy: str, slice_name: str) -> PolicySliceReport:
-        """Look up one (policy, slice) cell."""
-        for row in self.slices:
-            if row.policy == policy and row.slice_name == slice_name:
-                return row
-        raise KeyError(f"no report for ({policy!r}, {slice_name!r})")
-
     def fleet_summary(self, policy: str) -> PolicyFleetSummary:
         """Look up one policy's fleet roll-up."""
         for row in self.fleet:

@@ -326,7 +326,12 @@ class StudyPoint:
         if self.instructions_per_core is not None:
             parts.append(f"instr={self.instructions_per_core}")
         if self.rate_multiplier is not None:
-            parts.append(f"rate={self.rate_multiplier:g}")
+            # ``:g`` keeps six significant digits; a rate it would round
+            # is spelled in full so that distinct points never share an id.
+            rate = f"{self.rate_multiplier:g}"
+            if float(rate) != self.rate_multiplier:
+                rate = repr(self.rate_multiplier)
+            parts.append(f"rate={rate}")
         return "/".join(parts)
 
     def axes(self) -> Dict[str, Any]:
@@ -501,13 +506,6 @@ class StudyResult:
     unique_jobs: int = 0
     executed_jobs: Optional[int] = None
     cached_jobs: Optional[int] = None
-
-    def point_result(self, point_id: str) -> StudyPointResult:
-        """Look up one grid point's result by its manifest key."""
-        for result in self.points:
-            if result.point.point_id == point_id:
-                return result
-        raise KeyError(f"no study point {point_id!r}")
 
     def to_table(self) -> str:
         """Render the campaign summary (one row per grid point)."""

@@ -15,7 +15,6 @@ from repro.fuzz.campaign import (
     run_campaign,
 )
 from repro.fuzz.oracles import (
-    ORACLE_KEYS,
     ORACLE_PAIRS,
     OraclePair,
     execute_case,
@@ -33,7 +32,6 @@ from repro.fuzz.shrink import (
 __all__ = [
     "CampaignReport",
     "CaseResult",
-    "ORACLE_KEYS",
     "ORACLE_PAIRS",
     "OraclePair",
     "SHRINK_PASS_BUDGET",

@@ -53,11 +53,6 @@ from repro.fuzz import sampler
 from repro.util.rng import make_rng
 from repro.util.suggest import unknown_key_message
 
-#: Fields a per-fault weight table may carry (FaultType member names,
-#: lower-case — the JSON spelling of a case's ``per_fault`` keys).
-_FAULT_NAMES = tuple(ft.name.lower() for ft in FaultType)
-
-
 def organization_config(ref: Any):
     """Resolve a case's organization: built-in name or custom table."""
     if isinstance(ref, str):
@@ -599,10 +594,6 @@ ORACLE_PAIRS: Dict[str, OraclePair] = {
         ),
     )
 }
-
-#: Registry keys in round-robin order (the ``--oracles`` vocabulary).
-ORACLE_KEYS: Tuple[str, ...] = tuple(ORACLE_PAIRS)
-
 
 def resolve_oracles(
     keys: Optional[Sequence[str]] = None,

@@ -1,12 +1,11 @@
 """Galois-field arithmetic for symbol-based linear block codes.
 
-Chipkill codecs operate over GF(2^b) where ``b`` is the device I/O width
-(8 for the x8 ARCC devices, 4 for the x4 baseline devices). ``GF256`` is
-the workhorse; ``GF16`` supports the alternative upgraded-line design of
-Section 4.1 that halves the symbol size.
+Chipkill codecs operate over GF(2^b). ``GF256`` is the field of every
+codec here; the halved-symbol design of Section 4.1 interleaves nibbles
+over it (:mod:`repro.ecc.interleave`).
 """
 
-from repro.gf.field import GF, GF16, GF256
+from repro.gf.field import GF, GF256
 from repro.gf.polynomial import Polynomial
 
-__all__ = ["GF", "GF16", "GF256", "Polynomial"]
+__all__ = ["GF", "GF256", "Polynomial"]

@@ -41,13 +41,6 @@ class Polynomial:
         return cls(field, [1])
 
     @classmethod
-    def monomial(cls, field: GF, degree: int, coeff: int = 1) -> "Polynomial":
-        """``coeff * x^degree``."""
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        return cls(field, [0] * degree + [coeff])
-
-    @classmethod
     def from_roots(cls, field: GF, roots: Sequence[int]) -> "Polynomial":
         """Product of ``(x - r)`` over the given roots."""
         poly = cls.one(field)

@@ -40,7 +40,13 @@ def due_rate_sccdcd(
     """DUE rate (per channel-hour) of single-correct codes (SCCDCD,
     nine-device LOT-ECC): second overlapping fault during the repair
     exposure of the first. ``tables``: the caller's
-    :data:`~repro.reliability.analytical.PairTableMemo`, if any."""
+    :data:`~repro.reliability.analytical.PairTableMemo`, if any.
+
+    It is also SCCDCD+ARCC's DUE rate (Section 6.1): ARCC always
+    guarantees correction of one bad symbol per codeword, relaxed and
+    upgraded modes alike, so a DUE still takes a second overlapping
+    fault within the first's repair exposure: the same race, the same
+    rate."""
     return pair_race_rate(params, repair_hours / 2.0, tables)
 
 
@@ -63,21 +69,6 @@ def due_reduction_factor(
     if sparing == 0.0:
         raise ValueError("sparing DUE rate is zero; check the rates")
     return due_rate_sccdcd(params, repair_hours, tables) / sparing
-
-
-def due_rate_arcc(
-    params: ReliabilityParams,
-    repair_hours: float = DEFAULT_REPAIR_HOURS,
-) -> float:
-    """DUE rate of SCCDCD+ARCC — equal to plain SCCDCD's (Section 6.1).
-
-    ARCC always guarantees correction of one bad symbol per codeword
-    (relaxed and upgraded modes alike), so a DUE still takes a second
-    overlapping fault within the first's repair exposure: the same race,
-    the same rate. The function exists so the equality is an explicit,
-    tested claim rather than an omission.
-    """
-    return due_rate_sccdcd(params, repair_hours)
 
 
 def due_rate_secded(params: ReliabilityParams) -> float:

@@ -1,14 +1,6 @@
-"""Bit- and symbol-level helpers for the ECC data path.
-
-The chipkill codecs operate on *symbols* (groups of bits, one symbol per
-DRAM device per beat). These helpers convert between byte strings, symbol
-lists and raw integers so the codecs can stay agnostic of the storage
-representation.
-"""
+"""Bit-level helpers: popcount, parity, power-of-two checks."""
 
 from __future__ import annotations
-
-from typing import List, Sequence
 
 
 def bit_count(value: int) -> int:
@@ -26,79 +18,3 @@ def parity(value: int) -> int:
 def is_power_of_two(value: int) -> bool:
     """Whether ``value`` is a positive power of two."""
     return value > 0 and value & (value - 1) == 0
-
-
-def extract_bits(value: int, lo: int, width: int) -> int:
-    """Return ``width`` bits of ``value`` starting at bit ``lo`` (LSB=0)."""
-    if lo < 0 or width < 0:
-        raise ValueError("bit positions must be non-negative")
-    return (value >> lo) & ((1 << width) - 1)
-
-
-def insert_bits(value: int, lo: int, width: int, field: int) -> int:
-    """Return ``value`` with ``width`` bits at ``lo`` replaced by ``field``."""
-    if field >> width:
-        raise ValueError(f"field {field:#x} does not fit in {width} bits")
-    mask = ((1 << width) - 1) << lo
-    return (value & ~mask) | (field << lo)
-
-
-def bytes_to_symbols(data: bytes, symbol_bits: int) -> List[int]:
-    """Split ``data`` into symbols of ``symbol_bits`` bits each, MSB-first.
-
-    The total number of bits must divide evenly into symbols. 8-bit symbols
-    (the common chipkill case for x8 devices) take a fast path.
-    """
-    if symbol_bits <= 0:
-        raise ValueError("symbol_bits must be positive")
-    if symbol_bits == 8:
-        return list(data)
-    total_bits = len(data) * 8
-    if total_bits % symbol_bits:
-        raise ValueError(
-            f"{len(data)} bytes do not divide into {symbol_bits}-bit symbols"
-        )
-    value = int.from_bytes(data, "big")
-    count = total_bits // symbol_bits
-    mask = (1 << symbol_bits) - 1
-    return [
-        (value >> (symbol_bits * (count - 1 - i))) & mask for i in range(count)
-    ]
-
-
-def symbols_to_bytes(symbols: Sequence[int], symbol_bits: int) -> bytes:
-    """Inverse of :func:`bytes_to_symbols` (MSB-first packing)."""
-    if symbol_bits <= 0:
-        raise ValueError("symbol_bits must be positive")
-    if symbol_bits == 8:
-        return bytes(symbols)
-    total_bits = len(symbols) * symbol_bits
-    if total_bits % 8:
-        raise ValueError(
-            f"{len(symbols)} {symbol_bits}-bit symbols do not pack into bytes"
-        )
-    value = 0
-    mask = (1 << symbol_bits) - 1
-    for symbol in symbols:
-        if symbol & ~mask:
-            raise ValueError(f"symbol {symbol:#x} exceeds {symbol_bits} bits")
-        value = (value << symbol_bits) | symbol
-    return value.to_bytes(total_bits // 8, "big")
-
-
-def interleave(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Interleave two equal-length sequences element-by-element (a0,b0,a1,b1...)."""
-    if len(a) != len(b):
-        raise ValueError("sequences must have equal length")
-    out: List[int] = []
-    for x, y in zip(a, b):
-        out.append(x)
-        out.append(y)
-    return out
-
-
-def deinterleave(seq: Sequence[int]) -> tuple:
-    """Inverse of :func:`interleave`: split even/odd positions."""
-    if len(seq) % 2:
-        raise ValueError("sequence length must be even")
-    return list(seq[0::2]), list(seq[1::2])

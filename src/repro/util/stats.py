@@ -3,35 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean; raises on non-positive inputs."""
-    values = list(values)
-    if not values:
-        raise ValueError("geometric_mean of empty sequence")
-    log_sum = 0.0
-    for v in values:
-        if v <= 0:
-            raise ValueError("geometric_mean requires positive values")
-        log_sum += math.log(v)
-    return math.exp(log_sum / len(values))
-
-
-def harmonic_mean(values: Iterable[float]) -> float:
-    """Harmonic mean; raises on non-positive inputs."""
-    values = list(values)
-    if not values:
-        raise ValueError("harmonic_mean of empty sequence")
-    inv_sum = 0.0
-    for v in values:
-        if v <= 0:
-            raise ValueError("harmonic_mean requires positive values")
-        inv_sum += 1.0 / v
-    return len(values) / inv_sum
 
 
 def confidence_interval(
@@ -100,55 +74,3 @@ def binomial_confidence_interval(
     # An indicator's square is itself, so the implied moments are
     # (trials, successes, successes).
     return confidence_interval_from_moments(trials, successes, successes, z)
-
-
-class OnlineStats:
-    """Welford online mean/variance accumulator.
-
-    Used by long Monte-Carlo loops (10 000 channels x 7 years) where storing
-    every sample would be wasteful.
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float) -> None:
-        """Accumulate one sample."""
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-
-    @property
-    def mean(self) -> float:
-        """Sample mean (0.0 if empty)."""
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0.0 with fewer than two samples)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stddev(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "OnlineStats") -> None:
-        """Merge another accumulator into this one (parallel reduction)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean += delta * other.count / total
-        self.count = total

@@ -1,8 +1,8 @@
 """Unit constants used throughout the simulator.
 
 Fault rates in the DRAM reliability literature are quoted in FIT
-(failures in time): expected failures per 10^9 device-hours. Conversions
-here keep the experiment code free of magic numbers.
+(failures in time): expected failures per 10^9 device-hours. The
+conversion factors here keep the experiment code free of magic numbers.
 """
 
 KB = 1024
@@ -10,21 +10,7 @@ MB = 1024 * KB
 GB = 1024 * MB
 
 SECONDS_PER_HOUR = 3600
-HOURS_PER_DAY = 24
 HOURS_PER_YEAR = 8760  # 365 days; field studies use the same convention.
 
 #: Multiply a FIT rate by this to get a per-device-hour arrival rate.
 FIT_TO_PER_HOUR = 1e-9
-
-#: Multiply a FIT rate by this to get a per-device-year arrival rate.
-FIT_TO_PER_YEAR = FIT_TO_PER_HOUR * HOURS_PER_YEAR
-
-
-def fit_to_rate_per_hour(fit: float) -> float:
-    """Convert a FIT rate (failures / 10^9 device-hours) to failures/hour."""
-    return fit * FIT_TO_PER_HOUR
-
-
-def years_to_hours(years: float) -> float:
-    """Convert years of operation to hours."""
-    return years * HOURS_PER_YEAR

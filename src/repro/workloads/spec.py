@@ -112,15 +112,6 @@ class WorkloadMix:
         """The four benchmark profiles of this mix."""
         return [BENCHMARKS[b] for b in self.benchmark_names]
 
-    @property
-    def average_spatial_locality(self) -> float:
-        """Mean spatial locality, weighted by memory intensity."""
-        weights = [p.llc_mpki for p in self.profiles]
-        total = sum(weights)
-        return sum(
-            p.spatial_locality * w for p, w in zip(self.profiles, weights)
-        ) / total
-
 
 def _mix(name: str, *benchmarks: str) -> WorkloadMix:
     missing = [b for b in benchmarks if b not in BENCHMARKS]

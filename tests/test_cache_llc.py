@@ -3,12 +3,7 @@
 import pytest
 
 from repro.cache.llc import LastLevelCache
-from repro.cache.replacement import (
-    LruPolicy,
-    NaivePairedLru,
-    PairedLruPolicy,
-)
-from repro.cache.sectored import SectoredCache
+from repro.cache.replacement import NaivePairedLru, PairedLruPolicy
 
 
 @pytest.fixture
@@ -147,12 +142,6 @@ class TestPairedRecencyPolicy:
         # ...and the paired eviction ripped out the hot sibling too:
         assert not llc.contains(1)
 
-    def test_plain_lru_policy_exists(self):
-        llc = LastLevelCache(sets=2, ways=1, policy=LruPolicy())
-        llc.access(0, False)
-        llc.access(2, False)
-        assert not llc.contains(0)
-
 
 class TestFlush:
     def test_flush_writes_dirty_lines(self, llc):
@@ -169,41 +158,3 @@ class TestFlush:
         paired = [wb for wb in writebacks if wb.upgraded]
         assert len(paired) == 1
 
-
-class TestSectoredCache:
-    def test_miss_then_hit(self):
-        cache = SectoredCache(sets=4, ways=2)
-        assert not cache.access(10, False).hit
-        assert cache.access(10, False).hit
-
-    def test_upgraded_fill_validates_both_halves(self):
-        cache = SectoredCache(sets=4, ways=2)
-        outcome = cache.access(10, False, upgraded=True)
-        assert set(outcome.fills) == {10, 11}
-        assert cache.contains(11)
-
-    def test_half_capacity_under_low_locality(self):
-        """The paper's objection to sectored caches: random single lines
-        waste half of every sector."""
-        cache = SectoredCache(sets=16, ways=2)
-        # 32 sectors of capacity; fill with strided (non-sibling) lines.
-        for i in range(64):
-            cache.access(i * 2, False)
-        # Each resident sector holds only one valid 64B line.
-        assert cache.resident_lines <= 32
-
-    def test_dirty_sector_evicts_with_writeback(self):
-        cache = SectoredCache(sets=1, ways=1)
-        cache.access(0, is_write=True)
-        outcome = cache.access(100, False)
-        assert any(wb.line_address == 0 for wb in outcome.writebacks)
-
-    def test_upgraded_dirty_sector_paired_writeback(self):
-        cache = SectoredCache(sets=1, ways=1)
-        cache.access(0, is_write=True, upgraded=True)
-        outcome = cache.access(100, False)
-        assert any(wb.upgraded for wb in outcome.writebacks)
-
-    def test_invalid_geometry(self):
-        with pytest.raises(ValueError):
-            SectoredCache(sets=0, ways=1)

@@ -115,9 +115,6 @@ class TestGeometries:
         for g in (RELAXED_GEOMETRY, UPGRADED_GEOMETRY, DOUBLE_UPGRADED_GEOMETRY):
             assert g.storage_overhead == pytest.approx(0.125)
 
-    def test_data_bytes(self):
-        assert RELAXED_GEOMETRY.data_bytes == 16
-
 
 class TestScrubAndSim:
     def test_scrub_defaults(self):

@@ -98,6 +98,23 @@ class TestArccLotEcc:
         assert upgraded_cost == 36
         assert upgraded_cost / relaxed_cost == WORST_CASE_UPGRADE_FACTOR
 
+    def test_two_faulty_devices_in_relaxed_page_is_due(self):
+        memory, _ = self._with_data(pages=1)
+        memory.inject_device_fault(page=0, device=1)
+        memory.inject_device_fault(page=0, device=5)
+        got, result = memory.read_line(0)
+        assert result.status == DecodeStatus.DETECTED_UE
+        assert got == bytes(64)
+        assert memory.stats.due == 1
+
+    def test_reinjecting_a_device_keeps_it_faulty(self):
+        memory, payloads = self._with_data(pages=1)
+        memory.inject_device_fault(page=0, device=4)
+        memory.inject_device_fault(page=0, device=4)
+        got, result = memory.read_line(0)
+        assert result.status == DecodeStatus.CORRECTED
+        assert got == payloads[0]
+
     def test_out_of_range_rejected(self):
         memory = ArccLotEcc(pages=1)
         with pytest.raises(ValueError):
@@ -257,6 +274,56 @@ class TestArccVecc:
         result = codec.correct_line(bad, corr)
         assert result.status == DecodeStatus.CORRECTED
         assert result.data == bytes(range(64))
+
+    def test_two_faulty_devices_in_relaxed_page_is_due(self):
+        memory, _ = self._with_data(pages=1)
+        memory.inject_device_fault(page=0, device=1)
+        memory.inject_device_fault(page=0, device=5)
+        _, result = memory.read_line(0)
+        assert result.status == DecodeStatus.DETECTED_UE
+        assert memory.stats.due == 1
+
+    def test_unwritten_line_reads_zero(self):
+        memory = ArccVecc(pages=1)
+        got, result = memory.read_line(63)
+        assert got == bytes(64)
+        assert result.status == DecodeStatus.NO_ERROR
+
+    def test_write_after_upgrade_uses_full_vecc(self):
+        memory, _ = self._with_data(pages=1)
+        memory.inject_device_fault(page=0, device=1)
+        memory.scrub()
+        data = random_line(99)
+        memory.write_line(1, data)
+        rank_words, corrections = memory._store[1]
+        assert len(rank_words[0]) == 18 and len(corrections[0]) == 2
+        # The device stays faulty, so the fresh write is corrupted too.
+        got, result = memory.read_line(1)
+        assert got == data and result.status == DecodeStatus.CORRECTED
+        assert set(result.error_positions) == {1}
+
+    def test_upgraded_fault_takes_slow_path(self):
+        memory, payloads = self._with_data(pages=1)
+        memory.inject_device_fault(page=0, device=1)
+        memory.scrub()
+        memory.inject_device_fault(page=0, device=6)
+        slow = memory.stats.slow_path_reads
+        got, result = memory.read_line(0)
+        assert result.status == DecodeStatus.CORRECTED
+        assert got == payloads[0]
+        assert memory.stats.slow_path_reads == slow + 1
+
+    def test_scrub_idempotent(self):
+        memory, _ = self._with_data()
+        memory.inject_device_fault(page=3, device=2)
+        assert memory.scrub() == [3]
+        assert memory.scrub() == []
+
+    def test_relaxed_codec_takes_64b_lines(self):
+        from repro.ecc.base import CodecError
+
+        with pytest.raises(CodecError):
+            _RelaxedVecc9().encode_line(bytes(63))
 
     def test_page_mode_bounds(self):
         memory = ArccVecc(pages=2)

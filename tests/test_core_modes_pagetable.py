@@ -46,29 +46,14 @@ class TestProtectionModes:
         }
         assert overheads == {0.125}
 
-    def test_detection_guarantee_grows(self):
-        assert (
-            ProtectionMode.RELAXED.guaranteed_detection
-            < ProtectionMode.UPGRADED.guaranteed_detection
-            < ProtectionMode.DOUBLE_UPGRADED.guaranteed_detection
-        )
-
 
 class TestPageTable:
     def test_boot_default_upgraded(self):
         pt = PageTable(8)
         assert pt.mode_of(0) == ProtectionMode.UPGRADED
 
-    def test_relax_all(self):
-        pt = PageTable(8)
-        pt.relax_all()
-        assert all(
-            pt.mode_of(p) == ProtectionMode.RELAXED for p in range(8)
-        )
-
     def test_upgrade_one_page(self):
-        pt = PageTable(8)
-        pt.relax_all()
+        pt = PageTable(8, initial_mode=ProtectionMode.RELAXED)
         new_mode = pt.upgrade(3)
         assert new_mode == ProtectionMode.UPGRADED
         assert pt.mode_of(3) == ProtectionMode.UPGRADED
@@ -76,30 +61,26 @@ class TestPageTable:
         assert pt.upgrade_events == 1
 
     def test_fraction_upgraded(self):
-        pt = PageTable(10)
-        pt.relax_all()
+        pt = PageTable(10, initial_mode=ProtectionMode.RELAXED)
         assert pt.fraction_upgraded() == 0.0
         pt.upgrade(0)
         pt.upgrade(1)
         assert pt.fraction_upgraded() == pytest.approx(0.2)
 
     def test_pages_in_mode(self):
-        pt = PageTable(10)
-        pt.relax_all()
+        pt = PageTable(10, initial_mode=ProtectionMode.RELAXED)
         pt.upgrade(5)
         assert pt.pages_in_mode(ProtectionMode.RELAXED) == 9
         assert pt.pages_in_mode(ProtectionMode.UPGRADED) == 1
         assert pt.pages_in_mode(ProtectionMode.DOUBLE_UPGRADED) == 0
 
     def test_double_upgrade_path(self):
-        pt = PageTable(4)
-        pt.relax_all()
+        pt = PageTable(4, initial_mode=ProtectionMode.RELAXED)
         pt.upgrade(0)
         assert pt.upgrade(0) == ProtectionMode.DOUBLE_UPGRADED
 
     def test_set_same_mode_no_event(self):
-        pt = PageTable(4)
-        pt.relax_all()
+        pt = PageTable(4, initial_mode=ProtectionMode.RELAXED)
         pt.set_mode(0, ProtectionMode.RELAXED)
         assert pt.upgrade_events == 0 and pt.relax_events == 0
 
@@ -114,13 +95,6 @@ class TestPageTable:
         with pytest.raises(ValueError):
             PageTable(0)
 
-    def test_non_default_pages_iteration(self):
-        pt = PageTable(8)
-        pt.relax_all()
-        pt.upgrade(6)
-        pt.upgrade(2)
-        assert [p for p, _ in pt.non_default_pages()] == [2, 6]
-
 
 class TestTlb:
     def test_miss_then_hit(self):
@@ -131,8 +105,7 @@ class TestTlb:
         assert tlb.stats.misses == 1 and tlb.stats.hits == 1
 
     def test_mode_cached(self):
-        pt = PageTable(8)
-        pt.relax_all()
+        pt = PageTable(8, initial_mode=ProtectionMode.RELAXED)
         tlb = Tlb(pt, entries=4)
         assert tlb.lookup(0) == ProtectionMode.RELAXED
         # Mode changes behind the TLB's back are invisible until

@@ -80,6 +80,19 @@ class TestStorage:
         with pytest.raises(ValueError):
             storage.write_codewords(7, ProtectionMode.UPGRADED, cws)
 
+    def test_wrong_codeword_length_rejected(self, storage):
+        cws = encode(ProtectionMode.RELAXED, bytes(64))
+        with pytest.raises(ValueError):
+            storage.write_codewords(
+                0, ProtectionMode.RELAXED, [cw[:-1] for cw in cws]
+            )
+
+    def test_misaligned_read_rejected(self, storage):
+        with pytest.raises(ValueError):
+            storage.read_codewords(5, ProtectionMode.UPGRADED)
+        with pytest.raises(ValueError):
+            storage.read_codewords(6, ProtectionMode.DOUBLE_UPGRADED)
+
     def test_out_of_range_line(self, storage):
         with pytest.raises(ValueError):
             storage.check_line(storage.total_lines)
@@ -107,9 +120,6 @@ class TestStorage:
         storage.read_codewords(0, ProtectionMode.RELAXED)
         assert storage.device_reads - before == 4 * 18
 
-    def test_no_faults_initially(self, storage):
-        assert not storage.any_faults
-
 
 class TestScrubber:
     def _setup(self, pages=2):
@@ -122,6 +132,11 @@ class TestScrubber:
                 line, ProtectionMode.RELAXED, codec.encode_line(bytes(64))
             )
         return storage, pt, Scrubber(storage, pt)
+
+    def test_batch_must_hold_a_line(self):
+        storage, pt, _ = self._setup()
+        with pytest.raises(ValueError):
+            Scrubber(storage, pt, batch_lines=0)
 
     def test_clean_memory_clean_report(self):
         _, _, scrubber = self._setup()

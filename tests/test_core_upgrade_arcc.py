@@ -80,6 +80,25 @@ class TestUpgradeEngine:
         assert report.old_mode == report.new_mode
         assert report.lines_rewritten == 0
 
+    def test_set_same_mode_is_noop(self):
+        storage, pt, engine, payloads = self._setup()
+        writes = storage.device_writes
+        report = engine.set_page_mode(0, ProtectionMode.RELAXED)
+        assert report.old_mode == report.new_mode == ProtectionMode.RELAXED
+        assert report.lines_rewritten == 0
+        assert storage.device_writes == writes
+
+    def test_set_page_mode_jumps_two_levels(self):
+        storage, pt, engine, payloads = self._setup()
+        report = engine.set_page_mode(1, ProtectionMode.DOUBLE_UPGRADED)
+        assert report.new_mode == ProtectionMode.DOUBLE_UPGRADED
+        assert pt.mode_of(1) == ProtectionMode.DOUBLE_UPGRADED
+        codec = codec_for_mode(ProtectionMode.DOUBLE_UPGRADED)
+        result = codec.decode_line(
+            storage.read_codewords(64, ProtectionMode.DOUBLE_UPGRADED)
+        )
+        assert result.data == b"".join(payloads[i] for i in range(64, 68))
+
     def test_relax_roundtrip(self):
         storage, pt, engine, payloads = self._setup()
         engine.upgrade_page(1)

@@ -104,11 +104,6 @@ class TestPages:
         assert mapping.page_of(63) == 0
         assert mapping.page_of(64) == 1
 
-    def test_lines_of_page(self, mapping):
-        lines = list(mapping.lines_of_page(2))
-        assert len(lines) == 64
-        assert lines[0] == 128 and lines[-1] == 191
-
     def test_baseline_mapping_works_too(self):
         mapping = AddressMapping(BASELINE_MEMORY_CONFIG)
         d = mapping.decode(12345)

@@ -115,13 +115,6 @@ class TestFaultOverlays:
         device.inject_bit_fault(0, 0, 0, bit=7, stuck_to=1)
         assert device.read(0, 0, 0) == 0x81
 
-    def test_clear_faults(self, device):
-        device.write(0, 0, 0, 0x42)
-        device.inject_device_fault(stuck_value=0)
-        device.clear_faults()
-        assert not device.is_faulty
-        assert device.read(0, 0, 0) == 0x42
-
     def test_stuck_at_idempotent(self, device):
         """Reading twice returns the same corrupted value (persistence)."""
         device.write(0, 0, 0, 0x42)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ecc.base import CodecError, DecodeStatus
+from repro.ecc.base import CodecError, DecodeResult, DecodeStatus
 from repro.ecc.chipkill import (
     ChipkillCodec,
     make_double_upgraded_codec,
@@ -91,17 +91,62 @@ class TestRoundtrip:
         with pytest.raises(CodecError):
             codec.decode_line(cws[:-1])
 
-    def test_device_view_roundtrip(self, codec_and_size):
-        codec, size = codec_and_size
-        cws = codec.encode_line(random_line(size, seed=12))
-        view = codec.device_view(cws)
-        assert len(view) == codec.devices
-        assert codec.from_device_view(view) == cws
 
-    def test_from_device_view_wrong_shape(self, codec_and_size):
-        codec, _ = codec_and_size
-        with pytest.raises(CodecError):
-            codec.from_device_view([[0]])
+class TestLineResult:
+    """A line's result merges its codewords' results (``DecodeResult.merge``)."""
+
+    @staticmethod
+    def _result(status, data):
+        usable = status != DecodeStatus.DETECTED_UE
+        return DecodeResult(status=status, data=data if usable else None)
+
+    @pytest.mark.parametrize(
+        "a, b, worst",
+        [
+            ("NO_ERROR", "CORRECTED", "CORRECTED"),
+            ("CORRECTED", "MISCORRECTED", "MISCORRECTED"),
+            ("MISCORRECTED", "DETECTED_UE", "DETECTED_UE"),
+            ("DETECTED_UE", "NO_ERROR", "DETECTED_UE"),
+        ],
+    )
+    def test_worst_status_wins(self, a, b, worst):
+        left = self._result(DecodeStatus[a], b"x")
+        right = self._result(DecodeStatus[b], b"y")
+        merged = left.merge(right)
+        assert merged.status == DecodeStatus[worst]
+        assert (merged.data is None) == (worst == "DETECTED_UE")
+        assert right.merge(left).status == DecodeStatus[worst]
+
+    def test_usable_parts_concatenate(self):
+        merged = DecodeResult(
+            status=DecodeStatus.CORRECTED, data=b"ab", error_positions=(3,),
+            corrected_symbols=1, detail="first",
+        ).merge(DecodeResult(
+            status=DecodeStatus.NO_ERROR, data=b"cd", detail="",
+        ))
+        assert merged.data == b"abcd"
+        assert merged.error_positions == (3,)
+        assert merged.corrected_symbols == 1
+        assert merged.detail == "first"
+
+    def test_usable_part_without_data_gives_no_data(self):
+        merged = DecodeResult(status=DecodeStatus.NO_ERROR, data=b"ab").merge(
+            DecodeResult(status=DecodeStatus.NO_ERROR, data=None)
+        )
+        assert merged.status == DecodeStatus.NO_ERROR
+        assert merged.data is None
+
+    def test_line_counts_every_codeword_correction(self, codec_and_size):
+        codec, size = codec_and_size
+        data = random_line(size, seed=21)
+        bad = codec.corrupt_device(
+            codec.encode_line(data), device=2, pattern=0x41
+        )
+        result = codec.decode_line(bad)
+        assert result.status == DecodeStatus.CORRECTED
+        assert result.data == data
+        assert result.corrected_symbols == codec.codewords_per_line
+        assert result.error_positions == (2,) * codec.codewords_per_line
 
 
 class TestChipkillGuarantee:

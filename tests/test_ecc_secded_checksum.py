@@ -85,6 +85,19 @@ class TestOnesComplement:
         with pytest.raises(CodecError):
             ones_complement_sum([0x100], width=8)
 
+    @pytest.mark.parametrize("width", [0, -8])
+    def test_width_must_be_positive(self, width):
+        with pytest.raises(CodecError):
+            ones_complement_sum([1], width=width)
+
+    @given(st.lists(st.integers(0, 0xFF), max_size=32), st.randoms())
+    def test_sum_ignores_word_order(self, words, rng):
+        """End-around carry makes the sum commutative, so a checksum
+        cannot see two words trade places (the aliasing above)."""
+        shuffled = list(words)
+        rng.shuffle(shuffled)
+        assert ones_complement_sum(shuffled) == ones_complement_sum(words)
+
     def test_checksum_verify_roundtrip(self):
         data = bytes(range(16))
         checksum = ones_complement_checksum(data)

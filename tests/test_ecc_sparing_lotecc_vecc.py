@@ -1,5 +1,6 @@
 """Tests for double chip sparing, LOT-ECC and VECC codecs."""
 
+import copy
 import random
 
 import pytest
@@ -92,6 +93,21 @@ class TestDoubleChipSparing:
         with pytest.raises(CodecError):
             sp.decode_line([[0] * 36])
 
+    def test_wrong_symbol_count_rejected(self):
+        sp = DoubleChipSparing()
+        cws = sp.encode_line(random_line(seed=16))
+        with pytest.raises(CodecError):
+            sp.decode_line([cw[:-1] for cw in cws])
+
+    def test_wrong_line_size_rejected(self):
+        with pytest.raises(CodecError):
+            DoubleChipSparing().encode_line(bytes(63))
+
+    def test_line_must_stripe_evenly(self):
+        # 60B = 480 bits does not fill whole 32-device x 8-bit codewords.
+        with pytest.raises(CodecError):
+            DoubleChipSparing(line_bytes=60)
+
 
 class TestLotEcc9:
     def test_geometry(self):
@@ -117,7 +133,7 @@ class TestLotEcc9:
         data = random_line(seed=7)
         line = codec.encode_line(data)
         for device in range(8):
-            bad = line.copy()
+            bad = copy.deepcopy(line)
             bad.segments[device] = bytes(
                 b ^ 0x0F for b in bad.segments[device]
             )
@@ -128,7 +144,7 @@ class TestLotEcc9:
 
     def test_double_device_detected(self):
         codec = LotEcc9()
-        bad = codec.encode_line(random_line(seed=8)).copy()
+        bad = copy.deepcopy(codec.encode_line(random_line(seed=8)))
         for device in (1, 6):
             bad.segments[device] = bytes(
                 b ^ 0xFF for b in bad.segments[device]
@@ -142,11 +158,30 @@ class TestLotEcc9:
         codec = LotEcc9()
         data = b"\x01\x02" + bytes(62)
         line = codec.encode_line(data)
-        bad = line.copy()
+        bad = copy.deepcopy(line)
         bad.segments[0] = b"\x02\x01" + bad.segments[0][2:]
         result = codec.decode_line(bad)
         assert result.status == DecodeStatus.NO_ERROR  # silent!
         assert result.data != data  # ...and wrong: an SDC
+
+    def test_damaged_parity_detected_not_miscorrected(self):
+        """One bad segment plus a bad tier-2 parity: reconstruction
+        yields a segment that fails its own checksum, so the line is a
+        DUE rather than a silent rebuild from corrupt parity."""
+        codec = LotEcc9()
+        bad = copy.deepcopy(codec.encode_line(random_line(seed=17)))
+        bad.segments[2] = bytes(b ^ 0x0F for b in bad.segments[2])
+        bad.parity = bytes(b ^ 0x01 for b in bad.parity)
+        result = codec.decode_line(bad)
+        assert result.status == DecodeStatus.DETECTED_UE
+        assert result.data is None
+
+    def test_line_must_slice_evenly(self):
+        class OddLine(LotEcc9):
+            line_bytes = 65
+
+        with pytest.raises(CodecError):
+            OddLine()
 
 
 class TestLotEcc18:
@@ -160,7 +195,7 @@ class TestLotEcc18:
         data = random_line(seed=9)
         line = codec.encode_line(data)
         assert codec.decode_line(line).data == data
-        bad = line.copy()
+        bad = copy.deepcopy(line)
         bad.segments[3] = bytes(b ^ 0xA0 for b in bad.segments[3])
         result = codec.decode_line(bad)
         assert result.status == DecodeStatus.CORRECTED
@@ -170,16 +205,24 @@ class TestLotEcc18:
         codec = LotEcc18()
         data = random_line(seed=10)
         line = codec.encode_line(data)
-        bad = line.copy()
+        bad = copy.deepcopy(line)
         bad.segments[3] = bytes(b ^ 0xA0 for b in bad.segments[3])
         remapped = codec.remap(3, bad)
-        assert codec.can_absorb_second_fault
         # A second device fails after the remap: still correctable.
-        bad2 = remapped.copy()
+        bad2 = copy.deepcopy(remapped)
         bad2.segments[7] = bytes(b ^ 0x55 for b in bad2.segments[7])
         result = codec.decode_line(bad2)
         assert result.status == DecodeStatus.CORRECTED
         assert result.data == data
+
+    def test_spare_single_use(self):
+        codec = LotEcc18()
+        line = codec.encode_line(random_line(seed=18))
+        codec.remap(3, line)
+        codec.remap(3, line)  # the same device again keeps its spare
+        with pytest.raises(CodecError):
+            codec.remap(5, line)
+        assert codec.spared_device == 3
 
     def test_remap_bad_device_rejected(self):
         codec = LotEcc18()
@@ -242,3 +285,19 @@ class TestVecc:
             vecc.correct_line(rank, corr[:-1])
         with pytest.raises(CodecError):
             vecc.encode_line(bytes(63))
+
+    def test_fast_path_rejects_wrong_rank_width(self):
+        vecc = Vecc()
+        rank, _ = vecc.encode_line(bytes(64))
+        with pytest.raises(CodecError):
+            vecc.detect_line([cw[:-1] for cw in rank])
+
+    def test_slow_path_rejects_wrong_correction_width(self):
+        vecc = Vecc()
+        rank, corr = vecc.encode_line(bytes(64))
+        with pytest.raises(CodecError):
+            vecc.correct_line(rank, [c[:1] for c in corr])
+
+    def test_line_must_stripe_evenly(self):
+        with pytest.raises(CodecError):
+            Vecc(line_bytes=60)

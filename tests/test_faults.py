@@ -45,11 +45,6 @@ class TestFaultRates:
             DEFAULT_FIT_RATES.scaled(multiplier)
         assert str(raised.value) == f"multiplier: {shown}"
 
-    def test_total_fit(self):
-        assert DEFAULT_FIT_RATES.total_fit == pytest.approx(
-            sum(fit for _, fit in DEFAULT_FIT_RATES.items())
-        )
-
     def test_fit_of_every_type(self):
         for fault_type in FaultType:
             assert DEFAULT_FIT_RATES.fit_of(fault_type) > 0
@@ -90,6 +85,21 @@ class TestTable74:
     def test_pages_per_rank_positive(self):
         assert pages_per_rank(ARCC_MEMORY_CONFIG) > 0
 
+    def test_row_fault_upgrades_the_pages_of_one_row(self):
+        """A row holds ``pages_per_row`` pages; a bit fault touches one."""
+        cfg = ARCC_MEMORY_CONFIG
+        bit = upgraded_page_fraction(FaultType.BIT)
+        assert bit == pytest.approx(
+            1.0 / (cfg.ranks_per_channel * pages_per_rank(cfg))
+        )
+        assert upgraded_page_fraction(FaultType.ROW) == pytest.approx(
+            cfg.pages_per_row * bit
+        )
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(ValueError):
+            upgraded_page_fraction("device")
+
 
 class TestInjector:
     def _ranks(self):
@@ -119,6 +129,18 @@ class TestInjector:
             overlays = injector.inject(fault_type, ranks, 1, 5)
             assert overlays
             assert injector.injected
+
+    def test_injections_are_logged(self):
+        injector = FaultInjector(make_rng(3))
+        injector.inject(FaultType.DEVICE, self._ranks(), 1, 5)
+        injector.inject(FaultType.BIT, self._ranks(), 0, 17)
+        assert injector.injected == ["device@r1d5", "single-bit@r0d17"]
+
+    def test_unknown_type_rejected(self):
+        ranks = self._ranks()
+        with pytest.raises(ValueError):
+            FaultInjector(make_rng(4)).inject("device", ranks, 0, 0)
+        assert not any(dev.is_faulty for rank in ranks for dev in rank)
 
     def test_bank_fault_scoped_to_bank(self):
         ranks = self._ranks()
@@ -185,9 +207,6 @@ class TestLifetimeHistories:
             assert 0 <= event.channel < ARCC_MEMORY_CONFIG.channels
             assert 0 <= event.rank < ARCC_MEMORY_CONFIG.ranks_per_channel
             assert 0 <= event.device < ARCC_MEMORY_CONFIG.devices_per_rank
-            assert event.time_years == pytest.approx(
-                event.time_hours / 8760
-            )
 
 
 class TestFig31Shape:

@@ -88,6 +88,48 @@ class TestFaultEventBatch:
     def test_validate_accepts_samples(self):
         sample_fleet(100, 7.0, rate_multiplier=10.0, seed=2).validate()
 
+    @staticmethod
+    def _break(batch, flaw):
+        """``batch`` with one structural flaw."""
+        if flaw == "start":
+            return dataclasses.replace(batch, offsets=batch.offsets + 1)
+        if flaw == "monotone":
+            offsets = batch.offsets.copy()
+            offsets[1] = offsets[2] + 1
+            return dataclasses.replace(batch, offsets=offsets)
+        if flaw == "sorted":
+            member = int(np.argmax(batch.per_channel >= 2))
+            first = int(batch.offsets[member])
+            times = batch.time_hours.copy()
+            times[first], times[first + 1] = times[first + 1] + 1.0, times[first]
+            return dataclasses.replace(batch, time_hours=times)
+        type_code = batch.type_code.copy()
+        type_code[0] = 99
+        return dataclasses.replace(batch, type_code=type_code)
+
+    @pytest.mark.parametrize(
+        "flaw, message",
+        [
+            ("start", "start at 0"),
+            ("monotone", "monotone"),
+            ("sorted", "sorted within each channel"),
+            ("type", "type_code out of range"),
+        ],
+    )
+    def test_validate_names_the_flaw(self, flaw, message):
+        batch = sample_fleet(20, 7.0, rate_multiplier=30.0, seed=1)
+        assert batch.per_channel.max() >= 2
+        with pytest.raises(ValueError, match=message):
+            self._break(batch, flaw).validate()
+
+    def test_concat_of_nothing_is_empty(self):
+        assert FaultEventBatch.concat([]) == empty_batch(0)
+
+    def test_never_equal_to_other_types(self):
+        batch = empty_batch(3)
+        assert batch != batch.to_histories()
+        assert batch == empty_batch(3) and batch != empty_batch(4)
+
 
 class TestEngineSampling:
     def test_deterministic(self):

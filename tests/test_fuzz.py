@@ -23,7 +23,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fuzz import (
-    ORACLE_KEYS,
     ORACLE_PAIRS,
     plan_campaign,
     resolve_oracles,
@@ -58,7 +57,7 @@ class TestSamplerValidity:
         for name in sampler.BUILTIN_ORGANIZATIONS:
             assert organization_config(name).channels >= 2
 
-    @pytest.mark.parametrize("key", ORACLE_KEYS)
+    @pytest.mark.parametrize("key", ORACLE_PAIRS)
     def test_case_sampling_is_deterministic(self, key):
         pair = ORACLE_PAIRS[key]
         assert pair.sample(make_rng(7), False) == pair.sample(
@@ -159,16 +158,16 @@ class TestCampaign:
         ]
 
     def test_round_robin_covers_every_pair(self):
-        plan = plan_campaign(seed=1, count=len(ORACLE_KEYS) * 2, quick=True)
+        plan = plan_campaign(seed=1, count=len(ORACLE_PAIRS) * 2, quick=True)
         names = [job.name for job in plan.jobs]
-        for key in ORACLE_KEYS:
+        for key in ORACLE_PAIRS:
             assert sum(f"[{key}]" in n for n in names) == 2
 
     def test_smoke_campaign_finds_no_divergence(self):
         """Tier-1's fixed-seed smoke campaign across every oracle pair."""
         report = run_campaign(seed=0, count=10, quick=True, jobs=1)
         assert report.ok, report.to_table()
-        assert {r.oracle for r in report.results} == set(ORACLE_KEYS)
+        assert {r.oracle for r in report.results} == set(ORACLE_PAIRS)
         assert "all cases agree" in report.to_table()
 
     @pytest.mark.slow
@@ -229,7 +228,7 @@ class TestFuzzCli:
 
         assert main(["fuzz", "--list"]) == 0
         out = capsys.readouterr().out
-        for key in ORACLE_KEYS:
+        for key in ORACLE_PAIRS:
             assert key in out
 
     def test_smoke_campaign_exits_zero(self, capsys):

@@ -15,6 +15,8 @@ campaign against it, and pin the whole reporting pipeline:
   engine is fixed (exits 0).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,20 @@ class TestBrokenEngineCampaign:
         assert payload["campaign_seed"] == 0
         assert payload["case"] == shrunk.case
 
+    def test_table_names_each_divergence_and_repro(
+        self, broken_scrub, tmp_path
+    ):
+        report = run_campaign(
+            seed=0, count=4, oracles=["montecarlo"], quick=True, jobs=1,
+            report_dir=tmp_path,
+        )
+        lines = report.to_table().splitlines()
+        diverged = [line for line in lines if line.startswith("DIVERGED")]
+        written = [line for line in lines if line.startswith("repro written")]
+        assert len(diverged) == len(report.divergences) >= 1
+        assert written == [f"repro written: {p}" for p in report.repro_paths]
+        assert "all cases agree" not in lines
+
 
 class TestShrinkerContract:
     def test_deterministic(self, broken_scrub):
@@ -114,6 +130,39 @@ def _healthy_case():
     )[0][3]
 
 
+class TestShrinkCandidates:
+    """Every pair's ``shrinks`` lists strictly smaller cases, so greedy
+    shrinking terminates whatever the engines say."""
+
+    @staticmethod
+    def _shrinkable_case(key):
+        pair = ORACLE_PAIRS[key]
+        for _, _, _, case in sample_campaign_cases(
+            seed=0, count=12, oracles=[key]
+        ):
+            if pair.shrinks(case):
+                return case
+        raise AssertionError(f"no shrinkable {key} case in 12 samples")
+
+    @pytest.mark.parametrize("key", ORACLE_PAIRS)
+    def test_greedy_chain_terminates(self, key):
+        pair = ORACLE_PAIRS[key]
+        case = self._shrinkable_case(key)
+        assert pair.shrinks(case) == pair.shrinks(case)
+        steps = 0
+        while True:
+            candidates = pair.shrinks(case)
+            if not candidates:
+                break
+            for candidate in candidates:
+                assert candidate != case
+                assert candidate.keys() == case.keys()
+            case = candidates[0]
+            steps += 1
+            assert steps < 200, f"{key}: shrinking does not terminate"
+        assert steps >= 1
+
+
 class TestReplay:
     def test_replay_reproduces_then_clears(
         self, broken_scrub, tmp_path, capsys
@@ -145,6 +194,16 @@ class TestReplay:
         assert replay_repro_file(path) is None
         assert main(["fuzz", "--replay", str(path)]) == 0
         assert "no divergence" in capsys.readouterr().out
+
+    def test_repro_naming_an_unknown_oracle_rejected(self, tmp_path):
+        from repro.fuzz.shrink import REPRO_FORMAT
+
+        path = tmp_path / "repro.json"
+        path.write_text(
+            json.dumps({"format": REPRO_FORMAT, "oracle": "nosuch"})
+        )
+        with pytest.raises(ValueError, match="unknown oracle 'nosuch'"):
+            load_repro_file(path)
 
     def test_replay_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "not-a-repro.json"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.gf.field import GF, GF16, GF256
+from repro.gf.field import GF, GF256
 
 elements256 = st.integers(min_value=0, max_value=255)
 nonzero256 = st.integers(min_value=1, max_value=255)
@@ -27,8 +27,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GF(17)
 
+    @pytest.mark.parametrize("m", [5, 6, 7, 12])
+    def test_no_default_polynomial(self, m):
+        with pytest.raises(ValueError, match=f"m={m}"):
+            GF(m)
+
+    def test_explicit_polynomial_without_default(self):
+        field = GF(5, primitive_poly=0b100101)  # x^5 + x^2 + 1
+        assert field.order == 32
+        assert {field.alpha_pow(i) for i in range(31)} == set(range(1, 32))
+
+    def test_repr_names_size_and_polynomial(self):
+        assert repr(GF(4)) == "GF(2^4, poly=0b10011)"
+
     def test_shared_instances(self):
-        assert GF256.m == 8 and GF16.m == 4
+        assert GF256.m == 8 and GF(4).m == 4
 
     def test_equality_and_hash(self):
         assert GF(8) == GF256
@@ -70,7 +83,7 @@ class TestBasicOps:
         with pytest.raises(ValueError):
             GF256.mul(256, 1)
         with pytest.raises(ValueError):
-            GF16.add(16, 0)
+            GF(4).add(16, 0)
 
 
 class TestPow:
@@ -143,8 +156,4 @@ class TestGF16:
         st.integers(min_value=1, max_value=15),
     )
     def test_product_nonzero(self, a, b):
-        assert GF16.mul(a, b) != 0
-
-    def test_poly_eval(self):
-        # p(x) = x^2 + 1 at x=2 -> 4 ^ 1 = 5 in GF(16).
-        assert GF16.poly_eval([1, 0, 1], 2) == 5
+        assert GF(4).mul(a, b) != 0

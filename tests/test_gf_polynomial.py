@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.gf.field import GF16, GF256
+from repro.gf.field import GF, GF256
 from repro.gf.polynomial import Polynomial
 
 coeff_lists = st.lists(
@@ -24,17 +24,12 @@ class TestConstruction:
         z = Polynomial.zero(GF256)
         assert z.is_zero() and z.degree == -1
 
+    def test_no_coefficients_is_zero(self):
+        assert Polynomial(GF256, []) == Polynomial.zero(GF256)
+
     def test_one(self):
         one = Polynomial.one(GF256)
         assert one.degree == 0 and one.coeffs == [1]
-
-    def test_monomial(self):
-        m = Polynomial.monomial(GF256, 3, coeff=5)
-        assert m.degree == 3 and m[3] == 5 and m[0] == 0
-
-    def test_monomial_negative_degree(self):
-        with pytest.raises(ValueError):
-            Polynomial.monomial(GF256, -1)
 
     def test_invalid_coefficient(self):
         with pytest.raises(ValueError):
@@ -71,7 +66,7 @@ class TestArithmetic:
 
     def test_cross_field_rejected(self):
         with pytest.raises(ValueError):
-            poly([1]) + Polynomial(GF16, [1])
+            poly([1]) + Polynomial(GF(4), [1])
 
 
 class TestDivision:
@@ -101,6 +96,14 @@ class TestDivision:
         q, r = a.divmod(b)
         assert (q * b + r) == a
         assert r.is_zero() or r.degree < b.degree
+
+
+    @given(coeff_lists, coeff_lists)
+    def test_floordiv_and_mod_match_divmod(self, a_coeffs, b_coeffs):
+        a, b = poly(a_coeffs), poly(b_coeffs)
+        if b.is_zero():
+            return
+        assert (a // b, a % b) == a.divmod(b)
 
 
 class TestEvaluation:

@@ -160,3 +160,24 @@ class TestFullLifecycle:
         for line in range(0, 256, 8):
             memory.read_line(line)
         assert memory.stats.devices_per_access > relaxed_avg
+
+
+class TestPackageExports:
+    """``import repro`` loads nothing; each export imports its module on
+    first use."""
+
+    def test_every_export_is_its_module_attribute(self):
+        import importlib
+
+        import repro
+
+        for name, (module_name, attr) in repro._LAZY_EXPORTS.items():
+            expected = getattr(importlib.import_module(module_name), attr)
+            assert getattr(repro, name) is expected
+        assert set(repro.__all__) == set(repro._LAZY_EXPORTS) | {"__version__"}
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        import repro
+
+        with pytest.raises(AttributeError, match="no attribute 'Nope'"):
+            repro.Nope

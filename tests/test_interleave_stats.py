@@ -1,5 +1,4 @@
-"""Tests for the half-symbol upgraded design, trace statistics, and the
-Section 6.1 DUE-equality claim."""
+"""Tests for the half-symbol upgraded design and trace statistics."""
 
 import random
 
@@ -9,8 +8,6 @@ from hypothesis import strategies as st
 
 from repro.ecc.base import CodecError, DecodeStatus
 from repro.ecc.interleave import HalfSymbolUpgradedCodec
-from repro.reliability.analytical import ReliabilityParams
-from repro.reliability.due import due_rate_arcc, due_rate_sccdcd
 from repro.util.rng import make_rng
 from repro.workloads.spec import BENCHMARKS
 from repro.workloads.stats import measure_trace, validate_against_profile
@@ -148,10 +145,3 @@ class TestTraceStatistics:
         assert stats.write_fraction == 0.5
         assert stats.effective_mpki == pytest.approx(100.0)
 
-
-class TestDueEquality:
-    def test_arcc_due_equals_sccdcd(self):
-        """Section 6.1: ARCC does not degrade the DUE rate."""
-        for mult in (1.0, 2.0, 4.0):
-            params = ReliabilityParams(rate_multiplier=mult)
-            assert due_rate_arcc(params) == due_rate_sccdcd(params)

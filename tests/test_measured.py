@@ -15,7 +15,6 @@ file — is bit-identical at any worker count and across a warm cache.
 import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
-from repro.core.lotecc_arcc import WORST_CASE_UPGRADE_FACTOR
 from repro.faults.types import FaultType
 from repro.fleet import (
     FleetScenario,
@@ -27,7 +26,6 @@ from repro.fleet import (
     plan_measured_profiles,
     resolve_policies,
 )
-from repro.fleet.measured import _lotecc_factor
 from repro.runner import ResultCache, execute_plan, job_identity
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
 
@@ -82,16 +80,6 @@ class TestProfileReduction:
         assert sccdcd.static_power == arcc.power[FaultType.LANE]
         assert not sccdcd.power  # nothing accrues per fault
         assert sccdcd.validate_bounds() is None
-
-    def test_lotecc_factor_brackets(self):
-        """All-reads recovers the worst case; writes soften it down to
-        2x (both modes already pay the checksum write)."""
-        assert _lotecc_factor(0.0) == pytest.approx(
-            WORST_CASE_UPGRADE_FACTOR
-        )
-        assert _lotecc_factor(1.0) == pytest.approx(2.0)
-        for w in (0.1, 0.3, 0.7):
-            assert 2.0 < _lotecc_factor(w) < WORST_CASE_UPGRADE_FACTOR
 
     def test_caps_are_the_measured_saturation(self, profiles):
         arcc = profiles[("arcc", "ARCC")]

@@ -5,6 +5,8 @@ uphold the paper's guarantees for *any* data and *any* single-device
 failure, not just the examples the unit tests pick.
 """
 
+import copy
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,7 +142,7 @@ class TestOtherCodecs:
         """
         codec = LotEcc9()
         line = codec.encode_line(payload)
-        bad = line.copy()
+        bad = copy.deepcopy(line)
         flipped = bytes(b ^ 0xFF for b in bad.segments[device])
         bad.segments[device] = flipped
         result = codec.decode_line(bad)

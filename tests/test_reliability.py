@@ -24,6 +24,7 @@ from repro.reliability.analytical import (
 )
 from repro.reliability.due import (
     DEFAULT_REPAIR_HOURS,
+    chipkill_vs_secded_due_factor,
     due_rate_sccdcd,
     due_rate_sparing,
     due_reduction_factor,
@@ -298,6 +299,17 @@ class TestDueRates:
         """Section 5.2 cites a 17x DUE reduction; the scrub-vs-repair
         window ratio gives at least that."""
         assert due_reduction_factor(ReliabilityParams()) >= 17.0
+
+    @pytest.mark.parametrize(
+        "factor", [due_reduction_factor, chipkill_vs_secded_due_factor]
+    )
+    def test_factor_of_fault_free_memory_rejected(self, factor):
+        """With no device-level faults there is no DUE to divide by."""
+        bits_only = FaultRates(
+            bit=10.0, row=0.0, column=0.0, bank=0.0, device=0.0, lane=0.0
+        )
+        with pytest.raises(ValueError, match="DUE rate is zero"):
+            factor(ReliabilityParams(rates=bits_only))
 
     def test_reduction_tracks_repair_window(self):
         params = ReliabilityParams()

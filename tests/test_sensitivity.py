@@ -117,8 +117,13 @@ class TestMeasuredFractionSweep:
 
     def test_measured_below_worst_case(self, sweep):
         """Spatial locality keeps the measured curve under 1 + f."""
-        for fraction in sweep.fractions:
-            assert sweep.headroom_vs_worst_case(fraction) >= -1e-9
+        from repro.perf.simulator import worst_case_power_ratio
+
+        for f in sweep.fractions:
+            assert (
+                worst_case_power_ratio(f) - sweep.average_power_ratio(f)
+                >= -1e-9
+            )
 
     def test_table_renders(self, sweep):
         table = sweep.to_table()

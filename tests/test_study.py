@@ -390,6 +390,31 @@ class TestExpansion:
         assert len(set(ids)) == 4
         assert all("policies=arcc+sccdcd" in pid for pid in ids)
 
+    def test_close_rate_multipliers_get_distinct_ids(self):
+        """``:g`` rounds 1.0000001 to ``1``; such a rate is spelled in
+        full, so two grid points never share a manifest key."""
+        study = tiny_study(
+            measured=False,
+            instruction_scales=None,
+            rate_multipliers=[1.0, 1.0000001],
+        )
+        assert [p.point_id for p in study.points()] == [
+            "fleet/policies=arcc+sccdcd/rate=1",
+            "fleet/policies=arcc+sccdcd/rate=1.0000001",
+        ]
+
+    def test_example_study_ids_are_unchanged(self):
+        study = load_study_file(resolve_study_path(EXAMPLE_STUDY_PATH))
+        fleet = "fleet/policies=arcc+sccdcd+lotecc"
+        assert [p.point_id for p in study.points()] == [
+            f"{fleet}/instr=4000/rate=1",
+            f"{fleet}/instr=4000/rate=4",
+            f"{fleet}/instr=8000/rate=1",
+            f"{fleet}/instr=8000/rate=4",
+            "sweep/org=ARCC/instr=4000",
+            "sweep/org=ARCC/instr=8000",
+        ]
+
     def test_rate_multipliers_share_measurements(self):
         """The dedup the issue demands: measurement jobs depend only on
         the instruction scale, so every rate multiplier reuses them."""
@@ -475,13 +500,6 @@ class TestRunStudy:
             len(p.job_indices) for p in result.points
         )
         assert result.unique_jobs < result.total_jobs
-
-    def test_point_result_lookup(self):
-        result = run_study(tiny_study(instruction_scales=[1000]))
-        pid = result.points[0].point.point_id
-        assert result.point_result(pid) is result.points[0]
-        with pytest.raises(KeyError):
-            result.point_result("fleet/nope")
 
 
 class TestManifest:

@@ -4,16 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.bitops import (
-    bit_count,
-    bytes_to_symbols,
-    deinterleave,
-    extract_bits,
-    insert_bits,
-    interleave,
-    parity,
-    symbols_to_bytes,
-)
+from repro.util.bitops import bit_count, parity
 
 
 class TestBitCount:
@@ -48,79 +39,3 @@ class TestParity:
     def test_parity_is_bit_count_mod_2(self, value):
         assert parity(value) == bit_count(value) % 2
 
-
-class TestExtractInsert:
-    def test_extract_simple(self):
-        assert extract_bits(0xABCD, 4, 8) == 0xBC
-
-    def test_extract_zero_width(self):
-        assert extract_bits(0xFF, 3, 0) == 0
-
-    def test_extract_negative_rejected(self):
-        with pytest.raises(ValueError):
-            extract_bits(1, -1, 4)
-
-    def test_insert_replaces_field(self):
-        assert insert_bits(0xFFFF, 4, 8, 0x00) == 0xF00F
-
-    def test_insert_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            insert_bits(0, 0, 4, 0x10)
-
-    @given(
-        st.integers(min_value=0, max_value=(1 << 32) - 1),
-        st.integers(min_value=0, max_value=24),
-        st.integers(min_value=1, max_value=8),
-        st.integers(min_value=0, max_value=255),
-    )
-    def test_roundtrip(self, value, lo, width, field):
-        field &= (1 << width) - 1
-        updated = insert_bits(value, lo, width, field)
-        assert extract_bits(updated, lo, width) == field
-
-
-class TestSymbolConversion:
-    def test_byte_symbols_identity(self):
-        data = bytes(range(16))
-        assert bytes_to_symbols(data, 8) == list(data)
-
-    def test_nibble_split(self):
-        assert bytes_to_symbols(b"\xab", 4) == [0xA, 0xB]
-
-    def test_wide_symbols(self):
-        assert bytes_to_symbols(b"\x12\x34", 16) == [0x1234]
-
-    def test_uneven_split_rejected(self):
-        with pytest.raises(ValueError):
-            bytes_to_symbols(b"\x00", 3)
-
-    def test_symbols_to_bytes_rejects_oversize(self):
-        with pytest.raises(ValueError):
-            symbols_to_bytes([0x100], 8)
-
-    @given(st.binary(min_size=1, max_size=64), st.sampled_from([4, 8, 16]))
-    def test_roundtrip(self, data, width):
-        if (len(data) * 8) % width:
-            data = data + b"\x00"
-        symbols = bytes_to_symbols(data, width)
-        assert symbols_to_bytes(symbols, width) == data
-
-
-class TestInterleave:
-    def test_basic(self):
-        assert interleave([1, 3], [2, 4]) == [1, 2, 3, 4]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            interleave([1], [2, 3])
-
-    def test_deinterleave_odd_length(self):
-        with pytest.raises(ValueError):
-            deinterleave([1, 2, 3])
-
-    @given(st.lists(st.integers(), min_size=0, max_size=32))
-    def test_roundtrip(self, values):
-        a, b = values, list(reversed(values))
-        mixed = interleave(a, b)
-        back_a, back_b = deinterleave(mixed)
-        assert back_a == a and back_b == b

@@ -4,14 +4,7 @@ import pytest
 
 from repro.util.rng import make_rng, split_rng
 from repro.util.tables import format_table
-from repro.util.units import (
-    GB,
-    HOURS_PER_YEAR,
-    KB,
-    MB,
-    fit_to_rate_per_hour,
-    years_to_hours,
-)
+from repro.util.units import GB, KB, MB
 
 
 class TestUnits:
@@ -19,14 +12,6 @@ class TestUnits:
         assert KB == 1024
         assert MB == 1024 * KB
         assert GB == 1024 * MB
-
-    def test_fit_conversion(self):
-        assert fit_to_rate_per_hour(1e9) == pytest.approx(1.0)
-        assert fit_to_rate_per_hour(100.0) == pytest.approx(1e-7)
-
-    def test_years_to_hours(self):
-        assert years_to_hours(1.0) == HOURS_PER_YEAR
-        assert years_to_hours(7.0) == 7 * 8760
 
 
 class TestRng:

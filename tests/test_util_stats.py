@@ -1,62 +1,15 @@
 """Unit tests for repro.util.stats."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.stats import (
-    OnlineStats,
     binomial_confidence_interval,
     confidence_interval,
     confidence_interval_from_moments,
-    geometric_mean,
-    harmonic_mean,
 )
-
-
-class TestGeometricMean:
-    def test_identical_values(self):
-        assert geometric_mean([3.0, 3.0, 3.0]) == pytest.approx(3.0)
-
-    def test_known_value(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-
-class TestHarmonicMean:
-    def test_known_value(self):
-        assert harmonic_mean([1.0, 2.0]) == pytest.approx(4.0 / 3.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            harmonic_mean([])
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            harmonic_mean([-1.0])
-
-    @given(
-        st.lists(
-            st.floats(min_value=0.1, max_value=100.0), min_size=2, max_size=20
-        )
-    )
-    def test_ordering(self, values):
-        """HM <= GM <= AM for positive values."""
-        hm = harmonic_mean(values)
-        gm = geometric_mean(values)
-        am = sum(values) / len(values)
-        assert hm <= gm * (1 + 1e-9)
-        assert gm <= am * (1 + 1e-9)
 
 
 class TestConfidenceInterval:
@@ -151,57 +104,3 @@ class TestBinomialConfidenceInterval:
         with pytest.raises(ValueError):
             binomial_confidence_interval(0, 0)
 
-
-class TestOnlineStats:
-    def test_empty(self):
-        stats = OnlineStats()
-        assert stats.count == 0
-        assert stats.mean == 0.0
-        assert stats.variance == 0.0
-
-    def test_matches_batch_computation(self):
-        values = [1.5, 2.5, -3.0, 4.0, 0.0]
-        stats = OnlineStats()
-        for v in values:
-            stats.add(v)
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-        assert stats.mean == pytest.approx(mean)
-        assert stats.variance == pytest.approx(var)
-        assert stats.stddev == pytest.approx(math.sqrt(var))
-
-    def test_merge_matches_combined(self):
-        a_vals = [1.0, 2.0, 3.0]
-        b_vals = [10.0, 20.0]
-        a, b, combined = OnlineStats(), OnlineStats(), OnlineStats()
-        for v in a_vals:
-            a.add(v)
-            combined.add(v)
-        for v in b_vals:
-            b.add(v)
-            combined.add(v)
-        a.merge(b)
-        assert a.count == combined.count
-        assert a.mean == pytest.approx(combined.mean)
-        assert a.variance == pytest.approx(combined.variance)
-
-    def test_merge_empty_is_noop(self):
-        a = OnlineStats()
-        a.add(1.0)
-        a.merge(OnlineStats())
-        assert a.count == 1 and a.mean == 1.0
-
-    def test_merge_into_empty(self):
-        a, b = OnlineStats(), OnlineStats()
-        b.add(7.0)
-        b.add(9.0)
-        a.merge(b)
-        assert a.count == 2 and a.mean == pytest.approx(8.0)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
-    def test_property_matches_numpy_style(self, values):
-        stats = OnlineStats()
-        for v in values:
-            stats.add(v)
-        mean = sum(values) / len(values)
-        assert stats.mean == pytest.approx(mean, rel=1e-6, abs=1e-6)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
 from repro.perf.simulator import (
+    CoreResult,
     TraceSimulator,
     page_is_upgraded,
     worst_case_performance_ratio,
@@ -16,6 +17,7 @@ from repro.workloads.spec import (
     ALL_MIXES,
     BENCHMARKS,
     BenchmarkProfile,
+    _mix,
     mix_by_name,
 )
 from repro.workloads.trace import CoreTrace, TraceGenerator
@@ -56,17 +58,25 @@ class TestBenchmarkProfiles:
                 spatial_locality=1.0, mlp=1,
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("read_fraction", 0.0), ("read_fraction", 1.5), ("mlp", 0.5)],
+    )
+    def test_profile_field_ranges(self, field, value):
+        good = dataclasses.asdict(BENCHMARKS["mesa"])
+        BenchmarkProfile(**good)
+        with pytest.raises(ValueError):
+            BenchmarkProfile(**{**good, field: value})
+
+    def test_mix_of_unknown_benchmark_rejected(self):
+        with pytest.raises(ValueError, match="nosuch"):
+            _mix("MixX", "mesa", "nosuch")
+
     def test_memory_bound_vs_compute_bound(self):
         assert BENCHMARKS["mcf2006"].llc_mpki > BENCHMARKS["mesa"].llc_mpki
         assert BENCHMARKS["libquantum"].spatial_locality > (
             BENCHMARKS["omnetpp"].spatial_locality
         )
-
-    def test_mix_average_locality_weighted(self):
-        mix = mix_by_name("Mix1")
-        avg = mix.average_spatial_locality
-        locs = [p.spatial_locality for p in mix.profiles]
-        assert min(locs) <= avg <= max(locs)
 
 
 class TestTraceGeneration:
@@ -118,6 +128,24 @@ class TestTraceGeneration:
         trace = CoreTrace(profile, 0, make_rng(4))
         writes = sum(1 for _ in range(3000) if next(trace).is_write)
         assert 0.05 < writes / 3000 < 0.30
+
+    def test_footprint_must_fit_the_region(self):
+        profile = BENCHMARKS["swim"]
+        with pytest.raises(ValueError):
+            CoreTrace(
+                profile, 0, make_rng(6),
+                region_lines=profile.footprint_pages * 64 - 1,
+            )
+
+    def test_sequential_run_wraps_inside_the_footprint(self):
+        profile = dataclasses.replace(
+            BENCHMARKS["libquantum"], spatial_locality=0.99, footprint_pages=1
+        )
+        trace = CoreTrace(profile, core_id=1, rng=make_rng(7), region_lines=64)
+        assert iter(trace) is trace
+        lines = [access.line_address for _, access in zip(range(300), trace)]
+        assert all(64 <= line < 128 for line in lines)
+        assert any(a == 127 and b == 64 for a, b in zip(lines, lines[1:]))
 
     def test_gap_positive(self):
         trace = CoreTrace(BENCHMARKS["mesa"], 0, make_rng(5))
@@ -209,6 +237,10 @@ class TestTraceSimulator:
         )
         with pytest.raises(ValueError, match="ARCC pairing"):
             TraceSimulator(one_channel, upgraded_fraction=0.5)
+
+    def test_idle_core_ipc_is_zero(self):
+        assert CoreResult("mesa", instructions=0, cycles=0.0).ipc == 0.0
+        assert CoreResult("mesa", instructions=10, cycles=20.0).ipc == 0.5
 
     def test_ipc_bounded_by_base(self):
         result = TraceSimulator(ARCC_MEMORY_CONFIG).run(
