@@ -47,6 +47,7 @@ from repro.perf._kernel.loader import (
     STAT_MIRROR_VIOLATIONS,
     STAT_MISSES,
     STAT_POSITIONS,
+    STAT_PROBE_COLLISIONS,
     ReplayParams,
     load_kernel,
 )
@@ -65,21 +66,25 @@ class KernelStats:
     ``max_occupancy`` is the high-water mark of resident lines (the
     property suite asserts it never exceeds sets x ways),
     ``mirror_violations`` counts hits on a paired line whose sibling
-    was missing or carried a different recency tick (must be zero), and
-    ``final_positions`` are each core's stop indices (must equal the
-    batch's ``core_offsets[1:]`` — exact termination).
+    was missing or carried a different recency tick (must be zero),
+    ``probe_collisions`` counts ways whose address fingerprint matched
+    a probed line that was not theirs (each cost one address compare),
+    and ``final_positions`` are each core's stop indices (must equal
+    the batch's ``core_offsets[1:]`` — exact termination).
     """
 
     hits: int
     misses: int
     max_occupancy: int
     mirror_violations: int
+    probe_collisions: int
     final_positions: Tuple[int, ...]
 
 
-def _route_table(config: MemoryConfig) -> Tuple[np.ndarray, ...]:
-    """Contiguous int32 ``(chan, rank_index, bank_index)`` of every
-    residue ``0..M-1``, ``M = channels x banks x ranks``.
+def _route_table(config: MemoryConfig) -> np.ndarray:
+    """The int32 rows ``(chan, rank_index, bank_index)`` of every
+    residue ``0..M-1``, ``M = channels x banks x ranks``, as one
+    C-contiguous ``(3, M)`` array.
 
     Rank indices are channel-major (``chan * ranks + rank``) and bank
     indices flat (``rank_index * banks + bank``), so the kernel never
@@ -93,10 +98,7 @@ def _route_table(config: MemoryConfig) -> Tuple[np.ndarray, ...]:
         np.arange(config.channels * banks * n_ranks), config
     )
     ri = chan * n_ranks + rank
-    return tuple(
-        np.ascontiguousarray(a, dtype=np.int32)
-        for a in (chan, ri, ri * banks + bank)
-    )
+    return np.array((chan, ri, ri * banks + bank), dtype=np.int32)
 
 
 def _finalize_result(
@@ -179,18 +181,15 @@ def replay_compiled(
     """
     validate_llc_geometry(processor.l2_sets, processor.l2_assoc)
     config = point.config
-
-    if not np.all(np.diff(batch.core_offsets) > 0):
-        # The kernel reads a core's first access before it checks for
-        # the end of its stream.
-        raise ValueError("replay needs at least one access on every core")
     lib = load_kernel()
     buffers = batch.kernel_buffers
     routes = _route_table(config)
+    route_mod = routes.shape[1]
 
     timings = timings_for_width(config.io_width)
     n_cores = batch.cores
     n_rank_states = config.channels * config.ranks_per_channel
+    ns_per_cycle = 1.0 / processor.clock_ghz
     params = ReplayParams(
         n_accesses=batch.accesses,
         n_cores=n_cores,
@@ -200,7 +199,7 @@ def replay_compiled(
         n_ranks=config.ranks_per_channel,
         banks_per_device=config.banks_per_device,
         lotecc_checksum=int(point.lotecc_checksum),
-        route_mod=len(routes[0]),
+        route_mod=route_mod,
         lines_per_page=CoreTrace.LINES_PER_PAGE,
         page_hash_mult=_HASH,
         trc_ns=timings.trc_ns,
@@ -208,64 +207,67 @@ def replay_compiled(
         burst_ns=timings.burst_ns,
         data_offset_ns=timings.trcd_ns + timings.cas_ns,
         hysteresis_ns=POWERDOWN_HYSTERESIS_NS,
-        ns_per_cycle=1.0 / processor.clock_ghz,
+        ns_per_cycle=ns_per_cycle,
         # page_is_upgraded's threshold, the same double (0.0 at
         # fraction 0, so nothing is upgraded).
         upgrade_below=point.upgraded_fraction * _HASH_MOD,
     )
 
-    cycles = np.zeros(n_cores, dtype=np.float64)
-    read_bursts = np.zeros(n_rank_states, dtype=np.int64)
-    write_bursts = np.zeros(n_rank_states, dtype=np.int64)
-    active_ns = np.zeros(n_rank_states, dtype=np.float64)
-    powerdown_ns = np.zeros(n_rank_states, dtype=np.float64)
-    last_activity = np.zeros(n_rank_states, dtype=np.float64)
-    float_out = np.zeros(1, dtype=np.float64)
-    stat_out = np.zeros(STAT_POSITIONS + n_cores, dtype=np.int64)
-
-    outputs = (
-        cycles,
-        read_bursts,
-        write_bursts,
-        active_ns,
-        powerdown_ns,
-        last_activity,
-        float_out,
-        stat_out,
-    )
+    # The outputs live in one float64 and one int64 buffer, zeroed:
+    # float64 [cycles | active_ns | powerdown_ns | last_activity |
+    # total latency] and int64 [read_bursts | write_bursts | stat_out].
+    n = n_rank_states
+    floats = np.zeros(n_cores + 3 * n + 1)
+    ints = np.zeros(2 * n + STAT_POSITIONS + n_cores, dtype=np.int64)
+    f = floats.ctypes.data
+    i = ints.ctypes.data
+    r = routes.ctypes.data
     status = lib.replay_kernel(
         ctypes.byref(params),
         *buffers.pointers,
-        *(a.ctypes.data for a in routes + outputs),
+        r,
+        r + 4 * route_mod,
+        r + 8 * route_mod,
+        f,  # cycles
+        i,  # read_bursts
+        i + 8 * n,  # write_bursts
+        f + 8 * n_cores,  # active_ns
+        f + 8 * (n_cores + n),  # powerdown_ns
+        f + 8 * (n_cores + 2 * n),  # last_activity
+        f + 8 * (n_cores + 3 * n),  # total latency
+        i + 16 * n,  # stat_out
     )
     if status == REPLAY_NOMEM:
         raise MemoryError("replay kernel allocation failed")
 
-    hits = int(stat_out[STAT_HITS])
-    misses = int(stat_out[STAT_MISSES])
+    float_list = floats.tolist()
+    int_list = ints.tolist()
+    stat = int_list[2 * n :]
+    hits = stat[STAT_HITS]
+    misses = stat[STAT_MISSES]
+    c = n_cores
     result = _finalize_result(
         batch=batch,
         config=config,
         instructions=buffers.instructions,
-        cycles=cycles.tolist(),
-        last_activity=last_activity.tolist(),
-        powerdown_ns=powerdown_ns.tolist(),
-        read_bursts=read_bursts.tolist(),
-        write_bursts=write_bursts.tolist(),
-        active_ns=active_ns.tolist(),
-        total_latency=float(float_out[0]),
+        cycles=float_list[:c],
+        last_activity=float_list[c + 2 * n : c + 3 * n],
+        powerdown_ns=float_list[c + n : c + 2 * n],
+        read_bursts=int_list[:n],
+        write_bursts=int_list[n : 2 * n],
+        active_ns=float_list[c : c + n],
+        total_latency=float_list[c + 3 * n],
         hits=hits,
         misses=misses,
-        ns_per_cycle=1.0 / processor.clock_ghz,
+        ns_per_cycle=ns_per_cycle,
     )
     stats = KernelStats(
         hits=hits,
         misses=misses,
-        max_occupancy=int(stat_out[STAT_MAX_OCCUPANCY]),
-        mirror_violations=int(stat_out[STAT_MIRROR_VIOLATIONS]),
-        final_positions=tuple(
-            int(v) for v in stat_out[STAT_POSITIONS:]
-        ),
+        max_occupancy=stat[STAT_MAX_OCCUPANCY],
+        mirror_violations=stat[STAT_MIRROR_VIOLATIONS],
+        probe_collisions=stat[STAT_PROBE_COLLISIONS],
+        final_positions=tuple(stat[STAT_POSITIONS:]),
     )
     return result, stats
 

@@ -33,23 +33,44 @@
  *   fraction * 2**32 — page_is_upgraded's test, evaluated inline on
  *   each miss (both sides are exact doubles).
  *
- * State layout departs from the scalar cache in three invisible ways:
+ * State layout departs from the scalar cache in four invisible ways:
  *
- * - A resident line is one way slot (address, recency tick, dirty and
- *   upgraded flags) in its set.  Where the scalar PairedLruPolicy
+ * - A resident line is one way slot (address, recency tick, and a byte
+ *   of dirty and upgraded flags) in its set.  Where the scalar PairedLruPolicy
  *   recomputes a paired line's effective recency — max(own, sibling) —
  *   at every eviction, this kernel mirrors it incrementally: touching
  *   either sub-line of a pair stamps the new tick on *both* slots
  *   (sub-lines of a pair fill together and evict together, so the
  *   mirror never goes stale).
- * - Victim selection is then a scan for the minimal tick.  Ticks are
- *   unique per touch and pair-mates never share a set (the set count is
- *   even and at least 2, which the driver validates, so a ^ 1 lands in
- *   set s ^ 1), so the minimum is unique within a set and picks the
- *   scalar cache's victim whatever the slot order — which lets a pop
- *   move the set's last slot into the hole instead of shifting.
+ * - Each way also carries a one-byte fingerprint of its address
+ *   (fingerprint() below), packed eight to a 64-bit word, ceil(ways/8)
+ *   words per set, written with shifts so the packing does not depend
+ *   on byte order.  A probe compares the set's fingerprint words with
+ *   the wanted byte eight ways at a time (the SWAR zero-byte test) and
+ *   checks the full address only of the ways whose byte matched, in
+ *   way order.  A byte that matches a different line is a probe
+ *   collision (counted in stat_out); it costs one address compare and
+ *   never changes which way is found.
+ * - Victim selection is a branch-free scan for the minimal tick.  Ticks
+ *   are unique per touch and pair-mates never share a set (the set
+ *   count is even and at least 2, which the driver validates, so a ^ 1
+ *   lands in set s ^ 1), so the minimum is unique within a set and
+ *   picks the scalar cache's victim whatever the slot order.  So a fill
+ *   takes its victim's way, and removing a paired victim's sibling
+ *   moves its set's last slot, fingerprint byte included, into the
+ *   hole instead of shifting.
  * - A page's mode never changes within a replay, so the per-way
  *   upgraded flag is set on insertion and never needs clearing.
+ *
+ * The interleave keeps one key per core: a waiting core's cycle count,
+ * +inf for a retired core and for the core that runs.  When a core
+ * starts to run, a branch-free scan of the keys in index order with
+ * strict < finds the first-minimal waiting core, which keeps the scalar
+ * rule (fewest cycles, lowest index on ties) without a list of active
+ * cores: the running core yields to it, or hands over to it on
+ * retiring.  Every core has at least one access (TraceBatch.
+ * kernel_buffers checks), so a core can run before testing for the end
+ * of its stream.
  *
  * The kernel also self-audits three data-structure invariants on the
  * way through (reported via stat_out, asserted by the hypothesis suite
@@ -103,7 +124,8 @@ typedef struct {
 #define STAT_MISSES 1
 #define STAT_MAX_OCCUPANCY 2
 #define STAT_MIRROR_VIOLATIONS 3
-#define STAT_POSITIONS 4
+#define STAT_PROBE_COLLISIONS 4
+#define STAT_POSITIONS 5
 
 /* -- division by a per-replay constant ---------------------------------- */
 
@@ -144,60 +166,97 @@ static i64 div_by(const Divisor *D, i64 x)
 
 /* -- LLC: per-set way arrays ------------------------------------------- */
 
+#define BYTES_01 0x0101010101010101ULL
+#define BYTES_80 0x8080808080808080ULL
+
+/* slot_flags bits.  FLAG_DIRTY is 1, so a write flag (0 or 1) ORs in. */
+#define FLAG_DIRTY 1
+#define FLAG_UPG 2
+
+/* A way's fingerprint: the top byte of the line address times the
+ * 64-bit golden ratio, which depends on every address bit, not only on
+ * the set-index bits that all lines of a set share. */
+static uint64_t fingerprint(i64 addr)
+{
+    return ((uint64_t)addr * 0x9E3779B97F4A7C15ULL) >> 56;
+}
+
 typedef struct {
     i64 *slot_addr;
     i64 *slot_rec;
-    u8 *slot_dirty;
-    u8 *slot_upg;
+    u8 *slot_flags;
+    uint64_t *slot_fp; /* way j's byte: bits 8*(j%8).. of word j/8 */
     int *set_len;
     i64 n_sets;
     Divisor sets; /* set of line a: mod_by(&sets, a) */
     i64 n_ways;
+    i64 n_words; /* fingerprint words per set: ceil(ways / 8) */
     i64 occupancy;
     i64 max_occupancy;
+    i64 probe_collisions;
 } Llc;
 
-static int set_find(const Llc *L, i64 s, i64 addr)
+/* Helpers that take the LLC by pointer are forced inline: if one were
+ * called instead, the LLC's address would escape and its fields could
+ * not stay in registers across the replay loop. */
+#define HOT static inline __attribute__((always_inline))
+
+HOT int set_find(Llc *L, i64 s, i64 addr)
 {
     const i64 *addrs = L->slot_addr + s * L->n_ways;
+    const uint64_t *words = L->slot_fp + s * L->n_words;
+    const uint64_t want = fingerprint(addr) * BYTES_01;
     int len = L->set_len[s];
-    int j;
-    for (j = 0; j < len; j++) {
-        if (addrs[j] == addr) {
-            return j;
+    int base;
+    for (base = 0; base < len; base += 8) {
+        uint64_t x = *words++ ^ want;
+        /* The high bit of every zero byte of x, and maybe of a byte
+         * above one (after a borrow): each flagged way is checked. */
+        uint64_t hits = (x - BYTES_01) & ~x & BYTES_80;
+        while (hits) {
+            int j = base + (__builtin_ctzll(hits) >> 3);
+            if (j >= len) {
+                return -1;
+            }
+            if (addrs[j] == addr) {
+                return j;
+            }
+            L->probe_collisions += 1;
+            hits &= hits - 1;
         }
     }
     return -1;
 }
 
-/* Remove way idx from set s by moving the set's last slot into the
- * hole: slot order is invisible (see the header). */
-static void set_pop(Llc *L, i64 s, int idx)
+HOT void set_fp(Llc *L, i64 s, int j, uint64_t fp)
 {
-    i64 base = s * L->n_ways;
-    i64 last = base + L->set_len[s] - 1;
-    i64 hole = base + idx;
-    L->slot_addr[hole] = L->slot_addr[last];
-    L->slot_rec[hole] = L->slot_rec[last];
-    L->slot_dirty[hole] = L->slot_dirty[last];
-    L->slot_upg[hole] = L->slot_upg[last];
-    L->set_len[s] -= 1;
-    L->occupancy -= 1;
+    uint64_t *word = L->slot_fp + s * L->n_words + (j >> 3);
+    int shift = (j & 7) * 8;
+    *word = (*word & ~((uint64_t)0xFF << shift)) | (fp << shift);
 }
 
-static void set_append(Llc *L, i64 s, i64 addr, i64 rec, u8 dirty, u8 upg)
+HOT void set_slot(Llc *L, i64 s, int j, i64 addr, i64 rec, u8 flags)
+{
+    L->slot_addr[s * L->n_ways + j] = addr;
+    L->slot_rec[s * L->n_ways + j] = rec;
+    L->slot_flags[s * L->n_ways + j] = flags;
+    set_fp(L, s, j, fingerprint(addr));
+}
+
+/* Remove way idx from set s by moving the set's last slot into the
+ * hole: slot order is invisible (see the header). */
+HOT void set_pop(Llc *L, i64 s, int idx)
 {
     i64 base = s * L->n_ways;
-    int len = L->set_len[s];
-    L->slot_addr[base + len] = addr;
-    L->slot_rec[base + len] = rec;
-    L->slot_dirty[base + len] = dirty;
-    L->slot_upg[base + len] = upg;
-    L->set_len[s] = len + 1;
-    L->occupancy += 1;
-    if (L->occupancy > L->max_occupancy) {
-        L->max_occupancy = L->occupancy;
-    }
+    int last = L->set_len[s] - 1;
+    L->slot_addr[base + idx] = L->slot_addr[base + last];
+    L->slot_rec[base + idx] = L->slot_rec[base + last];
+    L->slot_flags[base + idx] = L->slot_flags[base + last];
+    set_fp(L, s, idx,
+           (L->slot_fp[s * L->n_words + (last >> 3)] >> ((last & 7) * 8)) &
+               0xFF);
+    L->set_len[s] = last;
+    L->occupancy -= 1;
 }
 
 typedef struct {
@@ -205,51 +264,60 @@ typedef struct {
     int upgraded;
 } WriteBack;
 
-/* Evict minimal-recency ways from set s until a way is free —
- * LastLevelCache._evict_from, paired eviction included.  Appends the
- * resulting writebacks in order. */
-static void evict_until_free(Llc *L, i64 s, WriteBack *wbs, int *n_wb)
+/* Fill line addr into set s and return its way.  A full set first
+ * evicts its minimal-recency way — LastLevelCache._evict_from, paired
+ * eviction included — and the line takes that way.  Appends the
+ * eviction's writeback, if any.  A paired victim's sibling lives in
+ * set s ^ 1 (see the header). */
+HOT int set_insert(Llc *L, i64 s, i64 addr, i64 rec, u8 flags,
+                   WriteBack *wbs, int *n_wb)
 {
-    while (L->set_len[s] >= L->n_ways) {
-        i64 base = s * L->n_ways;
-        int len = L->set_len[s];
-        int v_i = 0;
-        i64 best = L->slot_rec[base];
-        i64 vaddr;
-        u8 vdirty, vupg;
-        int j;
-        for (j = 1; j < len; j++) {
-            if (L->slot_rec[base + j] < best) {
-                best = L->slot_rec[base + j];
-                v_i = j;
-            }
+    const i64 *recs = L->slot_rec + s * L->n_ways;
+    int len = L->set_len[s];
+    int v_i = 0;
+    i64 best, vaddr;
+    u8 vflags;
+    int j;
+    if (len < L->n_ways) {
+        set_slot(L, s, len, addr, rec, flags);
+        L->set_len[s] = len + 1;
+        L->occupancy += 1;
+        if (L->occupancy > L->max_occupancy) {
+            L->max_occupancy = L->occupancy;
         }
-        vaddr = L->slot_addr[base + v_i];
-        vdirty = L->slot_dirty[base + v_i];
-        vupg = L->slot_upg[base + v_i];
-        set_pop(L, s, v_i);
-        if (vupg) {
-            i64 sib = vaddr ^ 1;
-            i64 ss = mod_by(&L->sets, sib);
-            int sj = set_find(L, ss, sib);
-            int was_dirty;
-            if (sj >= 0) {
-                was_dirty = vdirty || L->slot_dirty[ss * L->n_ways + sj];
-                set_pop(L, ss, sj);
-            } else {
-                was_dirty = vdirty;
-            }
-            if (was_dirty) {
-                wbs[*n_wb].addr = vaddr & ~(i64)1;
-                wbs[*n_wb].upgraded = 1;
-                (*n_wb)++;
-            }
-        } else if (vdirty) {
-            wbs[*n_wb].addr = vaddr;
-            wbs[*n_wb].upgraded = 0;
+        return len;
+    }
+    /* Branch-free arg-min: the compare decides only which values move,
+     * never which code runs. */
+    best = recs[0];
+    for (j = 1; j < len; j++) {
+        i64 r = recs[j];
+        int lower = r < best;
+        best = lower ? r : best;
+        v_i = lower ? j : v_i;
+    }
+    vaddr = L->slot_addr[s * L->n_ways + v_i];
+    vflags = L->slot_flags[s * L->n_ways + v_i];
+    set_slot(L, s, v_i, addr, rec, flags);
+    if (vflags & FLAG_UPG) {
+        i64 ss = s ^ 1;
+        int sj = set_find(L, ss, vaddr ^ 1);
+        if (sj >= 0) {
+            vflags |= L->slot_flags[ss * L->n_ways + sj];
+            set_pop(L, ss, sj);
+        }
+        if (vflags & FLAG_DIRTY) {
+            wbs[*n_wb].addr = vaddr & ~(i64)1;
+            wbs[*n_wb].upgraded = 1;
             (*n_wb)++;
         }
+    } else {
+        /* Written always, kept only when dirty. */
+        wbs[*n_wb].addr = vaddr;
+        wbs[*n_wb].upgraded = 0;
+        *n_wb += vflags & FLAG_DIRTY;
     }
+    return v_i;
 }
 
 /* -- channel/rank scheduling state (Channel.service, flattened) -------- */
@@ -353,8 +421,9 @@ int replay_kernel(
     Llc L;
     Channels C;
     i64 *position = NULL;
-    int *active = NULL;
-    int active_count;
+    /* Per-core interleave key: a waiting core's cycles, +inf for the
+     * running core and for retired ones (see the header). */
+    double *key = NULL;
     int core;
     double best_other;
     int best_other_index;
@@ -368,10 +437,11 @@ int replay_kernel(
     L.n_sets = P->n_sets;
     L.sets = divisor(P->n_sets);
     L.n_ways = P->n_ways;
+    L.n_words = (P->n_ways + 7) / 8;
     L.slot_addr = malloc((size_t)(L.n_sets * L.n_ways) * sizeof(i64));
     L.slot_rec = malloc((size_t)(L.n_sets * L.n_ways) * sizeof(i64));
-    L.slot_dirty = malloc((size_t)(L.n_sets * L.n_ways) * sizeof(u8));
-    L.slot_upg = malloc((size_t)(L.n_sets * L.n_ways) * sizeof(u8));
+    L.slot_flags = malloc((size_t)(L.n_sets * L.n_ways) * sizeof(u8));
+    L.slot_fp = calloc((size_t)(L.n_sets * L.n_words), sizeof(uint64_t));
     L.set_len = calloc((size_t)L.n_sets, sizeof(int));
     C.bus_busy = calloc((size_t)P->n_channels, sizeof(double));
     C.last_issue = calloc((size_t)P->n_channels, sizeof(double));
@@ -383,10 +453,10 @@ int replay_kernel(
     C.read_bursts = read_bursts;
     C.write_bursts = write_bursts;
     position = malloc((size_t)n_cores * sizeof(i64));
-    active = malloc((size_t)n_cores * sizeof(int));
-    if (!L.slot_addr || !L.slot_rec || !L.slot_dirty || !L.slot_upg ||
+    key = malloc((size_t)n_cores * sizeof(double));
+    if (!L.slot_addr || !L.slot_rec || !L.slot_flags || !L.slot_fp ||
         !L.set_len || !C.bus_busy || !C.last_issue || !C.bank_busy ||
-        !position || !active) {
+        !position || !key) {
         status = REPLAY_NOMEM;
         goto done;
     }
@@ -401,27 +471,31 @@ int replay_kernel(
     for (k = 0; k < n_cores; k++) {
         position[k] = core_offsets[k];
         cycles[k] = 0.0;
-        active[k] = (int)k;
+        key[k] = 0.0;
     }
-    active_count = (int)n_cores;
 
     /* All cores start at 0.0 cycles: first-minimal is core 0. */
     core = 0;
-    best_other = INFINITY;
-    best_other_index = -1;
-    for (k = 0; k < active_count; k++) {
-        int i = active[k];
-        if (i != core && cycles[i] < best_other) {
-            best_other = cycles[i];
-            best_other_index = i;
-        }
-    }
-
     for (;;) {
         i64 p = position[core];
         i64 end = END[core];
-        double cyc = cycles[core];
+        double cyc;
         double core_mlp = mlp[core];
+
+        /* The first-minimal waiting core.  Waiting cores' keys stay put
+         * while this one runs, so it is also the next core to run if
+         * this one retires. */
+        cyc = key[core];
+        key[core] = INFINITY;
+        best_other = INFINITY;
+        best_other_index = -1;
+        for (k = 0; k < n_cores; k++) {
+            double v = key[k];
+            int lower = v < best_other;
+            best_other = lower ? v : best_other;
+            best_other_index = lower ? (int)k : best_other_index;
+        }
+
         for (;;) {
             i64 a = addr_a[p];
             i64 s = mod_by(&L.sets, a);
@@ -431,13 +505,12 @@ int replay_kernel(
             idx = set_find(&L, s, a);
             if (idx >= 0) { /* LLC hit */
                 clock += 1;
-                if (L.slot_upg[s * L.n_ways + idx]) {
+                if (L.slot_flags[s * L.n_ways + idx] & FLAG_UPG) {
                     /* Mirror the pair's recency — and audit it: the
                      * sibling must be resident with an equal tick
                      * before this touch re-stamps both. */
-                    i64 sib = a ^ 1;
-                    i64 ss = mod_by(&L.sets, sib);
-                    int sj = set_find(&L, ss, sib);
+                    i64 ss = s ^ 1;
+                    int sj = set_find(&L, ss, a ^ 1);
                     if (sj < 0 ||
                         L.slot_rec[ss * L.n_ways + sj] !=
                             L.slot_rec[s * L.n_ways + idx]) {
@@ -450,9 +523,7 @@ int replay_kernel(
                 } else {
                     L.slot_rec[s * L.n_ways + idx] = clock;
                 }
-                if (write_a[p]) {
-                    L.slot_dirty[s * L.n_ways + idx] = 1;
-                }
+                L.slot_flags[s * L.n_ways + idx] |= write_a[p];
                 hits += 1;
                 p += 1;
                 if (p == end) {
@@ -467,9 +538,12 @@ int replay_kernel(
                 break;
             }
 
-            /* LLC miss: insert the line (evicting as needed), then the
-             * upgraded sibling, then issue the fill and any writebacks
-             * — the exact event order of the scalar simulator. */
+            /* LLC miss: the scalar simulator inserts the line
+             * (evicting as needed), then the upgraded sibling, then
+             * issues the fill and any writebacks.  The fill is
+             * serviced first here, which changes nothing: the LLC and
+             * the channels share no state, and the channel sees the
+             * fill and the writebacks in the scalar order. */
             misses += 1;
             {
                 double now = cyc * ns_per_cycle;
@@ -484,37 +558,10 @@ int replay_kernel(
                 double completion, latency;
                 int w;
 
-                evict_until_free(&L, s, wbs, &n_wb);
-                clock += 1;
-                set_append(&L, s, a, clock, (u8)(is_write ? 1 : 0),
-                           (u8)(is_upg ? 1 : 0));
-                if (is_upg) {
-                    i64 sib = a ^ 1;
-                    i64 ss = mod_by(&L.sets, sib);
-                    int sj = set_find(&L, ss, sib);
-                    if (sj >= 0) {
-                        /* Sibling already resident: mark it paired; its
-                         * effective recency becomes the pair max (= the
-                         * tick the line above just received). */
-                        L.slot_upg[ss * L.n_ways + sj] = 1;
-                        L.slot_rec[ss * L.n_ways + sj] = clock;
-                    } else {
-                        int ai;
-                        evict_until_free(&L, ss, wbs, &n_wb);
-                        clock += 1;
-                        set_append(&L, ss, sib, clock, 0, 1);
-                        /* Pair fills together: re-stamp the line
-                         * inserted above with the sibling's (newer)
-                         * tick. */
-                        ai = set_find(&L, s, a);
-                        if (ai >= 0) {
-                            L.slot_rec[s * L.n_ways + ai] = clock;
-                        }
-                    }
-                }
-
                 /* Demand fill (and, for a pair, the sibling's channel
-                 * in lockstep). */
+                 * in lockstep).  Nothing here reads the LLC, so it runs
+                 * first: a mispredicted branch of the LLC update below
+                 * cannot then discard the core's new cycle count. */
                 completion = service_line(&C, P, &R, now, a, 0);
                 if (is_upg) {
                     double sc = service_line(&C, P, &R, now, a ^ 1, 0);
@@ -540,6 +587,39 @@ int replay_kernel(
                 }
                 total_latency += latency;
                 cyc += latency / ns_per_cycle / core_mlp;
+
+                clock += 1;
+                idx = set_insert(&L, s, a, clock,
+                                 (u8)(is_write | (is_upg ? FLAG_UPG : 0)),
+                                 wbs, &n_wb);
+                if (is_upg) {
+                    i64 ss = s ^ 1;
+                    int sj = set_find(&L, ss, a ^ 1);
+                    if (sj >= 0) {
+                        /* Sibling already resident: mark it paired; its
+                         * effective recency becomes the pair max (= the
+                         * tick the line above just received). */
+                        L.slot_flags[ss * L.n_ways + sj] |= FLAG_UPG;
+                        L.slot_rec[ss * L.n_ways + sj] = clock;
+                    } else {
+                        int len = L.set_len[s];
+                        clock += 1;
+                        set_insert(&L, ss, a ^ 1, clock, FLAG_UPG, wbs,
+                                   &n_wb);
+                        /* Pair fills together: re-stamp the line
+                         * inserted above with the sibling's (newer)
+                         * tick.  It keeps its way unless a paired
+                         * victim of set ss took that victim's sibling
+                         * out of set s, moving set s's last way; it
+                         * cannot have been evicted itself, as its own
+                         * sibling was not resident. */
+                        if (L.set_len[s] != len) {
+                            idx = set_find(&L, s, a);
+                        }
+                        L.slot_rec[s * L.n_ways + idx] = clock;
+                    }
+                }
+
                 /* LOT-ECC pays one checksum write per data write,
                  * co-located with the data it protects. */
                 for (w = 0; w < n_wb; w++) {
@@ -570,44 +650,19 @@ int replay_kernel(
             break;
         }
 
-        /* Lead change or core retirement: write run-locals back, then
-         * re-establish (first-minimal core, first-minimal other). */
+        /* Lead change or core retirement: park this core (its key
+         * stays +inf once it retires) and hand over to the
+         * first-minimal waiting core. */
         position[core] = p;
-        cycles[core] = cyc;
         if (p == end) {
-            int j = 0;
-            while (active[j] != core) {
-                j++;
-            }
-            memmove(active + j, active + j + 1,
-                    (size_t)(active_count - j - 1) * sizeof(int));
-            active_count -= 1;
-            if (active_count == 0) {
-                break;
-            }
-            {
-                double best_cycles = INFINITY;
-                int kk;
-                for (kk = 0; kk < active_count; kk++) {
-                    int i = active[kk];
-                    if (cycles[i] < best_cycles) {
-                        best_cycles = cycles[i];
-                        core = i;
-                    }
-                }
+            cycles[core] = cyc;
+            if (best_other_index < 0) {
+                break; /* every core has retired */
             }
         } else {
-            core = best_other_index;
+            key[core] = cyc;
         }
-        best_other = INFINITY;
-        best_other_index = -1;
-        for (k = 0; k < active_count; k++) {
-            int i = active[k];
-            if (i != core && cycles[i] < best_other) {
-                best_other = cycles[i];
-                best_other_index = i;
-            }
-        }
+        core = best_other_index;
     }
 
 done:
@@ -617,20 +672,21 @@ done:
         stat_out[STAT_MISSES] = misses;
         stat_out[STAT_MAX_OCCUPANCY] = L.max_occupancy;
         stat_out[STAT_MIRROR_VIOLATIONS] = mirror_violations;
+        stat_out[STAT_PROBE_COLLISIONS] = L.probe_collisions;
         for (k = 0; k < n_cores; k++) {
             stat_out[STAT_POSITIONS + k] = position[k];
         }
     }
     free(L.slot_addr);
     free(L.slot_rec);
-    free(L.slot_dirty);
-    free(L.slot_upg);
+    free(L.slot_flags);
+    free(L.slot_fp);
     free(L.set_len);
     free(C.bus_busy);
     free(C.last_issue);
     free(C.bank_busy);
     free(position);
-    free(active);
+    free(key);
     return status;
 }
 

@@ -43,6 +43,11 @@ DISABLE_ENV = "REPRO_KERNEL_DISABLE"
 #: Environment variable overriding where built objects are cached.
 CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 
+#: Environment variable with extra compiler flags (split on whitespace),
+#: appended after the base and determinism flags, for example a
+#: sanitizer build: ``-fsanitize=address,undefined``.
+CFLAGS_ENV = "REPRO_KERNEL_CFLAGS"
+
 _SOURCE = Path(__file__).with_name("kernel.c")
 
 _BASE_FLAGS = ["-O3", "-fPIC", "-shared", "-std=c99"]
@@ -111,7 +116,8 @@ STAT_HITS = 0
 STAT_MISSES = 1
 STAT_MAX_OCCUPANCY = 2
 STAT_MIRROR_VIOLATIONS = 3
-STAT_POSITIONS = 4
+STAT_PROBE_COLLISIONS = 4
+STAT_POSITIONS = 5
 
 
 def _find_compiler() -> Optional[str]:
@@ -168,7 +174,8 @@ def _resolve() -> Tuple[bool, str, Optional[ctypes.CDLL]]:
     source = _SOURCE.read_bytes()
     npy = _npyrandom_flags()
     # With NumPy's static distributions library first, then without it.
-    flags = _BASE_FLAGS + _FP_FLAGS
+    extra = os.environ.get(CFLAGS_ENV, "").split()
+    flags = _BASE_FLAGS + _FP_FLAGS + extra
     for link_flags in [npy, []] if npy else [[]]:
         tag = hashlib.sha256(
             source
@@ -218,7 +225,8 @@ def _resolve() -> Tuple[bool, str, Optional[ctypes.CDLL]]:
                 ctypes.c_void_p,  # write flags out (uint8)
                 ctypes.c_void_p,  # gaps out (int64)
             ]
-        return True, "compiled", lib
+        label = f"compiled ({' '.join(extra)})" if extra else "compiled"
+        return True, label, lib
     return False, f"reference (kernel build failed with {cc})", None
 
 
@@ -277,6 +285,7 @@ def reset_kernel_loader() -> None:
 
 __all__ = [
     "CACHE_DIR_ENV",
+    "CFLAGS_ENV",
     "DISABLE_ENV",
     "REPLAY_NOMEM",
     "REPLAY_OK",
@@ -285,6 +294,7 @@ __all__ = [
     "STAT_MIRROR_VIOLATIONS",
     "STAT_MISSES",
     "STAT_POSITIONS",
+    "STAT_PROBE_COLLISIONS",
     "ReplayParams",
     "kernel_available",
     "kernel_provenance",

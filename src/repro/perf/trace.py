@@ -152,10 +152,21 @@ class TraceBatch:
         """The replay kernel's inputs, built once per batch.
 
         Cached on the batch, so they live exactly as long as it does.
-        Line addresses are non-negative by construction; the kernel
-        relies on it (it reduces them with masks and shifts), so a
-        negative one raises ``ValueError`` here.
+        The kernel relies on two properties of the trace, so each is
+        checked here, once per batch, and a violation raises
+        ``ValueError``: every core has at least one access (the kernel
+        reads a core's first access before it checks for the end of its
+        stream), and line addresses are non-negative (the kernel
+        reduces them with masks and shifts), which holds by
+        construction.
         """
+        empty = np.flatnonzero(np.diff(self.core_offsets) <= 0)
+        if empty.size:
+            raise ValueError(
+                f"trace '{self.mix_name}' has no access on core "
+                f"{int(empty[0])}; replay needs at least one access on "
+                "every core"
+            )
         addresses = np.ascontiguousarray(self.line_addresses, dtype=np.int64)
         if addresses.size and addresses.min() < 0:
             raise ValueError(

@@ -215,6 +215,43 @@ class TestEngineProvenance:
             reset_kernel_loader()
         assert attempts and all("-ffp-contract=off" in a for a in attempts)
 
+    @pytest.mark.skipif(
+        not kernel_available(),
+        reason=f"compiled replay kernel unavailable: {kernel_provenance()}",
+    )
+    def test_extra_cflags_follow_the_determinism_flag(
+        self, monkeypatch, tmp_path
+    ):
+        """``REPRO_KERNEL_CFLAGS`` (a sanitizer build, say) appends to
+        the build flags, never replaces ``-ffp-contract=off``, gets its
+        own cached object and is named in the provenance."""
+        from repro.perf._kernel import loader
+
+        builds = []
+        compile_for_real = loader._compile
+
+        def recording_compile(cc, flags, link_flags, out_path):
+            builds.append((list(flags), out_path.name))
+            compile_for_real(cc, flags, link_flags, out_path)
+
+        monkeypatch.delenv(DISABLE_ENV, raising=False)
+        monkeypatch.setenv(loader.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(loader, "_compile", recording_compile)
+        try:
+            for extra in ("", "-DREPRO_EXTRA_FLAG=1 -g"):
+                monkeypatch.setenv(loader.CFLAGS_ENV, extra)
+                reset_kernel_loader()
+                assert kernel_available()
+            assert kernel_provenance() == "compiled (-DREPRO_EXTRA_FLAG=1 -g)"
+        finally:
+            monkeypatch.undo()
+            reset_kernel_loader()
+        (plain, plain_so), (extra, extra_so) = builds
+        assert extra[: len(plain)] == plain
+        assert extra[len(plain):] == ["-DREPRO_EXTRA_FLAG=1", "-g"]
+        assert "-ffp-contract=off" in plain
+        assert plain_so != extra_so
+
 
 _ARRAYS = ("line_addresses", "write_flags", "instruction_gaps", "core_offsets")
 

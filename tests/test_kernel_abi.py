@@ -8,14 +8,16 @@ would be read from the wrong offset — without any error. These tests
 parse the C source (no compiler needed, so they also run where the
 kernel cannot be built) and check field names, order and C types, and
 the ``REPLAY_*`` status and ``STAT_*`` slot constants, against the
-loader.
+loader, and the slots against the ``KernelStats`` fields the driver
+fills from them.
 """
 
 import ctypes
+import dataclasses
 import re
 from pathlib import Path
 
-from repro.perf._kernel import loader
+from repro.perf._kernel import KernelStats, loader
 
 SOURCE = (Path(loader.__file__).with_name("kernel.c")).read_text()
 
@@ -76,3 +78,18 @@ def test_status_codes_match():
 
 def test_stat_slots_match():
     assert _c_defines("STAT_") == _loader_constants("STAT_")
+
+
+def test_stat_slots_feed_kernel_stats():
+    """Every scalar ``stat_out`` slot is a :class:`KernelStats` field,
+    the slots are 0, 1, 2, ... in order, and the per-core positions
+    come after all of them — the probe-collision counter included."""
+    slots = _c_defines("STAT_")
+    assert slots["STAT_PROBE_COLLISIONS"] == loader.STAT_PROBE_COLLISIONS
+    positions = slots.pop("STAT_POSITIONS")
+    assert sorted(slots.values()) == list(range(positions))
+    fields = [f.name for f in dataclasses.fields(KernelStats)]
+    by_slot = sorted(slots, key=slots.get)
+    assert fields == [name[len("STAT_"):].lower() for name in by_slot] + [
+        "final_positions"
+    ]

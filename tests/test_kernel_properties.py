@@ -34,6 +34,7 @@ import weakref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernel_equivalence import small_llc
 
 from repro.config import (
     ARCC_MEMORY_CONFIG,
@@ -60,12 +61,23 @@ pytestmark = pytest.mark.skipif(
     reason=f"compiled replay kernel unavailable: {kernel_provenance()}",
 )
 
-#: Small LLC geometries (sets derive from line size; the replay only
-#: reads ``l2_sets``/``l2_assoc``) so evictions and paired evictions
-#: dominate even short drawn traces.
-GEOMETRIES = st.tuples(
-    st.sampled_from([1, 2, 4, 8]),  # ways
-    st.sampled_from([256, 1024, 4096]),  # cacheline_bytes -> fewer sets
+#: Small LLC geometries, so evictions and paired evictions dominate
+#: even short drawn traces. The kernel probes a set through one
+#: fingerprint word per 8 ways: up to 8 ways fill at most one word,
+#: 12 and 20 ways end in a half-filled word, and 40 ways span five.
+GEOMETRIES = st.one_of(
+    st.builds(
+        lambda ways, line_bytes: dataclasses.replace(
+            PROCESSOR_CONFIG, l2_assoc=ways, cacheline_bytes=line_bytes
+        ),
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([256, 1024, 4096]),  # cacheline_bytes -> fewer sets
+    ),
+    st.builds(
+        small_llc,
+        st.sampled_from([2, 4, 6, 8, 10, 12, 14, 16]),
+        st.sampled_from([12, 20, 40]),
+    ),
 )
 
 CASES = st.tuples(
@@ -79,10 +91,7 @@ CASES = st.tuples(
 
 
 def run_case(case):
-    mix, seed, instructions, fraction, (ways, line_bytes), checksum = case
-    processor = dataclasses.replace(
-        PROCESSOR_CONFIG, l2_assoc=ways, cacheline_bytes=line_bytes
-    )
+    mix, seed, instructions, fraction, processor, checksum = case
     batch = materialize_mix(mix, seed, instructions)
     point = SweepPoint(
         config=ARCC_MEMORY_CONFIG,

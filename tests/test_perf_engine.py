@@ -397,6 +397,17 @@ class TestInstructionBudget:
         with pytest.raises(ValueError, match="at least one access"):
             replay_compiled(batch, SweepPoint(), PROCESSOR_CONFIG)
 
+    def test_kernel_buffers_refuse_one_empty_core(self):
+        """The check runs once per batch, where its buffers are
+        built, and names the first core without an access."""
+        batch = materialize_mix(mix_by_name("Mix1"), 3, 2_000)
+        offsets = batch.core_offsets.copy()
+        offsets[2] = offsets[3]  # core 2's slice becomes empty
+        bad = dataclasses.replace(batch, core_offsets=offsets)
+        with pytest.raises(ValueError, match="no access on core 2"):
+            bad.kernel_buffers
+        assert batch.kernel_buffers.arrays[0].size == batch.accesses
+
 
 class TestUnpairablePointsFailAtBuild:
     """An upgraded point on a one-channel organization fails when its
