@@ -285,20 +285,28 @@ def faulty_fractions_at(
     ``_fraction_after_events`` rule), evaluated here as a per-channel
     segment sum of ``log1p(-f)`` — exact up to floating point, including
     the ``f = 1`` lane case (``log 0 = -inf`` -> fraction 1).
+
+    The sums run over compressed columns, one per channel with at least
+    one event, and are scattered back at the end. Every other entry is
+    ``-expm1(0.0) == -0.0``, the value a channel with no arrival yet has
+    (``+0.0`` everywhere for a batch with no events at all).
     """
     channels = batch.num_channels
-    out = np.zeros((len(hours), channels))
     if batch.num_events == 0:
-        return out
+        return np.zeros((len(hours), channels))
     with np.errstate(divide="ignore"):
         log_survival = np.log1p(-_page_fractions(config))[batch.type_code]
-    ids = batch.channel_ids()
-    for i, t_hours in enumerate(hours):
+    counts = batch.per_channel
+    faulty = np.flatnonzero(counts)
+    columns = np.repeat(np.arange(len(faulty)), counts[faulty])
+    log_sums = np.empty((len(hours), len(faulty)))
+    for log_sum, t_hours in zip(log_sums, hours):
         mask = batch.time_hours <= t_hours
-        log_sum = np.bincount(
-            ids[mask], weights=log_survival[mask], minlength=channels
+        log_sum[:] = np.bincount(
+            columns[mask], weights=log_survival[mask], minlength=len(faulty)
         )
-        out[i] = -np.expm1(log_sum)
+    out = np.full((len(hours), channels), -0.0)
+    out[:, faulty] = -np.expm1(log_sums)
     return out
 
 
@@ -333,38 +341,57 @@ def overhead_series_by_year(
     ``_overhead_series`` accumulation (Section 7.1 step 3 is additive per
     arrived fault, capped at fully-upgraded behaviour).
 
-    The time sort, the step searches and the cursor walk are shared by
-    every row; arrivals are added per row in time order, so each row is
-    bit-identical to scoring it alone.
+    Only channels with an arrival by the last step can leave the
+    fault-free value, so the step loop runs on compressed columns: one
+    per such channel, for the rows with a nonzero weight. Every other
+    entry is the fault-free value ``min(0.0, cap)`` accumulated once per
+    step, computed per row in one ``add.accumulate``. The time sort and
+    the step searches are shared by every row; arrivals are added per
+    row in time order, so each entry is the float sequence of scoring
+    its channel alone.
     """
-    channels = batch.num_channels
-    out = np.zeros((len(rows), years, channels))
     per_type = np.zeros((len(rows), len(FAULT_TYPE_ORDER)))
     for row, (per_fault, _) in zip(per_type, rows):
         row[:] = [per_fault.get(ft, 0.0) for ft in FAULT_TYPE_ORDER]
     caps = np.array([cap for _, cap in rows], dtype=float).reshape(-1, 1)
+    steps = years * steps_per_year
+    step_hours = [
+        (step + 0.5) / steps_per_year * HOURS_PER_YEAR for step in range(steps)
+    ]
     order = np.argsort(batch.time_hours, kind="stable")
-    sorted_times = batch.time_hours[order]
-    sorted_ids = batch.channel_ids()[order]
-    sorted_weights = per_type[:, batch.type_code[order]]
+    arrived = np.searchsorted(batch.time_hours[order], step_hours, side="right")
+    order = order[: arrived[-1] if steps else 0]
+    faulty, columns = np.unique(batch.channel_ids()[order], return_inverse=True)
+    live = np.flatnonzero(per_type.any(axis=1))
+    weights = per_type[np.ix_(live, batch.type_code[order])]
+    live_caps = caps[live]
 
-    current = np.zeros((len(rows), channels))
-    accumulated = np.zeros((len(rows), channels))
+    current = np.zeros((len(live), len(faulty)))
+    accumulated = np.zeros_like(current)
+    capped = np.empty_like(current)
+    series = np.empty((len(live), years, len(faulty)))
+    arrived = arrived.tolist()
     cursor = 0
-    step = 0
-    for year in range(1, years + 1):
-        for _ in range(steps_per_year):
-            t_hours = (step + 0.5) / steps_per_year * HOURS_PER_YEAR
-            arrived = np.searchsorted(sorted_times, t_hours, side="right")
-            if arrived > cursor:
-                for row, row_weights in zip(current, sorted_weights):
-                    np.add.at(
-                        row,
-                        sorted_ids[cursor:arrived],
-                        row_weights[cursor:arrived],
-                    )
-                cursor = arrived
-            accumulated += np.minimum(current, caps)
-            step += 1
-        out[:, year - 1] = accumulated / step
+    for year in range(years):
+        for stop in arrived[year * steps_per_year : (year + 1) * steps_per_year]:
+            if stop > cursor:
+                np.add.at(
+                    current,
+                    (slice(None), columns[cursor:stop]),
+                    weights[:, cursor:stop],
+                )
+                cursor = stop
+            np.minimum(current, live_caps, out=capped)
+            accumulated += capped
+        series[:, year] = accumulated / ((year + 1) * steps_per_year)
+
+    # A fault-free channel adds min(0.0, cap) every step; row 0 is the
+    # 0.0 each running sum starts from, as ``accumulated`` does.
+    free_steps = np.zeros((steps + 1, len(rows)))
+    free_steps[1:] = np.minimum(np.zeros_like(caps), caps).T
+    free_sums = np.add.accumulate(free_steps)
+    year_ends = np.arange(1, years + 1) * steps_per_year
+    out = np.empty((len(rows), years, batch.num_channels))
+    out[...] = (free_sums[year_ends] / year_ends[:, None]).T[:, :, None]
+    out[live[:, None, None], np.arange(years)[:, None], faulty] = series
     return out

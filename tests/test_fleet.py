@@ -18,7 +18,8 @@ from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
 from repro.experiments.fig3_1 import plan_fig3_1
 from repro.experiments.fig7_4_7_5 import _overhead_series, plan_fig7_4_7_5
 from repro.experiments.fig7_6 import plan_fig7_6
-from repro.faults.lifetime import _fraction_after_events
+from repro.faults.lifetime import FaultEvent, _fraction_after_events
+from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import DEFAULT_FIT_RATES, FaultType
 from repro.fleet import (
     DEFAULT_SCENARIOS,
@@ -37,6 +38,7 @@ from repro.fleet import (
     sample_block,
     sample_fleet,
 )
+from repro.fuzz.oracles import _sequential_sum
 from repro.runner import execute_plan
 from repro.util.units import FIT_TO_PER_HOUR, HOURS_PER_YEAR
 
@@ -251,6 +253,130 @@ class TestEngineSampling:
         assert batch.num_channels == 100
 
 
+def _hand_batch(histories):
+    """A batch from ``(hours, fault type)`` pairs per channel."""
+    return FaultEventBatch.from_histories(
+        [[FaultEvent(t, ft) for t, ft in events] for events in histories]
+    )
+
+
+def _mid_step_hours(step, steps_per_year=12):
+    """The sample time of ``step``, computed as the reductions do."""
+    return (step + 0.5) / steps_per_year * HOURS_PER_YEAR
+
+
+def _uncompressed_fractions(batch, hours):
+    """The whole-population form of ``faulty_fractions_at``: one
+    ``bincount`` over every channel per sample time."""
+    out = np.zeros((len(hours), batch.num_channels))
+    if batch.num_events == 0:
+        return out
+    fractions = np.array(
+        [upgraded_page_fraction(ft, ARCC_MEMORY_CONFIG) for ft in FaultType]
+    )
+    with np.errstate(divide="ignore"):
+        log_survival = np.log1p(-fractions)[batch.type_code]
+    ids = batch.channel_ids()
+    for i, t_hours in enumerate(hours):
+        mask = batch.time_hours <= t_hours
+        log_sum = np.bincount(
+            ids[mask], weights=log_survival[mask], minlength=batch.num_channels
+        )
+        out[i] = -np.expm1(log_sum)
+    return out
+
+
+_CHANNEL_WEIGHTS = {
+    FaultType.LANE: 0.38,
+    FaultType.DEVICE: 0.16,
+    FaultType.BANK: 0.02,
+    FaultType.COLUMN: 0.01,
+    FaultType.ROW: 0.3,
+}
+
+#: Live rows beside all-zero rows, and zero and negative caps.
+_CHANNEL_ROWS = [
+    (_CHANNEL_WEIGHTS, 1.0),
+    ({}, 0.5),
+    (_CHANNEL_WEIGHTS, 0.05),
+    ({FaultType.LANE: 0.0, FaultType.BANK: 0.0}, 0.2),
+    ({FaultType.BANK: 0.02, FaultType.ROW: 0.3}, 0.0),
+    (_CHANNEL_WEIGHTS, -0.25),
+    ({}, -0.5),
+]
+
+
+def _every_channel_faulty():
+    batch = sample_fleet(30, 2.0, rate_multiplier=400.0, seed=4)
+    assert np.all(batch.per_channel > 0)
+    return batch, 2
+
+
+def _events_after_report_horizon():
+    """Sampled over 7 years, reported over 3, as the policy blocks do."""
+    batch = sample_fleet(60, 7.0, rate_multiplier=10.0, seed=9)
+    assert np.any(batch.time_hours > 3 * HOURS_PER_YEAR)
+    return batch, 3
+
+
+def _event_at_step_midpoint():
+    at = _mid_step_hours(5)
+    after = float(np.nextafter(at, np.inf))
+    return _hand_batch(
+        [
+            [],
+            [(at, FaultType.BANK), (at, FaultType.ROW)],
+            [(0.0, FaultType.COLUMN), (at, FaultType.LANE)],
+            [(after, FaultType.DEVICE)],
+            [],
+        ]
+    ), 2
+
+
+#: (batch, report years) builders, one per layout edge case.
+_CHANNEL_CASES = {
+    "no events": lambda: (empty_batch(6), 3),
+    "every channel faulty": _every_channel_faulty,
+    "events after the report horizon": _events_after_report_horizon,
+    "event at a step midpoint": _event_at_step_midpoint,
+    "one year": lambda: (
+        sample_fleet(40, 1.0, rate_multiplier=30.0, seed=2),
+        1,
+    ),
+}
+
+
+class TestChannelExactness:
+    """Each channel of the compressed reductions, byte for byte.
+
+    ``overhead_series_by_year`` steps only over the channels that have an
+    arrival and fills the rest from one fault-free column; every channel
+    must still equal the scalar ``_overhead_series`` of its own history
+    (a one-channel mean is that channel's value), and every entry of
+    ``faulty_fractions_at`` the whole-population ``bincount`` form.
+    """
+
+    @pytest.mark.parametrize("case", list(_CHANNEL_CASES))
+    def test_overhead_equals_each_channels_scalar_series(self, case):
+        batch, years = _CHANNEL_CASES[case]()
+        matrix = overhead_series_by_year(batch, years, _CHANNEL_ROWS)
+        assert matrix.shape == (len(_CHANNEL_ROWS), years, batch.num_channels)
+        for channel, events in enumerate(batch.to_histories()):
+            for row, (weights, cap) in zip(matrix, _CHANNEL_ROWS):
+                legacy = _overhead_series([events], years, weights, cap=cap)
+                assert row[:, channel].tolist() == legacy
+
+    @pytest.mark.parametrize("case", list(_CHANNEL_CASES))
+    def test_fractions_equal_the_uncompressed_form_bytewise(self, case):
+        batch, years = _CHANNEL_CASES[case]()
+        hours = [_mid_step_hours(step) for step in range(years * 12)]
+        hours += [year * HOURS_PER_YEAR for year in range(years, 0, -1)]
+        fast = faulty_fractions_at(batch, hours, ARCC_MEMORY_CONFIG)
+        reference = _uncompressed_fractions(batch, hours)
+        assert fast.shape == reference.shape
+        assert fast.tobytes() == reference.tobytes()
+
+
 class TestVectorizedReductions:
     def _batch_and_histories(self):
         batch = sample_fleet(250, 7.0, rate_multiplier=8.0, seed=17)
@@ -307,7 +433,9 @@ class TestVectorizedReductions:
         assert matrix.shape == (len(rows), 7, batch.num_channels)
         for row, (weights, cap) in zip(matrix, rows):
             legacy = _overhead_series(histories, 7, weights, cap=cap)
-            assert [sum(year.tolist()) / batch.num_channels for year in row] == legacy
+            assert [
+                _sequential_sum(year) / batch.num_channels for year in row
+            ] == legacy
 
     @pytest.mark.parametrize("years", range(1, 8))
     def test_legacy_series_equals_per_year_accumulation(self, years):
