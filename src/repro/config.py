@@ -33,11 +33,11 @@ class MemoryConfig:
     number of channels, ranks per channel and devices per rank. The
     derived properties capture the codeword geometry Chapter 4 assumes.
 
-    Construction checks every value: counts and sizes are >= 1, line
-    and page sizes are powers of two (they feed set indexing and page
-    striping), the I/O width has datasheet parameters, a page holds
-    whole lines and a channel whole pages, and a rank keeps at least
-    one check device.
+    Construction checks every value: the technology is named, counts
+    and sizes are >= 1, line and page sizes are powers of two (they feed
+    set indexing and page striping), the I/O width has datasheet
+    parameters, a page holds whole lines and a channel whole pages, and
+    a rank keeps at least one check device.
     """
 
     name: str
@@ -59,6 +59,8 @@ class MemoryConfig:
     columns_per_row: int = 2048
 
     def __post_init__(self) -> None:
+        if not self.technology:
+            raise FieldError("technology", "must not be empty")
         for item in fields(self)[2:]:  # every field after the two names
             check_range(item.name, getattr(self, item.name), at_least=1)
         for name in ("cacheline_bytes", "page_bytes"):

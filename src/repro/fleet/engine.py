@@ -45,7 +45,7 @@ FLEET_BLOCK_CHANNELS = RUNNER_CONFIG.fleet_block_channels
 Phases = Sequence[Tuple[float, float, float]]
 
 #: A spatial-correlation model as a plain JSON-able mapping (the
-#: ``to_config()`` form of :class:`repro.fleet.scenarios.SpatialFaultModel`):
+#: ``dataclasses.asdict`` form of :class:`repro.fleet.scenarios.SpatialFaultModel`):
 #: ``{"kind": ..., "fraction": ..., "banks": ..., "rows": ..., "columns": ...}``.
 Spatial = Dict[str, object]
 

@@ -41,7 +41,7 @@ a follow-up plan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -770,9 +770,7 @@ def plan_fleet_compare(
                     rates=pop.rates,
                     phases=tuple(pop.phases()),
                     scrub_interval_hours=scrub_hours,
-                    spatial=(
-                        pop.spatial.to_config() if pop.spatial else None
-                    ),
+                    spatial=asdict(pop.spatial) if pop.spatial else None,
                 )
             )
         spans[pop.name] = (start, len(jobs))

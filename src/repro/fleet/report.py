@@ -10,7 +10,7 @@ concatenating the samples and calling :func:`confidence_interval`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -190,7 +190,7 @@ def _population_jobs(
             config=pop.config,
             rates=pop.rates,
             phases=tuple(pop.phases()),
-            spatial=pop.spatial.to_config() if pop.spatial else None,
+            spatial=asdict(pop.spatial) if pop.spatial else None,
         )
         for index, (block_seed, size) in enumerate(
             fleet_blocks(seed, pop.channels)

@@ -7,27 +7,50 @@ The full schema — every key, type, default and unit — is documented in
 ``docs/scenario-files.md``, with worked examples under
 ``examples/scenarios/``.
 
+The format is derived from the domain dataclasses. A table's keys are
+its class's fields, and each value is read as the field's annotation
+says. :data:`SCHEMAS` holds one :class:`Schema` per class, which also
+records where the file spells a field otherwise: an organization's name
+is its table key, ``config`` names an organization, and an omitted FIT
+rate keeps its SC'12 default. :func:`from_mapping` builds an object from
+its table and :func:`to_mapping` writes it back, so ``load -> dump ->
+load`` round-trips exactly (``tests/test_scenario_file.py`` pins this
+for a whole drawn file).
+
 Validation is strict and errors are precise: every message carries the
 dotted path of the offending key (``populations[1].rate_multiplier``),
 unknown keys are rejected with a closest-match suggestion, and types are
-checked before values. The loader checks only shape — tables, arrays,
+checked before values. The schemas check only shape — tables, arrays,
 types, keys and name references; every value rule belongs to the domain
 object it constrains (:class:`~repro.config.MemoryConfig`,
 :class:`~repro.faults.types.FaultRates`,
 :class:`~repro.fleet.scenarios.SubPopulation`, ...), whose
 :class:`~repro.util.fields.FieldError` the loader re-raises at the
-field's dotted path. :func:`scenario_to_mapping` is the exact inverse
-of :func:`scenario_from_mapping`, so ``load -> dump -> load`` round-trips
-(the round-trip test in ``tests/test_scenario_file.py`` pins this).
+field's dotted path. Two rules belong to the file itself and live here:
+a custom organization must not shadow a built-in name, and an
+organization table nothing references is rejected.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG, MemoryConfig
 from repro.faults.types import DEFAULT_FIT_RATES, FaultRates
@@ -40,42 +63,13 @@ from repro.fleet.scenarios import (
     SubPopulation,
 )
 from repro.util.fields import FieldError, check_range
-from repro.util.suggest import did_you_mean
+from repro.util.suggest import did_you_mean, unknown_key_message
 
 #: Named memory organizations a scenario file may reference.
 CONFIG_NAMES: Dict[str, MemoryConfig] = {
     "arcc": ARCC_MEMORY_CONFIG,
     "baseline": BASELINE_MEMORY_CONFIG,
 }
-
-
-def _field_names(cls: type) -> Tuple[str, ...]:
-    return tuple(item.name for item in fields(cls))
-
-
-#: File keys are the dataclass fields, in declaration order (an
-#: organization's name is its table key, so it has no key of its own).
-_RATE_FIELDS = _field_names(FaultRates)
-_ORGANIZATION_KEYS = _field_names(MemoryConfig)[1:]
-_POPULATION_KEYS = _field_names(SubPopulation)
-_PHASE_KEYS = _field_names(RatePhase)
-_SPATIAL_KEYS = _field_names(SpatialFaultModel)
-_TOP_LEVEL_KEYS = (
-    "name",
-    "description",
-    "seed",
-    "channels",
-    "policies",
-    "organizations",
-    "populations",
-)
-_ORGANIZATION_REQUIRED = (
-    "io_width",
-    "channels",
-    "ranks_per_channel",
-    "devices_per_rank",
-    "data_devices_per_rank",
-)
 
 
 #: Section names that mark a file as a *study* (a campaign over a grid
@@ -125,6 +119,13 @@ class ScenarioFile:
             check_policy_set(self.policies)
 
 
+#: The organizations an organization reference may name, by name.
+Refs = Mapping[str, MemoryConfig]
+
+#: Reads one value at a dotted path: checks its type and builds it.
+Reader = Callable[[Any, str, Refs], Any]
+
+
 def _fail(path: str, message: str) -> "ScenarioFileError":
     prefix = f"{path}: " if path else ""
     return ScenarioFileError(f"{prefix}{message}")
@@ -132,25 +133,6 @@ def _fail(path: str, message: str) -> "ScenarioFileError":
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
-
-
-@contextmanager
-def _values_at(
-    path: str, locate: Optional[Callable[[str], str]] = None
-) -> Iterator[None]:
-    """Re-path the value errors of the domain object built inside.
-
-    A :class:`~repro.util.fields.FieldError` lands at ``path.<field>``
-    (or at ``locate(field)`` where the file spells the field otherwise),
-    any other ``ValueError`` at ``path`` itself.
-    """
-    try:
-        yield
-    except FieldError as exc:
-        where = locate(exc.field) if locate else _join(path, exc.field)
-        raise _fail(where, exc.message) from exc
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from exc
 
 
 def _check_keys(
@@ -167,138 +149,213 @@ def _check_keys(
             )
 
 
-def _require_keys(
-    mapping: Mapping[str, Any], required: Sequence[str], path: str
-) -> None:
-    for key in required:
-        if key not in mapping:
-            raise _fail(path, f"missing required key {key!r}")
-
-
 def _type_name(value: Any) -> str:
     return type(value).__name__
 
 
-def _is_array(value: Any) -> bool:
-    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+def _read_scalar(kind: type) -> Reader:
+    """An int, a number (any int converts to float), a bool or a str."""
+    accepts = (int, float) if kind is float else kind
+    label = "number" if kind is float else kind.__name__
+
+    def read_scalar(value: Any, path: str, refs: Refs) -> Any:
+        # bool is an int subclass; a scenario never wants `channels = true`.
+        if not isinstance(value, accepts) or (
+            isinstance(value, bool) and kind is not bool
+        ):
+            raise _fail(path, f"expected {label}, got {_type_name(value)}")
+        if kind is not float:
+            return value
+        try:
+            return float(value)
+        except OverflowError:
+            raise _fail(
+                path, "must be finite, got an integer too large for a float"
+            ) from None
+
+    return read_scalar
 
 
-def _get_str(
-    mapping: Mapping[str, Any], key: str, path: str, empty: bool = False
-) -> str:
-    _require_keys(mapping, (key,), path)
-    value = mapping[key]
-    if not isinstance(value, str):
-        raise _fail(_join(path, key), f"expected str, got {_type_name(value)}")
-    if not value and not empty:
-        raise _fail(_join(path, key), "must not be empty")
-    return value
+_read_str = _read_scalar(str)
 
 
-def _check_int(value: Any, path: str) -> int:
-    # bool is an int subclass; a scenario never wants `channels = true`.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(path, f"expected int, got {_type_name(value)}")
-    return value
+def _read_organization(value: Any, path: str, refs: Refs) -> MemoryConfig:
+    """An organization reference: a built-in or a table of the file."""
+    name = _read_str(value, path, refs)
+    if name not in refs:
+        raise _fail(path, unknown_key_message("memory config", name, refs))
+    return refs[name]
 
 
-def _check_float(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(path, f"expected number, got {_type_name(value)}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise _fail(
-            path, "must be finite, got an integer too large for a float"
-        ) from None
+def _reader(annotation: Any) -> Reader:
+    """How a value of one resolved field type is read from a file.
 
-
-def _get_int(mapping: Mapping[str, Any], key: str, path: str) -> int:
-    return _check_int(mapping[key], _join(path, key))
-
-
-def _get_float(mapping: Mapping[str, Any], key: str, path: str) -> float:
-    return _check_float(mapping[key], _join(path, key))
-
-
-def _get_bool(mapping: Mapping[str, Any], key: str, path: str) -> bool:
-    value = mapping[key]
-    if not isinstance(value, bool):
-        raise _fail(_join(path, key), f"expected bool, got {_type_name(value)}")
-    return value
-
-
-def _get_array(mapping: Mapping[str, Any], key: str, path: str) -> List[Any]:
-    value = mapping[key]
-    if not _is_array(value):
-        raise _fail(
-            _join(path, key), f"expected an array, got {_type_name(value)}"
-        )
-    if not value:
-        raise _fail(_join(path, key), "must not be empty")
-    return list(value)
-
-
-def _check_strs(value: Any, path: str) -> Tuple[str, ...]:
-    """An array of strings (a policy set), element types checked."""
-    if not _is_array(value):
-        raise _fail(
-            path, f"expected an array of strings, got {_type_name(value)}"
-        )
-    for i, item in enumerate(value):
-        if not isinstance(item, str):
-            raise _fail(f"{path}[{i}]", f"expected str, got {_type_name(item)}")
-    return tuple(value)
-
-
-def _parse_rates(raw: Any, path: str) -> FaultRates:
-    _check_keys(raw, _RATE_FIELDS, path)
-    values = {
-        name: _get_float(raw, name, path)
-        if name in raw
-        else getattr(DEFAULT_FIT_RATES, name)
-        for name in _RATE_FIELDS
-    }
-    with _values_at(path):
-        return FaultRates(**values)
-
-
-def _parse_organization(name: str, raw: Any, path: str) -> MemoryConfig:
-    """One ``[organizations.<name>]`` table -> :class:`MemoryConfig`.
-
-    The table key is the organization's name (what populations reference
-    via ``config`` and what reports print); it must not shadow a
-    built-in name.
+    ``Optional[X]`` reads as ``X``: an absent key, never a null, leaves
+    the field at its default. A :class:`MemoryConfig` is spelled by
+    name, a nested dataclass as a table.
     """
-    if not name:
-        raise _fail("organizations", "organization names must not be empty")
-    if name in CONFIG_NAMES:
-        raise _fail(
-            path,
-            f"organization name {name!r} shadows a built-in config; "
-            f"built-ins: {', '.join(CONFIG_NAMES)}",
+    args = get_args(annotation)
+    if get_origin(annotation) is Union:
+        (annotation,) = [arg for arg in args if arg is not type(None)]
+        return _reader(annotation)
+    if get_origin(annotation) is tuple:
+        item = _reader(args[0])
+        array = {str: "an array of strings", MemoryConfig: "an array"}.get(
+            args[0], "an array of tables" if is_dataclass(args[0]) else "an array"
         )
-    _check_keys(raw, _ORGANIZATION_KEYS, path)
-    _require_keys(raw, _ORGANIZATION_REQUIRED, path)
-    values: Dict[str, Any] = {"technology": "DDR2-667"}
-    if "technology" in raw:
-        values["technology"] = _get_str(raw, "technology", path)
-    for key in _ORGANIZATION_KEYS[1:]:
-        if key in raw:
-            values[key] = _get_int(raw, key, path)
-    with _values_at(path):
-        return MemoryConfig(name=name, **values)
+
+        def read_array(value: Any, path: str, refs: Refs) -> Tuple[Any, ...]:
+            if not isinstance(value, (list, tuple)):
+                raise _fail(path, f"expected {array}, got {_type_name(value)}")
+            return tuple(
+                item(entry, f"{path}[{i}]", refs) for i, entry in enumerate(value)
+            )
+
+        return read_array
+    if annotation is MemoryConfig:
+        return _read_organization
+    if is_dataclass(annotation):
+        return lambda value, path, refs: SCHEMAS[annotation].read(
+            value, path, refs
+        )
+    return _read_scalar(annotation)
+
+
+def _write(value: Any) -> Any:
+    """A field value in file form: the inverse of its :func:`_reader`."""
+    if isinstance(value, MemoryConfig):
+        for name, known in CONFIG_NAMES.items():
+            if known == value:
+                return name
+        if value.name in CONFIG_NAMES:
+            raise ScenarioFileError(
+                f"custom memory config is named {value.name!r}, which "
+                f"shadows a built-in; built-ins: {', '.join(CONFIG_NAMES)}"
+            )
+        return value.name
+    if is_dataclass(value):
+        return to_mapping(value)
+    if isinstance(value, tuple):
+        return [_write(item) for item in value]
+    return value
+
+
+class Schema:
+    """One dataclass as a file table.
+
+    The table's keys are the class's fields, in declaration order, and
+    each value is read as its field's annotation says. The types are
+    resolved once, when the schema is built, never per load. Where the
+    file spells a field otherwise: ``omit`` names fields it has no key
+    for, ``keys`` renames, ``defaults`` gives an absent key a value
+    other than the field's default, and ``readers`` wraps a field's
+    type reader in a rule of the file's own.
+
+    The schema checks shape only (tables, arrays, types, keys, names);
+    the class's constructor checks every value, and its
+    :class:`~repro.util.fields.FieldError` is re-raised at the field's
+    dotted path.
+    """
+
+    def __init__(
+        self,
+        cls: type,
+        omit: Sequence[str] = (),
+        keys: Optional[Mapping[str, str]] = None,
+        defaults: Optional[Mapping[str, Any]] = None,
+        readers: Optional[Mapping[str, Callable[[Reader], Reader]]] = None,
+    ) -> None:
+        keys, defaults, readers = keys or {}, defaults or {}, readers or {}
+        hints = get_type_hints(cls)
+        self.cls = cls
+        #: ``(field, key, reader, default)``; a ``MISSING`` default
+        #: makes the key required.
+        self.fields: Tuple[Tuple[str, str, Reader, Any], ...] = tuple(
+            (
+                item.name,
+                keys.get(item.name, item.name),
+                readers.get(item.name, lambda read: read)(
+                    _reader(hints[item.name])
+                ),
+                defaults.get(item.name, item.default),
+            )
+            for item in fields(cls)
+            if item.name not in omit
+        )
+        #: Every key the table accepts, in order.
+        self.keys: Tuple[str, ...] = tuple(key for _, key, _, _ in self.fields)
+
+    def read(
+        self,
+        raw: Any,
+        path: str = "",
+        refs: Refs = CONFIG_NAMES,
+        defaults: Mapping[str, Any] = MappingProxyType({}),
+        locate: Optional[Callable[[str], str]] = None,
+    ) -> Any:
+        """Build the class from one parsed table at dotted ``path``.
+
+        ``defaults`` supplies fields the file leaves out (and values
+        for absent keys); ``locate`` maps a field error to where the
+        file spells that field.
+        """
+        _check_keys(raw, self.keys, path)
+        return self._build(raw, path, refs, defaults, locate)
+
+    def _build(
+        self,
+        raw: Mapping[str, Any],
+        path: str,
+        refs: Refs,
+        defaults: Mapping[str, Any],
+        locate: Optional[Callable[[str], str]] = None,
+    ) -> Any:
+        values = dict(defaults)
+        for name, key, read, default in self.fields:
+            if key in raw:
+                values[name] = read(raw[key], _join(path, key), refs)
+            elif name in values:
+                continue
+            elif default is MISSING:
+                raise _fail(path, f"missing required key {key!r}")
+            else:
+                values[name] = default
+        try:
+            return self.cls(**values)
+        except FieldError as exc:
+            # Where the file spells the field; `locate` knows otherwise.
+            where = locate(exc.field) if locate else _join(path, exc.field)
+            raise _fail(where, exc.message) from exc
+        except ValueError as exc:
+            raise _fail(path, str(exc)) from exc
+
+    def write(self, obj: Any) -> Dict[str, Any]:
+        """The table of ``obj``: every field, ``None`` and empty arrays
+        left out (they read back as the field's default)."""
+        out: Dict[str, Any] = {}
+        for name, key, _, _ in self.fields:
+            value = getattr(obj, name)
+            if value is not None and value != ():
+                out[key] = _write(value)
+        return out
+
+
+def organization_refs(organizations: Iterable[MemoryConfig]) -> Dict[str, MemoryConfig]:
+    """What an organization reference may name: the built-ins, then the
+    file's own ``[organizations.<name>]`` tables."""
+    return {**CONFIG_NAMES, **{config.name: config for config in organizations}}
 
 
 def organization_from_mapping(
     name: str, table: Mapping[str, Any], path: str = "organizations"
 ) -> MemoryConfig:
-    """One organization table -> :class:`MemoryConfig` (public hook).
+    """One ``[organizations.<name>]`` table -> :class:`MemoryConfig`.
 
-    The scenario-file loader's handling of an ``[organizations.<name>]``
-    table — required keys and types here, every value rule (supported
-    I/O widths, power-of-two line/page sizes, divisibility) in
-    :class:`MemoryConfig`. The fuzz sampler
+    The table key is the organization's name (what populations reference
+    via ``config`` and what reports print); it must not be empty or
+    shadow a built-in name. Keys and types are checked here, every value
+    rule (supported I/O widths, power-of-two line/page sizes,
+    divisibility) in :class:`MemoryConfig`. The fuzz sampler
     (:mod:`repro.fuzz.sampler`) builds its random organizations through
     this function so a sampled case can never be schema-invalid.
 
@@ -311,86 +368,129 @@ def organization_from_mapping(
     >>> (config.channels, config.check_devices_per_rank)
     (3, 1)
     """
-    return _parse_organization(name, table, f"{path}.{name}")
-
-
-def _parse_organizations(raw: Any, path: str) -> Dict[str, MemoryConfig]:
-    if not isinstance(raw, Mapping):
+    if not name:
+        raise _fail(path, "organization names must not be empty")
+    where = f"{path}.{name}"
+    if name in CONFIG_NAMES:
         raise _fail(
-            path,
-            f"expected a table of organization tables, got {_type_name(raw)}",
+            where,
+            f"organization name {name!r} shadows a built-in config; "
+            f"built-ins: {', '.join(CONFIG_NAMES)}",
         )
-    return {
-        str(name): _parse_organization(
-            str(name), table, f"{path}.{name}" if name else path
-        )
-        for name, table in raw.items()
-    }
+    return SCHEMAS[MemoryConfig].read(table, where, defaults={"name": name})
 
 
-def _parse_phase(raw: Any, path: str) -> RatePhase:
-    _check_keys(raw, _PHASE_KEYS, path)
-    _require_keys(raw, _PHASE_KEYS, path)
-    values = {key: _get_float(raw, key, path) for key in _PHASE_KEYS}
-    with _values_at(path):
-        return RatePhase(**values)
+class _FileSchema(Schema):
+    """The top table of a file: a :class:`ScenarioFile`.
 
+    Its scenario's keys sit beside its own, and its organization tables,
+    keyed by name, are read first, because populations name them.
+    """
 
-def _parse_spatial(raw: Any, path: str) -> SpatialFaultModel:
-    """One ``[populations.spatial]`` table -> :class:`SpatialFaultModel`."""
-    _check_keys(raw, _SPATIAL_KEYS, path)
-    values: Dict[str, Any] = {"kind": _get_str(raw, "kind", path)}
-    if "fraction" in raw:
-        values["fraction"] = _get_float(raw, "fraction", path)
-    for key in ("banks", "rows", "columns"):
-        if key in raw:
-            values[key] = _get_int(raw, key, path)
-    with _values_at(path):
-        return SpatialFaultModel(**values)
+    def __init__(self, scenario: Schema) -> None:
+        super().__init__(ScenarioFile, omit=("scenario", "organizations"))
+        self.scenario = scenario
+        self.keys = scenario.keys + self.keys + ("organizations",)
 
-
-def _parse_population(
-    raw: Any,
-    path: str,
-    organizations: Optional[Mapping[str, MemoryConfig]] = None,
-) -> SubPopulation:
-    _check_keys(raw, _POPULATION_KEYS, path)
-    values: Dict[str, Any] = {"name": _get_str(raw, "name", path)}
-    _require_keys(raw, ("channels",), path)
-    values["channels"] = _get_int(raw, "channels", path)
-
-    if "config" in raw:
-        known_configs: Dict[str, MemoryConfig] = dict(CONFIG_NAMES)
-        known_configs.update(organizations or {})
-        config_name = _get_str(raw, "config", path)
-        if config_name not in known_configs:
+    def _build(
+        self,
+        raw: Mapping[str, Any],
+        path: str,
+        refs: Refs,
+        defaults: Mapping[str, Any],
+        locate: Optional[Callable[[str], str]] = None,
+    ) -> ScenarioFile:
+        where = _join(path, "organizations")
+        tables = raw.get("organizations", {})
+        if not isinstance(tables, Mapping):
             raise _fail(
-                f"{path}.config",
-                f"unknown memory config {config_name!r}"
-                f"{did_you_mean(config_name, known_configs)}; "
-                f"known: {', '.join(known_configs)}",
+                where,
+                "expected a table of organization tables, "
+                f"got {_type_name(tables)}",
             )
-        values["config"] = known_configs[config_name]
-    if "rates" in raw:
-        values["rates"] = _parse_rates(raw["rates"], f"{path}.rates")
-    for key in ("rate_multiplier", "lifespan_years"):
-        if key in raw:
-            values[key] = _get_float(raw, key, path)
-    if "schedule" in raw:
-        phases = raw["schedule"]
-        if not _is_array(phases):
-            raise _fail(
-                f"{path}.schedule",
-                f"expected an array of tables, got {_type_name(phases)}",
-            )
-        values["schedule"] = tuple(
-            _parse_phase(phase, f"{path}.schedule[{i}]")
-            for i, phase in enumerate(phases)
+        organizations = tuple(
+            organization_from_mapping(str(name), table, where)
+            for name, table in tables.items()
         )
-    if "spatial" in raw:
-        values["spatial"] = _parse_spatial(raw["spatial"], f"{path}.spatial")
-    with _values_at(path):
-        return SubPopulation(**values)
+        scenario = self.scenario._build(
+            raw, path, organization_refs(organizations), {}
+        )
+        given = {"scenario": scenario, "organizations": organizations}
+        return super()._build(raw, path, refs, {**given, **defaults}, locate)
+
+    def write(self, spec: ScenarioFile) -> Dict[str, Any]:
+        out = self.scenario.write(spec.scenario)
+        if spec.organizations:
+            out["organizations"] = {
+                config.name: to_mapping(config) for config in spec.organizations
+            }
+        out.update(super().write(spec))
+        return out
+
+
+_SCENARIO_SCHEMA = Schema(FleetScenario, defaults={"description": ""})
+
+#: Every class a scenario file spells, as its table. A file's top table
+#: is a :class:`ScenarioFile`.
+SCHEMAS: Dict[type, Schema] = {
+    schema.cls: schema
+    for schema in (
+        Schema(FaultRates, defaults=asdict(DEFAULT_FIT_RATES)),
+        Schema(
+            MemoryConfig, omit=("name",), defaults={"technology": "DDR2-667"}
+        ),
+        Schema(RatePhase),
+        Schema(SpatialFaultModel),
+        Schema(SubPopulation),
+        _SCENARIO_SCHEMA,
+        _FileSchema(_SCENARIO_SCHEMA),
+    )
+}
+
+
+def from_mapping(cls: type, raw: Any, path: str = "") -> Any:
+    """Build a schema class from its parsed TOML/JSON table.
+
+    Raises :class:`ScenarioFileError` at the dotted path (below
+    ``path``) of the first offending key. An organization's table lacks
+    its name, its key in ``[organizations]``: read it with
+    :func:`organization_from_mapping`.
+    """
+    return SCHEMAS[cls].read(raw, path)
+
+
+def to_mapping(obj: Any) -> Dict[str, Any]:
+    """The plain-dict form of a schema object, the inverse of
+    :func:`from_mapping`: ``from_mapping(type(obj), to_mapping(obj))``
+    equals ``obj`` (for a :class:`ScenarioFile`, a whole file)."""
+    return SCHEMAS[type(obj)].write(obj)
+
+
+def check_referenced(
+    spec: ScenarioFile, axis: Sequence[MemoryConfig] = (), section: str = ""
+) -> None:
+    """Reject an organization table that nothing references.
+
+    Strict like everything else, and what keeps load -> dump -> load
+    exact: a dump can only emit organizations its populations use, so
+    an unreferenced table (usually a typo in some population's
+    ``config``) is rejected rather than silently lost. A study file's
+    ``[section].organizations`` axis may reference tables too.
+    """
+    used = {pop.config for pop in spec.scenario.populations}
+    used.update(axis)
+    for config in spec.organizations:
+        if config not in used:
+            hint = (
+                f" or the [{section}].organizations axis (reference it"
+                if section
+                else f" (reference it via `config = {config.name!r}`"
+            )
+            raise _fail(
+                f"organizations.{config.name}",
+                "organization is not referenced by any population"
+                f"{hint} or remove the table)",
+            )
 
 
 def scenario_from_mapping(
@@ -412,59 +512,9 @@ def scenario_from_mapping(
                         "`repro study` (repro.fleet.study.load_study_file), "
                         "not as a plain scenario",
                     )
-        _check_keys(raw, _TOP_LEVEL_KEYS, "")
-        name = _get_str(raw, "name", "")
-        description = ""
-        if "description" in raw:
-            description = _get_str(raw, "description", "", empty=True)
-
-        defaults: Dict[str, Any] = {}
-        for key in ("seed", "channels"):
-            if key in raw:
-                defaults[key] = _get_int(raw, key, "")
-        if "policies" in raw:
-            defaults["policies"] = _check_strs(raw["policies"], "policies")
-
-        organizations: Dict[str, MemoryConfig] = {}
-        if "organizations" in raw:
-            organizations = _parse_organizations(
-                raw["organizations"], "organizations"
-            )
-
-        _require_keys(raw, ("populations",), "")
-        raw_pops = raw["populations"]
-        if not _is_array(raw_pops):
-            raise _fail(
-                "populations",
-                f"expected an array of tables, got {_type_name(raw_pops)}",
-            )
-        populations = tuple(
-            _parse_population(pop, f"populations[{i}]", organizations)
-            for i, pop in enumerate(raw_pops)
-        )
-        with _values_at(""):
-            scenario = FleetScenario(
-                name=name, description=description, populations=populations
-            )
-        # Strict like everything else — and what keeps load -> dump ->
-        # load exact: a dump can only emit organizations its populations
-        # reference, so an unreferenced table (usually a typo in some
-        # population's `config`) is rejected rather than silently lost.
-        referenced = {pop.config.name for pop in populations}
-        unused = [name for name in organizations if name not in referenced]
-        if unused:
-            raise _fail(
-                f"organizations.{unused[0]}",
-                "organization is not referenced by any population "
-                "(reference it via `config = " + repr(unused[0]) + "` "
-                "or remove the table)",
-            )
-        with _values_at(""):
-            return ScenarioFile(
-                scenario=scenario,
-                organizations=tuple(organizations.values()),
-                **defaults,
-            )
+        spec = from_mapping(ScenarioFile, raw)
+        check_referenced(spec)
+        return spec
     except ScenarioFileError as exc:
         if source:
             raise ScenarioFileError(f"{source}: {exc}") from None
@@ -520,18 +570,6 @@ def load_scenario_file(path: "str | Path") -> ScenarioFile:
     return scenario_from_mapping(load_raw_mapping(path), source=str(path))
 
 
-def _config_name(config: MemoryConfig) -> str:
-    for name, known in CONFIG_NAMES.items():
-        if known == config:
-            return name
-    if config.name in CONFIG_NAMES:
-        raise ScenarioFileError(
-            f"custom memory config is named {config.name!r}, which shadows "
-            f"a built-in; built-ins: {', '.join(CONFIG_NAMES)}"
-        )
-    return config.name
-
-
 def scenario_to_mapping(
     scenario: FleetScenario,
     seed: Optional[int] = None,
@@ -546,42 +584,20 @@ def scenario_to_mapping(
     keyed by its name, so a dump is self-documenting and round-trips
     exactly.
     """
-    organizations: Dict[str, Dict[str, Any]] = {}
-    for config in scenario.organizations():
-        if any(config == known for known in CONFIG_NAMES.values()):
-            continue
-        organizations[_config_name(config)] = {
-            key: getattr(config, key) for key in _ORGANIZATION_KEYS
-        }
-    populations: List[Dict[str, Any]] = []
-    for pop in scenario.populations:
-        entry: Dict[str, Any] = {
-            "name": pop.name,
-            "channels": pop.channels,
-            "config": _config_name(pop.config),
-            "rates": asdict(pop.rates),
-            "rate_multiplier": pop.rate_multiplier,
-            "lifespan_years": pop.lifespan_years,
-        }
-        if pop.schedule:
-            entry["schedule"] = [asdict(phase) for phase in pop.schedule]
-        if pop.spatial:
-            entry["spatial"] = pop.spatial.to_config()
-        populations.append(entry)
-    out: Dict[str, Any] = {
-        "name": scenario.name,
-        "description": scenario.description,
-        "populations": populations,
-    }
-    if organizations:
-        out["organizations"] = organizations
-    if seed is not None:
-        out["seed"] = seed
-    if channels is not None:
-        out["channels"] = channels
-    if policies is not None:
-        out["policies"] = list(policies)
-    return out
+    custom = tuple(
+        config
+        for config in scenario.organizations()
+        if config not in CONFIG_NAMES.values()
+    )
+    return to_mapping(
+        ScenarioFile(
+            scenario=scenario,
+            seed=seed,
+            channels=channels,
+            policies=None if policies is None else tuple(policies),
+            organizations=custom,
+        )
+    )
 
 
 def dump_scenario_json(

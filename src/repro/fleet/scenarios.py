@@ -74,8 +74,8 @@ class SpatialFaultModel:
     Examples
     --------
     >>> model = SpatialFaultModel(kind="multi-row-cluster", fraction=0.8)
-    >>> sorted(model.to_config())
-    ['banks', 'columns', 'fraction', 'kind', 'rows']
+    >>> (model.banks, model.rows, model.columns)  # the default hot region
+    (1, 64, 64)
     """
 
     kind: str
@@ -92,16 +92,6 @@ class SpatialFaultModel:
         check_range("fraction", self.fraction, above=0.0, at_most=1.0)
         for name in ("banks", "rows", "columns"):
             check_range(name, getattr(self, name), at_least=1)
-
-    def to_config(self) -> Dict[str, object]:
-        """Plain JSON-able mapping for job configs and scenario files."""
-        return {
-            "kind": self.kind,
-            "fraction": self.fraction,
-            "banks": self.banks,
-            "rows": self.rows,
-            "columns": self.columns,
-        }
 
 
 @dataclass(frozen=True)
@@ -171,6 +161,8 @@ class SubPopulation:
     spatial: Optional[SpatialFaultModel] = None
 
     def __post_init__(self) -> None:
+        if not self.name:
+            raise FieldError("name", "must not be empty")
         check_range(
             "channels", self.channels, at_least=1, at_most=MAX_FLEET_CHANNELS
         )
@@ -237,6 +229,8 @@ class FleetScenario:
     populations: Tuple[SubPopulation, ...]
 
     def __post_init__(self) -> None:
+        if not self.name:
+            raise FieldError("name", "must not be empty")
         if not self.populations:
             raise FieldError("populations", "needs at least one sub-population")
         names = [pop.name for pop in self.populations]

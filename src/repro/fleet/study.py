@@ -24,9 +24,14 @@ the engine provenance. Combined with the runner's incremental
   ``--jobs 4`` produce bit-identical bytes), so two PRs' campaigns
   diff like source code.
 
-Validation matches the scenario-file idiom: strict keys, dotted error
-paths, closest-match suggestions. See ``docs/scenario-files.md`` for the
-schema and ``examples/scenarios/scale_study.toml`` for a worked grid.
+The section is read through a :class:`~repro.fleet.scenario_file.Schema`
+of :class:`Study`, like every table of a scenario file: strict keys,
+dotted error paths, closest-match suggestions. What the section spells
+differently from the dataclass (``policies`` for ``policy_sets``, which
+may be one flat set) and the rules of its own (an axis is not empty and
+repeats no value) are declared next to the loader. See
+``docs/scenario-files.md`` for the schema and
+``examples/scenarios/scale_study.toml`` for a worked grid.
 """
 
 from __future__ import annotations
@@ -60,24 +65,16 @@ from repro.fleet.policies import (
 )
 from repro.fleet.report import DEFAULT_FLEET_SEED
 from repro.fleet.scenario_file import (
-    CONFIG_NAMES,
     STUDY_SECTION_KEYS,
+    Reader,
+    Refs,
+    ScenarioFile,
     ScenarioFileError,
-    _check_float,
-    _check_int,
-    _check_keys,
-    _check_strs,
-    _fail,
-    _get_array,
-    _get_bool,
-    _get_int,
-    _get_str,
-    _is_array,
-    _type_name,
-    _values_at,
+    Schema,
+    check_referenced,
+    from_mapping,
     load_raw_mapping,
-    organization_from_mapping,
-    scenario_from_mapping,
+    organization_refs,
 )
 from repro.fleet.scenarios import MAX_FLEET_CHANNELS, FleetScenario
 from repro.perf.engine import check_arcc_capable, engine_provenance, resolve_engine
@@ -92,21 +89,8 @@ from repro.runner import (
 )
 from repro.runner.job import Fragments
 from repro.util.fields import FieldError, check_range
-from repro.util.suggest import did_you_mean
 from repro.util.tables import format_table
 from repro.workloads.spec import ALL_MIXES
-
-#: Keys a ``[study]``/``[sweep]`` section accepts.
-_STUDY_KEYS = (
-    "description",
-    "measured",
-    "mixes",
-    "instruction_scales",
-    "rate_multipliers",
-    "organizations",
-    "policies",
-    "upgraded_fractions",
-)
 
 #: Largest trace-measurement scale, in instructions per core: five times
 #: the 200M paper scale. A trace holds 0.56-1.35 bytes per instruction
@@ -692,60 +676,64 @@ def run_study(
 # -- the file loader -----------------------------------------------------------
 
 
-def _no_duplicates(values: Sequence[Any], path: str) -> None:
-    seen = set()
-    for i, value in enumerate(values):
-        if value in seen:
-            raise _fail(f"{path}[{i}]", f"duplicate axis value {value!r}")
-        seen.add(value)
+def _axis(read: Reader) -> Reader:
+    """A sweep axis: the field's array, not empty, no value repeated."""
+
+    def read_axis(value: Any, path: str, refs: Refs) -> Tuple[Any, ...]:
+        values = read(value, path, refs)
+        if not values:
+            raise ScenarioFileError(f"{path}: must not be empty")
+        seen = set()
+        for i, item in enumerate(values):
+            if item in seen:
+                # An organization shows as the file names it.
+                shown = value[i] if isinstance(item, MemoryConfig) else item
+                raise ScenarioFileError(
+                    f"{path}[{i}]: duplicate axis value {shown!r}"
+                )
+            seen.add(item)
+        return values
+
+    return read_axis
 
 
-def _axis(
-    section: Mapping[str, Any],
-    key: str,
-    path: str,
-    check: Callable[[Any, str], Any],
-) -> Tuple[Any, ...]:
-    """One array axis: each element type-checked, no value repeated."""
-    axis = f"{path}.{key}"
-    values = tuple(
-        check(value, f"{axis}[{i}]")
-        for i, value in enumerate(_get_array(section, key, path))
-    )
-    _no_duplicates(values, axis)
-    return values
+def _policy_sets(read: Reader) -> Reader:
+    """The ``policies`` axis: a flat array of names is one comparison,
+    an array of arrays is one comparison per entry."""
+    read_axis = _axis(read)
+
+    def read_policy_sets(value: Any, path: str, refs: Refs) -> Any:
+        if isinstance(value, (list, tuple)) and value:
+            if all(isinstance(entry, str) for entry in value):
+                return (tuple(value),)
+            if not all(isinstance(entry, (list, tuple)) for entry in value):
+                raise ScenarioFileError(
+                    f"{path}: expected an array of policy names or an array "
+                    "of policy-name arrays (not a mixture)"
+                )
+        return read_axis(value, path, refs)
+
+    return read_policy_sets
 
 
-def _policy_sets(
-    section: Mapping[str, Any], path: str
-) -> Tuple[Tuple[Tuple[str, ...], ...], bool]:
-    """Parse the ``policies`` axis: a flat array is one comparison,
-    an array of arrays is one comparison per entry. Returns the sets
-    and whether the array was flat."""
-    raw_sets = _get_array(section, "policies", path)
-    if all(isinstance(entry, str) for entry in raw_sets):
-        return (_check_strs(raw_sets, f"{path}.policies"),), True
-    if not all(_is_array(entry) for entry in raw_sets):
-        raise _fail(
-            f"{path}.policies",
-            "expected an array of policy names or an array of policy-name "
-            "arrays (not a mixture)",
-        )
-    sets = tuple(
-        _check_strs(group, f"{path}.policies[{g}]")
-        for g, group in enumerate(raw_sets)
-    )
-    _no_duplicates(sets, f"{path}.policies")
-    return sets, False
+#: A ``[study]`` section as a :class:`Study` table. The scenario, its
+#: name and the run defaults come from the rest of the file; the
+#: measurement seed has no key.
+STUDY_SCHEMA = Schema(
+    Study,
+    omit=("name", "scenario", "seed", "channels", "measurement_seed"),
+    keys={"policy_sets": "policies"},
+    readers={
+        "instruction_scales": _axis,
+        "rate_multipliers": _axis,
+        "organizations": _axis,
+        "policy_sets": _policy_sets,
+        "upgraded_fractions": _axis,
+    },
+)
 
 
-def _check_name(value: Any, path: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise _fail(path, f"expected a non-empty str, got {_type_name(value)}")
-    return value
-
-
-def _study_path(field: str, section_key: str, flat_policies: bool) -> str:
+def _study_path(field: str, section_key: str, section: Mapping[str, Any]) -> str:
     """Where a :class:`Study` field is spelled in a study file."""
     if field.startswith("scenario."):
         return field[len("scenario."):]
@@ -753,7 +741,8 @@ def _study_path(field: str, section_key: str, flat_policies: bool) -> str:
         return field
     if field.startswith("policy_sets"):
         index = field[len("policy_sets"):]
-        if flat_policies:
+        policies = section.get("policies", ())
+        if not any(isinstance(entry, (list, tuple)) for entry in policies):
             index = index[len("[0]"):]
         return f"{section_key}.policies{index}"
     return f"{section_key}.{field}"
@@ -765,135 +754,56 @@ def study_from_mapping(
     """Validate a parsed TOML/JSON mapping into a :class:`Study`.
 
     The mapping is a full scenario file plus one ``[study]`` (or
-    ``[sweep]``) section. Everything outside the section goes through
-    :func:`~repro.fleet.scenario_file.scenario_from_mapping` unchanged,
-    except that ``[organizations.<name>]`` tables referenced only by the
-    study's ``organizations`` axis are allowed (a plain scenario would
-    reject them as unreferenced); tables referenced by *neither* a
-    population nor the axis still fail. The section's shape — keys,
-    types, axis arrays, name references — is checked here; its values
-    are :class:`Study`'s to check, and its errors are re-raised at
-    their key paths. Errors follow the scenario-file idiom: dotted key
-    paths, closest-match suggestions, ``source`` prefix.
+    ``[sweep]``) section. Everything outside the section is read as a
+    :class:`~repro.fleet.scenario_file.ScenarioFile`, except that
+    ``[organizations.<name>]`` tables referenced only by the study's
+    ``organizations`` axis are allowed (a plain scenario would reject
+    them as unreferenced); tables referenced by *neither* a population
+    nor the axis still fail. The section is read through the
+    :class:`Study` schema: its shape is checked there, its values are
+    :class:`Study`'s to check, and every error is re-raised at its key
+    path. Errors follow the scenario-file idiom: dotted key paths,
+    closest-match suggestions, ``source`` prefix.
     """
     try:
         if not isinstance(raw, Mapping):
-            raise _fail(
-                "", f"top level must be a table/object, got {_type_name(raw)}"
+            raise ScenarioFileError(
+                f"top level must be a table/object, got {type(raw).__name__}"
             )
         present = [key for key in STUDY_SECTION_KEYS if key in raw]
         if not present:
-            raise _fail(
-                "",
+            raise ScenarioFileError(
                 "missing a [study] (or [sweep]) section; plain scenarios "
-                "run with `repro fleet --scenario-file`",
+                "run with `repro fleet --scenario-file`"
             )
         if len(present) > 1:
-            raise _fail(
-                present[1],
-                "declare either [study] or [sweep], not both "
-                "(they are aliases)",
+            raise ScenarioFileError(
+                f"{present[1]}: declare either [study] or [sweep], not both "
+                "(they are aliases)"
             )
         section_key = present[0]
         section = raw[section_key]
-        _check_keys(section, _STUDY_KEYS, section_key)
-        axis_names: Tuple[str, ...] = ()
-        if "organizations" in section:
-            axis_names = _axis(section, "organizations", section_key, _check_name)
-
-        # Split the file's organization tables: population-referenced
-        # ones flow into the scenario (which enforces its own
-        # strictness), axis-only ones are parsed here, and orphans fail.
-        rest: Dict[str, Any] = {
-            key: value
-            for key, value in raw.items()
-            if key not in STUDY_SECTION_KEYS
-        }
-        axis_only: Dict[str, MemoryConfig] = {}
-        raw_orgs = rest.get("organizations")
-        if isinstance(raw_orgs, Mapping):
-            population_refs = set()
-            raw_pops = rest.get("populations")
-            if _is_array(raw_pops):
-                for pop in raw_pops:
-                    if isinstance(pop, Mapping) and isinstance(
-                        pop.get("config"), str
-                    ):
-                        population_refs.add(pop["config"])
-            kept: Dict[str, Any] = {}
-            for name, table in raw_orgs.items():
-                if str(name) in population_refs:
-                    kept[name] = table
-                elif str(name) in axis_names:
-                    axis_only[str(name)] = organization_from_mapping(
-                        str(name), table
-                    )
-                else:
-                    raise _fail(
-                        f"organizations.{name}",
-                        "organization is not referenced by any population "
-                        f"or the [{section_key}].organizations axis "
-                        "(reference it or remove the table)",
-                    )
-            if kept:
-                rest["organizations"] = kept
-            else:
-                rest.pop("organizations", None)
-        spec = scenario_from_mapping(rest)
-
-        values: Dict[str, Any] = {"description": spec.scenario.description}
-        if "description" in section:
-            values["description"] = _get_str(
-                section, "description", section_key, empty=True
-            )
-        if "measured" in section:
-            values["measured"] = _get_bool(section, "measured", section_key)
-        if "mixes" in section:
-            values["mixes"] = _get_int(section, "mixes", section_key)
-        for key, check in (
-            ("instruction_scales", _check_int),
-            ("rate_multipliers", _check_float),
-            ("upgraded_fractions", _check_float),
-        ):
-            if key in section:
-                values[key] = _axis(section, key, section_key, check)
-        flat_policies = True
-        if "policies" in section:
-            values["policy_sets"], flat_policies = _policy_sets(
-                section, section_key
-            )
-        elif spec.policies:
-            values["policy_sets"] = (spec.policies,)
-
-        known_configs: Dict[str, MemoryConfig] = dict(CONFIG_NAMES)
-        for config in spec.organizations:
-            known_configs[config.name] = config
-        known_configs.update(axis_only)
-        for i, name in enumerate(axis_names):
-            if name not in known_configs:
-                raise _fail(
-                    f"{section_key}.organizations[{i}]",
-                    f"unknown memory config {name!r}"
-                    f"{did_you_mean(name, known_configs)}; "
-                    f"known: {', '.join(known_configs)}",
-                )
-        values["organizations"] = tuple(
-            known_configs[name] for name in axis_names
+        spec = from_mapping(
+            ScenarioFile,
+            {key: value for key, value in raw.items() if key != section_key},
         )
-
-        with _values_at(
+        given: Dict[str, Any] = {
+            "name": spec.scenario.name,
+            "scenario": spec.scenario,
+            "description": spec.scenario.description,
+            "seed": DEFAULT_FLEET_SEED if spec.seed is None else spec.seed,
+            "channels": spec.channels,
+        }
+        if spec.policies:
+            given["policy_sets"] = (spec.policies,)
+        study = STUDY_SCHEMA.read(
+            section,
             section_key,
-            lambda field: _study_path(field, section_key, flat_policies),
-        ):
-            study = Study(
-                name=spec.scenario.name,
-                scenario=spec.scenario,
-                seed=(
-                    spec.seed if spec.seed is not None else DEFAULT_FLEET_SEED
-                ),
-                channels=spec.channels,
-                **values,
-            )
+            organization_refs(spec.organizations),
+            given,
+            lambda field: _study_path(field, section_key, section),
+        )
+        check_referenced(spec, study.organizations, section_key)
     except ScenarioFileError as exc:
         if source:
             raise ScenarioFileError(f"{source}: {exc}") from None

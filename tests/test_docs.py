@@ -229,3 +229,33 @@ class TestCliDocumentation:
 
         for key in FIGURES:
             assert f"``{key}``" in cli.__doc__, key
+
+
+class TestScenarioFileDocs:
+    """Each key table of ``docs/scenario-files.md`` lists exactly the
+    keys its schema accepts, so a new field cannot ship undocumented."""
+
+    @pytest.mark.parametrize(
+        "heading, table",
+        [
+            ("## Top level", "ScenarioFile"),
+            ("## `[[populations]]`", "SubPopulation"),
+            ("### `[populations.spatial]`", "SpatialFaultModel"),
+            ("### `[populations.rates]`", "FaultRates"),
+            ("## `[organizations.<name>]`", "MemoryConfig"),
+            ("### `[[populations.schedule]]`", "RatePhase"),
+            ("## Study files", "Study"),
+        ],
+    )
+    def test_key_table_matches_schema(self, heading, table):
+        from repro.fleet.scenario_file import SCHEMAS
+        from repro.fleet.study import STUDY_SCHEMA
+
+        schemas = {schema.cls.__name__: schema for schema in SCHEMAS.values()}
+        schema = STUDY_SCHEMA if table == "Study" else schemas[table]
+        text = (REPO_ROOT / "docs" / "scenario-files.md").read_text(
+            encoding="utf-8"
+        )
+        section = text.split(f"\n{heading}", 1)[1].split("\n#", 1)[0]
+        documented = re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE)
+        assert sorted(documented) == sorted(schema.keys)

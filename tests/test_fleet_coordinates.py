@@ -188,14 +188,14 @@ class TestSpatialModels:
         plain = sample_block(21, 192, 6.0, rate_multiplier=10.0)
         shaped = sample_block(
             21, 192, 6.0, rate_multiplier=10.0,
-            spatial=_spatial(kind).to_config(),
+            spatial=dataclasses.asdict(_spatial(kind)),
         )
         assert _rank_level_digest(shaped) == _rank_level_digest(plain)
 
     def test_multi_row_cluster_concentrates_banks_and_rows(self):
         shaped = sample_block(
             21, 512, 6.0, rate_multiplier=20.0,
-            spatial=_spatial("multi-row-cluster").to_config(),
+            spatial=dataclasses.asdict(_spatial("multi-row-cluster")),
         )
         assert shaped.num_events > 50
         assert int(shaped.bank.max()) < 2
@@ -206,14 +206,14 @@ class TestSpatialModels:
     def test_retention_cluster_concentrates_columns_too(self):
         shaped = sample_block(
             21, 512, 6.0, rate_multiplier=20.0,
-            spatial=_spatial("retention-cluster").to_config(),
+            spatial=dataclasses.asdict(_spatial("retention-cluster")),
         )
         assert int(shaped.column.max()) < 8
 
     def test_bank_wear_leaves_rows_uniform(self):
         shaped = sample_block(
             21, 512, 6.0, rate_multiplier=20.0,
-            spatial=_spatial("bank-wear").to_config(),
+            spatial=dataclasses.asdict(_spatial("bank-wear")),
         )
         assert int(shaped.bank.max()) < 2
         assert int(shaped.row.max()) >= 8
@@ -248,7 +248,7 @@ class TestSpatialModels:
             ),
         )
         mapping = scenario_to_mapping(scenario)
-        assert mapping["populations"][0]["spatial"] == model.to_config()
+        assert mapping["populations"][0]["spatial"] == dataclasses.asdict(model)
         rebuilt = scenario_from_mapping(mapping)
         assert rebuilt.scenario.populations[0].spatial == model
         assert rebuilt.scenario == scenario

@@ -7,9 +7,11 @@ files are valid; and ``repro fleet --scenario-file`` works end to end
 on a tiny two-slice file.
 """
 
+import copy
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -1106,3 +1108,187 @@ class TestSizeBounds:
                 continue
             assert max(study.effective_scales()) <= MAX_INSTRUCTION_SCALE
             assert study.base_scenario().total_channels <= MAX_FLEET_CHANNELS
+
+
+#: The shipped example files, plain scenarios and studies alike.
+EXAMPLE_FILES = sorted(
+    (Path(__file__).resolve().parent.parent / "examples" / "scenarios").glob(
+        "*.*"
+    )
+)
+
+#: Junk for any value: every wrong type, out-of-range and non-finite
+#: numbers, integers too large for an int64 or a float, nested arrays
+#: and an unknown table.
+_JUNK = (
+    None,
+    [],
+    {},
+    "",
+    -1,
+    2**70,
+    10**400,
+    float("nan"),
+    float("inf"),
+    True,
+    [[1, [2.5]], []],
+    {"zzz": {"a": 1}},
+)
+
+
+class TestJunkValues:
+    """Hypothesis: one or two values of a shipped example replaced with
+    junk either load or fail as a ScenarioFileError, never as any other
+    exception."""
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @pytest.mark.parametrize("path", EXAMPLE_FILES, ids=lambda p: p.name)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_junk_loads_or_fails_as_a_scenario_file_error(self, path, data):
+        from repro.fleet import study_from_mapping
+        from repro.fleet.scenario_file import STUDY_SECTION_KEYS, load_raw_mapping
+
+        raw = load_raw_mapping(path)
+        is_study = any(key in raw for key in STUDY_SECTION_KEYS)
+        load = study_from_mapping if is_study else scenario_from_mapping
+        raw = copy.deepcopy(raw)
+        for _ in range(data.draw(self.st.integers(min_value=1, max_value=2))):
+            site = data.draw(self.st.sampled_from(list(_sites(raw))))
+            parent = raw
+            for key in site[:-1]:
+                parent = parent[key]
+            junk = data.draw(self.st.sampled_from(_JUNK))
+            parent[site[-1]] = copy.deepcopy(junk)
+        try:
+            load(raw)
+        except ScenarioFileError:
+            pass
+
+
+def _finite(low, high):
+    from hypothesis import strategies as st
+
+    return st.floats(
+        min_value=low, max_value=high, allow_nan=False, allow_infinity=False
+    )
+
+
+def _scenario_files():
+    """Whole valid scenario files: custom organizations, rate overrides,
+    schedules, spatial models, optional seed, channels and policies."""
+    from hypothesis import strategies as st
+
+    from repro.config import MemoryConfig
+    from repro.faults.types import FaultRates
+    from repro.fleet import SPATIAL_KINDS, ScenarioFile, SpatialFaultModel
+    from repro.fleet.policies import POLICY_KEYS
+
+    @st.composite
+    def organization(draw, name):
+        devices = draw(st.integers(min_value=2, max_value=40))
+        page = draw(st.sampled_from([1024, 2048, 4096, 8192]))
+        return MemoryConfig(
+            name=name,
+            technology=draw(st.sampled_from(["DDR2-667", "DDR3-1600"])),
+            io_width=draw(st.sampled_from([4, 8])),
+            channels=draw(st.integers(min_value=1, max_value=8)),
+            ranks_per_channel=draw(st.integers(min_value=1, max_value=5)),
+            devices_per_rank=devices,
+            data_devices_per_rank=draw(
+                st.integers(min_value=1, max_value=devices - 1)
+            ),
+            cacheline_bytes=draw(st.sampled_from([32, 64, 128])),
+            page_bytes=page,
+            capacity_per_channel_bytes=page
+            * draw(st.integers(min_value=1, max_value=1 << 20)),
+            banks_per_device=draw(st.integers(min_value=1, max_value=16)),
+            pages_per_row=draw(st.integers(min_value=1, max_value=4)),
+            rows_per_bank=draw(st.integers(min_value=1, max_value=1 << 16)),
+            columns_per_row=draw(st.integers(min_value=1, max_value=1 << 12)),
+        )
+
+    spatial = st.builds(
+        SpatialFaultModel,
+        kind=st.sampled_from(SPATIAL_KINDS),
+        fraction=_finite(0.01, 1.0),
+        banks=st.integers(min_value=1, max_value=8),
+        rows=st.integers(min_value=1, max_value=128),
+        columns=st.integers(min_value=1, max_value=128),
+    )
+
+    @st.composite
+    def scenario_file(draw):
+        names = draw(
+            st.lists(
+                st.from_regex(r"[a-z][a-z0-9-]{0,8}", fullmatch=True),
+                max_size=3,
+                unique=True,
+            )
+        )
+        custom = [draw(organization(f"org-{name}")) for name in names]
+        configs = [ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG, *custom]
+        populations = tuple(
+            SubPopulation(
+                name=f"slice-{i}",
+                channels=draw(st.integers(min_value=1, max_value=10**5)),
+                config=draw(st.sampled_from(configs)),
+                rates=FaultRates(
+                    **{
+                        key: draw(_finite(0.0, 100.0))
+                        for key in ("bit", "row", "column", "bank", "device", "lane")
+                    }
+                ),
+                rate_multiplier=draw(_finite(0.01, 8.0)),
+                lifespan_years=draw(_finite(0.1, 10.0)),
+                schedule=tuple(
+                    RatePhase(
+                        duration_years=draw(_finite(0.01, 5.0)),
+                        multiplier=draw(_finite(0.0, 8.0)),
+                    )
+                    for _ in range(draw(st.integers(min_value=0, max_value=2)))
+                ),
+                spatial=draw(st.none() | spatial),
+            )
+            for i in range(draw(st.integers(min_value=1, max_value=3)))
+        )
+        used = {pop.config for pop in populations}
+        return ScenarioFile(
+            scenario=FleetScenario(
+                name=draw(st.text(min_size=1, max_size=12)),
+                description=draw(st.text(max_size=20)),
+                populations=populations,
+            ),
+            seed=draw(st.none() | st.integers(min_value=0, max_value=2**63)),
+            channels=draw(
+                st.none() | st.integers(min_value=1, max_value=10**7)
+            ),
+            policies=draw(
+                st.none()
+                | st.lists(
+                    st.sampled_from(POLICY_KEYS), min_size=1, unique=True
+                ).map(tuple)
+            ),
+            organizations=tuple(config for config in custom if config in used),
+        )
+
+    return scenario_file()
+
+
+class TestWholeFileRoundTrip:
+    """Hypothesis: a whole drawn file, every schema class in it, goes
+    through ``to_mapping``, JSON and ``from_mapping`` unchanged."""
+
+    from hypothesis import given, settings
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_scenario_files())
+    def test_to_mapping_json_from_mapping_is_exact(self, spec):
+        from repro.fleet import ScenarioFile
+        from repro.fleet.scenario_file import from_mapping, to_mapping
+
+        raw = json.loads(json.dumps(to_mapping(spec)))
+        assert from_mapping(ScenarioFile, raw) == spec
+        assert scenario_from_mapping(raw) == spec
