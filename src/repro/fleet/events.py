@@ -11,7 +11,7 @@ Converters to and from the per-channel dataclass lists keep both forms
 interchangeable: ``FaultEventBatch.from_histories`` and
 ``batch.to_histories()`` are exact inverses, event for event. The
 per-channel form is what the exact scalar oracles (the fuzz
-``fleet-lifetime`` reductions) consume.
+``fleet-lifetime`` reductions, the Monte-Carlo event loops) consume.
 
 Batches carry full spatial coordinates: ``channel``/``rank``/``device``
 locate the faulty circuitry at rank level (the fields the per-channel
@@ -162,26 +162,26 @@ class FaultEventBatch:
 
     def events_of(self, member: int) -> List["FaultEvent"]:
         """Materialize one population member's events as ``FaultEvent`` objects."""
-        from repro.faults.lifetime import FaultEvent
-
-        start, stop = int(self.offsets[member]), int(self.offsets[member + 1])
-        return [
-            FaultEvent(
-                time_hours=float(self.time_hours[i]),
-                fault_type=FAULT_TYPE_ORDER[int(self.type_code[i])],
-                channel=int(self.channel[i]),
-                rank=int(self.rank[i]),
-                device=int(self.device[i]),
-                bank=int(self.bank[i]),
-                row=int(self.row[i]),
-                column=int(self.column[i]),
-            )
-            for i in range(start, stop)
-        ]
+        return self._events(int(self.offsets[member]), int(self.offsets[member + 1]))
 
     def to_histories(self) -> List[List["FaultEvent"]]:
         """The per-channel ``List[List[FaultEvent]]`` view of the batch."""
-        return [self.events_of(member) for member in range(self.num_channels)]
+        events = self._events(0, self.num_events)
+        bounds = self.offsets.tolist()
+        return [events[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+    def _events(self, start: int, stop: int) -> List["FaultEvent"]:
+        """Events ``start:stop`` as ``FaultEvent``s, built column by column.
+
+        One ``tolist()`` per field yields Python ``float``/``int`` values,
+        never NumPy scalars; :data:`EVENT_FIELDS` lists the columns in
+        ``FaultEvent``'s positional field order.
+        """
+        from repro.faults.lifetime import FaultEvent
+
+        columns = [getattr(self, name)[start:stop].tolist() for name in EVENT_FIELDS]
+        columns[1] = [FAULT_TYPE_ORDER[code] for code in columns[1]]
+        return list(map(FaultEvent, *columns))
 
     @classmethod
     def from_histories(

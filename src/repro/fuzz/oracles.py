@@ -130,7 +130,7 @@ def _reliability_params(case: Dict[str, Any]):
 
 def _execute_montecarlo(case: Dict[str, Any]) -> Optional[str]:
     """The population plan with and without ``exact_pairs``: same sampled
-    faults, the vectorized pair decisions against the per-channel event
+    faults, the segmented verdict pass against the per-channel event
     loops."""
     from repro.reliability.montecarlo import plan_montecarlo
     from repro.runner import execute_plan

@@ -12,18 +12,20 @@ counts a DUE — machine retirement — for a detected pair.
 Faults use the fleet engine's format: :func:`_sample_batch` draws a
 block of channels into a :class:`~repro.fleet.events.FaultEventBatch`,
 and the event loops read :class:`~repro.faults.lifetime.FaultEvent`
-objects through ``events_of``. :func:`footprint_intersects` and
+objects through ``to_histories``. :func:`footprint_intersects` and
 :func:`footprint_pairs_intersect` are the scalar and vector forms of the
 one footprint rule, which the fleet's uncorrectable-pair screen shares.
 
 :func:`plan_montecarlo` runs a population as one plan: a
 :func:`simulate_block` job per block of channels, summed at assembly.
-A block resolves the dominant two-fault channels in array form and
-falls back to the exact per-fault event loops only for channels where a
-candidate collision exists. Those event loops are the engine's exact
-oracle: ``exact_pairs=True`` sends the two-fault channels through them
-as well, on identical sampled faults, and the counts must match bit
-for bit.
+A block decides every channel with two or more faults in one segmented
+all-pairs pass (:func:`channel_verdicts`), the event loops' rules
+written as reductions over each channel's intersecting pairs; no
+channel runs Python per fault. The per-fault event loops are the
+engine's exact oracle and run only under ``exact_pairs=True``: that
+mode sends the two-fault channels and the screened multi-fault
+channels through them, on identical sampled faults, and the counts
+must match bit for bit.
 
 The paper performs the same cross-check against the analytical models of
 [12]; ``benchmarks/test_fig6_1_sdc.py`` reports both side by side.
@@ -32,7 +34,7 @@ The paper performs the same cross-check against the analytical models of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -218,7 +220,7 @@ def _next_scrub_array(time_hours: np.ndarray, interval: float) -> np.ndarray:
 #: Pair budget of one segmented all-pairs pass. A member set whose
 #: pairs exceed it is screened in consecutive chunks, so memory stays
 #: bounded however many faults a block draws. A full-scale ``repro run``
-#: screens about 53k pairs in 148 passes, the largest about 10k pairs.
+#: screens about 53k pairs in 112 passes, the largest about 10k pairs.
 _MAX_SEGMENT_PAIRS = 1 << 16
 
 
@@ -272,6 +274,17 @@ def any_pair_per_segment(
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     out = np.zeros(len(lengths), dtype=bool)
+    for lo, hi in _segment_chunks(lengths):
+        left, right, segment = segment_pairs(starts[lo:hi], lengths[lo:hi])
+        hit = pair_test(left, right)
+        out[lo:hi] = np.bincount(segment[hit], minlength=hi - lo) > 0
+    return out
+
+
+def _segment_chunks(lengths: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Consecutive ``[lo, hi)`` segment ranges of at most
+    ``_MAX_SEGMENT_PAIRS`` pairs each, never splitting a segment (one
+    segment over the budget is a range of its own)."""
     cumulative = np.cumsum(lengths * (lengths - 1) // 2)
     lo = 0
     while lo < len(lengths):
@@ -280,11 +293,64 @@ def any_pair_per_segment(
             lo + 1,
             int(np.searchsorted(cumulative, done + _MAX_SEGMENT_PAIRS, "right")),
         )
-        left, right, segment = segment_pairs(starts[lo:hi], lengths[lo:hi])
-        hit = pair_test(left, right)
-        out[lo:hi] = np.bincount(segment[hit], minlength=hi - lo) > 0
+        yield lo, hi
         lo = hi
-    return out
+
+
+def channel_verdicts(
+    batch: "FaultEventBatch", interval: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every policy's verdict on every member of ``batch``, in array form.
+
+    Returns per-member booleans ``(arcc_sdc, sccdcd_due, sccdcd_sdc)``;
+    ARCC's SDC is also double chip sparing's DUE. One segmented
+    all-pairs pass (chunked like :func:`any_pair_per_segment`) evaluates
+    the event loops' rules as reductions over each member's intersecting
+    pairs ``i < j``, in index (time) order:
+
+    * ARCC (:func:`_undetected_pair`): some pair has
+      ``next_scrub(t_i) > t_j``.
+    * SCCDCD (:func:`_sccdcd_outcome`): the first pair closes at ``j*``,
+      the smallest ``j`` of any pair, and is retired as a DUE by the
+      first fault at or after ``next_scrub(t_j*)``. An SDC is the first fault ``k``
+      that intersects an earlier ``m`` whose own first pair closed
+      before ``k`` (at the min over partners ``p`` of ``max(m, p)``). As
+      times are sorted within a member, the SDC comes first exactly when
+      ``t_k < next_scrub(t_j*)``; otherwise the member is a DUE if it
+      has a pair at all.
+
+    Members with fewer than two faults decide nothing.
+    """
+    arcc_sdc, sccdcd_due, sccdcd_sdc = (
+        np.zeros(batch.num_channels, dtype=bool) for _ in range(3)
+    )
+    multi = np.flatnonzero(batch.per_channel >= 2)
+    starts, lengths = batch.offsets[multi], batch.per_channel[multi]
+    # Index ``none`` is past every fault; its time is inf.
+    none = batch.num_events
+    times = np.append(batch.time_hours, np.inf)
+    closes = np.full(none, none)  # where each fault's first pair closes
+    for lo, hi in _segment_chunks(lengths):
+        left, right, segment = segment_pairs(starts[lo:hi], lengths[lo:hi])
+        hit = footprint_pairs_intersect(batch, left, right)
+        left, right, segment = left[hit], right[hit], segment[hit]
+        members = multi[lo:hi]
+
+        race = _next_scrub_array(times[left], interval) > times[right]
+        arcc_sdc[members] = np.bincount(segment[race], minlength=hi - lo) > 0
+
+        first_pair = np.full(hi - lo, none)
+        np.minimum.at(first_pair, segment, right)
+        np.minimum.at(closes, left, right)
+        closes[right] = right  # a later member closes its pair itself
+        triple = closes[left] < right
+        first_triple = np.full(hi - lo, none)
+        np.minimum.at(first_triple, segment[triple], right[triple])
+
+        sdc = times[first_triple] < _next_scrub_array(times[first_pair], interval)
+        sccdcd_sdc[members] = sdc
+        sccdcd_due[members] = (first_pair < none) & ~sdc
+    return arcc_sdc, sccdcd_due, sccdcd_sdc
 
 
 # -- per-channel reference policies (exact event loops) -----------------------
@@ -362,52 +428,40 @@ def simulate_block(
 ) -> ReliabilityOutcome:
     """Simulate one block of channels with batched sampling.
 
-    Two-fault channels (the overwhelming majority of multi-fault
-    channels at field rates) are decided entirely in array form; the
-    policies reduce to two questions about the pair — does it
-    intersect, and did the second fault beat the first one's scrub?
-    Channels with three or more faults are screened together, in
-    one segmented all-pairs intersection pass over the block, and
-    only candidate collisions pay for the exact per-channel event loops.
-    ``exact_pairs=True`` sends two-fault channels down the event loops
-    as well; the result must be bit-identical (this is the
-    equivalence check the tests run).
+    Every channel with two or more faults is decided in array form, in
+    one segmented all-pairs pass over the block
+    (:func:`channel_verdicts`); the counts are the sums of its
+    per-channel verdicts. ``exact_pairs=True`` runs the exact event
+    loops instead: on the two-fault channels, and on the channels with
+    three or more faults that a segmented intersection screen keeps
+    (no policy can fail a channel whose faults are pairwise disjoint).
+    The two modes must agree bit for bit on identical sampled faults;
+    this is the equivalence check the tests and the ``montecarlo`` fuzz
+    oracle run.
     """
     rng = np.random.Generator(np.random.PCG64(block_seed))
     batch = _sample_batch(params, rng, channels, years)
     scrub = params.scrub_interval_hours
     outcome = ReliabilityOutcome(channels=channels, years=years)
-    per_channel = batch.per_channel
-
-    pairs = np.flatnonzero(per_channel == 2)
     if not exact_pairs:
-        first = batch.offsets[pairs]
-        second = first + 1
-        intersects = footprint_pairs_intersect(batch, first, second)
-        detected = (
-            _next_scrub_array(batch.time_hours[first], scrub)
-            <= batch.time_hours[second]
+        arcc_sdc, sccdcd_due, sccdcd_sdc = channel_verdicts(batch, scrub)
+        outcome.sdc_machines_arcc = outcome.due_machines_sparing = int(
+            np.count_nonzero(arcc_sdc)
         )
-        race = int(np.count_nonzero(intersects & ~detected))
-        outcome.sdc_machines_arcc += race
-        outcome.due_machines_sparing += race
-        # A lone intersecting pair is always detected eventually:
-        # SCCDCD retires the machine (DUE); an SDC needs a triple.
-        outcome.due_machines_sccdcd += int(np.count_nonzero(intersects))
+        outcome.due_machines_sccdcd = int(np.count_nonzero(sccdcd_due))
+        outcome.sdc_machines_sccdcd = int(np.count_nonzero(sccdcd_sdc))
+        return outcome
 
-    # No policy can fail a channel whose faults are pairwise disjoint,
-    # so only channels with an intersecting pair reach the event loops.
+    per_channel = batch.per_channel
     multi = np.flatnonzero(per_channel >= 3)
     has_pair = any_pair_per_segment(
         batch.offsets[multi],
         per_channel[multi],
         lambda left, right: footprint_pairs_intersect(batch, left, right),
     )
-    exact = multi[has_pair]
-    if exact_pairs:
-        exact = np.concatenate((pairs, exact))
-    for channel in exact:
-        _decide_channel(batch.events_of(int(channel)), scrub, outcome)
+    histories = batch.to_histories()
+    for channel in np.flatnonzero(per_channel == 2).tolist() + multi[has_pair].tolist():
+        _decide_channel(histories[channel], scrub, outcome)
     return outcome
 
 

@@ -60,6 +60,31 @@ class TestFaultEventBatch:
         for member in (0, 17, 39):
             assert batch.events_of(member) == histories[member]
 
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            sample_fleet(60, 7.0, rate_multiplier=0.5, seed=4),
+            sample_fleet(40, 7.0, rate_multiplier=20.0, seed=5),
+            empty_batch(0),
+            empty_batch(3),
+        ],
+        ids=["sparse", "dense", "no-members", "no-events"],
+    )
+    def test_converters_build_python_typed_events(self, batch):
+        """``to_histories`` is ``events_of`` of every member, its fields
+        are Python ``float``/``FaultType``/``int`` (never NumPy scalars),
+        and it round-trips exactly."""
+        histories = batch.to_histories()
+        assert histories == [batch.events_of(m) for m in range(batch.num_channels)]
+        for event in (e for events in histories for e in events):
+            assert type(event.time_hours) is float
+            assert type(event.fault_type) is FaultType
+            assert {
+                type(getattr(event, name))
+                for name in ("channel", "rank", "device", "bank", "row", "column")
+            } == {int}
+        assert FaultEventBatch.from_histories(histories) == batch
+
     def test_per_channel_counts(self):
         batch = sample_fleet(64, 7.0, rate_multiplier=10.0, seed=9)
         counts = [len(events) for events in batch.to_histories()]

@@ -1,11 +1,12 @@
 """Vectorized Monte-Carlo engine: equivalence and consistency checks.
 
-The array-based pairwise fast path must make *bit-identical policy
-decisions* to the exact per-pair event loops on identical sampled
-faults (``exact_pairs=True`` routes every channel through the event
-loops). The segmented all-pairs pass must list exactly the per-segment
-upper-triangle pairs, and the >=3-fault screen must send exactly the
-channels a scalar footprint walk picks to the event loops. The batched
+The segmented verdict pass must make *bit-identical policy decisions*
+to the exact per-fault event loops, channel for channel on drawn
+histories and in total on identical sampled faults (``exact_pairs=True``
+routes the candidate channels through the event loops). The segmented
+all-pairs pass must list exactly the per-segment upper-triangle pairs,
+and the exact mode's >=3-fault screen must send exactly the channels a
+scalar footprint walk picks to the event loops. The batched
 sampler's per-type fault counts must sit within Poisson noise of the
 analytic expectation, and its output is a valid fleet
 ``FaultEventBatch``. Golden counts pin the population plan's outcome.
@@ -16,15 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.lifetime import FaultEvent
 from repro.faults.types import DEVICE_LEVEL_TYPES
 from repro.fleet.engine import fleet_blocks
-from repro.fleet.events import FAULT_TYPE_ORDER
+from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch
 from repro.reliability import montecarlo
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.montecarlo import (
     BLOCK_CHANNELS,
     _sample_batch,
+    _sccdcd_outcome,
+    _undetected_pair,
     any_pair_per_segment,
+    channel_verdicts,
     footprint_intersects,
     footprint_pairs_intersect,
     plan_montecarlo,
@@ -167,13 +172,75 @@ class TestSegmentPairs:
         assert chunked.tolist() == expected
 
 
-class TestCandidateScreen:
-    """The >=3-fault screen sends exactly the right channels to the exact
-    event loops.
+@st.composite
+def _dense_histories(draw):
+    """Per-channel fault histories on a tiny geometry, so most faults
+    intersect: 1-2 ranks, 1-3 devices and banks, rows and columns 1-4,
+    2-12 faults per channel. Times sit on a half-interval grid (equal
+    arrivals, arrivals exactly on a scrub boundary) or anywhere."""
+    interval = draw(st.sampled_from((1.0, 2.0, 4.0)))
+    ranks, devices, banks, rows, columns = (
+        draw(st.integers(1, top)) for top in (2, 3, 3, 4, 4)
+    )
+    time = st.one_of(
+        st.integers(0, 12).map(lambda half: half * interval / 2),
+        st.floats(0.0, 6.0 * interval),
+    )
+    fault = st.builds(
+        FaultEvent,
+        time,
+        st.sampled_from(DEVICE_LEVEL_TYPES),
+        st.just(0),
+        st.integers(0, ranks - 1),
+        st.integers(0, devices - 1),
+        st.integers(0, banks - 1),
+        st.integers(0, rows - 1),
+        st.integers(0, columns - 1),
+    )
+    members = draw(
+        st.lists(st.lists(fault, min_size=2, max_size=12), min_size=1, max_size=6)
+    )
+    histories = [sorted(faults, key=lambda f: f.time_hours) for faults in members]
+    return histories, interval
 
-    ``run(exact_pairs=True)`` and the ``montecarlo`` fuzz oracle both go
-    through the screen, so neither can catch a wrong candidate mask; this
-    compares it with a scalar ``footprint_intersects`` walk.
+
+class TestChannelVerdicts:
+    """The segmented pass against the event loops, channel for channel:
+    totals alone would let two compensating errors cancel."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_dense_histories())
+    def test_matches_event_loops_per_channel(self, drawn):
+        histories, interval = drawn
+        batch = FaultEventBatch.from_histories(histories)
+        verdicts = [a.tolist() for a in channel_verdicts(batch, interval)]
+        outcomes = [_sccdcd_outcome(h, interval) for h in histories]
+        assert verdicts == [
+            [_undetected_pair(h, interval) for h in histories],
+            [due for due, _ in outcomes],
+            [sdc for _, sdc in outcomes],
+        ]
+        for budget in (1, 3, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(montecarlo, "_MAX_SEGMENT_PAIRS", budget)
+                chunked = [a.tolist() for a in channel_verdicts(batch, interval)]
+            assert chunked == verdicts, budget
+
+    def test_members_without_a_pair_decide_nothing(self):
+        histories = [[], [FaultEvent(1.0, DEVICE_LEVEL_TYPES[-1])], []]
+        batch = FaultEventBatch.from_histories(histories)
+        assert [a.tolist() for a in channel_verdicts(batch, 2.0)] == [
+            [False] * 3
+        ] * 3
+
+
+class TestCandidateScreen:
+    """The exact mode's >=3-fault screen sends exactly the right channels
+    to the exact event loops.
+
+    The ``exact_pairs=True`` totals and the ``montecarlo`` fuzz oracle
+    both go through the screen, so neither can catch a wrong candidate
+    mask; this compares it with a scalar ``footprint_intersects`` walk.
     """
 
     @pytest.mark.parametrize(
@@ -191,12 +258,17 @@ class TestCandidateScreen:
             return batches[-1]
 
         def record(faults, interval, outcome):
-            decided.append(tuple(f.time_hours for f in faults))
+            if len(faults) >= 3:
+                decided.append(tuple(f.time_hours for f in faults))
 
         monkeypatch.setattr(montecarlo, "_sample_batch", capture)
         monkeypatch.setattr(montecarlo, "_decide_channel", record)
         simulate_block(
-            ReliabilityParams(rate_multiplier=multiplier), seed, channels, 7.0
+            ReliabilityParams(rate_multiplier=multiplier),
+            seed,
+            channels,
+            7.0,
+            exact_pairs=True,
         )
 
         (batch,) = batches
@@ -216,7 +288,8 @@ class TestCandidateScreen:
 
 
 #: Golden outcome of a small, dense population: every multi-fault path
-#: (vectorized pairs, the >=3-fault screen, all three event loops) fires.
+#: (every verdict of the segmented pass; in exact mode the >=3-fault
+#: screen and all three event loops) fires.
 GOLDEN_PARAMS = ReliabilityParams(
     rate_multiplier=300.0, scrub_interval_hours=48.0, rows=256, columns=256
 )
