@@ -5,11 +5,12 @@ years; each fault marks its Table-7.4 page footprint faulty. The paper's
 point: even at 4x the measured fault rates, only a few percent of pages
 are ever affected — the headroom ARCC exploits.
 
-Sampling runs on the vectorized :mod:`repro.fleet` engine: one runner
-job per (rate multiplier, channel block), each returning the per-channel
-fraction matrix of its block, so 10^5-channel populations fan out across
-a pool and every reported mean carries a Monte-Carlo confidence
-interval. The block partition owns the RNG streams — ``jobs=1`` and
+Sampling runs on the vectorized :mod:`repro.fleet` engine: one
+:func:`~repro.fleet.engine.block_job` per (rate multiplier, channel
+block), each asking for the per-channel fraction matrix of its block
+(the two-pass interval needs every sample), so 10^5-channel populations
+fan out across a pool and every reported mean carries a Monte-Carlo
+confidence interval. The block partition owns the RNG streams — ``jobs=1`` and
 ``jobs=N`` produce bit-identical series. :func:`plan_fig3_1` is the one
 Figure 3.1 path; ``execute_plan(plan_fig3_1(...))`` runs it inline.
 """
@@ -17,17 +18,15 @@ Figure 3.1 path; ``execute_plan(plan_fig3_1(...))`` runs it inline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.config import ARCC_MEMORY_CONFIG, MemoryConfig
-from repro.faults.types import DEFAULT_FIT_RATES, FaultRates
 from repro.fleet.engine import (
+    FractionMatrix,
+    block_job,
     check_channels,
-    faulty_fractions_by_year,
     fleet_blocks,
-    sample_block,
 )
 from repro.runner import ExperimentPlan, Job
 from repro.util.stats import confidence_interval
@@ -43,21 +42,18 @@ class Fig31Result:
     years: int
     channels: int
     series: Dict[float, List[float]]  # multiplier -> fraction per year
-    #: multiplier -> per-year confidence half-width (when populations
-    #: were sampled; legacy constructions may leave this None).
-    ci: Optional[Dict[float, List[float]]] = None
+    #: multiplier -> per-year 95% confidence half-width.
+    ci: Dict[float, List[float]]
 
     def to_table(self) -> str:
         """Render the figure's series as rows."""
         headers = ["Rate"] + [f"Year {y}" for y in range(1, self.years + 1)]
         rows = []
         for mult in sorted(self.series):
-            cells = []
-            for year, value in enumerate(self.series[mult]):
-                cell = f"{value * 100:.3f}%"
-                if self.ci is not None:
-                    cell += f" ±{self.ci[mult][year] * 100:.3f}"
-                cells.append(cell)
+            cells = [
+                f"{value * 100:.3f}% ±{half * 100:.3f}"
+                for value, half in zip(self.series[mult], self.ci[mult])
+            ]
             rows.append([f"{mult:g}x"] + cells)
         return format_table(
             headers,
@@ -71,26 +67,6 @@ class Fig31Result:
     def final_fraction(self, multiplier: float) -> float:
         """Faulty fraction at the end of the simulated lifespan."""
         return self.series[multiplier][-1]
-
-
-def _fig31_block_job(
-    block_seed: int,
-    channels: int,
-    years: int,
-    rate_multiplier: float,
-    config: MemoryConfig = ARCC_MEMORY_CONFIG,
-    rates: FaultRates = DEFAULT_FIT_RATES,
-) -> np.ndarray:
-    """Picklable worker: one block's per-channel fraction matrix."""
-    batch = sample_block(
-        block_seed,
-        channels,
-        float(years),
-        rate_multiplier=rate_multiplier,
-        config=config,
-        rates=rates,
-    )
-    return faulty_fractions_by_year(batch, years, config)
 
 
 def plan_fig3_1(
@@ -109,26 +85,29 @@ def plan_fig3_1(
     check_channels(channels)
     multipliers = tuple(multipliers)
     blocks = fleet_blocks(seed, channels)
+    reductions = (FractionMatrix(years),)
     jobs = [
         Job.create(
             f"fig3.1[{mult:g}x][{index}]",
-            _fig31_block_job,
+            block_job,
             block_seed=block_seed,
             channels=size,
-            years=years,
+            years=float(years),
+            reductions=reductions,
             rate_multiplier=mult,
         )
         for mult in multipliers
         for index, (block_seed, size) in enumerate(blocks)
     ]
 
-    def assemble(values: List[np.ndarray]) -> Fig31Result:
+    def assemble(values: List[List[np.ndarray]]) -> Fig31Result:
         series: Dict[float, List[float]] = {}
         ci: Dict[float, List[float]] = {}
         per_mult = len(blocks)
         for m, mult in enumerate(multipliers):
             matrix = np.concatenate(
-                values[m * per_mult : (m + 1) * per_mult], axis=1
+                [answers[0] for answers in values[m * per_mult : (m + 1) * per_mult]],
+                axis=1,
             )
             intervals = [confidence_interval(row) for row in matrix]
             series[mult] = [mean for mean, _ in intervals]

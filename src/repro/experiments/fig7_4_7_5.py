@@ -7,9 +7,10 @@ arrival time on; report the population average cumulatively per year, for
 1x/2x/4x rates, next to the worst-case analytical estimate.
 
 Sampling and accumulation run on the vectorized :mod:`repro.fleet`
-engine: one runner job per (rate multiplier, channel block), shipping
-pre-reduced per-year moments, so measured series carry Monte-Carlo
-confidence intervals at 10^5-channel populations. The legacy per-channel
+engine: one :func:`~repro.fleet.engine.block_job` per (rate multiplier,
+channel block), asking for the per-year capped-overhead moments of all
+four series, so measured series carry Monte-Carlo confidence intervals
+at 10^5-channel populations. The legacy per-channel
 reduction is kept as :func:`_overhead_series` — the reference the
 vectorized accumulation is tested against on identical histories.
 
@@ -29,25 +30,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.config import MEASUREMENT_CONFIG
 from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
 from repro.faults.lifetime import FaultEvent
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.faults.types import FaultType
 from repro.fleet.engine import (
+    OverheadMoments,
+    block_job,
     check_channels,
     fleet_blocks,
-    overhead_series_by_year,
-    sample_block,
 )
 from repro.perf.simulator import (
     worst_case_performance_ratio,
     worst_case_power_ratio,
 )
 from repro.runner import ExperimentPlan, Job
-from repro.util.stats import confidence_interval_from_moments
+from repro.util.stats import Moments, sequential_sum
 from repro.util.tables import format_table
 from repro.util.units import HOURS_PER_YEAR
 from repro.workloads.spec import WorkloadMix
@@ -81,10 +80,10 @@ class LifetimeOverheadResult:
     #: multiplier -> per-year worst-case performance loss
     worst_case_performance: Dict[float, List[float]]
     #: multiplier -> per-year 95% confidence half-width of the measured
-    #: power series (None on legacy constructions).
-    power_ci: Optional[Dict[float, List[float]]] = None
+    #: power series.
+    power_ci: Dict[float, List[float]]
     #: multiplier -> per-year confidence half-width, measured performance.
-    performance_ci: Optional[Dict[float, List[float]]] = None
+    performance_ci: Dict[float, List[float]]
 
     def to_table(self) -> str:
         """Render both figures."""
@@ -108,12 +107,10 @@ class LifetimeOverheadResult:
             ]
             rows = []
             for mult in sorted(measured):
-                cells = []
-                for year, value in enumerate(measured[mult]):
-                    cell = f"{value * 100:.3f}%"
-                    if ci is not None:
-                        cell += f" ±{ci[mult][year] * 100:.3f}"
-                    cells.append(cell)
+                cells = [
+                    f"{value * 100:.3f}% ±{half * 100:.3f}"
+                    for value, half in zip(measured[mult], ci[mult])
+                ]
                 rows.append([f"{mult:g}x measured"] + cells)
                 rows.append(
                     [f"{mult:g}x worst case"]
@@ -147,7 +144,7 @@ def _overhead_series(
         for year in range(years):
             for _ in range(steps_per_year):
                 t_hours = (step + 0.5) / steps_per_year * HOURS_PER_YEAR
-                overhead = sum(
+                overhead = sequential_sum(
                     per_fault.get(e.fault_type, 0.0)
                     for e in events
                     if e.time_hours <= t_hours
@@ -158,59 +155,34 @@ def _overhead_series(
     return [total / len(histories) for total in totals]
 
 
-def _per_fault_weights(
+#: Keys of the four reported series, in :func:`_series_rows` order.
+_SERIES_KEYS = ("power", "perf", "worst_power", "worst_perf")
+
+
+def _series_rows(
     overheads: Dict[FaultType, Tuple[float, float]],
-) -> Tuple[Dict[FaultType, float], ...]:
-    """(power, perf, worst-power, worst-perf) additive weights per fault."""
+) -> Tuple[Tuple[Dict[FaultType, float], float], ...]:
+    """``(per_fault, cap)`` of the power, perf, worst-power and
+    worst-perf series: additive weights per fault, and the accumulation
+    cap (fully-upgraded behaviour)."""
     return (
-        {ft: max(ratio - 1.0, 0.0) for ft, (ratio, _) in overheads.items()},
-        {ft: max(1.0 - ratio, 0.0) for ft, (_, ratio) in overheads.items()},
-        {
-            ft: worst_case_power_ratio(upgraded_page_fraction(ft)) - 1.0
-            for ft in TABLE_7_4_TYPES
-        },
-        {
-            ft: 1.0 - worst_case_performance_ratio(upgraded_page_fraction(ft))
-            for ft in TABLE_7_4_TYPES
-        },
+        ({ft: max(ratio - 1.0, 0.0) for ft, (ratio, _) in overheads.items()}, 1.0),
+        ({ft: max(1.0 - ratio, 0.0) for ft, (_, ratio) in overheads.items()}, 0.5),
+        (
+            {
+                ft: worst_case_power_ratio(upgraded_page_fraction(ft)) - 1.0
+                for ft in TABLE_7_4_TYPES
+            },
+            1.0,
+        ),
+        (
+            {
+                ft: 1.0 - worst_case_performance_ratio(upgraded_page_fraction(ft))
+                for ft in TABLE_7_4_TYPES
+            },
+            0.5,
+        ),
     )
-
-
-#: (weight-set key, accumulation cap) of the four reported series.
-_SERIES_SPECS = (
-    ("power", 1.0),
-    ("perf", 0.5),
-    ("worst_power", 1.0),
-    ("worst_perf", 0.5),
-)
-
-
-def _fig74_block_job(
-    block_seed: int,
-    channels: int,
-    years: int,
-    rate_multiplier: float,
-    overheads: Dict[FaultType, Tuple[float, float]],
-) -> Dict[str, Any]:
-    """Picklable worker: one block's per-year overhead moments.
-
-    Samples the block once and accumulates all four series over the same
-    fault histories (measured and worst-case, power and performance).
-    """
-    batch = sample_block(
-        block_seed, channels, float(years), rate_multiplier=rate_multiplier
-    )
-    weight_sets = _per_fault_weights(overheads)
-    matrices = overhead_series_by_year(
-        batch,
-        years,
-        [(per_fault, cap) for (_, cap), per_fault in zip(_SERIES_SPECS, weight_sets)],
-    )
-    result: Dict[str, Any] = {"channels": channels}
-    for (key, _), matrix in zip(_SERIES_SPECS, matrices):
-        result[f"{key}_sum"] = matrix.sum(axis=1)
-        result[f"{key}_sumsq"] = np.square(matrix).sum(axis=1)
-    return result
 
 
 def plan_fig7_4_7_5(
@@ -230,40 +202,41 @@ def plan_fig7_4_7_5(
     multipliers = tuple(multipliers)
     overheads = overheads or FALLBACK_OVERHEADS
     blocks = fleet_blocks(seed, channels)
+    # Every block scores all four series (measured and worst-case,
+    # power and performance) on the same fault arrivals.
+    reductions = (
+        OverheadMoments(_series_rows(overheads), tuple(range(1, years + 1))),
+    )
     jobs = [
         Job.create(
             f"fig7.4[{mult:g}x][{index}]",
-            _fig74_block_job,
+            block_job,
             block_seed=block_seed,
             channels=size,
-            years=years,
+            years=float(years),
+            reductions=reductions,
             rate_multiplier=mult,
-            overheads=overheads,
         )
         for mult in multipliers
         for index, (block_seed, size) in enumerate(blocks)
     ]
 
-    def assemble(values: List[Dict[str, Any]]) -> LifetimeOverheadResult:
-        series: Dict[str, Dict[float, List[float]]] = {
-            key: {} for key, _ in _SERIES_SPECS
-        }
-        ci: Dict[str, Dict[float, List[float]]] = {"power": {}, "perf": {}}
+    def assemble(values: List[List[Any]]) -> LifetimeOverheadResult:
+        # key -> multiplier -> per-year means, and their half-widths.
+        series: Dict[str, Dict[float, List[float]]] = {key: {} for key in _SERIES_KEYS}
+        ci: Dict[str, Dict[float, List[float]]] = {key: {} for key in _SERIES_KEYS}
         per_mult = len(blocks)
         for m, mult in enumerate(multipliers):
-            mult_blocks = values[m * per_mult : (m + 1) * per_mult]
-            for key, _ in _SERIES_SPECS:
-                total = sum(block[f"{key}_sum"] for block in mult_blocks)
-                total_sq = sum(block[f"{key}_sumsq"] for block in mult_blocks)
-                intervals = [
-                    confidence_interval_from_moments(
-                        channels, float(total[year]), float(total_sq[year])
-                    )
-                    for year in range(years)
-                ]
+            # One Moments per (series, year), merged in block order.
+            moments = [[Moments() for _ in range(years)] for _ in _SERIES_KEYS]
+            for (_, n), (sums,) in zip(blocks, values[m * per_mult : (m + 1) * per_mult]):
+                for row, totals, squares in zip(moments, *sums):
+                    for year_moments, total, total_sq in zip(row, totals, squares):
+                        year_moments.add(n, total, total_sq)
+            for key, row in zip(_SERIES_KEYS, moments):
+                intervals = [year_moments.interval() for year_moments in row]
                 series[key][mult] = [mean for mean, _ in intervals]
-                if key in ci:
-                    ci[key][mult] = [half for _, half in intervals]
+                ci[key][mult] = [half for _, half in intervals]
         return LifetimeOverheadResult(
             years=years,
             channels=channels,

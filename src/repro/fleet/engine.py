@@ -1,17 +1,22 @@
-"""Vectorized fleet-lifetime sampling and whole-population reductions.
+"""Vectorized fleet-lifetime sampling, whole-population reductions and
+the one fleet block job.
 
 This engine samples *entire blocks of channels at once*: one batched
 Poisson draw for every (channel, fault-type) pair, one uniform draw for
 every arrival time, one bounded-integer draw for every coordinate —
 then a single lexsort groups the arrivals by channel and time into a
 :class:`~repro.fleet.events.FaultEventBatch`. It is the only fleet
-sampler — Figures 3.1, 7.4-7.6 and every fleet report call
-:func:`sample_fleet` or :func:`sample_block` directly — and the
-year-by-year reductions are checked exactly against the per-channel
-scalar reduction :func:`repro.faults.lifetime._fraction_after_events`.
+sampler. Every fleet report and Figures 3.1 and 7.4/7.5 run one
+:func:`block_job` per sampling block: it calls :func:`sample_block` once
+and answers a tuple of reductions (faulty-fraction moments or the whole
+fraction matrix, capped-overhead moments, pair-screen counts, event
+moments); the planners only build those queries and merge the answers
+with :class:`~repro.util.stats.Moments`. The year-by-year reductions are
+checked exactly against the per-channel scalar reduction
+:func:`repro.faults.lifetime._fraction_after_events`.
 
-Determinism follows the Monte-Carlo block pattern of PR 1: populations
-are partitioned into fixed-size blocks whose seeds derive only from the
+Determinism follows the Monte-Carlo block pattern: populations are
+partitioned into fixed-size blocks whose seeds derive only from the
 experiment seed and the block index (the same ``SeedSequence`` machinery
 as :func:`repro.util.rng.split_rng`), so results are bit-identical
 whether blocks run inline or fan out across a process pool, and growing
@@ -25,7 +30,8 @@ batched draw over its own time window.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -395,3 +401,176 @@ def overhead_series_by_year(
     out[...] = (free_sums[year_ends] / year_ends[:, None]).T[:, :, None]
     out[live[:, None, None], np.arange(years)[:, None], faulty] = series
     return out
+
+
+# -- Monte-Carlo uncorrectable-pair screen ------------------------------------
+
+_BIT_CODE = FAULT_TYPE_ORDER.index(FaultType.BIT)
+
+
+def uncorrectable_candidate_channels(
+    batch: FaultEventBatch, window_hours: float
+) -> np.ndarray:
+    """Channels holding a pair no single-chipkill code can correct.
+
+    A boolean per population member: ``True`` when two device-level
+    faults (bit faults never defeat symbol correction) land on distinct
+    devices with *exactly intersecting* codeword footprints — same
+    memory channel, same rank unless a lane fault spans ranks, and
+    overlapping ``(bank, row, column)`` regions — with the second
+    arriving within ``window_hours`` of the first.
+
+    Footprint geometry is the shared vectorized rule
+    :func:`repro.reliability.montecarlo.footprint_pairs_intersect` (the
+    array form of ``footprint_intersects``), evaluated on the batch's
+    own coordinates, so this screen is an *exact* count —
+    bit-identical to the Monte-Carlo footprint model on identical
+    coordinates (the ``pair-screen`` fuzz oracle and
+    ``tests/test_policy_mc_crosscheck.py`` enforce equality in both
+    directions). A batch whose sub-device coordinates are all zero
+    gets the rank-level (upper-bound) screen.
+
+    The screen is one segmented pass: the device-level events of every
+    member with at least two of them form one segment each, and
+    :func:`repro.reliability.montecarlo.any_pair_per_segment` tests all
+    their pairs in a single predicate call before ``any`` is scattered
+    back to the members.
+    """
+    from repro.reliability.montecarlo import (
+        any_pair_per_segment,
+        footprint_pairs_intersect,
+    )
+
+    out = np.zeros(batch.num_channels, dtype=bool)
+    if batch.num_events < 2:
+        return out
+    # Device-level events in member order: each member's are contiguous.
+    eligible = np.flatnonzero(batch.type_code != _BIT_CODE)
+    counts = np.bincount(
+        batch.channel_ids()[eligible], minlength=batch.num_channels
+    )
+    starts = np.cumsum(counts) - counts
+    members = np.flatnonzero(counts >= 2)
+
+    def uncorrectable(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        a, b = eligible[left], eligible[right]
+        # Events are time-sorted within a member, so b is the later fault.
+        in_window = batch.time_hours[b] - batch.time_hours[a] <= window_hours
+        return footprint_pairs_intersect(batch, a, b) & in_window
+
+    out[members] = any_pair_per_segment(
+        starts[members], counts[members], uncorrectable
+    )
+    return out
+
+
+# -- the block job: one sample, many reductions --------------------------------
+
+
+def _moments(samples: np.ndarray) -> List[Any]:
+    """Per-row totals, then totals of squares, over the last (channel)
+    axis — NumPy's pairwise sum over each contiguous row — as nested
+    lists of Python floats, ``(2, ...)`` deep."""
+    return np.stack((samples.sum(axis=-1), np.square(samples).sum(axis=-1))).tolist()
+
+
+@dataclass(frozen=True)
+class FractionMoments:
+    """Faulty-page fraction moments at each of the first ``years`` year
+    ends: ``[totals, totals of squares]``, one float per year each."""
+
+    years: int
+
+    def reduce(self, batch: FaultEventBatch, config: MemoryConfig) -> List[Any]:
+        return _moments(faulty_fractions_by_year(batch, self.years, config))
+
+
+@dataclass(frozen=True)
+class FractionMatrix:
+    """The whole ``(years, channels)`` faulty-fraction matrix, for an
+    interval that needs every sample (Figure 3.1's two-pass one)."""
+
+    years: int
+
+    def reduce(self, batch: FaultEventBatch, config: MemoryConfig) -> np.ndarray:
+        return faulty_fractions_by_year(batch, self.years, config)
+
+
+@dataclass(frozen=True)
+class OverheadMoments:
+    """Capped-overhead moments of every ``(per_fault, cap)`` row at each
+    requested year end (:func:`overhead_series_by_year`): ``[totals,
+    totals of squares]``, each ``len(rows)`` lists of one float per year
+    end. Only the requested year ends are reduced — a final-year query
+    skips every other year."""
+
+    rows: Tuple[Tuple[Dict[FaultType, float], float], ...]
+    year_ends: Tuple[int, ...]
+
+    def reduce(self, batch: FaultEventBatch, config: MemoryConfig) -> List[Any]:
+        series = overhead_series_by_year(batch, max(self.year_ends), self.rows)
+        return _moments(series[:, [year - 1 for year in self.year_ends]])
+
+
+@dataclass(frozen=True)
+class PairScreens:
+    """Channels :func:`uncorrectable_candidate_channels` flags, one
+    ``int`` per exposure window (hours)."""
+
+    windows: Tuple[float, ...]
+
+    def reduce(self, batch: FaultEventBatch, config: MemoryConfig) -> List[int]:
+        return [
+            int(uncorrectable_candidate_channels(batch, window).sum())
+            for window in self.windows
+        ]
+
+
+@dataclass(frozen=True)
+class EventMoments:
+    """Moments of each channel's fault-arrival count and of the indicator
+    that it saw any: ``[[count total, indicator total], [count total of
+    squares, indicator total of squares]]``."""
+
+    def reduce(self, batch: FaultEventBatch, config: MemoryConfig) -> List[Any]:
+        counts = batch.per_channel.astype(np.float64)
+        return _moments(np.stack((counts, (counts > 0).astype(np.float64))))
+
+
+#: A request :func:`block_job` answers.
+Reduction = Union[
+    FractionMoments, FractionMatrix, OverheadMoments, PairScreens, EventMoments
+]
+
+
+def block_job(
+    block_seed: int,
+    channels: int,
+    years: float,
+    reductions: Sequence[Reduction],
+    rate_multiplier: float = 1.0,
+    config: MemoryConfig = ARCC_MEMORY_CONFIG,
+    rates: FaultRates = DEFAULT_FIT_RATES,
+    phases: Optional[Phases] = None,
+    spatial: Optional[Spatial] = None,
+) -> List[Any]:
+    """Picklable worker: sample one block once and reduce it every
+    requested way.
+
+    The sampling arguments are :func:`sample_block`'s (``years`` is the
+    sampled horizon; a reduction's own ``years`` is how many year ends
+    it reports). Returns one result per reduction, in request order, so
+    every reduction of one job reads the same fault arrivals.
+
+    Examples
+    --------
+    >>> (totals, squares), screens = block_job(
+    ...     7, 64, 7.0, (EventMoments(), PairScreens((24.0,)))
+    ... )
+    >>> len(totals), len(screens)
+    (2, 1)
+    """
+    batch = sample_block(
+        block_seed, channels, years, rate_multiplier, config, rates, phases, spatial
+    )
+    return [reduction.reduce(batch, config) for reduction in reductions]

@@ -1,8 +1,8 @@
 """Protection-policy comparison over fleet scenarios (TCO-style sweeps).
 
-PR 2's fleet engine reports fault *exposure* — how much memory ever sees
-a fault. This module answers the paper's actual question: which
-protection scheme should a given fleet run? Three policies compete over
+:func:`~repro.fleet.report.plan_fleet` reports fault *exposure* — how
+much memory ever sees a fault. This module answers the paper's actual
+question: which protection scheme should a given fleet run? Three policies compete over
 the same sampled :class:`~repro.fleet.events.FaultEventBatch` per slice:
 
 * ``arcc`` — SCCDCD+ARCC (Chapter 4): pages start relaxed and upgrade
@@ -20,8 +20,10 @@ the same sampled :class:`~repro.fleet.events.FaultEventBatch` per slice:
   exposure window from the repair interval to one scrub pass (the 17x
   of [4]).
 
-Every (slice, block) is one :class:`~repro.runner.Job` that samples the
-block once and scores every policy on it; blocks reuse the exact seeds
+Every (slice, block) is one :func:`~repro.fleet.engine.block_job` that
+samples the block once and scores every policy on it — capped-overhead
+moments of each policy's power and performance rows, and one pair
+screen per correction window; blocks reuse the exact seeds
 of :func:`~repro.fleet.report.plan_fleet`, so all policies judge the
 *same* fault arrivals — a paired comparison, and bit-identical at any
 worker count. Monte-Carlo means (overheads, uncorrectable-channel
@@ -41,33 +43,22 @@ a follow-up plan.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.config import MEASUREMENT_CONFIG, MemoryConfig
+from repro.config import MEASUREMENT_CONFIG
 from repro.core.lotecc_arcc import WORST_CASE_UPGRADE_FACTOR
-from repro.experiments.fig7_4_7_5 import (
-    FALLBACK_OVERHEADS,
-    _SERIES_SPECS,
-    _per_fault_weights,
-)
+from repro.experiments.fig7_4_7_5 import FALLBACK_OVERHEADS, _series_rows
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
-from repro.faults.types import FaultRates, FaultType
-from repro.fleet.engine import (
-    fleet_blocks,
-    overhead_series_by_year,
-    sample_block,
-)
-from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch
+from repro.faults.types import FaultType
+from repro.fleet.engine import OverheadMoments, PairScreens, fleet_blocks
 from repro.fleet.measured import (
     MeasuredOverheadProfile,
     ProfileMap,
     plan_measured_profiles,
     profiles_to_table,
 )
-from repro.fleet.report import DEFAULT_FLEET_SEED, MeanCI, _Moments
+from repro.fleet.report import DEFAULT_FLEET_SEED, MeanCI, slice_block_jobs
 from repro.fleet.scenarios import (
     FleetScenario,
     SubPopulation,
@@ -87,13 +78,15 @@ from repro.reliability.due import (
 from repro.runner import ExperimentPlan, Job
 from repro.util.fields import FieldError
 from repro.util.rng import derive_seeds
-from repro.util.stats import binomial_confidence_interval
+from repro.util.stats import (
+    Moments,
+    binomial_confidence_interval,
+    sequential_sum,
+)
 from repro.util.suggest import unknown_key_message
 from repro.util.tables import format_table
 from repro.util.units import HOURS_PER_YEAR
 from repro.workloads.spec import WorkloadMix
-
-_BIT_CODE = FAULT_TYPE_ORDER.index(FaultType.BIT)
 
 #: Exposure-window keys: how long a first fault stays dangerous.
 #: ``repair`` — the fault persists until the DIMM is serviced
@@ -147,28 +140,23 @@ class ProtectionPolicy:
         return scrub_interval_hours
 
 
-#: Figure 7.4/7.5 accumulation caps by weight-set key (from the shared
-#: series specs, so the policy caps track the figure's).
-_FIG74_CAPS = dict(_SERIES_SPECS)
-
-
 def _arcc_policy() -> ProtectionPolicy:
     """SCCDCD+ARCC with the recorded Figure 7.2/7.3 per-fault costs.
 
     Weights and caps come from the same
-    :func:`~repro.experiments.fig7_4_7_5._per_fault_weights` machinery
+    :func:`~repro.experiments.fig7_4_7_5._series_rows` machinery
     Figures 7.4/7.5 use, on their
     :data:`~repro.experiments.fig7_4_7_5.FALLBACK_OVERHEADS`, so the
     policy can never drift from the figure it mirrors.
     """
-    power, perf, _, _ = _per_fault_weights(FALLBACK_OVERHEADS)
+    (power, power_cap), (perf, perf_cap), _, _ = _series_rows(FALLBACK_OVERHEADS)
     return ProtectionPolicy(
         key="arcc",
         title="SCCDCD+ARCC (relaxed, upgrade per fault)",
         per_fault_power=power,
         per_fault_performance=perf,
-        power_cap=_FIG74_CAPS["power"],
-        performance_cap=_FIG74_CAPS["perf"],
+        power_cap=power_cap,
+        performance_cap=perf_cap,
         sdc_model="pair-race",
         due_window="repair",
         correction_window="repair",
@@ -183,7 +171,7 @@ def _sccdcd_policy() -> ProtectionPolicy:
     the two policies on one scale: as faults accumulate, ARCC's cost
     approaches exactly SCCDCD's floor.
     """
-    power, perf, _, _ = _per_fault_weights(FALLBACK_OVERHEADS)
+    (power, _), (perf, _), _, _ = _series_rows(FALLBACK_OVERHEADS)
     return ProtectionPolicy(
         key="sccdcd",
         title="SCCDCD (always strong)",
@@ -325,7 +313,7 @@ def slice_reliability_params(pop: SubPopulation) -> ReliabilityParams:
     constant rate.
     """
     cfg = pop.config
-    weighted = sum(
+    weighted = sequential_sum(
         duration * multiplier for _, duration, multiplier in pop.phases()
     )
     avg_schedule = weighted / pop.lifespan_years
@@ -387,123 +375,6 @@ def policy_due_per_1k(
     return _saturating_per_1k(expected, pop.lifespan_years)
 
 
-# -- Monte-Carlo uncorrectable-pair screen ------------------------------------
-
-
-def uncorrectable_candidate_channels(
-    batch: FaultEventBatch, window_hours: float
-) -> np.ndarray:
-    """Channels holding a pair no single-chipkill code can correct.
-
-    A boolean per population member: ``True`` when two device-level
-    faults (bit faults never defeat symbol correction) land on distinct
-    devices with *exactly intersecting* codeword footprints — same
-    memory channel, same rank unless a lane fault spans ranks, and
-    overlapping ``(bank, row, column)`` regions — with the second
-    arriving within ``window_hours`` of the first.
-
-    Footprint geometry is the shared vectorized rule
-    :func:`repro.reliability.montecarlo.footprint_pairs_intersect` (the
-    array form of ``footprint_intersects``), evaluated on the batch's
-    own coordinates, so this screen is an *exact* count —
-    bit-identical to the Monte-Carlo footprint model on identical
-    coordinates (the ``pair-screen`` fuzz oracle and
-    ``tests/test_policy_mc_crosscheck.py`` enforce equality in both
-    directions). A batch whose sub-device coordinates are all zero
-    gets the rank-level (upper-bound) screen.
-
-    The screen is one segmented pass: the device-level events of every
-    member with at least two of them form one segment each, and
-    :func:`repro.reliability.montecarlo.any_pair_per_segment` tests all
-    their pairs in a single predicate call before ``any`` is scattered
-    back to the members.
-    """
-    from repro.reliability.montecarlo import (
-        any_pair_per_segment,
-        footprint_pairs_intersect,
-    )
-
-    out = np.zeros(batch.num_channels, dtype=bool)
-    if batch.num_events < 2:
-        return out
-    # Device-level events in member order: each member's are contiguous.
-    eligible = np.flatnonzero(batch.type_code != _BIT_CODE)
-    counts = np.bincount(
-        batch.channel_ids()[eligible], minlength=batch.num_channels
-    )
-    starts = np.cumsum(counts) - counts
-    members = np.flatnonzero(counts >= 2)
-
-    def uncorrectable(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        a, b = eligible[left], eligible[right]
-        # Events are time-sorted within a member, so b is the later fault.
-        in_window = batch.time_hours[b] - batch.time_hours[a] <= window_hours
-        return footprint_pairs_intersect(batch, a, b) & in_window
-
-    out[members] = any_pair_per_segment(
-        starts[members], counts[members], uncorrectable
-    )
-    return out
-
-
-# -- runner jobs --------------------------------------------------------------
-
-
-def _policies_block_job(
-    policies: Tuple[ProtectionPolicy, ...],
-    block_seed: int,
-    channels: int,
-    sample_years: float,
-    report_years: int,
-    rate_multiplier: float,
-    config: MemoryConfig,
-    rates: FaultRates,
-    phases: Tuple[Tuple[float, float, float], ...],
-    scrub_interval_hours: float,
-    spatial: Optional[Dict[str, Any]] = None,
-) -> List[Dict[str, Any]]:
-    """Picklable worker: every policy's costs on one (slice, block).
-
-    Samples the block once, so the comparison is paired — differences
-    between policies are pure policy, never sampling noise. All power
-    and performance series share one accumulation pass, and the
-    uncorrectable-pair screen runs once per distinct correction window.
-    Returns one moments dict per policy, in ``policies`` order.
-    """
-    batch = sample_block(
-        block_seed,
-        channels,
-        sample_years,
-        rate_multiplier=rate_multiplier,
-        config=config,
-        rates=rates,
-        phases=phases,
-        spatial=spatial,
-    )
-    rows = []
-    for policy in policies:
-        rows.append((policy.per_fault_power, policy.power_cap))
-        rows.append((policy.per_fault_performance, policy.performance_cap))
-    final_year = overhead_series_by_year(batch, report_years, rows)[:, -1]
-    screens: Dict[float, np.ndarray] = {}
-    out = []
-    for policy, power, perf in zip(policies, final_year[0::2], final_year[1::2]):
-        window = policy.window_hours("correction_window", scrub_interval_hours)
-        if window not in screens:
-            screens[window] = uncorrectable_candidate_channels(batch, window)
-        out.append(
-            {
-                "channels": channels,
-                "power_sum": float(power.sum()),
-                "power_sumsq": float(np.square(power).sum()),
-                "perf_sum": float(perf.sum()),
-                "perf_sumsq": float(np.square(perf).sum()),
-                "uncorrectable_sum": float(screens[window].sum()),
-            }
-        )
-    return out
-
-
 # -- reports ------------------------------------------------------------------
 
 
@@ -515,8 +386,8 @@ class PolicySliceReport:
     (static premium included); SDC/DUE columns are the closed-form
     Chapter 6 models per 1000 machine-years; ``uncorrectable_fraction``
     is the exact footprint-intersection screen of
-    :func:`uncorrectable_candidate_channels`, evaluated on the sampled
-    ``(bank, row, column)`` coordinates.
+    :func:`~repro.fleet.engine.uncorrectable_candidate_channels`,
+    evaluated on the sampled ``(bank, row, column)`` coordinates.
     """
 
     policy: str
@@ -675,7 +546,7 @@ class PolicyComparisonReport:
         return "\n".join(parts)
 
 
-def _with_static(moments: _Moments, static: float) -> MeanCI:
+def _with_static(moments: Moments, static: float) -> MeanCI:
     """Moments interval shifted by a constant per-channel premium."""
     mean, half = moments.interval()
     return (mean + static, half)
@@ -696,7 +567,8 @@ def _fleet_static(
         return distinct.pop()
     total = sum(pop.channels for pop in populations)
     return (
-        sum(pop.channels * statics[pop.name] for pop in populations) / total
+        sequential_sum(pop.channels * statics[pop.name] for pop in populations)
+        / total
     )
 
 
@@ -709,8 +581,10 @@ def plan_fleet_compare(
 ) -> ExperimentPlan:
     """A policy comparison as runner jobs: one per (slice, block).
 
-    Each job carries the slice's version of every policy, in
-    ``policies`` order, and returns one moments dict per policy: the
+    Each job asks :func:`~repro.fleet.engine.block_job` for the
+    final-year capped-overhead moments of the slice's version of every
+    policy — a power and a performance row each, in ``policies`` order —
+    and for the pair screen of every distinct correction window: the
     block is sampled once and every policy scores it. Block seeds derive
     exactly as in :func:`~repro.fleet.report.plan_fleet` — from ``seed``
     and the slice position, never from the policy — so every policy
@@ -748,41 +622,36 @@ def plan_fleet_compare(
             effective[(policy.key, pop.name)] = variant
 
     jobs: List[Job] = []
-    spans: Dict[str, Tuple[int, int]] = {}
+    slices: Dict[str, Tuple[List[Tuple[int, int]], int, List[int]]] = {}
     for pop, pop_seed in zip(scenario.populations, pop_seeds):
-        start = len(jobs)
-        for index, (block_seed, size) in enumerate(
-            fleet_blocks(pop_seed, pop.channels)
-        ):
-            jobs.append(
-                Job.create(
-                    f"fleet-compare[{scenario.name}/{pop.name}][{index}]",
-                    _policies_block_job,
-                    policies=tuple(
-                        effective[(policy.key, pop.name)] for policy in built
-                    ),
-                    block_seed=block_seed,
-                    channels=size,
-                    sample_years=pop.lifespan_years,
-                    report_years=pop.report_years,
-                    rate_multiplier=pop.rate_multiplier,
-                    config=pop.config,
-                    rates=pop.rates,
-                    phases=tuple(pop.phases()),
-                    scrub_interval_hours=scrub_hours,
-                    spatial=asdict(pop.spatial) if pop.spatial else None,
-                )
+        variants = [effective[(policy.key, pop.name)] for policy in built]
+        rows = tuple(
+            row
+            for v in variants
+            for row in (
+                (v.per_fault_power, v.power_cap),
+                (v.per_fault_performance, v.performance_cap),
             )
-        spans[pop.name] = (start, len(jobs))
+        )
+        windows = [v.window_hours("correction_window", scrub_hours) for v in variants]
+        distinct = tuple(dict.fromkeys(windows))
+        blocks = fleet_blocks(pop_seed, pop.channels)
+        slices[pop.name] = (blocks, len(jobs), [distinct.index(w) for w in windows])
+        jobs += slice_block_jobs(
+            f"fleet-compare[{scenario.name}/{pop.name}]",
+            pop,
+            blocks,
+            (OverheadMoments(rows, (pop.report_years,)), PairScreens(distinct)),
+        )
 
-    def assemble(values: List[List[Dict[str, Any]]]) -> PolicyComparisonReport:
+    def assemble(values: List[List[Any]]) -> PolicyComparisonReport:
         slice_reports: List[PolicySliceReport] = []
         summaries: List[PolicyFleetSummary] = []
         tables: PairTableMemo = {}
         for policy_index, policy in enumerate(built):
-            fleet_power = _Moments()
-            fleet_perf = _Moments()
-            fleet_unc_sum = 0.0
+            fleet_power = Moments()
+            fleet_perf = Moments()
+            fleet_unc_sum = 0
             fleet_unc_n = 0
             sdc_per_year = 0.0
             due_per_year = 0.0
@@ -792,16 +661,19 @@ def plan_fleet_compare(
                 variant = effective[(policy.key, pop.name)]
                 static_power[pop.name] = variant.static_power_overhead
                 static_perf[pop.name] = variant.static_performance_overhead
-                start, stop = spans[pop.name]
-                power = _Moments()
-                perf = _Moments()
-                unc_sum = 0.0
-                for job_values in values[start:stop]:
-                    block = job_values[policy_index]
-                    n = block["channels"]
-                    power.add(n, block["power_sum"], block["power_sumsq"])
-                    perf.add(n, block["perf_sum"], block["perf_sumsq"])
-                    unc_sum += block["uncorrectable_sum"]
+                blocks, start, screen_of = slices[pop.name]
+                power = Moments()
+                perf = Moments()
+                unc_sum = 0
+                # Rows 2i and 2i + 1 (final year): policy i's power and
+                # performance.
+                row = 2 * policy_index
+                for (_, n), ((totals, squares), screens) in zip(
+                    blocks, values[start : start + len(blocks)]
+                ):
+                    power.add(n, totals[row][0], squares[row][0])
+                    perf.add(n, totals[row + 1][0], squares[row + 1][0])
+                    unc_sum += screens[screen_of[policy_index]]
                 sdc = policy_sdc_per_1k(variant, pop, tables)
                 due = policy_due_per_1k(variant, pop, tables)
                 slice_reports.append(
@@ -819,7 +691,7 @@ def plan_fleet_compare(
                         sdc_per_1k_machine_years=sdc,
                         due_per_1k_machine_years=due,
                         uncorrectable_fraction=binomial_confidence_interval(
-                            int(unc_sum), pop.channels
+                            unc_sum, pop.channels
                         ),
                     )
                 )
@@ -847,7 +719,7 @@ def plan_fleet_compare(
                     sdc_events_per_year=sdc_per_year,
                     due_events_per_year=due_per_year,
                     uncorrectable_fraction=binomial_confidence_interval(
-                        int(fleet_unc_sum), fleet_unc_n
+                        fleet_unc_sum, fleet_unc_n
                     ),
                 )
             )

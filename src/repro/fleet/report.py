@@ -1,31 +1,31 @@
 """Fleet population statistics with confidence intervals.
 
-Every reported mean carries a normal-approximation confidence interval
-(:mod:`repro.util.stats`). Parallel block jobs ship pre-reduced moments
-``(n, sum, sum of squares)`` rather than raw per-channel samples, so a
-10^6-channel fleet aggregates from kilobytes of job results; merging
-moments and calling :func:`confidence_interval_from_moments` matches
-concatenating the samples and calling :func:`confidence_interval`.
+:func:`plan_fleet` asks every sampling block of every slice for two
+reductions of :func:`~repro.fleet.engine.block_job` — faulty-fraction
+moments per year and fault-arrival moments — and merges the blocks'
+``(n, sum, sum of squares)`` with :class:`~repro.util.stats.Moments`,
+so a 10^6-channel fleet aggregates from kilobytes of job results and
+every reported mean carries a normal-approximation confidence interval.
+:func:`slice_block_jobs` is the (slice, block) job layout the policy
+comparison shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.config import MemoryConfig
-from repro.faults.types import FaultRates
 from repro.fleet.engine import (
-    faulty_fractions_by_year,
+    EventMoments,
+    FractionMoments,
+    Reduction,
+    block_job,
     fleet_blocks,
-    sample_block,
 )
 from repro.fleet.scenarios import FleetScenario, SubPopulation, resolve_scenario
 from repro.runner import ExperimentPlan, Job
 from repro.util.rng import derive_seeds
-from repro.util.stats import confidence_interval_from_moments
+from repro.util.stats import Moments
 from repro.util.tables import format_table
 
 #: Default seed of the fleet sweeps (``repro fleet``).
@@ -33,25 +33,6 @@ DEFAULT_FLEET_SEED = 0xF1EE7
 
 #: A reported statistic: (mean, confidence half-width).
 MeanCI = Tuple[float, float]
-
-
-@dataclass
-class _Moments:
-    """Mergeable first/second moments of one per-channel statistic."""
-
-    count: int = 0
-    total: float = 0.0
-    total_sq: float = 0.0
-
-    def add(self, count: int, total: float, total_sq: float) -> None:
-        self.count += count
-        self.total += total
-        self.total_sq += total_sq
-
-    def interval(self) -> MeanCI:
-        return confidence_interval_from_moments(
-            self.count, self.total, self.total_sq
-        )
 
 
 @dataclass
@@ -139,87 +120,56 @@ class FleetReport:
         return series + "\n" + summary
 
 
-def _fleet_block_job(
-    block_seed: int,
-    channels: int,
-    sample_years: float,
-    report_years: int,
-    rate_multiplier: float,
-    config: MemoryConfig,
-    rates: FaultRates,
-    phases: Tuple[Tuple[float, float, float], ...],
-    spatial: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Picklable worker: sample one block and reduce it to moments."""
-    batch = sample_block(
-        block_seed,
-        channels,
-        sample_years,
-        rate_multiplier=rate_multiplier,
-        config=config,
-        rates=rates,
-        phases=phases,
-        spatial=spatial,
-    )
-    fractions = faulty_fractions_by_year(batch, report_years, config)
-    counts = batch.per_channel.astype(np.float64)
-    affected = counts > 0
-    return {
-        "channels": channels,
-        "fraction_sum": fractions.sum(axis=1),
-        "fraction_sumsq": np.square(fractions).sum(axis=1),
-        "events_sum": float(counts.sum()),
-        "events_sumsq": float(np.square(counts).sum()),
-        "affected_sum": float(affected.sum()),
-    }
-
-
-def _population_jobs(
-    scenario_name: str, pop: SubPopulation, seed: int
+def slice_block_jobs(
+    prefix: str,
+    pop: SubPopulation,
+    blocks: Sequence[Tuple[int, int]],
+    reductions: Tuple[Reduction, ...],
 ) -> List[Job]:
-    """One runner job per sampling block of one slice."""
+    """One :func:`~repro.fleet.engine.block_job` per sampling block of
+    one slice, named ``prefix[index]``.
+
+    ``blocks`` is the slice's :func:`~repro.fleet.engine.fleet_blocks`
+    partition. Every job shares the slice's reduction objects and its
+    spatial mapping, so a batch's identity memo encodes each once.
+    """
+    phases = tuple(pop.phases())
+    spatial = asdict(pop.spatial) if pop.spatial else None
     return [
         Job.create(
-            f"fleet[{scenario_name}/{pop.name}][{index}]",
-            _fleet_block_job,
+            f"{prefix}[{index}]",
+            block_job,
             block_seed=block_seed,
             channels=size,
-            sample_years=pop.lifespan_years,
-            report_years=pop.report_years,
+            years=pop.lifespan_years,
+            reductions=reductions,
             rate_multiplier=pop.rate_multiplier,
             config=pop.config,
             rates=pop.rates,
-            phases=tuple(pop.phases()),
-            spatial=asdict(pop.spatial) if pop.spatial else None,
+            phases=phases,
+            spatial=spatial,
         )
-        for index, (block_seed, size) in enumerate(
-            fleet_blocks(seed, pop.channels)
-        )
+        for index, (block_seed, size) in enumerate(blocks)
     ]
 
 
 def _assemble_population(
-    pop: SubPopulation, blocks: Sequence[Dict[str, Any]]
+    pop: SubPopulation,
+    blocks: Sequence[Tuple[int, int]],
+    answers: Sequence[List[Any]],
 ) -> SubPopulationReport:
-    years = pop.report_years
-    fraction = [_Moments() for _ in range(years)]
-    events = _Moments()
-    affected = _Moments()
-    for block in blocks:
-        n = block["channels"]
-        for year in range(years):
-            fraction[year].add(
-                n,
-                float(block["fraction_sum"][year]),
-                float(block["fraction_sumsq"][year]),
-            )
-        events.add(n, block["events_sum"], block["events_sumsq"])
-        # An indicator's square is itself, so the sum doubles as sumsq.
-        affected.add(n, block["affected_sum"], block["affected_sum"])
+    fraction = [Moments() for _ in range(pop.report_years)]
+    events = Moments()
+    affected = Moments()
+    for (_, n), ((totals, squares), exposure) in zip(blocks, answers):
+        for moments, total, total_sq in zip(fraction, totals, squares):
+            moments.add(n, total, total_sq)
+        events.add(n, exposure[0][0], exposure[1][0])
+        affected.add(n, exposure[0][1], exposure[1][1])
     return SubPopulationReport(
         name=pop.name,
         channels=pop.channels,
-        years=years,
+        years=pop.report_years,
         faulty_fraction=[moments.interval() for moments in fraction],
         events_per_channel=events.interval(),
         affected_fraction=affected.interval(),
@@ -269,31 +219,33 @@ def plan_fleet(
         scenario = scenario.scaled_to(channels)
     pop_seeds = derive_seeds(seed, len(scenario.populations))
     jobs: List[Job] = []
-    spans: List[Tuple[int, int]] = []
+    slices = []
     for pop, pop_seed in zip(scenario.populations, pop_seeds):
-        pop_jobs = _population_jobs(scenario.name, pop, pop_seed)
-        spans.append((len(jobs), len(jobs) + len(pop_jobs)))
-        jobs.extend(pop_jobs)
+        blocks = fleet_blocks(pop_seed, pop.channels)
+        slices.append((pop, blocks, len(jobs)))
+        jobs += slice_block_jobs(
+            f"fleet[{scenario.name}/{pop.name}]",
+            pop,
+            blocks,
+            (FractionMoments(pop.report_years), EventMoments()),
+        )
 
     def assemble(values: List[Any]) -> FleetReport:
-        reports = [
-            _assemble_population(pop, values[start:stop])
-            for pop, (start, stop) in zip(scenario.populations, spans)
+        answered = [
+            (pop, blocks, values[start : start + len(blocks)])
+            for pop, blocks, start in slices
         ]
+        reports = [_assemble_population(*entry) for entry in answered]
         fleet_by_year = []
         for year in range(1, scenario.max_years + 1):
-            moments = _Moments()
+            moments = Moments()
             in_service = 0
-            for pop, (start, stop) in zip(scenario.populations, spans):
+            for pop, blocks, answers in answered:
                 if pop.report_years < year:
                     continue
                 in_service += pop.channels
-                for block in values[start:stop]:
-                    moments.add(
-                        block["channels"],
-                        float(block["fraction_sum"][year - 1]),
-                        float(block["fraction_sumsq"][year - 1]),
-                    )
+                for (_, n), ((totals, squares), _) in zip(blocks, answers):
+                    moments.add(n, totals[year - 1], squares[year - 1])
             mean, half = moments.interval()
             fleet_by_year.append((mean, half, in_service))
         return FleetReport(

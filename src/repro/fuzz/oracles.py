@@ -52,6 +52,7 @@ from repro.faults.types import FaultRates, FaultType
 from repro.fleet.scenario_file import CONFIG_NAMES, organization_from_mapping
 from repro.fuzz import sampler
 from repro.util.rng import make_rng
+from repro.util.stats import sequential_sum
 from repro.util.suggest import unknown_key_message
 
 def organization_config(ref: Any):
@@ -262,24 +263,13 @@ def _execute_fleet(case: Dict[str, Any]) -> Optional[str]:
     (fast_over,) = overhead_series_by_year(batch, years, [(per_fault, cap)])
     legacy_over = _overhead_series(histories, years, per_fault, cap=cap)
     for year in range(1, years + 1):
-        fast_mean = _sequential_sum(fast_over[year - 1]) / pop.channels
+        fast_mean = sequential_sum(fast_over[year - 1]) / pop.channels
         if fast_mean != legacy_over[year - 1]:
             return (
                 f"capped overhead, year {year}: vectorized {fast_mean!r} "
                 f"!= legacy {legacy_over[year - 1]!r}"
             )
     return None
-
-
-def _sequential_sum(values: np.ndarray) -> float:
-    """Left-to-right float sum, the order ``_overhead_series`` adds in.
-
-    Not ``sum()``: from Python 3.12 it compensates float rounding.
-    """
-    total = 0.0
-    for value in values.tolist():
-        total += value
-    return total
 
 
 def _shrink_fleet(case: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -440,7 +430,7 @@ def _execute_screen(case: Dict[str, Any]) -> Optional[str]:
     the exact per-fault footprint walk — no misses and no over-flags,
     on every sampled population (``device_lane_only`` only shapes the
     rate mix, not the strength of the check)."""
-    from repro.fleet.policies import uncorrectable_candidate_channels
+    from repro.fleet.engine import uncorrectable_candidate_channels
     from repro.reliability.montecarlo import _sample_batch
 
     params = _reliability_params(_with(case, scrub_interval_hours=4.0))

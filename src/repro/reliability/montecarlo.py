@@ -112,7 +112,7 @@ def footprint_pairs_intersect(
     pass every pair of a block at once, as built by
     :func:`segment_pairs`. Returns a boolean per pair. Shared between
     this module's block engine and the fleet uncorrectable-pair screen
-    (:func:`repro.fleet.policies.uncorrectable_candidate_channels`), so
+    (:func:`repro.fleet.engine.uncorrectable_candidate_channels`), so
     both layers agree on footprint geometry by construction. Must agree
     with the scalar rule on every input — the ``exact_pairs`` test mode
     and the ``pair-screen`` fuzz oracle enforce exactly that.

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+import operator
+from dataclasses import dataclass
+from functools import reduce
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +60,45 @@ def confidence_interval_from_moments(
         return mean, 0.0
     var = max(total_sq - total * total / count, 0.0) / (count - 1)
     return mean, z * math.sqrt(var / count)
+
+
+@dataclass
+class Moments:
+    """Mergeable first/second moments of one per-sample statistic.
+
+    Blocks of a population reduce their samples to ``(n, sum, sum of
+    squares)``; adding them here in block order, from ``0.0``, and
+    calling :meth:`interval` gives :func:`confidence_interval_from_moments`
+    of the merged population.
+    """
+
+    count: int = 0
+    total: float = 0.0
+    total_sq: float = 0.0
+
+    def add(self, count: int, total: float, total_sq: float) -> None:
+        """Merge one block's ``(n, sum, sum of squares)``."""
+        self.count += count
+        self.total += total
+        self.total_sq += total_sq
+
+    def interval(self) -> Tuple[float, float]:
+        """(mean, 95% half-width) of the merged samples; empty raises."""
+        return confidence_interval_from_moments(
+            self.count, self.total, self.total_sq
+        )
+
+
+def sequential_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum, from ``0.0``.
+
+    Not ``sum()``: from Python 3.12 it compensates float rounding, so
+    its result depends on the interpreter. A NumPy array is read as
+    Python floats first.
+    """
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return reduce(operator.add, values, 0.0)
 
 
 def binomial_confidence_interval(

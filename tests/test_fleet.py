@@ -10,6 +10,7 @@ size; and scenario reports attach confidence intervals to every mean.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -38,8 +39,17 @@ from repro.fleet import (
     sample_block,
     sample_fleet,
 )
-from repro.fuzz.oracles import _sequential_sum
+from repro.fleet.engine import (
+    EventMoments,
+    FractionMatrix,
+    FractionMoments,
+    OverheadMoments,
+    PairScreens,
+    block_job,
+    uncorrectable_candidate_channels,
+)
 from repro.runner import execute_plan
+from repro.util.stats import sequential_sum
 from repro.util.units import FIT_TO_PER_HOUR, HOURS_PER_YEAR
 
 
@@ -459,7 +469,7 @@ class TestVectorizedReductions:
         for row, (weights, cap) in zip(matrix, rows):
             legacy = _overhead_series(histories, 7, weights, cap=cap)
             assert [
-                _sequential_sum(year) / batch.num_channels for year in row
+                sequential_sum(year) / batch.num_channels for year in row
             ] == legacy
 
     @pytest.mark.parametrize("years", range(1, 8))
@@ -536,6 +546,88 @@ class TestVectorizedReductions:
             )
             assert value > 0.0
             assert value == pytest.approx(expected, rel=1e-12, abs=0.0), year
+
+
+class TestBlockJob:
+    """``block_job`` samples a block once and answers every reduction
+    on it: asking for several gives each one's bytes alone."""
+
+    ROWS = (
+        ({FaultType.LANE: 0.38, FaultType.DEVICE: 0.16}, 1.0),
+        ({FaultType.BANK: 0.02, FaultType.COLUMN: 0.01}, 0.05),
+        ({}, 0.5),
+    )
+
+    def _reductions(self, years):
+        return (
+            FractionMoments(years),
+            FractionMatrix(years),
+            OverheadMoments(self.ROWS, tuple(range(1, years + 1))),
+            PairScreens((24.0, 2_000.0)),
+            EventMoments(),
+        )
+
+    @pytest.mark.parametrize(
+        "sampling",
+        [
+            dict(years=7.0, rate_multiplier=40.0),
+            dict(
+                years=5.0,
+                rate_multiplier=60.0,
+                phases=((0.0, 1.0, 3.0), (1.0, 4.0, 1.0)),
+                spatial={"kind": "multi-row-cluster", "fraction": 0.8},
+            ),
+        ],
+        ids=["constant", "phased-spatial"],
+    )
+    def test_each_answer_equals_asking_for_it_alone(self, sampling):
+        reductions = self._reductions(int(sampling["years"]))
+        together = block_job(11, 300, reductions=reductions, **sampling)
+        assert len(together) == len(reductions)
+        for reduction, answer in zip(reductions, together):
+            (alone,) = block_job(11, 300, reductions=(reduction,), **sampling)
+            assert pickle.dumps(answer) == pickle.dumps(alone)
+
+    def test_answers_are_the_engine_reductions(self):
+        fraction_moments, matrix, overheads, screens, events = block_job(
+            5, 200, 7.0, self._reductions(7), rate_multiplier=40.0
+        )
+        batch = sample_block(5, 200, 7.0, rate_multiplier=40.0)
+        fractions = faulty_fractions_by_year(batch, 7)
+        assert np.array_equal(matrix, fractions)
+        assert fraction_moments[0] == fractions.sum(axis=1).tolist()
+        series = overhead_series_by_year(batch, 7, self.ROWS)
+        assert np.shape(overheads) == (2, len(self.ROWS), 7)
+        assert overheads[1] == np.square(series).sum(axis=-1).tolist()
+        # A final-year query reduces that year alone, to the same floats.
+        (final,) = block_job(
+            5, 200, 7.0, (OverheadMoments(self.ROWS, (7,)),), rate_multiplier=40.0
+        )
+        assert final == [[row[-1:] for row in moments] for moments in overheads]
+        counts = batch.per_channel.astype(float)
+        assert events == [
+            [counts.sum(), float((counts > 0).sum())],
+            [np.square(counts).sum(), float((counts > 0).sum())],
+        ]
+        assert screens == [
+            int(uncorrectable_candidate_channels(batch, window).sum())
+            for window in (24.0, 2_000.0)
+        ]
+
+    def test_block_without_events_gives_fault_free_values(self):
+        years = 3
+        fraction_moments, matrix, overheads, screens, events = block_job(
+            9, 50, float(years), self._reductions(years), rate_multiplier=0.0
+        )
+        # A batch with no events at all: +0.0 everywhere, as
+        # faulty_fractions_at documents.
+        assert matrix.shape == (years, 50)
+        assert np.all(matrix == 0.0) and not np.signbit(matrix).any()
+        assert not np.signbit(fraction_moments).any()
+        assert np.all(np.array(fraction_moments) == 0.0)
+        assert np.all(np.array(overheads) == 0.0)
+        assert screens == [0, 0]
+        assert events == [[0.0, 0.0], [0.0, 0.0]]
 
 
 class TestScenarios:

@@ -23,13 +23,15 @@ from repro.fleet import (
     plan_fleet_compare,
     resolve_policies,
 )
+from repro.fleet.engine import uncorrectable_candidate_channels
 from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch
 from repro.fleet.policies import (
     policy_due_per_1k,
     policy_sdc_per_1k,
     slice_reliability_params,
-    uncorrectable_candidate_channels,
 )
+from repro.reliability.analytical import ReliabilityParams
+from repro.reliability.due import DEFAULT_REPAIR_HOURS
 from repro.runner import execute_plan
 
 
@@ -350,8 +352,10 @@ class TestComparisonReport:
 
 class TestPairedSampling:
     def test_policies_share_block_seeds(self):
-        """One job per (slice, block) carries every policy, in order, on
-        exactly the blocks :func:`plan_fleet` samples for that slice."""
+        """One job per (slice, block) asks for every policy's power and
+        performance rows, in order, and one pair screen per distinct
+        correction window, on exactly the blocks :func:`plan_fleet`
+        samples for that slice."""
         kwargs = dict(scenario="mixed-generations", channels=1500, seed=11)
         plan = plan_fleet_compare(policies=POLICY_KEYS, **kwargs)
         blocks = [
@@ -363,8 +367,20 @@ class TestPairedSampling:
             for job in plan_fleet(**kwargs).jobs
         ]
         assert blocks == fleet_blocks
+        rows = tuple(
+            row
+            for policy in resolve_policies(POLICY_KEYS)
+            for row in (
+                (policy.per_fault_power, policy.power_cap),
+                (policy.per_fault_performance, policy.performance_cap),
+            )
+        )
+        scrub_hours = ReliabilityParams().scrub_interval_hours
         for job in plan.jobs:
-            assert [p.key for p in job.kwargs["policies"]] == list(POLICY_KEYS)
+            overheads, screens = job.kwargs["reductions"]
+            assert overheads.rows == rows
+            # arcc and sccdcd share the repair window; lotecc's is a scrub.
+            assert screens.windows == (DEFAULT_REPAIR_HOURS, scrub_hours)
 
     def test_sharing_a_job_never_changes_a_policy_row(self):
         """Each policy scored alone gets exactly its cells of the

@@ -1,7 +1,7 @@
 """Cross-check: the uncorrectable-pair screen vs exact MC footprints.
 
 Fleet batches carry exact spatial coordinates (bank/row/column), so
-:func:`repro.fleet.policies.uncorrectable_candidate_channels` decides
+:func:`repro.fleet.engine.uncorrectable_candidate_channels` decides
 "shares a codeword" with the same footprint-intersection rule the
 MC engine uses (:func:`repro.reliability.montecarlo
 .footprint_pairs_intersect`). The MC sampler draws straight into a
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.faults.types import FaultRates
-from repro.fleet.policies import uncorrectable_candidate_channels
+from repro.fleet.engine import uncorrectable_candidate_channels
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.montecarlo import _sample_batch, footprint_intersects
 from repro.util.units import HOURS_PER_YEAR

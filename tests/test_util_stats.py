@@ -6,9 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.stats import (
+    Moments,
     binomial_confidence_interval,
     confidence_interval,
     confidence_interval_from_moments,
+    sequential_sum,
 )
 
 
@@ -104,3 +106,48 @@ class TestBinomialConfidenceInterval:
         with pytest.raises(ValueError):
             binomial_confidence_interval(0, 0)
 
+
+
+class TestMoments:
+    @given(
+        st.lists(
+            st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=10),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_merged_blocks_give_the_summed_interval(self, blocks):
+        """Merging each block's (n, sum, sum of squares) in block order
+        is the interval of the moments summed left to right from 0.0."""
+        moments = Moments()
+        count, total, total_sq = 0, 0.0, 0.0
+        for block in blocks:
+            block_sum = sequential_sum(block)
+            block_sq = sequential_sum(v * v for v in block)
+            moments.add(len(block), block_sum, block_sq)
+            count += len(block)
+            total += block_sum
+            total_sq += block_sq
+        assert moments.count == count
+        assert moments.interval() == confidence_interval_from_moments(
+            count, total, total_sq
+        )
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            Moments().interval()
+
+
+class TestSequentialSum:
+    def test_adds_left_to_right_from_zero(self):
+        """Unlike a compensated sum, the rounding of each step stays."""
+        values = [1.0, 1e100, 1.0, -1e100]
+        assert sequential_sum(values) == ((1.0 + 1e100) + 1.0) - 1e100 == 0.0
+
+    def test_takes_arrays_and_generators(self):
+        values = [0.1, 0.2, 0.3]
+        expected = (0.0 + 0.1 + 0.2) + 0.3
+        assert sequential_sum(np.array(values)) == expected
+        assert sequential_sum(v for v in values) == expected
+        assert type(sequential_sum(np.array(values))) is float
+        assert sequential_sum([]) == 0.0
