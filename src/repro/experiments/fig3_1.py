@@ -84,20 +84,21 @@ def plan_fig3_1(
     """
     check_channels(channels)
     multipliers = tuple(multipliers)
-    blocks = fleet_blocks(seed, channels)
+    blocks = fleet_blocks(channels)
     reductions = (FractionMatrix(years),)
     jobs = [
         Job.create(
             f"fig3.1[{mult:g}x][{index}]",
             block_job,
-            block_seed=block_seed,
+            seed=seed,
+            index=index,
             channels=size,
             years=float(years),
             reductions=reductions,
             rate_multiplier=mult,
         )
         for mult in multipliers
-        for index, (block_seed, size) in enumerate(blocks)
+        for index, size in enumerate(blocks)
     ]
 
     def assemble(values: List[List[np.ndarray]]) -> Fig31Result:

@@ -201,7 +201,7 @@ def plan_fig7_4_7_5(
     check_channels(channels)
     multipliers = tuple(multipliers)
     overheads = overheads or FALLBACK_OVERHEADS
-    blocks = fleet_blocks(seed, channels)
+    blocks = fleet_blocks(channels)
     # Every block scores all four series (measured and worst-case,
     # power and performance) on the same fault arrivals.
     reductions = (
@@ -211,14 +211,15 @@ def plan_fig7_4_7_5(
         Job.create(
             f"fig7.4[{mult:g}x][{index}]",
             block_job,
-            block_seed=block_seed,
+            seed=seed,
+            index=index,
             channels=size,
             years=float(years),
             reductions=reductions,
             rate_multiplier=mult,
         )
         for mult in multipliers
-        for index, (block_seed, size) in enumerate(blocks)
+        for index, size in enumerate(blocks)
     ]
 
     def assemble(values: List[List[Any]]) -> LifetimeOverheadResult:
@@ -229,7 +230,7 @@ def plan_fig7_4_7_5(
         for m, mult in enumerate(multipliers):
             # One Moments per (series, year), merged in block order.
             moments = [[Moments() for _ in range(years)] for _ in _SERIES_KEYS]
-            for (_, n), (sums,) in zip(blocks, values[m * per_mult : (m + 1) * per_mult]):
+            for n, (sums,) in zip(blocks, values[m * per_mult : (m + 1) * per_mult]):
                 for row, totals, squares in zip(moments, *sums):
                     for year_moments, total, total_sq in zip(row, totals, squares):
                         year_moments.add(n, total, total_sq)

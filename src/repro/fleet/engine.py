@@ -17,11 +17,12 @@ checked exactly against the per-channel scalar reduction
 
 Determinism follows the Monte-Carlo block pattern: populations are
 partitioned into fixed-size blocks whose seeds derive only from the
-experiment seed and the block index (the same ``SeedSequence`` machinery
-as :func:`repro.util.rng.split_rng`), so results are bit-identical
+experiment seed and the block index
+(:func:`repro.util.rng.derive_seed`), so results are bit-identical
 whether blocks run inline or fan out across a process pool, and growing
 a population by whole blocks extends rather than reshuffles its random
-streams.
+streams. A block job carries the population seed and its index and
+derives its seed itself: planning a population draws nothing.
 
 Rate schedules (burn-in vs steady-state) are piecewise-constant
 non-homogeneous Poisson processes: each phase contributes an independent
@@ -39,7 +40,7 @@ from repro.config import ARCC_MEMORY_CONFIG, RUNNER_CONFIG, MemoryConfig
 from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import DEFAULT_FIT_RATES, FaultRates, FaultType
 from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch, empty_batch
-from repro.util.rng import derive_seeds, make_rng
+from repro.util.rng import derive_seed, make_rng
 from repro.util.units import FIT_TO_PER_HOUR, HOURS_PER_YEAR
 
 #: Channels sampled per block (and per runner job). Fixed — the block
@@ -143,7 +144,7 @@ def sample_block(
     # Independent child stream for the sub-device coordinates: isolated
     # so adding (or spatially re-shaping) them cannot perturb the
     # rank-level draws above.
-    coord_rng = make_rng(derive_seeds(block_seed, 1)[0])
+    coord_rng = make_rng(derive_seed(block_seed, 0))
     base = channel_arrival_rates(config, rates) * rate_multiplier
     if phases is None:
         phases = ((0.0, years, 1.0),)
@@ -222,21 +223,21 @@ def check_channels(channels: int) -> None:
 
 
 def fleet_blocks(
-    seed: int, channels: int, block_channels: int = FLEET_BLOCK_CHANNELS
-) -> List[Tuple[int, int]]:
-    """``(block_seed, block_channels)`` partition of a population.
+    channels: int, block_channels: int = FLEET_BLOCK_CHANNELS
+) -> List[int]:
+    """Block sizes of a population, in block order.
 
     Prefix-stable: the first ``k`` blocks are the same no matter how
-    large the population grows.
+    large the population grows. Block ``i`` samples from
+    ``derive_seed(seed, i)`` of its population's ``seed``.
+
+    >>> fleet_blocks(2500, 1024)
+    [1024, 1024, 452]
     """
     if channels <= 0:
         return []
-    count = (channels + block_channels - 1) // block_channels
-    seeds = derive_seeds(seed, count)
-    return [
-        (block_seed, min(block_channels, channels - i * block_channels))
-        for i, block_seed in enumerate(seeds)
-    ]
+    full, rest = divmod(channels, block_channels)
+    return [block_channels] * full + ([rest] if rest else [])
 
 
 def sample_fleet(
@@ -253,7 +254,7 @@ def sample_fleet(
     """Sample a whole population inline (all blocks, concatenated)."""
     blocks = [
         sample_block(
-            block_seed,
+            derive_seed(seed, index),
             size,
             years,
             rate_multiplier=rate_multiplier,
@@ -262,7 +263,7 @@ def sample_fleet(
             phases=phases,
             spatial=spatial,
         )
-        for block_seed, size in fleet_blocks(seed, channels, block_channels)
+        for index, size in enumerate(fleet_blocks(channels, block_channels))
     ]
     if not blocks:
         return empty_batch(max(channels, 0))
@@ -544,7 +545,8 @@ Reduction = Union[
 
 
 def block_job(
-    block_seed: int,
+    seed: int,
+    index: int,
     channels: int,
     years: float,
     reductions: Sequence[Reduction],
@@ -557,20 +559,22 @@ def block_job(
     """Picklable worker: sample one block once and reduce it every
     requested way.
 
-    The sampling arguments are :func:`sample_block`'s (``years`` is the
-    sampled horizon; a reduction's own ``years`` is how many year ends
-    it reports). Returns one result per reduction, in request order, so
+    The block is block ``index`` of the population of ``seed``: it
+    samples from ``derive_seed(seed, index)``. The other sampling
+    arguments are :func:`sample_block`'s (``years`` is the sampled
+    horizon; a reduction's own ``years`` is how many year ends it
+    reports). Returns one result per reduction, in request order, so
     every reduction of one job reads the same fault arrivals.
 
     Examples
     --------
     >>> (totals, squares), screens = block_job(
-    ...     7, 64, 7.0, (EventMoments(), PairScreens((24.0,)))
+    ...     7, 0, 64, 7.0, (EventMoments(), PairScreens((24.0,)))
     ... )
     >>> len(totals), len(screens)
     (2, 1)
     """
     batch = sample_block(
-        block_seed, channels, years, rate_multiplier, config, rates, phases, spatial
+        derive_seed(seed, index), channels, years, rate_multiplier, config, rates, phases, spatial
     )
     return [reduction.reduce(batch, config) for reduction in reductions]

@@ -162,16 +162,28 @@ class FaultEventBatch:
 
     def events_of(self, member: int) -> List["FaultEvent"]:
         """Materialize one population member's events as ``FaultEvent`` objects."""
-        return self._events(int(self.offsets[member]), int(self.offsets[member + 1]))
+        return self._events(
+            slice(int(self.offsets[member]), int(self.offsets[member + 1]))
+        )
 
     def to_histories(self) -> List[List["FaultEvent"]]:
         """The per-channel ``List[List[FaultEvent]]`` view of the batch."""
-        events = self._events(0, self.num_events)
-        bounds = self.offsets.tolist()
-        return [events[start:stop] for start, stop in zip(bounds, bounds[1:])]
+        return _split(self._events(slice(None)), self.offsets)
 
-    def _events(self, start: int, stop: int) -> List["FaultEvent"]:
-        """Events ``start:stop`` as ``FaultEvent``s, built column by column.
+    def histories_of(self, members: np.ndarray) -> List[List["FaultEvent"]]:
+        """``to_histories()[m]`` for each of ``members``, in order.
+
+        Only those members' events become ``FaultEvent`` objects.
+        """
+        starts = self.offsets[members]
+        lengths = self.offsets[members + 1] - starts
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        index = np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], lengths)
+        return _split(self._events(index), bounds)
+
+    def _events(self, selection) -> List["FaultEvent"]:
+        """The events at ``selection`` (a slice or an index array) as
+        ``FaultEvent``s, built column by column.
 
         One ``tolist()`` per field yields Python ``float``/``int`` values,
         never NumPy scalars; :data:`EVENT_FIELDS` lists the columns in
@@ -179,7 +191,7 @@ class FaultEventBatch:
         """
         from repro.faults.lifetime import FaultEvent
 
-        columns = [getattr(self, name)[start:stop].tolist() for name in EVENT_FIELDS]
+        columns = [getattr(self, name)[selection].tolist() for name in EVENT_FIELDS]
         columns[1] = [FAULT_TYPE_ORDER[code] for code in columns[1]]
         return list(map(FaultEvent, *columns))
 
@@ -232,6 +244,12 @@ class FaultEventBatch:
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in ("offsets",) + EVENT_FIELDS
         )
+
+
+def _split(events: List["FaultEvent"], bounds: np.ndarray) -> List[List["FaultEvent"]]:
+    """``events`` cut at consecutive ``bounds``, one list per gap."""
+    bounds = bounds.tolist()
+    return [events[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 def empty_batch(channels: int) -> FaultEventBatch:

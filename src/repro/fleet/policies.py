@@ -337,6 +337,7 @@ def policy_sdc_per_1k(
     policy: ProtectionPolicy,
     pop: SubPopulation,
     tables: Optional[PairTableMemo] = None,
+    params: Optional[ReliabilityParams] = None,
 ) -> float:
     """Analytic SDCs per 1000 machine-years of one (policy, slice).
 
@@ -344,9 +345,12 @@ def policy_sdc_per_1k(
     expected count scales by the (independent) channel count before
     the one-event-retires-the-machine saturation. ``tables`` is the
     caller's :data:`~repro.reliability.analytical.PairTableMemo`, so a
-    comparison tabulates each slice's parameters once for every policy.
+    comparison tabulates each slice's parameters once for every policy;
+    ``params`` is the slice's :func:`slice_reliability_params`, built
+    here when not given.
     """
-    params = slice_reliability_params(pop)
+    if params is None:
+        params = slice_reliability_params(pop)
     expected = (
         expected_sdc_sccdcd(params, pop.lifespan_years, tables)
         if policy.sdc_model == "triple"
@@ -361,10 +365,12 @@ def policy_due_per_1k(
     policy: ProtectionPolicy,
     pop: SubPopulation,
     tables: Optional[PairTableMemo] = None,
+    params: Optional[ReliabilityParams] = None,
 ) -> float:
     """Analytic DUEs per 1000 machine-years of one (policy, slice);
-    ``tables`` as for :func:`policy_sdc_per_1k`."""
-    params = slice_reliability_params(pop)
+    ``tables`` and ``params`` as for :func:`policy_sdc_per_1k`."""
+    if params is None:
+        params = slice_reliability_params(pop)
     if policy.due_window == "scrub":
         rate = due_rate_sparing(params, tables)
     else:
@@ -622,7 +628,7 @@ def plan_fleet_compare(
             effective[(policy.key, pop.name)] = variant
 
     jobs: List[Job] = []
-    slices: Dict[str, Tuple[List[Tuple[int, int]], int, List[int]]] = {}
+    slices: Dict[str, Tuple[List[int], int, List[int]]] = {}
     for pop, pop_seed in zip(scenario.populations, pop_seeds):
         variants = [effective[(policy.key, pop.name)] for policy in built]
         rows = tuple(
@@ -635,11 +641,12 @@ def plan_fleet_compare(
         )
         windows = [v.window_hours("correction_window", scrub_hours) for v in variants]
         distinct = tuple(dict.fromkeys(windows))
-        blocks = fleet_blocks(pop_seed, pop.channels)
+        blocks = fleet_blocks(pop.channels)
         slices[pop.name] = (blocks, len(jobs), [distinct.index(w) for w in windows])
         jobs += slice_block_jobs(
             f"fleet-compare[{scenario.name}/{pop.name}]",
             pop,
+            pop_seed,
             blocks,
             (OverheadMoments(rows, (pop.report_years,)), PairScreens(distinct)),
         )
@@ -648,6 +655,10 @@ def plan_fleet_compare(
         slice_reports: List[PolicySliceReport] = []
         summaries: List[PolicyFleetSummary] = []
         tables: PairTableMemo = {}
+        slice_params = {
+            pop.name: slice_reliability_params(pop)
+            for pop in scenario.populations
+        }
         for policy_index, policy in enumerate(built):
             fleet_power = Moments()
             fleet_perf = Moments()
@@ -668,14 +679,15 @@ def plan_fleet_compare(
                 # Rows 2i and 2i + 1 (final year): policy i's power and
                 # performance.
                 row = 2 * policy_index
-                for (_, n), ((totals, squares), screens) in zip(
+                for n, ((totals, squares), screens) in zip(
                     blocks, values[start : start + len(blocks)]
                 ):
                     power.add(n, totals[row][0], squares[row][0])
                     perf.add(n, totals[row + 1][0], squares[row + 1][0])
                     unc_sum += screens[screen_of[policy_index]]
-                sdc = policy_sdc_per_1k(variant, pop, tables)
-                due = policy_due_per_1k(variant, pop, tables)
+                params = slice_params[pop.name]
+                sdc = policy_sdc_per_1k(variant, pop, tables, params)
+                due = policy_due_per_1k(variant, pop, tables, params)
                 slice_reports.append(
                     PolicySliceReport(
                         policy=policy.key,
@@ -756,6 +768,7 @@ def plan_fleet_compare_measured(
     mixes: Optional[Sequence[WorkloadMix]] = None,
     instructions_per_core: int = MEASUREMENT_CONFIG.instructions_per_core,
     measurement_seed: int = MEASUREMENT_CONFIG.seed,
+    planes: Optional[Dict[Any, ExperimentPlan]] = None,
 ) -> ExperimentPlan:
     """The measured comparison as a two-stage plan (the only measured path).
 
@@ -772,17 +785,35 @@ def plan_fleet_compare_measured(
     measurement points and blocks own explicit seeds. ``mixes``
     defaults to every workload mix; a single-channel organization
     raises ``ValueError`` at build time.
+
+    ``planes`` is a caller's memo of measurement plans, keyed by their
+    arguments: comparisons planned with one memo build each distinct
+    measurement plan once and share its jobs (a study's rate
+    multipliers at one instruction scale do).
     """
     scenario = resolve_scenario(scenario)
     if channels is not None:
         scenario = scenario.scaled_to(channels)
-    measured_plan = plan_measured_profiles(
-        policies=tuple(policies),
-        organizations=scenario.organizations(),
-        mixes=mixes,
-        instructions_per_core=instructions_per_core,
-        seed=measurement_seed,
+    policies = tuple(policies)
+    organizations = scenario.organizations()
+    plane = (
+        policies,
+        organizations,
+        None if mixes is None else tuple(mixes),
+        instructions_per_core,
+        measurement_seed,
     )
+    if planes is None:
+        planes = {}
+    measured_plan = planes.get(plane)
+    if measured_plan is None:
+        measured_plan = planes[plane] = plan_measured_profiles(
+            policies=policies,
+            organizations=organizations,
+            mixes=mixes,
+            instructions_per_core=instructions_per_core,
+            seed=measurement_seed,
+        )
 
     def assemble(values: List[Any]) -> ExperimentPlan:
         return plan_fleet_compare(

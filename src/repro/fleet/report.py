@@ -123,15 +123,18 @@ class FleetReport:
 def slice_block_jobs(
     prefix: str,
     pop: SubPopulation,
-    blocks: Sequence[Tuple[int, int]],
+    seed: int,
+    blocks: Sequence[int],
     reductions: Tuple[Reduction, ...],
 ) -> List[Job]:
     """One :func:`~repro.fleet.engine.block_job` per sampling block of
     one slice, named ``prefix[index]``.
 
-    ``blocks`` is the slice's :func:`~repro.fleet.engine.fleet_blocks`
-    partition. Every job shares the slice's reduction objects and its
-    spatial mapping, so a batch's identity memo encodes each once.
+    ``seed`` is the slice's seed and ``blocks`` its
+    :func:`~repro.fleet.engine.fleet_blocks` sizes; each job derives its
+    block's stream from the two and its index. Every job shares the
+    slice's reduction objects and its spatial mapping, so a batch's
+    identity memo encodes each once.
     """
     phases = tuple(pop.phases())
     spatial = asdict(pop.spatial) if pop.spatial else None
@@ -139,7 +142,8 @@ def slice_block_jobs(
         Job.create(
             f"{prefix}[{index}]",
             block_job,
-            block_seed=block_seed,
+            seed=seed,
+            index=index,
             channels=size,
             years=pop.lifespan_years,
             reductions=reductions,
@@ -149,19 +153,19 @@ def slice_block_jobs(
             phases=phases,
             spatial=spatial,
         )
-        for index, (block_seed, size) in enumerate(blocks)
+        for index, size in enumerate(blocks)
     ]
 
 
 def _assemble_population(
     pop: SubPopulation,
-    blocks: Sequence[Tuple[int, int]],
+    blocks: Sequence[int],
     answers: Sequence[List[Any]],
 ) -> SubPopulationReport:
     fraction = [Moments() for _ in range(pop.report_years)]
     events = Moments()
     affected = Moments()
-    for (_, n), ((totals, squares), exposure) in zip(blocks, answers):
+    for n, ((totals, squares), exposure) in zip(blocks, answers):
         for moments, total, total_sq in zip(fraction, totals, squares):
             moments.add(n, total, total_sq)
         events.add(n, exposure[0][0], exposure[1][0])
@@ -221,11 +225,12 @@ def plan_fleet(
     jobs: List[Job] = []
     slices = []
     for pop, pop_seed in zip(scenario.populations, pop_seeds):
-        blocks = fleet_blocks(pop_seed, pop.channels)
+        blocks = fleet_blocks(pop.channels)
         slices.append((pop, blocks, len(jobs)))
         jobs += slice_block_jobs(
             f"fleet[{scenario.name}/{pop.name}]",
             pop,
+            pop_seed,
             blocks,
             (FractionMoments(pop.report_years), EventMoments()),
         )
@@ -244,7 +249,7 @@ def plan_fleet(
                 if pop.report_years < year:
                     continue
                 in_service += pop.channels
-                for (_, n), ((totals, squares), _) in zip(blocks, answers):
+                for n, ((totals, squares), _) in zip(blocks, answers):
                     moments.add(n, totals[year - 1], squares[year - 1])
             mean, half = moments.interval()
             fleet_by_year.append((mean, half, in_service))

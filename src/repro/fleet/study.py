@@ -351,15 +351,18 @@ def _point_scenario(study: Study, point: StudyPoint) -> FleetScenario:
     return replace(base, populations=tuple(populations))
 
 
-def _fleet_point_plan(study: Study, point: StudyPoint) -> ExperimentPlan:
+def _fleet_point_plan(
+    study: Study, point: StudyPoint, planes: Dict[Any, ExperimentPlan]
+) -> ExperimentPlan:
     """One policy-comparison point as a plan.
 
     Unmeasured points are the comparison blocks directly. Measured
     points are :func:`~repro.fleet.policies.plan_fleet_compare_measured`:
     the plan's jobs are only the (expensive, cache-shared) measurement
     points, which is what lets every rate multiplier at one instruction
-    scale share that scale's measurements, and its assembly returns the
-    comparison blocks as a follow-up plan.
+    scale share that scale's measurements (``planes`` builds each of
+    them once), and its assembly returns the comparison blocks as a
+    follow-up plan.
     """
     scenario = _point_scenario(study, point)
     if not study.measured:
@@ -373,6 +376,7 @@ def _fleet_point_plan(study: Study, point: StudyPoint) -> ExperimentPlan:
         mixes=study.mix_list(),
         instructions_per_core=point.instructions_per_core,
         measurement_seed=study.measurement_seed,
+        planes=planes,
     )
 
 
@@ -392,10 +396,12 @@ def _sweep_point_plan(study: Study, point: StudyPoint) -> ExperimentPlan:
     )
 
 
-def _point_plan(study: Study, point: StudyPoint) -> ExperimentPlan:
+def _point_plan(
+    study: Study, point: StudyPoint, planes: Dict[Any, ExperimentPlan]
+) -> ExperimentPlan:
     if point.kind == "sweep":
         return _sweep_point_plan(study, point)
-    return _fleet_point_plan(study, point)
+    return _fleet_point_plan(study, point, planes)
 
 
 def expand_study(study: Study) -> ExperimentPlan:
@@ -407,7 +413,8 @@ def expand_study(study: Study) -> ExperimentPlan:
     scale, or the sweep's zero point and the measured baseline — enters
     the batch once, and every point's assembly reads the shared value.
     The dedup pass keys every job with one fragment memo, so a config
-    object shared by many points is encoded once.
+    object shared by many points is encoded once, and each distinct
+    measurement plan is built once per call.
     The plan assembles into a :class:`StudyResult`; when measured points
     assemble into follow-up plans, it first returns them gathered into
     one follow-up plan (:func:`~repro.runner.gather`), so all points'
@@ -418,11 +425,12 @@ def expand_study(study: Study) -> ExperimentPlan:
     jobs: List[Job] = []
     slot_by_identity: Dict[str, int] = {}
     fragments: Fragments = {}
+    planes: Dict[Any, ExperimentPlan] = {}
     compiled: List[
         Tuple[StudyPoint, Callable[[List[Any]], Any], Tuple[int, ...]]
     ] = []
     for point in study.points():
-        sub = _point_plan(study, point)
+        sub = _point_plan(study, point, planes)
         indices = []
         for job in sub.jobs:
             identity = job_identity(job, fragments)

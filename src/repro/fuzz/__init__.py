@@ -17,7 +17,6 @@ from repro.fuzz.campaign import (
 from repro.fuzz.oracles import (
     ORACLE_PAIRS,
     OraclePair,
-    execute_case,
     resolve_oracles,
 )
 from repro.fuzz.shrink import (
@@ -36,7 +35,6 @@ __all__ = [
     "OraclePair",
     "SHRINK_PASS_BUDGET",
     "ShrinkResult",
-    "execute_case",
     "load_repro_file",
     "plan_campaign",
     "replay_repro_file",

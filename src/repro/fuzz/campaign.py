@@ -2,11 +2,13 @@
 
 A campaign is ``count`` cases assigned round-robin across the requested
 oracle pairs. Case ``i`` is sampled from the seed
-``derive_seeds(campaign_seed, count)[i]`` — a pure function of
-(campaign seed, index), independent of which other cases run — so any
-case can be regenerated, replayed, or shrunk in isolation, and the same
-campaign is bit-identical between ``--jobs 1`` and ``--jobs N``
-(sampling happens in the parent; workers only execute).
+``derive_seed(campaign_seed, i)`` — a pure function of (campaign seed,
+index), independent of which other cases run — so any case can be
+regenerated, replayed, or shrunk in isolation, and the same campaign is
+bit-identical between ``--jobs 1`` and ``--jobs N``. A case's job
+carries only its pair, the campaign seed, its index and the ``quick``
+flag: the job samples its own case and returns it with its verdict, so
+planning a campaign draws nothing and a cached case is never sampled.
 
 Cases fan out as :class:`repro.runner.job.Job` s through the standard
 executor, so they share the process pool, in-batch dedup, and
@@ -21,17 +23,35 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.fuzz.oracles import OraclePair, execute_case, resolve_oracles
+from repro.fuzz.oracles import OraclePair, resolve_oracles
 from repro.fuzz.shrink import ShrinkResult, shrink_case, write_repro_file
 from repro.runner.cache import ResultCache
 from repro.runner.job import ExperimentPlan, Job
-from repro.util.rng import derive_seeds, make_rng
+from repro.util.rng import derive_seed, make_rng
 
 
-def fuzz_case_job(oracle: str, case: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-side shim: one case through its pair, JSON-able verdict."""
-    detail = execute_case(oracle, case)
-    return {"diverged": detail is not None, "detail": detail}
+def campaign_case(
+    pair: OraclePair, seed: int, index: int, quick: bool
+) -> Tuple[int, Dict[str, Any]]:
+    """Case ``index`` of the campaign of ``seed``, drawn for ``pair``:
+    ``(case_seed, case)``."""
+    case_seed = derive_seed(seed, index)
+    return case_seed, pair.sample(make_rng(case_seed), quick)
+
+
+def fuzz_case_job(oracle: str, seed: int, index: int, quick: bool) -> Dict[str, Any]:
+    """Worker-side shim: sample case ``index`` of the campaign of
+    ``seed`` and run it through its pair; a JSON-able verdict that
+    carries the case and its seed."""
+    (pair,) = resolve_oracles([oracle])
+    case_seed, case = campaign_case(pair, seed, index, quick)
+    detail = pair.execute(case)
+    return {
+        "diverged": detail is not None,
+        "detail": detail,
+        "case_seed": case_seed,
+        "case": case,
+    }
 
 
 @dataclass(frozen=True)
@@ -101,12 +121,10 @@ def sample_campaign_cases(
 ) -> List[Tuple[int, OraclePair, int, Dict[str, Any]]]:
     """The campaign's (index, pair, case_seed, case) list, in order."""
     pairs = resolve_oracles(oracles)
-    seeds = derive_seeds(seed, count)
     out = []
     for index in range(count):
         pair = pairs[index % len(pairs)]
-        case = pair.sample(make_rng(seeds[index]), quick)
-        out.append((index, pair, int(seeds[index]), case))
+        out.append((index, pair, *campaign_case(pair, seed, index, quick)))
     return out
 
 
@@ -118,35 +136,36 @@ def plan_campaign(
 ) -> ExperimentPlan:
     """A campaign as a standard runner plan (``repro run fuzz``).
 
-    The assemble step returns the :class:`CampaignReport` (without
+    The jobs sample their own cases (:func:`fuzz_case_job`). The
+    assemble step returns the :class:`CampaignReport` (without
     shrinking or repro files — those are :func:`run_campaign`'s job,
     since they need filesystem access in the parent).
     """
-    sampled = sample_campaign_cases(seed, count, oracles, quick)
+    keys = [pair.key for pair in resolve_oracles(oracles)]
+    assigned = [keys[index % len(keys)] for index in range(count)]
     jobs = [
         Job.create(
-            f"fuzz[{pair.key}][{index}]",
+            f"fuzz[{key}][{index}]",
             fuzz_case_job,
-            oracle=pair.key,
-            case=case,
+            seed=seed,
+            oracle=key,
+            index=index,
+            quick=quick,
         )
-        for index, pair, _, case in sampled
+        for index, key in enumerate(assigned)
     ]
 
     def assemble(values: List[Dict[str, Any]]) -> CampaignReport:
         report = CampaignReport(
-            seed=seed,
-            count=count,
-            quick=quick,
-            oracles=tuple(pair.key for pair in resolve_oracles(oracles)),
+            seed=seed, count=count, quick=quick, oracles=tuple(keys)
         )
-        for (index, pair, case_seed, case), verdict in zip(sampled, values):
+        for index, (key, verdict) in enumerate(zip(assigned, values)):
             report.results.append(
                 CaseResult(
                     index=index,
-                    oracle=pair.key,
-                    case_seed=case_seed,
-                    case=case,
+                    oracle=key,
+                    case_seed=verdict["case_seed"],
+                    case=verdict["case"],
                     diverged=verdict["diverged"],
                     detail=verdict["detail"],
                 )

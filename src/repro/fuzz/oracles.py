@@ -624,8 +624,3 @@ def resolve_oracles(
             )
         out.append(ORACLE_PAIRS[key])
     return tuple(out)
-
-
-def execute_case(oracle: str, case: Dict[str, Any]) -> Optional[str]:
-    """Run one case through its pair; ``None`` or a divergence line."""
-    return resolve_oracles([oracle])[0].execute(case)

@@ -13,8 +13,9 @@ objects check at construction — organizations round-trip through
 never be rejected as malformed, only diverge.
 
 Reproducibility is the riescue idiom: a campaign seed derives one
-integer seed per case index (:func:`repro.util.rng.derive_seeds`,
-prefix-stable), and each case is a pure function of its own seed. The
+integer seed per case index (:func:`repro.util.rng.derive_seed`, a pure
+function of the campaign seed and the index), and each case is a pure
+function of its own seed. The
 ``quick`` flag shrinks every size range for smoke campaigns without
 changing the shapes drawn.
 """

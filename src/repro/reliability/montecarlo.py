@@ -11,10 +11,11 @@ counts a DUE — machine retirement — for a detected pair.
 
 Faults use the fleet engine's format: :func:`_sample_batch` draws a
 block of channels into a :class:`~repro.fleet.events.FaultEventBatch`,
-and the event loops read :class:`~repro.faults.lifetime.FaultEvent`
-objects through ``to_histories``. :func:`footprint_intersects` and
-:func:`footprint_pairs_intersect` are the scalar and vector forms of the
-one footprint rule, which the fleet's uncorrectable-pair screen shares.
+and the event loops read the :class:`~repro.faults.lifetime.FaultEvent`
+objects of the channels they decide through ``histories_of``.
+:func:`footprint_intersects` and :func:`footprint_pairs_intersect` are
+the scalar and vector forms of the one footprint rule, which the
+fleet's uncorrectable-pair screen shares.
 
 :func:`plan_montecarlo` runs a population as one plan: a
 :func:`simulate_block` job per block of channels, summed at assembly.
@@ -42,6 +43,7 @@ from repro.config import RUNNER_CONFIG
 from repro.faults.types import DEVICE_LEVEL_TYPES, FaultType
 from repro.reliability.analytical import ReliabilityParams
 from repro.runner import ExperimentPlan, Job
+from repro.util.rng import derive_seed, make_rng
 from repro.util.units import HOURS_PER_YEAR
 
 if TYPE_CHECKING:  # pragma: no cover - fleet imports this module lazily
@@ -421,12 +423,14 @@ def _decide_channel(
 
 def simulate_block(
     params: ReliabilityParams,
-    block_seed: int,
+    seed: int,
+    index: int,
     channels: int,
     years: float,
     exact_pairs: bool = False,
 ) -> ReliabilityOutcome:
-    """Simulate one block of channels with batched sampling.
+    """Simulate block ``index`` of the population of ``seed`` with
+    batched sampling: its stream is ``derive_seed(seed, index)``.
 
     Every channel with two or more faults is decided in array form, in
     one segmented all-pairs pass over the block
@@ -437,9 +441,10 @@ def simulate_block(
     (no policy can fail a channel whose faults are pairwise disjoint).
     The two modes must agree bit for bit on identical sampled faults;
     this is the equivalence check the tests and the ``montecarlo`` fuzz
-    oracle run.
+    oracle run. Only the channels the event loops decide become
+    ``FaultEvent`` objects.
     """
-    rng = np.random.Generator(np.random.PCG64(block_seed))
+    rng = make_rng(derive_seed(seed, index))
     batch = _sample_batch(params, rng, channels, years)
     scrub = params.scrub_interval_hours
     outcome = ReliabilityOutcome(channels=channels, years=years)
@@ -459,9 +464,9 @@ def simulate_block(
         per_channel[multi],
         lambda left, right: footprint_pairs_intersect(batch, left, right),
     )
-    histories = batch.to_histories()
-    for channel in np.flatnonzero(per_channel == 2).tolist() + multi[has_pair].tolist():
-        _decide_channel(histories[channel], scrub, outcome)
+    decided = np.concatenate((np.flatnonzero(per_channel == 2), multi[has_pair]))
+    for faults in batch.histories_of(decided):
+        _decide_channel(faults, scrub, outcome)
     return outcome
 
 
@@ -476,8 +481,9 @@ def plan_montecarlo(
 
     The population is split by
     :func:`~repro.fleet.engine.fleet_blocks` into blocks of
-    :data:`BLOCK_CHANNELS`, whose RNG streams derive only from ``seed``
-    and the block index, so the outcome is identical at any worker count.
+    :data:`BLOCK_CHANNELS`; each job derives its block's RNG stream from
+    ``seed`` and the block index alone, so the outcome is identical at
+    any worker count.
     Assembly sums the block outcomes. A negative ``channels`` or a
     non-positive ``years`` raises ``ValueError`` here, before any job
     runs; ``channels=0`` is an empty plan.
@@ -501,15 +507,14 @@ def plan_montecarlo(
         Job.create(
             f"mc-block[{index}]",
             simulate_block,
+            seed=seed,
             params=params,
-            block_seed=block_seed,
+            index=index,
             channels=size,
             years=years,
             exact_pairs=exact_pairs,
         )
-        for index, (block_seed, size) in enumerate(
-            fleet_blocks(seed, channels, BLOCK_CHANNELS)
-        )
+        for index, size in enumerate(fleet_blocks(channels, BLOCK_CHANNELS))
     ]
 
     def assemble(values: List[ReliabilityOutcome]) -> ReliabilityOutcome:

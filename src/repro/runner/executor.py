@@ -2,9 +2,10 @@
 
 ``run_jobs`` is the single entry point. Results are returned in job
 order no matter how execution interleaves, every job's randomness comes
-from its own seed (planners derive them with
-:func:`repro.util.rng.derive_seeds`), a :class:`ResultCache`
-short-circuits work that has already been done by a previous run, and
+from its own seed (a block or fuzz job derives it from the experiment
+seed and its index with :func:`repro.util.rng.derive_seed`), a
+:class:`ResultCache` short-circuits work that has already been done by
+a previous run, and
 jobs whose computation is identical (same callable, config and seed —
 names aside) are looked up and run once per batch and share the value —
 together these make ``--jobs 1`` and ``--jobs N`` produce identical

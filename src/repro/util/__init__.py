@@ -3,7 +3,7 @@ field-naming value errors."""
 
 from repro.util.bitops import bit_count, parity
 from repro.util.fields import FieldError, check_range
-from repro.util.rng import derive_seeds, make_rng, split_rng
+from repro.util.rng import derive_seed, derive_seeds, make_rng, split_rng
 from repro.util.stats import confidence_interval
 from repro.util.suggest import did_you_mean, unknown_key_message
 from repro.util.tables import format_table
@@ -27,6 +27,7 @@ __all__ = [
     "bit_count",
     "check_range",
     "confidence_interval",
+    "derive_seed",
     "derive_seeds",
     "did_you_mean",
     "format_table",

@@ -49,6 +49,7 @@ from repro.fleet.engine import (
     uncorrectable_candidate_channels,
 )
 from repro.runner import execute_plan
+from repro.util.rng import derive_seed
 from repro.util.stats import sequential_sum
 from repro.util.units import FIT_TO_PER_HOUR, HOURS_PER_YEAR
 
@@ -57,6 +58,13 @@ class TestFaultEventBatch:
     def test_round_trip_exact(self):
         batch = sample_fleet(300, 7.0, rate_multiplier=8.0, seed=21)
         assert FaultEventBatch.from_histories(batch.to_histories()) == batch
+
+    def test_histories_of_selects_members_in_order(self):
+        batch = sample_fleet(40, 7.0, rate_multiplier=60.0, seed=8)
+        histories = batch.to_histories()
+        members = np.array([7, 0, 33, 7, 12])
+        assert batch.histories_of(members) == [histories[m] for m in members]
+        assert batch.histories_of(np.array([], dtype=np.int64)) == []
 
     def test_round_trip_with_empty_channels(self):
         batch = sample_fleet(50, 1.0, rate_multiplier=0.5, seed=3)
@@ -222,10 +230,10 @@ class TestEngineSampling:
             assert abs(count - expected) <= 6.0 * expected**0.5, fault_type
 
     def test_block_partition_prefix_stable(self):
-        small = fleet_blocks(11, FLEET_BLOCK_CHANNELS)
-        large = fleet_blocks(11, 3 * FLEET_BLOCK_CHANNELS + 5)
+        small = fleet_blocks(FLEET_BLOCK_CHANNELS)
+        large = fleet_blocks(3 * FLEET_BLOCK_CHANNELS + 5)
         assert large[0] == small[0]
-        assert sum(size for _, size in large) == 3 * FLEET_BLOCK_CHANNELS + 5
+        assert sum(large) == 3 * FLEET_BLOCK_CHANNELS + 5
 
     def test_population_prefix_stable_across_growth(self):
         """Whole-block growth extends, never reshuffles, early channels.
@@ -582,17 +590,17 @@ class TestBlockJob:
     )
     def test_each_answer_equals_asking_for_it_alone(self, sampling):
         reductions = self._reductions(int(sampling["years"]))
-        together = block_job(11, 300, reductions=reductions, **sampling)
+        together = block_job(11, 0, 300, reductions=reductions, **sampling)
         assert len(together) == len(reductions)
         for reduction, answer in zip(reductions, together):
-            (alone,) = block_job(11, 300, reductions=(reduction,), **sampling)
+            (alone,) = block_job(11, 0, 300, reductions=(reduction,), **sampling)
             assert pickle.dumps(answer) == pickle.dumps(alone)
 
     def test_answers_are_the_engine_reductions(self):
         fraction_moments, matrix, overheads, screens, events = block_job(
-            5, 200, 7.0, self._reductions(7), rate_multiplier=40.0
+            5, 3, 200, 7.0, self._reductions(7), rate_multiplier=40.0
         )
-        batch = sample_block(5, 200, 7.0, rate_multiplier=40.0)
+        batch = sample_block(derive_seed(5, 3), 200, 7.0, rate_multiplier=40.0)
         fractions = faulty_fractions_by_year(batch, 7)
         assert np.array_equal(matrix, fractions)
         assert fraction_moments[0] == fractions.sum(axis=1).tolist()
@@ -601,7 +609,7 @@ class TestBlockJob:
         assert overheads[1] == np.square(series).sum(axis=-1).tolist()
         # A final-year query reduces that year alone, to the same floats.
         (final,) = block_job(
-            5, 200, 7.0, (OverheadMoments(self.ROWS, (7,)),), rate_multiplier=40.0
+            5, 3, 200, 7.0, (OverheadMoments(self.ROWS, (7,)),), rate_multiplier=40.0
         )
         assert final == [[row[-1:] for row in moments] for moments in overheads]
         counts = batch.per_channel.astype(float)
@@ -617,7 +625,7 @@ class TestBlockJob:
     def test_block_without_events_gives_fault_free_values(self):
         years = 3
         fraction_moments, matrix, overheads, screens, events = block_job(
-            9, 50, float(years), self._reductions(years), rate_multiplier=0.0
+            9, 0, 50, float(years), self._reductions(years), rate_multiplier=0.0
         )
         # A batch with no events at all: +0.0 everywhere, as
         # faulty_fractions_at documents.
@@ -840,7 +848,7 @@ class TestFigureIntegration:
 
     def test_empty_population_partitions_into_no_blocks(self):
         """Figure 6.1's quick scale samples no Monte-Carlo channels."""
-        assert fleet_blocks(11, 0) == []
+        assert fleet_blocks(0) == []
 
     def test_registry_exposes_fleet(self):
         from repro.runner.registry import FIGURES, build_plans

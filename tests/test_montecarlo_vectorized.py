@@ -266,6 +266,7 @@ class TestCandidateScreen:
         simulate_block(
             ReliabilityParams(rate_multiplier=multiplier),
             seed,
+            0,
             channels,
             7.0,
             exact_pairs=True,
@@ -315,10 +316,11 @@ class TestPlanMonteCarlo:
     def test_one_job_per_fleet_block_summed_at_assembly(self):
         params = ReliabilityParams(rate_multiplier=100.0)
         plan = plan_montecarlo(params, 2 * BLOCK_CHANNELS + 17, 7.0, seed=5)
-        blocks = fleet_blocks(5, 2 * BLOCK_CHANNELS + 17, BLOCK_CHANNELS)
+        blocks = fleet_blocks(2 * BLOCK_CHANNELS + 17, BLOCK_CHANNELS)
         assert [
-            (job.kwargs["block_seed"], job.kwargs["channels"]) for job in plan.jobs
-        ] == blocks
+            (job.kwargs["seed"], job.kwargs["index"], job.kwargs["channels"])
+            for job in plan.jobs
+        ] == [(5, index, size) for index, size in enumerate(blocks)]
         partials = [job.execute() for job in plan.jobs]
         outcome = plan.assemble(partials)
         assert outcome.channels == 2 * BLOCK_CHANNELS + 17

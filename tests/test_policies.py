@@ -359,11 +359,21 @@ class TestPairedSampling:
         kwargs = dict(scenario="mixed-generations", channels=1500, seed=11)
         plan = plan_fleet_compare(policies=POLICY_KEYS, **kwargs)
         blocks = [
-            (job.name.split("[", 1)[1], job.kwargs["block_seed"], job.kwargs["channels"])
+            (
+                job.name.split("[", 1)[1],
+                job.kwargs["seed"],
+                job.kwargs["index"],
+                job.kwargs["channels"],
+            )
             for job in plan.jobs
         ]
         fleet_blocks = [
-            (job.name.split("[", 1)[1], job.kwargs["block_seed"], job.kwargs["channels"])
+            (
+                job.name.split("[", 1)[1],
+                job.kwargs["seed"],
+                job.kwargs["index"],
+                job.kwargs["channels"],
+            )
             for job in plan_fleet(**kwargs).jobs
         ]
         assert blocks == fleet_blocks

@@ -233,6 +233,53 @@ def test_registry_plan_identities_pinned(key, quick):
     assert digest == digests[resolve_engine("auto")]
 
 
+@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+def test_registry_plans_draw_nothing_per_block_or_case(monkeypatch, quick):
+    """Building a registry plan samples no fuzz case and derives at most
+    one seed per fleet population, none per block: block and fuzz jobs
+    carry ``(seed, index)`` and derive their streams themselves, so a
+    warm run, whose jobs all hit the cache, makes no draw."""
+    import sys
+
+    from repro.fleet.engine import block_job
+    from repro.fuzz import oracles
+    from repro.reliability.montecarlo import simulate_block
+    from repro.runner.registry import FIGURES
+    from repro.util import rng
+
+    derived = []
+    real = rng.derive_seed
+
+    def counted(seed, index):
+        derived.append((seed, index))
+        return real(seed, index)
+
+    # Every binding of the one derivation: ``derive_seeds`` calls it too.
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("repro"):
+            if getattr(module, "derive_seed", None) is real:
+                monkeypatch.setattr(module, "derive_seed", counted)
+    sampled = []
+    for key, pair in oracles.ORACLE_PAIRS.items():
+
+        def sample(rng_, quick_, _real=pair.sample, _key=key):
+            sampled.append(_key)
+            return _real(rng_, quick_)
+
+        monkeypatch.setitem(
+            oracles.ORACLE_PAIRS, key, dataclasses.replace(pair, sample=sample)
+        )
+
+    for key, spec in FIGURES.items():
+        derived.clear()
+        jobs = spec.plan(quick=quick).jobs
+        populations = {
+            job.seed for job in jobs if job.fn in (block_job, simulate_block)
+        }
+        assert len(derived) <= len(populations), (key, derived)
+    assert sampled == []
+
+
 class TestGroupedTraceJobs:
     """Jobs sharing a ``group`` (the trace jobs of one trace) run one
     group after another, so the one-batch trace memo draws each trace

@@ -1,8 +1,11 @@
 """Unit tests for repro.util.tables, .rng and .units."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.util.rng import make_rng, split_rng
+from repro.util.rng import derive_seed, derive_seeds, make_rng, split_rng
 from repro.util.tables import format_table
 from repro.util.units import GB, KB, MB
 
@@ -37,6 +40,23 @@ class TestRng:
         first = [c.integers(1 << 30) for c in split_rng(9, 4)]
         second = [c.integers(1 << 30) for c in split_rng(9, 4)]
         assert first == second
+
+    @given(
+        seed=st.integers(0, 2**64 - 1) | st.integers(2**64, 2**130),
+        index=st.integers(0, 40),
+        extra=st.integers(1, 10),
+    )
+    def test_derive_seed_is_child_index_of_every_longer_spawn(
+        self, seed, index, extra
+    ):
+        """``derive_seed(s, i)`` is ``derive_seeds(s, n)[i]`` for every
+        ``n > i``, and both are the ``SeedSequence.spawn`` child every
+        block and fuzz stream has always come from."""
+        count = index + extra
+        spawned = np.random.SeedSequence(seed).spawn(count)[index]
+        expected = int(spawned.generate_state(2, np.uint64)[0])
+        assert derive_seed(seed, index) == derive_seeds(seed, count)[index]
+        assert derive_seed(seed, index) == expected
 
 
 class TestFormatTable:
