@@ -5,7 +5,7 @@ import pytest
 from conftest import emit
 
 from repro.experiments.fig3_1 import plan_fig3_1
-from repro.runner import execute_plan
+from repro.runner.executor import execute_plan
 
 pytestmark = [pytest.mark.slow, pytest.mark.mc]
 

@@ -12,7 +12,7 @@ from conftest import emit
 from repro.experiments.fig6_1 import plan_fig6_1
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.due import due_reduction_factor
-from repro.runner import execute_plan
+from repro.runner.executor import execute_plan
 
 pytestmark = pytest.mark.mc
 

@@ -10,7 +10,7 @@ import pytest
 from conftest import emit
 
 from repro.experiments.fig7_1 import plan_fig7_1
-from repro.runner import execute_plan
+from repro.runner.executor import execute_plan
 
 pytestmark = pytest.mark.slow
 

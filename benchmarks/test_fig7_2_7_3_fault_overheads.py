@@ -15,7 +15,7 @@ from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
 from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import FaultType
 from repro.perf.simulator import worst_case_power_ratio
-from repro.runner import execute_plan
+from repro.runner.executor import execute_plan
 from repro.workloads.spec import ALL_MIXES
 
 pytestmark = pytest.mark.slow

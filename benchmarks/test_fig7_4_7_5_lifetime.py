@@ -10,7 +10,7 @@ import pytest
 from conftest import emit
 
 from repro.experiments.fig7_4_7_5 import plan_fig7_4_7_5_measured
-from repro.runner import execute_plan
+from repro.runner.executor import execute_plan
 from repro.workloads.spec import ALL_MIXES
 
 pytestmark = [pytest.mark.slow, pytest.mark.mc]

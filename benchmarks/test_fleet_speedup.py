@@ -10,8 +10,8 @@ end-to-end absolute time is tracked by ``perfbench/``.
 import pytest
 
 from repro.experiments.fig3_1 import plan_fig3_1
-from repro.fleet import plan_fleet
-from repro.runner import execute_plan
+from repro.fleet.report import plan_fleet
+from repro.runner.executor import execute_plan
 
 pytestmark = pytest.mark.mc
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.montecarlo import plan_montecarlo
-from repro.runner import execute_plan
+from repro.runner.executor import execute_plan
 
 pytestmark = pytest.mark.mc
 

@@ -3,7 +3,7 @@
 from conftest import emit
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
-from repro.experiments import (
+from repro.experiments.tables import (
     render_table_7_1,
     render_table_7_2,
     render_table_7_3,

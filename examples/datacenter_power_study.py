@@ -15,7 +15,7 @@ import sys
 from repro.experiments.fig7_1 import plan_fig7_1
 from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
 from repro.faults.types import FaultType
-from repro.runner import execute_plan
+from repro.runner.executor import execute_plan
 from repro.workloads.spec import ALL_MIXES
 
 

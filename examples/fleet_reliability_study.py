@@ -7,7 +7,7 @@ rates, infant-mortality burn-in — how much memory ever needs ARCC's
 strong mode, and how many silent data corruptions does relaxed
 detection admit compared to always-on SCCDCD?
 
-Drives a custom heterogeneous :class:`repro.fleet.FleetScenario` through
+Drives a custom heterogeneous :class:`repro.fleet.scenarios.FleetScenario` through
 the vectorized fleet-lifetime engine (10^5 channels in well under a
 second per slice), sweeps the three protection policies (ARCC, SCCDCD,
 LOT-ECC) over the same fault histories to get the TCO-style decision
@@ -15,7 +15,7 @@ table, then cross-checks the paper's Figure 6.1 SDC claim with
 Monte-Carlo confidence intervals.
 
 The same study works without Python: dump the scenario with
-:func:`repro.fleet.dump_scenario_json` and run ``repro fleet
+:func:`repro.fleet.scenario_file.dump_scenario_json` and run ``repro fleet
 --scenario-file study.json --policies arcc,sccdcd,lotecc``.
 
 Run:  python examples/fleet_reliability_study.py [--jobs N]
@@ -25,17 +25,12 @@ import argparse
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
 from repro.experiments.fig6_1 import plan_fig6_1
-from repro.fleet import (
-    FleetScenario,
-    RatePhase,
-    SubPopulation,
-    plan_fleet,
-    plan_fleet_compare,
-    plan_fleet_compare_measured,
-)
+from repro.fleet.policies import plan_fleet_compare, plan_fleet_compare_measured
+from repro.fleet.report import plan_fleet
+from repro.fleet.scenarios import FleetScenario, RatePhase, SubPopulation
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.due import due_rate_sccdcd, due_rate_sparing
-from repro.runner import execute_plan
+from repro.runner.executor import execute_plan
 
 #: A fleet no single homogeneous simulation covers: three ARCC cohorts
 #: (fresh with burn-in, mid-life, hot-aisle) plus a legacy x4 remnant.

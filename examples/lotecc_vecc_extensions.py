@@ -16,7 +16,7 @@ Run:  python examples/lotecc_vecc_extensions.py
 from repro.core.lotecc_arcc import ArccLotEcc
 from repro.core.vecc_arcc import ArccVecc
 from repro.experiments.fig7_6 import plan_fig7_6
-from repro.runner import execute_plan
+from repro.runner.executor import execute_plan
 
 
 def demo_lotecc() -> None:

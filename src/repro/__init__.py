@@ -27,9 +27,36 @@ Top-level names are resolved lazily (PEP 562) so that importing ``repro``
 stays cheap and subpackages can be used independently.
 """
 
-from typing import Any
+import importlib
+import sys
+from typing import Any, Callable, Dict, Tuple
 
 __version__ = "1.0.0"
+
+
+def lazy_exports(
+    package: str, table: Dict[str, Tuple[str, str]]
+) -> Callable[[str], Any]:
+    """A PEP 562 ``__getattr__`` for ``package`` over ``table``.
+
+    ``table`` maps an exported name to ``(module, attribute)``; the module
+    is imported on the name's first use and the value then cached as a
+    global of ``package``, so later lookups bypass this function.
+    """
+
+    def __getattr__(name: str) -> Any:
+        try:
+            module_name, attr = table[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module_name), attr)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
+
 
 _LAZY_EXPORTS = {
     "ARCC_MEMORY_CONFIG": ("repro.config", "ARCC_MEMORY_CONFIG"),
@@ -44,15 +71,4 @@ _LAZY_EXPORTS = {
 
 __all__ = sorted(_LAZY_EXPORTS) + ["__version__"]
 
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name, attr = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(module_name)
-    value = getattr(module, attr)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)

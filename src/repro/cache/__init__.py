@@ -9,19 +9,3 @@ back together (all four check symbols of each codeword span both).
   an upgraded line sit in adjacent sets and share the recency of the most
   recently used sub-line.
 """
-
-from repro.cache.llc import AccessOutcome, CacheStats, LastLevelCache
-from repro.cache.replacement import (
-    NaivePairedLru,
-    PairedLruPolicy,
-    ReplacementPolicy,
-)
-
-__all__ = [
-    "AccessOutcome",
-    "CacheStats",
-    "LastLevelCache",
-    "NaivePairedLru",
-    "PairedLruPolicy",
-    "ReplacementPolicy",
-]

@@ -103,7 +103,9 @@ import time
 from typing import Dict, List, Optional
 
 from repro.perf.engine import engine_provenance
-from repro.runner import DEFAULT_CACHE_DIR, ResultCache, execute_plans
+from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.runner.executor import execute_plans
+from repro.util.suggest import unknown_key_message
 
 
 def _engine_summary() -> str:
@@ -117,9 +119,9 @@ def _engine_summary() -> str:
 
 
 def _list_fleet_scenarios() -> None:
-    from repro.fleet import DEFAULT_SCENARIOS, POLICY_KEYS
+    from repro.fleet import policies, scenarios
 
-    for scenario in DEFAULT_SCENARIOS.values():
+    for scenario in scenarios.DEFAULT_SCENARIOS.values():
         print(
             f"{scenario.name}: {scenario.total_channels} channels, "
             f"{len(scenario.populations)} slice(s)"
@@ -140,21 +142,12 @@ def _list_fleet_scenarios() -> None:
                 f"{pop.config.name}, {pop.rate_multiplier:g}x rates, "
                 f"{pop.lifespan_years:g}y lifespan{phases}"
             )
-    print(f"policies (--policies): {', '.join(POLICY_KEYS)}")
+    print(f"policies (--policies): {', '.join(policies.POLICY_KEYS)}")
 
 
 def _cmd_fleet(args: argparse.Namespace) -> None:
     # Deferred import: keep `repro --help` import-light.
-    from repro.fleet import (
-        DEFAULT_FLEET_SEED,
-        DEFAULT_SCENARIOS,
-        ScenarioFileError,
-        load_scenario_file,
-        plan_fleet,
-        plan_fleet_compare,
-        plan_fleet_compare_measured,
-    )
-    from repro.util.suggest import unknown_key_message
+    from repro.fleet import policies, report, scenario_file, scenarios
 
     if args.list:
         _list_fleet_scenarios()
@@ -163,28 +156,27 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
     file_spec = None
     if args.scenario_file:
         try:
-            file_spec = load_scenario_file(args.scenario_file)
-        except ScenarioFileError as exc:
+            file_spec = scenario_file.load_scenario_file(args.scenario_file)
+        except scenario_file.ScenarioFileError as exc:
             raise SystemExit(f"repro fleet: {exc}") from exc
 
+    known = scenarios.DEFAULT_SCENARIOS
     names = args.scenarios
     if not names and file_spec is None:
-        names = list(DEFAULT_SCENARIOS)
+        names = list(known)
     for name in names:
-        if name not in DEFAULT_SCENARIOS:
+        if name not in known:
             raise SystemExit(
-                "repro fleet: "
-                + unknown_key_message("scenario", name, DEFAULT_SCENARIOS)
+                "repro fleet: " + unknown_key_message("scenario", name, known)
             )
 
     # Explicit flags win over file-level defaults; the file's channels
     # and seed apply only to its own scenario, never to built-ins named
     # alongside it.
-    default_seed = args.seed if args.seed is not None else DEFAULT_FLEET_SEED
-    specs = [
-        (DEFAULT_SCENARIOS[name], args.channels, default_seed)
-        for name in names
-    ]
+    default_seed = (
+        args.seed if args.seed is not None else report.DEFAULT_FLEET_SEED
+    )
+    specs = [(known[name], args.channels, default_seed) for name in names]
     if file_spec is not None:
         file_channels = (
             args.channels if args.channels is not None else file_spec.channels
@@ -216,9 +208,9 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
     try:
         if policy_keys:
             build = (
-                plan_fleet_compare_measured
+                policies.plan_fleet_compare_measured
                 if args.measured
-                else plan_fleet_compare
+                else policies.plan_fleet_compare
             )
             plans = [
                 build(
@@ -231,7 +223,7 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
             ]
         else:
             plans = [
-                plan_fleet(scenario=scenario, channels=channels, seed=seed)
+                report.plan_fleet(scenario=scenario, channels=channels, seed=seed)
                 for scenario, channels, seed in specs
             ]
     except (KeyError, ValueError) as exc:
@@ -243,11 +235,11 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
     cache = ResultCache() if args.measured else None
     reports = execute_plans(plans, max_workers=args.jobs, cache=cache)
     elapsed = time.perf_counter() - started
-    for report in reports:
-        print(report.to_table())
+    for outcome in reports:
+        print(outcome.to_table())
         print()
     total_jobs = sum(len(plan.jobs) for plan in plans)
-    total_channels = sum(report.total_channels for report in reports)
+    total_channels = sum(outcome.total_channels for outcome in reports)
     mode = f"policies {','.join(policy_keys)}" if policy_keys else "exposure"
     if args.measured:
         mode += " (measured weights)"
@@ -261,14 +253,13 @@ def _cmd_study(args: argparse.Namespace) -> None:
     # Deferred import: keep `repro --help` import-light.
     from dataclasses import replace
 
-    from repro.fleet import ScenarioFileError, run_study
-    from repro.fleet.study import load_study_file, resolve_study_path
+    from repro.fleet import scenario_file, study
 
     try:
-        study = load_study_file(resolve_study_path(args.study_file))
+        campaign = study.load_study_file(study.resolve_study_path(args.study_file))
     except OSError as exc:
         raise SystemExit(f"repro study: {exc}") from exc
-    except ScenarioFileError as exc:
+    except scenario_file.ScenarioFileError as exc:
         raise SystemExit(f"repro study: {exc}") from exc
     # Explicit flags win over file-level defaults (the `repro fleet`
     # precedence rule).
@@ -278,15 +269,15 @@ def _cmd_study(args: argparse.Namespace) -> None:
     if args.channels is not None:
         overrides["channels"] = args.channels
     try:
-        study = replace(study, **overrides)
+        campaign = replace(campaign, **overrides)
     except ValueError as exc:
         raise SystemExit(f"repro study: {exc}") from exc
     if args.quick:
-        study = study.quick()
+        campaign = campaign.quick()
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     started = time.perf_counter()
-    result = run_study(
-        study, jobs=args.jobs, cache=cache, manifest_path=args.manifest
+    result = study.run_study(
+        campaign, jobs=args.jobs, cache=cache, manifest_path=args.manifest
     )
     elapsed = time.perf_counter() - started
     for point in result.points:
@@ -335,22 +326,17 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     # Deferred import: the fuzz registry touches every engine module.
-    from repro.fuzz import (
-        ORACLE_PAIRS,
-        replay_repro_file,
-        resolve_oracles,
-        run_campaign,
-    )
+    from repro.fuzz import campaign, oracles, shrink
 
     if args.list:
-        for pair in ORACLE_PAIRS.values():
+        for pair in oracles.ORACLE_PAIRS.values():
             print(f"{pair.key:<16} {pair.guarantee:<13} {pair.title}")
             print(f"{'':<16} standing hook: {pair.hook}")
         return 0
 
     if args.replay:
         try:
-            detail = replay_repro_file(args.replay)
+            detail = shrink.replay_repro_file(args.replay)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"repro fuzz: {exc}") from exc
         if detail is None:
@@ -359,19 +345,19 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"{args.replay}: still diverges: {detail}")
         return 1
 
-    oracles = None
+    keys = None
     if args.oracles:
-        oracles = [o.strip() for o in args.oracles.split(",") if o.strip()]
+        keys = [o.strip() for o in args.oracles.split(",") if o.strip()]
     try:
-        resolve_oracles(oracles)
+        oracles.resolve_oracles(keys)
     except KeyError as exc:
         raise SystemExit(f"repro fuzz: {exc.args[0]}") from exc
 
     started = time.perf_counter()
-    report = run_campaign(
+    report = campaign.run_campaign(
         seed=args.seed,
         count=args.count,
-        oracles=oracles,
+        oracles=keys,
         quick=args.quick,
         jobs=args.jobs,
         shrink=not args.no_shrink,

@@ -18,24 +18,3 @@
 * :mod:`repro.core.lotecc_arcc` / :mod:`repro.core.vecc_arcc` — ARCC
   applied to LOT-ECC and VECC (Section 5.2).
 """
-
-from repro.core.arcc import ARCCMemorySystem, ARCCStats
-from repro.core.lotecc_arcc import ArccLotEcc
-from repro.core.modes import ProtectionMode
-from repro.core.page_table import PageTable, Tlb
-from repro.core.scrubber import Scrubber, ScrubReport
-from repro.core.upgrade import UpgradeEngine
-from repro.core.vecc_arcc import ArccVecc
-
-__all__ = [
-    "ARCCMemorySystem",
-    "ARCCStats",
-    "ArccLotEcc",
-    "ArccVecc",
-    "PageTable",
-    "ProtectionMode",
-    "ScrubReport",
-    "Scrubber",
-    "Tlb",
-    "UpgradeEngine",
-]

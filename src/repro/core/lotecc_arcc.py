@@ -25,6 +25,7 @@ import numpy as np
 from repro.ecc.base import DecodeResult, DecodeStatus
 from repro.ecc.lotecc import LotEcc9, LotEcc18, LotEccLine
 from repro.faults.types import DEFAULT_FIT_RATES
+from repro.fleet.engine import faulty_fractions_at, sample_fleet
 from repro.util.units import HOURS_PER_YEAR
 
 #: Worst-case cost of an upgraded access relative to a relaxed one
@@ -237,8 +238,6 @@ def lotecc_lifetime_overhead(
     instantaneous overhead is ``(factor - 1) * fraction_upgraded(t)``,
     sampled at 12 mid-step times per year.
     """
-    from repro.fleet.engine import faulty_fractions_at, sample_fleet
-
     batch = sample_fleet(
         channels,
         float(years),

@@ -20,6 +20,7 @@ from repro.dram.command import MemoryRequest
 from repro.dram.controller import ControllerStats, MemoryController
 from repro.dram.power import PowerCounters, RankPowerModel
 from repro.dram.timing import power_params_for_width, timings_for_width
+from repro.util.stats import sequential_sum
 
 
 @dataclass
@@ -63,7 +64,7 @@ def power_report_from_counters(
         background += bg_nj / end_ns * model.devices
         dynamic += rank_w - bg_nj / end_ns * model.devices
     return PowerReport(
-        total_w=sum(per_rank),
+        total_w=sequential_sum(per_rank),
         background_w=background,
         dynamic_w=dynamic,
         per_rank_w=per_rank,

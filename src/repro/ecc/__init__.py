@@ -15,40 +15,3 @@ Everything the paper touches is here:
 * :mod:`repro.ecc.vecc` — VECC's tiered in-rank detection / virtualized
   correction symbols.
 """
-
-from repro.ecc.base import (
-    CodecError,
-    DecodeResult,
-    DecodeStatus,
-)
-from repro.ecc.chipkill import (
-    ChipkillCodec,
-    make_double_upgraded_codec,
-    make_relaxed_codec,
-    make_sccdcd_codec,
-    make_upgraded_codec,
-)
-from repro.ecc.interleave import HalfSymbolUpgradedCodec
-from repro.ecc.lotecc import LotEcc9, LotEcc18
-from repro.ecc.reed_solomon import ReedSolomonCode
-from repro.ecc.secded import Secded7264
-from repro.ecc.sparing import DoubleChipSparing
-from repro.ecc.vecc import Vecc
-
-__all__ = [
-    "ChipkillCodec",
-    "CodecError",
-    "DecodeResult",
-    "DecodeStatus",
-    "DoubleChipSparing",
-    "HalfSymbolUpgradedCodec",
-    "LotEcc18",
-    "LotEcc9",
-    "ReedSolomonCode",
-    "Secded7264",
-    "Vecc",
-    "make_double_upgraded_codec",
-    "make_relaxed_codec",
-    "make_sccdcd_codec",
-    "make_upgraded_codec",
-]

@@ -28,7 +28,7 @@ from repro.fleet.engine import (
     check_channels,
     fleet_blocks,
 )
-from repro.runner import ExperimentPlan, Job
+from repro.runner.job import ExperimentPlan, Job
 from repro.util.stats import confidence_interval
 from repro.util.tables import format_table
 

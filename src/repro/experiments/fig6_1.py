@@ -18,7 +18,7 @@ from repro.reliability.analytical import (
     sdc_events_per_1000_machine_years,
 )
 from repro.reliability.montecarlo import plan_montecarlo
-from repro.runner import ExperimentPlan
+from repro.runner.job import ExperimentPlan
 from repro.util.stats import binomial_confidence_interval
 from repro.util.tables import format_table
 

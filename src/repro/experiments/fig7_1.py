@@ -14,7 +14,8 @@ from typing import List, Optional, Sequence
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
 from repro.perf.engine import point_jobs
 from repro.perf.trace import check_instructions_per_core
-from repro.runner import ExperimentPlan
+from repro.runner.job import ExperimentPlan
+from repro.util.stats import sequential_sum
 from repro.util.tables import format_table
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
 
@@ -49,12 +50,12 @@ class Fig71Result:
     @property
     def average_power_saving(self) -> float:
         """Mean power reduction (paper: 36.7%)."""
-        return sum(r.power_saving for r in self.rows) / len(self.rows)
+        return sequential_sum(r.power_saving for r in self.rows) / len(self.rows)
 
     @property
     def average_performance_gain(self) -> float:
         """Mean performance improvement (paper: 5.9%)."""
-        return sum(r.performance_gain for r in self.rows) / len(self.rows)
+        return sequential_sum(r.performance_gain for r in self.rows) / len(self.rows)
 
     def to_table(self) -> str:
         """Render the per-mix bars plus averages."""

@@ -29,7 +29,7 @@ from repro.perf.simulator import (
     worst_case_performance_ratio,
     worst_case_power_ratio,
 )
-from repro.runner import ExperimentPlan
+from repro.runner.job import ExperimentPlan
 from repro.util.tables import format_table
 from repro.workloads.spec import WorkloadMix
 

@@ -15,12 +15,12 @@ reduction is kept as :func:`_overhead_series` — the reference the
 vectorized accumulation is tested against on identical histories.
 
 By default the per-fault overheads are the recorded
-:data:`FALLBACK_OVERHEADS`. The fully measured methodology is its own
-plan, :func:`plan_fig7_4_7_5_measured`: its jobs are the Figure 7.2/7.3
-grid's, shared with the trace figures and ``repro fleet --measured``
-through the cache, and its assembly returns :func:`plan_fig7_4_7_5` on
-the per-fault-type averages as a follow-up plan, whose blocks the
-executor runs and caches like the first stage's::
+:data:`~repro.fleet.measured.FALLBACK_OVERHEADS`. The fully measured
+methodology is its own plan, :func:`plan_fig7_4_7_5_measured`: its jobs
+are the Figure 7.2/7.3 grid's, shared with the trace figures and
+``repro fleet --measured`` through the cache, and its assembly returns
+:func:`plan_fig7_4_7_5` on the per-fault-type averages as a follow-up
+plan, whose blocks the executor runs and caches like the first stage's::
 
     execute_plan(plan_fig7_4_7_5_measured())
 """
@@ -33,7 +33,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.config import MEASUREMENT_CONFIG
 from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
 from repro.faults.lifetime import FaultEvent
-from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.faults.types import FaultType
 from repro.fleet.engine import (
     OverheadMoments,
@@ -41,28 +40,14 @@ from repro.fleet.engine import (
     check_channels,
     fleet_blocks,
 )
-from repro.perf.simulator import (
-    worst_case_performance_ratio,
-    worst_case_power_ratio,
-)
-from repro.runner import ExperimentPlan, Job
+from repro.fleet.measured import FALLBACK_OVERHEADS, overhead_series_rows
+from repro.runner.job import ExperimentPlan, Job
 from repro.util.stats import Moments, sequential_sum
 from repro.util.tables import format_table
 from repro.util.units import HOURS_PER_YEAR
 from repro.workloads.spec import WorkloadMix
 
 DEFAULT_MULTIPLIERS = (1.0, 2.0, 4.0)
-
-#: Measured per-fault-type overheads (power ratio, performance ratio)
-#: averaged over the 12 mixes at the default simulation scale. Regenerate
-#: with :func:`plan_fig7_4_7_5_measured` when the simulator or profiles
-#: change — `benchmarks/test_fig7_4_7_5_lifetime.py` runs it.
-FALLBACK_OVERHEADS: Dict[FaultType, Tuple[float, float]] = {
-    FaultType.LANE: (1.38, 1.02),
-    FaultType.DEVICE: (1.16, 1.00),
-    FaultType.BANK: (1.02, 1.00),
-    FaultType.COLUMN: (1.01, 1.00),
-}
 
 
 @dataclass
@@ -155,34 +140,9 @@ def _overhead_series(
     return [total / len(histories) for total in totals]
 
 
-#: Keys of the four reported series, in :func:`_series_rows` order.
+#: Keys of the four reported series, in
+#: :func:`~repro.fleet.measured.overhead_series_rows` order.
 _SERIES_KEYS = ("power", "perf", "worst_power", "worst_perf")
-
-
-def _series_rows(
-    overheads: Dict[FaultType, Tuple[float, float]],
-) -> Tuple[Tuple[Dict[FaultType, float], float], ...]:
-    """``(per_fault, cap)`` of the power, perf, worst-power and
-    worst-perf series: additive weights per fault, and the accumulation
-    cap (fully-upgraded behaviour)."""
-    return (
-        ({ft: max(ratio - 1.0, 0.0) for ft, (ratio, _) in overheads.items()}, 1.0),
-        ({ft: max(1.0 - ratio, 0.0) for ft, (_, ratio) in overheads.items()}, 0.5),
-        (
-            {
-                ft: worst_case_power_ratio(upgraded_page_fraction(ft)) - 1.0
-                for ft in TABLE_7_4_TYPES
-            },
-            1.0,
-        ),
-        (
-            {
-                ft: 1.0 - worst_case_performance_ratio(upgraded_page_fraction(ft))
-                for ft in TABLE_7_4_TYPES
-            },
-            0.5,
-        ),
-    )
 
 
 def plan_fig7_4_7_5(
@@ -195,8 +155,8 @@ def plan_fig7_4_7_5(
     """Figures 7.4/7.5 as runner jobs: one per (rate multiplier, block).
 
     ``overheads`` maps fault type -> (power ratio, perf ratio); ``None``
-    uses :data:`FALLBACK_OVERHEADS`. ``channels`` below 1 raises
-    ``ValueError``.
+    uses :data:`~repro.fleet.measured.FALLBACK_OVERHEADS`. ``channels``
+    below 1 raises ``ValueError``.
     """
     check_channels(channels)
     multipliers = tuple(multipliers)
@@ -205,7 +165,9 @@ def plan_fig7_4_7_5(
     # Every block scores all four series (measured and worst-case,
     # power and performance) on the same fault arrivals.
     reductions = (
-        OverheadMoments(_series_rows(overheads), tuple(range(1, years + 1))),
+        OverheadMoments(
+            overhead_series_rows(overheads), tuple(range(1, years + 1))
+        ),
     )
     jobs = [
         Job.create(

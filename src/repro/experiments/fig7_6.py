@@ -16,7 +16,7 @@ from repro.core.lotecc_arcc import lotecc_lifetime_overhead
 from repro.fleet.engine import check_channels
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.due import due_reduction_factor
-from repro.runner import ExperimentPlan, Job
+from repro.runner.job import ExperimentPlan, Job
 from repro.util.tables import format_table
 
 DEFAULT_MULTIPLIERS = (1.0, 2.0, 4.0)

@@ -16,8 +16,9 @@ from repro.core.scrubber import scrub_bandwidth_overhead
 from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import FaultType
 from repro.perf.engine import TraceRatios, plan_trace_ratios
+from repro.perf.simulator import worst_case_performance_ratio, worst_case_power_ratio
 from repro.reliability.analytical import ReliabilityParams, sdc_rate_arcc_ded
-from repro.runner import ExperimentPlan
+from repro.runner.job import ExperimentPlan
 from repro.util.fields import FieldError, check_range
 from repro.util.tables import format_table
 from repro.util.units import GB, KB
@@ -190,11 +191,6 @@ def sweep_upgraded_fraction(
     fractions: Sequence[float] = (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0),
 ) -> UpgradedFractionCurve:
     """Worst-case power/performance across upgraded fractions."""
-    from repro.perf.simulator import (
-        worst_case_performance_ratio,
-        worst_case_power_ratio,
-    )
-
     return UpgradedFractionCurve(
         points={
             frac: (
@@ -248,11 +244,6 @@ class MeasuredFractionSweep(TraceRatios):
 
     def to_table(self) -> str:
         """Render the measured curve next to the worst case."""
-        from repro.perf.simulator import (
-            worst_case_performance_ratio,
-            worst_case_power_ratio,
-        )
-
         headers = ["Fraction", "Power (avg)", "Power (worst)", "Perf (avg)", "Perf (worst)"]
         rows = [
             [

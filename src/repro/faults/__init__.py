@@ -6,24 +6,6 @@ of >160,000 DIMMs [2]: per-device rates for single-bit, row, column, bank
 fraction of 4 KB pages affected over a server lifespan (Figure 3.1);
 Table 7.4 turns each fault type into the fraction of pages ARCC upgrades.
 Lifetime populations are sampled by :func:`repro.fleet.engine.
-sample_fleet`; :class:`FaultEvent` is the per-channel history format
-its batches convert to.
+sample_fleet`; :class:`~repro.faults.lifetime.FaultEvent` is the
+per-channel history format its batches convert to.
 """
-
-from repro.faults.injector import FaultInjector
-from repro.faults.lifetime import FaultEvent
-from repro.faults.models import upgraded_page_fraction
-from repro.faults.types import (
-    DEFAULT_FIT_RATES,
-    FaultRates,
-    FaultType,
-)
-
-__all__ = [
-    "DEFAULT_FIT_RATES",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultRates",
-    "FaultType",
-    "upgraded_page_fraction",
-]

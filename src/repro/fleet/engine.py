@@ -40,6 +40,7 @@ from repro.config import ARCC_MEMORY_CONFIG, RUNNER_CONFIG, MemoryConfig
 from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import DEFAULT_FIT_RATES, FaultRates, FaultType
 from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch, empty_batch
+from repro.reliability.footprint import any_pair_per_segment, footprint_pairs_intersect
 from repro.util.rng import derive_seed, make_rng
 from repro.util.units import FIT_TO_PER_HOUR, HOURS_PER_YEAR
 
@@ -422,7 +423,7 @@ def uncorrectable_candidate_channels(
     arriving within ``window_hours`` of the first.
 
     Footprint geometry is the shared vectorized rule
-    :func:`repro.reliability.montecarlo.footprint_pairs_intersect` (the
+    :func:`repro.reliability.footprint.footprint_pairs_intersect` (the
     array form of ``footprint_intersects``), evaluated on the batch's
     own coordinates, so this screen is an *exact* count —
     bit-identical to the Monte-Carlo footprint model on identical
@@ -433,15 +434,10 @@ def uncorrectable_candidate_channels(
 
     The screen is one segmented pass: the device-level events of every
     member with at least two of them form one segment each, and
-    :func:`repro.reliability.montecarlo.any_pair_per_segment` tests all
+    :func:`repro.reliability.footprint.any_pair_per_segment` tests all
     their pairs in a single predicate call before ``any`` is scattered
     back to the members.
     """
-    from repro.reliability.montecarlo import (
-        any_pair_per_segment,
-        footprint_pairs_intersect,
-    )
-
     out = np.zeros(batch.num_channels, dtype=bool)
     if batch.num_events < 2:
         return out

@@ -27,14 +27,12 @@ coordinates always co-locate).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.faults.lifetime import FaultEvent
 from repro.faults.types import FaultType
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (lifetime -> fleet)
-    from repro.faults.lifetime import FaultEvent
 
 #: Canonical integer coding of fault types: ``type_code[i]`` indexes this.
 FAULT_TYPE_ORDER: Tuple[FaultType, ...] = tuple(FaultType)
@@ -160,17 +158,17 @@ class FaultEventBatch:
         if np.any((self.type_code < 0) | (self.type_code >= len(FAULT_TYPE_ORDER))):
             raise ValueError("type_code out of range")
 
-    def events_of(self, member: int) -> List["FaultEvent"]:
+    def events_of(self, member: int) -> List[FaultEvent]:
         """Materialize one population member's events as ``FaultEvent`` objects."""
         return self._events(
             slice(int(self.offsets[member]), int(self.offsets[member + 1]))
         )
 
-    def to_histories(self) -> List[List["FaultEvent"]]:
+    def to_histories(self) -> List[List[FaultEvent]]:
         """The per-channel ``List[List[FaultEvent]]`` view of the batch."""
         return _split(self._events(slice(None)), self.offsets)
 
-    def histories_of(self, members: np.ndarray) -> List[List["FaultEvent"]]:
+    def histories_of(self, members: np.ndarray) -> List[List[FaultEvent]]:
         """``to_histories()[m]`` for each of ``members``, in order.
 
         Only those members' events become ``FaultEvent`` objects.
@@ -181,7 +179,7 @@ class FaultEventBatch:
         index = np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], lengths)
         return _split(self._events(index), bounds)
 
-    def _events(self, selection) -> List["FaultEvent"]:
+    def _events(self, selection) -> List[FaultEvent]:
         """The events at ``selection`` (a slice or an index array) as
         ``FaultEvent``s, built column by column.
 
@@ -189,16 +187,14 @@ class FaultEventBatch:
         never NumPy scalars; :data:`EVENT_FIELDS` lists the columns in
         ``FaultEvent``'s positional field order.
         """
-        from repro.faults.lifetime import FaultEvent
-
         columns = [getattr(self, name)[selection].tolist() for name in EVENT_FIELDS]
         columns[1] = [FAULT_TYPE_ORDER[code] for code in columns[1]]
         return list(map(FaultEvent, *columns))
 
     @classmethod
     def from_histories(
-        cls, histories: Sequence[Sequence["FaultEvent"]]
-    ) -> "FaultEventBatch":
+        cls, histories: Sequence[Sequence[FaultEvent]]
+    ) -> FaultEventBatch:
         """Pack per-channel event lists into one batch."""
         counts = np.fromiter(
             (len(events) for events in histories), dtype=np.int64, count=len(histories)
@@ -220,7 +216,7 @@ class FaultEventBatch:
         )
 
     @classmethod
-    def concat(cls, batches: Sequence["FaultEventBatch"]) -> "FaultEventBatch":
+    def concat(cls, batches: Sequence[FaultEventBatch]) -> FaultEventBatch:
         """Concatenate disjoint sub-populations (block results) in order."""
         if not batches:
             return empty_batch(0)
@@ -246,7 +242,7 @@ class FaultEventBatch:
         )
 
 
-def _split(events: List["FaultEvent"], bounds: np.ndarray) -> List[List["FaultEvent"]]:
+def _split(events: List[FaultEvent], bounds: np.ndarray) -> List[List[FaultEvent]]:
     """``events`` cut at consecutive ``bounds``, one list per gap."""
     bounds = bounds.tolist()
     return [events[start:stop] for start, stop in zip(bounds, bounds[1:])]

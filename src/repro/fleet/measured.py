@@ -72,8 +72,10 @@ from repro.perf.simulator import (
     worst_case_performance_ratio,
     worst_case_power_ratio,
 )
-from repro.runner import ExperimentPlan
+from repro.runner.job import ExperimentPlan
+from repro.util.fields import FieldError
 from repro.util.stats import confidence_interval
+from repro.util.suggest import unknown_key_message
 from repro.util.tables import format_table
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
 
@@ -84,6 +86,20 @@ POLICY_FAULT_CLASSES: Dict[str, Tuple[FaultType, ...]] = {
     "arcc": TABLE_7_4_TYPES,
     "sccdcd": (FaultType.LANE,),
     "lotecc": TABLE_7_4_TYPES,
+}
+
+#: Measured per-fault-type overheads (power ratio, performance ratio)
+#: averaged over the 12 mixes at the default simulation scale: the
+#: weights of Figures 7.4/7.5 and of the ``arcc``/``sccdcd`` policies
+#: when nothing is measured. Regenerate with
+#: :func:`~repro.experiments.fig7_4_7_5.plan_fig7_4_7_5_measured` when
+#: the simulator or profiles change —
+#: `benchmarks/test_fig7_4_7_5_lifetime.py` runs it.
+FALLBACK_OVERHEADS: Dict[FaultType, Tuple[float, float]] = {
+    FaultType.LANE: (1.38, 1.02),
+    FaultType.DEVICE: (1.16, 1.00),
+    FaultType.BANK: (1.02, 1.00),
+    FaultType.COLUMN: (1.01, 1.00),
 }
 
 #: Profiles keyed by (policy key, organization name).
@@ -197,6 +213,68 @@ def _class_samples(
     )
 
 
+def overhead_series_rows(
+    overheads: Dict[FaultType, Tuple[float, float]],
+) -> Tuple[Tuple[Dict[FaultType, float], float], ...]:
+    """``(per_fault, cap)`` of the power, perf, worst-power and
+    worst-perf series: additive weights per fault, and the accumulation
+    cap (fully-upgraded behaviour)."""
+    return (
+        ({ft: max(ratio - 1.0, 0.0) for ft, (ratio, _) in overheads.items()}, 1.0),
+        ({ft: max(1.0 - ratio, 0.0) for ft, (_, ratio) in overheads.items()}, 0.5),
+        (
+            {
+                ft: worst_case_power_ratio(upgraded_page_fraction(ft)) - 1.0
+                for ft in TABLE_7_4_TYPES
+            },
+            1.0,
+        ),
+        (
+            {
+                ft: 1.0 - worst_case_performance_ratio(upgraded_page_fraction(ft))
+                for ft in TABLE_7_4_TYPES
+            },
+            0.5,
+        ),
+    )
+
+
+def check_policy_set(
+    keys: Sequence[str], field: str = "policies"
+) -> Tuple[str, ...]:
+    """The one check of a policy comparison: non-empty, known, distinct.
+
+    Raises :class:`~repro.util.fields.FieldError` at ``field`` (empty)
+    or ``field[i]`` (the offending key, with a closest-match suggestion
+    when unknown); a scenario file's ``policies`` and every policy set
+    of a study pass through here.
+    """
+    if not keys:
+        raise FieldError(
+            field, "policy set must not be empty; name at least one policy"
+        )
+    for i, key in enumerate(keys):
+        if key not in POLICY_FAULT_CLASSES:
+            raise FieldError(
+                f"{field}[{i}]", unknown_key_message("policy", key, POLICY_FAULT_CLASSES)
+            )
+        if key in keys[:i]:
+            raise FieldError(f"{field}[{i}]", f"duplicate policy {key!r}")
+    return tuple(keys)
+
+
+def check_policy_keys(keys: Sequence[str]) -> Tuple[str, ...]:
+    """The keys of a policy comparison a caller asked for, checked.
+
+    An unknown key raises ``KeyError`` naming the closest known policy;
+    an empty or repeating set fails :func:`check_policy_set`.
+    """
+    for key in keys:
+        if key not in POLICY_FAULT_CLASSES:
+            raise KeyError(unknown_key_message("policy", key, POLICY_FAULT_CLASSES))
+    return check_policy_set(keys)
+
+
 def plan_measured_profiles(
     policies: Sequence[str] = tuple(POLICY_FAULT_CLASSES),
     organizations: Sequence[MemoryConfig] = (ARCC_MEMORY_CONFIG,),
@@ -223,10 +301,7 @@ def plan_measured_profiles(
     >>> len(plan_measured_profiles(("lotecc",), mixes=ALL_MIXES[:2]).jobs)
     10
     """
-    # Deferred: repro.fleet.policies imports this module.
-    from repro.fleet.policies import resolve_policies
-
-    policies = tuple(policy.key for policy in resolve_policies(policies))
+    policies = check_policy_keys(policies)
     organizations = distinct_organizations(organizations)
     mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
 
@@ -371,10 +446,14 @@ def profiles_to_table(profiles: Mapping[Tuple[str, str], Any]) -> str:
 
 
 __all__ = [
+    "FALLBACK_OVERHEADS",
     "MeasuredOverheadProfile",
     "POLICY_FAULT_CLASSES",
     "ProfileMap",
+    "check_policy_keys",
+    "check_policy_set",
     "clear_measured_memo",
+    "overhead_series_rows",
     "plan_measured_profiles",
     "profiles_to_table",
 ]

@@ -48,13 +48,15 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import MEASUREMENT_CONFIG
 from repro.core.lotecc_arcc import WORST_CASE_UPGRADE_FACTOR
-from repro.experiments.fig7_4_7_5 import FALLBACK_OVERHEADS, _series_rows
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.faults.types import FaultType
 from repro.fleet.engine import OverheadMoments, PairScreens, fleet_blocks
 from repro.fleet.measured import (
+    FALLBACK_OVERHEADS,
     MeasuredOverheadProfile,
     ProfileMap,
+    check_policy_keys,
+    overhead_series_rows,
     plan_measured_profiles,
     profiles_to_table,
 )
@@ -75,15 +77,13 @@ from repro.reliability.due import (
     due_rate_sccdcd,
     due_rate_sparing,
 )
-from repro.runner import ExperimentPlan, Job
-from repro.util.fields import FieldError
+from repro.runner.job import ExperimentPlan, Job
 from repro.util.rng import derive_seeds
 from repro.util.stats import (
     Moments,
     binomial_confidence_interval,
     sequential_sum,
 )
-from repro.util.suggest import unknown_key_message
 from repro.util.tables import format_table
 from repro.util.units import HOURS_PER_YEAR
 from repro.workloads.spec import WorkloadMix
@@ -144,12 +144,12 @@ def _arcc_policy() -> ProtectionPolicy:
     """SCCDCD+ARCC with the recorded Figure 7.2/7.3 per-fault costs.
 
     Weights and caps come from the same
-    :func:`~repro.experiments.fig7_4_7_5._series_rows` machinery
+    :func:`~repro.fleet.measured.overhead_series_rows` machinery
     Figures 7.4/7.5 use, on their
-    :data:`~repro.experiments.fig7_4_7_5.FALLBACK_OVERHEADS`, so the
-    policy can never drift from the figure it mirrors.
+    :data:`~repro.fleet.measured.FALLBACK_OVERHEADS`, so the policy can
+    never drift from the figure it mirrors.
     """
-    (power, power_cap), (perf, perf_cap), _, _ = _series_rows(FALLBACK_OVERHEADS)
+    (power, power_cap), (perf, perf_cap), _, _ = overhead_series_rows(FALLBACK_OVERHEADS)
     return ProtectionPolicy(
         key="arcc",
         title="SCCDCD+ARCC (relaxed, upgrade per fault)",
@@ -171,7 +171,7 @@ def _sccdcd_policy() -> ProtectionPolicy:
     the two policies on one scale: as faults accumulate, ARCC's cost
     approaches exactly SCCDCD's floor.
     """
-    (power, _), (perf, _), _, _ = _series_rows(FALLBACK_OVERHEADS)
+    (power, _), (perf, _), _, _ = overhead_series_rows(FALLBACK_OVERHEADS)
     return ProtectionPolicy(
         key="sccdcd",
         title="SCCDCD (always strong)",
@@ -225,40 +225,12 @@ POLICY_KEYS: Tuple[str, ...] = tuple(_POLICY_BUILDERS)
 DEFAULT_POLICY_KEYS: Tuple[str, ...] = POLICY_KEYS
 
 
-def check_policy_set(
-    keys: Sequence[str], field: str = "policies"
-) -> Tuple[str, ...]:
-    """The one check of a policy comparison: non-empty, known, distinct.
-
-    Raises :class:`~repro.util.fields.FieldError` at ``field`` (empty)
-    or ``field[i]`` (the offending key, with a closest-match suggestion
-    when unknown); a scenario file's ``policies`` and every policy set
-    of a study pass through here.
-    """
-    if not keys:
-        raise FieldError(
-            field, "policy set must not be empty; name at least one policy"
-        )
-    for i, key in enumerate(keys):
-        if key not in POLICY_KEYS:
-            raise FieldError(
-                f"{field}[{i}]", unknown_key_message("policy", key, POLICY_KEYS)
-            )
-        if key in keys[:i]:
-            raise FieldError(f"{field}[{i}]", f"duplicate policy {key!r}")
-    return tuple(keys)
-
-
 def resolve_policies(keys: Sequence[str]) -> Tuple[ProtectionPolicy, ...]:
     """Build policies, with their worst-case weights, from their keys.
 
-    Unknown keys raise ``KeyError`` naming the closest known policy;
-    an empty or repeating set fails :func:`check_policy_set`.
+    The keys pass :func:`~repro.fleet.measured.check_policy_keys`.
     """
-    for key in keys:
-        if key not in _POLICY_BUILDERS:
-            raise KeyError(unknown_key_message("policy", key, POLICY_KEYS))
-    return tuple(_POLICY_BUILDERS[key]() for key in check_policy_set(keys))
+    return tuple(_POLICY_BUILDERS[key]() for key in check_policy_keys(keys))
 
 
 def measured_policy(

@@ -23,7 +23,7 @@ from repro.fleet.engine import (
     fleet_blocks,
 )
 from repro.fleet.scenarios import FleetScenario, SubPopulation, resolve_scenario
-from repro.runner import ExperimentPlan, Job
+from repro.runner.job import ExperimentPlan, Job
 from repro.util.rng import derive_seeds
 from repro.util.stats import Moments
 from repro.util.tables import format_table
@@ -211,7 +211,7 @@ def plan_fleet(
     'fleet'
     >>> len(plan.jobs)      # three slices, one sampling block each
     3
-    >>> from repro.runner import execute_plan
+    >>> from repro.runner.executor import execute_plan
     >>> report = execute_plan(plan_fleet("steady", channels=64, seed=1))
     >>> report.scenario
     'steady'

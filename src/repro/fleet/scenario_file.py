@@ -54,7 +54,7 @@ from typing import (
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG, MemoryConfig
 from repro.faults.types import DEFAULT_FIT_RATES, FaultRates
-from repro.fleet.policies import check_policy_set
+from repro.fleet.measured import check_policy_set
 from repro.fleet.scenarios import (
     MAX_FLEET_CHANNELS,
     FleetScenario,

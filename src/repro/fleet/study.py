@@ -4,7 +4,7 @@ A *study file* is a scenario file plus one ``[study]`` (alias
 ``[sweep]``) section declaring the sweep axes — measurement instruction
 scales, fleet fault-rate multipliers, memory organizations, policy sets
 and upgraded fractions. :func:`expand_study` compiles the resulting grid
-into **one** deduplicated :class:`~repro.runner.ExperimentPlan` over the
+into **one** deduplicated :class:`~repro.runner.job.ExperimentPlan` over the
 existing machinery (:func:`~repro.fleet.policies.plan_fleet_compare`,
 :func:`~repro.fleet.policies.plan_fleet_compare_measured`,
 :func:`~repro.experiments.sensitivity.fraction_sweep_plan`),
@@ -15,7 +15,7 @@ one instruction scale reuses that scale's measurement jobs — run once.
 writes ``study_manifest.json``: every produced report keyed by its axis
 point, plus the cache key of each underlying job, the code version and
 the engine provenance. Combined with the runner's incremental
-:class:`~repro.runner.ResultCache` persistence, campaigns are
+:class:`~repro.runner.cache.ResultCache` persistence, campaigns are
 
 * **declarative** — the whole grid lives in one TOML/JSON file;
 * **resumable** — kill a 500-point run, re-run the same command, and
@@ -56,10 +56,10 @@ from repro.experiments.sensitivity import (
     check_sweep_fractions,
     fraction_sweep_plan,
 )
+from repro.fleet.measured import check_policy_set
 from repro.fleet.policies import (
     DEFAULT_POLICY_KEYS,
     PolicyComparisonReport,
-    check_policy_set,
     plan_fleet_compare,
     plan_fleet_compare_measured,
 )
@@ -78,16 +78,9 @@ from repro.fleet.scenario_file import (
 )
 from repro.fleet.scenarios import MAX_FLEET_CHANNELS, FleetScenario
 from repro.perf.engine import check_arcc_capable, engine_provenance, resolve_engine
-from repro.runner import (
-    ExperimentPlan,
-    Job,
-    ResultCache,
-    code_version,
-    gather,
-    job_identity,
-    run_stages,
-)
-from repro.runner.job import Fragments
+from repro.runner.cache import ResultCache, code_version
+from repro.runner.executor import run_stages
+from repro.runner.job import ExperimentPlan, Fragments, Job, gather, job_identity
 from repro.util.fields import FieldError, check_range
 from repro.util.tables import format_table
 from repro.workloads.spec import ALL_MIXES
@@ -408,7 +401,7 @@ def expand_study(study: Study) -> ExperimentPlan:
     """Compile the whole grid into one deduplicated experiment plan.
 
     Jobs are deduplicated across grid points by computation identity
-    (:func:`~repro.runner.job_identity`): a measurement point shared by
+    (:func:`~repro.runner.executor.job_identity`): a measurement point shared by
     several axis values — e.g. two rate multipliers at one instruction
     scale, or the sweep's zero point and the measured baseline — enters
     the batch once, and every point's assembly reads the shared value.
@@ -417,7 +410,7 @@ def expand_study(study: Study) -> ExperimentPlan:
     measurement plan is built once per call.
     The plan assembles into a :class:`StudyResult`; when measured points
     assemble into follow-up plans, it first returns them gathered into
-    one follow-up plan (:func:`~repro.runner.gather`), so all points'
+    one follow-up plan (:func:`~repro.runner.job.gather`), so all points'
     comparison blocks run as one more batch. The counts, the table's
     ``Jobs`` column and the manifest's cache keys cover the planned
     (first-stage) jobs only.
@@ -666,7 +659,7 @@ def run_study(
     """Execute a study and (optionally) write its manifest.
 
     Runs the deduplicated batch and its follow-ups through
-    :func:`~repro.runner.run_stages` so the result keeps per-job
+    :func:`~repro.runner.executor.run_stages` so the result keeps per-job
     ``cached`` flags — the resume guarantee is observable: re-running a
     finished campaign reports ``executed_jobs == 0``.
     """

@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.fuzz.oracles import OraclePair, resolve_oracles
 from repro.fuzz.shrink import ShrinkResult, shrink_case, write_repro_file
 from repro.runner.cache import ResultCache
+from repro.runner.executor import execute_plan
 from repro.runner.job import ExperimentPlan, Job
 from repro.util.rng import derive_seed, make_rng
 
@@ -192,8 +193,6 @@ def run_campaign(
     and, when ``report_dir`` is given, written as
     ``repro-<oracle>-<index>.json`` files for ``repro fuzz --replay``.
     """
-    from repro.runner.executor import execute_plan
-
     plan = plan_campaign(seed, count, oracles, quick)
     report: CampaignReport = execute_plan(
         plan, max_workers=jobs, cache=cache

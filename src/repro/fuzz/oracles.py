@@ -48,12 +48,33 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.experiments.fig7_4_7_5 import _overhead_series
+from repro.faults.lifetime import _fraction_after_events
 from repro.faults.types import FaultRates, FaultType
+from repro.fleet.engine import (
+    faulty_fractions_at,
+    faulty_fractions_by_year,
+    overhead_series_by_year,
+    sample_fleet,
+    uncorrectable_candidate_channels,
+)
+from repro.fleet.events import FaultEventBatch
+from repro.fleet.measured import plan_measured_profiles
 from repro.fleet.scenario_file import CONFIG_NAMES, organization_from_mapping
+from repro.fleet.scenarios import RatePhase, SubPopulation
 from repro.fuzz import sampler
+from repro.perf._kernel.loader import kernel_available
+from repro.perf.engine import SweepPoint, replay
+from repro.perf.simulator import TraceSimulator
+from repro.reliability.analytical import ReliabilityParams
+from repro.reliability.footprint import footprint_intersects
+from repro.reliability.montecarlo import _sample_batch, plan_montecarlo
+from repro.runner.executor import execute_plan
 from repro.util.rng import make_rng
 from repro.util.stats import sequential_sum
 from repro.util.suggest import unknown_key_message
+from repro.util.units import HOURS_PER_YEAR
+from repro.workloads.spec import mix_by_name
 
 def organization_config(ref: Any):
     """Resolve a case's organization: built-in name or custom table."""
@@ -115,8 +136,6 @@ def _org_shrinks(case: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 
 def _reliability_params(case: Dict[str, Any]):
-    from repro.reliability.analytical import ReliabilityParams
-
     return ReliabilityParams(
         devices_per_rank=case["devices_per_rank"],
         ranks=case["ranks"],
@@ -133,9 +152,6 @@ def _execute_montecarlo(case: Dict[str, Any]) -> Optional[str]:
     """The population plan with and without ``exact_pairs``: same sampled
     faults, the segmented verdict pass against the per-channel event
     loops."""
-    from repro.reliability.montecarlo import plan_montecarlo
-    from repro.runner import execute_plan
-
     fast, exact = (
         execute_plan(
             plan_montecarlo(
@@ -174,8 +190,6 @@ def _shrink_montecarlo(case: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 
 def _fleet_inputs(case: Dict[str, Any]):
-    from repro.fleet.scenarios import RatePhase, SubPopulation
-
     config = organization_config(case["organization"])
     pop = SubPopulation(
         name="fuzz",
@@ -203,17 +217,6 @@ def _execute_fleet(case: Dict[str, Any]) -> Optional[str]:
     equals the legacy accumulation loop exactly, its channels summed in
     the legacy order.
     """
-    from repro.experiments.fig7_4_7_5 import _overhead_series
-    from repro.faults.lifetime import _fraction_after_events
-    from repro.fleet.engine import (
-        faulty_fractions_at,
-        faulty_fractions_by_year,
-        overhead_series_by_year,
-        sample_fleet,
-    )
-    from repro.fleet.events import FaultEventBatch
-    from repro.util.units import HOURS_PER_YEAR
-
     config, pop = _fleet_inputs(case)
     years = int(case["years"])
     batch = sample_fleet(
@@ -322,9 +325,6 @@ def _trace_args(
     case: Dict[str, Any], lotecc_checksum: bool = False
 ) -> Tuple[Any, ...]:
     """``replay``'s positional arguments for one trace case."""
-    from repro.perf.engine import SweepPoint
-    from repro.workloads.spec import mix_by_name
-
     point = SweepPoint(
         config=organization_config(case["organization"]),
         upgraded_fraction=case["upgraded_fraction"],
@@ -341,9 +341,6 @@ def _trace_args(
 def _execute_trace(case: Dict[str, Any]) -> Optional[str]:
     """``replay`` on the resolved tier vs ``TraceSimulator.run``,
     field-for-field bit-identical on one (mix, organization, fraction)."""
-    from repro.perf.engine import replay
-    from repro.perf.simulator import TraceSimulator
-
     mix, point, n, seed = args = _trace_args(case)
     fast = replay(*args)
     oracle = TraceSimulator(
@@ -381,9 +378,6 @@ def _execute_trace_kernel(case: Dict[str, Any]) -> Optional[str]:
     (``tests/test_kernel_equivalence.py``) skips with the loader's
     reason string in the same situation.
     """
-    from repro.perf._kernel import kernel_available
-    from repro.perf.engine import replay
-
     if not kernel_available():
         return None
 
@@ -407,8 +401,6 @@ def _execute_trace_kernel(case: Dict[str, Any]) -> Optional[str]:
 def _exact_uncorrectable(batch, window_hours: float) -> np.ndarray:
     """Ground truth: a pair with intersecting exact footprints whose
     second member arrives within the window of the first."""
-    from repro.reliability.montecarlo import footprint_intersects
-
     out = np.zeros(batch.num_channels, dtype=bool)
     for member in np.flatnonzero(batch.per_channel >= 2):
         faults = batch.events_of(int(member))
@@ -430,9 +422,6 @@ def _execute_screen(case: Dict[str, Any]) -> Optional[str]:
     the exact per-fault footprint walk — no misses and no over-flags,
     on every sampled population (``device_lane_only`` only shapes the
     rate mix, not the strength of the check)."""
-    from repro.fleet.engine import uncorrectable_candidate_channels
-    from repro.reliability.montecarlo import _sample_batch
-
     params = _reliability_params(_with(case, scrub_interval_hours=4.0))
     batch = _sample_batch(
         params, make_rng(case["seed"]), case["channels"], case["years"]
@@ -473,10 +462,6 @@ def _shrink_screen(case: Dict[str, Any]) -> List[Dict[str, Any]]:
 def _execute_measured(case: Dict[str, Any]) -> Optional[str]:
     """Measured per-fault weights must stay within their worst-case
     oracle bounds (``MeasuredOverheadProfile.validate_bounds``)."""
-    from repro.fleet.measured import plan_measured_profiles
-    from repro.runner import execute_plan
-    from repro.workloads.spec import mix_by_name
-
     config = organization_config(case["organization"])
     profiles = execute_plan(
         plan_measured_profiles(

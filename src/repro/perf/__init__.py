@@ -19,32 +19,3 @@ average DRAM power and summed IPC. The upgraded-page fraction is an
 input, which is how the Figure 7.2/7.3 fault scenarios and the
 Figure 7.4/7.5 lifetime averages are composed.
 """
-
-from repro.perf.engine import (
-    SweepPoint,
-    arcc_capable,
-    replay,
-    simulate_point_job,
-)
-from repro.perf.simulator import (
-    MixResult,
-    TraceSimulator,
-    page_is_upgraded,
-    worst_case_performance_ratio,
-    worst_case_power_ratio,
-)
-from repro.perf.trace import TraceBatch, materialize_mix
-
-__all__ = [
-    "MixResult",
-    "SweepPoint",
-    "TraceBatch",
-    "TraceSimulator",
-    "arcc_capable",
-    "materialize_mix",
-    "page_is_upgraded",
-    "replay",
-    "simulate_point_job",
-    "worst_case_performance_ratio",
-    "worst_case_power_ratio",
-]

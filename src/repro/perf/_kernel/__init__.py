@@ -10,27 +10,3 @@ trace-kernel``); unavailable — never silently different — when no C
 compiler is present or ``REPRO_KERNEL_DISABLE`` is set, in which case
 the ``reference`` tier runs ``TraceSimulator.run`` itself.
 """
-
-from repro.perf._kernel.driver import (
-    KernelStats,
-    replay_compiled,
-)
-from repro.perf._kernel.loader import (
-    CACHE_DIR_ENV,
-    DISABLE_ENV,
-    kernel_available,
-    kernel_provenance,
-    load_kernel,
-    reset_kernel_loader,
-)
-
-__all__ = [
-    "CACHE_DIR_ENV",
-    "DISABLE_ENV",
-    "KernelStats",
-    "kernel_available",
-    "kernel_provenance",
-    "load_kernel",
-    "replay_compiled",
-    "reset_kernel_loader",
-]

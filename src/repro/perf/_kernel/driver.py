@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.cache.llc import validate_llc_geometry
 from repro.config import MemoryConfig, ProcessorConfig
+from repro.dram.addressing import decode_lines
 from repro.dram.channel import POWERDOWN_HYSTERESIS_NS
 from repro.dram.power import PowerCounters, RankPowerModel
 from repro.dram.system import power_report_from_counters
@@ -51,12 +52,17 @@ from repro.perf._kernel.loader import (
     ReplayParams,
     load_kernel,
 )
-from repro.perf.simulator import _HASH, _HASH_MOD, CoreResult, MixResult
+from repro.perf.simulator import (
+    PAGE_HASH_MODULUS,
+    PAGE_HASH_MULTIPLIER,
+    CoreResult,
+    MixResult,
+)
 from repro.perf.trace import TraceBatch
 from repro.workloads.trace import CoreTrace
 
 # The kernel takes a page's hash as the low 32 bits of the product.
-assert _HASH_MOD == 1 << 32, "the replay kernel hashes pages mod 2**32"
+assert PAGE_HASH_MODULUS == 1 << 32, "the replay kernel hashes pages mod 2**32"
 
 
 @dataclass(frozen=True)
@@ -90,8 +96,6 @@ def _route_table(config: MemoryConfig) -> np.ndarray:
     indices flat (``rank_index * banks + bank``), so the kernel never
     multiplies.
     """
-    from repro.perf.engine import decode_lines
-
     n_ranks = config.ranks_per_channel
     banks = config.banks_per_device
     chan, rank, bank = decode_lines(
@@ -201,7 +205,7 @@ def replay_compiled(
         lotecc_checksum=int(point.lotecc_checksum),
         route_mod=route_mod,
         lines_per_page=CoreTrace.LINES_PER_PAGE,
-        page_hash_mult=_HASH,
+        page_hash_mult=PAGE_HASH_MULTIPLIER,
         trc_ns=timings.trc_ns,
         tras_ns=timings.tras_ns,
         burst_ns=timings.burst_ns,
@@ -210,7 +214,7 @@ def replay_compiled(
         ns_per_cycle=ns_per_cycle,
         # page_is_upgraded's threshold, the same double (0.0 at
         # fraction 0, so nothing is upgraded).
-        upgrade_below=point.upgraded_fraction * _HASH_MOD,
+        upgrade_below=point.upgraded_fraction * PAGE_HASH_MODULUS,
     )
 
     # The outputs live in one float64 and one int64 buffer, zeroed:

@@ -25,7 +25,7 @@
  *
  * - a route table of M = channels x banks x ranks entries.  HIPERF's
  *   (channel, rank, bank) depends only on addr mod M, so the driver
- *   decodes 0..M-1 once per point (engine.decode_lines) and the kernel
+ *   decodes 0..M-1 once per point (addressing.decode_lines) and the kernel
  *   reads entry a % M for the demand fill, (a ^ 1) % M for the sibling
  *   and the victim's entry for every writeback;
  * - the page-upgrade threshold.  An access is upgraded iff its page's
@@ -105,7 +105,7 @@ typedef struct {
     i64 lotecc_checksum; /* SweepPoint.lotecc_checksum */
     i64 route_mod;       /* M: route-table length */
     i64 lines_per_page;  /* CoreTrace.LINES_PER_PAGE */
-    i64 page_hash_mult;  /* simulator._HASH */
+    i64 page_hash_mult;  /* simulator.PAGE_HASH_MULTIPLIER */
     double trc_ns;
     double tras_ns;
     double burst_ns;

@@ -8,8 +8,9 @@ This is the hot path of ``repro run``. Every trace point replays through
   the flat arrays of a materialized :class:`~repro.perf.trace.
   TraceBatch`, which every point replayed against the trace shares. The
   per-point inputs are tiny: channel/rank/bank coordinates come from a
-  route table that :func:`decode_lines` builds over ``addr mod M``
-  (``M = channels x banks x ranks``), and the kernel applies
+  route table that :func:`~repro.dram.addressing.decode_lines` builds
+  over ``addr mod M`` (``M = channels x banks x ranks``), and the
+  kernel applies
   :func:`page_is_upgraded`'s golden-ratio hash test inline on each
   miss;
 * ``reference`` — :class:`~repro.perf.simulator.TraceSimulator`, the
@@ -37,43 +38,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.config import (
     ARCC_MEMORY_CONFIG,
     PROCESSOR_CONFIG,
     MemoryConfig,
     ProcessorConfig,
 )
+from repro.perf._kernel.driver import replay_compiled
+from repro.perf._kernel.loader import kernel_available, kernel_provenance
 from repro.perf.simulator import (
     MixResult,
     TraceSimulator,
     page_is_upgraded,
 )
-from repro.perf.trace import check_instructions_per_core, materialize_mix
+from repro.perf.trace import (
+    check_instructions_per_core,
+    clear_trace_memo,
+    materialize_mix,
+    trace_rng_provenance,
+)
 from repro.runner.job import ExperimentPlan, Job
 from repro.util.fields import FieldError
+from repro.util.stats import sequential_sum
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
-
-
-def decode_lines(
-    line_addresses: np.ndarray, config: MemoryConfig
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized HIPERF ``AddressMapping.decode`` to (channel, rank, bank).
-
-    Row and column are irrelevant to the closed-page timing model, so
-    only the three scheduling coordinates are produced. Matches the
-    scalar decoder exactly (integer mixed-radix arithmetic either way);
-    HIPERF is the one mapping the memory system replays under.
-    """
-    a = np.asarray(line_addresses, dtype=np.int64)
-    channel, rest = a % config.channels, a // config.channels
-    bank, rest = (
-        rest % config.banks_per_device,
-        rest // config.banks_per_device,
-    )
-    rank = rest % config.ranks_per_channel
-    return channel, rank, bank
 
 
 def arcc_capable(config: MemoryConfig) -> bool:
@@ -153,8 +140,6 @@ def resolve_engine(engine: str = "auto") -> str:
         )
     if engine == "reference":
         return "reference"
-    from repro.perf._kernel import kernel_available, kernel_provenance
-
     if kernel_available():
         return "compiled"
     if engine == "compiled":
@@ -176,9 +161,6 @@ def engine_provenance() -> Dict[str, str]:
     Surfaced in CLI summaries and reports so a fallback is always
     visible, never silent.
     """
-    from repro.perf._kernel import kernel_provenance
-    from repro.perf.trace import trace_rng_provenance
-
     return {
         "replay_engine": resolve_engine("auto"),
         "replay_kernel": kernel_provenance(),
@@ -189,8 +171,6 @@ def engine_provenance() -> Dict[str, str]:
 def clear_engine_memos() -> None:
     """Drop the memoized trace and its kernel buffers (cold-run
     benchmarking)."""
-    from repro.perf.trace import clear_trace_memo
-
     clear_trace_memo()
 
 
@@ -232,8 +212,6 @@ def replay(
             seed=seed,
             lotecc_checksum=point.lotecc_checksum,
         ).run(mix, instructions_per_core)
-    from repro.perf._kernel import replay_compiled
-
     batch = materialize_mix(mix, seed, instructions_per_core)
     return replay_compiled(batch, point, processor)[0]
 
@@ -397,12 +375,12 @@ class TraceRatios:
     def average_power_ratio(self, fraction: float) -> float:
         """Mean power ratio at one fraction across mixes."""
         values = [p for (_, f), (p, _) in self.ratios.items() if f == fraction]
-        return sum(values) / len(values)
+        return sequential_sum(values) / len(values)
 
     def average_performance_ratio(self, fraction: float) -> float:
         """Mean performance ratio at one fraction across mixes."""
         values = [q for (_, f), (_, q) in self.ratios.items() if f == fraction]
-        return sum(values) / len(values)
+        return sequential_sum(values) / len(values)
 
 
 def plan_trace_ratios(
@@ -481,7 +459,6 @@ __all__ = [
     "TraceRatios",
     "arcc_capable",
     "clear_engine_memos",
-    "decode_lines",
     "engine_provenance",
     "page_is_upgraded",
     "plan_trace_ratios",

@@ -33,12 +33,13 @@ from repro.config import (
     ProcessorConfig,
 )
 from repro.dram.system import MemorySystem, PowerReport
+from repro.util.stats import sequential_sum
 from repro.workloads.spec import WorkloadMix
 from repro.workloads.trace import CoreTrace, TraceGenerator
 
 #: Golden-ratio hash for deterministic, uniform page-mode assignment.
-_HASH = 2654435761
-_HASH_MOD = 1 << 32
+PAGE_HASH_MULTIPLIER = 2654435761
+PAGE_HASH_MODULUS = 1 << 32
 
 
 def page_is_upgraded(page: int, fraction: float) -> bool:
@@ -53,7 +54,7 @@ def page_is_upgraded(page: int, fraction: float) -> bool:
         return False
     if fraction >= 1.0:
         return True
-    return (page * _HASH) % _HASH_MOD < fraction * _HASH_MOD
+    return (page * PAGE_HASH_MULTIPLIER) % PAGE_HASH_MODULUS < fraction * PAGE_HASH_MODULUS
 
 
 @dataclass
@@ -85,7 +86,7 @@ class MixResult:
     @property
     def performance(self) -> float:
         """Sum of per-benchmark IPCs (the paper's metric)."""
-        return sum(core.ipc for core in self.cores)
+        return sequential_sum(core.ipc for core in self.cores)
 
 
 class TraceSimulator:

@@ -46,6 +46,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
+from repro.perf._kernel.loader import load_kernel, materializer_available
 from repro.workloads.spec import ALL_MIXES, BenchmarkProfile, WorkloadMix
 from repro.workloads.trace import TraceGenerator
 
@@ -332,11 +333,6 @@ def _kernel_materializer():
     visibly via :func:`trace_rng_provenance`.
     """
     try:
-        from repro.perf._kernel.loader import (
-            load_kernel,
-            materializer_available,
-        )
-
         if not materializer_available():
             return None
         lib = load_kernel()

@@ -12,34 +12,10 @@ before the first fault is detected?*:
   to validate the closed forms (the paper does the same cross-check);
   :func:`~repro.reliability.montecarlo.plan_montecarlo` runs a
   population as one runner plan.
+* :mod:`repro.reliability.footprint` — the one rule of when two faults
+  share a codeword, in scalar and vector form, which the Monte-Carlo
+  engine and the fleet's uncorrectable-pair screen both read.
 * :mod:`repro.reliability.due` — DUE-rate comparisons, including the
   double-chip-sparing exposure-window argument behind the 17x claim of
   Section 5.2.
 """
-
-from repro.reliability.analytical import (
-    ReliabilityParams,
-    expected_sdc_arcc,
-    expected_sdc_sccdcd,
-    sdc_events_per_1000_machine_years,
-    sdc_rate_arcc_ded,
-)
-from repro.reliability.due import (
-    due_rate_sccdcd,
-    due_rate_sparing,
-    due_reduction_factor,
-)
-from repro.reliability.montecarlo import ReliabilityOutcome, plan_montecarlo
-
-__all__ = [
-    "ReliabilityOutcome",
-    "ReliabilityParams",
-    "due_rate_sccdcd",
-    "due_rate_sparing",
-    "due_reduction_factor",
-    "expected_sdc_arcc",
-    "expected_sdc_sccdcd",
-    "plan_montecarlo",
-    "sdc_events_per_1000_machine_years",
-    "sdc_rate_arcc_ded",
-]

@@ -12,10 +12,10 @@ counts a DUE — machine retirement — for a detected pair.
 Faults use the fleet engine's format: :func:`_sample_batch` draws a
 block of channels into a :class:`~repro.fleet.events.FaultEventBatch`,
 and the event loops read the :class:`~repro.faults.lifetime.FaultEvent`
-objects of the channels they decide through ``histories_of``.
-:func:`footprint_intersects` and :func:`footprint_pairs_intersect` are
-the scalar and vector forms of the one footprint rule, which the
-fleet's uncorrectable-pair screen shares.
+objects of the channels they decide through ``histories_of``. The
+footprint rule that decides them, in scalar and vector form, lives in
+:mod:`repro.reliability.footprint`, which the fleet's uncorrectable-pair
+screen shares.
 
 :func:`plan_montecarlo` runs a population as one plan: a
 :func:`simulate_block` job per block of channels, summed at assembly.
@@ -35,20 +35,26 @@ The paper performs the same cross-check against the analytical models of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import RUNNER_CONFIG
-from repro.faults.types import DEVICE_LEVEL_TYPES, FaultType
+from repro.faults.lifetime import FaultEvent
+from repro.faults.types import DEVICE_LEVEL_TYPES
+from repro.fleet.engine import fleet_blocks
+from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch
 from repro.reliability.analytical import ReliabilityParams
-from repro.runner import ExperimentPlan, Job
+from repro.reliability.footprint import (
+    any_pair_per_segment,
+    footprint_intersects,
+    footprint_pairs_intersect,
+    segment_chunks,
+    segment_pairs,
+)
+from repro.runner.job import ExperimentPlan, Job
 from repro.util.rng import derive_seed, make_rng
 from repro.util.units import HOURS_PER_YEAR
-
-if TYPE_CHECKING:  # pragma: no cover - fleet imports this module lazily
-    from repro.faults.lifetime import FaultEvent
-    from repro.fleet.events import FaultEventBatch
 
 #: Channels simulated per vectorized batch (and per runner job). Fixed —
 #: the block partition, not the worker count, owns the RNG streams, so
@@ -62,84 +68,6 @@ _COUNTS = (
     "due_machines_sccdcd",
     "due_machines_sparing",
 )
-
-
-# -- the footprint rule -------------------------------------------------------
-
-
-def footprint_intersects(a: "FaultEvent", b: "FaultEvent") -> bool:
-    """Exact codeword-footprint intersection of two faults.
-
-    Two faults share a codeword when they sit in the same memory channel
-    and the same rank (or one is a lane fault, which spans ranks), on
-    different devices, and their (bank, row, column) regions intersect.
-    """
-    if a.channel != b.channel:
-        return False
-    lane_involved = FaultType.LANE in (a.fault_type, b.fault_type)
-    if not lane_involved and a.rank != b.rank:
-        return False
-    if a.device == b.device and a.rank == b.rank:
-        # Same device: still one bad symbol per codeword.
-        return False
-    return _regions_intersect(a, b)
-
-
-def _covers_all(fault: "FaultEvent") -> bool:
-    return fault.fault_type in (FaultType.DEVICE, FaultType.LANE)
-
-
-def _regions_intersect(a: "FaultEvent", b: "FaultEvent") -> bool:
-    if _covers_all(a) or _covers_all(b):
-        return True
-    if a.bank != b.bank:
-        return False
-    ta, tb = a.fault_type, b.fault_type
-    if FaultType.BANK in (ta, tb):
-        return True
-    if ta == FaultType.ROW and tb == FaultType.ROW:
-        return a.row == b.row
-    if ta == FaultType.COLUMN and tb == FaultType.COLUMN:
-        return a.column == b.column
-    # One row fault and one column fault in the same bank always cross.
-    return True
-
-
-def footprint_pairs_intersect(
-    batch: "FaultEventBatch", left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`footprint_intersects` over index pairs of a batch.
-
-    ``left``/``right`` index fault pairs into ``batch`` — both screens
-    pass every pair of a block at once, as built by
-    :func:`segment_pairs`. Returns a boolean per pair. Shared between
-    this module's block engine and the fleet uncorrectable-pair screen
-    (:func:`repro.fleet.engine.uncorrectable_candidate_channels`), so
-    both layers agree on footprint geometry by construction. Must agree
-    with the scalar rule on every input — the ``exact_pairs`` test mode
-    and the ``pair-screen`` fuzz oracle enforce exactly that.
-    """
-    from repro.fleet.events import FAULT_TYPE_ORDER
-
-    row, column, device, lane = (
-        FAULT_TYPE_ORDER.index(ft)
-        for ft in (FaultType.ROW, FaultType.COLUMN, FaultType.DEVICE, FaultType.LANE)
-    )
-    ta, tb = batch.type_code[left], batch.type_code[right]
-    same_channel = batch.channel[left] == batch.channel[right]
-    lane_involved = (ta == lane) | (tb == lane)
-    same_rank = batch.rank[left] == batch.rank[right]
-    rank_ok = lane_involved | same_rank
-    distinct = ~((batch.device[left] == batch.device[right]) & same_rank)
-
-    covers_all = lane_involved | (ta == device) | (tb == device)
-    same_bank = batch.bank[left] == batch.bank[right]
-    both_row = (ta == row) & (tb == row)
-    both_col = (ta == column) & (tb == column)
-    row_match = ~both_row | (batch.row[left] == batch.row[right])
-    col_match = ~both_col | (batch.column[left] == batch.column[right])
-    region = covers_all | (same_bank & row_match & col_match)
-    return same_channel & rank_ok & distinct & region
 
 
 @dataclass
@@ -166,15 +94,13 @@ class ReliabilityOutcome:
 
 def _sample_batch(
     params: ReliabilityParams, rng: np.random.Generator, channels: int, years: float
-) -> "FaultEventBatch":
+) -> FaultEventBatch:
     """Sample every fault of ``channels`` channels in NumPy batches.
 
     One Poisson count per (channel, device-level type), then arrival
     times and coordinates for all faults at once. Every fault sits in
     memory channel 0: the engine simulates one channel per member.
     """
-    from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch
-
     horizon = years * HOURS_PER_YEAR
     lam = np.array(
         [
@@ -219,94 +145,15 @@ def _next_scrub_array(time_hours: np.ndarray, interval: float) -> np.ndarray:
     return (np.floor(time_hours / interval) + 1.0) * interval
 
 
-#: Pair budget of one segmented all-pairs pass. A member set whose
-#: pairs exceed it is screened in consecutive chunks, so memory stays
-#: bounded however many faults a block draws. A full-scale ``repro run``
-#: screens about 53k pairs in 112 passes, the largest about 10k pairs.
-_MAX_SEGMENT_PAIRS = 1 << 16
-
-
-def _ramp(counts: np.ndarray) -> np.ndarray:
-    """``arange(n)`` for every ``n`` in ``counts``, concatenated."""
-    starts = np.cumsum(counts) - counts
-    return np.arange(int(counts.sum())) - np.repeat(starts, counts)
-
-
-def segment_pairs(
-    starts: np.ndarray, lengths: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every ``i < j`` index pair inside every segment, in one pass.
-
-    Segment ``s`` covers indices ``starts[s] .. starts[s] + lengths[s] - 1``.
-    Returns ``(left, right, segment)``: the pairs of each segment in
-    row-major upper-triangle order — ``(0, 1), (0, 2), ..., (1, 2), ...``
-    offset by the segment's start — segments in input order, with the
-    segment index of each pair. Segments of length 0 or 1 contribute
-    nothing.
-
-    >>> left, right, segment = segment_pairs(np.array([10, 20]), np.array([3, 2]))
-    >>> left.tolist(), right.tolist(), segment.tolist()
-    ([10, 10, 11, 20], [11, 12, 12, 21], [0, 0, 0, 1])
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    # Row i of an n-segment pairs i with the n - 1 - i indices after it.
-    rows_per_segment = np.maximum(lengths - 1, 0)
-    row_segment = np.repeat(np.arange(len(lengths)), rows_per_segment)
-    row = _ramp(rows_per_segment)
-    row_width = lengths[row_segment] - 1 - row
-    pair_row = np.repeat(np.arange(len(row)), row_width)
-    segment = row_segment[pair_row]
-    left = starts[segment] + row[pair_row]
-    right = left + 1 + _ramp(row_width)
-    return left, right, segment
-
-
-def any_pair_per_segment(
-    starts: np.ndarray,
-    lengths: np.ndarray,
-    pair_test: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Whether ``pair_test`` holds for any ``i < j`` pair of each segment.
-
-    ``pair_test(left, right)`` returns a boolean per index pair. One
-    :func:`segment_pairs` pass evaluates every segment at once; only a
-    member set over ``_MAX_SEGMENT_PAIRS`` pairs is split into
-    consecutive chunks (never splitting a segment).
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    out = np.zeros(len(lengths), dtype=bool)
-    for lo, hi in _segment_chunks(lengths):
-        left, right, segment = segment_pairs(starts[lo:hi], lengths[lo:hi])
-        hit = pair_test(left, right)
-        out[lo:hi] = np.bincount(segment[hit], minlength=hi - lo) > 0
-    return out
-
-
-def _segment_chunks(lengths: np.ndarray) -> Iterator[Tuple[int, int]]:
-    """Consecutive ``[lo, hi)`` segment ranges of at most
-    ``_MAX_SEGMENT_PAIRS`` pairs each, never splitting a segment (one
-    segment over the budget is a range of its own)."""
-    cumulative = np.cumsum(lengths * (lengths - 1) // 2)
-    lo = 0
-    while lo < len(lengths):
-        done = int(cumulative[lo - 1]) if lo else 0
-        hi = max(
-            lo + 1,
-            int(np.searchsorted(cumulative, done + _MAX_SEGMENT_PAIRS, "right")),
-        )
-        yield lo, hi
-        lo = hi
-
-
 def channel_verdicts(
-    batch: "FaultEventBatch", interval: float
+    batch: FaultEventBatch, interval: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every policy's verdict on every member of ``batch``, in array form.
 
     Returns per-member booleans ``(arcc_sdc, sccdcd_due, sccdcd_sdc)``;
     ARCC's SDC is also double chip sparing's DUE. One segmented
-    all-pairs pass (chunked like :func:`any_pair_per_segment`) evaluates
+    all-pairs pass (chunked like
+    :func:`~repro.reliability.footprint.any_pair_per_segment`) evaluates
     the event loops' rules as reductions over each member's intersecting
     pairs ``i < j``, in index (time) order:
 
@@ -332,7 +179,7 @@ def channel_verdicts(
     none = batch.num_events
     times = np.append(batch.time_hours, np.inf)
     closes = np.full(none, none)  # where each fault's first pair closes
-    for lo, hi in _segment_chunks(lengths):
+    for lo, hi in segment_chunks(lengths):
         left, right, segment = segment_pairs(starts[lo:hi], lengths[lo:hi])
         hit = footprint_pairs_intersect(batch, left, right)
         left, right, segment = left[hit], right[hit], segment[hit]
@@ -362,7 +209,7 @@ def _next_scrub(time_hours: float, interval: float) -> float:
     return (int(time_hours / interval) + 1) * interval
 
 
-def _undetected_pair(faults: Sequence["FaultEvent"], interval: float) -> bool:
+def _undetected_pair(faults: Sequence[FaultEvent], interval: float) -> bool:
     """True if a fault intersects an earlier one before its detection scrub.
 
     For ARCC that is an SDC: the relaxed code's single-symbol detection
@@ -381,7 +228,7 @@ def _undetected_pair(faults: Sequence["FaultEvent"], interval: float) -> bool:
 
 
 def _sccdcd_outcome(
-    faults: Sequence["FaultEvent"], interval: float
+    faults: Sequence[FaultEvent], interval: float
 ) -> Tuple[bool, bool]:
     """(had_due, had_sdc) for plain SCCDCD.
 
@@ -389,8 +236,8 @@ def _sccdcd_outcome(
     retired). An SDC requires a third fault to intersect an
     *undetected* pair.
     """
-    present: List["FaultEvent"] = []
-    undetected_pairs: List[Tuple["FaultEvent", "FaultEvent", float]] = []
+    present: List[FaultEvent] = []
+    undetected_pairs: List[Tuple[FaultEvent, FaultEvent, float]] = []
     for fault in faults:
         # Retire pairs whose detection scrub has passed: DUE.
         for a, b, formed in undetected_pairs:
@@ -407,7 +254,7 @@ def _sccdcd_outcome(
 
 
 def _decide_channel(
-    faults: Sequence["FaultEvent"], interval: float, outcome: ReliabilityOutcome
+    faults: Sequence[FaultEvent], interval: float, outcome: ReliabilityOutcome
 ) -> None:
     """Run every policy's exact event loop over one channel."""
     if _undetected_pair(faults, interval):
@@ -488,7 +335,7 @@ def plan_montecarlo(
     non-positive ``years`` raises ``ValueError`` here, before any job
     runs; ``channels=0`` is an empty plan.
 
-    >>> from repro.runner import execute_plan
+    >>> from repro.runner.executor import execute_plan
     >>> params = ReliabilityParams(rate_multiplier=100.0, scrub_interval_hours=48.0)
     >>> plan = plan_montecarlo(params, channels=1500, years=7.0)
     >>> len(plan.jobs)  # blocks of BLOCK_CHANNELS = 1024
@@ -497,8 +344,6 @@ def plan_montecarlo(
     >>> outcome.channels, outcome.sdc_machines_arcc, outcome.sdc_machines_sccdcd
     (1500, 21, 2)
     """
-    from repro.fleet.engine import fleet_blocks
-
     if channels < 0:
         raise ValueError(f"channels must be non-negative, got {channels!r}")
     if not years > 0:

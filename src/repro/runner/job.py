@@ -349,7 +349,7 @@ def gather(
     theirs, in order, and whose assembly hands each plan its own values
     and gathers again what they return, so follow-ups of follow-ups run
     stage by stage, each stage one batch. ``gather(plans)`` is the batch
-    :func:`~repro.runner.execute_plans` runs.
+    :func:`~repro.runner.executor.execute_plans` runs.
 
     Examples
     --------

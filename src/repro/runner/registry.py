@@ -2,8 +2,8 @@
 
 Maps figure keys to plan builders with two calibrated scales: the
 paper's default sample sizes and a ``--quick`` variant for smoke runs.
-Imported lazily by the CLI (this module pulls in every experiment
-module, which in turn import :mod:`repro.runner`).
+``repro run`` imports it only when it runs: this module pulls in every
+experiment module.
 """
 
 from __future__ import annotations
@@ -11,26 +11,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.experiments import (
-    plan_fig3_1,
-    plan_fig6_1,
-    plan_fig7_1,
-    plan_fig7_2_7_3,
-    plan_fig7_4_7_5,
-    plan_fig7_6,
-    plan_sweep_upgraded_fraction_measured,
+from repro.experiments.fig3_1 import plan_fig3_1
+from repro.experiments.fig6_1 import plan_fig6_1
+from repro.experiments.fig7_1 import plan_fig7_1
+from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
+from repro.experiments.fig7_4_7_5 import plan_fig7_4_7_5
+from repro.experiments.fig7_6 import plan_fig7_6
+from repro.experiments.sensitivity import plan_sweep_upgraded_fraction_measured
+from repro.experiments.tables import (
     render_table_7_1,
     render_table_7_2,
     render_table_7_3,
     render_table_7_4,
 )
-from repro.fleet import (
-    plan_fleet,
-    plan_fleet_compare,
-    plan_fleet_compare_measured,
-    plan_study,
-)
-from repro.fuzz import plan_campaign
+from repro.fleet.policies import plan_fleet_compare, plan_fleet_compare_measured
+from repro.fleet.report import plan_fleet
+from repro.fleet.study import plan_study
+from repro.fuzz.campaign import plan_campaign
 from repro.runner.job import ExperimentPlan
 from repro.util.suggest import unknown_key_message
 from repro.workloads.spec import ALL_MIXES

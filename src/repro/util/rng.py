@@ -36,7 +36,7 @@ def derive_seed(seed: int, index: int) -> int:
     without spawning its siblings. A job that carries the parent seed
     and its index derives its own stream, so planning one draws nothing.
     The integer form travels across process boundaries (pickled into
-    :class:`repro.runner.Job` configs) and hashes into cache keys, unlike
+    :class:`repro.runner.job.Job` configs) and hashes into cache keys, unlike
     a live ``Generator``.
 
     >>> derive_seed(7, 2) == derive_seeds(7, 5)[2]

@@ -35,10 +35,10 @@ def confidence_interval(
     n = len(values)
     if n == 0:
         raise ValueError("confidence_interval of empty sequence")
-    mean = sum(values) / n
+    mean = sequential_sum(values) / n
     if n == 1:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    var = sequential_sum((v - mean) ** 2 for v in values) / (n - 1)
     half = z * math.sqrt(var / n)
     return mean, half
 

@@ -10,22 +10,3 @@ characteristics (from the well-known memory-intensity taxonomy of SPEC
 access streams that exercise the same LLC/controller/DRAM code paths the
 paper's traces did.
 """
-
-from repro.workloads.spec import (
-    ALL_MIXES,
-    BENCHMARKS,
-    BenchmarkProfile,
-    WorkloadMix,
-    mix_by_name,
-)
-from repro.workloads.trace import CoreTrace, TraceGenerator
-
-__all__ = [
-    "ALL_MIXES",
-    "BENCHMARKS",
-    "BenchmarkProfile",
-    "CoreTrace",
-    "TraceGenerator",
-    "WorkloadMix",
-    "mix_by_name",
-]

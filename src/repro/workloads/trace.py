@@ -20,6 +20,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
+from repro.util.rng import split_rng
 from repro.workloads.spec import BenchmarkProfile
 
 
@@ -82,8 +83,6 @@ class TraceGenerator:
     """Builds the four per-core traces of one workload mix."""
 
     def __init__(self, profiles, seed: int = 0x7ACE):
-        from repro.util.rng import split_rng
-
         self.profiles = list(profiles)
         self._rngs = split_rng(seed, len(self.profiles))
 

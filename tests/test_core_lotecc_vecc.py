@@ -17,7 +17,7 @@ from repro.experiments.fig7_6 import plan_fig7_6
 from repro.faults.lifetime import _fraction_after_events
 from repro.faults.types import DEFAULT_FIT_RATES
 from repro.fleet.engine import sample_fleet
-from repro.runner import execute_plan
+from repro.runner.executor import execute_plan
 from repro.util.units import HOURS_PER_YEAR
 
 

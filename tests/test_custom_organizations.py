@@ -17,13 +17,12 @@ import numpy as np
 import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
-from repro.dram.addressing import AddressMapping
+from repro.dram.addressing import AddressMapping, decode_lines
 from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import FaultType
 from repro.perf.engine import (
     SweepPoint,
     arcc_capable,
-    decode_lines,
     replay,
 )
 from repro.perf.simulator import TraceSimulator

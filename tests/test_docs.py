@@ -29,6 +29,7 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: Modules whose docstring examples the user guide leans on.
 DOCTEST_MODULES = (
+    "repro.dram.addressing",
     "repro.fleet.scenarios",
     "repro.fleet.events",
     "repro.fleet.measured",
@@ -40,6 +41,7 @@ DOCTEST_MODULES = (
     "repro.experiments.fig7_2_7_3",
     "repro.experiments.sensitivity",
     "repro.experiments.fig7_4_7_5",
+    "repro.reliability.footprint",
     "repro.reliability.montecarlo",
     "repro.runner.job",
     "repro.fuzz.sampler",
@@ -139,7 +141,7 @@ class TestOracleMapDocs:
     """The docs' oracle map must track the live fuzz registry."""
 
     def test_architecture_oracle_map_covers_registry(self):
-        from repro.fuzz import ORACLE_PAIRS
+        from repro.fuzz.oracles import ORACLE_PAIRS
 
         text = (REPO_ROOT / "docs" / "architecture.md").read_text(
             encoding="utf-8"
@@ -150,7 +152,7 @@ class TestOracleMapDocs:
             assert pair.guarantee in text
 
     def test_fuzzing_page_covers_cli_and_oracles(self):
-        from repro.fuzz import ORACLE_PAIRS
+        from repro.fuzz.oracles import ORACLE_PAIRS
 
         text = (REPO_ROOT / "docs" / "fuzzing.md").read_text(encoding="utf-8")
         assert "repro fuzz" in text

@@ -17,10 +17,13 @@ import numpy as np
 import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG
-from repro.perf._kernel import (
+from repro.perf import trace
+from repro.perf._kernel.loader import (
     DISABLE_ENV,
     kernel_available,
     kernel_provenance,
+    load_kernel,
+    materializer_available,
     reset_kernel_loader,
 )
 from repro.perf.engine import (
@@ -31,14 +34,13 @@ from repro.perf.engine import (
     resolve_engine,
     simulate_point_job,
 )
-from repro.perf import trace
-from repro.perf._kernel.loader import load_kernel, materializer_available
 from repro.perf.trace import (
     clear_trace_memo,
     materialize_mix,
     trace_rng_provenance,
 )
-from repro.runner import Job, ResultCache
+from repro.runner.cache import ResultCache
+from repro.runner.job import Job
 from repro.workloads.spec import mix_by_name
 from repro.workloads.trace import TraceGenerator
 
@@ -80,7 +82,7 @@ class TestCacheKeysDistinguishEngines:
         """Plan-time resolution: the jobs a planner emits carry the
         tier that will actually run, so ``auto`` on a compiler-less
         host keys differently from ``auto`` on a compiled host."""
-        from repro.experiments import plan_fig7_1
+        from repro.experiments.fig7_1 import plan_fig7_1
 
         plan = plan_fig7_1(
             mixes=[mix_by_name("Mix1")], instructions_per_core=1_000
@@ -131,7 +133,7 @@ class TestEngineProvenance:
         fallback: every planned trace point — LOT-ECC checksum points
         included — records and runs on the reference tier."""
         from repro.fleet.measured import plan_measured_profiles
-        from repro.runner import execute_plan
+        from repro.runner.executor import execute_plan
 
         plan = plan_measured_profiles(
             policies=("arcc", "lotecc"),

@@ -2,21 +2,21 @@
 
 import pytest
 
-from repro.experiments import (
-    plan_fig3_1,
-    plan_fig6_1,
-    plan_fig7_1,
-    plan_fig7_2_7_3,
-    plan_fig7_4_7_5,
-    plan_fig7_6,
+from repro.experiments.fig3_1 import plan_fig3_1
+from repro.experiments.fig6_1 import plan_fig6_1
+from repro.experiments.fig7_1 import plan_fig7_1
+from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
+from repro.experiments.fig7_4_7_5 import plan_fig7_4_7_5
+from repro.experiments.fig7_6 import plan_fig7_6
+from repro.experiments.tables import (
     render_table_7_1,
     render_table_7_2,
     render_table_7_3,
     render_table_7_4,
 )
-from repro.experiments.fig7_4_7_5 import FALLBACK_OVERHEADS
 from repro.faults.types import FaultType
-from repro.runner import execute_plan
+from repro.fleet.measured import FALLBACK_OVERHEADS
+from repro.runner.executor import execute_plan
 from repro.workloads.spec import ALL_MIXES
 
 

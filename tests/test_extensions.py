@@ -22,7 +22,7 @@ from repro.reliability.due import (
     due_rate_sccdcd,
     due_rate_secded,
 )
-from repro.runner import execute_plans
+from repro.runner.executor import execute_plans
 from repro.runner.registry import build_plans
 from repro.util.units import GB
 

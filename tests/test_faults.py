@@ -13,7 +13,7 @@ from repro.faults.models import (
 )
 from repro.faults.types import DEFAULT_FIT_RATES, FaultType
 from repro.fleet.engine import sample_fleet
-from repro.runner import execute_plan
+from repro.runner.executor import execute_plan
 from repro.util.fields import FieldError
 from repro.util.rng import make_rng
 

@@ -22,33 +22,32 @@ from repro.experiments.fig7_6 import plan_fig7_6
 from repro.faults.lifetime import FaultEvent, _fraction_after_events
 from repro.faults.models import upgraded_page_fraction
 from repro.faults.types import DEFAULT_FIT_RATES, FaultType
-from repro.fleet import (
-    DEFAULT_SCENARIOS,
-    FLEET_BLOCK_CHANNELS,
-    FaultEventBatch,
-    FleetScenario,
-    RatePhase,
-    SubPopulation,
-    empty_batch,
-    faulty_fractions_at,
-    faulty_fractions_by_year,
-    fleet_blocks,
-    overhead_series_by_year,
-    plan_fleet,
-    resolve_scenario,
-    sample_block,
-    sample_fleet,
-)
 from repro.fleet.engine import (
+    FLEET_BLOCK_CHANNELS,
     EventMoments,
     FractionMatrix,
     FractionMoments,
     OverheadMoments,
     PairScreens,
     block_job,
+    faulty_fractions_at,
+    faulty_fractions_by_year,
+    fleet_blocks,
+    overhead_series_by_year,
+    sample_block,
+    sample_fleet,
     uncorrectable_candidate_channels,
 )
-from repro.runner import execute_plan
+from repro.fleet.events import FaultEventBatch, empty_batch
+from repro.fleet.report import plan_fleet
+from repro.fleet.scenarios import (
+    DEFAULT_SCENARIOS,
+    FleetScenario,
+    RatePhase,
+    SubPopulation,
+    resolve_scenario,
+)
+from repro.runner.executor import execute_plan
 from repro.util.rng import derive_seed
 from repro.util.stats import sequential_sum
 from repro.util.units import FIT_TO_PER_HOUR, HOURS_PER_YEAR

@@ -24,17 +24,13 @@ from hypothesis import strategies as st
 
 from repro.faults.lifetime import FaultEvent
 from repro.faults.types import FaultType
-from repro.fleet import (
-    SPATIAL_KINDS,
-    FaultEventBatch,
-    SpatialFaultModel,
-    plan_fleet,
-    plan_fleet_compare,
-    sample_block,
-    scenario_from_mapping,
-    scenario_to_mapping,
-)
-from repro.runner import execute_plan
+from repro.fleet.engine import sample_block
+from repro.fleet.events import FaultEventBatch
+from repro.fleet.policies import plan_fleet_compare
+from repro.fleet.report import plan_fleet
+from repro.fleet.scenario_file import scenario_from_mapping, scenario_to_mapping
+from repro.fleet.scenarios import SPATIAL_KINDS, SpatialFaultModel
+from repro.runner.executor import execute_plan
 
 # -- golden bit-identity ------------------------------------------------------
 
@@ -231,7 +227,7 @@ class TestSpatialModels:
             SpatialFaultModel(kind="bank-wear", **{field: value})
 
     def test_scenario_mapping_round_trips_spatial_models(self):
-        from repro.fleet import FleetScenario, SubPopulation
+        from repro.fleet.scenarios import FleetScenario, SubPopulation
 
         model = SpatialFaultModel(
             kind="retention-cluster",

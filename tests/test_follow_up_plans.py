@@ -14,18 +14,12 @@ import json
 
 import pytest
 
-from repro.experiments import plan_fig7_4_7_5_measured
-from repro.fleet import expand_study, run_study, study_from_mapping
+from repro.experiments.fig7_4_7_5 import plan_fig7_4_7_5_measured
 from repro.fleet.policies import plan_fleet_compare_measured
-from repro.runner import (
-    ExperimentPlan,
-    Job,
-    ResultCache,
-    execute_plan,
-    execute_plans,
-    gather,
-    run_stages,
-)
+from repro.fleet.study import expand_study, run_study, study_from_mapping
+from repro.runner.cache import ResultCache
+from repro.runner.executor import execute_plan, execute_plans, run_stages
+from repro.runner.job import ExperimentPlan, Job, gather
 from repro.workloads.spec import ALL_MIXES
 
 

@@ -22,15 +22,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.fuzz import (
-    ORACLE_PAIRS,
-    plan_campaign,
-    resolve_oracles,
-    run_campaign,
-)
 from repro.fuzz import sampler
-from repro.fuzz.campaign import sample_campaign_cases
-from repro.fuzz.oracles import organization_config
+from repro.fuzz.campaign import plan_campaign, run_campaign, sample_campaign_cases
+from repro.fuzz.oracles import ORACLE_PAIRS, organization_config, resolve_oracles
 from repro.util.rng import make_rng
 
 

@@ -21,16 +21,15 @@ import numpy as np
 import pytest
 
 import repro.reliability.montecarlo as mc_mod
-from repro.fuzz import (
+from repro.fuzz.campaign import run_campaign, sample_campaign_cases
+from repro.fuzz.oracles import ORACLE_PAIRS
+from repro.fuzz.shrink import (
     SHRINK_PASS_BUDGET,
-    ORACLE_PAIRS,
     load_repro_file,
     replay_repro_file,
-    run_campaign,
     shrink_case,
     write_repro_file,
 )
-from repro.fuzz.campaign import sample_campaign_cases
 
 
 @pytest.fixture

@@ -181,3 +181,17 @@ class TestPackageExports:
 
         with pytest.raises(AttributeError, match="no attribute 'Nope'"):
             repro.Nope
+
+    @pytest.mark.parametrize("package", ["repro.runner", "repro.fleet"])
+    def test_benchmark_tables_resolve_to_the_defining_modules(self, package):
+        """The two tables kept for ``perfbench/`` share ``repro``'s
+        lookup: each name is its defining module's object, and any other
+        name is an ``AttributeError`` naming the package."""
+        import importlib
+
+        module = importlib.import_module(package)
+        for name, (module_name, attr) in module._LAZY_EXPORTS.items():
+            expected = getattr(importlib.import_module(module_name), attr)
+            assert getattr(module, name) is expected
+        with pytest.raises(AttributeError, match=f"'{package}' has no attribute 'Nope'"):
+            module.Nope

@@ -17,7 +17,8 @@ import dataclasses
 import re
 from pathlib import Path
 
-from repro.perf._kernel import KernelStats, loader
+from repro.perf._kernel import loader
+from repro.perf._kernel.driver import KernelStats
 
 SOURCE = (Path(loader.__file__).with_name("kernel.c")).read_text()
 

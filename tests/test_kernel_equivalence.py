@@ -29,11 +29,8 @@ from repro.config import (
 )
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.faults.types import FaultType
-from repro.perf._kernel import (
-    kernel_available,
-    kernel_provenance,
-    replay_compiled,
-)
+from repro.perf._kernel.driver import replay_compiled
+from repro.perf._kernel.loader import kernel_available, kernel_provenance
 from repro.perf.engine import SweepPoint
 from repro.perf.simulator import TraceSimulator
 from repro.perf.trace import materialize_mix

@@ -1,7 +1,7 @@
 """Hypothesis property tests on the compiled kernel's invariants.
 
 The kernel self-audits its data structures as it runs (the
-:class:`~repro.perf._kernel.KernelStats` counters are computed inside
+:class:`~repro.perf._kernel.driver.KernelStats` counters are computed inside
 the C loop, not reconstructed in Python), so these properties hold for
 *any* drawn workload, seed, fraction, and LLC geometry — random
 access/evict interleavings included, since every materialized trace is
@@ -42,11 +42,8 @@ from repro.config import (
     PROCESSOR_CONFIG,
 )
 from repro.perf import trace
-from repro.perf._kernel import (
-    kernel_available,
-    kernel_provenance,
-    replay_compiled,
-)
+from repro.perf._kernel.driver import replay_compiled
+from repro.perf._kernel.loader import kernel_available, kernel_provenance
 from repro.perf.engine import SweepPoint, replay
 from repro.perf.simulator import TraceSimulator
 from repro.perf.trace import (

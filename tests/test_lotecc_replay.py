@@ -21,7 +21,7 @@ on its critical path. These tests pin the mode's contract:
 import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG
-from repro.perf._kernel import kernel_available, kernel_provenance
+from repro.perf._kernel.loader import kernel_available, kernel_provenance
 from repro.perf.engine import SweepPoint, replay, resolve_engine
 from repro.workloads.spec import ALL_MIXES
 

@@ -16,17 +16,17 @@ import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
 from repro.faults.types import FaultType
-from repro.fleet import (
-    FleetScenario,
-    MeasuredOverheadProfile,
-    SubPopulation,
+from repro.fleet.measured import MeasuredOverheadProfile, plan_measured_profiles
+from repro.fleet.policies import (
     measured_policy,
     plan_fleet_compare,
     plan_fleet_compare_measured,
-    plan_measured_profiles,
     resolve_policies,
 )
-from repro.runner import ResultCache, execute_plan, job_identity
+from repro.fleet.scenarios import FleetScenario, SubPopulation
+from repro.runner.cache import ResultCache
+from repro.runner.executor import execute_plan
+from repro.runner.job import job_identity
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
 
 MIXES = ALL_MIXES[:3]
@@ -110,6 +110,18 @@ class TestProfileReduction:
         with pytest.raises(KeyError, match="unknown policy"):
             plan_measured_profiles(policies=("secded",))
 
+    @pytest.mark.parametrize("keys", [("arccc",), ("arcc", "arcc"), ()])
+    def test_bad_keys_fail_as_resolve_policies_does(self, keys):
+        """Unknown, repeated and empty key sets raise the same exception,
+        with the same message, from the measurement planner as from the
+        policy builder."""
+        failures = []
+        for build in (resolve_policies, plan_measured_profiles):
+            with pytest.raises((KeyError, ValueError)) as info:
+                build(keys)
+            failures.append((type(info.value), str(info.value)))
+        assert failures[0] == failures[1]
+
 
 class TestDeterminismAndCaching:
     def test_jobs_1_vs_4_identical(self):
@@ -165,11 +177,8 @@ class TestDeterminismAndCaching:
         and its follow-up is the lifetime plan on the grid's
         per-fault-type averages (one cache entry per job of either
         stage), and a warm run recomputes nothing."""
-        from repro.experiments import (
-            plan_fig7_2_7_3,
-            plan_fig7_4_7_5,
-            plan_fig7_4_7_5_measured,
-        )
+        from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
+        from repro.experiments.fig7_4_7_5 import plan_fig7_4_7_5, plan_fig7_4_7_5_measured
 
         kwargs = dict(mixes=MIXES[:1], instructions_per_core=2_000)
         plan = plan_fig7_4_7_5_measured(years=2, channels=60, **kwargs)
@@ -199,7 +208,7 @@ class TestDeterminismAndCaching:
     def test_same_named_mixes_are_told_apart(self):
         """A custom mix reusing a built-in name is measured on its own
         benchmarks: other identities, other ratios."""
-        from repro.experiments import plan_fig7_2_7_3
+        from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
 
         builtin = ALL_MIXES[0]
         impostor = WorkloadMix(builtin.name, ALL_MIXES[9].benchmark_names)
@@ -220,7 +229,7 @@ class TestDeterminismAndCaching:
         """Identity follows what a mix is, not the object: a fresh
         ``WorkloadMix`` with a built-in's name and benchmarks is the
         built-in's measurement, one cache entry per point."""
-        from repro.experiments import plan_fig7_2_7_3
+        from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
 
         builtin = ALL_MIXES[0]
         twin = WorkloadMix(builtin.name, builtin.benchmark_names)
@@ -544,7 +553,7 @@ class TestProfilesOverCustomOrganizations:
 def test_exposure_report_names_organizations():
     """The fleet exposure summary now says which organization each
     slice runs (custom organizations are first-class everywhere)."""
-    from repro.fleet import plan_fleet
+    from repro.fleet.report import plan_fleet
 
     report = execute_plan(
         plan_fleet("mixed-generations", channels=300, seed=1)

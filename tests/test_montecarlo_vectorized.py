@@ -21,22 +21,24 @@ from repro.faults.lifetime import FaultEvent
 from repro.faults.types import DEVICE_LEVEL_TYPES
 from repro.fleet.engine import fleet_blocks
 from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch
-from repro.reliability import montecarlo
+from repro.reliability import footprint, montecarlo
 from repro.reliability.analytical import ReliabilityParams
+from repro.reliability.footprint import (
+    any_pair_per_segment,
+    footprint_intersects,
+    footprint_pairs_intersect,
+    segment_pairs,
+)
 from repro.reliability.montecarlo import (
     BLOCK_CHANNELS,
     _sample_batch,
     _sccdcd_outcome,
     _undetected_pair,
-    any_pair_per_segment,
     channel_verdicts,
-    footprint_intersects,
-    footprint_pairs_intersect,
     plan_montecarlo,
-    segment_pairs,
     simulate_block,
 )
-from repro.runner import execute_plan
+from repro.runner.executor import execute_plan
 from repro.util.units import HOURS_PER_YEAR
 
 
@@ -167,7 +169,7 @@ class TestSegmentPairs:
         ]
         assert any_pair_per_segment(starts, lengths, test).tolist() == expected
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(montecarlo, "_MAX_SEGMENT_PAIRS", budget)
+            patch.setattr(footprint, "_MAX_SEGMENT_PAIRS", budget)
             chunked = any_pair_per_segment(starts, lengths, test)
         assert chunked.tolist() == expected
 
@@ -222,7 +224,7 @@ class TestChannelVerdicts:
         ]
         for budget in (1, 3, 7):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(montecarlo, "_MAX_SEGMENT_PAIRS", budget)
+                patch.setattr(footprint, "_MAX_SEGMENT_PAIRS", budget)
                 chunked = [a.tolist() for a in channel_verdicts(batch, interval)]
             assert chunked == verdicts, budget
 

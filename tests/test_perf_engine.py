@@ -24,26 +24,20 @@ from repro.config import (
     BASELINE_MEMORY_CONFIG,
     PROCESSOR_CONFIG,
 )
-from repro.dram.addressing import AddressMapping
-from repro.experiments import (
-    plan_fig7_1,
-    plan_fig7_2_7_3,
-    plan_fig7_4_7_5_measured,
-    plan_sweep_upgraded_fraction_measured,
-)
-from repro.fleet import plan_measured_profiles
+from repro.dram.addressing import AddressMapping, decode_lines
+from repro.experiments.fig7_1 import plan_fig7_1
+from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
+from repro.experiments.fig7_4_7_5 import plan_fig7_4_7_5_measured
+from repro.experiments.sensitivity import plan_sweep_upgraded_fraction_measured
+from repro.fleet.measured import plan_measured_profiles
 from repro.fleet.policies import plan_fleet_compare_measured
 from repro.perf import engine as engine_module
 from repro.perf import trace as trace_module
-from repro.perf._kernel import (
-    kernel_available,
-    kernel_provenance,
-    replay_compiled,
-)
+from repro.perf._kernel.driver import replay_compiled
+from repro.perf._kernel.loader import kernel_available, kernel_provenance
 from repro.perf.engine import (
     SweepPoint,
     arcc_capable,
-    decode_lines,
     plan_trace_ratios,
     point_job,
     point_jobs,
@@ -51,13 +45,14 @@ from repro.perf.engine import (
     simulate_point_job,
 )
 from repro.perf.simulator import (
-    _HASH,
-    _HASH_MOD,
+    PAGE_HASH_MODULUS,
+    PAGE_HASH_MULTIPLIER,
     TraceSimulator,
     page_is_upgraded,
 )
 from repro.perf.trace import materialize_mix
-from repro.runner import execute_plan, job_identity
+from repro.runner.executor import execute_plan
+from repro.runner.job import job_identity
 from repro.workloads.spec import ALL_MIXES, WorkloadMix, mix_by_name
 from repro.workloads.trace import CoreTrace, TraceGenerator
 
@@ -642,10 +637,10 @@ class TestPageUpgradeProperties:
         rng = np.random.default_rng(3)
         pages = rng.integers(0, 1 << 40, size=4_000, dtype=np.uint64)
         low_words = (
-            (pages * np.uint64(_HASH)) & np.uint64(0xFFFFFFFF)
+            (pages * np.uint64(PAGE_HASH_MULTIPLIER)) & np.uint64(0xFFFFFFFF)
         ).astype(np.float64)
         for fraction in (0.0, 1e-9, 0.03125, 0.5, 0.999999, 1.0):
-            below = fraction * _HASH_MOD if fraction > 0.0 else 0.0
+            below = fraction * PAGE_HASH_MODULUS if fraction > 0.0 else 0.0
             scalar = [page_is_upgraded(int(p), fraction) for p in pages]
             assert (low_words < below).tolist() == scalar, fraction
 

@@ -13,26 +13,22 @@ import numpy as np
 import pytest
 
 from repro.faults.types import FaultType
-from repro.fleet import (
-    DEFAULT_POLICY_KEYS,
-    POLICY_KEYS,
-    FleetScenario,
-    SpatialFaultModel,
-    SubPopulation,
-    plan_fleet,
-    plan_fleet_compare,
-    resolve_policies,
-)
 from repro.fleet.engine import uncorrectable_candidate_channels
 from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch
 from repro.fleet.policies import (
+    DEFAULT_POLICY_KEYS,
+    POLICY_KEYS,
+    plan_fleet_compare,
     policy_due_per_1k,
     policy_sdc_per_1k,
+    resolve_policies,
     slice_reliability_params,
 )
+from repro.fleet.report import plan_fleet
+from repro.fleet.scenarios import FleetScenario, SpatialFaultModel, SubPopulation
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.due import DEFAULT_REPAIR_HOURS
-from repro.runner import execute_plan
+from repro.runner.executor import execute_plan
 
 
 def _batch(rows):
@@ -134,7 +130,7 @@ class TestSliceReliability:
         )
 
     def test_schedule_enters_as_time_weighted_mean(self):
-        from repro.fleet import RatePhase
+        from repro.fleet.scenarios import RatePhase
 
         pop = SubPopulation(
             name="x",
@@ -483,7 +479,7 @@ class TestRegistryAndCLI:
 
         assert main(["fleet", "--list"]) == 0
         out = capsys.readouterr().out
-        from repro.fleet import DEFAULT_SCENARIOS
+        from repro.fleet.scenarios import DEFAULT_SCENARIOS
 
         for scenario in DEFAULT_SCENARIOS.values():
             assert scenario.name in out

@@ -3,11 +3,11 @@
 Fleet batches carry exact spatial coordinates (bank/row/column), so
 :func:`repro.fleet.engine.uncorrectable_candidate_channels` decides
 "shares a codeword" with the same footprint-intersection rule the
-MC engine uses (:func:`repro.reliability.montecarlo
+MC engine uses (:func:`repro.reliability.footprint
 .footprint_pairs_intersect`). The MC sampler draws straight into a
 fleet :class:`~repro.fleet.events.FaultEventBatch`, so these tests pin
 the exactness claim against the scalar rule
-(:func:`repro.reliability.montecarlo.footprint_intersects`) on the very
+(:func:`repro.reliability.footprint.footprint_intersects`) on the very
 batch the screen reads:
 
 * **exact on every mix** — field-study type mixes, row/column-heavy
@@ -28,7 +28,8 @@ import pytest
 from repro.faults.types import FaultRates
 from repro.fleet.engine import uncorrectable_candidate_channels
 from repro.reliability.analytical import ReliabilityParams
-from repro.reliability.montecarlo import _sample_batch, footprint_intersects
+from repro.reliability.footprint import footprint_intersects
+from repro.reliability.montecarlo import _sample_batch
 from repro.util.units import HOURS_PER_YEAR
 
 YEARS = 7.0

@@ -1,4 +1,5 @@
-"""Static reachability: every module under ``src/repro`` is one a user run loads.
+"""Static reachability: every module under ``src/repro`` is one a user run
+loads, and the import graph is narrow enough to show it.
 
 The roots are the runs users make: the ``repro`` command
 (``repro.cli``, ``repro.__main__``), the figure registry, the fuzz
@@ -9,26 +10,42 @@ they import is dead code with tests.
 The walk parses source and imports nothing. Its edges are:
 
 * every ``import``/``from ... import`` at any depth, inside functions
-  too; ``import a.b.c`` reaches ``a``, ``a.b`` and ``a.b.c``;
-* a name imported from a package resolves to the submodule the
-  package ``__init__`` re-exports it from, so an eager ``__init__``
-  does not make all of its submodules reachable (an ``__init__``'s own
-  imports are not edges);
+  too; ``import a.b.c`` reaches ``a``, ``a.b`` and ``a.b.c``, and
+  ``from a.b import c`` reaches ``a.b.c`` when that is a module;
 * any string literal equal to a module name, such as the lazy export
-  table of ``repro/__init__.py``.
+  tables of ``repro/__init__.py``, ``repro/runner/__init__.py`` and
+  ``repro/fleet/__init__.py``.
+
+A package ``__init__``'s own imports are not edges: importing
+``repro.fleet.events`` should load what that module names, not every
+sibling. ``test_package_inits_import_no_repro_module`` keeps the
+``__init__`` files free of them, and the fresh-interpreter test checks
+that a real import loads nothing outside the walker's closure.
 
 A module outside the closure must be on the keep-list table in
 ``docs/architecture.md`` ("Reachability"), whose rows name the open
 ROADMAP item that will reach each one. A keep-listed module that is
 reached, or no longer exists, fails too, so the list only shrinks.
+
+The same walker guards the shape of the graph: package ``__init__``
+files import no ``repro`` module, every name is imported from the
+module that defines it, imports sit at module level (``repro.cli``
+alone defers its command modules, to keep ``repro --help`` light), the
+graph of import statements has no cycle, and a fresh interpreter that
+imports a module loads nothing outside its static closure.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, Iterable, List, Set
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
@@ -61,49 +78,32 @@ def _source(node: ast.ImportFrom, path: Path) -> str:
     return node.module or ""
 
 
-def _reexports(package: str, modules: Dict[str, Path]) -> Dict[str, str]:
-    """Name -> submodule that the package ``__init__`` imports it from."""
-    path = modules[package]
-    table = {}
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                table[alias.asname or alias.name] = _source(node, path)
-    return table
-
-
-def _resolve(package: str, name: str, modules: Dict[str, Path]) -> Set[str]:
-    """Modules that ``from package import name`` needs besides ``package``."""
-    if f"{package}.{name}" in modules:
-        return {f"{package}.{name}"}
-    source = _reexports(package, modules).get(name)
-    if source is None:
-        return set()
-    found = {p for p in _prefixes(source) if p in modules}
-    if source in modules and _is_package(modules[source]) and source != package:
-        found |= _resolve(source, name, modules)
-    return found
-
-
-def _edges(path: Path, modules: Dict[str, Path]) -> Set[str]:
-    """Modules that loading the file at ``path`` reaches."""
-    package_init = _is_package(path)
+def _import_edges(tree: ast.AST, path: Path, modules: Dict[str, Path]) -> Set[str]:
+    """Modules the import statements of ``tree`` name, at any depth."""
     found: Set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value in modules:
-                found.add(node.value)
-        elif package_init:
-            continue
-        elif isinstance(node, ast.Import):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
             for alias in node.names:
                 found.update(p for p in _prefixes(alias.name) if p in modules)
         elif isinstance(node, ast.ImportFrom):
             source = _source(node, path)
             found.update(p for p in _prefixes(source) if p in modules)
-            if source in modules and _is_package(modules[source]):
-                for alias in node.names:
-                    found |= _resolve(source, alias.name, modules)
+            found.update(
+                f"{source}.{alias.name}"
+                for alias in node.names
+                if f"{source}.{alias.name}" in modules
+            )
+    return found
+
+
+def _edges(path: Path, modules: Dict[str, Path]) -> Set[str]:
+    """Modules that loading the file at ``path`` reaches."""
+    tree = ast.parse(path.read_text())
+    found = set() if _is_package(path) else _import_edges(tree, path, modules)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value in modules:
+                found.add(node.value)
     return found
 
 
@@ -159,6 +159,113 @@ def repo_roots() -> List[Path]:
     ]
 
 
+def import_graph(src_root: Path) -> Dict[str, Set[str]]:
+    """Module -> the modules its import statements name, at any depth.
+
+    Package ``__init__`` files count like any module; string literals
+    are not imports, so the lazy export tables add no edge.
+    """
+    modules = module_files(src_root)
+    return {
+        name: _import_edges(ast.parse(path.read_text()), path, modules) - {name}
+        for name, path in modules.items()
+    }
+
+
+def import_cycles(graph: Dict[str, Set[str]]) -> List[List[str]]:
+    """The strongly connected components of ``graph`` with two or more
+    modules (Tarjan's algorithm), each sorted."""
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    stack: List[str] = []
+    cycles: List[List[str]] = []
+
+    def visit(name: str) -> None:
+        index[name] = low[name] = len(index)
+        stack.append(name)
+        for target in sorted(graph[name]):
+            if target not in index:
+                visit(target)
+                low[name] = min(low[name], low[target])
+            elif target in stack:
+                low[name] = min(low[name], index[target])
+        if low[name] == index[name]:
+            component = []
+            while not component or component[-1] != name:
+                component.append(stack.pop())
+            if len(component) > 1:
+                cycles.append(sorted(component))
+
+    for name in sorted(graph):
+        if name not in index:
+            visit(name)
+    return cycles
+
+
+def _names_repro(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "repro" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "repro"
+    return False
+
+
+def nested_imports(path: Path) -> List[int]:
+    """Lines of ``repro`` imports that are not statements of the module
+    body: inside a function, a class, an ``if`` or a ``try``."""
+    tree = ast.parse(path.read_text())
+    top = {id(node) for node in tree.body}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if _names_repro(node) and id(node) not in top
+    ]
+
+
+def _definitions(path: Path) -> Set[str]:
+    """Names the module at ``path`` binds itself: defs, classes and
+    assignments, not imports."""
+    names: Set[str] = set()
+    todo = list(ast.parse(path.read_text()).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(
+                    n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+                )
+        elif isinstance(node, (ast.If, ast.Try)):
+            todo.extend(node.body + node.orelse + getattr(node, "finalbody", []))
+    return names
+
+
+def imports_not_from_definer(
+    src_root: Path, files: Iterable[Path]
+) -> List[str]:
+    """One line per ``from repro.m import name`` whose ``name`` is
+    neither a submodule of ``m`` nor defined by ``m`` itself."""
+    modules = module_files(src_root)
+    defined: Dict[str, Set[str]] = {}
+    problems = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.module in modules):
+                continue
+            if node.module not in defined:
+                defined[node.module] = _definitions(modules[node.module])
+            for alias in node.names:
+                submodule = f"{node.module}.{alias.name}" in modules
+                if not submodule and alias.name not in defined[node.module]:
+                    problems.append(
+                        f"{path}:{node.lineno}: {alias.name} is not defined "
+                        f"in {node.module}"
+                    )
+    return problems
+
+
 _KEEP_ROW = re.compile(r"^\|\s*`(repro(?:\.\w+)+)`\s*\|")
 
 
@@ -180,6 +287,81 @@ def test_keep_list_rows_name_a_roadmap_item():
     assert rows
     for row in rows:
         assert re.search(r"item \d+", row), row
+
+
+# The shape of the import graph.
+
+
+def test_import_graph_has_no_cycle():
+    assert import_cycles(import_graph(SRC_ROOT)) == []
+
+
+def test_package_inits_import_no_repro_module():
+    inits = [path for path in module_files(SRC_ROOT).values() if _is_package(path)]
+    assert inits
+    offenders = [
+        f"{path}:{node.lineno}"
+        for path in inits
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _names_repro(node)
+    ]
+    assert offenders == []
+
+
+def test_nested_repro_imports_only_in_cli():
+    """``repro.cli`` defers its command modules so that ``repro --help``
+    and argument errors stay light; every other import is at module
+    level, so each module's imports are its first lines."""
+    offenders = {
+        name: lines
+        for name, path in module_files(SRC_ROOT).items()
+        if name != "repro.cli" and (lines := nested_imports(path))
+    }
+    assert offenders == {}
+
+
+def test_every_name_is_imported_from_its_defining_module():
+    """One import path per name. ``perfbench/`` is exempt: it reads the
+    lazy tables of ``repro.runner`` and ``repro.fleet`` (ROADMAP item 7
+    moves its imports)."""
+    files = [
+        path
+        for root in (SRC_ROOT, REPO_ROOT / "tests", REPO_ROOT / "benchmarks",
+                     REPO_ROOT / "examples")
+        for path in sorted(root.rglob("*.py"))
+    ]
+    assert imports_not_from_definer(SRC_ROOT, files) == []
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.fleet.events",
+        # The modules of every registry job callable.
+        "repro.core.lotecc_arcc",
+        "repro.fleet.engine",
+        "repro.fuzz.campaign",
+        "repro.perf.engine",
+        "repro.reliability.montecarlo",
+    ],
+)
+def test_fresh_import_loads_only_its_static_closure(module):
+    code = (
+        f"import sys, {module}\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC_ROOT), os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    modules = module_files(SRC_ROOT)
+    closure = reachable(SRC_ROOT, [modules[name] for name in _prefixes(module)])
+    assert module in loaded
+    assert sorted(set(loaded) - closure) == []
 
 
 # The walker on throwaway package trees: each case below decides the result.
@@ -209,23 +391,6 @@ def test_module_nothing_imports_is_reported(tmp_path):
         "pkg.orphan: reached by no root; delete it or keep-list it"
     ]
     assert _problems(src, ["pkg/cli.py"], keep=["pkg.orphan"]) == []
-
-
-def test_package_reexport_reaches_only_its_source(tmp_path):
-    src = _tree(tmp_path, {
-        "pkg/__init__.py": "",
-        "pkg/cli.py": "from pkg.sub import Used\n",
-        "pkg/sub/__init__.py": (
-            "from pkg.sub.used import Used\nfrom pkg.sub.other import Other\n"
-        ),
-        "pkg/sub/used.py": "class Used: pass\n",
-        "pkg/sub/other.py": "class Other: pass\n",
-    })
-    assert _problems(src, ["pkg/cli.py"]) == [
-        "pkg.sub.other: reached by no root; delete it or keep-list it"
-    ]
-    (src / "pkg/cli.py").write_text("from pkg.sub import Used, Other\n")
-    assert _problems(src, ["pkg/cli.py"]) == []
 
 
 def test_import_inside_a_function_is_an_edge(tmp_path):
@@ -276,3 +441,28 @@ def test_roots_outside_the_source_tree(tmp_path):
     example.write_text("import sys\nfrom pkg import used\n")
     assert reachability_problems(src, [example], ()) == []
     assert reachable(src, [example]) == {"pkg", "pkg.used"}
+
+
+def test_import_cycle_is_reported(tmp_path):
+    src = _tree(tmp_path, {
+        "pkg/__init__.py": '_LAZY = {"Thing": ("pkg.a", "Thing")}\n',
+        "pkg/a.py": "import pkg.b\n",
+        "pkg/b.py": "def later():\n    from pkg import c\n",
+        "pkg/c.py": "from pkg.a import Thing\n",
+    })
+    assert import_cycles(import_graph(src)) == [["pkg.a", "pkg.b", "pkg.c"]]
+    (src / "pkg/c.py").write_text("")
+    assert import_cycles(import_graph(src)) == []
+
+
+def test_import_from_a_module_that_only_imports_the_name(tmp_path):
+    src = _tree(tmp_path, {
+        "pkg/__init__.py": "",
+        "pkg/defs.py": "class Thing: pass\nif True:\n    LIMIT = 1\n",
+        "pkg/user.py": "from pkg.defs import LIMIT, Thing\n",
+        "pkg/cli.py": "from pkg.user import Thing\nfrom pkg import defs\n",
+    })
+    files = sorted(src.rglob("*.py"))
+    assert imports_not_from_definer(src, files) == [
+        f"{src / 'pkg/cli.py'}:1: Thing is not defined in pkg.user"
+    ]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments import plan_fig6_1, plan_fig7_6
+from repro.experiments.fig6_1 import plan_fig6_1
+from repro.experiments.fig7_6 import plan_fig7_6
 from repro.faults.lifetime import FaultEvent
 from repro.faults.types import (
     DEFAULT_FIT_RATES,
@@ -29,8 +30,10 @@ from repro.reliability.due import (
     due_rate_sparing,
     due_reduction_factor,
 )
-from repro.reliability.montecarlo import footprint_intersects, plan_montecarlo
-from repro.runner import ResultCache, execute_plan
+from repro.reliability.footprint import footprint_intersects
+from repro.reliability.montecarlo import plan_montecarlo
+from repro.runner.cache import ResultCache
+from repro.runner.executor import execute_plan
 from repro.util.units import HOURS_PER_YEAR
 
 

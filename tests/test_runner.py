@@ -13,17 +13,16 @@ from hypothesis import strategies as st
 
 from repro.config import ARCC_MEMORY_CONFIG
 from repro.faults.types import FaultType
-from repro.runner import (
+from repro.runner.cache import ResultCache
+from repro.runner.executor import execute_plan, execute_plans, run_jobs
+from repro.runner.job import (
     ExperimentPlan,
     Job,
-    ResultCache,
     describe_value,
-    execute_plan,
-    execute_plans,
+    encode_job,
+    encode_value,
     job_identity,
-    run_jobs,
 )
-from repro.runner.job import encode_job, encode_value
 
 
 def _square(x, seed=0):

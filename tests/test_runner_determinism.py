@@ -14,21 +14,21 @@ import hashlib
 import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG
-from repro.experiments import (
-    plan_fig3_1,
-    plan_fig6_1,
-    plan_fig7_1,
-    plan_fig7_2_7_3,
-    plan_fig7_4_7_5,
-    plan_fig7_6,
-    plan_sweep_upgraded_fraction_measured,
-)
+from repro.experiments.fig3_1 import plan_fig3_1
+from repro.experiments.fig6_1 import plan_fig6_1
+from repro.experiments.fig7_1 import plan_fig7_1
+from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
+from repro.experiments.fig7_4_7_5 import plan_fig7_4_7_5
+from repro.experiments.fig7_6 import plan_fig7_6
+from repro.experiments.sensitivity import plan_sweep_upgraded_fraction_measured
 from repro.perf import trace
-from repro.perf._kernel import kernel_available, kernel_provenance
+from repro.perf._kernel.loader import kernel_available, kernel_provenance
 from repro.perf.engine import point_job, resolve_engine
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.montecarlo import BLOCK_CHANNELS, plan_montecarlo
-from repro.runner import Job, ResultCache, execute_plan, job_identity, run_jobs
+from repro.runner.cache import ResultCache
+from repro.runner.executor import execute_plan, run_jobs
+from repro.runner.job import Job, job_identity
 from repro.workloads.spec import ALL_MIXES, mix_by_name
 
 
@@ -369,7 +369,8 @@ class TestCacheReproducibility:
 
     def test_cache_shares_points_across_figures(self, tmp_path):
         """The fault-free ARCC point is one entry for fig7.1/7.2/sens."""
-        from repro.experiments import plan_fig7_1, plan_fig7_2_7_3
+        from repro.experiments.fig7_1 import plan_fig7_1
+        from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
         from repro.experiments.sensitivity import (
             plan_sweep_upgraded_fraction_measured,
         )

@@ -16,16 +16,14 @@ from pathlib import Path
 import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
-from repro.fleet import (
-    FleetScenario,
-    RatePhase,
+from repro.fleet.scenario_file import (
     ScenarioFileError,
-    SubPopulation,
     dump_scenario_json,
     load_scenario_file,
     scenario_from_mapping,
     scenario_to_mapping,
 )
+from repro.fleet.scenarios import FleetScenario, RatePhase, SubPopulation
 
 TINY_TOML = """
 name = "tiny"
@@ -840,7 +838,7 @@ class TestLoaderTotality:
     SITES = tuple(_sites(TOTALITY_STUDY))
 
     def test_base_study_and_scenario_load(self):
-        from repro.fleet import study_from_mapping
+        from repro.fleet.study import study_from_mapping
 
         study = study_from_mapping(TOTALITY_STUDY)
         assert study.upgraded_fractions == (0.0, 0.5)
@@ -858,7 +856,7 @@ class TestLoaderTotality:
     @example(site=("populations", 0, "lifespan_years"), value=float("inf"))
     @example(site=("populations", 0, "rate_multiplier"), value=10**400)
     def test_mutations_fail_with_a_dotted_path(self, site, value):
-        from repro.fleet import study_from_mapping
+        from repro.fleet.study import study_from_mapping
 
         raw = _mutated(site, value)
         _assert_total(study_from_mapping, raw)
@@ -975,7 +973,7 @@ class TestDomainRules:
         ids=["phase", "channels", "lifespan", "io-width", "pow2", "banks"],
     )
     def test_constructors_name_the_field(self, build, message):
-        from repro.util import FieldError
+        from repro.util.fields import FieldError
 
         with pytest.raises(FieldError) as excinfo:
             build()
@@ -983,7 +981,7 @@ class TestDomainRules:
 
     def test_rates_reject_negative_and_non_finite(self):
         from repro.faults.types import DEFAULT_FIT_RATES
-        from repro.util import FieldError
+        from repro.util.fields import FieldError
 
         with pytest.raises(FieldError, match="^lane: must be >= 0, got -1$"):
             replace(DEFAULT_FIT_RATES, lane=-1.0)
@@ -1064,7 +1062,7 @@ class TestSizeBounds:
 
     def test_constructors_reject_past_the_bound(self):
         from repro.fleet.scenarios import MAX_FLEET_CHANNELS
-        from repro.util import FieldError
+        from repro.util.fields import FieldError
 
         over = MAX_FLEET_CHANNELS + 1
         message = f"^channels: must be <= {MAX_FLEET_CHANNELS}, got {over}$"
@@ -1082,9 +1080,8 @@ class TestSizeBounds:
         from pathlib import Path
 
         from repro.config import MEASUREMENT_CONFIG
-        from repro.fleet import DEFAULT_SCENARIOS, load_study_file
-        from repro.fleet.scenarios import MAX_FLEET_CHANNELS
-        from repro.fleet.study import MAX_INSTRUCTION_SCALE
+        from repro.fleet.scenarios import DEFAULT_SCENARIOS, MAX_FLEET_CHANNELS
+        from repro.fleet.study import MAX_INSTRUCTION_SCALE, load_study_file
         from repro.runner.registry import FIGURES
 
         for spec in FIGURES.values():
@@ -1148,8 +1145,8 @@ class TestJunkValues:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_junk_loads_or_fails_as_a_scenario_file_error(self, path, data):
-        from repro.fleet import study_from_mapping
         from repro.fleet.scenario_file import STUDY_SECTION_KEYS, load_raw_mapping
+        from repro.fleet.study import study_from_mapping
 
         raw = load_raw_mapping(path)
         is_study = any(key in raw for key in STUDY_SECTION_KEYS)
@@ -1183,8 +1180,9 @@ def _scenario_files():
 
     from repro.config import MemoryConfig
     from repro.faults.types import FaultRates
-    from repro.fleet import SPATIAL_KINDS, ScenarioFile, SpatialFaultModel
     from repro.fleet.policies import POLICY_KEYS
+    from repro.fleet.scenario_file import ScenarioFile
+    from repro.fleet.scenarios import SPATIAL_KINDS, SpatialFaultModel
 
     @st.composite
     def organization(draw, name):
@@ -1286,8 +1284,7 @@ class TestWholeFileRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(spec=_scenario_files())
     def test_to_mapping_json_from_mapping_is_exact(self, spec):
-        from repro.fleet import ScenarioFile
-        from repro.fleet.scenario_file import from_mapping, to_mapping
+        from repro.fleet.scenario_file import ScenarioFile, from_mapping, to_mapping
 
         raw = json.loads(json.dumps(to_mapping(spec)))
         assert from_mapping(ScenarioFile, raw) == spec

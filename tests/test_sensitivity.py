@@ -93,7 +93,7 @@ class TestMeasuredFractionSweep:
         from repro.experiments.sensitivity import (
             plan_sweep_upgraded_fraction_measured,
         )
-        from repro.runner import execute_plan
+        from repro.runner.executor import execute_plan
         from repro.workloads.spec import ALL_MIXES
 
         return execute_plan(

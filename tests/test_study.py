@@ -5,16 +5,16 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.fleet import (
-    ScenarioFileError,
+from repro.fleet.scenario_file import ScenarioFileError, scenario_from_mapping
+from repro.fleet.study import (
+    EXAMPLE_STUDY_PATH,
     expand_study,
     load_study_file,
+    resolve_study_path,
     run_study,
-    scenario_from_mapping,
     study_from_mapping,
 )
-from repro.fleet.study import EXAMPLE_STUDY_PATH, resolve_study_path
-from repro.runner import ResultCache
+from repro.runner.cache import ResultCache
 
 
 def base_mapping(**study):

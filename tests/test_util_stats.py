@@ -1,5 +1,9 @@
 """Unit tests for repro.util.stats."""
 
+import ast
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -151,3 +155,61 @@ class TestSequentialSum:
         assert sequential_sum(v for v in values) == expected
         assert type(sequential_sum(np.array(values))) is float
         assert sequential_sum([]) == 0.0
+
+
+#: Every builtin ``sum()`` left under ``src/repro``, by module and
+#: enclosing scope, with its count. Each adds integers (counts, channel
+#: totals, lengths), whose sum is exact on every Python. A float sum
+#: goes through :func:`sequential_sum` instead: from Python 3.12 the
+#: builtin compensates float rounding, so its last bits depend on the
+#: interpreter.
+INTEGER_SUMS = Counter({
+    ("repro.cache.llc", "LastLevelCache.resident_lines"): 1,
+    ("repro.cli", "_cmd_fleet"): 2,
+    ("repro.cli", "_cmd_run"): 1,
+    ("repro.core.lotecc_arcc", "ArccLotEcc.fraction_upgraded"): 1,
+    ("repro.core.page_table", "PageTable.pages_in_mode"): 1,
+    ("repro.core.vecc_arcc", "ArccVecc.fraction_upgraded"): 1,
+    ("repro.dram.queues", "PartitionedFifoQueues.pending"): 2,
+    ("repro.dram.queues", "PointerFlagQueues.pending"): 1,
+    ("repro.fleet.policies", "PolicyComparisonReport.total_channels"): 1,
+    ("repro.fleet.policies", "_fleet_static"): 1,
+    ("repro.fleet.report", "FleetReport.total_channels"): 1,
+    ("repro.fleet.scenarios", "FleetScenario.total_channels"): 1,
+    ("repro.fleet.study", "expand_study"): 1,
+    ("repro.fleet.study", "run_study"): 1,
+    ("repro.fuzz.campaign", "CampaignReport.to_table"): 1,
+    ("repro.reliability.montecarlo", "plan_montecarlo.assemble"): 1,
+})
+
+
+def _builtin_sums(module: str, tree: ast.AST) -> Counter:
+    found: Counter = Counter()
+
+    def walk(node: ast.AST, scope: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "sum"
+            ):
+                found[(module, ".".join(scope))] += 1
+            walk(child, inner)
+
+    walk(tree, ())
+    return found
+
+
+def test_builtin_sum_only_over_integers():
+    """A new builtin ``sum()`` in the package fails here: use
+    :func:`sequential_sum` for floats, or list an integer sum above."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    found: Counter = Counter()
+    for path in sorted((src / "repro").rglob("*.py")):
+        parts = list(path.relative_to(src).with_suffix("").parts)
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        found += _builtin_sums(module, ast.parse(path.read_text()))
+    assert found == INTEGER_SUMS
