@@ -98,11 +98,11 @@ bit-identically to ``--jobs 1``. See ``docs/fuzzing.md``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Dict, List, Optional
 
-from repro.perf.engine import engine_provenance
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runner.executor import execute_plans
 from repro.util.suggest import unknown_key_message
@@ -110,6 +110,9 @@ from repro.util.suggest import unknown_key_message
 
 def _engine_summary() -> str:
     """One provenance line: the tier a run used and why."""
+    # Deferred import: it loads NumPy, which `repro --help` never needs.
+    from repro.perf.engine import engine_provenance
+
     provenance = engine_provenance()
     return (
         f"engine: {provenance['replay_engine']} "
@@ -119,7 +122,7 @@ def _engine_summary() -> str:
 
 
 def _list_fleet_scenarios() -> None:
-    from repro.fleet import policies, scenarios
+    from repro.fleet import measured, scenarios
 
     for scenario in scenarios.DEFAULT_SCENARIOS.values():
         print(
@@ -142,7 +145,7 @@ def _list_fleet_scenarios() -> None:
                 f"{pop.config.name}, {pop.rate_multiplier:g}x rates, "
                 f"{pop.lifespan_years:g}y lifespan{phases}"
             )
-    print(f"policies (--policies): {', '.join(policies.POLICY_KEYS)}")
+    print(f"policies (--policies): {', '.join(measured.POLICY_KEYS)}")
 
 
 def _cmd_fleet(args: argparse.Namespace) -> None:
@@ -601,7 +604,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    status = args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`repro run | head -1`). Point stdout
+        # at devnull so the flush at exit cannot fail again, as the
+        # `signal` module docs recommend.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if status is None else int(status)
 
 

@@ -1,41 +1,43 @@
-"""The perf -> fleet bridge: measured per-fault policy weights.
+"""The protection policies, and their measured per-fault weights.
+
+:data:`POLICIES` is the one definition of the policies ``repro fleet
+--policies`` compares: one frozen :class:`ProtectionPolicy` record per
+key (``arcc``, ``sccdcd``, ``lotecc``), carrying everything the code
+knows of a policy — the fault classes it measures, whether it is always
+strong, whether it measures in LOT-ECC checksum mode, its worst-case
+upgrade factor, whether it has sparing-class correction, and its
+default weights and caps. Every consumer reads these fields; none
+compares a policy key with a literal. :func:`check_policy_keys` and
+:func:`check_policy_set` are the key checks.
 
 The paper's headline comparison needs *measured* costs, not worst-case
 arithmetic: Figures 7.2/7.3 show that real workloads reuse the second
 sub-line of an upgraded pair, so the energy/bandwidth cost of upgraded
-pages sits well below ``1 + fraction``. PR 3's policy comparison still
-scored ARCC+LOT-ECC with the worst-case Figure 7.6 constants; this
-module closes the loop by replaying per-(policy, mix, fault-class)
-trace points on the batched engine and reducing them into
-:class:`MeasuredOverheadProfile` objects — per-fault additive weights
-with 95% confidence intervals across mixes — that
-:func:`~repro.fleet.policies.plan_fleet_compare` swaps into the
-:class:`~repro.fleet.policies.ProtectionPolicy` models.
+pages sits well below ``1 + fraction``. This module replays
+per-(policy, mix, fault-class) trace points on the batched engine and
+reduces them into :class:`MeasuredOverheadProfile` objects — per-fault
+additive weights with 95% confidence intervals across mixes — that
+:func:`~repro.fleet.policies.measured_policy` swaps into the records.
 
 The arithmetic, per fault class with Table 7.4 fraction ``f`` (evaluated
 against the slice's own :class:`~repro.config.MemoryConfig`, so custom
 scenario-file organizations get their own fractions and their own
-measured points):
+measured points): the measured excess is read straight off the trace
+ratios, ``power = ratio - 1`` and ``perf = 1 - ratio``, each clamped to
+``[0, worst case]`` by :func:`worst_case_weights`, the one worst-case
+formula (Section 7.2's ``f`` and ``f / (1 + f)``, or Figure 7.6's
+``(F - 1) f`` and ``(1 - 1/F) f`` for a policy with an upgrade factor
+``F``).
 
-* **arcc** — the measured excess is read straight off the trace ratios:
-  ``power = ratio - 1`` and ``perf = 1 - ratio``, each clamped to
-  ``[0, worst case]`` (the Figure 7.2/7.3 worst-case estimates ``f`` and
-  ``f / (1 + f)`` stay as the documented oracle bound).
-* **sccdcd** — always-strong chipkill pays ARCC's fully-upgraded state
-  as a constant premium: the measured lane-class (fraction 1) weights.
-* **lotecc** — measured *directly*: the replay engine's LOT-ECC
-  checksum mode (``SweepPoint.lotecc_checksum``) issues the extra
-  checksum operations in the trace itself — every write pays its
-  checksum write in both modes, every upgraded fill adds one checksum
-  read per sub-line on the critical path — and each class point is
-  compared against a relaxed LOT-ECC baseline replayed in the same
-  mode, so ``power = ratio - 1`` and ``perf = 1 - ratio`` price the
-  real traffic instead of scaling ARCC's excess by the closed-form
-  factor ``F = 2 (2r + 2w) / (r + 2w)``, the approximation this mode
-  replaced. Weights stay clamped to the Figure 7.6 worst case
-  ``(F_wc - 1) f`` / ``(1 - 1/F_wc) f`` per class, with
-  :data:`~repro.core.lotecc_arcc.WORST_CASE_UPGRADE_FACTOR` the
-  all-reads ceiling.
+* **sccdcd** (``always_strong``) pays ARCC's fully-upgraded state as a
+  constant premium: the measured lane-class (fraction 1) weights.
+* **lotecc** (``lotecc_checksum``) is measured *directly*: the replay
+  engine's LOT-ECC checksum mode (``SweepPoint.lotecc_checksum``)
+  issues the extra checksum operations in the trace itself — every
+  write pays its checksum write in both modes, every upgraded fill adds
+  one checksum read per sub-line on the critical path — and each class
+  point is compared against a relaxed LOT-ECC baseline replayed in the
+  same mode, so the ratios price the real traffic.
 
 The ratios come from :func:`~repro.perf.engine.plan_trace_ratios`, the
 normalization plan behind Figures 7.2/7.3 and the measured fraction
@@ -54,7 +56,7 @@ in-batch dedup. Across processes they share the same disk-cache entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import (
@@ -79,15 +81,6 @@ from repro.util.suggest import unknown_key_message
 from repro.util.tables import format_table
 from repro.workloads.spec import ALL_MIXES, WorkloadMix
 
-#: Fault classes measured per policy. ``sccdcd`` only needs the lane
-#: class (its premium is the fully-upgraded state); the adaptive
-#: policies accumulate every Table 7.4 class.
-POLICY_FAULT_CLASSES: Dict[str, Tuple[FaultType, ...]] = {
-    "arcc": TABLE_7_4_TYPES,
-    "sccdcd": (FaultType.LANE,),
-    "lotecc": TABLE_7_4_TYPES,
-}
-
 #: Measured per-fault-type overheads (power ratio, performance ratio)
 #: averaged over the 12 mixes at the default simulation scale: the
 #: weights of Figures 7.4/7.5 and of the ``arcc``/``sccdcd`` policies
@@ -102,6 +95,157 @@ FALLBACK_OVERHEADS: Dict[FaultType, Tuple[float, float]] = {
     FaultType.COLUMN: (1.01, 1.00),
 }
 
+
+def worst_case_weights(
+    fraction: float, upgrade_factor: Optional[float] = None
+) -> Tuple[float, float]:
+    """Additive ``(power, performance loss)`` worst case of upgrading
+    ``fraction`` of the pages: every policy's default weights and the
+    oracle bound of every measured weight.
+
+    With an ``upgrade_factor`` it is Figure 7.6's arithmetic: an
+    upgraded access costs ``factor``x a relaxed one, so power grows by
+    ``(factor - 1) f`` and performance loses ``(1 - 1/factor) f``.
+    Without one it is Section 7.2's 2x pair access:
+    :func:`~repro.perf.simulator.worst_case_power_ratio` and
+    :func:`~repro.perf.simulator.worst_case_performance_ratio`.
+    """
+    if upgrade_factor is None:
+        return (
+            worst_case_power_ratio(fraction) - 1.0,
+            1.0 - worst_case_performance_ratio(fraction),
+        )
+    return (
+        (upgrade_factor - 1.0) * fraction,
+        (1.0 - 1.0 / upgrade_factor) * fraction,
+    )
+
+
+def _worst_case_rows(
+    upgrade_factor: Optional[float] = None,
+) -> Tuple[Tuple[Dict[FaultType, float], float], ...]:
+    """``(per_fault, cap)`` of the worst-case power and perf series over
+    the Table 7.4 classes; the cap is the fully-upgraded worst case."""
+    weights = [
+        worst_case_weights(upgraded_page_fraction(ft), upgrade_factor)
+        for ft in TABLE_7_4_TYPES
+    ]
+    caps = worst_case_weights(1.0, upgrade_factor)
+    return tuple(
+        (dict(zip(TABLE_7_4_TYPES, column)), cap)
+        for column, cap in zip(zip(*weights), caps)
+    )
+
+
+def overhead_series_rows(
+    overheads: Dict[FaultType, Tuple[float, float]],
+) -> Tuple[Tuple[Dict[FaultType, float], float], ...]:
+    """``(per_fault, cap)`` of the power, perf, worst-power and
+    worst-perf series: additive weights per fault, and the accumulation
+    cap (fully-upgraded behaviour)."""
+    worst_power, worst_perf = _worst_case_rows()
+    return (
+        ({ft: max(ratio - 1.0, 0.0) for ft, (ratio, _) in overheads.items()}, worst_power[1]),
+        ({ft: max(1.0 - ratio, 0.0) for ft, (_, ratio) in overheads.items()}, worst_perf[1]),
+        worst_power,
+        worst_perf,
+    )
+
+
+@dataclass(frozen=True)
+class ProtectionPolicy:
+    """One protection scheme: how it is measured, what it costs and
+    what it covers.
+
+    Overheads are fractions of the ARCC *relaxed* baseline (the cheapest
+    mode any policy can run): ``static_*`` is paid from deployment on,
+    ``per_fault_*`` adds per arrived fault (capped at ``*_cap``, the
+    fully-upgraded behaviour) through
+    :func:`~repro.fleet.engine.overhead_series_by_year`. The records of
+    :data:`POLICIES` carry the default weights;
+    :func:`~repro.fleet.policies.measured_policy` swaps in measured ones.
+    """
+
+    key: str
+    title: str
+    #: Fault classes :func:`plan_measured_profiles` replays.
+    fault_classes: Tuple[FaultType, ...]
+    #: Strong double detection from deployment on: an SDC needs three
+    #: overlapping faults (Section 6.2, otherwise the relaxed pair race),
+    #: and the measured lane class is a constant premium, not a
+    #: per-fault weight.
+    always_strong: bool = False
+    #: Measured in the trace engine's LOT-ECC checksum-replay mode,
+    #: against a relaxed LOT-ECC baseline.
+    lotecc_checksum: bool = False
+    #: The :func:`worst_case_weights` factor: ``None`` is Section 7.2's
+    #: pair access.
+    upgrade_factor: Optional[float] = None
+    #: Sparing-class correction: the pair race that defeats correction
+    #: closes at the next scrub pass, not at repair.
+    sparing: bool = False
+    static_power_overhead: float = 0.0
+    static_performance_overhead: float = 0.0
+    per_fault_power: Dict[FaultType, float] = field(default_factory=dict)
+    per_fault_performance: Dict[FaultType, float] = field(default_factory=dict)
+    power_cap: float = 1.0
+    performance_cap: float = 0.5
+
+
+def _default_policies() -> Tuple[ProtectionPolicy, ...]:
+    """The paper's three-way comparison, with the default weights."""
+    (power, _), (perf, _), _, _ = overhead_series_rows(FALLBACK_OVERHEADS)
+    (lot_power, lot_power_cap), (lot_perf, lot_perf_cap) = _worst_case_rows(
+        WORST_CASE_UPGRADE_FACTOR
+    )
+    return (
+        # SCCDCD+ARCC (Chapter 4) with the Figure 7.4/7.5 fallback
+        # weights, so it never drifts from the figure it mirrors.
+        ProtectionPolicy(
+            key="arcc",
+            title="SCCDCD+ARCC (relaxed, upgrade per fault)",
+            fault_classes=TABLE_7_4_TYPES,
+            per_fault_power=power,
+            per_fault_performance=perf,
+        ),
+        # Always-strong commercial chipkill (the Table 7.1 baseline): its
+        # premium is ARCC's fully-upgraded state, the lane-class weight
+        # (a lane fault upgrades every page), so ARCC's cost approaches
+        # exactly SCCDCD's floor as faults accumulate.
+        ProtectionPolicy(
+            key="sccdcd",
+            title="SCCDCD (always strong)",
+            fault_classes=(FaultType.LANE,),
+            always_strong=True,
+            static_power_overhead=power[FaultType.LANE],
+            static_performance_overhead=perf[FaultType.LANE],
+        ),
+        # ARCC applied to LOT-ECC (Section 5.2): Figure 7.6's worst-case
+        # weights, double-chip-sparing correction.
+        ProtectionPolicy(
+            key="lotecc",
+            title="LOT-ECC+ARCC (9 -> 18 devices, double sparing)",
+            fault_classes=TABLE_7_4_TYPES,
+            lotecc_checksum=True,
+            upgrade_factor=WORST_CASE_UPGRADE_FACTOR,
+            sparing=True,
+            per_fault_power=lot_power,
+            per_fault_performance=lot_perf,
+            power_cap=lot_power_cap,
+            performance_cap=lot_perf_cap,
+        ),
+    )
+
+
+#: Every policy ``repro fleet --policies`` accepts, by key, in table
+#: order.
+POLICIES: Dict[str, ProtectionPolicy] = {
+    policy.key: policy for policy in _default_policies()
+}
+
+#: Policy keys, in table order.
+POLICY_KEYS: Tuple[str, ...] = tuple(POLICIES)
+
 #: Profiles keyed by (policy key, organization name).
 ProfileMap = Dict[Tuple[str, str], "MeasuredOverheadProfile"]
 
@@ -111,12 +255,11 @@ class MeasuredOverheadProfile:
     """Measured per-fault weights of one (policy, organization).
 
     Weights are *additive overhead fractions of the relaxed baseline*
-    (the same unit :class:`~repro.fleet.policies.ProtectionPolicy`
-    accumulates), each a ``(mean, 95% half-width)`` pair over the
-    measured mixes and clamped to the worst-case arithmetic — the
-    documented upper bound, kept in ``worst_case_power`` /
-    ``worst_case_performance`` as the oracle the bounds tests compare
-    against.
+    (the same unit :class:`ProtectionPolicy` accumulates), each a
+    ``(mean, 95% half-width)`` pair over the measured mixes and clamped
+    to :func:`worst_case_weights` — the documented upper bound, kept in
+    ``worst_case_power`` / ``worst_case_performance`` as the oracle the
+    bounds tests compare against.
     """
 
     policy: str
@@ -182,60 +325,25 @@ def _clamp(value: float, upper: float) -> float:
 
 
 def _class_samples(
-    policy: str,
+    policy: ProtectionPolicy,
     fraction: float,
     power_ratio: float,
     performance_ratio: float,
 ) -> Tuple[float, float, float, float]:
     """(power, perf, worst power, worst perf) weights of one (mix, class).
 
-    Ratios are point over the policy's own relaxed baseline — for
-    ``lotecc`` both sides of the ratio ran in checksum-replay mode, so
+    Ratios are point over the policy's own relaxed baseline — for a
+    checksum-mode policy both sides of the ratio ran in that mode, so
     the measured excess *is* the direct extra-traffic cost and the
     weights read off identically for every policy; only the worst-case
-    clamp differs (Figure 7.6's factor-4 arithmetic for LOT-ECC, the
-    ``1 + f`` family for the SCCDCD-based policies).
+    clamp, the policy's :func:`worst_case_weights`, differs.
     """
-    excess_power = max(power_ratio - 1.0, 0.0)
-    perf_loss = max(1.0 - performance_ratio, 0.0)
-    if policy == "lotecc":
-        worst_factor = WORST_CASE_UPGRADE_FACTOR
-        worst_power = (worst_factor - 1.0) * fraction
-        worst_perf = (1.0 - 1.0 / worst_factor) * fraction
-    else:
-        worst_power = worst_case_power_ratio(fraction) - 1.0
-        worst_perf = 1.0 - worst_case_performance_ratio(fraction)
+    worst_power, worst_perf = worst_case_weights(fraction, policy.upgrade_factor)
     return (
-        _clamp(excess_power, worst_power),
-        _clamp(perf_loss, worst_perf),
+        _clamp(power_ratio - 1.0, worst_power),
+        _clamp(1.0 - performance_ratio, worst_perf),
         worst_power,
         worst_perf,
-    )
-
-
-def overhead_series_rows(
-    overheads: Dict[FaultType, Tuple[float, float]],
-) -> Tuple[Tuple[Dict[FaultType, float], float], ...]:
-    """``(per_fault, cap)`` of the power, perf, worst-power and
-    worst-perf series: additive weights per fault, and the accumulation
-    cap (fully-upgraded behaviour)."""
-    return (
-        ({ft: max(ratio - 1.0, 0.0) for ft, (ratio, _) in overheads.items()}, 1.0),
-        ({ft: max(1.0 - ratio, 0.0) for ft, (_, ratio) in overheads.items()}, 0.5),
-        (
-            {
-                ft: worst_case_power_ratio(upgraded_page_fraction(ft)) - 1.0
-                for ft in TABLE_7_4_TYPES
-            },
-            1.0,
-        ),
-        (
-            {
-                ft: 1.0 - worst_case_performance_ratio(upgraded_page_fraction(ft))
-                for ft in TABLE_7_4_TYPES
-            },
-            0.5,
-        ),
     )
 
 
@@ -254,9 +362,9 @@ def check_policy_set(
             field, "policy set must not be empty; name at least one policy"
         )
     for i, key in enumerate(keys):
-        if key not in POLICY_FAULT_CLASSES:
+        if key not in POLICIES:
             raise FieldError(
-                f"{field}[{i}]", unknown_key_message("policy", key, POLICY_FAULT_CLASSES)
+                f"{field}[{i}]", unknown_key_message("policy", key, POLICIES)
             )
         if key in keys[:i]:
             raise FieldError(f"{field}[{i}]", f"duplicate policy {key!r}")
@@ -270,13 +378,13 @@ def check_policy_keys(keys: Sequence[str]) -> Tuple[str, ...]:
     an empty or repeating set fails :func:`check_policy_set`.
     """
     for key in keys:
-        if key not in POLICY_FAULT_CLASSES:
-            raise KeyError(unknown_key_message("policy", key, POLICY_FAULT_CLASSES))
+        if key not in POLICIES:
+            raise KeyError(unknown_key_message("policy", key, POLICIES))
     return check_policy_set(keys)
 
 
 def plan_measured_profiles(
-    policies: Sequence[str] = tuple(POLICY_FAULT_CLASSES),
+    policies: Sequence[str] = POLICY_KEYS,
     organizations: Sequence[MemoryConfig] = (ARCC_MEMORY_CONFIG,),
     mixes: Optional[Sequence[WorkloadMix]] = None,
     instructions_per_core: int = MEASUREMENT_CONFIG.instructions_per_core,
@@ -301,7 +409,7 @@ def plan_measured_profiles(
     >>> len(plan_measured_profiles(("lotecc",), mixes=ALL_MIXES[:2]).jobs)
     10
     """
-    policies = check_policy_keys(policies)
+    records = [POLICIES[key] for key in check_policy_keys(policies)]
     organizations = distinct_organizations(organizations)
     mixes = list(mixes) if mixes is not None else list(ALL_MIXES)
 
@@ -312,7 +420,7 @@ def plan_measured_profiles(
     for config in organizations:
         for checksum in (False, True):
             measured = [
-                policy for policy in policies if (policy == "lotecc") == checksum
+                policy for policy in records if policy.lotecc_checksum == checksum
             ]
             if measured:
                 grids[(config.name, checksum)] = plan_trace_ratios(
@@ -321,7 +429,7 @@ def plan_measured_profiles(
                     [
                         upgraded_page_fraction(fault_type, config)
                         for policy in measured
-                        for fault_type in POLICY_FAULT_CLASSES[policy]
+                        for fault_type in policy.fault_classes
                     ],
                     config,
                     instructions_per_core,
@@ -339,13 +447,13 @@ def plan_measured_profiles(
 
         profiles: ProfileMap = {}
         for config in organizations:
-            for policy in policies:
-                grid = ratios[(config.name, policy == "lotecc")]
+            for policy in records:
+                grid = ratios[(config.name, policy.lotecc_checksum)]
                 power: Dict[FaultType, MeanCI] = {}
                 performance: Dict[FaultType, MeanCI] = {}
                 worst_power: Dict[FaultType, float] = {}
                 worst_perf: Dict[FaultType, float] = {}
-                for fault_type in POLICY_FAULT_CLASSES[policy]:
+                for fault_type in policy.fault_classes:
                     fraction = upgraded_page_fraction(fault_type, config)
                     p, q, wp, wq = zip(
                         *(
@@ -358,15 +466,15 @@ def plan_measured_profiles(
                     worst_power[fault_type], worst_perf[fault_type] = wp[0], wq[0]
                 static_power: MeanCI = (0.0, 0.0)
                 static_perf: MeanCI = (0.0, 0.0)
-                if policy == "sccdcd":
-                    # Always-strong: the lane measurement becomes the
-                    # constant premium; nothing accrues per fault.
+                if policy.always_strong:
+                    # The lane measurement becomes the constant premium;
+                    # nothing accrues per fault.
                     static_power = power.pop(FaultType.LANE)
                     static_perf = performance.pop(FaultType.LANE)
                     worst_power = {}
                     worst_perf = {}
-                profiles[(policy, config.name)] = MeasuredOverheadProfile(
-                    policy=policy,
+                profiles[(policy.key, config.name)] = MeasuredOverheadProfile(
+                    policy=policy.key,
                     organization=config.name,
                     power=power,
                     performance=performance,
@@ -448,12 +556,15 @@ def profiles_to_table(profiles: Mapping[Tuple[str, str], Any]) -> str:
 __all__ = [
     "FALLBACK_OVERHEADS",
     "MeasuredOverheadProfile",
-    "POLICY_FAULT_CLASSES",
+    "POLICIES",
+    "POLICY_KEYS",
     "ProfileMap",
+    "ProtectionPolicy",
     "check_policy_keys",
     "check_policy_set",
     "clear_measured_memo",
     "overhead_series_rows",
     "plan_measured_profiles",
     "profiles_to_table",
+    "worst_case_weights",
 ]

@@ -2,24 +2,29 @@
 
 :func:`~repro.fleet.report.plan_fleet` reports fault *exposure* — how
 much memory ever sees a fault. This module answers the paper's actual
-question: which protection scheme should a given fleet run? Three policies compete over
-the same sampled :class:`~repro.fleet.events.FaultEventBatch` per slice:
+question: which protection scheme should a given fleet run? The
+policies are the :class:`~repro.fleet.measured.ProtectionPolicy`
+records of :data:`~repro.fleet.measured.POLICIES`, and they compete
+over the same sampled :class:`~repro.fleet.events.FaultEventBatch` per
+slice:
 
 * ``arcc`` — SCCDCD+ARCC (Chapter 4): pages start relaxed and upgrade
   per fault, so overheads *accumulate* with the Figure 7.4/7.5 per-fault
   costs; detection is relaxed (pair-race SDC model of Section 6.2) while
   correction matches SCCDCD.
 * ``sccdcd`` — commercial always-strong chipkill (the Table 7.1
-  baseline): a constant power premium equal to ARCC's fully-upgraded
-  state (its saturation asymptote), zero *additional* per-fault cost,
-  and the strongest detection (an SDC needs a triple).
+  baseline, ``always_strong``): a constant power premium equal to
+  ARCC's fully-upgraded state (its saturation asymptote), zero
+  *additional* per-fault cost, and the strongest detection (an SDC
+  needs a triple).
 * ``lotecc`` — ARCC applied to LOT-ECC (Section 5.2): cheap relaxed
   nine-device pages, but an upgraded access costs
   :data:`~repro.core.lotecc_arcc.WORST_CASE_UPGRADE_FACTOR`x, in
-  exchange for double-chip-sparing correction that shrinks the DUE
-  exposure window from the repair interval to one scrub pass (the 17x
-  of [4]).
+  exchange for double-chip-sparing correction (``sparing``) that
+  shrinks the DUE exposure window from the repair interval to one
+  scrub pass (the 17x of [4]).
 
+This module reads the records' fields and never a policy's key.
 Every (slice, block) is one :func:`~repro.fleet.engine.block_job` that
 samples the block once and scores every policy on it — capped-overhead
 moments of each policy's power and performance rows, and one pair
@@ -30,8 +35,8 @@ worker count. Monte-Carlo means (overheads, uncorrectable-channel
 fraction) carry 95% confidence intervals; SDC/DUE columns come from the
 closed-form Chapter 6 models evaluated per slice.
 
-By default the per-fault weights are the worst-case constants above
-(kept as the documented fallback and oracle bound).
+By default the per-fault weights are the records' (the worst-case
+constants above, kept as the documented fallback and oracle bound).
 :func:`plan_fleet_compare_measured` (``repro fleet --measured``) is
 the one path that prices every policy with locality-aware weights
 instead: its jobs measure them on the trace engine against each
@@ -43,20 +48,18 @@ a follow-up plan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import MEASUREMENT_CONFIG
-from repro.core.lotecc_arcc import WORST_CASE_UPGRADE_FACTOR
-from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
-from repro.faults.types import FaultType
 from repro.fleet.engine import OverheadMoments, PairScreens, fleet_blocks
 from repro.fleet.measured import (
-    FALLBACK_OVERHEADS,
+    POLICIES,
+    POLICY_KEYS,
     MeasuredOverheadProfile,
     ProfileMap,
+    ProtectionPolicy,
     check_policy_keys,
-    overhead_series_rows,
     plan_measured_profiles,
     profiles_to_table,
 )
@@ -88,149 +91,11 @@ from repro.util.tables import format_table
 from repro.util.units import HOURS_PER_YEAR
 from repro.workloads.spec import WorkloadMix
 
-#: Exposure-window keys: how long a first fault stays dangerous.
-#: ``repair`` — the fault persists until the DIMM is serviced
-#: (:data:`~repro.reliability.due.DEFAULT_REPAIR_HOURS`); ``scrub`` —
-#: the race closes at the next scrub pass (sparing-class correction).
-WINDOWS = ("repair", "scrub")
-
-
-@dataclass(frozen=True)
-class ProtectionPolicy:
-    """One protection scheme's cost and reliability models.
-
-    Overheads are fractions of the ARCC *relaxed* baseline (the cheapest
-    mode any policy can run): ``static_*`` is paid from deployment on,
-    ``per_fault_*`` adds per arrived fault (capped at ``*_cap``, the
-    fully-upgraded behaviour) through
-    :func:`~repro.fleet.engine.overhead_series_by_year`.
-
-    ``sdc_model`` selects the Section 6.2 closed form (``"pair-race"``:
-    a second overlapping fault within one scrub interval defeats relaxed
-    detection; ``"triple"``: strong double detection, an SDC needs three
-    overlapping faults). ``due_window``/``correction_window`` pick the
-    exposure window (:data:`WINDOWS`) of the pair race that defeats
-    *correction*.
-    """
-
-    key: str
-    title: str
-    static_power_overhead: float = 0.0
-    static_performance_overhead: float = 0.0
-    per_fault_power: Dict[FaultType, float] = field(default_factory=dict)
-    per_fault_performance: Dict[FaultType, float] = field(default_factory=dict)
-    power_cap: float = 1.0
-    performance_cap: float = 0.5
-    sdc_model: str = "pair-race"
-    due_window: str = "repair"
-    correction_window: str = "repair"
-
-    def __post_init__(self) -> None:
-        if self.sdc_model not in ("pair-race", "triple"):
-            raise ValueError(f"unknown sdc_model {self.sdc_model!r}")
-        for name in ("due_window", "correction_window"):
-            if getattr(self, name) not in WINDOWS:
-                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
-
-    def window_hours(self, which: str, scrub_interval_hours: float) -> float:
-        """Exposure window (hours) of ``due_window``/``correction_window``."""
-        key = getattr(self, which)
-        if key == "repair":
-            return DEFAULT_REPAIR_HOURS
-        return scrub_interval_hours
-
-
-def _arcc_policy() -> ProtectionPolicy:
-    """SCCDCD+ARCC with the recorded Figure 7.2/7.3 per-fault costs.
-
-    Weights and caps come from the same
-    :func:`~repro.fleet.measured.overhead_series_rows` machinery
-    Figures 7.4/7.5 use, on their
-    :data:`~repro.fleet.measured.FALLBACK_OVERHEADS`, so the policy can
-    never drift from the figure it mirrors.
-    """
-    (power, power_cap), (perf, perf_cap), _, _ = overhead_series_rows(FALLBACK_OVERHEADS)
-    return ProtectionPolicy(
-        key="arcc",
-        title="SCCDCD+ARCC (relaxed, upgrade per fault)",
-        per_fault_power=power,
-        per_fault_performance=perf,
-        power_cap=power_cap,
-        performance_cap=perf_cap,
-        sdc_model="pair-race",
-        due_window="repair",
-        correction_window="repair",
-    )
-
-
-def _sccdcd_policy() -> ProtectionPolicy:
-    """Always-strong commercial chipkill (the Table 7.1 baseline).
-
-    Its constant premium is ARCC's fully-upgraded state — the recorded
-    lane-fault overhead (a lane fault upgrades every page), which keeps
-    the two policies on one scale: as faults accumulate, ARCC's cost
-    approaches exactly SCCDCD's floor.
-    """
-    (power, _), (perf, _), _, _ = overhead_series_rows(FALLBACK_OVERHEADS)
-    return ProtectionPolicy(
-        key="sccdcd",
-        title="SCCDCD (always strong)",
-        static_power_overhead=power.get(FaultType.LANE, 0.0),
-        static_performance_overhead=perf.get(FaultType.LANE, 0.0),
-        sdc_model="triple",
-        due_window="repair",
-        correction_window="repair",
-    )
-
-
-def _lotecc_policy() -> ProtectionPolicy:
-    """ARCC+LOT-ECC: 4x worst-case upgraded accesses, sparing-class DUE.
-
-    Per-fault weights follow the Figure 7.6 worst-case arithmetic: a
-    fault upgrades its Table 7.4 page fraction, and an upgraded access
-    costs ``WORST_CASE_UPGRADE_FACTOR``x a relaxed one (power), with the
-    matching bandwidth-bound performance loss ``1 - 1/factor``.
-    """
-    factor = WORST_CASE_UPGRADE_FACTOR
-    perf_loss_cap = 1.0 - 1.0 / factor
-    return ProtectionPolicy(
-        key="lotecc",
-        title="LOT-ECC+ARCC (9 -> 18 devices, double sparing)",
-        per_fault_power={
-            ft: (factor - 1.0) * upgraded_page_fraction(ft)
-            for ft in TABLE_7_4_TYPES
-        },
-        per_fault_performance={
-            ft: perf_loss_cap * upgraded_page_fraction(ft)
-            for ft in TABLE_7_4_TYPES
-        },
-        power_cap=factor - 1.0,
-        performance_cap=perf_loss_cap,
-        sdc_model="pair-race",
-        due_window="scrub",
-        correction_window="scrub",
-    )
-
-
-_POLICY_BUILDERS = {
-    "arcc": _arcc_policy,
-    "sccdcd": _sccdcd_policy,
-    "lotecc": _lotecc_policy,
-}
-
-#: Policy keys ``repro fleet --policies`` accepts, in table order.
-POLICY_KEYS: Tuple[str, ...] = tuple(_POLICY_BUILDERS)
-
-#: The default three-way comparison of the paper.
-DEFAULT_POLICY_KEYS: Tuple[str, ...] = POLICY_KEYS
-
 
 def resolve_policies(keys: Sequence[str]) -> Tuple[ProtectionPolicy, ...]:
-    """Build policies, with their worst-case weights, from their keys.
-
-    The keys pass :func:`~repro.fleet.measured.check_policy_keys`.
-    """
-    return tuple(_POLICY_BUILDERS[key]() for key in check_policy_keys(keys))
+    """The :data:`~repro.fleet.measured.POLICIES` records of ``keys``,
+    which pass :func:`~repro.fleet.measured.check_policy_keys`."""
+    return tuple(POLICIES[key] for key in check_policy_keys(keys))
 
 
 def measured_policy(
@@ -238,28 +103,23 @@ def measured_policy(
 ) -> ProtectionPolicy:
     """``base`` with its cost model swapped for a measured profile.
 
-    Reliability fields (SDC model, exposure windows) are untouched —
-    measurement changes what protection *costs*, never what it covers.
-    Accumulation caps become the profile's measured saturation (the
-    fully-upgraded state under the measured weights), so the documented
-    cap semantics — a channel cannot exceed fully-upgraded behaviour —
-    carry over to the measured scale.
+    Reliability fields (detection, sparing) are untouched — measurement
+    changes what protection *costs*, never what it covers. Accumulation
+    caps become the profile's measured saturation (the fully-upgraded
+    state under the measured weights), so the documented cap semantics
+    — a channel cannot exceed fully-upgraded behaviour — carry over to
+    the measured scale.
     """
     if profile.policy != base.key:
         raise ValueError(
             f"profile for {profile.policy!r} cannot parameterize "
             f"policy {base.key!r}"
         )
-    if base.key == "sccdcd":
-        return replace(
-            base,
-            title=f"{base.title} [measured]",
-            static_power_overhead=profile.static_power[0],
-            static_performance_overhead=profile.static_performance[0],
-        )
     return replace(
         base,
         title=f"{base.title} [measured]",
+        static_power_overhead=profile.static_power[0],
+        static_performance_overhead=profile.static_performance[0],
         per_fault_power=profile.per_fault_power(),
         per_fault_performance=profile.per_fault_performance(),
         power_cap=profile.power_cap,
@@ -325,7 +185,7 @@ def policy_sdc_per_1k(
         params = slice_reliability_params(pop)
     expected = (
         expected_sdc_sccdcd(params, pop.lifespan_years, tables)
-        if policy.sdc_model == "triple"
+        if policy.always_strong
         else expected_sdc_arcc(params, pop.lifespan_years, tables)
     )
     return _saturating_per_1k(
@@ -343,7 +203,7 @@ def policy_due_per_1k(
     ``tables`` and ``params`` as for :func:`policy_sdc_per_1k`."""
     if params is None:
         params = slice_reliability_params(pop)
-    if policy.due_window == "scrub":
+    if policy.sparing:
         rate = due_rate_sparing(params, tables)
     else:
         rate = due_rate_sccdcd(params, tables=tables)
@@ -552,7 +412,7 @@ def _fleet_static(
 
 def plan_fleet_compare(
     scenario: "FleetScenario | str" = "mixed-generations",
-    policies: Sequence[str] = DEFAULT_POLICY_KEYS,
+    policies: Sequence[str] = POLICY_KEYS,
     channels: Optional[int] = None,
     seed: int = DEFAULT_FLEET_SEED,
     profiles: Optional[ProfileMap] = None,
@@ -611,7 +471,9 @@ def plan_fleet_compare(
                 (v.per_fault_performance, v.performance_cap),
             )
         )
-        windows = [v.window_hours("correction_window", scrub_hours) for v in variants]
+        windows = [
+            scrub_hours if v.sparing else DEFAULT_REPAIR_HOURS for v in variants
+        ]
         distinct = tuple(dict.fromkeys(windows))
         blocks = fleet_blocks(pop.channels)
         slices[pop.name] = (blocks, len(jobs), [distinct.index(w) for w in windows])
@@ -734,7 +596,7 @@ def plan_fleet_compare(
 
 def plan_fleet_compare_measured(
     scenario: "FleetScenario | str" = "mixed-generations",
-    policies: Sequence[str] = DEFAULT_POLICY_KEYS,
+    policies: Sequence[str] = POLICY_KEYS,
     channels: Optional[int] = None,
     seed: int = DEFAULT_FLEET_SEED,
     mixes: Optional[Sequence[WorkloadMix]] = None,

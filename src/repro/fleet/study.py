@@ -56,9 +56,8 @@ from repro.experiments.sensitivity import (
     check_sweep_fractions,
     fraction_sweep_plan,
 )
-from repro.fleet.measured import check_policy_set
+from repro.fleet.measured import POLICY_KEYS, check_policy_set
 from repro.fleet.policies import (
-    DEFAULT_POLICY_KEYS,
     PolicyComparisonReport,
     plan_fleet_compare,
     plan_fleet_compare_measured,
@@ -139,7 +138,7 @@ class Study:
     instruction_scales: Tuple[int, ...] = ()
     rate_multipliers: Tuple[float, ...] = (1.0,)
     organizations: Tuple[MemoryConfig, ...] = ()
-    policy_sets: Tuple[Tuple[str, ...], ...] = (DEFAULT_POLICY_KEYS,)
+    policy_sets: Tuple[Tuple[str, ...], ...] = (POLICY_KEYS,)
     upgraded_fractions: Tuple[float, ...] = ()
     seed: int = DEFAULT_FLEET_SEED
     channels: Optional[int] = None

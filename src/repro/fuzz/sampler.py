@@ -27,6 +27,7 @@ from typing import Any, Dict, List
 
 import numpy as np
 
+from repro.fleet.measured import POLICIES
 from repro.workloads.spec import ALL_MIXES
 
 #: (devices_per_rank, data_devices_per_rank) pairs satisfying the
@@ -262,9 +263,11 @@ def sample_measured_case(
     rng: np.random.Generator, quick: bool = False
 ) -> Dict[str, Any]:
     """A case for the measured-profiles-vs-worst-case-bounds pair."""
-    policies = ["arcc", "lotecc", "sccdcd"]
+    policies = sorted(POLICIES)
     count = int(rng.integers(1, 3))
-    picks = sorted(int(p) for p in rng.choice(3, size=count, replace=False))
+    picks = sorted(
+        int(p) for p in rng.choice(len(policies), size=count, replace=False)
+    )
     return {
         "seed": int(rng.integers(0, 2**31)),
         "policies": [policies[i] for i in picks],

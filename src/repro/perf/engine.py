@@ -21,15 +21,15 @@ The two are bit-identical, field for field of the
 :class:`~repro.perf.simulator.MixResult`
 (``tests/test_kernel_equivalence.py``), LOT-ECC checksum points
 (:attr:`SweepPoint.lotecc_checksum`) included. Figures reach
-:func:`replay` through the :func:`point_job` runner jobs; every figure
-that reports a faulty point over its mix's fault-free point builds them
-with :func:`plan_trace_ratios`.
+:func:`replay` through the runner jobs :func:`point_jobs` builds; every
+figure that reports a faulty point over its mix's fault-free point
+builds them with :func:`plan_trace_ratios`.
 
 Pairing is a property of the organization, not an option: an upgraded
 line reads its two sub-lines from both channels in lockstep, so any
 organization with at least two channels pairs and a one-channel one
 cannot host upgraded pages. :class:`SweepPoint` rejects such a point
-when it is built, and :func:`point_job` builds one, so every trace plan
+when it is built, and :func:`point_jobs` builds one, so every trace plan
 rejects it when the plan is built.
 """
 
@@ -233,7 +233,7 @@ def simulate_point_job(
     the fault-free ARCC run of Figure 7.1, the Figure 7.2/7.3 baseline
     and the sensitivity sweep's zero point are one cached simulation.
 
-    Planners build these jobs with :func:`point_job`, which records the
+    Planners build these jobs with :func:`point_jobs`, which records the
     *resolved* engine tier (``"compiled"`` or ``"reference"``) rather than
     ``"auto"``: the tier is part of the job's configuration, so cache
     keys distinguish compiled results from fallback results and a
@@ -258,40 +258,10 @@ def simulate_point_job(
 
 
 def _trace_group(
-    mix: WorkloadMix, seed: Optional[int], instructions_per_core: int
+    mix: WorkloadMix, seed: int, instructions_per_core: int
 ) -> Tuple[Any, ...]:
     """A point job's ``group``: the trace it replays."""
     return (mix.name, tuple(mix.profiles), seed, instructions_per_core)
-
-
-def point_job(name: str, **config: Any) -> Job:
-    """A :func:`simulate_point_job` runner job on this process's tier.
-
-    The one place planners pick a replay tier: the job records
-    ``engine=resolve_engine("auto")``, so a compiled result never
-    satisfies a fallback run's cache lookup. ``REPRO_KERNEL_DISABLE=1``
-    is how a run forces the reference tier.
-
-    The job's ``group`` is its trace, ``(mix name, profiles, seed,
-    instructions_per_core)``, so the runner runs the points of one trace
-    back to back and the one-batch trace memo draws it once. The group
-    is not part of the job's identity or cache key.
-
-    The point is built here once, only for its check, so a plan with an
-    upgraded point on a one-channel organization fails when it is built,
-    not later in a worker. A planner with many points builds them with
-    :func:`point_jobs`, which makes the same jobs.
-    """
-    SweepPoint(config["config"], config["upgraded_fraction"])
-    return Job.create(
-        name,
-        simulate_point_job,
-        engine=resolve_engine("auto"),
-        group=_trace_group(
-            config["mix"], config.get("seed"), config["instructions_per_core"]
-        ),
-        **config,
-    )
 
 
 def point_jobs(
@@ -302,15 +272,25 @@ def point_jobs(
     seed: int,
     **extra: Any,
 ) -> List[Job]:
-    """:func:`point_job` of every (mix, point), mix by mix.
+    """:func:`simulate_point_job` runner jobs of every (mix, point), mix
+    by mix, on this process's tier.
 
     Each ``(label, config, upgraded_fraction)`` of ``points`` gives, per
     mix, the job ``f"{name}[{mix.name}][{label}]"``; ``extra`` enters
-    every job's configuration. The jobs equal :func:`point_job`'s, name,
-    identity and group alike, but what depends only on the plan is done
-    once per call: the tier is resolved once, each point's pairing is
-    checked once rather than once per mix, and each mix's group is built
-    once.
+    every job's configuration. This is the one place planners pick a
+    replay tier: the jobs record ``engine=resolve_engine("auto")``, so a
+    compiled result never satisfies a fallback run's cache lookup
+    (``REPRO_KERNEL_DISABLE=1`` is how a run forces the reference tier).
+    A job's ``group`` is its trace, ``(mix name, profiles, seed,
+    instructions_per_core)``, so the runner runs the points of one trace
+    back to back and the one-batch trace memo draws it once; the group
+    is not part of the job's identity or cache key.
+
+    What depends only on the plan is done once per call: the tier is
+    resolved once, each mix's group is built once, and each point is
+    built once, only for its check, so a plan with an upgraded point on
+    a one-channel organization fails when it is built, not later in a
+    worker.
 
     Examples
     --------
@@ -323,10 +303,9 @@ def point_jobs(
     ... )
     >>> [job.name for job in jobs[:2]]
     ['demo[Mix1][base]', 'demo[Mix1][arcc]']
-    >>> jobs[1].identity == point_job(
-    ...     "any", mix=ALL_MIXES[0], config=ARCC_MEMORY_CONFIG,
-    ...     upgraded_fraction=0.0, instructions_per_core=2_000, seed=7,
-    ... ).identity
+    >>> dict(jobs[1].config)["engine"] == resolve_engine("auto")
+    True
+    >>> jobs[0].group == jobs[1].group != jobs[2].group
     True
     """
     engine = resolve_engine("auto")
@@ -462,7 +441,6 @@ __all__ = [
     "engine_provenance",
     "page_is_upgraded",
     "plan_trace_ratios",
-    "point_job",
     "point_jobs",
     "replay",
     "resolve_engine",

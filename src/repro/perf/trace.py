@@ -34,7 +34,7 @@ budget. The memo behind :func:`materialize_mix` holds one batch, and the
 replay kernel's contiguous inputs are a cached attribute of that batch
 (:attr:`TraceBatch.kernel_buffers`), so they are freed with it. The
 runner runs trace jobs grouped by trace (:func:`repro.perf.engine.
-point_job` gives each a grouping key), so one slot is enough for each
+point_jobs` gives each a grouping key), so one slot is enough for each
 trace to be drawn once per batch of jobs.
 """
 

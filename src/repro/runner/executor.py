@@ -12,7 +12,7 @@ together these make ``--jobs 1`` and ``--jobs N`` produce identical
 outputs while never simulating the same point twice.
 
 Jobs that share a ``group`` (the trace jobs of one trace, see
-:func:`repro.perf.engine.point_job`) run, and are submitted to the pool,
+:func:`repro.perf.engine.point_jobs`) run, and are submitted to the pool,
 one group after another in order of first appearance; jobs without one
 keep their place. A process then needs only its last trace in memory:
 inline, each trace is drawn once per batch, and a pool worker that has

@@ -1,8 +1,12 @@
 """Tests for refresh modeling, Section 5.1 multi-upgrades, SECDED DUE
 comparison, and the CLI."""
 
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +202,47 @@ class TestCli:
             summary,
         )
         assert engine == f"[repro run] {_engine_summary()}"
+
+    @staticmethod
+    def _env():
+        """A child ``repro`` that writes each print at once, as a slow
+        run piped into ``head`` does."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": "1"}
+
+    def test_reader_closing_after_one_line_is_no_traceback(self, tmp_path):
+        """``repro run tables | head -1``: the footer lines meet a closed
+        pipe, and the command ends without a traceback."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "tables", "--no-cache"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self._env(),
+            cwd=tmp_path,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() in (0, 1)
+        assert first == b"Table 7.1: Memory Configurations\n"
+        assert err == b""
+
+    def test_closed_pipe_exits_1_without_traceback(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "fuzz", "--list"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=self._env(),
+                cwd=tmp_path,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
     def test_run_unknown_key_suggests_closest(self):
         with pytest.raises(SystemExit) as excinfo:

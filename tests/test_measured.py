@@ -250,12 +250,31 @@ class TestMeasuredPolicies:
     def test_measured_policy_swaps_costs_not_reliability(self, profiles):
         base = resolve_policies(("lotecc",))[0]
         measured = measured_policy(base, profiles[("lotecc", "ARCC")])
-        assert measured.sdc_model == base.sdc_model
-        assert measured.due_window == base.due_window
-        assert measured.correction_window == base.correction_window
+        for name in (
+            "key",
+            "fault_classes",
+            "always_strong",
+            "lotecc_checksum",
+            "upgrade_factor",
+            "sparing",
+        ):
+            assert getattr(measured, name) == getattr(base, name), name
         assert measured.per_fault_power != base.per_fault_power
         assert measured.power_cap < base.power_cap
         assert "[measured]" in measured.title
+
+    def test_measured_sccdcd_is_a_static_premium(self, profiles):
+        """One uniform swap: the always-strong profile has no per-fault
+        weights, so its caps (the measured saturation) are zero too."""
+        base = resolve_policies(("sccdcd",))[0]
+        profile = profiles[("sccdcd", "ARCC")]
+        measured = measured_policy(base, profile)
+        assert measured.static_power_overhead == profile.static_power[0]
+        assert measured.static_performance_overhead == (
+            profile.static_performance[0]
+        )
+        assert measured.per_fault_power == measured.per_fault_performance == {}
+        assert (measured.power_cap, measured.performance_cap) == (0.0, 0.0)
 
     def test_mismatched_profile_rejected(self, profiles):
         base = resolve_policies(("arcc",))[0]

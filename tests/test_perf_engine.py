@@ -39,9 +39,9 @@ from repro.perf.engine import (
     SweepPoint,
     arcc_capable,
     plan_trace_ratios,
-    point_job,
     point_jobs,
     replay,
+    resolve_engine,
     simulate_point_job,
 )
 from repro.perf.simulator import (
@@ -52,7 +52,7 @@ from repro.perf.simulator import (
 )
 from repro.perf.trace import materialize_mix
 from repro.runner.executor import execute_plan
-from repro.runner.job import job_identity
+from repro.runner.job import Job, job_identity
 from repro.workloads.spec import ALL_MIXES, WorkloadMix, mix_by_name
 from repro.workloads.trace import CoreTrace, TraceGenerator
 
@@ -139,17 +139,17 @@ class TestReplay:
         """Which points can be built, as a point and as a runner job."""
         point = dict(config=config, upgraded_fraction=fraction)
         job = dict(
-            point, mix=mix_by_name("Mix1"), instructions_per_core=2_000,
-            seed=7,
+            name="p", mixes=[mix_by_name("Mix1")], points=[("x", config, fraction)],
+            instructions_per_core=2_000, seed=7,
         )
         if not accepted:
             with pytest.raises(ValueError, match="ARCC pairing"):
                 SweepPoint(**point)
             with pytest.raises(ValueError, match="ARCC pairing"):
-                point_job("p", **job)
+                point_jobs(**job)
             return
         assert SweepPoint(**point).config == config
-        assert dict(point_job("p", **job).config)["config"] == config
+        assert dict(point_jobs(**job)[0].config)["config"] == config
 
     @pytest.mark.parametrize("engine", TIERS)
     def test_odd_channel_counts_simulate_like_the_oracle(self, engine):
@@ -526,9 +526,9 @@ class TestTraceRatioPlan:
 
 
 class TestPointJobs:
-    """:func:`point_jobs`, behind every trace plan, makes
-    :func:`point_job`'s jobs and does the work that depends only on the
-    plan once per plan."""
+    """:func:`point_jobs`, behind every trace plan, makes one
+    :func:`simulate_point_job` job per (mix, point) and does the work
+    that depends only on the plan once per plan."""
 
     #: Each trace planner at a small scale, over every mix.
     BUILDS = {
@@ -576,8 +576,11 @@ class TestPointJobs:
         ]
         jobs = point_jobs("demo", ALL_MIXES[:3], points, 2_000, 7, **extra)
         singles = [
-            point_job(
+            Job.create(
                 f"demo[{mix.name}][{label}]",
+                simulate_point_job,
+                engine=resolve_engine("auto"),
+                group=(mix.name, tuple(mix.profiles), 7, 2_000),
                 mix=mix,
                 config=config,
                 upgraded_fraction=fraction,

@@ -7,17 +7,19 @@ SCCDCD strongest detection, LOT-ECC's sparing-class DUE win); and the
 uncorrectable-pair screen obeys the window/rank/device rules.
 """
 
-import dataclasses
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.lotecc_arcc import WORST_CASE_UPGRADE_FACTOR
+from repro.faults.models import TABLE_7_4_TYPES
 from repro.faults.types import FaultType
 from repro.fleet.engine import uncorrectable_candidate_channels
 from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch
+from repro.fleet.measured import POLICIES, POLICY_KEYS
 from repro.fleet.policies import (
-    DEFAULT_POLICY_KEYS,
-    POLICY_KEYS,
     plan_fleet_compare,
     policy_due_per_1k,
     policy_sdc_per_1k,
@@ -53,10 +55,36 @@ def _batch(rows):
     )
 
 
+_KEY_TESTS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+
+
+def _compares_policy_key(node: ast.AST) -> bool:
+    """Whether ``node`` is an equality or membership test with a policy
+    key literal (alone or in a tuple, list or set) as an operand."""
+    if not (
+        isinstance(node, ast.Compare)
+        and any(isinstance(op, _KEY_TESTS) for op in node.ops)
+    ):
+        return False
+    literals = [
+        leaf
+        for operand in [node.left, *node.comparators]
+        for leaf in (
+            operand.elts
+            if isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+            else [operand]
+        )
+    ]
+    return any(
+        isinstance(leaf, ast.Constant) and leaf.value in POLICIES
+        for leaf in literals
+    )
+
+
 class TestPolicyRegistry:
     def test_known_keys(self):
         assert POLICY_KEYS == ("arcc", "sccdcd", "lotecc")
-        assert DEFAULT_POLICY_KEYS == POLICY_KEYS
+        assert all(policy.key == key for key, policy in POLICIES.items())
 
     def test_resolve_builds_all(self):
         policies = resolve_policies(POLICY_KEYS)
@@ -74,18 +102,31 @@ class TestPolicyRegistry:
         with pytest.raises(ValueError, match="at least one"):
             resolve_policies([])
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("sdc_model", "quadruple"),
-            ("due_window", "weekly"),
-            ("correction_window", "never"),
-        ],
-    )
-    def test_unknown_model_names_rejected(self, field, value):
-        arcc = resolve_policies(["arcc"])[0]
-        with pytest.raises(ValueError, match=f"unknown {field} '{value}'"):
-            dataclasses.replace(arcc, **{field: value})
+    def test_records_carry_the_policy_facts(self):
+        arcc, sccdcd, lotecc = resolve_policies(POLICY_KEYS)
+        assert [p.always_strong for p in (arcc, sccdcd, lotecc)] == [
+            False, True, False
+        ]
+        assert [p.sparing for p in (arcc, sccdcd, lotecc)] == [False, False, True]
+        assert [p.lotecc_checksum for p in (arcc, sccdcd, lotecc)] == [
+            False, False, True
+        ]
+        assert lotecc.upgrade_factor == WORST_CASE_UPGRADE_FACTOR
+        assert arcc.upgrade_factor is None and sccdcd.upgrade_factor is None
+        assert sccdcd.fault_classes == (FaultType.LANE,)
+        assert arcc.fault_classes == lotecc.fault_classes == TABLE_7_4_TYPES
+
+    def test_no_fleet_module_compares_a_policy_key_literal(self):
+        """Policies differ by their record's fields: no ``==``, ``!=``
+        or ``in`` test against a key literal under ``repro.fleet``."""
+        root = Path(__file__).resolve().parent.parent / "src" / "repro" / "fleet"
+        offenders = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(root.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if _compares_policy_key(node)
+        ]
+        assert offenders == []
 
     def test_arcc_accumulates_sccdcd_pays_upfront(self):
         arcc, sccdcd = resolve_policies(["arcc", "sccdcd"])

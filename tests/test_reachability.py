@@ -31,8 +31,9 @@ The same walker guards the shape of the graph: package ``__init__``
 files import no ``repro`` module, every name is imported from the
 module that defines it, imports sit at module level (``repro.cli``
 alone defers its command modules, to keep ``repro --help`` light), the
-graph of import statements has no cycle, and a fresh interpreter that
-imports a module loads nothing outside its static closure.
+graph of import statements has no cycle, a fresh interpreter that
+imports a module loads nothing outside its static closure, and one that
+imports ``repro.cli`` loads no NumPy.
 """
 
 from __future__ import annotations
@@ -333,6 +334,22 @@ def test_every_name_is_imported_from_its_defining_module():
     assert imports_not_from_definer(SRC_ROOT, files) == []
 
 
+def _fresh_import(module: str, package: str) -> List[str]:
+    """Modules of ``package`` loaded once a fresh interpreter imports ``module``."""
+    code = (
+        f"import sys, {module}\n"
+        f"print(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC_ROOT), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+
+
 @pytest.mark.parametrize(
     "module",
     [
@@ -346,22 +363,16 @@ def test_every_name_is_imported_from_its_defining_module():
     ],
 )
 def test_fresh_import_loads_only_its_static_closure(module):
-    code = (
-        f"import sys, {module}\n"
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))"
-    )
-    path = os.pathsep.join(filter(None, [str(SRC_ROOT), os.environ.get("PYTHONPATH")]))
-    loaded = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.split()
+    loaded = _fresh_import(module, "repro")
     modules = module_files(SRC_ROOT)
     closure = reachable(SRC_ROOT, [modules[name] for name in _prefixes(module)])
     assert module in loaded
     assert sorted(set(loaded) - closure) == []
+
+
+def test_cli_import_loads_no_numpy():
+    """``repro --help`` and argument errors never pay for NumPy."""
+    assert "numpy" not in _fresh_import("repro.cli", "numpy")
 
 
 # The walker on throwaway package trees: each case below decides the result.

@@ -23,7 +23,7 @@ from repro.experiments.fig7_6 import plan_fig7_6
 from repro.experiments.sensitivity import plan_sweep_upgraded_fraction_measured
 from repro.perf import trace
 from repro.perf._kernel.loader import kernel_available, kernel_provenance
-from repro.perf.engine import point_job, resolve_engine
+from repro.perf.engine import point_jobs, resolve_engine
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.montecarlo import BLOCK_CHANNELS, plan_montecarlo
 from repro.runner.cache import ResultCache
@@ -132,7 +132,7 @@ def _note(x, seed=0, log=None):
     return x + seed
 
 
-#: sha256 of a fixed ``point_job``'s identity on each replay tier, pinned:
+#: sha256 of a fixed trace job's identity on each replay tier, pinned:
 #: the grouping key is a scheduling hint, and were it part of the
 #: identity, every cache entry would change.
 POINT_JOB_IDENTITY_SHA256 = {
@@ -333,14 +333,14 @@ class TestGroupedTraceJobs:
         assert [r.value for r in inline] == [r.value for r in pooled]
 
     def test_group_is_not_part_of_the_identity(self):
-        job = point_job(
-            "fig7.1[Mix1][arcc]",
-            mix=mix_by_name("Mix1"),
-            config=ARCC_MEMORY_CONFIG,
-            upgraded_fraction=0.0,
+        (job,) = point_jobs(
+            "fig7.1",
+            [mix_by_name("Mix1")],
+            [("arcc", ARCC_MEMORY_CONFIG, 0.0)],
             instructions_per_core=2_000,
             seed=7,
         )
+        assert job.name == "fig7.1[Mix1][arcc]"
         assert job.group == (
             "Mix1", tuple(mix_by_name("Mix1").profiles), 7, 2_000
         )

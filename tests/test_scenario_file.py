@@ -1180,7 +1180,7 @@ def _scenario_files():
 
     from repro.config import MemoryConfig
     from repro.faults.types import FaultRates
-    from repro.fleet.policies import POLICY_KEYS
+    from repro.fleet.measured import POLICY_KEYS
     from repro.fleet.scenario_file import ScenarioFile
     from repro.fleet.scenarios import SPATIAL_KINDS, SpatialFaultModel
 
