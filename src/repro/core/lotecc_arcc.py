@@ -20,13 +20,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.ecc.base import DecodeResult, DecodeStatus
 from repro.ecc.lotecc import LotEcc9, LotEcc18, LotEccLine
-from repro.faults.types import DEFAULT_FIT_RATES
-from repro.fleet.engine import faulty_fractions_at, sample_fleet
-from repro.util.units import HOURS_PER_YEAR
 
 #: Worst-case cost of an upgraded access relative to a relaxed one
 #: (2x devices x 2x accesses).
@@ -150,8 +145,14 @@ class ArccLotEcc:
     # -- faults & scrubbing -------------------------------------------------------
 
     def inject_device_fault(self, page: int, device: int) -> None:
-        """Corrupt one data device's segments across a page."""
+        """Corrupt one data device's segments across a page.
+
+        ``device`` indexes the data devices of the 18-device mode; a
+        relaxed page stores its data on the first eight.
+        """
         self._check_page(page)
+        if not 0 <= device < self.codec18.data_devices:
+            raise ValueError(f"device {device} out of range")
         faulty = self._faulty_devices.setdefault(page, [])
         if device in faulty:
             return
@@ -218,36 +219,3 @@ class ArccLotEcc:
             self._encoded_with[line] = LotPageMode.UPGRADED_18
         self._modes[page] = LotPageMode.UPGRADED_18
         self.stats.pages_upgraded += 1
-
-
-# -- lifetime overhead model (Figure 7.6) -------------------------------------
-
-
-def lotecc_lifetime_overhead(
-    years: int = 7,
-    channels: int = 2000,
-    rate_multiplier: float = 1.0,
-    seed: int = 0x107ECC,
-    upgrade_factor: float = WORST_CASE_UPGRADE_FACTOR,
-) -> List[float]:
-    """Average worst-case overhead of ARCC+LOT-ECC vs nine-device LOT-ECC.
-
-    Entry ``y`` is the overhead averaged from deployment to the end of
-    year ``y+1``: each fault upgrades its Table 7.4 page fraction, and an
-    upgraded access costs ``upgrade_factor``x a relaxed one, so the
-    instantaneous overhead is ``(factor - 1) * fraction_upgraded(t)``,
-    sampled at 12 mid-step times per year.
-    """
-    batch = sample_fleet(
-        channels,
-        float(years),
-        rates=DEFAULT_FIT_RATES.scaled(rate_multiplier),
-        seed=seed,
-    )
-    steps_per_year = 12
-    steps = np.arange(years * steps_per_year)
-    hours = (steps + 0.5) / steps_per_year * HOURS_PER_YEAR
-    per_step = faulty_fractions_at(batch, hours).mean(axis=1)
-    running_mean = np.cumsum(per_step) / (steps + 1)
-    year_ends = running_mean[steps_per_year - 1 :: steps_per_year]
-    return [float(v) for v in (upgrade_factor - 1.0) * year_ends]

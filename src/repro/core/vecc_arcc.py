@@ -120,8 +120,7 @@ class ArccVecc:
 
     def mode_of(self, page: int) -> VeccPageMode:
         """Current page mode (relaxed by default)."""
-        if not 0 <= page < self.pages:
-            raise ValueError(f"page {page} out of range")
+        self._check_page(page)
         return self._modes.get(page, VeccPageMode.RELAXED_9)
 
     def fraction_upgraded(self) -> float:
@@ -136,6 +135,10 @@ class ArccVecc:
         if self.mode_of(page) == VeccPageMode.RELAXED_9:
             return _RelaxedVecc9.RANK
         return Vecc.RANK_DEVICES
+
+    def _check_page(self, page: int) -> None:
+        if not 0 <= page < self.pages:
+            raise ValueError(f"page {page} out of range")
 
     def _page_of(self, line: int) -> int:
         return line // self.lines_per_page
@@ -190,7 +193,14 @@ class ArccVecc:
     # -- faults & scrubbing ----------------------------------------------------------
 
     def inject_device_fault(self, page: int, device: int) -> None:
-        """Corrupt one in-rank device across a page's stored lines."""
+        """Corrupt one in-rank device across a page's stored lines.
+
+        ``device`` indexes the upgraded 18-device rank; a relaxed
+        page's nine-device rank is its first nine.
+        """
+        self._check_page(page)
+        if not 0 <= device < Vecc.RANK_DEVICES:
+            raise ValueError(f"device {device} out of range")
         faulty = self._faulty_devices.setdefault(page, [])
         if device in faulty:
             return

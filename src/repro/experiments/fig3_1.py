@@ -5,10 +5,12 @@ years; each fault marks its Table-7.4 page footprint faulty. The paper's
 point: even at 4x the measured fault rates, only a few percent of pages
 are ever affected — the headroom ARCC exploits.
 
-Sampling runs on the vectorized :mod:`repro.fleet` engine: one
-:func:`~repro.fleet.engine.block_job` per (rate multiplier, channel
-block), each asking for the per-channel fraction matrix of its block
-(the two-pass interval needs every sample), so 10^5-channel populations
+Sampling runs on the vectorized :mod:`repro.fleet` engine: each rate
+multiplier is one population
+(:func:`~repro.fleet.report.rate_populations`), planned as one
+:func:`~repro.fleet.engine.block_job` per channel block, each asking
+for the per-channel fraction matrix of its block at the year ends (the
+two-pass interval needs every sample), so 10^5-channel populations
 fan out across a pool and every reported mean carries a Monte-Carlo
 confidence interval. The block partition owns the RNG streams — ``jobs=1`` and
 ``jobs=N`` produce bit-identical series. :func:`plan_fig3_1` is the one
@@ -22,15 +24,12 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.fleet.engine import (
-    FractionMatrix,
-    block_job,
-    check_channels,
-    fleet_blocks,
-)
-from repro.runner.job import ExperimentPlan, Job
+from repro.fleet.engine import FractionMatrix
+from repro.fleet.report import BlockAnswers, population_plan, rate_populations
+from repro.runner.job import ExperimentPlan, gather
 from repro.util.stats import confidence_interval
 from repro.util.tables import format_table
+from repro.util.units import HOURS_PER_YEAR
 
 DEFAULT_MULTIPLIERS = (1.0, 2.0, 4.0)
 
@@ -79,37 +78,23 @@ def plan_fig3_1(
 
     Every multiplier samples the same block partition (common random
     numbers across the 1x/2x/4x sweep), and each block's stream derives
-    only from ``seed`` and the block index. ``channels`` below 1
-    raises ``ValueError``.
+    only from ``seed`` and the block index. A ``channels`` below 1 or an
+    empty ``multipliers`` raises :class:`~repro.util.fields.FieldError`.
     """
-    check_channels(channels)
     multipliers = tuple(multipliers)
-    blocks = fleet_blocks(channels)
-    reductions = (FractionMatrix(years),)
-    jobs = [
-        Job.create(
-            f"fig3.1[{mult:g}x][{index}]",
-            block_job,
-            seed=seed,
-            index=index,
-            channels=size,
-            years=float(years),
-            reductions=reductions,
-            rate_multiplier=mult,
-        )
-        for mult in multipliers
-        for index, size in enumerate(blocks)
+    reductions = (
+        FractionMatrix(tuple(year * HOURS_PER_YEAR for year in range(1, years + 1))),
+    )
+    plans = [
+        population_plan(f"fig3.1[{pop.name}]", pop, seed, reductions)
+        for pop in rate_populations(channels, years, multipliers)
     ]
 
-    def assemble(values: List[List[np.ndarray]]) -> Fig31Result:
+    def assemble(answered: List[BlockAnswers]) -> Fig31Result:
         series: Dict[float, List[float]] = {}
         ci: Dict[float, List[float]] = {}
-        per_mult = len(blocks)
-        for m, mult in enumerate(multipliers):
-            matrix = np.concatenate(
-                [answers[0] for answers in values[m * per_mult : (m + 1) * per_mult]],
-                axis=1,
-            )
+        for mult, blocks in zip(multipliers, answered):
+            matrix = np.concatenate([answers[0] for _, answers in blocks], axis=1)
             intervals = [confidence_interval(row) for row in matrix]
             series[mult] = [mean for mean, _ in intervals]
             ci[mult] = [half for _, half in intervals]
@@ -117,4 +102,5 @@ def plan_fig3_1(
             years=years, channels=channels, series=series, ci=ci
         )
 
-    return ExperimentPlan(name="fig3.1", jobs=jobs, assemble=assemble)
+    batch = gather(plans, assemble)
+    return ExperimentPlan(name="fig3.1", jobs=batch.jobs, assemble=batch.assemble)

@@ -7,10 +7,11 @@ arrival time on; report the population average cumulatively per year, for
 1x/2x/4x rates, next to the worst-case analytical estimate.
 
 Sampling and accumulation run on the vectorized :mod:`repro.fleet`
-engine: one :func:`~repro.fleet.engine.block_job` per (rate multiplier,
-channel block), asking for the per-year capped-overhead moments of all
-four series, so measured series carry Monte-Carlo confidence intervals
-at 10^5-channel populations. The legacy per-channel
+engine: each rate multiplier is one population, planned as one
+:func:`~repro.fleet.engine.block_job` per channel block, asking for
+the per-year capped-overhead moments of all four series, so measured
+series carry Monte-Carlo confidence intervals at 10^5-channel
+populations. The legacy per-channel
 reduction is kept as :func:`_overhead_series` — the reference the
 vectorized accumulation is tested against on identical histories.
 
@@ -34,14 +35,10 @@ from repro.config import MEASUREMENT_CONFIG
 from repro.experiments.fig7_2_7_3 import plan_fig7_2_7_3
 from repro.faults.lifetime import FaultEvent
 from repro.faults.types import FaultType
-from repro.fleet.engine import (
-    OverheadMoments,
-    block_job,
-    check_channels,
-    fleet_blocks,
-)
+from repro.fleet.engine import OverheadMoments
 from repro.fleet.measured import FALLBACK_OVERHEADS, overhead_series_rows
-from repro.runner.job import ExperimentPlan, Job
+from repro.fleet.report import BlockAnswers, population_plan, rate_populations
+from repro.runner.job import ExperimentPlan, gather
 from repro.util.stats import Moments, sequential_sum
 from repro.util.tables import format_table
 from repro.util.units import HOURS_PER_YEAR
@@ -155,13 +152,12 @@ def plan_fig7_4_7_5(
     """Figures 7.4/7.5 as runner jobs: one per (rate multiplier, block).
 
     ``overheads`` maps fault type -> (power ratio, perf ratio); ``None``
-    uses :data:`~repro.fleet.measured.FALLBACK_OVERHEADS`. ``channels``
-    below 1 raises ``ValueError``.
+    uses :data:`~repro.fleet.measured.FALLBACK_OVERHEADS`. A ``channels``
+    below 1 or an empty ``multipliers`` raises
+    :class:`~repro.util.fields.FieldError`.
     """
-    check_channels(channels)
     multipliers = tuple(multipliers)
     overheads = overheads or FALLBACK_OVERHEADS
-    blocks = fleet_blocks(channels)
     # Every block scores all four series (measured and worst-case,
     # power and performance) on the same fault arrivals.
     reductions = (
@@ -169,30 +165,19 @@ def plan_fig7_4_7_5(
             overhead_series_rows(overheads), tuple(range(1, years + 1))
         ),
     )
-    jobs = [
-        Job.create(
-            f"fig7.4[{mult:g}x][{index}]",
-            block_job,
-            seed=seed,
-            index=index,
-            channels=size,
-            years=float(years),
-            reductions=reductions,
-            rate_multiplier=mult,
-        )
-        for mult in multipliers
-        for index, size in enumerate(blocks)
+    plans = [
+        population_plan(f"fig7.4[{pop.name}]", pop, seed, reductions)
+        for pop in rate_populations(channels, years, multipliers)
     ]
 
-    def assemble(values: List[List[Any]]) -> LifetimeOverheadResult:
+    def assemble(answered: List[BlockAnswers]) -> LifetimeOverheadResult:
         # key -> multiplier -> per-year means, and their half-widths.
         series: Dict[str, Dict[float, List[float]]] = {key: {} for key in _SERIES_KEYS}
         ci: Dict[str, Dict[float, List[float]]] = {key: {} for key in _SERIES_KEYS}
-        per_mult = len(blocks)
-        for m, mult in enumerate(multipliers):
+        for mult, blocks in zip(multipliers, answered):
             # One Moments per (series, year), merged in block order.
             moments = [[Moments() for _ in range(years)] for _ in _SERIES_KEYS]
-            for n, (sums,) in zip(blocks, values[m * per_mult : (m + 1) * per_mult]):
+            for n, (sums,) in blocks:
                 for row, totals, squares in zip(moments, *sums):
                     for year_moments, total, total_sq in zip(row, totals, squares):
                         year_moments.add(n, total, total_sq)
@@ -211,7 +196,8 @@ def plan_fig7_4_7_5(
             performance_ci=ci["perf"],
         )
 
-    return ExperimentPlan(name="fig7.4", jobs=jobs, assemble=assemble)
+    batch = gather(plans, assemble)
+    return ExperimentPlan(name="fig7.4", jobs=batch.jobs, assemble=batch.assemble)
 
 
 def plan_fig7_4_7_5_measured(
@@ -238,7 +224,9 @@ def plan_fig7_4_7_5_measured(
     >>> len(plan_fig7_4_7_5_measured(mixes=ALL_MIXES[:3]).jobs)
     15
     """
-    check_channels(channels)
+    multipliers = tuple(multipliers)
+    # Reject bad sizes before the measurement grid is built.
+    rate_populations(channels, years, multipliers)
     grid = plan_fig7_2_7_3(
         mixes=mixes,
         instructions_per_core=instructions_per_core,

@@ -5,6 +5,11 @@ so an upgraded (18-device) access costs 4x a relaxed (nine-device) one.
 The paper's numbers: ~1.6% average overhead over 7 years at 1x field
 rates, no more than ~6.3% at 4x — the price of a ~17x DUE-rate reduction
 from gaining double chip sparing.
+
+Each fault upgrades its Table 7.4 page fraction, so the instantaneous
+overhead is ``(factor - 1) * fraction_upgraded(t)``; year ``y``
+averages it over the mid-step times of the first ``y`` years. Each
+rate multiplier is one population, sampled from FIT rates scaled by it.
 """
 
 from __future__ import annotations
@@ -12,14 +17,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.core.lotecc_arcc import lotecc_lifetime_overhead
-from repro.fleet.engine import check_channels
+import numpy as np
+
+from repro.core.lotecc_arcc import WORST_CASE_UPGRADE_FACTOR
+from repro.fleet.engine import FractionMoments
+from repro.fleet.report import BlockAnswers, population_plan, rate_populations
 from repro.reliability.analytical import ReliabilityParams
 from repro.reliability.due import due_reduction_factor
-from repro.runner.job import ExperimentPlan, Job
+from repro.runner.job import ExperimentPlan, gather
+from repro.util.stats import Moments
 from repro.util.tables import format_table
+from repro.util.units import HOURS_PER_YEAR
 
 DEFAULT_MULTIPLIERS = (1.0, 2.0, 4.0)
+
+#: Mid-step sample times per year.
+STEPS_PER_YEAR = 12
 
 
 @dataclass
@@ -64,30 +77,38 @@ def plan_fig7_6(
     multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
     seed: int = 0x107ECC,
 ) -> ExperimentPlan:
-    """Figure 7.6 as runner jobs: one job per rate multiplier.
+    """Figure 7.6 as runner jobs: one per (rate multiplier, block),
+    each reporting faulty-fraction moments at every mid-step time.
 
-    ``channels`` below 1 raises ``ValueError``.
+    A ``channels`` below 1 or an empty ``multipliers`` raises
+    :class:`~repro.util.fields.FieldError`.
     """
-    check_channels(channels)
     multipliers = tuple(multipliers)
-    jobs = [
-        Job.create(
-            f"fig7.6[{mult:g}x]",
-            lotecc_lifetime_overhead,
-            years=years,
-            channels=channels,
-            rate_multiplier=mult,
-            seed=seed,
-        )
-        for mult in multipliers
+    steps = np.arange(years * STEPS_PER_YEAR)
+    hours = (steps + 0.5) / STEPS_PER_YEAR * HOURS_PER_YEAR
+    reductions = (FractionMoments(tuple(hours.tolist())),)
+    plans = [
+        population_plan(f"fig7.6[{pop.name}]", pop, seed, reductions)
+        for pop in rate_populations(channels, years, multipliers, scale_rates=True)
     ]
 
-    def assemble(values: List[List[float]]) -> Fig76Result:
+    def assemble(answered: List[BlockAnswers]) -> Fig76Result:
+        overhead: Dict[float, List[float]] = {}
+        for mult, blocks in zip(multipliers, answered):
+            moments = [Moments() for _ in steps]
+            for n, ((totals, squares),) in blocks:
+                for step_moments, total, total_sq in zip(moments, totals, squares):
+                    step_moments.add(n, total, total_sq)
+            per_step = np.array([step_moments.interval()[0] for step_moments in moments])
+            running = np.cumsum(per_step) / (steps + 1)
+            year_ends = running[STEPS_PER_YEAR - 1 :: STEPS_PER_YEAR]
+            overhead[mult] = ((WORST_CASE_UPGRADE_FACTOR - 1.0) * year_ends).tolist()
         return Fig76Result(
             years=years,
             channels=channels,
-            overhead=dict(zip(multipliers, values)),
+            overhead=overhead,
             due_reduction=due_reduction_factor(ReliabilityParams()),
         )
 
-    return ExperimentPlan(name="fig7.6", jobs=jobs, assemble=assemble)
+    batch = gather(plans, assemble)
+    return ExperimentPlan(name="fig7.6", jobs=batch.jobs, assemble=batch.assemble)

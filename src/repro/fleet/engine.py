@@ -6,13 +6,14 @@ Poisson draw for every (channel, fault-type) pair, one uniform draw for
 every arrival time, one bounded-integer draw for every coordinate —
 then a single lexsort groups the arrivals by channel and time into a
 :class:`~repro.fleet.events.FaultEventBatch`. It is the only fleet
-sampler. Every fleet report and Figures 3.1 and 7.4/7.5 run one
+sampler. Every fleet report and Figures 3.1, 7.4/7.5 and 7.6 run one
 :func:`block_job` per sampling block: it calls :func:`sample_block` once
 and answers a tuple of reductions (faulty-fraction moments or the whole
 fraction matrix, capped-overhead moments, pair-screen counts, event
-moments); the planners only build those queries and merge the answers
-with :class:`~repro.util.stats.Moments`. The year-by-year reductions are
-checked exactly against the per-channel scalar reduction
+moments); the planners only build those queries, one
+:func:`~repro.fleet.report.population_plan` per population, and merge
+the answers with :class:`~repro.util.stats.Moments`. The fraction
+reductions are checked against the per-channel scalar reduction
 :func:`repro.faults.lifetime._fraction_after_events`.
 
 Determinism follows the Monte-Carlo block pattern: populations are
@@ -212,17 +213,6 @@ def sample_block(
     )
 
 
-def check_channels(channels: int) -> None:
-    """Reject a population below one channel.
-
-    Figure planners call this: their assembly needs at least one
-    sampled channel. :func:`fleet_blocks` itself still partitions an
-    empty population into no blocks.
-    """
-    if channels < 1:
-        raise ValueError(f"channels must be at least 1, got {channels!r}")
-
-
 def fleet_blocks(
     channels: int, block_channels: int = FLEET_BLOCK_CHANNELS
 ) -> List[int]:
@@ -316,21 +306,6 @@ def faulty_fractions_at(
     out = np.full((len(hours), channels), -0.0)
     out[:, faulty] = -np.expm1(log_sums)
     return out
-
-
-def faulty_fractions_by_year(
-    batch: FaultEventBatch,
-    years: int,
-    config: MemoryConfig = ARCC_MEMORY_CONFIG,
-) -> np.ndarray:
-    """Per-channel faulty-page fraction at the end of each year.
-
-    Returns a ``(years, channels)`` matrix: :func:`faulty_fractions_at`
-    sampled at the year horizons.
-    """
-    return faulty_fractions_at(
-        batch, [year * HOURS_PER_YEAR for year in range(1, years + 1)], config
-    )
 
 
 def overhead_series_by_year(
@@ -473,24 +448,25 @@ def _moments(samples: np.ndarray) -> List[Any]:
 
 @dataclass(frozen=True)
 class FractionMoments:
-    """Faulty-page fraction moments at each of the first ``years`` year
-    ends: ``[totals, totals of squares]``, one float per year each."""
+    """Faulty-page fraction moments at each of the sample ``hours``
+    (:func:`faulty_fractions_at`): ``[totals, totals of squares]``, one
+    float per sample time each."""
 
-    years: int
+    hours: Tuple[float, ...]
 
     def reduce(self, batch: FaultEventBatch, config: MemoryConfig) -> List[Any]:
-        return _moments(faulty_fractions_by_year(batch, self.years, config))
+        return _moments(faulty_fractions_at(batch, self.hours, config))
 
 
 @dataclass(frozen=True)
 class FractionMatrix:
-    """The whole ``(years, channels)`` faulty-fraction matrix, for an
-    interval that needs every sample (Figure 3.1's two-pass one)."""
+    """The whole ``(len(hours), channels)`` faulty-fraction matrix, for
+    an interval that needs every sample (Figure 3.1's two-pass one)."""
 
-    years: int
+    hours: Tuple[float, ...]
 
     def reduce(self, batch: FaultEventBatch, config: MemoryConfig) -> np.ndarray:
-        return faulty_fractions_by_year(batch, self.years, config)
+        return faulty_fractions_at(batch, self.hours, config)
 
 
 @dataclass(frozen=True)
@@ -558,9 +534,9 @@ def block_job(
     The block is block ``index`` of the population of ``seed``: it
     samples from ``derive_seed(seed, index)``. The other sampling
     arguments are :func:`sample_block`'s (``years`` is the sampled
-    horizon; a reduction's own ``years`` is how many year ends it
-    reports). Returns one result per reduction, in request order, so
-    every reduction of one job reads the same fault arrivals.
+    horizon; a reduction names its own sample times). Returns one
+    result per reduction, in request order, so every reduction of one
+    job reads the same fault arrivals.
 
     Examples
     --------

@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import MEASUREMENT_CONFIG
-from repro.fleet.engine import OverheadMoments, PairScreens, fleet_blocks
+from repro.fleet.engine import OverheadMoments, PairScreens
 from repro.fleet.measured import (
     POLICIES,
     POLICY_KEYS,
@@ -63,7 +63,7 @@ from repro.fleet.measured import (
     plan_measured_profiles,
     profiles_to_table,
 )
-from repro.fleet.report import DEFAULT_FLEET_SEED, MeanCI, slice_block_jobs
+from repro.fleet.report import DEFAULT_FLEET_SEED, BlockAnswers, MeanCI, population_plan
 from repro.fleet.scenarios import (
     FleetScenario,
     SubPopulation,
@@ -80,7 +80,7 @@ from repro.reliability.due import (
     due_rate_sccdcd,
     due_rate_sparing,
 )
-from repro.runner.job import ExperimentPlan, Job
+from repro.runner.job import ExperimentPlan, gather
 from repro.util.rng import derive_seeds
 from repro.util.stats import (
     Moments,
@@ -459,8 +459,8 @@ def plan_fleet_compare(
                 variant = measured_policy(policy, profiles[profile_key])
             effective[(policy.key, pop.name)] = variant
 
-    jobs: List[Job] = []
-    slices: Dict[str, Tuple[List[int], int, List[int]]] = {}
+    plans = []
+    screen_of: Dict[str, List[int]] = {}
     for pop, pop_seed in zip(scenario.populations, pop_seeds):
         variants = [effective[(policy.key, pop.name)] for policy in built]
         rows = tuple(
@@ -475,17 +475,17 @@ def plan_fleet_compare(
             scrub_hours if v.sparing else DEFAULT_REPAIR_HOURS for v in variants
         ]
         distinct = tuple(dict.fromkeys(windows))
-        blocks = fleet_blocks(pop.channels)
-        slices[pop.name] = (blocks, len(jobs), [distinct.index(w) for w in windows])
-        jobs += slice_block_jobs(
-            f"fleet-compare[{scenario.name}/{pop.name}]",
-            pop,
-            pop_seed,
-            blocks,
-            (OverheadMoments(rows, (pop.report_years,)), PairScreens(distinct)),
+        screen_of[pop.name] = [distinct.index(w) for w in windows]
+        plans.append(
+            population_plan(
+                f"fleet-compare[{scenario.name}/{pop.name}]",
+                pop,
+                pop_seed,
+                (OverheadMoments(rows, (pop.report_years,)), PairScreens(distinct)),
+            )
         )
 
-    def assemble(values: List[List[Any]]) -> PolicyComparisonReport:
+    def assemble(answered: List[BlockAnswers]) -> PolicyComparisonReport:
         slice_reports: List[PolicySliceReport] = []
         summaries: List[PolicyFleetSummary] = []
         tables: PairTableMemo = {}
@@ -502,23 +502,21 @@ def plan_fleet_compare(
             due_per_year = 0.0
             static_power: Dict[str, float] = {}
             static_perf: Dict[str, float] = {}
-            for pop in scenario.populations:
+            for pop, blocks in zip(scenario.populations, answered):
                 variant = effective[(policy.key, pop.name)]
                 static_power[pop.name] = variant.static_power_overhead
                 static_perf[pop.name] = variant.static_performance_overhead
-                blocks, start, screen_of = slices[pop.name]
+                screen = screen_of[pop.name][policy_index]
                 power = Moments()
                 perf = Moments()
                 unc_sum = 0
                 # Rows 2i and 2i + 1 (final year): policy i's power and
                 # performance.
                 row = 2 * policy_index
-                for n, ((totals, squares), screens) in zip(
-                    blocks, values[start : start + len(blocks)]
-                ):
+                for n, ((totals, squares), screens) in blocks:
                     power.add(n, totals[row][0], squares[row][0])
                     perf.add(n, totals[row + 1][0], squares[row + 1][0])
-                    unc_sum += screens[screen_of[policy_index]]
+                    unc_sum += screens[screen]
                 params = slice_params[pop.name]
                 sdc = policy_sdc_per_1k(variant, pop, tables, params)
                 due = policy_due_per_1k(variant, pop, tables, params)
@@ -591,7 +589,8 @@ def plan_fleet_compare(
             ),
         )
 
-    return ExperimentPlan(name="fleet-compare", jobs=jobs, assemble=assemble)
+    batch = gather(plans, assemble)
+    return ExperimentPlan(name="fleet-compare", jobs=batch.jobs, assemble=batch.assemble)
 
 
 def plan_fleet_compare_measured(

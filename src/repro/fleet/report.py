@@ -1,13 +1,21 @@
-"""Fleet population statistics with confidence intervals.
+"""Fleet population statistics with confidence intervals, and the one
+population sub-plan every fleet-sampled output composes.
 
-:func:`plan_fleet` asks every sampling block of every slice for two
-reductions of :func:`~repro.fleet.engine.block_job` — faulty-fraction
-moments per year and fault-arrival moments — and merges the blocks'
-``(n, sum, sum of squares)`` with :class:`~repro.util.stats.Moments`,
-so a 10^6-channel fleet aggregates from kilobytes of job results and
-every reported mean carries a normal-approximation confidence interval.
-:func:`slice_block_jobs` is the (slice, block) job layout the policy
-comparison shares.
+:func:`population_plan` turns one
+:class:`~repro.fleet.scenarios.SubPopulation` and a tuple of reductions
+into a sub-plan: one :func:`~repro.fleet.engine.block_job` per sampling
+block, assembled into ``(block channels, answers)`` pairs in block
+order. :func:`plan_fleet`, the policy comparison and Figures 3.1,
+7.4/7.5 and 7.6 (whose rate sweeps are :func:`rate_populations`) each
+build one per population and join them with
+:func:`~repro.runner.job.gather`, so no planner keeps job offsets.
+
+:func:`plan_fleet` asks every block of every slice for faulty-fraction
+moments at each year end and fault-arrival moments, and merges the
+blocks' ``(n, sum, sum of squares)`` with
+:class:`~repro.util.stats.Moments`, so a 10^6-channel fleet aggregates
+from kilobytes of job results and every reported mean carries a
+normal-approximation confidence interval.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.faults.types import DEFAULT_FIT_RATES
 from repro.fleet.engine import (
     EventMoments,
     FractionMoments,
@@ -23,16 +32,22 @@ from repro.fleet.engine import (
     fleet_blocks,
 )
 from repro.fleet.scenarios import FleetScenario, SubPopulation, resolve_scenario
-from repro.runner.job import ExperimentPlan, Job
+from repro.runner.job import ExperimentPlan, Job, gather
+from repro.util.fields import FieldError
 from repro.util.rng import derive_seeds
 from repro.util.stats import Moments
 from repro.util.tables import format_table
+from repro.util.units import HOURS_PER_YEAR
 
 #: Default seed of the fleet sweeps (``repro fleet``).
 DEFAULT_FLEET_SEED = 0xF1EE7
 
 #: A reported statistic: (mean, confidence half-width).
 MeanCI = Tuple[float, float]
+
+#: What a :func:`population_plan` assembles: ``(block channels,
+#: answers)`` per sampling block, in block order.
+BlockAnswers = List[Tuple[int, List[Any]]]
 
 
 @dataclass
@@ -120,25 +135,27 @@ class FleetReport:
         return series + "\n" + summary
 
 
-def slice_block_jobs(
+def population_plan(
     prefix: str,
     pop: SubPopulation,
     seed: int,
-    blocks: Sequence[int],
     reductions: Tuple[Reduction, ...],
-) -> List[Job]:
-    """One :func:`~repro.fleet.engine.block_job` per sampling block of
-    one slice, named ``prefix[index]``.
+) -> ExperimentPlan:
+    """One population's blocks as a sub-plan: one
+    :func:`~repro.fleet.engine.block_job` per sampling block, named
+    ``prefix[index]``, each answering ``reductions``; it assembles
+    :data:`BlockAnswers`. Planners join these sub-plans with
+    :func:`~repro.runner.job.gather`.
 
-    ``seed`` is the slice's seed and ``blocks`` its
-    :func:`~repro.fleet.engine.fleet_blocks` sizes; each job derives its
-    block's stream from the two and its index. Every job shares the
-    slice's reduction objects and its spatial mapping, so a batch's
-    identity memo encodes each once.
+    ``seed`` is the population's seed; each job derives its block's
+    stream from it and its index. Every job shares the population's
+    reduction objects and its spatial mapping, so a batch's identity
+    memo encodes each once.
     """
+    blocks = fleet_blocks(pop.channels)
     phases = tuple(pop.phases())
     spatial = asdict(pop.spatial) if pop.spatial else None
-    return [
+    jobs = [
         Job.create(
             f"{prefix}[{index}]",
             block_job,
@@ -155,17 +172,45 @@ def slice_block_jobs(
         )
         for index, size in enumerate(blocks)
     ]
+    return ExperimentPlan(
+        name=prefix, jobs=jobs, assemble=lambda values: list(zip(blocks, values))
+    )
+
+
+def rate_populations(
+    channels: int,
+    years: int,
+    multipliers: Sequence[float],
+    scale_rates: bool = False,
+) -> List[SubPopulation]:
+    """One population per rate multiplier ``m``, named ``f"{m:g}x"``:
+    the 1x/2x/4x sweeps of Figures 3.1, 7.4/7.5 and 7.6. ``m`` scales
+    ``rate_multiplier``, or with ``scale_rates`` the FIT rates (Figure
+    7.6 samples from scaled rates). An empty ``multipliers`` raises
+    :class:`~repro.util.fields.FieldError`, as ``SubPopulation`` does
+    for a bad ``channels`` or ``years``.
+    """
+    if not multipliers:
+        raise FieldError("multipliers", "must not be empty")
+    return [
+        SubPopulation(
+            name=f"{m:g}x",
+            channels=channels,
+            rates=DEFAULT_FIT_RATES.scaled(m) if scale_rates else DEFAULT_FIT_RATES,
+            rate_multiplier=1.0 if scale_rates else m,
+            lifespan_years=float(years),
+        )
+        for m in multipliers
+    ]
 
 
 def _assemble_population(
-    pop: SubPopulation,
-    blocks: Sequence[int],
-    answers: Sequence[List[Any]],
+    pop: SubPopulation, blocks: BlockAnswers
 ) -> SubPopulationReport:
     fraction = [Moments() for _ in range(pop.report_years)]
     events = Moments()
     affected = Moments()
-    for n, ((totals, squares), exposure) in zip(blocks, answers):
+    for n, ((totals, squares), exposure) in blocks:
         for moments, total, total_sq in zip(fraction, totals, squares):
             moments.add(n, total, total_sq)
         events.add(n, exposure[0][0], exposure[1][0])
@@ -221,35 +266,36 @@ def plan_fleet(
     scenario = resolve_scenario(scenario)
     if channels is not None:
         scenario = scenario.scaled_to(channels)
-    pop_seeds = derive_seeds(seed, len(scenario.populations))
-    jobs: List[Job] = []
-    slices = []
-    for pop, pop_seed in zip(scenario.populations, pop_seeds):
-        blocks = fleet_blocks(pop.channels)
-        slices.append((pop, blocks, len(jobs)))
-        jobs += slice_block_jobs(
+    populations = scenario.populations
+    plans = [
+        population_plan(
             f"fleet[{scenario.name}/{pop.name}]",
             pop,
             pop_seed,
-            blocks,
-            (FractionMoments(pop.report_years), EventMoments()),
+            (
+                FractionMoments(
+                    tuple(year * HOURS_PER_YEAR for year in range(1, pop.report_years + 1))
+                ),
+                EventMoments(),
+            ),
         )
+        for pop, pop_seed in zip(populations, derive_seeds(seed, len(populations)))
+    ]
 
-    def assemble(values: List[Any]) -> FleetReport:
-        answered = [
-            (pop, blocks, values[start : start + len(blocks)])
-            for pop, blocks, start in slices
+    def assemble(answered: List[BlockAnswers]) -> FleetReport:
+        reports = [
+            _assemble_population(pop, blocks)
+            for pop, blocks in zip(populations, answered)
         ]
-        reports = [_assemble_population(*entry) for entry in answered]
         fleet_by_year = []
         for year in range(1, scenario.max_years + 1):
             moments = Moments()
             in_service = 0
-            for pop, blocks, answers in answered:
+            for pop, blocks in zip(populations, answered):
                 if pop.report_years < year:
                     continue
                 in_service += pop.channels
-                for n, ((totals, squares), _) in zip(blocks, answers):
+                for n, ((totals, squares), _) in blocks:
                     moments.add(n, totals[year - 1], squares[year - 1])
             mean, half = moments.interval()
             fleet_by_year.append((mean, half, in_service))
@@ -263,4 +309,5 @@ def plan_fleet(
 
     # Named "fleet" to match the registry key; the scenario name is
     # embedded in every job name (and in the report itself).
-    return ExperimentPlan(name="fleet", jobs=jobs, assemble=assemble)
+    batch = gather(plans, assemble)
+    return ExperimentPlan(name="fleet", jobs=batch.jobs, assemble=batch.assemble)

@@ -53,7 +53,6 @@ from repro.faults.lifetime import _fraction_after_events
 from repro.faults.types import FaultRates, FaultType
 from repro.fleet.engine import (
     faulty_fractions_at,
-    faulty_fractions_by_year,
     overhead_series_by_year,
     sample_fleet,
     uncorrectable_candidate_channels,
@@ -238,12 +237,9 @@ def _execute_fleet(case: Dict[str, Any]) -> Optional[str]:
     horizons = [
         (f"year {year}", year * HOURS_PER_YEAR) for year in range(1, years + 1)
     ] + [(f"mid-year {year}", t) for year, t in enumerate(mid_steps, 1)]
-    fast_frac = np.concatenate(
-        (
-            faulty_fractions_by_year(batch, years, config).mean(axis=1),
-            faulty_fractions_at(batch, mid_steps, config).mean(axis=1),
-        )
-    )
+    fast_frac = faulty_fractions_at(
+        batch, [horizon for _, horizon in horizons], config
+    ).mean(axis=1)
     for fast, (label, horizon) in zip(fast_frac, horizons):
         legacy = float(
             np.mean(

@@ -9,15 +9,15 @@ from repro.core.lotecc_arcc import (
     WORST_CASE_UPGRADE_FACTOR,
     ArccLotEcc,
     LotPageMode,
-    lotecc_lifetime_overhead,
 )
 from repro.core.vecc_arcc import ArccVecc, VeccPageMode, _RelaxedVecc9
 from repro.ecc.base import DecodeStatus
 from repro.experiments.fig7_6 import plan_fig7_6
 from repro.faults.lifetime import _fraction_after_events
 from repro.faults.types import DEFAULT_FIT_RATES
-from repro.fleet.engine import sample_fleet
+from repro.fleet.engine import FLEET_BLOCK_CHANNELS, sample_fleet
 from repro.runner.executor import execute_plan
+from repro.util.stats import sequential_sum
 from repro.util.units import HOURS_PER_YEAR
 
 
@@ -116,80 +116,103 @@ class TestArccLotEcc:
         assert got == payloads[0]
 
     def test_out_of_range_rejected(self):
-        memory = ArccLotEcc(pages=1)
-        with pytest.raises(ValueError):
-            memory.read_line(64)
-        with pytest.raises(ValueError):
-            memory.inject_device_fault(page=1, device=0)
+        """A page or device outside the memory is an error, never a
+        fault recorded on nothing. Both ARCC variants: LOT-ECC faults
+        hit one of 16 data devices, VECC faults one of 18 rank devices."""
+        for memory, devices in ((ArccLotEcc(pages=1), 16), (ArccVecc(pages=1), 18)):
+            with pytest.raises(ValueError):
+                memory.read_line(64)
+            for page, device in ((1, 0), (5, 0), (-1, 0), (0, devices), (0, 99), (0, -1)):
+                with pytest.raises(ValueError, match="out of range"):
+                    memory.inject_device_fault(page=page, device=device)
+            assert memory._faulty_devices == {}
+            memory.inject_device_fault(page=0, device=devices - 1)
+            assert memory._faulty_devices == {0: [devices - 1]}
+
+
+def _fig7_6_series(years, channels, rate_multiplier, seed=0x107ECC):
+    """One Figure 7.6 row: the overhead per year at ``rate_multiplier``."""
+    result = execute_plan(
+        plan_fig7_6(
+            years=years, channels=channels, multipliers=(rate_multiplier,), seed=seed
+        )
+    )
+    return result.overhead[rate_multiplier]
+
+
+def _per_event_reference(years, channels, rate_multiplier, seed):
+    """Figure 7.6 from the scalar union rule, evaluated per channel, per
+    mid-step time, per event, on the same sampled fleet."""
+    histories = sample_fleet(
+        channels,
+        float(years),
+        rates=DEFAULT_FIT_RATES.scaled(rate_multiplier),
+        seed=seed,
+    ).to_histories()
+    per_step = []
+    for step in range(years * 12):
+        t_hours = (step + 0.5) / 12 * HOURS_PER_YEAR
+        per_step.append(
+            sequential_sum(
+                _fraction_after_events(
+                    [e for e in events if e.time_hours <= t_hours],
+                    ARCC_MEMORY_CONFIG,
+                )
+                for events in histories
+            )
+        )
+    return [
+        (WORST_CASE_UPGRADE_FACTOR - 1.0)
+        * sequential_sum(per_step[: year * 12])
+        / (year * 12 * channels)
+        for year in range(1, years + 1)
+    ]
 
 
 class TestLotEccLifetimeOverhead:
+    """Figure 7.6's plan: block queries of the faulty fraction at each
+    mid-step time, merged across blocks and rate multipliers."""
+
     def test_monotone_in_time(self):
-        series = lotecc_lifetime_overhead(
-            years=7, channels=200, rate_multiplier=4.0
-        )
+        series = _fig7_6_series(years=7, channels=200, rate_multiplier=4.0)
         assert all(b >= a - 1e-9 for a, b in zip(series, series[1:]))
 
     def test_monotone_in_rate(self):
-        low = lotecc_lifetime_overhead(years=7, channels=200,
-                                       rate_multiplier=1.0)
-        high = lotecc_lifetime_overhead(years=7, channels=200,
-                                        rate_multiplier=4.0)
+        low = _fig7_6_series(years=7, channels=200, rate_multiplier=1.0)
+        high = _fig7_6_series(years=7, channels=200, rate_multiplier=4.0)
         assert high[-1] > low[-1]
 
     def test_paper_band_at_1x(self):
         """Paper: ~1.6% average overhead over 7 years at 1x."""
-        series = lotecc_lifetime_overhead(years=7, channels=500,
-                                          rate_multiplier=1.0)
+        series = _fig7_6_series(years=7, channels=500, rate_multiplier=1.0)
         assert 0.001 < series[-1] < 0.05
 
     def test_paper_band_at_4x(self):
         """Paper: no more than ~6.3% at 4x."""
-        series = lotecc_lifetime_overhead(years=7, channels=500,
-                                          rate_multiplier=4.0)
+        series = _fig7_6_series(years=7, channels=500, rate_multiplier=4.0)
         assert series[-1] < 0.15
 
     def test_seed_pins_the_fleet(self):
         """One seed, one sampled fleet, one series; another seed draws
         another fleet."""
         kwargs = dict(years=3, channels=300, rate_multiplier=4.0)
-        first = lotecc_lifetime_overhead(seed=5, **kwargs)
-        assert lotecc_lifetime_overhead(seed=5, **kwargs) == first
-        assert lotecc_lifetime_overhead(seed=6, **kwargs) != first
+        first = _fig7_6_series(seed=5, **kwargs)
+        assert _fig7_6_series(seed=5, **kwargs) == first
+        assert _fig7_6_series(seed=6, **kwargs) != first
 
-
-    @pytest.mark.parametrize("rate_multiplier", [1.0, 4.0])
-    def test_matches_per_event_reference(self, rate_multiplier):
+    @pytest.mark.parametrize(
+        "rate_multiplier, channels",
+        [(1.0, 200), (4.0, 200), (1.0, FLEET_BLOCK_CHANNELS + 1)],
+        # The last case is one channel past a block, so the second
+        # block's moments merge into the per-step means.
+        ids=["1.0", "4.0", "1.0-two-blocks"],
+    )
+    def test_matches_per_event_reference(self, rate_multiplier, channels):
         """The fleet-engine reduction against the scalar union rule,
         evaluated per channel, per mid-step time, per event."""
-        years, channels, seed = 7, 200, 0x107ECC
-        histories = sample_fleet(
-            channels,
-            float(years),
-            rates=DEFAULT_FIT_RATES.scaled(rate_multiplier),
-            seed=seed,
-        ).to_histories()
-        reference = []
-        for year in range(1, years + 1):
-            samples = year * 12
-            total = 0.0
-            for events in histories:
-                for step in range(samples):
-                    t_hours = (step + 0.5) / 12 * HOURS_PER_YEAR
-                    total += _fraction_after_events(
-                        [e for e in events if e.time_hours <= t_hours],
-                        ARCC_MEMORY_CONFIG,
-                    )
-            reference.append(
-                (WORST_CASE_UPGRADE_FACTOR - 1.0) * total
-                / (samples * channels)
-            )
-        series = lotecc_lifetime_overhead(
-            years=years,
-            channels=channels,
-            rate_multiplier=rate_multiplier,
-            seed=seed,
-        )
+        years, seed = 7, 0x107ECC
+        reference = _per_event_reference(years, channels, rate_multiplier, seed)
+        series = _fig7_6_series(years, channels, rate_multiplier, seed)
         assert series == pytest.approx(reference, rel=1e-12, abs=0)
 
     def test_figure_table_pinned(self):

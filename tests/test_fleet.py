@@ -17,7 +17,11 @@ import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG
 from repro.experiments.fig3_1 import plan_fig3_1
-from repro.experiments.fig7_4_7_5 import _overhead_series, plan_fig7_4_7_5
+from repro.experiments.fig7_4_7_5 import (
+    _overhead_series,
+    plan_fig7_4_7_5,
+    plan_fig7_4_7_5_measured,
+)
 from repro.experiments.fig7_6 import plan_fig7_6
 from repro.faults.lifetime import FaultEvent, _fraction_after_events
 from repro.faults.models import upgraded_page_fraction
@@ -31,7 +35,6 @@ from repro.fleet.engine import (
     PairScreens,
     block_job,
     faulty_fractions_at,
-    faulty_fractions_by_year,
     fleet_blocks,
     overhead_series_by_year,
     sample_block,
@@ -42,12 +45,14 @@ from repro.fleet.events import FaultEventBatch, empty_batch
 from repro.fleet.report import plan_fleet
 from repro.fleet.scenarios import (
     DEFAULT_SCENARIOS,
+    MAX_FLEET_CHANNELS,
     FleetScenario,
     RatePhase,
     SubPopulation,
     resolve_scenario,
 )
 from repro.runner.executor import execute_plan
+from repro.util.fields import FieldError
 from repro.util.rng import derive_seed
 from repro.util.stats import sequential_sum
 from repro.util.units import FIT_TO_PER_HOUR, HOURS_PER_YEAR
@@ -302,6 +307,11 @@ def _hand_batch(histories):
     )
 
 
+def _year_ends(years):
+    """The first ``years`` year ends, in hours."""
+    return tuple(year * HOURS_PER_YEAR for year in range(1, years + 1))
+
+
 def _mid_step_hours(step, steps_per_year=12):
     """The sample time of ``step``, computed as the reductions do."""
     return (step + 0.5) / steps_per_year * HOURS_PER_YEAR
@@ -430,7 +440,7 @@ class TestVectorizedReductions:
         times Figure 7.6 samples."""
         batch, histories = self._batch_and_histories()
         if times == "year-ends":
-            matrix = faulty_fractions_by_year(batch, 7, ARCC_MEMORY_CONFIG)
+            matrix = faulty_fractions_at(batch, _year_ends(7), ARCC_MEMORY_CONFIG)
             samples = [(year - 1, year * HOURS_PER_YEAR) for year in (1, 4, 7)]
         else:
             hours = (np.arange(7 * 12) + 0.5) / 12 * HOURS_PER_YEAR
@@ -454,7 +464,7 @@ class TestVectorizedReductions:
         ids = batch.channel_ids()
         has_lane_events = batch.type_code == lane_code
         has_lane[np.unique(ids[has_lane_events])] = True
-        matrix = faulty_fractions_by_year(batch, 7, ARCC_MEMORY_CONFIG)
+        matrix = faulty_fractions_at(batch, _year_ends(7), ARCC_MEMORY_CONFIG)
         assert has_lane.any()
         assert np.all(matrix[-1][has_lane] == pytest.approx(1.0))
 
@@ -567,8 +577,8 @@ class TestBlockJob:
 
     def _reductions(self, years):
         return (
-            FractionMoments(years),
-            FractionMatrix(years),
+            FractionMoments(_year_ends(years)),
+            FractionMatrix(_year_ends(years)),
             OverheadMoments(self.ROWS, tuple(range(1, years + 1))),
             PairScreens((24.0, 2_000.0)),
             EventMoments(),
@@ -600,7 +610,7 @@ class TestBlockJob:
             5, 3, 200, 7.0, self._reductions(7), rate_multiplier=40.0
         )
         batch = sample_block(derive_seed(5, 3), 200, 7.0, rate_multiplier=40.0)
-        fractions = faulty_fractions_by_year(batch, 7)
+        fractions = faulty_fractions_at(batch, _year_ends(7))
         assert np.array_equal(matrix, fractions)
         assert fraction_moments[0] == fractions.sum(axis=1).tolist()
         series = overhead_series_by_year(batch, 7, self.ROWS)
@@ -833,17 +843,27 @@ class TestFigureIntegration:
             assert all(h >= 0 for h in result.power_ci[mult])
         assert "±" in result.to_table()
 
-    @pytest.mark.parametrize(
-        "build", [plan_fig3_1, plan_fig7_4_7_5, plan_fig7_6],
-        ids=["fig3.1", "fig7.4", "fig7.6"],
+    _BUILDS = pytest.mark.parametrize(
+        "build",
+        [plan_fig3_1, plan_fig7_4_7_5, plan_fig7_6, plan_fig7_4_7_5_measured],
+        ids=["fig3.1", "fig7.4", "fig7.6", "fig7.4-measured"],
     )
-    @pytest.mark.parametrize("channels", [0, -5])
+
+    @_BUILDS
+    @pytest.mark.parametrize("channels", [0, -5, MAX_FLEET_CHANNELS + 1])
     def test_empty_population_rejected_at_build_time(self, build, channels):
         """Assembly needs at least one sampled channel, so a figure
         planner names ``channels`` instead of failing at assembly (or
-        printing ``nan%``)."""
-        with pytest.raises(ValueError, match="channels must be at least 1"):
+        printing ``nan%``); a population past the fleet cap is refused
+        the same way."""
+        with pytest.raises(FieldError, match="channels: must be (>= 1|<= )"):
             build(years=3, channels=channels)
+
+    @_BUILDS
+    def test_empty_sweep_rejected_at_build_time(self, build):
+        """A figure with no rate multiplier has no population to plan."""
+        with pytest.raises(FieldError, match="multipliers: must not be empty"):
+            build(years=3, channels=10, multipliers=())
 
     def test_empty_population_partitions_into_no_blocks(self):
         """Figure 6.1's quick scale samples no Monte-Carlo channels."""

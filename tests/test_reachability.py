@@ -27,7 +27,8 @@ A module outside the closure must be on the keep-list table in
 ROADMAP item that will reach each one. A keep-listed module that is
 reached, or no longer exists, fails too, so the list only shrinks.
 
-The same walker guards the shape of the graph: package ``__init__``
+The same walker guards the shape of the graph: ``repro.core`` imports
+no fleet, experiment or runner module, package ``__init__``
 files import no ``repro`` module, every name is imported from the
 module that defines it, imports sit at module level (``repro.cli``
 alone defers its command modules, to keep ``repro --help`` light), the
@@ -297,6 +298,20 @@ def test_import_graph_has_no_cycle():
     assert import_cycles(import_graph(SRC_ROOT)) == []
 
 
+def test_core_imports_no_planning_layer():
+    """``repro.core`` is the functional ARCC memory; the fleet sampler,
+    the figures and the runner build on it, never the other way round."""
+    upper = ("repro.fleet", "repro.experiments", "repro.runner")
+    offenders = sorted(
+        f"{name} -> {target}"
+        for name, targets in import_graph(SRC_ROOT).items()
+        if name.split(".")[:2] == ["repro", "core"]
+        for target in targets
+        if any(target == top or target.startswith(top + ".") for top in upper)
+    )
+    assert offenders == []
+
+
 def test_package_inits_import_no_repro_module():
     inits = [path for path in module_files(SRC_ROOT).values() if _is_package(path)]
     assert inits
@@ -354,8 +369,8 @@ def _fresh_import(module: str, package: str) -> List[str]:
     "module",
     [
         "repro.fleet.events",
-        # The modules of every registry job callable.
         "repro.core.lotecc_arcc",
+        # The modules of every registry job callable.
         "repro.fleet.engine",
         "repro.fuzz.campaign",
         "repro.perf.engine",
