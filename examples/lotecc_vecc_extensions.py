@@ -11,15 +11,24 @@ recently-proposed chipkill schemes from the paper's Chapter 5 and shows
   are virtualized into another rank, upgrading to full 18-device VECC.
 
 Run:  python examples/lotecc_vecc_extensions.py
+
+Exits 1 if a printed check (``intact``, ``all data survived``) is False.
 """
 
-from repro.core.lotecc_arcc import ArccLotEcc
-from repro.core.vecc_arcc import ArccVecc
+import sys
+
+from repro.core.lotecc_vecc import ArccLotEcc, ArccVecc
 from repro.experiments.fig7_6 import plan_fig7_6
 from repro.runner.executor import execute_plan
 
 
-def demo_lotecc() -> None:
+def check(label: str, passed: bool) -> bool:
+    """Print one check of the demo and return it."""
+    print(f"{label}: {passed}")
+    return passed
+
+
+def demo_lotecc() -> bool:
     print("== ARCC + LOT-ECC (functional) ==")
     memory = ArccLotEcc(pages=8)
     payloads = {}
@@ -30,8 +39,8 @@ def demo_lotecc() -> None:
 
     memory.inject_device_fault(page=0, device=3)
     data, result = memory.read_line(0)
-    print(f"read under fault: {result.status.name}, intact: "
-          f"{data == payloads[0]}")
+    print(f"read under fault: {result.status.name}")
+    intact = check("intact", data == payloads[0])
 
     upgraded = memory.scrub()
     print(f"pages upgraded to 18-device LOT-ECC: {upgraded}; "
@@ -40,12 +49,13 @@ def demo_lotecc() -> None:
         memory.read_line(line)[0] == payload
         for line, payload in payloads.items()
     )
-    print(f"all data survived: {survived}")
+    survived = check("all data survived", survived)
     print(f"fraction upgraded: {memory.fraction_upgraded():.1%}")
     print()
+    return intact and survived
 
 
-def demo_vecc() -> None:
+def demo_vecc() -> bool:
     print("== ARCC + VECC (functional) ==")
     memory = ArccVecc(pages=8)
     payloads = {}
@@ -73,8 +83,9 @@ def demo_vecc() -> None:
         memory.read_line(line)[0] == payload
         for line, payload in payloads.items()
     )
-    print(f"all data survived: {survived}")
+    survived = check("all data survived", survived)
     print()
+    return survived
 
 
 def demo_lifetime() -> None:
@@ -84,6 +95,6 @@ def demo_lifetime() -> None:
 
 
 if __name__ == "__main__":
-    demo_lotecc()
-    demo_vecc()
+    passed = [demo_lotecc(), demo_vecc()]
     demo_lifetime()
+    sys.exit(0 if all(passed) else 1)

@@ -15,6 +15,6 @@
   facade: stores and loads real bytes through real codewords on
   fault-injectable devices, scrubs, upgrades, and keeps the statistics
   the experiments consume.
-* :mod:`repro.core.lotecc_arcc` / :mod:`repro.core.vecc_arcc` — ARCC
-  applied to LOT-ECC and VECC (Section 5.2).
+* :mod:`repro.core.lotecc_vecc` — ARCC applied to LOT-ECC and VECC
+  (Section 5.2): one page machine over a (relaxed, upgraded) codec pair.
 """

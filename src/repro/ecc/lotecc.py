@@ -177,3 +177,10 @@ class LotEcc18(_LotEccBase):
         if not result.ok or result.data is None:
             raise CodecError("cannot remap an uncorrectable line")
         return self.encode_line(result.data)
+
+
+#: Worst-case cost of an upgraded access relative to a relaxed one (every
+#: access a read, no spatial locality): twice the devices, twice the reads.
+WORST_CASE_UPGRADE_FACTOR = (LotEcc18.devices * LotEcc18.reads_per_read) / (
+    LotEcc9.devices * LotEcc9.reads_per_read
+)

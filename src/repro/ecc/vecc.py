@@ -16,6 +16,10 @@ checks. Reading only the first 18 symbols and treating the last two as
 erasures reproduces VECC's detect-only fast path exactly, because erasing
 two of four checks leaves distance 5 - 2 = 3: double-symbol *detection*,
 no blind correction.
+
+The geometry is a parameter: ARCC's relaxed VECC page (Section 5.2) is
+``Vecc(data_devices=8, detect_checks=1)``, a nine-device rank of RS(11,8)
+whose fast path detects one bad symbol and whose slow path corrects it.
 """
 
 from __future__ import annotations
@@ -28,26 +32,33 @@ from repro.gf.field import GF, GF256
 
 
 class Vecc:
-    """VECC codec over an 18-device rank with virtualized correction symbols."""
+    """VECC codec over a rank of ``data_devices + detect_checks`` devices
+    with two virtualized correction symbols per codeword."""
 
-    RANK_DEVICES = 18
-    DATA_DEVICES = 16
-    DETECT_CHECKS = 2
     CORRECT_CHECKS = 2
 
-    def __init__(self, line_bytes: int = 64, field: GF = GF256):
+    def __init__(
+        self,
+        data_devices: int = 16,
+        detect_checks: int = 2,
+        line_bytes: int = 64,
+        field: GF = GF256,
+    ):
+        self.data_devices = data_devices
+        self.rank_devices = data_devices + detect_checks
         self.line_bytes = line_bytes
         self.field = field
-        n = self.DATA_DEVICES + self.DETECT_CHECKS + self.CORRECT_CHECKS
-        self.code = ReedSolomonCode(n, self.DATA_DEVICES, field=field)
+        n = self.rank_devices + self.CORRECT_CHECKS
+        self.code = ReedSolomonCode(n, data_devices, field=field)
+        self.correct_limit = (n - data_devices) // 2
         data_bits = line_bytes * 8
-        if data_bits % (self.DATA_DEVICES * field.m):
+        if data_bits % (data_devices * field.m):
             raise CodecError("line does not stripe evenly")
-        self.codewords_per_line = data_bits // (self.DATA_DEVICES * field.m)
-        #: Devices touched by an error-free read (the whole 18-device rank).
-        self.devices_per_clean_read = self.RANK_DEVICES
+        self.codewords_per_line = data_bits // (data_devices * field.m)
+        #: Devices touched by an error-free read (the whole rank).
+        self.devices_per_clean_read = self.rank_devices
         #: Devices touched when correction symbols must be fetched/updated.
-        self.devices_per_corrected_access = 2 * self.RANK_DEVICES
+        self.devices_per_corrected_access = 2 * self.rank_devices
 
     # -- encode --------------------------------------------------------------
 
@@ -57,7 +68,7 @@ class Vecc:
         """Encode a line.
 
         Returns ``(rank_codewords, correction_symbols)`` where each rank
-        codeword holds the 18 in-rank symbols and ``correction_symbols[c]``
+        codeword holds the in-rank symbols and ``correction_symbols[c]``
         the two virtualized checks of codeword ``c`` (stored in another
         rank).
         """
@@ -68,12 +79,10 @@ class Vecc:
         rank_codewords = []
         corrections = []
         for c in range(self.codewords_per_line):
-            start = c * self.DATA_DEVICES
-            msg = list(data[start : start + self.DATA_DEVICES])
-            full = self.code.encode(msg)
-            split = self.DATA_DEVICES + self.DETECT_CHECKS
-            rank_codewords.append(full[:split])
-            corrections.append(full[split:])
+            start = c * self.data_devices
+            full = self.code.encode(list(data[start : start + self.data_devices]))
+            rank_codewords.append(full[: self.rank_devices])
+            corrections.append(full[self.rank_devices :])
         return rank_codewords, corrections
 
     # -- decode --------------------------------------------------------------
@@ -81,17 +90,17 @@ class Vecc:
     def detect_line(
         self, rank_codewords: Sequence[Sequence[int]]
     ) -> DecodeResult:
-        """Fast path: 18-device read, detection only.
+        """Fast path: one rank read, detection only.
 
         The two virtualized check positions are treated as erasures, which
-        reduces the code to pure double-symbol detection: any non-zero
+        leaves ``detect_checks`` symbols of pure detection: any non-zero
         residual syndrome reports DETECTED_UE (triggering the slow path);
         clean syndromes return the data.
         """
         merged: Optional[DecodeResult] = None
         erased = [self.code.n - 2, self.code.n - 1]
         for cw in rank_codewords:
-            if len(cw) != self.RANK_DEVICES:
+            if len(cw) != self.rank_devices:
                 raise CodecError("rank codeword has wrong symbol count")
             padded = list(cw) + [0, 0]
             result = self.code.decode(
@@ -114,7 +123,7 @@ class Vecc:
         corrections: Sequence[Sequence[int]],
         erasures: Sequence[int] = (),
     ) -> DecodeResult:
-        """Slow path: full RS(20,16) decode with the fetched checks.
+        """Slow path: full decode with the fetched checks.
 
         ``erasures`` are in-rank device indices already known bad.
         """
@@ -125,7 +134,9 @@ class Vecc:
             full = list(cw) + list(corr)
             if len(full) != self.code.n:
                 raise CodecError("assembled codeword has wrong length")
-            result = self.code.decode(full, erasures=erasures, correct_limit=2)
+            result = self.code.decode(
+                full, erasures=erasures, correct_limit=self.correct_limit
+            )
             merged = result if merged is None else merged.merge(result)
         assert merged is not None
         return merged

@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.lotecc_arcc import WORST_CASE_UPGRADE_FACTOR
+from repro.ecc.lotecc import WORST_CASE_UPGRADE_FACTOR
 from repro.fleet.engine import FractionMoments
 from repro.fleet.report import BlockAnswers, population_plan, rate_populations
 from repro.reliability.analytical import ReliabilityParams

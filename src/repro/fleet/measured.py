@@ -65,7 +65,7 @@ from repro.config import (
     MemoryConfig,
     distinct_organizations,
 )
-from repro.core.lotecc_arcc import WORST_CASE_UPGRADE_FACTOR
+from repro.ecc.lotecc import WORST_CASE_UPGRADE_FACTOR
 from repro.faults.models import TABLE_7_4_TYPES, upgraded_page_fraction
 from repro.faults.types import FaultType
 from repro.fleet.report import MeanCI

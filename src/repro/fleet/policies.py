@@ -19,7 +19,7 @@ slice:
   needs a triple).
 * ``lotecc`` — ARCC applied to LOT-ECC (Section 5.2): cheap relaxed
   nine-device pages, but an upgraded access costs
-  :data:`~repro.core.lotecc_arcc.WORST_CASE_UPGRADE_FACTOR`x, in
+  :data:`~repro.ecc.lotecc.WORST_CASE_UPGRADE_FACTOR`x, in
   exchange for double-chip-sparing correction (``sparing``) that
   shrinks the DUE exposure window from the repair interval to one
   scrub pass (the 17x of [4]).

@@ -5,13 +5,9 @@ import random
 import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG
-from repro.core.lotecc_arcc import (
-    WORST_CASE_UPGRADE_FACTOR,
-    ArccLotEcc,
-    LotPageMode,
-)
-from repro.core.vecc_arcc import ArccVecc, VeccPageMode, _RelaxedVecc9
+from repro.core.lotecc_vecc import ArccLotEcc, ArccVecc, PageMode
 from repro.ecc.base import DecodeStatus
+from repro.ecc.lotecc import WORST_CASE_UPGRADE_FACTOR
 from repro.experiments.fig7_6 import plan_fig7_6
 from repro.faults.lifetime import _fraction_after_events
 from repro.faults.types import DEFAULT_FIT_RATES
@@ -26,65 +22,131 @@ def random_line(seed):
     return bytes(rng.randrange(256) for _ in range(64))
 
 
-class TestArccLotEcc:
-    def _with_data(self, pages=4):
-        memory = ArccLotEcc(pages=pages)
-        payloads = {}
-        for line in range(0, pages * 64, 5):
-            data = random_line(line)
-            memory.write_line(line, data)
-            payloads[line] = data
-        return memory, payloads
+def with_data(scheme, pages=4):
+    """A memory of ``pages`` pages with every fifth line written."""
+    memory = scheme(pages=pages)
+    payloads = {}
+    for line in range(0, pages * 64, 5):
+        data = random_line(line)
+        memory.write_line(line, data)
+        payloads[line] = data
+    return memory, payloads
 
-    def test_roundtrip(self):
-        memory, payloads = self._with_data()
+
+@pytest.mark.parametrize("scheme", [ArccLotEcc, ArccVecc], ids=lambda s: s.__name__)
+class TestArccPages:
+    """The Section 5.2 policy both schemes share: relaxed pages, scrub,
+    upgrade on a fault."""
+
+    def test_roundtrip(self, scheme):
+        memory, payloads = with_data(scheme)
         for line, data in payloads.items():
             got, result = memory.read_line(line)
             assert got == data
             assert result.status == DecodeStatus.NO_ERROR
 
-    def test_pages_start_relaxed(self):
-        memory, _ = self._with_data()
+    def test_pages_start_relaxed(self, scheme):
+        memory, _ = with_data(scheme)
         assert all(
-            memory.mode_of(p) == LotPageMode.RELAXED_9
-            for p in range(memory.pages)
+            memory.mode_of(p) == PageMode.RELAXED_9 for p in range(memory.pages)
         )
         assert memory.fraction_upgraded() == 0.0
 
-    def test_unwritten_line_reads_zero(self):
-        memory = ArccLotEcc(pages=1)
-        got, result = memory.read_line(63)
-        assert got == bytes(64) and result.ok
+    def test_unwritten_line_reads_zero(self, scheme):
+        """Reading unwritten memory decodes a zero line: one relaxed read
+        of nine devices, and nothing is written."""
+        memory = scheme(pages=1)
+        got, result = memory.read_line(3)
+        assert got == bytes(64)
+        assert result.status == DecodeStatus.NO_ERROR
+        assert (memory.stats.reads, memory.stats.writes) == (1, 0)
+        assert memory.stats.device_accesses == 9
+        assert memory.read_line(3)[1].status == DecodeStatus.NO_ERROR
 
-    def test_fault_corrected_then_upgraded(self):
-        memory, payloads = self._with_data()
+    def test_fault_corrected_then_upgraded(self, scheme):
+        memory, payloads = with_data(scheme)
         memory.inject_device_fault(page=0, device=2)
         got, result = memory.read_line(0)
         assert result.status == DecodeStatus.CORRECTED
         assert got == payloads[0]
-        upgraded = memory.scrub()
-        assert upgraded == [0]
-        assert memory.mode_of(0) == LotPageMode.UPGRADED_18
+        assert memory.scrub() == [0]
+        assert memory.mode_of(0) == PageMode.UPGRADED_18
         assert memory.stats.pages_upgraded == 1
+        assert memory.devices_per_access(0) == 18
+        assert memory.devices_per_access(1) == 9
 
-    def test_data_survives_upgrade(self):
-        memory, payloads = self._with_data()
+    def test_data_survives_upgrade(self, scheme):
+        memory, payloads = with_data(scheme)
         memory.inject_device_fault(page=0, device=2)
         memory.scrub()
         for line, data in payloads.items():
             got, _ = memory.read_line(line)
             assert got == data
 
-    def test_scrub_idempotent(self):
-        memory, _ = self._with_data()
+    def test_upgrade_keeps_device_faults(self, scheme):
+        """The upgraded page is stored on the same devices, so the faulty
+        device still corrupts it and a read corrects it again."""
+        memory, payloads = with_data(scheme, pages=1)
+        memory.inject_device_fault(page=0, device=1)
+        memory.scrub()
+        got, result = memory.read_line(0)
+        assert got == payloads[0]
+        assert result.status == DecodeStatus.CORRECTED
+        assert set(result.error_positions) == {1}
+
+    def test_reinjecting_a_device_keeps_it_faulty(self, scheme):
+        memory, payloads = with_data(scheme, pages=1)
+        memory.inject_device_fault(page=0, device=4)
+        memory.inject_device_fault(page=0, device=4)
+        got, result = memory.read_line(0)
+        assert result.status == DecodeStatus.CORRECTED
+        assert got == payloads[0]
+
+    def test_fraction_upgraded(self, scheme):
+        memory, _ = with_data(scheme)
+        memory.inject_device_fault(page=2, device=0)
+        memory.scrub()
+        assert memory.fraction_upgraded() == pytest.approx(0.25)
+
+    def test_scrub_idempotent(self, scheme):
+        memory, _ = with_data(scheme)
         memory.inject_device_fault(page=1, device=0)
         assert memory.scrub() == [1]
         assert memory.scrub() == []
 
+    def test_two_faulty_devices_in_relaxed_page_is_due(self, scheme):
+        memory, _ = with_data(scheme, pages=1)
+        memory.inject_device_fault(page=0, device=1)
+        memory.inject_device_fault(page=0, device=5)
+        got, result = memory.read_line(0)
+        assert result.status == DecodeStatus.DETECTED_UE
+        assert got == bytes(64)
+        assert memory.stats.due == 1
+
+    def test_out_of_range_rejected(self, scheme):
+        """A page, line or device outside the memory is an error, never a
+        fault recorded on nothing. LOT-ECC faults hit one of 16 data
+        devices, VECC faults one of 18 rank devices."""
+        devices = {ArccLotEcc: 16, ArccVecc: 18}[scheme]
+        memory = scheme(pages=1)
+        with pytest.raises(ValueError):
+            memory.read_line(64)
+        with pytest.raises(ValueError, match="page 1 out of range"):
+            memory.mode_of(1)
+        for page, device in ((1, 0), (5, 0), (-1, 0), (0, devices), (0, 99), (0, -1)):
+            with pytest.raises(ValueError, match="out of range"):
+                memory.inject_device_fault(page=page, device=device)
+        assert memory._faulty_devices == {}
+        memory.inject_device_fault(page=0, device=devices - 1)
+        assert memory._faulty_devices == {0: [devices - 1]}
+
+
+class TestArccLotEcc:
     def test_access_cost_asymmetry(self):
         """Relaxed reads: 9 devices. Upgraded reads: 2x18 devices (the
-        checksum line costs a second access, Section 5.2)."""
-        memory, _ = self._with_data(pages=2)
+        checksum line costs a second access, Section 5.2). Every write
+        costs LOT-ECC's second write."""
+        memory, _ = with_data(ArccLotEcc, pages=2)
         before = memory.stats.device_accesses
         memory.read_line(64)  # page 1, relaxed
         relaxed_cost = memory.stats.device_accesses - before
@@ -98,36 +160,12 @@ class TestArccLotEcc:
         assert upgraded_cost == 36
         assert upgraded_cost / relaxed_cost == WORST_CASE_UPGRADE_FACTOR
 
-    def test_two_faulty_devices_in_relaxed_page_is_due(self):
-        memory, _ = self._with_data(pages=1)
-        memory.inject_device_fault(page=0, device=1)
-        memory.inject_device_fault(page=0, device=5)
-        got, result = memory.read_line(0)
-        assert result.status == DecodeStatus.DETECTED_UE
-        assert got == bytes(64)
-        assert memory.stats.due == 1
-
-    def test_reinjecting_a_device_keeps_it_faulty(self):
-        memory, payloads = self._with_data(pages=1)
-        memory.inject_device_fault(page=0, device=4)
-        memory.inject_device_fault(page=0, device=4)
-        got, result = memory.read_line(0)
-        assert result.status == DecodeStatus.CORRECTED
-        assert got == payloads[0]
-
-    def test_out_of_range_rejected(self):
-        """A page or device outside the memory is an error, never a
-        fault recorded on nothing. Both ARCC variants: LOT-ECC faults
-        hit one of 16 data devices, VECC faults one of 18 rank devices."""
-        for memory, devices in ((ArccLotEcc(pages=1), 16), (ArccVecc(pages=1), 18)):
-            with pytest.raises(ValueError):
-                memory.read_line(64)
-            for page, device in ((1, 0), (5, 0), (-1, 0), (0, devices), (0, 99), (0, -1)):
-                with pytest.raises(ValueError, match="out of range"):
-                    memory.inject_device_fault(page=page, device=device)
-            assert memory._faulty_devices == {}
-            memory.inject_device_fault(page=0, device=devices - 1)
-            assert memory._faulty_devices == {0: [devices - 1]}
+        before = (memory.stats.device_accesses, memory.stats.memory_operations)
+        memory.write_line(64, bytes(64))
+        memory.write_line(0, bytes(64))
+        after = (memory.stats.device_accesses, memory.stats.memory_operations)
+        assert (after[0] - before[0], after[1] - before[1]) == (18 + 36, 2 + 2)
+        assert memory.stats.slow_path_reads == 0
 
 
 def _fig7_6_series(years, channels, rate_multiplier, seed=0x107ECC):
@@ -240,80 +278,37 @@ class TestLotEccLifetimeOverhead:
 
 
 class TestArccVecc:
-    def _with_data(self, pages=4):
-        memory = ArccVecc(pages=pages)
-        payloads = {}
-        for line in range(0, pages * 64, 7):
-            data = random_line(line + 50)
-            memory.write_line(line, data)
-            payloads[line] = data
-        return memory, payloads
-
-    def test_roundtrip(self):
-        memory, payloads = self._with_data()
-        for line, data in payloads.items():
-            got, result = memory.read_line(line)
-            assert got == data and result.ok
-
-    def test_relaxed_clean_read_is_nine_devices(self):
-        memory, _ = self._with_data()
-        before = memory.stats.device_accesses
-        memory.read_line(0)
-        assert memory.stats.device_accesses - before == 9
+    def test_access_costs(self):
+        """Relaxed: 9 devices per clean read, 18 per slow-path read or
+        write. Upgraded: 18 per clean read, 36 per slow-path read or
+        write."""
+        memory, _ = with_data(ArccVecc, pages=2)
+        costs = []
+        for op in (
+            lambda: memory.write_line(64, bytes(64)),
+            lambda: memory.read_line(64),
+            lambda: memory.inject_device_fault(page=0, device=1),
+            lambda: memory.read_line(0),
+            lambda: memory.scrub(),
+            lambda: memory.read_line(0),
+            lambda: memory.write_line(0, bytes(64)),
+            lambda: memory.read_line(1),
+        ):
+            before = memory.stats.device_accesses
+            op()
+            costs.append(memory.stats.device_accesses - before)
+        assert costs == [18, 9, 0, 18, 0, 36, 36, 18]
 
     def test_fault_takes_slow_path(self):
-        memory, payloads = self._with_data()
+        memory, payloads = with_data(ArccVecc)
         memory.inject_device_fault(page=0, device=1)
         got, result = memory.read_line(0)
         assert result.status == DecodeStatus.CORRECTED
         assert got == payloads[0]
-        assert memory.stats.slow_path_reads >= 1
-
-    def test_scrub_upgrades_to_18_device_vecc(self):
-        memory, payloads = self._with_data()
-        memory.inject_device_fault(page=0, device=1)
-        assert memory.scrub() == [0]
-        assert memory.mode_of(0) == VeccPageMode.UPGRADED_18
-        assert memory.devices_per_access(0) == 18
-        assert memory.devices_per_access(1) == 9
-        for line, data in payloads.items():
-            got, _ = memory.read_line(line)
-            assert got == data
-
-    def test_fraction_upgraded(self):
-        memory, _ = self._with_data()
-        memory.inject_device_fault(page=2, device=0)
-        memory.scrub()
-        assert memory.fraction_upgraded() == pytest.approx(0.25)
-
-    def test_relaxed_codec_detects_single_symbol(self):
-        codec = _RelaxedVecc9()
-        rank, corr = codec.encode_line(bytes(range(64)))
-        assert codec.detect_line(rank).status == DecodeStatus.NO_ERROR
-        bad = [list(cw) for cw in rank]
-        for cw in bad:
-            cw[3] ^= 0x10
-        assert codec.detect_line(bad).status == DecodeStatus.DETECTED_UE
-        result = codec.correct_line(bad, corr)
-        assert result.status == DecodeStatus.CORRECTED
-        assert result.data == bytes(range(64))
-
-    def test_two_faulty_devices_in_relaxed_page_is_due(self):
-        memory, _ = self._with_data(pages=1)
-        memory.inject_device_fault(page=0, device=1)
-        memory.inject_device_fault(page=0, device=5)
-        _, result = memory.read_line(0)
-        assert result.status == DecodeStatus.DETECTED_UE
-        assert memory.stats.due == 1
-
-    def test_unwritten_line_reads_zero(self):
-        memory = ArccVecc(pages=1)
-        got, result = memory.read_line(63)
-        assert got == bytes(64)
-        assert result.status == DecodeStatus.NO_ERROR
+        assert memory.stats.slow_path_reads == 1
 
     def test_write_after_upgrade_uses_full_vecc(self):
-        memory, _ = self._with_data(pages=1)
+        memory, _ = with_data(ArccVecc, pages=1)
         memory.inject_device_fault(page=0, device=1)
         memory.scrub()
         data = random_line(99)
@@ -326,7 +321,8 @@ class TestArccVecc:
         assert set(result.error_positions) == {1}
 
     def test_upgraded_fault_takes_slow_path(self):
-        memory, payloads = self._with_data(pages=1)
+        """Upgraded VECC corrects two faulty devices on the slow path."""
+        memory, payloads = with_data(ArccVecc, pages=1)
         memory.inject_device_fault(page=0, device=1)
         memory.scrub()
         memory.inject_device_fault(page=0, device=6)
@@ -335,20 +331,3 @@ class TestArccVecc:
         assert result.status == DecodeStatus.CORRECTED
         assert got == payloads[0]
         assert memory.stats.slow_path_reads == slow + 1
-
-    def test_scrub_idempotent(self):
-        memory, _ = self._with_data()
-        memory.inject_device_fault(page=3, device=2)
-        assert memory.scrub() == [3]
-        assert memory.scrub() == []
-
-    def test_relaxed_codec_takes_64b_lines(self):
-        from repro.ecc.base import CodecError
-
-        with pytest.raises(CodecError):
-            _RelaxedVecc9().encode_line(bytes(63))
-
-    def test_page_mode_bounds(self):
-        memory = ArccVecc(pages=2)
-        with pytest.raises(ValueError):
-            memory.mode_of(2)

@@ -240,18 +240,30 @@ class TestLotEcc18:
             codec.remap(0, line)
 
 
+#: VECC's 18-device rank and ARCC's relaxed nine-device rank (Section 5.2).
+VECC_GEOMETRIES = pytest.mark.parametrize(
+    "geometry, rank_devices",
+    [({}, 18), ({"data_devices": 8, "detect_checks": 1}, 9)],
+    ids=["rs20_16", "rs11_8"],
+)
+
+
 class TestVecc:
-    def test_clean_fast_path(self):
-        vecc = Vecc()
+    @VECC_GEOMETRIES
+    def test_clean_fast_path(self, geometry, rank_devices):
+        vecc = Vecc(**geometry)
         data = random_line(seed=12)
         rank, corr = vecc.encode_line(data)
-        assert len(rank[0]) == 18 and len(corr[0]) == 2
+        assert len(rank[0]) == rank_devices and len(corr[0]) == 2
         result = vecc.detect_line(rank)
         assert result.status == DecodeStatus.NO_ERROR
         assert result.data == data
 
-    def test_error_triggers_slow_path(self):
-        vecc = Vecc()
+    @VECC_GEOMETRIES
+    def test_error_triggers_slow_path(self, geometry, rank_devices):
+        """The fast path detects one bad symbol; the slow path corrects
+        it through the virtualized symbols, at twice the rank's cost."""
+        vecc = Vecc(**geometry)
         data = random_line(seed=13)
         rank, corr = vecc.encode_line(data)
         bad = corrupt_device(rank, 4, 0x77)
@@ -259,7 +271,7 @@ class TestVecc:
         result, accesses = vecc.decode_line(bad, corr)
         assert result.status == DecodeStatus.CORRECTED
         assert result.data == data
-        assert accesses == vecc.devices_per_corrected_access
+        assert accesses == vecc.devices_per_corrected_access == 2 * rank_devices
 
     def test_clean_read_cost(self):
         vecc = Vecc()
@@ -278,8 +290,9 @@ class TestVecc:
         assert result.status == DecodeStatus.CORRECTED
         assert result.data == data
 
-    def test_wrong_shapes_rejected(self):
-        vecc = Vecc()
+    @VECC_GEOMETRIES
+    def test_wrong_shapes_rejected(self, geometry, rank_devices):
+        vecc = Vecc(**geometry)
         rank, corr = vecc.encode_line(bytes(64))
         with pytest.raises(CodecError):
             vecc.correct_line(rank, corr[:-1])

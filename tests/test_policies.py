@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.lotecc_arcc import WORST_CASE_UPGRADE_FACTOR
+from repro.ecc.lotecc import WORST_CASE_UPGRADE_FACTOR
 from repro.faults.models import TABLE_7_4_TYPES
 from repro.faults.types import FaultType
 from repro.fleet.engine import uncorrectable_candidate_channels

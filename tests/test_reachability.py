@@ -369,7 +369,7 @@ def _fresh_import(module: str, package: str) -> List[str]:
     "module",
     [
         "repro.fleet.events",
-        "repro.core.lotecc_arcc",
+        "repro.core.lotecc_vecc",
         # The modules of every registry job callable.
         "repro.fleet.engine",
         "repro.fuzz.campaign",

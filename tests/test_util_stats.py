@@ -167,9 +167,7 @@ INTEGER_SUMS = Counter({
     ("repro.cache.llc", "LastLevelCache.resident_lines"): 1,
     ("repro.cli", "_cmd_fleet"): 2,
     ("repro.cli", "_cmd_run"): 1,
-    ("repro.core.lotecc_arcc", "ArccLotEcc.fraction_upgraded"): 1,
     ("repro.core.page_table", "PageTable.pages_in_mode"): 1,
-    ("repro.core.vecc_arcc", "ArccVecc.fraction_upgraded"): 1,
     ("repro.dram.queues", "PartitionedFifoQueues.pending"): 2,
     ("repro.dram.queues", "PointerFlagQueues.pending"): 1,
     ("repro.fleet.policies", "PolicyComparisonReport.total_channels"): 1,
